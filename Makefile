@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet race fuzz-short vuln lint-designs lint-layering torture torture-faults torture-reboots torture-spares torture-guided torture-kv torture-compact torture-long campaign campaign-short kv-smoke ci bench bench-check profile clean
+.PHONY: all tier1 vet race fuzz-short vuln lint-designs lint-layering torture torture-faults torture-reboots torture-spares torture-guided torture-kv torture-compact torture-long campaign campaign-short kv-smoke benchmark-check ci bench bench-check profile clean
 
 # Performance-ledger knobs. BENCH_PR numbers the pinned ledger file
 # (BENCH_$(BENCH_PR).json); BENCH_OPS sizes the pinning run, and
@@ -165,8 +165,14 @@ campaign-short:
 kv-smoke:
 	@GO=$(GO) sh scripts/kv_smoke.sh
 
+# benchmark-check compiles and tests the repo benchmark. benchmark/ is
+# a module of its own, so tier1's ./... never sees it, yet it imports
+# ccnvm/internal/...: an API change there breaks it silently otherwise.
+benchmark-check:
+	$(GO) vet -C benchmark . && $(GO) test -C benchmark .
+
 # ci is what a merge must pass.
-ci: tier1 vet lint-designs lint-layering race fuzz-short vuln torture-reboots torture-spares torture-kv torture-compact campaign-short kv-smoke bench-check
+ci: tier1 vet lint-designs lint-layering race fuzz-short vuln torture-reboots torture-spares torture-kv torture-compact campaign-short kv-smoke benchmark-check bench-check
 
 # bench pins the performance ledger: the Go benchmarks stream into a
 # benchstat-friendly raw file (compare two with
@@ -188,18 +194,14 @@ bench-check:
 	fi
 
 # profile captures CPU and heap profiles of a Figure 5 run; inspect with
-# `go tool pprof cpu.out`. PROFILE_PARALLEL sets the machine-level
-# concurrency and PROFILE_WORKERS the per-machine pipeline width, so
-# serial and parallel configurations can both be profiled without
-# editing this file:
+# `go tool pprof cpu.out`. PROFILE_PARALLEL sets how many simulated
+# machines run at once:
 #
 #	make profile                                   # serial baseline
 #	make profile PROFILE_PARALLEL=4                # 4 concurrent machines
-#	make profile PROFILE_WORKERS=4                 # sharded BMT pipeline
 PROFILE_PARALLEL ?= 1
-PROFILE_WORKERS ?= 0
 profile:
-	$(GO) run ./cmd/ccnvm-bench -fig 5 -parallel $(PROFILE_PARALLEL) -workers $(PROFILE_WORKERS) -cpuprofile cpu.out -memprofile mem.out
+	$(GO) run ./cmd/ccnvm-bench -fig 5 -parallel $(PROFILE_PARALLEL) -cpuprofile cpu.out -memprofile mem.out
 
 clean:
 	rm -f cpu.out mem.out

@@ -74,7 +74,6 @@ func main() {
 	warmup := flag.Int("warmup", 0, "warm-up operations excluded from statistics")
 	seed := flag.Int64("seed", 1, "workload seed")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "concurrent simulations")
-	workers := flag.Int("workers", 0, "per-machine parallel-pipeline width (subtree-sharded BMT/drain workers; 0 or 1 = serial, results identical)")
 	benchList := flag.String("benchmarks", "", "comma-separated benchmark subset (default: all eight)")
 	ledgerPath := flag.String("ledger", "", "measure the performance ledger and pin it to this file (e.g. BENCH_6.json), then exit")
 	checkDir := flag.String("check", "", "measure a fresh ledger and regression-gate it against the newest BENCH_*.json in this directory, then exit")
@@ -100,7 +99,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	o := experiments.Options{Ops: *ops, Warmup: *warmup, Seed: *seed, Parallelism: *parallel, Workers: *workers}
+	o := experiments.Options{Ops: *ops, Warmup: *warmup, Seed: *seed, Parallelism: *parallel}
 	if *benchList != "" {
 		o.Benchmarks = strings.Split(*benchList, ",")
 	}
@@ -273,9 +272,6 @@ func ledgerSummary(l *perf.Ledger) string {
 		l.OpsPerSec, l.WallSeconds, l.AllocsPerOp, l.Memo.Overall)
 	for _, d := range sortedDesigns(l) {
 		fmt.Fprintf(&b, "  %-12s %9.0f ops/sec\n", d, l.Designs[d].OpsPerSec)
-	}
-	for _, p := range l.Parallel {
-		fmt.Fprintf(&b, "  tree kernel workers=%d: %.3fs (%.2fx)\n", p.Workers, p.WallSeconds, p.Speedup)
 	}
 	if k := l.KV; k != nil {
 		fmt.Fprintf(&b, "  kv serving: %d conns x %d batches: %.0f ops/sec, p50 %.0fus p99 %.0fus p999 %.0fus\n",

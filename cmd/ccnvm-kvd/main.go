@@ -13,7 +13,6 @@
 // Usage:
 //
 //	ccnvm-kvd -addr 127.0.0.1:7070 -image /tmp/nvm.img
-//	ccnvm-kvd -addr 127.0.0.1:0 -workers 4        # parallel BMT drain
 //
 // Protocol (one JSON object per line, one response per line):
 //
@@ -56,18 +55,17 @@ func main() {
 	capacity := flag.Uint64("capacity", 64<<20, "data-region bytes for a fresh store")
 	n := flag.Uint64("n", 16, "update limit N (deferred-spreading bound)")
 	queue := flag.Int("queue", 64, "WPQ entries")
-	workers := flag.Int("workers", 0, "parallel BMT pipeline width (0 = serial)")
 	image := flag.String("image", "", "crash-image file: loaded at boot if present, written on crash/quit")
 	flag.Parse()
 
-	if err := run(*addr, *design, *capacity, *n, *queue, *workers, *image); err != nil {
+	if err := run(*addr, *design, *capacity, *n, *queue, *image); err != nil {
 		fmt.Fprintln(os.Stderr, "ccnvm-kvd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, design string, capacity, n uint64, queue, workers int, image string) error {
-	params := engine.Params{UpdateLimit: n, QueueEntries: queue, Workers: workers}
+func run(addr, design string, capacity, n uint64, queue int, image string) error {
+	params := engine.Params{UpdateLimit: n, QueueEntries: queue}
 	var st *store.Store
 	if image != "" {
 		if _, err := os.Stat(image); err == nil {

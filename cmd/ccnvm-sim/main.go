@@ -51,13 +51,12 @@ func main() {
 	scrubOps := flag.Int("scrub-ops", 0, "trace ops between scrub passes under a fault model (0 = default)")
 	traceFile := flag.String("trace", "", "replay a recorded trace file instead of a generated workload")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "concurrent simulations when multiple designs are given")
-	workers := flag.Int("workers", 0, "per-machine parallel-pipeline width (subtree-sharded BMT/drain workers; 0 or 1 = serial, results identical)")
 	asJSON := flag.Bool("json", false, "emit the result as JSON (an array when multiple designs are given)")
 	flag.Parse()
 
 	cfg := sim.Config{
 		Capacity: *capacity,
-		Params:   engine.Params{UpdateLimit: *n, QueueEntries: *m, Workers: *workers},
+		Params:   engine.Params{UpdateLimit: *n, QueueEntries: *m},
 		ScrubOps: *scrubOps,
 	}
 	// Any non-zero fault axis installs the media fault model; with all

@@ -37,7 +37,6 @@ type Tree struct {
 	lay      *mem.Layout
 	cry      *seccrypto.Engine
 	defaults []mem.Line // default node content per level; [0] is the zero counter line
-	workers  []*Tree    // lazily forked per-worker clones for the parallel paths (shard.go)
 }
 
 // New builds the tree helper and precomputes the per-level default
@@ -237,4 +236,40 @@ func (t *Tree) Rebuild(r Reader, counterAddrs []mem.Addr) (map[mem.Addr]mem.Line
 		seccrypto.PutHMAC(&root, s, t.cry.NodeHMAC(child))
 	}
 	return nodes, root
+}
+
+// SpreadDeferred performs the drainer's deferred spreading (cc-NVM
+// §4.3): starting from the dirty counter leaves (index -> new content),
+// it recomputes every affected internal node exactly once, bottom-up,
+// coalescing same-node updates. lookup supplies the pre-drain content
+// of an internal node the first time a level touches it.
+//
+// It returns the recomputed internal nodes keyed by NVM address, the
+// per-level affected counts (counts[l] nodes were hashed at level l,
+// for l in 0..TopLevel; the last entry is the top-level set folded into
+// the root) for the caller's HMAC-unit timing model, and the top-level
+// nodes (index -> content) for the root fold.
+func (t *Tree) SpreadDeferred(leaves map[uint64]mem.Line, lookup func(mem.Addr) mem.Line) (map[mem.Addr]mem.Line, []int, map[uint64]mem.Line) {
+	nodes := make(map[mem.Addr]mem.Line)
+	counts := make([]int, t.lay.TopLevel()+1)
+	affected := leaves
+	for level := 0; level < t.lay.TopLevel(); level++ {
+		parents := make(map[uint64]mem.Line)
+		for idx, child := range affected {
+			_, pi, slot := t.lay.ParentOf(level, idx)
+			node, started := parents[pi]
+			if !started {
+				node = lookup(t.lay.NodeAddr(level+1, pi))
+			}
+			t.SetParentSlot(&node, slot, child)
+			parents[pi] = node
+		}
+		counts[level] = len(affected)
+		for pi, node := range parents {
+			nodes[t.lay.NodeAddr(level+1, pi)] = node
+		}
+		affected = parents
+	}
+	counts[t.lay.TopLevel()] = len(affected)
+	return nodes, counts, affected
 }

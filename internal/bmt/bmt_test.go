@@ -15,16 +15,21 @@ func tree(t testing.TB, capacity uint64) (*Tree, *mem.Store) {
 	return New(lay, cry), &mem.Store{}
 }
 
-// persistTree writes a full consistent tree for the written counter
-// lines in st, returning the root node, by materializing Rebuild output.
-func persistTree(tr *Tree, st *mem.Store) mem.Line {
+// writtenCounters lists the counter-line addresses present in st.
+func writtenCounters(tr *Tree, st *mem.Store) []mem.Addr {
 	var counters []mem.Addr
 	for _, a := range st.Addrs() {
 		if tr.Layout().RegionOf(a) == mem.RegionCounter {
 			counters = append(counters, a)
 		}
 	}
-	nodes, root := tr.Rebuild(st, counters)
+	return counters
+}
+
+// persistTree writes a full consistent tree for the written counter
+// lines in st, returning the root node, by materializing Rebuild output.
+func persistTree(tr *Tree, st *mem.Store) mem.Line {
+	nodes, root := tr.Rebuild(st, writtenCounters(tr, st))
 	for a, n := range nodes {
 		st.Write(a, n)
 	}
@@ -306,5 +311,95 @@ func TestRebuildIdempotentProperty(t *testing.T) {
 		if cur != n {
 			t.Fatalf("rebuild changed node %#x", uint64(a))
 		}
+	}
+}
+
+// TestSpreadDeferredMatchesRebuild checks the drainer's incremental
+// walk against the from-scratch one: after a seeded set of counter
+// lines changes under a persisted tree, SpreadDeferred must recompute
+// exactly the ancestors of the dirty leaves, to the content Rebuild
+// derives from all leaves, and folding its top level into the old root
+// must give the root RootNode reads back.
+func TestSpreadDeferredMatchesRebuild(t *testing.T) {
+	tr, st := tree(t, 64<<20)
+	lay := tr.Layout()
+	rng := rand.New(rand.NewSource(11))
+	total := lay.LevelNodes(0)
+	for i := 0; i < 150; i++ {
+		writeCounter(tr, st, rng.Uint64()%total, 1+rng.Intn(3))
+	}
+	root := persistTree(tr, st)
+
+	// Dirty set: a dense run (siblings coalesce into shared parents), a
+	// scatter over the whole leaf range, and rewrites of lines the
+	// persisted tree already covers.
+	dirty := map[uint64]bool{}
+	for i := uint64(0); i < 24; i++ {
+		dirty[100+i] = true
+	}
+	for i := 0; i < 40; i++ {
+		dirty[rng.Uint64()%total] = true
+	}
+	for _, a := range writtenCounters(tr, st)[:30] {
+		dirty[lay.CounterLineIndex(a)] = true
+	}
+	leaves := make(map[uint64]mem.Line, len(dirty))
+	for idx := range dirty {
+		writeCounter(tr, st, idx, 1+int(idx%3))
+		leaves[idx], _ = st.Read(lay.CounterLineAddr(idx))
+	}
+
+	nodes, counts, top := tr.SpreadDeferred(leaves, func(a mem.Addr) mem.Line {
+		level, idx := lay.NodeAt(a)
+		return tr.NodeContent(st, level, idx) // st still holds the pre-drain nodes
+	})
+
+	// Per-level counts are the distinct ancestors of the dirty leaves.
+	level := dirty
+	for l := 0; l <= lay.TopLevel(); l++ {
+		if counts[l] != len(level) {
+			t.Fatalf("counts[%d] = %d, want %d", l, counts[l], len(level))
+		}
+		if l == lay.TopLevel() {
+			break
+		}
+		parents := map[uint64]bool{}
+		for idx := range level {
+			_, pi, _ := lay.ParentOf(l, idx)
+			parents[pi] = true
+			if _, ok := nodes[lay.NodeAddr(l+1, pi)]; !ok {
+				t.Fatalf("ancestor (%d,%d) of a dirty leaf was not recomputed", l+1, pi)
+			}
+		}
+		level = parents
+	}
+	if len(top) != len(level) {
+		t.Fatalf("top set has %d nodes, want %d", len(top), len(level))
+	}
+
+	wantNodes, wantRoot := tr.Rebuild(st, writtenCounters(tr, st))
+	for a, n := range wantNodes {
+		if got, ok := nodes[a]; ok {
+			if got != n {
+				t.Fatalf("recomputed node %#x differs from Rebuild", uint64(a))
+			}
+		} else if old, _ := st.Read(a); old != n {
+			t.Fatalf("node %#x changed but was not recomputed", uint64(a))
+		}
+	}
+	for a := range nodes {
+		if _, ok := wantNodes[a]; !ok {
+			t.Fatalf("recomputed node %#x is not in the rebuilt tree", uint64(a))
+		}
+		st.Write(a, nodes[a])
+	}
+	for idx, n := range top {
+		if n != nodes[lay.NodeAddr(lay.TopLevel(), idx)] {
+			t.Fatalf("top node %d differs from the node map", idx)
+		}
+		tr.SetParentSlot(&root, int(idx), n)
+	}
+	if root != wantRoot || root != tr.RootNode(st) {
+		t.Fatal("folded root differs from Rebuild / RootNode")
 	}
 }

@@ -281,26 +281,21 @@ func (c *CCNVM) drain(now int64, cause DrainCause) int64 {
 		// once, bottom-up, from the dirty counter lines. Within a level
 		// every child hash is independent, so the HMAC unit pipelines
 		// them (one issue slot each); levels serialize on each other,
-		// which is the residual cascade a drain cannot avoid. With
-		// Workers > 1 the recomputation fans out by top-level subtree
-		// (bmt.SpreadDeferred); the per-level counts driving the timing
-		// model are partition-independent, so modeled time, HMACOps and
-		// every recomputed node are identical to the serial walk.
+		// which is the residual cascade a drain cannot avoid.
 		leaves := make(map[uint64]mem.Line)
 		for _, a := range tracked {
 			if c.Lay.RegionOf(a) == mem.RegionCounter {
 				leaves[c.Lay.CounterLineIndex(a)] = content[a]
 			}
 		}
-		// The lookup reads only pre-drain state (the initial content
-		// snapshot, caches, NVM), never other workers' output: a parent is
-		// always recomputed by the same shard as its children.
+		// The lookup reads only pre-drain state: the initial content
+		// snapshot, caches, NVM.
 		nodes, counts, top := c.Tree.SpreadDeferred(leaves, func(pa mem.Addr) mem.Line {
 			if l, ok := content[pa]; ok {
 				return l
 			}
 			return c.metaContent(pa)
-		}, c.P.Workers)
+		})
 		for pa, node := range nodes {
 			content[pa] = node
 		}

@@ -93,24 +93,6 @@ func (b *Base) InitBase(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Cont
 			}
 		}
 	})
-	if p.Workers > 1 {
-		// Let the controller service epoch-drain batches on the worker
-		// pool, partitioned by the same top-level-subtree shard the tree
-		// pipeline uses. The controller refuses the split (keeping the
-		// single global FIFO) when a fault model is active, since
-		// crash-time tear composition replays held entries in global
-		// write order.
-		b.Ctrl.ConfigureDrainSharding(b.Tree.Shards(), func(a mem.Addr) int {
-			switch lay.RegionOf(a) {
-			case mem.RegionCounter:
-				return b.Tree.ShardOf(0, lay.CounterLineIndex(a))
-			case mem.RegionTree:
-				return b.Tree.ShardOf(lay.NodeAt(a))
-			default:
-				return 0
-			}
-		}, p.Workers)
-	}
 	// An empty NVM implies the default tree; both root registers start
 	// at the default root node so verification works from cycle zero.
 	b.TCB.RootNew = b.Tree.RootNode(emptyReader{})
@@ -639,7 +621,6 @@ func (b *Base) MakeCrashImage(design string) *CrashImage {
 		TCB:         b.TCB.CloneExt(),
 		Keys:        b.Keys,
 		UpdateLimit: b.P.UpdateLimit,
-		Workers:     b.P.Workers,
 		Design:      design,
 	}
 	if b.Ctrl.Device().FaultModel() != nil {

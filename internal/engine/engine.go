@@ -107,9 +107,6 @@ type CrashImage struct {
 	Keys seccrypto.Keys
 	// UpdateLimit is the design's N, bounding recovery retries.
 	UpdateLimit uint64
-	// Workers is the engine's parallel-pipeline width; recovery reuses
-	// it for the subtree-sharded tree verification and rebuild.
-	Workers int
 	// Design names the engine that produced the image.
 	Design string
 	// Sideband carries per-line out-of-band state that real hardware
@@ -219,14 +216,6 @@ type Params struct {
 	WritebackBuffer   int    // victim buffer entries (default 5)
 	UpdateLimit       uint64 // N, per-line update limit (default 16)
 	QueueEntries      int    // M, dirty address queue entries (default 64)
-
-	// Workers bounds the worker pool of the parallel security-metadata
-	// pipeline: subtree-sharded BMT verify/rebuild, deferred-spreading
-	// recomputation and epoch-drain batches run on up to Workers
-	// goroutines. 0 or 1 selects the serial engine. Results are
-	// bit-identical either way (see DESIGN.md, "Parallel epochs"); only
-	// host wall time and memo hit/miss counters may differ.
-	Workers int
 }
 
 // Fill applies the paper's defaults to unset fields.

@@ -45,13 +45,6 @@ type Options struct {
 	// either way because results land in keyed maps. Set to 1 to force
 	// serial execution (e.g. when profiling a single run).
 	Parallelism int
-
-	// Workers is the per-machine parallel-pipeline width
-	// (engine.Params.Workers): how many goroutines ONE simulated
-	// machine may use for subtree-sharded BMT work and epoch drains.
-	// Orthogonal to Parallelism, which fans out whole machines.
-	// Default 0 (serial engine); results are bit-identical either way.
-	Workers int
 }
 
 func (o *Options) fill() {
@@ -161,7 +154,6 @@ func runOne(design, bench string, o Options) (sim.Result, error) {
 		Params: engine.Params{
 			UpdateLimit:  o.UpdateLimit,
 			QueueEntries: o.QueueEntries,
-			Workers:      o.Workers,
 		},
 	}
 	return sim.RunBenchmarkWarm(design, bench, o.Ops, o.Warmup, o.Seed, cfg)
@@ -526,7 +518,6 @@ func RunSpareLifetime(o Options, designName, benchmark string, pools []int) (*Sp
 			Params: engine.Params{
 				UpdateLimit:  o.UpdateLimit,
 				QueueEntries: o.QueueEntries,
-				Workers:      o.Workers,
 			},
 			Faults:   &nvm.FaultModel{Seed: o.Seed, StuckLines: 2, SpareLines: pool},
 			ScrubOps: max(1, len(ops)/10),

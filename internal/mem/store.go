@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // storeShards is the number of line-map shards in a Store. Sharding
 // serves copy-on-write cloning: a crash snapshot shares all shard maps
@@ -72,48 +69,6 @@ func (s *Store) Write(a Addr, l Line) {
 	sh := &s.shards[shardOf(a)]
 	sh.ensureOwned()
 	sh.lines[a] = l
-}
-
-// WriteBatch stores lines[i] at addrs[i] for every i, equivalent to
-// calling Write in index order but with the map inserts spread across
-// up to workers goroutines. Safety comes from the store's sharding:
-// entries are partitioned by internal shard, each shard is privatized
-// up front, and no two goroutines ever touch the same shard map. Within
-// a shard, entries apply in input order, so duplicate addresses resolve
-// exactly as serial Write calls would.
-func (s *Store) WriteBatch(addrs []Addr, lines []Line, workers int) {
-	if workers <= 1 || len(addrs) < 2 {
-		for i, a := range addrs {
-			s.Write(a, lines[i])
-		}
-		return
-	}
-	byShard := make([][]int, storeShards)
-	for i, a := range addrs {
-		sh := shardOf(Align(a))
-		byShard[sh] = append(byShard[sh], i)
-	}
-	if workers > storeShards {
-		workers = storeShards
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for sh := w; sh < storeShards; sh += workers {
-				if len(byShard[sh]) == 0 {
-					continue
-				}
-				shard := &s.shards[sh]
-				shard.ensureOwned()
-				for _, i := range byShard[sh] {
-					shard.lines[Align(addrs[i])] = lines[i]
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // Delete removes the line at a, returning it to the default (zero)

@@ -118,8 +118,7 @@ const (
 	// whole. The engine's TCB commit is ordered after this event.
 	EvEpochCommit
 	// EvADRFlush: one held entry was serviced to the media after its
-	// epoch's commit, emitted in shard order (deterministic even when
-	// drain sharding fans the servicing out).
+	// epoch's commit, emitted in acceptance order.
 	EvADRFlush
 )
 
@@ -191,20 +190,11 @@ type Controller struct {
 	readBanks []int64 // next-free cycle per bank, read stream
 	readQ     []int64 // completion times of in-flight reads (queue bound)
 
-	backlog    float64 // WPQ occupancy being drained (lines)
-	backlogUpd int64   // cycle of the last backlog update
+	backlog    float64     // WPQ occupancy being drained (lines)
+	backlogUpd int64       // cycle of the last backlog update
+	held       []heldEntry // epoch entries awaiting the end signal, FIFO
 	inDrain    bool
 	stats      Stats
-
-	// Held epoch entries, as per-shard queues. The default is one queue;
-	// ConfigureDrainSharding splits the epoch batch by independent
-	// subtree so the end-of-drain servicing can fan out. An address maps
-	// to exactly one shard, so forwarding scans only its queue and sees
-	// the same first-match entry the single global FIFO would.
-	held         [][]heldEntry
-	heldCount    int
-	drainShardOf func(mem.Addr) int // nil when unsharded
-	drainWorkers int
 
 	// Fault-model state (empty on the idealized device).
 	pending  []pendingWrite // accepted writes not yet serviced, FIFO
@@ -231,57 +221,7 @@ func New(cfg Config, dev *nvm.Device) *Controller {
 		cfg:       cfg,
 		dev:       dev,
 		readBanks: make([]int64, cfg.Banks),
-		held:      make([][]heldEntry, 1),
 	}
-}
-
-// ConfigureDrainSharding splits the held epoch queue into shards
-// independent batches keyed by shardOf (the engine supplies its
-// subtree partition) and lets EndEpochDrain service them on up to
-// workers goroutines. The commit point stays atomic — the end signal
-// lands before any servicing — and the WPQ-wedge and ADR-budget
-// invariants are unchanged because acceptance accounting still runs on
-// the caller's thread against the shared occupancy.
-//
-// Sharding is refused (the single global FIFO is kept) when the device
-// carries a fault model: crash-time tear composition replays the held
-// queue in global write order, which a sharded layout would not
-// preserve.
-func (c *Controller) ConfigureDrainSharding(shards int, shardOf func(mem.Addr) int, workers int) {
-	if c.heldCount != 0 || c.inDrain {
-		panic("memctrl: ConfigureDrainSharding inside a draining window")
-	}
-	if shards <= 1 || shardOf == nil || c.dev.FaultModel() != nil {
-		c.held = make([][]heldEntry, 1)
-		c.drainShardOf = nil
-		c.drainWorkers = 1
-		return
-	}
-	c.held = make([][]heldEntry, shards)
-	c.drainShardOf = shardOf
-	c.drainWorkers = max(workers, 1)
-}
-
-// heldQueue returns the shard queue owning address a.
-func (c *Controller) heldQueue(a mem.Addr) *[]heldEntry {
-	if c.drainShardOf == nil {
-		return &c.held[0]
-	}
-	return &c.held[c.drainShardOf(a)]
-}
-
-// allHeld flattens the shard queues in shard order. Crash-fault
-// injection replays it as the global held FIFO, which is exact because
-// sharding is disabled whenever a fault model is present.
-func (c *Controller) allHeld() []heldEntry {
-	if len(c.held) == 1 {
-		return c.held[0]
-	}
-	out := make([]heldEntry, 0, c.heldCount)
-	for _, q := range c.held {
-		out = append(out, q...)
-	}
-	return out
 }
 
 // heldForward looks a up among the held epoch entries (first match in
@@ -292,10 +232,7 @@ func (c *Controller) heldForward(a mem.Addr) (mem.Line, bool) {
 		// forwards like any entry; only its durability is sabotaged.
 		return c.sabVictim.line, true
 	}
-	if c.heldCount == 0 {
-		return mem.Line{}, false
-	}
-	for _, h := range *c.heldQueue(a) {
+	for _, h := range c.held {
 		if h.addr == a {
 			return h.line, true
 		}
@@ -528,12 +465,12 @@ func (c *Controller) Write(now int64, a mem.Addr, l mem.Line) int64 {
 	a = mem.Align(a)
 	c.stats.Writes++
 	c.advance(now)
-	if occ := c.backlog + float64(c.heldCount); occ+1 > float64(c.cfg.WriteQueue) {
+	if occ := c.backlog + float64(len(c.held)); occ+1 > float64(c.cfg.WriteQueue) {
 		// Block until enough backlog drains for one slot. If every slot
 		// is a held epoch entry the protocol is broken: the drainer must
 		// bound its batch by the WPQ size.
 		if c.backlog <= 0 {
-			c.fail(fmt.Errorf("%w (%d held)", ErrWPQWedged, c.heldCount))
+			c.fail(fmt.Errorf("%w (%d held)", ErrWPQWedged, len(c.held)))
 			return now
 		}
 		need := occ + 1 - float64(c.cfg.WriteQueue)
@@ -546,9 +483,7 @@ func (c *Controller) Write(now int64, a mem.Addr, l mem.Line) int64 {
 	if c.inDrain {
 		c.stats.EpochWrites++
 		c.emit(EvEpochHold, a)
-		q := c.heldQueue(a)
-		*q = append(*q, heldEntry{a, l})
-		c.heldCount++
+		c.held = append(c.held, heldEntry{a, l})
 		return now
 	}
 	c.emit(EvWriteAccept, a)
@@ -637,7 +572,7 @@ func (c *Controller) ReadBypass(now int64, a mem.Addr) (mem.Line, bool, int64) {
 func (c *Controller) InDrain() bool { return c.inDrain }
 
 // HeldEntries reports how many epoch writes are currently held.
-func (c *Controller) HeldEntries() int { return c.heldCount }
+func (c *Controller) HeldEntries() int { return len(c.held) }
 
 // BeginEpochDrain opens the atomic-draining window: subsequent writes
 // are tagged as epoch metadata and held in the WPQ. Nesting windows is a
@@ -666,11 +601,7 @@ func (c *Controller) BeginEpochDrain() error {
 //
 // The commit point is atomic and single: clearing inDrain is the end
 // signal, after which the batch is durable as a whole. Servicing the
-// entries — the device/store bookkeeping — happens after that point
-// and, when drain sharding is configured, fans the independent subtree
-// batches out across the worker pool; shard queues hold disjoint
-// address sets, so the fan-out cannot change the final image, the wear
-// accounting, or the returned completion time.
+// entries — the device/store bookkeeping — happens after that point.
 func (c *Controller) EndEpochDrain(now int64) (int64, error) {
 	if !c.inDrain {
 		c.fail(ErrNoDrain)
@@ -679,36 +610,11 @@ func (c *Controller) EndEpochDrain(now int64) (int64, error) {
 	c.inDrain = false // the atomic commit point: the epoch is now durable
 	c.emit(EvEpochCommit, 0)
 	c.advance(now)
-	if c.drainWorkers > 1 && c.heldCount > 1 && !c.trackPending() {
-		// Flatten the shard queues in shard order and service the whole
-		// batch through the device's parallel path. Accounting stays
-		// serial inside WriteBatch; only store inserts fan out.
-		addrs := make([]mem.Addr, 0, c.heldCount)
-		lines := make([]mem.Line, 0, c.heldCount)
-		for _, q := range c.held {
-			for _, h := range q {
-				addrs = append(addrs, h.addr)
-				lines = append(lines, h.line)
-				c.emit(EvADRFlush, h.addr)
-			}
-		}
-		errs := c.dev.WriteBatch(addrs, lines, c.drainWorkers)
-		for _, err := range errs {
-			c.fail(err)
-		}
-		c.backlog += float64(len(addrs) - len(errs))
-	} else {
-		for _, q := range c.held {
-			for _, h := range q {
-				c.emit(EvADRFlush, h.addr)
-				c.devWrite(h.addr, h.line)
-			}
-		}
+	for _, h := range c.held {
+		c.emit(EvADRFlush, h.addr)
+		c.devWrite(h.addr, h.line)
 	}
-	for i := range c.held {
-		c.held[i] = c.held[i][:0]
-	}
-	c.heldCount = 0
+	c.held = c.held[:0]
 	if c.sabVictim != nil {
 		// The reorder-persist victim finally reaches the media: its
 		// durability was delayed past this commit instead of holding at
@@ -786,17 +692,14 @@ func (c *Controller) Crash() {
 	if c.dev.FaultModel().Enabled() {
 		c.crashFaults()
 	}
-	c.stats.DroppedOnCrash += uint64(c.heldCount)
+	c.stats.DroppedOnCrash += uint64(len(c.held))
 	if c.sabVictim != nil {
 		// The parked reorder-persist victim never reached the media: the
 		// injected defect loses it exactly as a real ordering bug would.
 		c.sabVictim = nil
 		c.sabDone = true
 	}
-	for i := range c.held {
-		c.held[i] = c.held[i][:0]
-	}
-	c.heldCount = 0
+	c.held = c.held[:0]
 	c.pending = nil
 	c.inDrain = false
 	c.backlog = 0
@@ -843,8 +746,7 @@ func (c *Controller) crashFaults() {
 			log.Suspects = append(log.Suspects, p.addr)
 		}
 	}
-	held := c.allHeld()
-	for _, h := range held {
+	for _, h := range c.held {
 		if !seen[h.addr] {
 			seen[h.addr] = true
 			log.Suspects = append(log.Suspects, h.addr)
@@ -896,7 +798,7 @@ func (c *Controller) crashFaults() {
 	// drops them whole (the atomic-draining guarantee); with torn writes
 	// enabled, words of them may have leaked to the media.
 	if fm.TornWrites {
-		for i, h := range held {
+		for i, h := range c.held {
 			mask := fm.TearMask(h.addr, c.wseq+uint64(i)+1)
 			if mask == 0 || mask == 0xff {
 				// 0xff would be a fully persisted held entry — the end

@@ -150,42 +150,6 @@ func (d *Device) Write(a mem.Addr, l mem.Line) error {
 	return nil
 }
 
-// WriteBatch persists lines[i] at addrs[i] for every i, equivalent to
-// calling Write in index order; the returned errors are the failures in
-// that order (entries after a failing one are still applied, as in a
-// serial loop). Accounting — region counters, wear, stuck-line healing
-// — stays serial; only the store inserts fan out across up to workers
-// goroutines, which is safe because the store partitions them by
-// internal shard. The epoch drainer uses this to service a whole held
-// batch at the end-of-drain commit point.
-func (d *Device) WriteBatch(addrs []mem.Addr, lines []mem.Line, workers int) []error {
-	var errs []error
-	okAddrs := addrs[:0:0]
-	okLines := lines[:0:0]
-	for i, a := range addrs {
-		a = mem.Align(a)
-		switch d.layout.RegionOf(a) {
-		case mem.RegionData:
-			d.writes.Data++
-		case mem.RegionHMAC:
-			d.writes.HMAC++
-		case mem.RegionCounter:
-			d.writes.Counter++
-		case mem.RegionTree:
-			d.writes.Tree++
-		default:
-			errs = append(errs, &AddrRangeError{Addr: a})
-			continue
-		}
-		d.wear[a]++
-		d.healOnWrite(a)
-		okAddrs = append(okAddrs, a)
-		okLines = append(okLines, lines[i])
-	}
-	d.store.WriteBatch(okAddrs, okLines, workers)
-	return errs
-}
-
 // ReadFails reports whether the given read attempt (0-based) of line a
 // fails under the fault model: always for a stuck line, for the first
 // one or two attempts of a weak line. The idealized device never fails.

@@ -1,7 +1,6 @@
 package nvm
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -345,99 +344,5 @@ func TestSabotagedCommitRollsBackOnRestore(t *testing.T) {
 	d2.Restore(d.Snapshot())
 	if s := d2.SpareStats(); s.Used != 0 {
 		t.Fatalf("dropped commit survived the reboot: %+v", s)
-	}
-}
-
-// TestWriteBatchMatchesSerialWrite is the batch/serial parity contract:
-// WriteBatch is documented as equivalent to calling Write in index
-// order, and that must hold for every side channel — region counters,
-// wear, stuck-line healing, spare-pool accounting, the persisted remap
-// table and the stored bytes — not just for the happy-path contents.
-func TestWriteBatchMatchesSerialWrite(t *testing.T) {
-	model := func() *FaultModel {
-		return &FaultModel{Seed: 9, WeakLineRate: 0.2, StuckLines: 3, SpareLines: 2}
-	}
-	serial := spareDevice(t, model())
-	batch := spareDevice(t, model())
-
-	// Identical pre-state: written lines, then the deterministic stuck
-	// injection (equal seeds and equal written sets fail identically).
-	seed := func(d *Device) []mem.Addr {
-		var l mem.Line
-		for i := 0; i < 24; i++ {
-			l[0] = byte(i)
-			d.Write(mem.Addr(i)*mem.LineSize, l)
-		}
-		return d.InjectStuckLines()
-	}
-	s1, s2 := seed(serial), seed(batch)
-	if !reflect.DeepEqual(s1, s2) {
-		t.Fatalf("stuck injection diverged before the test: %v vs %v", s1, s2)
-	}
-
-	// A mixed sequence: data rewrites (healing all three stuck lines,
-	// exhausting the two spares), metadata regions, repeats for wear,
-	// and one out-of-range address for error parity.
-	lay := serial.Layout()
-	addrs := []mem.Addr{
-		s1[0], s1[1], 0, 3 * mem.LineSize, s1[2],
-		lay.CounterBase, lay.HMACBase, lay.NodeAddr(1, 0),
-		3 * mem.LineSize, 3 * mem.LineSize,
-		mem.Addr(lay.TotalBytes()), // out of range
-		s1[0],                      // re-heal, free
-	}
-	lines := make([]mem.Line, len(addrs))
-	for i := range lines {
-		lines[i][0] = byte(0x80 + i)
-	}
-
-	var serialErrs []error
-	for i, a := range addrs {
-		if err := serial.Write(a, lines[i]); err != nil {
-			serialErrs = append(serialErrs, err)
-		}
-	}
-	// Replay through WriteBatch in uneven chunks and varying workers.
-	var batchErrs []error
-	for i := 0; i < len(addrs); {
-		n := 1 + (i % 4)
-		if i+n > len(addrs) {
-			n = len(addrs) - i
-		}
-		batchErrs = append(batchErrs, batch.WriteBatch(addrs[i:i+n], lines[i:i+n], 1+i%3)...)
-		i += n
-	}
-
-	if len(serialErrs) != len(batchErrs) {
-		t.Fatalf("error parity: serial %v vs batch %v", serialErrs, batchErrs)
-	}
-	for i := range serialErrs {
-		if serialErrs[i].Error() != batchErrs[i].Error() {
-			t.Fatalf("error %d differs: %v vs %v", i, serialErrs[i], batchErrs[i])
-		}
-	}
-	if sw, bw := serial.Writes(), batch.Writes(); sw != bw {
-		t.Fatalf("write breakdowns diverge: %v vs %v", sw, bw)
-	}
-	sa, swear := serial.MaxWear()
-	ba, bwear := batch.MaxWear()
-	if sa != ba || swear != bwear {
-		t.Fatalf("wear diverges: (%#x,%d) vs (%#x,%d)", uint64(sa), swear, uint64(ba), bwear)
-	}
-	if !reflect.DeepEqual(serial.StuckLines(), batch.StuckLines()) {
-		t.Fatalf("stuck sets diverge: %v vs %v", serial.StuckLines(), batch.StuckLines())
-	}
-	if ss, bs := serial.SpareStats(), batch.SpareStats(); ss != bs {
-		t.Fatalf("spare accounting diverges: %+v vs %+v", ss, bs)
-	}
-	if !reflect.DeepEqual(serial.RemapEntries(), batch.RemapEntries()) {
-		t.Fatalf("remap entries diverge: %v vs %v", serial.RemapEntries(), batch.RemapEntries())
-	}
-	si, bi := serial.Snapshot(), batch.Snapshot()
-	if !si.Store.Equal(bi.Store) {
-		t.Fatal("stored contents diverge")
-	}
-	if !bytes.Equal(si.RemapTable, bi.RemapTable) {
-		t.Fatal("persisted remap tables diverge")
 	}
 }

@@ -26,7 +26,6 @@ type KVOptions struct {
 	ValBytes   int    // value size in bytes (0 = 64)
 	Design     string // 0 = the paper's design
 	Capacity   uint64 // data-region bytes (0 = 64 MiB)
-	Workers    int    // parallel BMT pipeline width (0 = serial)
 }
 
 func (o *KVOptions) fill() {
@@ -90,7 +89,7 @@ func MeasureKV(o KVOptions) (*KVPerf, error) {
 	st, err := store.Open(store.Options{
 		Design:   o.Design,
 		Capacity: o.Capacity,
-		Params:   engine.Params{UpdateLimit: 16, QueueEntries: 64, Workers: o.Workers},
+		Params:   engine.Params{UpdateLimit: 16, QueueEntries: 64},
 	})
 	if err != nil {
 		return nil, err

@@ -1,14 +1,10 @@
 package perf
 
 import (
-	"math/rand"
 	"runtime"
 	"time"
 
-	"ccnvm/internal/bmt"
 	"ccnvm/internal/engine"
-	"ccnvm/internal/mem"
-	"ccnvm/internal/seccrypto"
 	"ccnvm/internal/sim"
 	"ccnvm/internal/trace"
 )
@@ -19,13 +15,7 @@ type MeasureOptions struct {
 	Seed       int64    // workload seed
 	Benchmarks []string // nil = the full eight-benchmark suite
 	Designs    []string // nil = the paper's five designs
-	Workers    []int    // worker counts for the parallel kernel; nil = {1, 2, 4, NumCPU}
 	Reps       int      // timing repetitions per design, best-of (0 = 3)
-
-	// KernelLeaves is the number of counter lines populated for the
-	// serial-vs-parallel tree kernel. 0 picks a default sized so the
-	// kernel runs for a measurable fraction of a second.
-	KernelLeaves int
 }
 
 func (o *MeasureOptions) fill() {
@@ -41,23 +31,13 @@ func (o *MeasureOptions) fill() {
 	if o.Designs == nil {
 		o.Designs = sim.Designs()
 	}
-	if o.Workers == nil {
-		o.Workers = []int{1, 2, 4}
-		if n := runtime.NumCPU(); n > 4 {
-			o.Workers = append(o.Workers, n)
-		}
-	}
-	if o.KernelLeaves <= 0 {
-		o.KernelLeaves = 6000
-	}
 	if o.Reps <= 0 {
 		o.Reps = 3
 	}
 }
 
 // Measure runs the ledger measurement: the full design × benchmark
-// simulator matrix for throughput, memo rates and allocation density,
-// plus the subtree-sharded tree kernel for serial-vs-parallel speedup.
+// simulator matrix for throughput, memo rates and allocation density.
 // Cells run sequentially on purpose — concurrent cells would contend
 // for cores and corrupt each other's wall-clock numbers.
 func Measure(o MeasureOptions) (*Ledger, error) {
@@ -123,7 +103,6 @@ func Measure(o MeasureOptions) (*Ledger, error) {
 		Node:    ratio(sec.NodeMemoHits, sec.NodeMemoMisses),
 		Overall: sec.MemoHitRatio(),
 	}
-	l.Parallel = treeKernel(o.KernelLeaves, o.Workers)
 	return l, nil
 }
 
@@ -132,65 +111,4 @@ func ratio(hits, misses uint64) float64 {
 		return 0
 	}
 	return float64(hits) / float64(hits+misses)
-}
-
-// treeKernel times the recovery-style VerifyAll + Rebuild sweep — the
-// pure-crypto workload the subtree sharding parallelizes — at each
-// worker count. The populated store and the expected outputs are
-// identical across worker counts (the pipeline's bit-identity
-// contract), so only wall time varies.
-func treeKernel(leaves int, workerCounts []int) []ParallelPoint {
-	lay := mem.MustLayout(64 << 20)
-	cry := seccrypto.MustEngine(seccrypto.DefaultKeys())
-	tr := bmt.New(lay, cry)
-	st := &mem.Store{}
-
-	rng := rand.New(rand.NewSource(99))
-	total := lay.LevelNodes(0)
-	for i := 0; i < leaves; i++ {
-		leaf := rng.Uint64() % total
-		a := lay.CounterLineAddr(leaf)
-		line, _ := st.Read(a)
-		c := seccrypto.DecodeCounterLine(line)
-		c.Bump(i % mem.BlocksPerPage)
-		st.Write(a, c.Encode())
-	}
-	var counters []mem.Addr
-	for _, a := range st.Addrs() {
-		if lay.RegionOf(a) == mem.RegionCounter {
-			counters = append(counters, a)
-		}
-	}
-	nodes, root := tr.Rebuild(st, counters)
-	for a, n := range nodes {
-		st.Write(a, n)
-	}
-	addrs := st.Addrs()
-
-	points := make([]ParallelPoint, 0, len(workerCounts))
-	var serial float64
-	for _, w := range workerCounts {
-		// One untimed pass first: worker engines are forked lazily and
-		// keep their memo tables afterwards, so without a warm-up the
-		// first worker count measured would pay every cold miss and later
-		// ones would ride warmed forks, skewing the speedup curve.
-		tr.VerifyAllParallel(st, root, addrs, w)
-		tr.RebuildParallel(st, counters, w)
-		// Best of three runs: the kernel is deterministic, so the minimum
-		// is the least-noisy estimate of its true cost.
-		best := 0.0
-		for rep := 0; rep < 3; rep++ {
-			t0 := time.Now()
-			tr.VerifyAllParallel(st, root, addrs, w)
-			tr.RebuildParallel(st, counters, w)
-			if d := time.Since(t0).Seconds(); rep == 0 || d < best {
-				best = d
-			}
-		}
-		if w == 1 || serial == 0 {
-			serial = best
-		}
-		points = append(points, ParallelPoint{Workers: w, WallSeconds: best, Speedup: serial / best})
-	}
-	return points
 }

@@ -63,14 +63,6 @@ type Ledger struct {
 	// and the degradation ladder, plus the stall time charged. Nil in
 	// ledgers pinned before the compactor existed.
 	Churn *ChurnPerf `json:"churn,omitempty"`
-
-	// Parallel records the serial-vs-parallel speedup of the
-	// subtree-sharded tree pipeline (the recovery-style VerifyAll +
-	// Rebuild kernel, which is pure parallel crypto work), one point per
-	// worker count. Speedup is serial wall time / point wall time, on
-	// this host — a 1-CPU runner necessarily reports ~1x, which is why
-	// CPUs is part of the fingerprint.
-	Parallel []ParallelPoint `json:"parallel"`
 }
 
 // DesignPerf is one design's simulator throughput over the suite.
@@ -85,13 +77,6 @@ type MemoRates struct {
 	Data    float64 `json:"data_hmac_hit_ratio"`
 	Node    float64 `json:"node_hmac_hit_ratio"`
 	Overall float64 `json:"overall_hit_ratio"`
-}
-
-// ParallelPoint is one worker-count measurement of the tree kernel.
-type ParallelPoint struct {
-	Workers     int     `json:"workers"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Speedup     float64 `json:"speedup"` // vs the Workers=1 point
 }
 
 // fingerprint reports whether two ledgers were measured on comparable

@@ -80,18 +80,16 @@ func TestSaveLoadNewest(t *testing.T) {
 }
 
 // TestMeasureSmoke runs a miniature measurement end to end: one design,
-// one benchmark, a small kernel. It pins the ledger invariants the
-// Makefile gate relies on rather than any particular speed.
+// one benchmark. It pins the ledger invariants the Makefile gate relies
+// on rather than any particular speed.
 func TestMeasureSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measurement loop")
 	}
 	l, err := Measure(MeasureOptions{
-		Ops:          2000,
-		Benchmarks:   trace.Benchmarks()[:1],
-		Designs:      sim.Designs()[:1],
-		Workers:      []int{1, 2},
-		KernelLeaves: 400,
+		Ops:        2000,
+		Benchmarks: trace.Benchmarks()[:1],
+		Designs:    sim.Designs()[:1],
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,9 +105,6 @@ func TestMeasureSmoke(t *testing.T) {
 	}
 	if l.Memo.Overall <= 0 || l.Memo.Overall > 1 {
 		t.Fatalf("memo overall ratio out of range: %v", l.Memo.Overall)
-	}
-	if len(l.Parallel) != 2 || l.Parallel[0].Workers != 1 || l.Parallel[0].Speedup != 1 {
-		t.Fatalf("bad parallel points: %+v", l.Parallel)
 	}
 	// The gate must pass against itself.
 	if err := Compare(l, l); err != nil {

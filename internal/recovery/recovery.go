@@ -306,9 +306,9 @@ func recoverGenericImage(img *engine.CrashImage, d design.Descriptor) *Report {
 	if d.Caps.TreePersisted {
 		addrs := img.Image.Store.Addrs()
 		rd := imageReader{img.Image}
-		if bad := tree.VerifyAllParallel(rd, img.TCB.RootOld, addrs, img.Workers); len(bad) == 0 {
+		if bad := tree.VerifyAll(rd, img.TCB.RootOld, addrs); len(bad) == 0 {
 			r.ConsistentRoot = "old"
-		} else if bad2 := tree.VerifyAllParallel(rd, img.TCB.RootNew, addrs, img.Workers); len(bad2) == 0 {
+		} else if bad2 := tree.VerifyAll(rd, img.TCB.RootNew, addrs); len(bad2) == 0 {
 			// Crash between the end signal and the ROOTold update: ADR
 			// completed the drain, so the tree matches ROOTnew.
 			r.ConsistentRoot = "new"
@@ -407,7 +407,7 @@ func recoverGenericImage(img *engine.CrashImage, d design.Descriptor) *Report {
 	// Step 4: rebuild the Merkle tree from the recovered counters.
 	overlay := overlayReader{base: imageReader{img.Image}, lines: encodeLines(res.lines)}
 	counterAddrs := collectCounterAddrs(lay, img.Image.Store, res.lines)
-	_, rebuilt := tree.RebuildParallel(overlay, counterAddrs, img.Workers)
+	_, rebuilt := tree.Rebuild(overlay, counterAddrs)
 	r.RebuiltRoot = rebuilt
 
 	// Root-compare designs validate the rebuilt root against ROOTnew: a
@@ -623,7 +623,7 @@ func ApplyInterrupted(img *engine.CrashImage, rep *Report, itr *Interrupt) (Reco
 			}
 		}
 	}
-	nodes, root := tree.RebuildParallel(overlayReader{base: imageReader{img.Image}, lines: overlay}, counterAddrs, img.Workers)
+	nodes, root := tree.Rebuild(overlayReader{base: imageReader{img.Image}, lines: overlay}, counterAddrs)
 
 	// The write plan, in deterministic order (striking the k-th write
 	// must replay identically): the pending counter line first so an
@@ -995,7 +995,7 @@ func recoverInlinePackedImage(img *engine.CrashImage) *Report {
 
 	overlay := overlayReader{base: imageReader{img.Image}, lines: encodeLines(res.lines)}
 	counterAddrs := collectCounterAddrs(lay, img.Image.Store, res.lines)
-	_, rebuilt := tree.RebuildParallel(overlay, counterAddrs, img.Workers)
+	_, rebuilt := tree.Rebuild(overlay, counterAddrs)
 	r.RebuiltRoot = rebuilt
 	if rebuilt != img.TCB.RootNew && len(r.Tampered) == 0 {
 		if img.MediaFaults && (len(sus) > 0 || len(r.LostBlocks) > 0) {

@@ -42,7 +42,6 @@ func DefaultKeys() Keys {
 // the AES/SHA-1 work; as a consequence an Engine is not safe for
 // concurrent use — give each goroutine its own.
 type Engine struct {
-	keys  Keys // retained so Fork can derive sibling engines
 	block cipher.Block
 	hkey  []byte
 	mac   hash.Hash
@@ -87,26 +86,7 @@ func NewEngineUncached(k Keys) (*Engine, error) {
 	}
 	hk := make([]byte, len(k.HMAC))
 	copy(hk, k.HMAC[:])
-	return &Engine{keys: k, block: b, hkey: hk, mac: hmac.New(sha1.New, hk)}, nil
-}
-
-// Fork builds a fresh Engine over the same keys, with its own memo
-// tables and scratch state (empty, not copied). Engines are not safe
-// for concurrent use, so parallel tree workers fork one engine each;
-// forked results are bit-identical to the parent's by construction —
-// memoization never changes answers, only whether the AES/SHA-1 work
-// is redone.
-func (e *Engine) Fork() *Engine {
-	f, err := NewEngineUncached(e.keys)
-	if err != nil {
-		panic(err) // the parent's key was already accepted
-	}
-	if e.pads != nil {
-		f.pads = make([]padSlot, len(e.pads))
-		f.datas = make([]dataSlot, len(e.datas))
-		f.nodes = make([]nodeSlot, len(e.nodes))
-	}
-	return f
+	return &Engine{block: b, hkey: hk, mac: hmac.New(sha1.New, hk)}, nil
 }
 
 // MustEngine is NewEngine with panic-on-error for tests and examples.

@@ -54,11 +54,6 @@ type Config struct {
 	MetaCfg metacache.Config
 	Keys    *seccrypto.Keys
 
-	// Workers is a convenience alias for Params.Workers (the engine's
-	// parallel-pipeline width); a nonzero value overrides it. 0 or 1 is
-	// the serial engine. Results are bit-identical for any value.
-	Workers int
-
 	// CheckReads verifies every memory-level read against a shadow copy
 	// of what the core last stored — an end-to-end check of the whole
 	// encrypt/decrypt/authenticate path. Enabled in tests.
@@ -106,9 +101,6 @@ func (c *Config) fill() error {
 	}
 	if c.ScrubOps == 0 {
 		c.ScrubOps = 100000
-	}
-	if c.Workers != 0 {
-		c.Params.Workers = c.Workers
 	}
 	if c.Keys == nil {
 		k := seccrypto.DefaultKeys()

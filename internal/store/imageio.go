@@ -28,7 +28,7 @@ import (
 
 const (
 	imageMagic   = "CCNVMIMG"
-	imageVersion = 1
+	imageVersion = 2
 )
 
 // ErrImageCorrupt reports a crash-image file that fails structural or
@@ -49,7 +49,6 @@ func EncodeImage(img *engine.CrashImage) ([]byte, error) {
 	b = appendString(b, img.Design)
 	b = binary.LittleEndian.AppendUint64(b, img.Image.Layout.DataBytes)
 	b = binary.LittleEndian.AppendUint64(b, img.UpdateLimit)
-	b = binary.LittleEndian.AppendUint64(b, uint64(img.Workers))
 	b = append(b, img.Keys.AES[:]...)
 	b = append(b, img.Keys.HMAC[:]...)
 	b = append(b, img.TCB.RootNew[:]...)
@@ -102,7 +101,6 @@ func DecodeImage(b []byte) (*engine.CrashImage, error) {
 	img.Design = r.str()
 	capacity := r.u64()
 	img.UpdateLimit = r.u64()
-	img.Workers = int(r.u64())
 	var keys seccrypto.Keys
 	copy(keys.AES[:], r.take(len(keys.AES)))
 	copy(keys.HMAC[:], r.take(len(keys.HMAC)))
@@ -122,7 +120,7 @@ func DecodeImage(b []byte) (*engine.CrashImage, error) {
 		return nil, fmt.Errorf("%w: layout: %v", ErrImageCorrupt, err)
 	}
 	st := &mem.Store{}
-	n := int(r.u64())
+	n := r.count(r.u64(), 8+mem.LineSize)
 	for i := 0; i < n; i++ {
 		a := mem.Addr(r.u64())
 		var l mem.Line
@@ -215,7 +213,9 @@ func sortedKeys[V any](m map[mem.Addr]V) []mem.Addr {
 }
 
 // reader is a bounds-checked little-endian cursor; the first overrun
-// poisons it and every later read returns zeros.
+// poisons it and every later read returns zeros. The checksum is
+// unkeyed, so a length prefix is attacker-controlled: every prefix goes
+// through count before anything is allocated or looped over.
 type reader struct {
 	b   []byte
 	off int
@@ -234,12 +234,26 @@ func (r *reader) take(n int) []byte {
 	return p
 }
 
+// count validates a length prefix of n elements, each at least elem
+// encoded bytes: a count the remaining input cannot hold poisons the
+// reader. It returns 0 once poisoned, so callers allocate and loop over
+// at most what the input actually carries.
+func (r *reader) count(n uint64, elem int) int {
+	if left := len(r.b) - r.off; r.err == nil && n > uint64(left/elem) {
+		r.err = fmt.Errorf("count %d at offset %d exceeds the %d bytes left", n, r.off, left)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
 func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
 func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
-func (r *reader) str() string { return string(r.take(int(r.u32()))) }
+func (r *reader) str() string { return string(r.take(r.count(uint64(r.u32()), 1))) }
 
 func (r *reader) bytes() []byte {
-	n := int(r.u32())
+	n := r.count(uint64(r.u32()), 1)
 	if n == 0 {
 		return nil
 	}
@@ -247,7 +261,7 @@ func (r *reader) bytes() []byte {
 }
 
 func (r *reader) addrs() []mem.Addr {
-	n := int(r.u32())
+	n := r.count(uint64(r.u32()), 8)
 	if n == 0 {
 		return nil
 	}
@@ -259,7 +273,7 @@ func (r *reader) addrs() []mem.Addr {
 }
 
 func (r *reader) addrU64Map() map[mem.Addr]uint64 {
-	n := int(r.u32())
+	n := r.count(uint64(r.u32()), 16)
 	if n == 0 {
 		return nil
 	}
@@ -272,7 +286,7 @@ func (r *reader) addrU64Map() map[mem.Addr]uint64 {
 }
 
 func (r *reader) addrByteMap() map[mem.Addr]byte {
-	n := int(r.u32())
+	n := r.count(uint64(r.u32()), 9)
 	if n == 0 {
 		return nil
 	}

@@ -2,8 +2,12 @@ package store_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"ccnvm/internal/engine"
@@ -58,9 +62,9 @@ func TestImageRoundTripAllFields(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Design != img.Design || got.UpdateLimit != img.UpdateLimit || got.Workers != img.Workers {
-				t.Fatalf("identity fields differ: %s/%d/%d vs %s/%d/%d",
-					got.Design, got.UpdateLimit, got.Workers, img.Design, img.UpdateLimit, img.Workers)
+			if got.Design != img.Design || got.UpdateLimit != img.UpdateLimit {
+				t.Fatalf("identity fields differ: %s/%d vs %s/%d",
+					got.Design, got.UpdateLimit, img.Design, img.UpdateLimit)
 			}
 			if got.Keys != img.Keys {
 				t.Fatal("keys differ")
@@ -136,5 +140,84 @@ func TestSaveLoadImageFile(t *testing.T) {
 	}
 	if l != want {
 		t.Fatal("reloaded store serves wrong data")
+	}
+}
+
+// reseal recomputes the trailing FNV-64a, which is unkeyed: anyone who
+// can write the image file can make an edited record check out.
+func reseal(b []byte) []byte {
+	h := fnv.New64a()
+	h.Write(b[:len(b)-8])
+	binary.LittleEndian.PutUint64(b[len(b)-8:], h.Sum64())
+	return b
+}
+
+// TestImageDecodeBoundsHostileCounts plants an oversized count in each
+// length prefix of a correctly checksummed image. Decoding must refuse
+// it without allocating or looping in proportion to the claimed count.
+func TestImageDecodeBoundsHostileCounts(t *testing.T) {
+	img := crashedImage(t, "ccnvm")
+	if len(img.TCB.ExtDirty)+len(img.Sideband)+len(img.Suspects)+len(img.RecoveryJournal)+
+		len(img.Image.Stuck)+len(img.Image.RemapTable) != 0 {
+		t.Fatal("fixture grew variable-length fields; the prefix offsets below assume none")
+	}
+	good, err := store.EncodeImage(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Offsets of the design-string prefix and of the first prefix after
+	// the fixed-size fields (capacity, N, keys, two roots, Nwb).
+	strOff := 8 + 4 // magic, version
+	varOff := strOff + 4 + len(img.Design) + 8 + 8 + len(img.Keys.AES) + len(img.Keys.HMAC) + 2*mem.LineSize + 8
+	for _, tc := range []struct {
+		name  string
+		off   int
+		width int
+	}{
+		{"design", strOff, 4},
+		{"ext-dirty", varOff, 4},
+		{"sideband", varOff + 4, 4},
+		{"suspects", varOff + 9, 4}, // one MediaFaults byte precedes it
+		{"journal", varOff + 13, 4},
+		{"stuck", varOff + 17, 4},
+		{"remap", varOff + 21, 4},
+		{"lines", varOff + 25, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := append([]byte(nil), good...)
+			if tc.width == 4 {
+				binary.LittleEndian.PutUint32(b[tc.off:], 0xFFFFFFF0)
+			} else {
+				if n := binary.LittleEndian.Uint64(b[tc.off:]); n != uint64(img.Image.Store.Len()) {
+					t.Fatalf("line-count prefix not at offset %d (read %d)", tc.off, n)
+				}
+				binary.LittleEndian.PutUint64(b[tc.off:], 1<<40)
+			}
+			reseal(b)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := store.DecodeImage(b)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, store.ErrImageCorrupt) {
+				t.Fatalf("oversized %s count decoded (err=%v)", tc.name, err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*uint64(len(b)) {
+				t.Fatalf("decoding a %d-byte file allocated %d bytes", len(b), grew)
+			}
+		})
+	}
+}
+
+// TestImageDecodeRefusesOldVersion: version 1 files carry a field this
+// format no longer has, so they are refused by number, not misparsed.
+func TestImageDecodeRefusesOldVersion(t *testing.T) {
+	b, err := store.EncodeImage(crashedImage(t, "ccnvm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(b[8:], 1)
+	_, err = store.DecodeImage(reseal(b))
+	if !errors.Is(err, store.ErrImageCorrupt) || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("v1 header: err = %v, want unsupported version 1", err)
 	}
 }

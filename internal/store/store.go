@@ -127,8 +127,7 @@ func (o *Options) fill() error {
 // Store is one assembled secure-NVM storage engine. All methods are
 // safe for concurrent use; the single mutex serializes the underlying
 // deterministic engine, which is the concurrency model the paper's
-// single memory controller implies (parallelism lives inside the
-// engine's sharded epoch pipeline, enabled via Params.Workers).
+// single memory controller implies.
 type Store struct {
 	mu   sync.Mutex
 	opts Options
@@ -190,9 +189,6 @@ func OpenRecovered(img *engine.CrashImage, rec recovery.Recovered, o Options) (*
 	}
 	if o.Params.UpdateLimit == 0 {
 		o.Params.UpdateLimit = img.UpdateLimit
-	}
-	if o.Params.Workers == 0 {
-		o.Params.Workers = img.Workers
 	}
 	st, err := Open(o)
 	if err != nil {

@@ -72,20 +72,12 @@ func TestRegistryTortureGolden(t *testing.T) {
 // crash image and recovery report into one comparable line.
 func cellDigest(t *testing.T, c Cell) string {
 	t.Helper()
-	return cellDigestWorkers(t, c, 0)
-}
-
-// cellDigestWorkers is cellDigest with an explicit parallel-pipeline
-// width; the parallel bit-identity test compares its output across
-// worker counts, and 0 (serial) reproduces the pinned golden lines.
-func cellDigestWorkers(t *testing.T, c Cell, workers int) string {
-	t.Helper()
 	c = c.normalized()
 	ops, err := GenOps(c.Workload, c.Seed, c.Ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, _, err := BuildEngine(c.Design, engine.Params{UpdateLimit: c.N, QueueEntries: c.M, Workers: workers}, c.faultModel())
+	eng, _, err := BuildEngine(c.Design, engine.Params{UpdateLimit: c.N, QueueEntries: c.M}, c.faultModel())
 	if err != nil {
 		t.Fatal(err)
 	}
