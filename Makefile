@@ -36,6 +36,7 @@ race:
 fuzz-short:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzCompressRoundTrip -fuzztime=10s ./internal/compress/
+	$(GO) test -fuzz=FuzzStoreModel -fuzztime=10s ./internal/mem/
 	$(GO) test -fuzz=FuzzCell -fuzztime=20s ./internal/torture/
 	$(GO) test -fuzz=FuzzFaultCell -fuzztime=20s ./internal/torture/
 	$(GO) test -fuzz=FuzzRebootCell -fuzztime=20s ./internal/torture/

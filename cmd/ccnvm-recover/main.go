@@ -241,32 +241,30 @@ func writeBackTail(victim ccnvm.Addr, n int) []ccnvm.Op {
 	return ops
 }
 
+// dataAddrs lists the image's written data lines in ascending order.
+func dataAddrs(img *ccnvm.CrashImage) []ccnvm.Addr {
+	return img.Image.Store.Range(0, ccnvm.Addr(img.Image.Layout.DataBytes))
+}
+
 func firstDataAddr(img *ccnvm.CrashImage) ccnvm.Addr {
-	for _, a := range img.Image.Store.Addrs() {
-		if uint64(a) < img.Image.Layout.DataBytes {
-			return a
-		}
+	if as := dataAddrs(img); len(as) > 0 {
+		return as[0]
 	}
 	return 0
 }
 
 func lastDataAddr(img *ccnvm.CrashImage) ccnvm.Addr {
-	var last ccnvm.Addr
-	for _, a := range img.Image.Store.Addrs() {
-		if uint64(a) < img.Image.Layout.DataBytes {
-			last = a
-		}
+	if as := dataAddrs(img); len(as) > 0 {
+		return as[len(as)-1]
 	}
-	return last
+	return 0
 }
 
 func firstTreeIdx(img *ccnvm.CrashImage) uint64 {
 	lay := img.Image.Layout
-	for _, a := range img.Image.Store.Addrs() {
-		if uint64(a) >= uint64(lay.TreeBase) && uint64(a) < lay.TotalBytes() {
-			if level, idx := lay.NodeAt(a); level == 1 {
-				return idx
-			}
+	for _, a := range img.Image.Store.Range(lay.TreeBase, ccnvm.Addr(lay.TotalBytes())) {
+		if level, idx := lay.NodeAt(a); level == 1 {
+			return idx
 		}
 	}
 	return 0

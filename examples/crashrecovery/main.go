@@ -162,24 +162,20 @@ func writeBackTail(victim ccnvm.Addr, n int) []ccnvm.Op {
 	return ops
 }
 
-func firstData(img *ccnvm.CrashImage) ccnvm.Addr {
-	for _, a := range img.Image.Store.Addrs() {
-		if uint64(a) < img.Image.Layout.DataBytes {
-			return a
-		}
+// dataAddrs lists the image's written data lines in ascending order.
+func dataAddrs(img *ccnvm.CrashImage) []ccnvm.Addr {
+	as := img.Image.Store.Range(0, ccnvm.Addr(img.Image.Layout.DataBytes))
+	if len(as) == 0 {
+		log.Fatal("no data in image")
 	}
-	log.Fatal("no data in image")
-	return 0
+	return as
 }
 
+func firstData(img *ccnvm.CrashImage) ccnvm.Addr { return dataAddrs(img)[0] }
+
 func lastData(img *ccnvm.CrashImage) ccnvm.Addr {
-	var last ccnvm.Addr
-	for _, a := range img.Image.Store.Addrs() {
-		if uint64(a) < img.Image.Layout.DataBytes {
-			last = a
-		}
-	}
-	return last
+	as := dataAddrs(img)
+	return as[len(as)-1]
 }
 
 func must(err error) {

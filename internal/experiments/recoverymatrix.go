@@ -197,23 +197,23 @@ func writeBackTail(victim mem.Addr, n int) []trace.Op {
 	return ops
 }
 
+// dataAddrs lists the image's written data lines in ascending order.
+func dataAddrs(img *engine.CrashImage) []mem.Addr {
+	return img.Image.Store.Range(img.Image.Layout.Bounds(mem.RegionData))
+}
+
 func firstData(img *engine.CrashImage) mem.Addr {
-	for _, a := range img.Image.Store.Addrs() {
-		if img.Image.Layout.RegionOf(a) == mem.RegionData {
-			return a
-		}
+	if as := dataAddrs(img); len(as) > 0 {
+		return as[0]
 	}
 	return 0
 }
 
 func lastData(img *engine.CrashImage) mem.Addr {
-	var last mem.Addr
-	for _, a := range img.Image.Store.Addrs() {
-		if img.Image.Layout.RegionOf(a) == mem.RegionData {
-			last = a
-		}
+	if as := dataAddrs(img); len(as) > 0 {
+		return as[len(as)-1]
 	}
-	return last
+	return 0
 }
 
 // Table renders the matrix.

@@ -175,6 +175,23 @@ func (l *Layout) RegionOf(a Addr) Region {
 	}
 }
 
+// Bounds returns the half-open address range [lo, hi) of region r, in
+// the form Store.Range takes. RegionInvalid has no extent.
+func (l *Layout) Bounds(r Region) (lo, hi Addr) {
+	switch r {
+	case RegionData:
+		return 0, Addr(l.DataBytes)
+	case RegionCounter:
+		return l.CounterBase, l.HMACBase
+	case RegionHMAC:
+		return l.HMACBase, l.TreeBase
+	case RegionTree:
+		return l.TreeBase, Addr(l.TotalBytes())
+	default:
+		return 0, 0
+	}
+}
+
 // CounterLineOf returns the address of the counter line covering the
 // 4 KB page that contains data address a.
 func (l *Layout) CounterLineOf(a Addr) Addr {

@@ -239,3 +239,27 @@ func TestStoreAddrsSorted(t *testing.T) {
 		t.Fatalf("got %d addrs, want 4", len(addrs))
 	}
 }
+
+// TestLayoutBoundsMatchRegionOf: Bounds and RegionOf describe the same
+// carve-up — each region's first and last line classify as that region,
+// and the regions tile the address space without gaps.
+func TestLayoutBoundsMatchRegionOf(t *testing.T) {
+	lay := MustLayout(64 << 20)
+	next := Addr(0)
+	for _, r := range []Region{RegionData, RegionCounter, RegionHMAC, RegionTree} {
+		lo, hi := lay.Bounds(r)
+		if lo != next || hi <= lo {
+			t.Fatalf("%v: bounds [%#x, %#x), want to start at %#x", r, uint64(lo), uint64(hi), uint64(next))
+		}
+		if lay.RegionOf(lo) != r || lay.RegionOf(hi-LineSize) != r {
+			t.Fatalf("%v: RegionOf disagrees with bounds [%#x, %#x)", r, uint64(lo), uint64(hi))
+		}
+		next = hi
+	}
+	if uint64(next) != lay.TotalBytes() || lay.RegionOf(next) != RegionInvalid {
+		t.Fatalf("regions end at %#x, layout at %#x", uint64(next), lay.TotalBytes())
+	}
+	if lo, hi := lay.Bounds(RegionInvalid); lo != hi {
+		t.Fatal("RegionInvalid has an extent")
+	}
+}

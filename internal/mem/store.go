@@ -1,35 +1,71 @@
 package mem
 
-import "sort"
+import (
+	"math/bits"
+	"slices"
+)
 
-// storeShards is the number of line-map shards in a Store. Sharding
-// serves copy-on-write cloning: a crash snapshot shares all shard maps
-// with its source, and a later write re-copies only the one shard it
-// touches instead of the whole image. 64 shards keep the per-write copy
-// under ~2% of the store for typical images. Must be a power of two.
-const storeShards = 64
+// Geometry of the page index. A page is 64 consecutive lines — one
+// presence word and 4 KiB of address space; a leaf indexes 64 pages and
+// a segment 1024 leaves, so a segment spans 256 MiB. The sizes are
+// constants: nothing selects between layouts.
+const (
+	pageLines = 64
+	leafPages = 64
+	segLeaves = 1024
 
-// storeShard is one slice of the address space. A shard whose owned
-// flag is false shares its map with at least one other Store (a clone
-// ancestor or descendant) and must re-copy it before mutating.
-type storeShard struct {
-	lines map[Addr]Line
-	owned bool
+	pageShift = 12             // log2(pageLines * LineSize)
+	leafShift = pageShift + 6  // log2 of a leaf's span
+	segShift  = leafShift + 10 // log2 of a segment's span
+)
+
+// owner tags the directory nodes one LineMap may mutate in place. It
+// must not be zero-sized: distinct owners need distinct addresses.
+type owner struct{ _ byte }
+
+// leaf indexes 64 pages. A page holds only its written lines, packed in
+// address order: line l of page p sits at index rank(present[p], l) of
+// pages[p]. A page's backing array grows by doubling, so it is 64 B for
+// a lone line and exactly 4 KiB once the page is full — always a Go size
+// class. The presence words live here rather than with the lines, so
+// absent lines and ordered walks never touch page memory. Bit p of own
+// is set when pages[p] was allocated or copied under this leaf's owner;
+// it is meaningless to any other owner.
+type leaf[V any] struct {
+	owner   *owner
+	own     uint64
+	present [leafPages]uint64
+	pages   [leafPages][]V
 }
 
-// ensureOwned makes the shard's map private to this store, copying it
-// if it is currently shared (or nil). After it returns the shard may be
-// mutated freely.
-func (sh *storeShard) ensureOwned() {
-	if sh.owned && sh.lines != nil {
-		return
-	}
-	m := make(map[Addr]Line, len(sh.lines)+1)
-	for a, l := range sh.lines {
-		m[a] = l
-	}
-	sh.lines = m
-	sh.owned = true
+// segment is one entry of the sparse top level: key is the address
+// shifted right by segShift, leaves the 8 KiB directory below it, and
+// owner the map that may write that directory in place.
+type segment[V any] struct {
+	key    uint64
+	owner  *owner
+	leaves *[segLeaves]*leaf[V]
+}
+
+// LineMap is a sparse map from line address to V, laid out as a page
+// index: a sorted slice of 256 MiB segments, each a two-level radix
+// directory down to 64-line pages with a presence bitmap. Lookups are a
+// short binary search, two loads and a popcount; iteration is natively
+// in ascending address order; and Clone is copy-on-write: directory
+// nodes carry an owner tag, a clone shares every node and page with its
+// source, and the first write after a snapshot copies one page (at most
+// 4 KiB) and the two directory nodes above it — never a fraction of the
+// image. The top level is sparse and pages are packed, so memory follows
+// the number of lines written, not the highest address nor the number of
+// pages touched: a lone line at 1<<62 costs one segment, one leaf and one
+// line.
+//
+// The zero value is an empty map ready to use. A LineMap must not be
+// copied by value while the original stays in use.
+type LineMap[V comparable] struct {
+	segs  []segment[V] // ascending by key; private to this map
+	owner *owner
+	n     int
 }
 
 // Store is a sparse line-granular memory image. Absent lines read as
@@ -38,107 +74,188 @@ func (sh *storeShard) ensureOwned() {
 // and tree nodes for untouched lines, so a sparse image behaves exactly
 // like a zero-initialized DIMM without materializing it.
 //
-// Internally the image is sharded so Clone is O(shards), not O(lines):
-// crash-consistency experiments snapshot the NVM image at every
-// potential crash point, and with copy-on-write sharing each snapshot
-// costs a handful of map-header copies plus re-copying only the shards
-// actually written afterwards.
-//
-// The zero value is an empty store ready to use.
-type Store struct {
-	shards [storeShards]storeShard
+// Crash-consistency experiments snapshot the NVM image at every
+// potential crash point; see LineMap for what a snapshot costs.
+type Store = LineMap[Line]
+
+// search returns the index of the first segment whose key is >= key.
+func (m *LineMap[V]) search(key uint64) int {
+	lo, hi := 0, len(m.segs)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if m.segs[h].key < key {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
 }
 
-// shardOf selects the shard for a line-aligned address. Consecutive
-// lines round-robin across shards, so a localized write burst after a
-// snapshot still dirties few shards only when it is small, and spreads
-// copy cost evenly when it is not.
-func shardOf(a Addr) uint64 { return (uint64(a) / LineSize) & (storeShards - 1) }
-
-// Read returns the line at a and whether it has ever been written.
-// Absent lines read as all zero.
-func (s *Store) Read(a Addr) (Line, bool) {
-	a = Align(a)
-	l, ok := s.shards[shardOf(a)].lines[a]
-	return l, ok
+// split decomposes an address into its leaf, page and line indices
+// below the segment level.
+func split(a Addr) (lf, pg, ln uint) {
+	return uint(a>>leafShift) % segLeaves, uint(a>>pageShift) % leafPages, uint(a/LineSize) % pageLines
 }
 
-// Write stores line l at address a.
-func (s *Store) Write(a Addr, l Line) {
-	a = Align(a)
-	sh := &s.shards[shardOf(a)]
-	sh.ensureOwned()
-	sh.lines[a] = l
+// rank is the position of line l in a packed page: the number of
+// present lines below it.
+func rank(present uint64, l uint) int {
+	return bits.OnesCount64(present & (1<<l - 1))
+}
+
+// Read returns the value at a and whether it has ever been written.
+// Absent lines read as the zero value.
+func (m *LineMap[V]) Read(a Addr) (V, bool) {
+	var zero V
+	key := uint64(a >> segShift)
+	i := m.search(key)
+	if i == len(m.segs) || m.segs[i].key != key {
+		return zero, false
+	}
+	j, p, l := split(a)
+	lf := m.segs[i].leaves[j]
+	if lf == nil || lf.present[p]&(1<<l) == 0 {
+		return zero, false
+	}
+	return lf.pages[p][rank(lf.present[p], l)], true
+}
+
+// private returns the leaf covering a, with it, the directory above it
+// and a's page made private to m (created or copied as needed), so the
+// caller may mutate them in place.
+func (m *LineMap[V]) private(a Addr) *leaf[V] {
+	key := uint64(a >> segShift)
+	i := m.search(key)
+	if i == len(m.segs) || m.segs[i].key != key {
+		m.segs = slices.Insert(m.segs, i, segment[V]{key: key, owner: m.owner, leaves: new([segLeaves]*leaf[V])})
+	}
+	sg := &m.segs[i]
+	if sg.owner != m.owner {
+		c := *sg.leaves
+		sg.owner, sg.leaves = m.owner, &c
+	}
+	j, p, _ := split(a)
+	lf := sg.leaves[j]
+	switch {
+	case lf == nil:
+		lf = &leaf[V]{owner: m.owner}
+		sg.leaves[j] = lf
+	case lf.owner != m.owner:
+		c := *lf
+		c.owner, c.own = m.owner, 0
+		lf = &c
+		sg.leaves[j] = lf
+	}
+	if lf.own&(1<<p) == 0 {
+		lf.pages[p] = append(make([]V, 0, cap(lf.pages[p])), lf.pages[p]...)
+		lf.own |= 1 << p
+	}
+	return lf
+}
+
+// Write stores v at address a.
+func (m *LineMap[V]) Write(a Addr, v V) {
+	lf := m.private(a)
+	_, p, l := split(a)
+	r := rank(lf.present[p], l)
+	if lf.present[p]&(1<<l) != 0 {
+		lf.pages[p][r] = v
+		return
+	}
+	lf.pages[p] = slices.Insert(lf.pages[p], r, v)
+	lf.present[p] |= 1 << l
+	m.n++
 }
 
 // Delete removes the line at a, returning it to the default (zero)
-// state. Used by tests to model loss.
-func (s *Store) Delete(a Addr) {
-	a = Align(a)
-	sh := &s.shards[shardOf(a)]
-	if _, ok := sh.lines[a]; !ok {
-		return // nothing to delete; don't privatize the shard for a no-op
+// state. Deleting an absent line is a no-op that copies nothing.
+func (m *LineMap[V]) Delete(a Addr) {
+	if _, ok := m.Read(a); !ok {
+		return
 	}
-	sh.ensureOwned()
-	delete(sh.lines, a)
+	lf := m.private(a)
+	_, p, l := split(a)
+	r := rank(lf.present[p], l)
+	lf.pages[p] = slices.Delete(lf.pages[p], r, r+1)
+	lf.present[p] &^= 1 << l
+	m.n--
 }
 
-// Len reports how many distinct lines have been written.
-func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		n += len(s.shards[i].lines)
-	}
-	return n
+// Len reports how many distinct lines are written.
+func (m *LineMap[V]) Len() int { return m.n }
+
+// Clone returns a logically independent copy. Used to snapshot NVM
+// images at crash points. The copy is lazy and costs one top-level
+// slice: both sides take a fresh owner tag, so every existing node is
+// shared until one side writes, and the writer copies just the page and
+// directory nodes on its path. Either side may be mutated or discarded
+// without the other noticing.
+func (m *LineMap[V]) Clone() *LineMap[V] {
+	m.owner = new(owner)
+	return &LineMap[V]{segs: slices.Clone(m.segs), owner: new(owner), n: m.n}
 }
 
-// Clone returns a logically independent copy of the store. Used to
-// snapshot NVM images at crash points. The copy is lazy: both stores
-// share the shard maps until one of them writes, at which point the
-// writer re-copies just the affected shard. Either side may therefore
-// be mutated or discarded without the other noticing.
-func (s *Store) Clone() *Store {
-	c := &Store{}
-	for i := range s.shards {
-		s.shards[i].owned = false
-		c.shards[i].lines = s.shards[i].lines
+// walk calls fn for every written line with lo <= address <= last in
+// ascending order, handing it the address and the slot. It reads only
+// the directory, so a walk that wants addresses alone never touches
+// page memory. The map must not be written during the walk.
+func (m *LineMap[V]) walk(lo, last Addr, fn func(Addr, *V)) {
+	lo = Align(lo)
+	for i := m.search(uint64(lo >> segShift)); i < len(m.segs) && m.segs[i].key <= uint64(last>>segShift); i++ {
+		sbase := Addr(m.segs[i].key) << segShift
+		for j, lf := range m.segs[i].leaves {
+			lbase := sbase + Addr(j)<<leafShift
+			if lf == nil || lbase+(1<<leafShift-1) < lo || lbase > last {
+				continue
+			}
+			for p, word := range &lf.present {
+				pbase := lbase + Addr(p)<<pageShift
+				for r := 0; word != 0; word, r = word&(word-1), r+1 {
+					l := bits.TrailingZeros64(word)
+					if a := pbase + Addr(l)*LineSize; a >= lo && a <= last {
+						fn(a, &lf.pages[p][r])
+					}
+				}
+			}
+		}
 	}
-	return c
 }
 
 // Addrs returns the addresses of all written lines in ascending order.
 // Deterministic ordering keeps recovery scans and tests reproducible.
-func (s *Store) Addrs() []Addr {
-	out := make([]Addr, 0, s.Len())
-	for i := range s.shards {
-		for a := range s.shards[i].lines {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+func (m *LineMap[V]) Addrs() []Addr {
+	out := make([]Addr, 0, m.n)
+	m.walk(0, ^Addr(0), func(a Addr, _ *V) { out = append(out, a) })
 	return out
 }
 
-// Equal reports whether two stores hold identical contents, treating
-// absent lines as zero.
-func (s *Store) Equal(o *Store) bool {
-	var zero Line
-	for i := range s.shards {
-		sl, ol := s.shards[i].lines, o.shards[i].lines
-		for a, l := range sl {
-			got, ok := ol[a]
-			if !ok {
-				got = zero
-			}
-			if l != got {
-				return false
-			}
-		}
-		for a, l := range ol {
-			if _, ok := sl[a]; !ok && l != zero {
-				return false
-			}
-		}
+// Range returns the addresses of the written lines in [lo, hi) in
+// ascending order; the line containing lo counts as inside. Its cost
+// follows the lines in the range (plus a scan of the directory nodes the
+// range crosses), not the size of the map.
+func (m *LineMap[V]) Range(lo, hi Addr) []Addr {
+	if lo = Align(lo); hi <= lo {
+		return nil
 	}
-	return true
+	var out []Addr
+	m.walk(lo, hi-1, func(a Addr, _ *V) { out = append(out, a) })
+	return out
+}
+
+// Equal reports whether two maps hold identical contents, treating
+// absent lines as zero.
+func (m *LineMap[V]) Equal(o *LineMap[V]) bool {
+	return m.within(o) && o.within(m)
+}
+
+// within reports whether every line written in m reads the same in o.
+func (m *LineMap[V]) within(o *LineMap[V]) bool {
+	same := true
+	m.walk(0, ^Addr(0), func(a Addr, v *V) {
+		if got, _ := o.Read(a); got != *v {
+			same = false
+		}
+	})
+	return same
 }

@@ -1,6 +1,12 @@
 package mem
 
-import "testing"
+import (
+	"encoding/binary"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+)
 
 // TestStoreCloneCOWIsolation exercises the copy-on-write sharing in
 // both directions: writes, deletes and overwrites on either side of a
@@ -8,7 +14,7 @@ import "testing"
 func TestStoreCloneCOWIsolation(t *testing.T) {
 	var s Store
 	var l Line
-	// Populate enough lines to span several shards.
+	// Populate enough lines to span several pages.
 	for a := Addr(0); a < 200*LineSize; a += LineSize {
 		l[0] = byte(a / LineSize)
 		s.Write(a, l)
@@ -103,20 +109,331 @@ func TestStoreZeroValueAfterClone(t *testing.T) {
 	}
 }
 
+var sinkStore *Store
+
 // TestStoreDeleteAbsentKeepsSharing verifies the no-op fast path:
-// deleting an absent line must not privatize a shared shard (that would
-// defeat the point of lazy snapshots) and must stay correct.
+// deleting an absent line must not privatize a shared page or the
+// directory above it (that would defeat the point of lazy snapshots),
+// so a snapshot that only sees such a delete allocates nothing beyond
+// the snapshot itself.
 func TestStoreDeleteAbsentKeepsSharing(t *testing.T) {
 	var s Store
 	var l Line
 	l[0] = 5
 	s.Write(0, l)
-	c := s.Clone()
-	c.Delete(64 * LineSize) // absent; same shard as addr 0
-	if sh := &c.shards[shardOf(0)]; sh.owned {
-		t.Fatal("no-op delete privatized a shared shard")
+	clone := testing.AllocsPerRun(50, func() { sinkStore = s.Clone() })
+	cloneDelete := testing.AllocsPerRun(50, func() {
+		c := s.Clone()
+		c.Delete(LineSize)       // absent; same page as address 0
+		c.Delete(64 * LineSize)  // absent; same leaf, no page yet
+		c.Delete(Addr(1) << 40)  // absent; no segment
+		c.Delete(^Addr(0) &^ 63) // absent; top of the address space
+		sinkStore = c
+	})
+	if cloneDelete != clone {
+		t.Fatalf("no-op deletes allocated: %v allocs per clone+delete, %v per clone", cloneDelete, clone)
 	}
-	if got, _ := c.Read(0); got[0] != 5 {
-		t.Fatal("no-op delete corrupted shard contents")
+	if got, _ := sinkStore.Read(0); got[0] != 5 || sinkStore.Len() != 1 {
+		t.Fatal("no-op delete corrupted the store")
 	}
+}
+
+// TestStoreMemoryFollowsLines pins the sparse top level: lines
+// scattered over the full 64-bit address space cost a bounded number of
+// bytes each (at worst a segment, a leaf and a page of their own), never
+// a directory sized by the highest address.
+func TestStoreMemoryFollowsLines(t *testing.T) {
+	const lines = 2000
+	rng := rand.New(rand.NewSource(1))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var s Store
+	s.Write(^Addr(0), Line{1})
+	for i := 1; i < lines; i++ {
+		s.Write(Addr(rng.Uint64()), Line{byte(i)})
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / lines; per > 16<<10 {
+		t.Fatalf("%d bytes allocated per scattered line, want at most 16 KiB", per)
+	}
+	if s.Len() != lines {
+		t.Fatalf("Len = %d, want %d", s.Len(), lines)
+	}
+	if got, ok := s.Read(^Addr(0) &^ 63); !ok || got[0] != 1 {
+		t.Fatal("line at the top of the address space lost")
+	}
+}
+
+// modelStore pairs a Store with the plain map it must behave like.
+type modelStore struct {
+	s   *Store
+	ref map[Addr]Line
+}
+
+func (m modelStore) sortedRef() []Addr {
+	out := make([]Addr, 0, len(m.ref))
+	for a := range m.ref {
+		out = append(out, a)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// check compares everything observable about the store with its model.
+func (m modelStore) check(t testing.TB, who int) {
+	t.Helper()
+	if m.s.Len() != len(m.ref) {
+		t.Fatalf("store %d: Len = %d, model has %d", who, m.s.Len(), len(m.ref))
+	}
+	want := m.sortedRef()
+	if got := m.s.Addrs(); !slices.Equal(got, want) {
+		t.Fatalf("store %d: Addrs = %#x, model has %#x", who, got, want)
+	}
+	for _, a := range want {
+		if got, ok := m.s.Read(a); !ok || got != m.ref[a] {
+			t.Fatalf("store %d: Read(%#x) = %v, %v; model has %v", who, a, got[0], ok, m.ref[a][0])
+		}
+	}
+}
+
+// modelProgram decodes a byte string into store operations; running out
+// of bytes ends the program.
+type modelProgram struct {
+	b   []byte
+	off int
+}
+
+func (p *modelProgram) done() bool { return p.off >= len(p.b) }
+
+func (p *modelProgram) byte() byte {
+	if p.done() {
+		return 0
+	}
+	p.off++
+	return p.b[p.off-1]
+}
+
+func (p *modelProgram) u64() uint64 {
+	var w [8]byte
+	for i := range w {
+		w[i] = p.byte()
+	}
+	return binary.LittleEndian.Uint64(w[:])
+}
+
+// addr draws an address from one of four families: dense runs (many
+// lines per page, pages per leaf), the region bases of a 16 GiB layout
+// (what a real machine touches), node boundaries of the index, and the
+// full 64-bit range, unaligned included.
+func (p *modelProgram) addr(lay *Layout) Addr {
+	small := Addr(p.byte()) * LineSize
+	switch sel := p.byte(); sel % 4 {
+	case 0:
+		runs := []Addr{0, 3 << pageShift, 1 << leafShift, 1<<segShift - 2<<pageShift, Addr(lay.DataBytes)}
+		return runs[int(sel/4)%len(runs)] + small + Addr(p.byte())<<pageShift
+	case 1:
+		bases := []Addr{0, lay.CounterBase, lay.HMACBase, lay.TreeBase, Addr(lay.TotalBytes()) - 256*LineSize}
+		return bases[int(sel/4)%len(bases)] + small
+	case 2:
+		edges := []Addr{1 << pageShift, 1 << leafShift, 1 << segShift, 5 << segShift, 1 << 40, 1 << 63, 0}
+		return edges[int(sel/4)%len(edges)] - 2*LineSize + small%(4*LineSize) // straddles the edge; wraps below 0
+	default:
+		return Addr(p.u64())
+	}
+}
+
+// runStoreModel interprets prog against up to five live clones of one
+// store, each shadowed by a map. After every operation the address it
+// touched is read back on every clone — a write or delete on one side
+// of a Clone that shows on another side fails there and then — and
+// every clone is compared with its model in full when it is cloned and
+// when the program ends.
+func runStoreModel(t testing.TB, prog []byte) {
+	lay := MustLayout(16 << 30)
+	p := &modelProgram{b: prog}
+	live := []modelStore{{s: &Store{}, ref: map[Addr]Line{}}}
+	pick := func() int { return int(p.byte()) % len(live) }
+	for !p.done() {
+		op := p.byte()
+		i := pick()
+		m := live[i]
+		var a Addr
+		switch op % 10 {
+		case 0, 1, 2: // write; every fourth value is the zero line
+			a = p.addr(lay)
+			v := Line{p.byte() % 4, op}
+			m.s.Write(a, v)
+			m.ref[Align(a)] = v
+		case 3:
+			a = p.addr(lay)
+			m.s.Delete(a)
+			delete(m.ref, Align(a))
+		case 4:
+			a = p.addr(lay)
+		case 5: // clone; at five clones one is dropped first, source or not
+			if len(live) == 5 {
+				live = slices.Delete(live, 0, 1)
+				if i = pick(); i >= len(live) {
+					i = 0
+				}
+				m = live[i]
+			}
+			m.check(t, i)
+			ref := make(map[Addr]Line, len(m.ref))
+			for a, l := range m.ref {
+				ref[a] = l
+			}
+			live = append(live, modelStore{s: m.s.Clone(), ref: ref})
+		case 6: // drop
+			if len(live) > 1 {
+				live = slices.Delete(live, i, i+1)
+			}
+		case 7:
+			lo, hi := p.addr(lay), p.addr(lay)
+			var want []Addr
+			for _, a := range m.sortedRef() {
+				if a >= Align(lo) && a < hi {
+					want = append(want, a)
+				}
+			}
+			if got := m.s.Range(lo, hi); !slices.Equal(got, want) {
+				t.Fatalf("store %d: Range(%#x, %#x) = %#x, model has %#x", i, lo, hi, got, want)
+			}
+		case 8:
+			o := live[pick()]
+			want := true
+			for _, pair := range [][2]map[Addr]Line{{m.ref, o.ref}, {o.ref, m.ref}} {
+				for a, l := range pair[0] {
+					if pair[1][a] != l { // an absent line is the zero line
+						want = false
+					}
+				}
+			}
+			if got := m.s.Equal(o.s); got != want {
+				t.Fatalf("store %d: Equal = %v, models say %v", i, got, want)
+			}
+		case 9: // a by-value copy of a clone, as nvm.Device.Restore makes
+			v := *m.s.Clone()
+			live[i].s = &v
+		}
+		for k, m := range live {
+			got, ok := m.s.Read(a)
+			want, wok := m.ref[Align(a)]
+			if got != want || ok != wok || m.s.Len() != len(m.ref) {
+				t.Fatalf("after op %d on store %d: store %d reads %#x as %v, %v and has %d lines; model has %v, %v and %d",
+					op%10, i, k, a, got[0], ok, m.s.Len(), want[0], wok, len(m.ref))
+			}
+		}
+	}
+	for k, m := range live {
+		m.check(t, k)
+	}
+}
+
+// TestStoreModel runs seeded random programs through the model.
+func TestStoreModel(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		prog := make([]byte, 3000)
+		rng.Read(prog)
+		runStoreModel(t, prog)
+	}
+}
+
+// FuzzStoreModel lets the fuzzer write the programs.
+func FuzzStoreModel(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 7, 5, 0, 3, 0, 1, 0, 0})
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < 4; i++ {
+		prog := make([]byte, 96)
+		rng.Read(prog)
+		f.Add(prog)
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 1024 { // the fuzzer minimizes what it keeps: long programs spend the budget there
+			t.Skip()
+		}
+		runStoreModel(t, prog)
+	})
+}
+
+// benchAddrs returns n line addresses: consecutive lines when dense,
+// one line per page strided over a 16 GiB layout when sparse.
+func benchAddrs(n int, dense bool) []Addr {
+	out := make([]Addr, n)
+	for i := range out {
+		if dense {
+			out[i] = Addr(i) * LineSize
+		} else {
+			out[i] = Addr(uint64(i)*7919%(4<<20)) << pageShift
+		}
+	}
+	return out
+}
+
+func benchStore(addrs []Addr) *Store {
+	s := &Store{}
+	for i, a := range addrs {
+		s.Write(a, Line{byte(i)})
+	}
+	return s
+}
+
+func eachDensity(b *testing.B, fn func(b *testing.B, addrs []Addr)) {
+	for _, c := range []struct {
+		name  string
+		dense bool
+	}{{"dense", true}, {"sparse", false}} {
+		b.Run(c.name, func(b *testing.B) { fn(b, benchAddrs(1<<16, c.dense)) })
+	}
+}
+
+func BenchmarkStoreWrite(b *testing.B) {
+	eachDensity(b, func(b *testing.B, addrs []Addr) {
+		s := benchStore(addrs)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Write(addrs[i%len(addrs)], Line{byte(i)})
+		}
+	})
+}
+
+var sinkLine Line
+
+func BenchmarkStoreRead(b *testing.B) {
+	eachDensity(b, func(b *testing.B, addrs []Addr) {
+		s := benchStore(addrs)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkLine, _ = s.Read(addrs[i%len(addrs)])
+		}
+	})
+}
+
+// BenchmarkStoreCloneThenWrite is the crash-sweep pattern: snapshot,
+// then one write that must un-share its path.
+func BenchmarkStoreCloneThenWrite(b *testing.B) {
+	eachDensity(b, func(b *testing.B, addrs []Addr) {
+		s := benchStore(addrs)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkStore = s.Clone()
+			s.Write(addrs[i%len(addrs)], Line{byte(i)})
+		}
+	})
+}
+
+var sinkAddrs []Addr
+
+func BenchmarkStoreAddrs(b *testing.B) {
+	eachDensity(b, func(b *testing.B, addrs []Addr) {
+		s := benchStore(addrs)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkAddrs = s.Addrs()
+		}
+	})
 }

@@ -60,7 +60,12 @@ type Device struct {
 	layout *mem.Layout
 	timing Timing
 	store  mem.Store
-	wear   map[mem.Addr]uint64
+	wear   mem.LineMap[uint64] // per-line write counts, same page index as store
+
+	// The hottest line so far: wear only grows between restores, so the
+	// maximum is kept as writes arrive instead of searched for.
+	maxWear     uint64
+	maxWearAddr mem.Addr
 
 	writes WriteBreakdown
 	reads  uint64
@@ -86,7 +91,7 @@ type Device struct {
 
 // NewDevice builds a device over the given layout and timing.
 func NewDevice(layout *mem.Layout, timing Timing) *Device {
-	return &Device{layout: layout, timing: timing, wear: make(map[mem.Addr]uint64)}
+	return &Device{layout: layout, timing: timing}
 }
 
 // Layout returns the device's address-space layout.
@@ -127,6 +132,10 @@ func (d *Device) Read(a mem.Addr) (mem.Line, bool) {
 // Peek reads without counting an access; recovery and tests use it.
 func (d *Device) Peek(a mem.Addr) (mem.Line, bool) { return d.store.Read(a) }
 
+// Range lists the written lines in [lo, hi) in ascending address order
+// without counting an access; page reclaim walks its arena half with it.
+func (d *Device) Range(lo, hi mem.Addr) []mem.Addr { return d.store.Range(lo, hi) }
+
 // Write persists line l at a, counting the write against its region and
 // the line's wear counter. Writing heals a stuck line (the device remaps
 // it to a spare). An out-of-range address returns *AddrRangeError.
@@ -144,7 +153,11 @@ func (d *Device) Write(a mem.Addr, l mem.Line) error {
 	default:
 		return &AddrRangeError{Addr: a}
 	}
-	d.wear[a]++
+	w := d.wearOf(a) + 1
+	d.wear.Write(a, w)
+	if w > d.maxWear || (w == d.maxWear && a < d.maxWearAddr) {
+		d.maxWear, d.maxWearAddr = w, a
+	}
 	d.healOnWrite(a)
 	d.store.Write(a, l)
 	return nil
@@ -167,23 +180,30 @@ func (d *Device) ReadFails(a mem.Addr, attempt int) bool {
 	if _, ok := d.store.Read(a); !ok {
 		return false // never-written cells have no weak state
 	}
-	if !d.faults.lineWeak(a, d.wear[a]) {
+	w := d.wearOf(a)
+	if !d.faults.lineWeak(a, w) {
 		return false
 	}
-	return attempt < d.faults.failCount(a, d.wear[a])
+	return attempt < d.faults.failCount(a, w)
+}
+
+// wearOf returns how many times line a was written since boot.
+func (d *Device) wearOf(a mem.Addr) uint64 {
+	w, _ := d.wear.Read(a)
+	return w
 }
 
 // LineWeak reports whether a's current cell state is weak (scrubbing
 // targets these).
 func (d *Device) LineWeak(a mem.Addr) bool {
+	a = mem.Align(a)
 	if d.faults == nil || d.weakExempt[a] || d.stuck[a] {
 		return false
 	}
-	a = mem.Align(a)
 	if _, ok := d.store.Read(a); !ok {
 		return false
 	}
-	return d.faults.lineWeak(a, d.wear[a])
+	return d.faults.lineWeak(a, d.wearOf(a))
 }
 
 // WeakLines lists the currently weak written lines in address order.
@@ -268,14 +288,7 @@ func (d *Device) Reads() uint64 { return d.reads }
 // MaxWear returns the largest per-line write count and the address that
 // holds it; NVM lifetime is bounded by the hottest line.
 func (d *Device) MaxWear() (mem.Addr, uint64) {
-	var ma mem.Addr
-	var mx uint64
-	for a, w := range d.wear {
-		if w > mx || (w == mx && a < ma) {
-			ma, mx = a, w
-		}
-	}
-	return ma, mx
+	return d.maxWearAddr, d.maxWear
 }
 
 // Image is a crash snapshot of the persistent state: the NVM contents
@@ -315,7 +328,8 @@ func (d *Device) Restore(img *Image) {
 	d.store = *img.Store.Clone()
 	d.writes = WriteBreakdown{}
 	d.reads = 0
-	d.wear = make(map[mem.Addr]uint64)
+	d.wear = mem.LineMap[uint64]{}
+	d.maxWear, d.maxWearAddr = 0, 0
 	d.stuck = make(map[mem.Addr]bool)
 	for a := range img.Stuck {
 		d.stuck[a] = true
@@ -329,6 +343,7 @@ func (d *Device) Restore(img *Image) {
 // identical to the live device. Stuck lines read as absent: their
 // content is unreachable.
 func (i *Image) Read(a mem.Addr) (mem.Line, bool) {
+	a = mem.Align(a)
 	if i.Stuck[a] {
 		return mem.Line{}, false
 	}
@@ -338,6 +353,7 @@ func (i *Image) Read(a mem.Addr) (mem.Line, bool) {
 // Write mutates the image in place; attack injection and recovery's
 // Apply use it. Writing heals a stuck line, mirroring the device.
 func (i *Image) Write(a mem.Addr, l mem.Line) {
+	a = mem.Align(a)
 	delete(i.Stuck, a)
 	i.Store.Write(a, l)
 }

@@ -164,3 +164,57 @@ func TestRestoreResetsWear(t *testing.T) {
 		t.Fatalf("post-restore MaxWear = (%#x,%d), want (0x80,2)", uint64(a), w)
 	}
 }
+
+// TestUnalignedAddressHitsStuckAndExemptLines: an address inside a line
+// is that line. The stuck and scrub-exempt sets are keyed by line
+// address, so they must be consulted after aligning — an unaligned
+// address used to slip past both.
+func TestUnalignedAddressHitsStuckAndExemptLines(t *testing.T) {
+	d := device(t)
+	d.SetFaultModel(&FaultModel{Seed: 1, WeakLineRate: 1, StuckLines: 1})
+	const stuck, exempt = mem.Addr(0), mem.Addr(4096)
+	if err := d.Write(stuck, mem.Line{1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.InjectStuckLines(); len(got) != 1 || got[0] != stuck {
+		t.Fatalf("InjectStuckLines = %#x, want the one written line", got)
+	}
+	if err := d.Write(exempt, mem.Line{2}); err != nil {
+		t.Fatal(err)
+	}
+	if !d.LineWeak(exempt + 8) {
+		t.Fatal("every written line is weak at rate 1")
+	}
+	d.ExemptLine(exempt)
+	for _, a := range []mem.Addr{stuck, stuck + 8, exempt, exempt + 8} {
+		if d.LineWeak(a) {
+			t.Errorf("LineWeak(%#x) = true for a stuck or exempt line", uint64(a))
+		}
+	}
+
+	img := d.Snapshot()
+	if _, ok := img.Read(stuck + 8); ok {
+		t.Error("Image.Read inside a stuck line returned its content")
+	}
+	img.Write(stuck+8, mem.Line{3})
+	if img.Stuck[stuck] {
+		t.Error("Image.Write inside a stuck line did not heal it")
+	}
+	if l, ok := img.Read(stuck); !ok || l[0] != 3 {
+		t.Error("Image.Write inside a line did not land on the line")
+	}
+}
+
+// TestMaxWearLowestAddressWinsTie pins the tie-break the running
+// maximum must keep: among the hottest lines, the lowest address.
+func TestMaxWearLowestAddressWinsTie(t *testing.T) {
+	d := device(t)
+	for _, a := range []mem.Addr{128, 64, 128, 64, 192} {
+		if err := d.Write(a, mem.Line{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, w := d.MaxWear(); a != 64 || w != 2 {
+		t.Fatalf("MaxWear = %#x x%d, want 0x40 x2", uint64(a), w)
+	}
+}

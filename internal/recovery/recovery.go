@@ -304,7 +304,7 @@ func recoverGenericImage(img *engine.CrashImage, d design.Descriptor) *Report {
 	// link) are crash damage: the step-4 rebuild heals them, and only the
 	// unexplained remainder is reported as an attack.
 	if d.Caps.TreePersisted {
-		addrs := img.Image.Store.Addrs()
+		addrs := treeAddrs(lay, img.Image.Store)
 		rd := imageReader{img.Image}
 		if bad := tree.VerifyAll(rd, img.TCB.RootOld, addrs); len(bad) == 0 {
 			r.ConsistentRoot = "old"
@@ -654,10 +654,7 @@ func ApplyInterrupted(img *engine.CrashImage, rep *Report, itr *Interrupt) (Reco
 	for _, a := range sortedNodeKeys(nodes) {
 		add(a, nodes[a], false)
 	}
-	for _, a := range img.Image.Store.Addrs() {
-		if lay.RegionOf(a) != mem.RegionTree {
-			continue
-		}
+	for _, a := range img.Image.Store.Range(lay.Bounds(mem.RegionTree)) {
 		if _, covered := nodes[a]; !covered {
 			lv, _ := lay.NodeAt(a)
 			add(a, tree.DefaultNode(lv), false)
@@ -788,9 +785,18 @@ func recoverCounters(img *engine.CrashImage, cry *seccrypto.Engine, pend *pendin
 	}
 	sus := suspectSet(img)
 	stuck := img.Image.Stuck
+	// The walk is address-ordered, so the 64 blocks of a page arrive
+	// together and the 4 blocks of an HMAC line likewise: the decoded
+	// counter line and the HMAC line are kept until the address leaves
+	// them instead of being re-read and re-decoded per block.
+	var (
+		cl           seccrypto.CounterLine
+		hl           mem.Line
+		curCA, curHA = ^mem.Addr(0), ^mem.Addr(0) // unaligned: no line yet
+	)
 	for _, a := range dataWalkAddrs(img, sus) {
 		ca := lay.CounterLineOf(a)
-		ha, _ := lay.HMACLineOf(a)
+		ha, hslot := lay.HMACLineOf(a)
 		if img.MediaFaults {
 			if cause, line := stuckCause(stuck, a, ca, ha); cause != "" {
 				res.lost = append(res.lost, LostBlock{Addr: a, Line: line, Cause: cause})
@@ -799,11 +805,17 @@ func recoverCounters(img *engine.CrashImage, cry *seccrypto.Engine, pend *pendin
 			}
 		}
 		ct, _ := img.Image.Read(a)
-		stored := storedHMAC(img, cry, a)
-		cl, ok := res.lines[ca]
-		if !ok {
-			raw, _ := readLine(img, pend, ca)
-			cl = seccrypto.DecodeCounterLine(raw)
+		if ha != curHA {
+			hl, curHA = hmacLine(img, cry, ha), ha
+		}
+		stored := seccrypto.GetHMAC(hl, hslot)
+		if ca != curCA {
+			var ok bool
+			if cl, ok = res.lines[ca]; !ok {
+				raw, _ := readLine(img, pend, ca)
+				cl = seccrypto.DecodeCounterLine(raw)
+			}
+			curCA = ca
 		}
 		slot := lay.CounterSlotOf(a)
 		base := cl.Counter(slot)
@@ -859,20 +871,17 @@ func recoverCounters(img *engine.CrashImage, cry *seccrypto.Engine, pend *pendin
 // evidence that must be classified as loss, not skipped.
 func dataWalkAddrs(img *engine.CrashImage, sus map[mem.Addr]bool) []mem.Addr {
 	lay := img.Image.Layout
-	var out []mem.Addr
-	seen := map[mem.Addr]bool{}
-	for _, a := range img.Image.Store.Addrs() {
-		if lay.RegionOf(a) == mem.RegionData {
-			out = append(out, a)
-			seen[a] = true
-		}
-	}
+	st := img.Image.Store
+	out := st.Range(lay.Bounds(mem.RegionData))
 	if !img.MediaFaults {
 		return out
 	}
 	extra := false
 	for s := range sus {
-		if lay.RegionOf(s) == mem.RegionData && !seen[s] {
+		if lay.RegionOf(s) != mem.RegionData {
+			continue
+		}
+		if _, stored := st.Read(s); !stored {
 			out = append(out, s)
 			extra = true
 		}
@@ -898,39 +907,42 @@ func stuckCause(stuck map[mem.Addr]bool, a, ca, ha mem.Addr) (string, mem.Addr) 
 	return "", 0
 }
 
-// storedHMAC extracts the stored data HMAC of block a, synthesizing the
-// never-written default when the HMAC line is absent.
+// storedHMAC extracts the stored data HMAC of block a.
 func storedHMAC(img *engine.CrashImage, cry *seccrypto.Engine, a mem.Addr) seccrypto.HMAC {
-	lay := img.Image.Layout
-	ha, hslot := lay.HMACLineOf(a)
+	ha, hslot := img.Image.Layout.HMACLineOf(a)
+	return seccrypto.GetHMAC(hmacLine(img, cry, ha), hslot)
+}
+
+// hmacLine reads HMAC line ha, synthesizing the never-written default
+// when it is absent.
+func hmacLine(img *engine.CrashImage, cry *seccrypto.Engine, ha mem.Addr) mem.Line {
 	hl, ok := img.Image.Read(ha)
 	if !ok {
-		lineIdx := uint64(ha-lay.HMACBase) / mem.LineSize
+		lineIdx := uint64(ha-img.Image.Layout.HMACBase) / mem.LineSize
 		for s := 0; s < mem.HMACsPerLine; s++ {
 			da := mem.Addr((lineIdx*mem.HMACsPerLine + uint64(s)) * mem.LineSize)
 			seccrypto.PutHMAC(&hl, s, cry.DataHMAC(da, 0, mem.Line{}))
 		}
 	}
-	return seccrypto.GetHMAC(hl, hslot)
+	return hl
 }
 
 // collectCounterAddrs lists every counter line that exists in the store
 // or was recovered; Rebuild needs the complete set.
 func collectCounterAddrs(lay *mem.Layout, st *mem.Store, recovered map[mem.Addr]seccrypto.CounterLine) []mem.Addr {
-	seen := map[mem.Addr]bool{}
-	var out []mem.Addr
-	for _, a := range st.Addrs() {
-		if lay.RegionOf(a) == mem.RegionCounter {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
+	out := st.Range(lay.Bounds(mem.RegionCounter))
 	for ca := range recovered {
-		if !seen[ca] {
+		if _, stored := st.Read(ca); !stored {
 			out = append(out, ca)
 		}
 	}
 	return out
+}
+
+// treeAddrs lists the stored counter lines and tree nodes in ascending
+// order: the lines step 1 verifies.
+func treeAddrs(lay *mem.Layout, st *mem.Store) []mem.Addr {
+	return append(st.Range(lay.Bounds(mem.RegionCounter)), st.Range(lay.Bounds(mem.RegionTree))...)
 }
 
 // imageReader adapts an nvm.Image to bmt.Reader: reads go through the

@@ -66,7 +66,7 @@ func EncodeImage(img *engine.CrashImage) ([]byte, error) {
 	b = appendAddrs(b, sortedKeys(img.Image.Stuck))
 	b = appendBytes(b, img.Image.RemapTable)
 	addrs := img.Image.Store.Addrs()
-	slices.Sort(addrs)
+	b = slices.Grow(b, 8+len(addrs)*(8+mem.LineSize)+8)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(addrs)))
 	for _, a := range addrs {
 		l, _ := img.Image.Store.Read(a)
@@ -119,10 +119,21 @@ func DecodeImage(b []byte) (*engine.CrashImage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: layout: %v", ErrImageCorrupt, err)
 	}
+	// The seal is unkeyed, so every address is attacker-controlled: one
+	// that is unaligned or outside the layout is refused before it
+	// reaches the store or the stuck set.
+	for _, a := range stuck {
+		if !validLineAddr(lay, a) {
+			return nil, fmt.Errorf("%w: stuck line %#x outside the layout", ErrImageCorrupt, uint64(a))
+		}
+	}
 	st := &mem.Store{}
 	n := r.count(r.u64(), 8+mem.LineSize)
 	for i := 0; i < n; i++ {
 		a := mem.Addr(r.u64())
+		if !validLineAddr(lay, a) {
+			return nil, fmt.Errorf("%w: line %#x outside the layout", ErrImageCorrupt, uint64(a))
+		}
 		var l mem.Line
 		copy(l[:], r.take(mem.LineSize))
 		st.Write(a, l)
@@ -141,6 +152,12 @@ func DecodeImage(b []byte) (*engine.CrashImage, error) {
 		}
 	}
 	return img, nil
+}
+
+// validLineAddr reports whether a is a line-aligned address inside one
+// of the layout's regions.
+func validLineAddr(lay *mem.Layout, a mem.Addr) bool {
+	return a == mem.Align(a) && lay.RegionOf(a) != mem.RegionInvalid
 }
 
 // SaveImage writes the image to path atomically (temp file + rename).

@@ -152,9 +152,11 @@ func reseal(b []byte) []byte {
 	return b
 }
 
-// TestImageDecodeBoundsHostileCounts plants an oversized count in each
-// length prefix of a correctly checksummed image. Decoding must refuse
-// it without allocating or looping in proportion to the claimed count.
+// TestImageDecodeBoundsHostileCounts plants a hostile value in each
+// length prefix and in a line address of a correctly checksummed image.
+// Decoding must refuse it without allocating or looping in proportion
+// to the claimed count, and before an address outside the layout (or
+// inside a line) reaches the store.
 func TestImageDecodeBoundsHostileCounts(t *testing.T) {
 	img := crashedImage(t, "ccnvm")
 	if len(img.TCB.ExtDirty)+len(img.Sideband)+len(img.Suspects)+len(img.RecoveryJournal)+
@@ -165,33 +167,39 @@ func TestImageDecodeBoundsHostileCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Offsets of the design-string prefix and of the first prefix after
-	// the fixed-size fields (capacity, N, keys, two roots, Nwb).
+	// Offsets of the design-string prefix, of the first prefix after the
+	// fixed-size fields (capacity, N, keys, two roots, Nwb), and of the
+	// line-count prefix and the first line's address behind them.
 	strOff := 8 + 4 // magic, version
 	varOff := strOff + 4 + len(img.Design) + 8 + 8 + len(img.Keys.AES) + len(img.Keys.HMAC) + 2*mem.LineSize + 8
+	linesOff := varOff + 25
+	if n := binary.LittleEndian.Uint64(good[linesOff:]); n != uint64(img.Image.Store.Len()) {
+		t.Fatalf("line-count prefix not at offset %d (read %d)", linesOff, n)
+	}
 	for _, tc := range []struct {
 		name  string
 		off   int
 		width int
+		val   uint64
 	}{
-		{"design", strOff, 4},
-		{"ext-dirty", varOff, 4},
-		{"sideband", varOff + 4, 4},
-		{"suspects", varOff + 9, 4}, // one MediaFaults byte precedes it
-		{"journal", varOff + 13, 4},
-		{"stuck", varOff + 17, 4},
-		{"remap", varOff + 21, 4},
-		{"lines", varOff + 25, 8},
+		{"design", strOff, 4, 0xFFFFFFF0},
+		{"ext-dirty", varOff, 4, 0xFFFFFFF0},
+		{"sideband", varOff + 4, 4, 0xFFFFFFF0},
+		{"suspects", varOff + 9, 4, 0xFFFFFFF0}, // one MediaFaults byte precedes it
+		{"journal", varOff + 13, 4, 0xFFFFFFF0},
+		{"stuck", varOff + 17, 4, 0xFFFFFFF0},
+		{"remap", varOff + 21, 4, 0xFFFFFFF0},
+		{"lines", linesOff, 8, 1 << 40},
+		{"line-address-far", linesOff + 8, 8, 1 << 62},
+		{"line-address-past-tree", linesOff + 8, 8, img.Image.Layout.TotalBytes()},
+		{"line-address-unaligned", linesOff + 8, 8, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := append([]byte(nil), good...)
 			if tc.width == 4 {
-				binary.LittleEndian.PutUint32(b[tc.off:], 0xFFFFFFF0)
+				binary.LittleEndian.PutUint32(b[tc.off:], uint32(tc.val))
 			} else {
-				if n := binary.LittleEndian.Uint64(b[tc.off:]); n != uint64(img.Image.Store.Len()) {
-					t.Fatalf("line-count prefix not at offset %d (read %d)", tc.off, n)
-				}
-				binary.LittleEndian.PutUint64(b[tc.off:], 1<<40)
+				binary.LittleEndian.PutUint64(b[tc.off:], tc.val)
 			}
 			reseal(b)
 			var before, after runtime.MemStats
@@ -199,12 +207,24 @@ func TestImageDecodeBoundsHostileCounts(t *testing.T) {
 			_, err := store.DecodeImage(b)
 			runtime.ReadMemStats(&after)
 			if !errors.Is(err, store.ErrImageCorrupt) {
-				t.Fatalf("oversized %s count decoded (err=%v)", tc.name, err)
+				t.Fatalf("hostile %s decoded (err=%v)", tc.name, err)
 			}
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*uint64(len(b)) {
 				t.Fatalf("decoding a %d-byte file allocated %d bytes", len(b), grew)
 			}
 		})
+	}
+	// The fixture has no stuck line to overwrite, so a hostile one is
+	// encoded into the file instead.
+	for _, a := range []mem.Addr{1 << 62, 8} {
+		img.Image.Stuck = map[mem.Addr]bool{a: true}
+		b, err := store.EncodeImage(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.DecodeImage(b); !errors.Is(err, store.ErrImageCorrupt) {
+			t.Fatalf("stuck line at %#x decoded (err=%v)", uint64(a), err)
+		}
 	}
 }
 

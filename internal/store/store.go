@@ -14,7 +14,8 @@
 //   - Reads decrypt and verify through the engine; a never-written line
 //     reads as zero, exactly like a fresh DIMM.
 //   - Snapshot captures the adversary-visible NVM image via the COW
-//     mem.Store.Clone — O(shards), so point-in-time readers are cheap.
+//     mem.Store.Clone — one top-level directory slice, whatever the
+//     image size, so point-in-time readers are cheap.
 //   - Read-only admission from the controller's media-health machine is
 //     surfaced as typed errors instead of silent drops.
 //   - Crash/OpenRecovered ride the existing four-step recovery plus
@@ -30,7 +31,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"ccnvm/internal/design"
@@ -351,14 +351,11 @@ func (s *Store) ReclaimRange(lo, hi mem.Addr) (int, error) {
 	if hi > mem.Addr(s.lay.DataBytes) {
 		hi = mem.Addr(s.lay.DataBytes)
 	}
-	addrs := s.dev.Snapshot().Store.Addrs()
-	slices.Sort(addrs)
 	var zero mem.Line
 	reclaimed := 0
-	for _, a := range addrs {
-		if a < mem.Align(lo) || a >= hi || s.lay.RegionOf(a) != mem.RegionData {
-			continue
-		}
+	// The range's addresses are listed before the loop writes: the zero
+	// writes below land on the device the list came from.
+	for _, a := range s.dev.Range(lo, hi) {
 		// The media holds ciphertext, so "already zero" must be judged on
 		// the decrypted content — an encrypted zero line is not the zero
 		// ciphertext, and re-zeroing it would make reclaim non-idempotent
@@ -397,7 +394,7 @@ func (s *Store) FlushEpoch() error {
 }
 
 // Snapshot captures the current NVM contents non-destructively via the
-// copy-on-write store clone: O(shards), independent of image size.
+// copy-on-write store clone: independent of image size.
 func (s *Store) Snapshot() *nvm.Image {
 	s.mu.Lock()
 	defer s.mu.Unlock()

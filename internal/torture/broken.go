@@ -54,12 +54,7 @@ func BrokenRunner(mode string) (*Runner, error) {
 				// replayed ones, and do not touch the counter region.
 				lay := img.Image.Layout
 				tree := bmt.New(lay, seccrypto.MustEngine(img.Keys))
-				var cas []mem.Addr
-				for _, a := range img.Image.Store.Addrs() {
-					if lay.RegionOf(a) == mem.RegionCounter {
-						cas = append(cas, a)
-					}
-				}
+				cas := img.Image.Store.Range(lay.Bounds(mem.RegionCounter))
 				nodes, root := tree.Rebuild(img.Image.Store, cas)
 				for a, n := range nodes {
 					img.Image.Write(a, n)

@@ -368,11 +368,9 @@ func injectAttack(c Cell, img *engine.CrashImage, snap *nvm.Image, snapWrites ma
 		// Corrupt a persisted level-1 tree node. Designs that keep the
 		// tree on chip only never persist one, making this a no-op there.
 		var nodes []mem.Addr
-		for _, a := range img.Image.Store.Addrs() {
-			if lay.RegionOf(a) == mem.RegionTree {
-				if lv, _ := lay.NodeAt(a); lv == 1 {
-					nodes = append(nodes, a)
-				}
+		for _, a := range img.Image.Store.Range(lay.Bounds(mem.RegionTree)) {
+			if lv, _ := lay.NodeAt(a); lv == 1 {
+				nodes = append(nodes, a)
 			}
 		}
 		if len(nodes) == 0 {
