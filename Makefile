@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet race fuzz-short vuln lint-designs lint-layering torture torture-faults torture-reboots torture-spares torture-guided torture-kv torture-compact torture-long campaign campaign-short kv-smoke benchmark-check ci bench bench-check profile clean
+.PHONY: all tier1 vet race fuzz-short vuln lint-designs lint-layering torture torture-faults torture-reboots torture-spares torture-guided torture-kv torture-compact torture-long campaign campaign-short kv-smoke benchmark-check ci bench bench-check profile profile-kv clean
 
 # Performance-ledger knobs. BENCH_PR numbers the pinned ledger file
 # (BENCH_$(BENCH_PR).json); BENCH_OPS sizes the pinning run, and
@@ -36,6 +36,7 @@ race:
 fuzz-short:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzCompressRoundTrip -fuzztime=10s ./internal/compress/
+	$(GO) test -fuzz=FuzzCounterLineCodec -fuzztime=10s ./internal/seccrypto/
 	$(GO) test -fuzz=FuzzStoreModel -fuzztime=10s ./internal/mem/
 	$(GO) test -fuzz=FuzzCell -fuzztime=20s ./internal/torture/
 	$(GO) test -fuzz=FuzzFaultCell -fuzztime=20s ./internal/torture/
@@ -204,5 +205,16 @@ PROFILE_PARALLEL ?= 1
 profile:
 	$(GO) run ./cmd/ccnvm-bench -fig 5 -parallel $(PROFILE_PARALLEL) -cpuprofile cpu.out -memprofile mem.out
 
+# profile-kv captures a CPU profile of the KV serving path: the ledger's
+# KV row (2 connections of batch puts through the wire, kv, store and
+# engine) with the simulator rows cut to a token run and the churn row
+# skipped; the ledger itself goes to a temp file. Inspect with
+# `go tool pprof cpu-kv.out`.
+profile-kv:
+	@tmp=$$(mktemp) && \
+	$(GO) run ./cmd/ccnvm-bench -ledger $$tmp -ops 2000 -benchmarks gcc -churn 0 \
+		-kvconns 2 -kvops 25000 -cpuprofile cpu-kv.out; \
+	rc=$$?; rm -f $$tmp; exit $$rc
+
 clean:
-	rm -f cpu.out mem.out
+	rm -f cpu.out mem.out cpu-kv.out

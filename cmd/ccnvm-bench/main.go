@@ -82,21 +82,12 @@ func main() {
 	churnMult := flag.Int("churn", 4, "ledger mode: sustained-churn log-capacity multiple (0 = skip the churn measurement)")
 	flag.Parse()
 
+	// Profiles cover every mode, the ledger's KV serving rows included.
+	defer startProfiles(*cpuProfile, *memProfile)()
+
 	if *ledgerPath != "" || *checkDir != "" {
 		runLedger(*ledgerPath, *checkDir, *ops, *seed, *benchList, *kvConns, *kvOps, *churnMult)
 		return
-	}
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
 	}
 
 	o := experiments.Options{Ops: *ops, Warmup: *warmup, Seed: *seed, Parallelism: *parallel}
@@ -130,7 +121,7 @@ func main() {
 			fmt.Println(h)
 		}
 		if *csvDir != "" {
-			if err := writeCSV(filepath.Join(*csvDir, "fig5.csv"), f5.WriteCSV); err != nil {
+			if err := writeFile(filepath.Join(*csvDir, "fig5.csv"), f5.WriteCSV); err != nil {
 				fatal(err)
 			}
 		}
@@ -146,7 +137,7 @@ func main() {
 			fmt.Println(f6.Tables())
 		}
 		if *csvDir != "" {
-			if err := writeCSV(filepath.Join(*csvDir, "fig6a.csv"), f6.WriteCSV); err != nil {
+			if err := writeFile(filepath.Join(*csvDir, "fig6a.csv"), f6.WriteCSV); err != nil {
 				fatal(err)
 			}
 		}
@@ -162,7 +153,7 @@ func main() {
 			fmt.Println(f6.Tables())
 		}
 		if *csvDir != "" {
-			if err := writeCSV(filepath.Join(*csvDir, "fig6b.csv"), f6.WriteCSV); err != nil {
+			if err := writeFile(filepath.Join(*csvDir, "fig6b.csv"), f6.WriteCSV); err != nil {
 				fatal(err)
 			}
 		}
@@ -199,16 +190,34 @@ func main() {
 			fatal(err)
 		}
 	}
+}
 
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
+// startProfiles starts the CPU profile, if asked for, and returns the
+// function that ends the run's profiling: it stops the CPU profile and
+// writes the heap profile. An empty path skips that profile.
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	var cpu *os.File
+	if cpuPath != "" {
+		var err error
+		if cpu, err = os.Create(cpuPath); err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
+		if err := pprof.StartCPUProfile(cpu); err != nil {
 			fatal(err)
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fatal(err)
+			}
+		}
+		if memPath != "" {
+			runtime.GC()
+			if err := writeFile(memPath, pprof.WriteHeapProfile); err != nil {
+				fatal(err)
+			}
 		}
 	}
 }
@@ -361,14 +370,17 @@ func ratio(hits, misses uint64) float64 {
 	return float64(hits) / float64(hits+misses)
 }
 
-// writeCSV creates path and streams one table into it.
-func writeCSV(path string, write func(io.Writer) error) error {
+// writeFile creates path and streams one table or profile into it.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return write(f)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fatal(err error) {

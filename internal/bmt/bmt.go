@@ -13,7 +13,9 @@
 package bmt
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ccnvm/internal/mem"
 	"ccnvm/internal/seccrypto"
@@ -238,38 +240,64 @@ func (t *Tree) Rebuild(r Reader, counterAddrs []mem.Addr) (map[mem.Addr]mem.Line
 	return nodes, root
 }
 
+// SpreadNode is one node of SpreadDeferred's working set: its index
+// within its tree level and its content.
+type SpreadNode struct {
+	Index uint64
+	Line  mem.Line
+}
+
+// SpreadScratch is SpreadDeferred's working memory: two level buffers
+// that swap roles as the walk climbs, and the per-level counts. The
+// caller owns it and passes the same one to every drain, so once the
+// buffers have grown to an epoch's size a drain allocates nothing. The
+// zero value is ready.
+type SpreadScratch struct {
+	levels [2][]SpreadNode
+	counts []int
+}
+
 // SpreadDeferred performs the drainer's deferred spreading (cc-NVM
-// §4.3): starting from the dirty counter leaves (index -> new content),
-// it recomputes every affected internal node exactly once, bottom-up,
-// coalescing same-node updates. lookup supplies the pre-drain content
-// of an internal node the first time a level touches it.
+// §4.3): starting from the dirty counter leaves (distinct indices, any
+// order, new content), it recomputes every affected internal node
+// exactly once, bottom-up, coalescing same-node updates. lookup
+// supplies the pre-drain content of an internal node the first time a
+// level touches it; emit receives each recomputed internal node, level
+// by level and in index order within a level.
 //
-// It returns the recomputed internal nodes keyed by NVM address, the
-// per-level affected counts (counts[l] nodes were hashed at level l,
-// for l in 0..TopLevel; the last entry is the top-level set folded into
-// the root) for the caller's HMAC-unit timing model, and the top-level
-// nodes (index -> content) for the root fold.
-func (t *Tree) SpreadDeferred(leaves map[uint64]mem.Line, lookup func(mem.Addr) mem.Line) (map[mem.Addr]mem.Line, []int, map[uint64]mem.Line) {
-	nodes := make(map[mem.Addr]mem.Line)
-	counts := make([]int, t.lay.TopLevel()+1)
+// A level is held as a slice sorted by index. leaves is sorted in
+// place, and since a parent's index is its child's divided by the
+// arity, walking a sorted level produces its parents already sorted:
+// a child either belongs to the parent appended last or starts a new
+// one, so no lookup structure is needed and the order of every hash,
+// lookup and emit is a function of the dirty set alone.
+//
+// It returns the per-level affected counts (counts[l] nodes were hashed
+// at level l, for l in 0..TopLevel; the last entry is the top-level set
+// folded into the root) for the caller's HMAC-unit timing model, and
+// the top-level nodes for the root fold. Both live in s (or are leaves
+// itself, when the counter lines are the root's children) and are valid
+// until the next call with the same scratch.
+func (t *Tree) SpreadDeferred(leaves []SpreadNode, s *SpreadScratch, lookup func(mem.Addr) mem.Line, emit func(mem.Addr, mem.Line)) (counts []int, top []SpreadNode) {
+	slices.SortFunc(leaves, func(a, b SpreadNode) int { return cmp.Compare(a.Index, b.Index) })
+	s.counts = append(s.counts[:0], make([]int, t.lay.TopLevel()+1)...)
 	affected := leaves
 	for level := 0; level < t.lay.TopLevel(); level++ {
-		parents := make(map[uint64]mem.Line)
-		for idx, child := range affected {
-			_, pi, slot := t.lay.ParentOf(level, idx)
-			node, started := parents[pi]
-			if !started {
-				node = lookup(t.lay.NodeAddr(level+1, pi))
+		parents := s.levels[level%2][:0]
+		for i := range affected {
+			_, pi, slot := t.lay.ParentOf(level, affected[i].Index)
+			if n := len(parents); n == 0 || parents[n-1].Index != pi {
+				parents = append(parents, SpreadNode{Index: pi, Line: lookup(t.lay.NodeAddr(level+1, pi))})
 			}
-			t.SetParentSlot(&node, slot, child)
-			parents[pi] = node
+			t.SetParentSlot(&parents[len(parents)-1].Line, slot, affected[i].Line)
 		}
-		counts[level] = len(affected)
-		for pi, node := range parents {
-			nodes[t.lay.NodeAddr(level+1, pi)] = node
+		for i := range parents {
+			emit(t.lay.NodeAddr(level+1, parents[i].Index), parents[i].Line)
 		}
+		s.counts[level] = len(affected)
+		s.levels[level%2] = parents
 		affected = parents
 	}
-	counts[t.lay.TopLevel()] = len(affected)
-	return nodes, counts, affected
+	s.counts[t.lay.TopLevel()] = len(affected)
+	return s.counts, affected
 }

@@ -1,7 +1,9 @@
 package bmt
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ccnvm/internal/mem"
@@ -314,6 +316,33 @@ func TestRebuildIdempotentProperty(t *testing.T) {
 	}
 }
 
+// spread runs SpreadDeferred over leaves against the pre-drain nodes in
+// st and collects what it emits: the recomputed nodes by address, and
+// copies of the per-level counts and the top-level set. It fails the
+// test when a node is emitted twice or a level is emitted out of index
+// order.
+func spread(t *testing.T, tr *Tree, st *mem.Store, sc *SpreadScratch, leaves []SpreadNode) (map[mem.Addr]mem.Line, []int, []SpreadNode) {
+	t.Helper()
+	lay := tr.Layout()
+	nodes := map[mem.Addr]mem.Line{}
+	var last mem.Addr
+	counts, top := tr.SpreadDeferred(leaves, sc, func(a mem.Addr) mem.Line {
+		level, idx := lay.NodeAt(a)
+		return tr.NodeContent(st, level, idx) // st still holds the pre-drain nodes
+	}, func(a mem.Addr, n mem.Line) {
+		if _, dup := nodes[a]; dup {
+			t.Fatalf("node %#x recomputed twice", uint64(a))
+		}
+		// Levels are laid out bottom-up in the tree region, so level by
+		// level and ascending within a level is ascending overall.
+		if a <= last {
+			t.Fatalf("node %#x emitted after %#x", uint64(a), uint64(last))
+		}
+		nodes[a], last = n, a
+	})
+	return nodes, slices.Clone(counts), slices.Clone(top)
+}
+
 // TestSpreadDeferredMatchesRebuild checks the drainer's incremental
 // walk against the from-scratch one: after a seeded set of counter
 // lines changes under a persisted tree, SpreadDeferred must recompute
@@ -343,16 +372,14 @@ func TestSpreadDeferredMatchesRebuild(t *testing.T) {
 	for _, a := range writtenCounters(tr, st)[:30] {
 		dirty[lay.CounterLineIndex(a)] = true
 	}
-	leaves := make(map[uint64]mem.Line, len(dirty))
-	for idx := range dirty {
+	var leaves []SpreadNode
+	for idx := range dirty { // map order: the walk must not depend on it
 		writeCounter(tr, st, idx, 1+int(idx%3))
-		leaves[idx], _ = st.Read(lay.CounterLineAddr(idx))
+		l, _ := st.Read(lay.CounterLineAddr(idx))
+		leaves = append(leaves, SpreadNode{Index: idx, Line: l})
 	}
 
-	nodes, counts, top := tr.SpreadDeferred(leaves, func(a mem.Addr) mem.Line {
-		level, idx := lay.NodeAt(a)
-		return tr.NodeContent(st, level, idx) // st still holds the pre-drain nodes
-	})
+	nodes, counts, top := spread(t, tr, st, &SpreadScratch{}, leaves)
 
 	// Per-level counts are the distinct ancestors of the dirty leaves.
 	level := dirty
@@ -393,13 +420,80 @@ func TestSpreadDeferredMatchesRebuild(t *testing.T) {
 		}
 		st.Write(a, nodes[a])
 	}
-	for idx, n := range top {
-		if n != nodes[lay.NodeAddr(lay.TopLevel(), idx)] {
-			t.Fatalf("top node %d differs from the node map", idx)
+	for _, n := range top {
+		if n.Line != nodes[lay.NodeAddr(lay.TopLevel(), n.Index)] {
+			t.Fatalf("top node %d differs from the emitted node", n.Index)
 		}
-		tr.SetParentSlot(&root, int(idx), n)
+		tr.SetParentSlot(&root, int(n.Index), n.Line)
 	}
 	if root != wantRoot || root != tr.RootNode(st) {
 		t.Fatal("folded root differs from Rebuild / RootNode")
+	}
+}
+
+// TestSpreadDeferredOrderIndependent is the property the drainer's
+// determinism rests on: the same dirty leaves, handed over in any order
+// (the dirty address queue's insertion order is the order write-backs
+// happened to arrive in) and through a scratch of any history, yield
+// the same nodes, per-level counts, top set and root. It runs on a tree
+// whose counter lines hang off the TCB root, on one with a single
+// internal level, and on a seven-level one.
+func TestSpreadDeferredOrderIndependent(t *testing.T) {
+	for _, tc := range []struct {
+		capacity uint64
+		levels   int
+	}{{16 << 10, 0}, {64 << 10, 1}, {256 << 20, 7}} {
+		tr, st := tree(t, tc.capacity)
+		lay := tr.Layout()
+		if lay.InternalLevels != tc.levels {
+			t.Fatalf("capacity %d has %d internal levels, want %d", tc.capacity, lay.InternalLevels, tc.levels)
+		}
+		rng := rand.New(rand.NewSource(int64(tc.levels) + 5))
+		total := lay.LevelNodes(0)
+		for i := 0; i < 40; i++ {
+			writeCounter(tr, st, rng.Uint64()%total, 1+rng.Intn(3))
+		}
+		root := persistTree(tr, st)
+
+		dirty := map[uint64]bool{}
+		for i := 0; i < 48; i++ {
+			dirty[rng.Uint64()%total] = true
+		}
+		var leaves []SpreadNode
+		for idx := range dirty {
+			writeCounter(tr, st, idx, 2)
+			l, _ := st.Read(lay.CounterLineAddr(idx))
+			leaves = append(leaves, SpreadNode{Index: idx, Line: l})
+		}
+
+		fold := func(top []SpreadNode) mem.Line {
+			r := root
+			for _, n := range top {
+				tr.SetParentSlot(&r, int(n.Index), n.Line)
+			}
+			return r
+		}
+		var sc SpreadScratch // shared: a run inherits the previous run's buffers
+		wantNodes, wantCounts, wantTop := spread(t, tr, st, &sc, slices.Clone(leaves))
+		if len(wantCounts) != lay.TopLevel()+1 || wantCounts[0] != len(dirty) {
+			t.Fatalf("levels=%d: counts = %v for %d dirty leaves", tc.levels, wantCounts, len(dirty))
+		}
+		for trial := 0; trial < 20; trial++ {
+			rng.Shuffle(len(leaves), func(i, j int) { leaves[i], leaves[j] = leaves[j], leaves[i] })
+			nodes, counts, top := spread(t, tr, st, &sc, slices.Clone(leaves))
+			if !maps.Equal(nodes, wantNodes) || !slices.Equal(counts, wantCounts) || !slices.Equal(top, wantTop) {
+				t.Fatalf("levels=%d trial %d: result depends on the order of the leaves", tc.levels, trial)
+			}
+			if fold(top) != fold(wantTop) {
+				t.Fatalf("levels=%d trial %d: root depends on the order of the leaves", tc.levels, trial)
+			}
+		}
+		// The folded root is the root of the image with the nodes applied.
+		for a, n := range wantNodes {
+			st.Write(a, n)
+		}
+		if fold(wantTop) != tr.RootNode(st) {
+			t.Fatalf("levels=%d: folded root differs from RootNode", tc.levels)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 
+	"ccnvm/internal/bmt"
 	"ccnvm/internal/design/names"
 	"ccnvm/internal/engine"
 	"ccnvm/internal/mem"
@@ -59,8 +60,20 @@ type CCNVM struct {
 
 	// stash holds the content of dirty metadata lines displaced from the
 	// meta cache since the last drain; they remain part of the epoch's
-	// flush set.
-	stash map[mem.Addr]mem.Line
+	// flush set. Every such line is tracked in the queue, so the stash is
+	// a slice parallel to the queue's insertion order (stashed[i] says
+	// whether stash[i] holds the line at queue position i) and lives and
+	// dies with the epoch, like the queue.
+	stash   []mem.Line
+	stashed []bool
+	stashN  int // stashed entries set in the current epoch
+
+	// Per-write-back and per-drain working memory, sized by M once and
+	// reused: a drain builds no map and allocates nothing.
+	needed  []mem.Addr       // WriteBack's reservation list
+	content []mem.Line       // the epoch's line contents, parallel to the queue order
+	leaves  []bmt.SpreadNode // the epoch's dirty counter lines
+	spread  bmt.SpreadScratch
 
 	epochWritebacks uint64 // write-backs in the current epoch
 	epochLenSum     uint64 // closed-epoch lengths, for average reporting
@@ -96,7 +109,7 @@ func NewCCNVMExt(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller,
 }
 
 func newCCNVM(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, metaCfg metacache.Config, p engine.Params, ds, ext bool) *CCNVM {
-	c := &CCNVM{deferred: ds, extRegs: ext, stash: make(map[mem.Addr]mem.Line)}
+	c := &CCNVM{deferred: ds, extRegs: ext}
 	c.InitBase(lay, keys, ctrl, metaCfg, p)
 	// One write-back reserves the counter line plus its whole tree path;
 	// a queue smaller than that cannot accept any write-back even right
@@ -106,13 +119,37 @@ func newCCNVM(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, me
 		entries = floor
 	}
 	c.queue = NewDirtyAddrQueue(entries)
+	c.stash = make([]mem.Line, entries)
+	c.stashed = make([]bool, entries)
+	c.needed = make([]mem.Addr, 0, 1+lay.InternalLevels)
+	c.content = make([]mem.Line, 0, entries)
+	c.leaves = make([]bmt.SpreadNode, 0, entries)
 	// Stashed epoch lines are still on chip: fetches must see them
 	// instead of the stale NVM copies.
-	c.StashLookup = func(a mem.Addr) (mem.Line, bool) {
-		l, ok := c.stash[a]
-		return l, ok
-	}
+	c.StashLookup = c.stashLookup
 	return c
+}
+
+// stashLookup returns the stashed content of a, if the epoch displaced
+// it from the meta cache.
+func (c *CCNVM) stashLookup(a mem.Addr) (mem.Line, bool) {
+	if c.stashN == 0 {
+		return mem.Line{}, false
+	}
+	if i := c.queue.Index(a); i >= 0 && c.stashed[i] {
+		return c.stash[i], true
+	}
+	return mem.Line{}, false
+}
+
+// clearEpoch forgets the epoch's tracking state: the queue and, when it
+// held anything, the stash.
+func (c *CCNVM) clearEpoch() {
+	if c.stashN > 0 {
+		clear(c.stashed[:c.queue.Len()])
+		c.stashN = 0
+	}
+	c.queue.Clear()
 }
 
 // Name implements engine.Engine.
@@ -144,7 +181,7 @@ func (c *CCNVM) AvgEpochLength() float64 {
 func (c *CCNVM) ReadBlock(now int64, addr mem.Addr) (mem.Line, int64) {
 	pt, done := c.Base.ReadBlock(now, addr)
 	c.absorbEvicts()
-	if len(c.stash) > 0 {
+	if c.stashN > 0 {
 		c.drain(now, DrainEvict)
 	}
 	return pt, done
@@ -168,12 +205,12 @@ func (c *CCNVM) WriteBack(now int64, addr mem.Addr, pt mem.Line) int64 {
 	// attributes cc-NVM's residual IPC loss to exactly this wait.
 	ca := c.Lay.CounterLineOf(addr)
 	leaf := c.Lay.CounterLineIndex(ca)
-	needed := append([]mem.Addr{ca}, c.Lay.PathFrom(leaf)...)
+	c.needed = c.Lay.PathFrom(append(c.needed[:0], ca), leaf)
 	t := accept + c.P.QueueLookupCycles
-	if c.queue.Missing(needed) > c.queue.Free() {
+	if c.queue.Missing(c.needed) > c.queue.Free() {
 		t = c.drain(t, DrainQueueFull)
 	}
-	c.queue.Reserve(needed...)
+	c.queue.Reserve(c.needed...)
 	accept = t
 
 	r := c.BumpCounter(t, addr)
@@ -204,7 +241,7 @@ func (c *CCNVM) WriteBack(now int64, addr mem.Addr, pt mem.Line) int64 {
 		drained = true
 	}
 	c.absorbEvicts()
-	if !drained && len(c.stash) > 0 {
+	if !drained && c.stashN > 0 {
 		done = c.drain(done, DrainEvict)
 	}
 	c.ReleaseWBSlot(slot, done)
@@ -216,10 +253,15 @@ func (c *CCNVM) WriteBack(now int64, addr mem.Addr, pt mem.Line) int64 {
 // construction, so stashed content stays part of the drain's flush set.
 func (c *CCNVM) absorbEvicts() {
 	for _, e := range c.TakePendingEvicts() {
-		if !c.queue.Contains(e.Addr) {
+		i := c.queue.Index(e.Addr)
+		if i < 0 {
 			panic("ccnvm: dirty metadata line was not tracked in the dirty address queue")
 		}
-		c.stash[e.Addr] = e.Line
+		if !c.stashed[i] {
+			c.stashed[i] = true
+			c.stashN++
+		}
+		c.stash[i] = e.Line
 	}
 }
 
@@ -230,7 +272,7 @@ func (c *CCNVM) metaContent(a mem.Addr) mem.Line {
 	if l, ok := c.Meta.Peek(a); ok {
 		return l
 	}
-	if l, ok := c.stash[a]; ok {
+	if l, ok := c.stashLookup(a); ok {
 		return l
 	}
 	l, ok := c.Ctrl.Device().Peek(a)
@@ -271,10 +313,12 @@ func (c *CCNVM) drain(now int64, cause DrainCause) int64 {
 	c.epochWritebacks = 0
 
 	t := now
-	content := make(map[mem.Addr]mem.Line, len(tracked))
+	// The epoch's line contents, content[i] for tracked[i].
+	content := c.content[:0]
 	for _, a := range tracked {
-		content[a] = c.metaContent(a)
+		content = append(content, c.metaContent(a))
 	}
+	c.content = content
 
 	if c.deferred {
 		// Deferred spreading: recompute each affected tree node exactly
@@ -282,33 +326,36 @@ func (c *CCNVM) drain(now int64, cause DrainCause) int64 {
 		// every child hash is independent, so the HMAC unit pipelines
 		// them (one issue slot each); levels serialize on each other,
 		// which is the residual cascade a drain cannot avoid.
-		leaves := make(map[uint64]mem.Line)
-		for _, a := range tracked {
+		leaves := c.leaves[:0]
+		for i, a := range tracked {
 			if c.Lay.RegionOf(a) == mem.RegionCounter {
-				leaves[c.Lay.CounterLineIndex(a)] = content[a]
+				leaves = append(leaves, bmt.SpreadNode{Index: c.Lay.CounterLineIndex(a), Line: content[i]})
 			}
 		}
-		// The lookup reads only pre-drain state: the initial content
-		// snapshot, caches, NVM.
-		nodes, counts, top := c.Tree.SpreadDeferred(leaves, func(pa mem.Addr) mem.Line {
-			if l, ok := content[pa]; ok {
-				return l
+		c.leaves = leaves
+		// The lookup reads only pre-drain state (the content snapshot,
+		// caches, NVM): a node is looked up while its level is being
+		// built and recomputed nodes are stored only once it is complete.
+		counts, top := c.Tree.SpreadDeferred(leaves, &c.spread, func(pa mem.Addr) mem.Line {
+			if i := c.queue.Index(pa); i >= 0 {
+				return content[i]
 			}
 			return c.metaContent(pa)
+		}, func(pa mem.Addr, node mem.Line) {
+			if i := c.queue.Index(pa); i >= 0 {
+				content[i] = node
+			}
 		})
-		for pa, node := range nodes {
-			content[pa] = node
-		}
 		for _, n := range counts {
 			if n == 0 {
 				continue
 			}
-			c.StatsRef().HMACOps += uint64(n)
+			st.HMACOps += uint64(n)
 			t += c.P.HMACCycles + int64(n-1)*c.P.HMACIssueCycles
 		}
 		// Fold the recomputed top level into ROOTnew.
-		for idx, node := range top {
-			c.Tree.SetParentSlot(&c.TCB.RootNew, int(idx), node)
+		for i := range top {
+			c.Tree.SetParentSlot(&c.TCB.RootNew, int(top[i].Index), top[i].Line)
 		}
 	}
 
@@ -327,8 +374,8 @@ func (c *CCNVM) drain(now int64, cause DrainCause) int64 {
 		}
 		panic(err)
 	}
-	for _, a := range tracked {
-		t = max(t, c.Ctrl.Write(t, a, content[a]))
+	for i, a := range tracked {
+		t = max(t, c.Ctrl.Write(t, a, content[i]))
 	}
 	if _, err := c.Ctrl.EndEpochDrain(t); err != nil {
 		panic(err)
@@ -347,14 +394,13 @@ func (c *CCNVM) drain(now int64, cause DrainCause) int64 {
 
 	// The epoch's lines are now persistent: clean the survivors, refresh
 	// the cache with recomputed nodes, and forget the stash.
-	for _, a := range tracked {
+	for i, a := range tracked {
 		if c.Meta.Contains(a) {
-			c.Meta.Fill(a, content[a])
+			c.Meta.Fill(a, content[i])
 			c.Meta.Clean(a)
 		}
 	}
-	c.stash = make(map[mem.Addr]mem.Line)
-	c.queue.Clear()
+	c.clearEpoch()
 	// Refreshing resident lines cannot displace anything (Fill of a
 	// resident line updates in place), so no evictions arise here.
 	if recs := c.TakePendingEvicts(); len(recs) != 0 {
@@ -373,8 +419,7 @@ func (c *CCNVM) Settle(now int64) int64 {
 // committed epoch, consistent with ROOTold.
 func (c *CCNVM) Crash() *engine.CrashImage {
 	c.ApplyCrashVolatility()
-	c.stash = make(map[mem.Addr]mem.Line)
-	c.queue.Clear()
+	c.clearEpoch()
 	c.epochWritebacks = 0
 	return c.MakeCrashImage(c.Name())
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"ccnvm/internal/engine"
@@ -252,5 +253,70 @@ func TestReadTriggersEvictDrain(t *testing.T) {
 	}
 	if c.Stats().IntegrityViolations != 0 {
 		t.Fatalf("%d violations", c.Stats().IntegrityViolations)
+	}
+}
+
+// TestShallowTreesAndFloorQueue runs every variant on the tree shapes
+// the level walk degenerates on — counter lines hanging directly off the
+// TCB root, and a single internal level — and on the default one, with
+// the queue clamped to its floor (one write-back's reservation) and a
+// metadata cache small enough to push dirty lines through the stash.
+// Reads must return what was written with no violation, and both a
+// settled image and one crashed mid-epoch must verify against ROOTold.
+func TestShallowTreesAndFloorQueue(t *testing.T) {
+	build := map[string]func(*mem.Layout, seccrypto.Keys, *memctrl.Controller, metacache.Config, engine.Params) *CCNVM{
+		"ccnvm": NewCCNVM, "ccnvm-wods": NewCCNVMWoDS, "ccnvm-ext": NewCCNVMExt,
+	}
+	for _, tc := range []struct {
+		capacity uint64
+		levels   int
+	}{{16 << 10, 0}, {64 << 10, 1}, {1 << 30, 8}} {
+		for variant, newEngine := range build {
+			lay := mem.MustLayout(tc.capacity)
+			if lay.InternalLevels != tc.levels {
+				t.Fatalf("capacity %d has %d internal levels, want %d", tc.capacity, lay.InternalLevels, tc.levels)
+			}
+			ctrl := memctrl.New(memctrl.Config{}, nvm.NewDevice(lay, nvm.PCMTiming(3)))
+			c := newEngine(lay, seccrypto.DefaultKeys(), ctrl,
+				metacache.Config{SizeBytes: 1024, Ways: 2}, engine.Params{QueueEntries: 1, UpdateLimit: 5})
+			if got, want := c.Queue().Capacity(), 1+tc.levels; got != want {
+				t.Fatalf("%s/%d: queue capacity %d, want the floor %d", variant, tc.levels, got, want)
+			}
+			verify := func(when string) {
+				t.Helper()
+				dev := c.Ctrl.Device().Snapshot()
+				if bad := c.Tree.VerifyAll(dev.Store, c.TCB.RootOld, dev.Store.Addrs()); len(bad) != 0 {
+					t.Fatalf("%s/%d %s: NVM tree does not verify against ROOTold: %v", variant, tc.levels, when, bad[0])
+				}
+			}
+			rng := rand.New(rand.NewSource(int64(tc.levels)))
+			latest := map[mem.Addr]mem.Line{}
+			pages := min(tc.capacity/mem.PageSize, 40)
+			now := int64(0)
+			for i := 0; i < 600; i++ {
+				a := mem.Addr(rng.Uint64()%pages*997%(tc.capacity/mem.PageSize))*mem.PageSize + mem.Addr(rng.Intn(4))*mem.LineSize
+				if want, ok := latest[a]; ok && rng.Intn(3) == 0 {
+					got, done := c.ReadBlock(now, a)
+					if got != want {
+						t.Fatalf("%s/%d: read of %#x returned stale content", variant, tc.levels, uint64(a))
+					}
+					now = done + 10
+					continue
+				}
+				latest[a] = fill(byte(i))
+				now = c.WriteBack(now, a, latest[a]) + 10
+				if i%97 == 0 {
+					verify("mid-epoch")
+				}
+			}
+			if st := c.Stats(); st.IntegrityViolations != 0 || st.DrainQueueFull == 0 {
+				t.Fatalf("%s/%d: %d violations, %d queue-full drains", variant, tc.levels, st.IntegrityViolations, st.DrainQueueFull)
+			}
+			c.WriteBack(now, 0, fill(0xEE)) // leave an epoch open
+			img := c.Crash()
+			if bad := c.Tree.VerifyAll(img.Image.Store, img.TCB.RootOld, img.Image.Store.Addrs()); len(bad) != 0 {
+				t.Fatalf("%s/%d: crash image does not verify against ROOTold: %v", variant, tc.levels, bad[0])
+			}
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -112,5 +115,101 @@ func TestQueueInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// queueModel is the reference the open-addressed queue is held to: a
+// map for membership and a slice for order.
+type queueModel struct {
+	pos   map[mem.Addr]int
+	order []mem.Addr
+}
+
+func (m *queueModel) reserve(a mem.Addr) {
+	a = mem.Align(a)
+	if _, ok := m.pos[a]; !ok {
+		m.pos[a] = len(m.order)
+		m.order = append(m.order, a)
+	}
+}
+
+func (m *queueModel) index(a mem.Addr) int {
+	if i, ok := m.pos[mem.Align(a)]; ok {
+		return i
+	}
+	return -1
+}
+
+func (m *queueModel) missing(addrs []mem.Addr) int {
+	n := 0
+	for _, a := range addrs {
+		if m.index(a) < 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func (m *queueModel) clear() {
+	m.pos = map[mem.Addr]int{}
+	m.order = m.order[:0]
+}
+
+// TestQueueMatchesModel runs random Reserve/Missing/Contains/Index/Clear
+// sequences against the reference at the capacities that matter: 1, the
+// clamp floor of the default layout (counter line plus its path), the
+// largest M of Fig. 6b, and one that is not a power of two — each also
+// started just below a generation-stamp wrap, so that stale slots of the
+// epochs before the wipe must stay dead after it.
+func TestQueueMatchesModel(t *testing.T) {
+	floor := 1 + mem.MustLayout(1<<30).InternalLevels
+	for _, capacity := range []int{1, floor, 40, 64} {
+		for _, startGen := range []uint32{1, math.MaxUint32 - 2} {
+			q := NewDirtyAddrQueue(capacity)
+			q.gen = startGen
+			m := &queueModel{}
+			m.clear()
+			rng := rand.New(rand.NewSource(int64(capacity)))
+			// A universe a few times the capacity: hits, misses and
+			// probe-chain collisions all occur.
+			pick := func() mem.Addr {
+				return mem.Addr(rng.Intn(4*capacity+3))*mem.LineSize + mem.Addr(rng.Intn(mem.LineSize))
+			}
+			clears := 0
+			for step := 0; step < 20000; step++ {
+				switch op := rng.Intn(10); {
+				case op < 5:
+					batch := make([]mem.Addr, 1+rng.Intn(3))
+					for i := range batch {
+						batch[i] = pick()
+					}
+					if got, want := q.Missing(batch), m.missing(batch); got != want {
+						t.Fatalf("cap %d step %d: Missing = %d, want %d", capacity, step, got, want)
+					}
+					for _, a := range batch {
+						if m.index(a) < 0 && len(m.order) == capacity {
+							continue // would overflow: the engine drains first
+						}
+						q.Reserve(a)
+						m.reserve(a)
+					}
+				case op < 9:
+					a := pick()
+					if got, want := q.Index(a), m.index(a); got != want || q.Contains(a) != (want >= 0) {
+						t.Fatalf("cap %d step %d: Index(%#x) = %d, want %d", capacity, step, uint64(a), got, want)
+					}
+				default:
+					q.Clear()
+					m.clear()
+					clears++
+				}
+				if q.Len() != len(m.order) || q.Free() != capacity-len(m.order) || !slices.Equal(q.Addrs(), m.order) {
+					t.Fatalf("cap %d step %d: queue %v, model %v", capacity, step, q.Addrs(), m.order)
+				}
+			}
+			if wrapped := q.gen < startGen; wrapped != (startGen != 1) || clears < 3 {
+				t.Fatalf("cap %d: generation %d after %d clears from %d: the wrap case was not exercised as intended", capacity, q.gen, clears, startGen)
+			}
+		}
 	}
 }

@@ -53,6 +53,9 @@ type Base struct {
 	// (TakePendingEvicts, RequeueEvicts).
 	pendingIdx map[mem.Addr]int
 
+	// chain is FetchChain's reused working memory.
+	chain []chainLink
+
 	// defLines memoizes synthesized default data-HMAC lines (four SHA-1
 	// HMACs each), which profiling shows dominate read-path time on
 	// sparse images. Direct-mapped and bounded, like the seccrypto memos.
@@ -314,6 +317,15 @@ func (b *Base) slotInParent(level int, idx uint64) int {
 	return s
 }
 
+// chainLink is one node of a FetchChain walk: a missed node on the way
+// up to the first trusted ancestor.
+type chainLink struct {
+	level int
+	idx   uint64
+	addr  mem.Addr
+	line  mem.Line
+}
+
 // FetchChain brings the metadata node at (level, idx) into the meta
 // cache: it reads the node and every uncached ancestor from NVM in
 // parallel, verifies the chain top-down against the first trusted
@@ -331,13 +343,7 @@ func (b *Base) FetchChain(now int64, level int, idx uint64) (mem.Line, int64) {
 		b.Meta.Fill(reqAddr, ln)
 		return ln, now + b.P.MetaCycles
 	}
-	type link struct {
-		level int
-		idx   uint64
-		addr  mem.Addr
-		line  mem.Line
-	}
-	chain := []link{{level, idx, reqAddr, mem.Line{}}}
+	chain := append(b.chain[:0], chainLink{level, idx, reqAddr, mem.Line{}})
 	var anchor *mem.Line
 	l, i := level, idx
 	for l < b.Lay.TopLevel() {
@@ -352,9 +358,10 @@ func (b *Base) FetchChain(now int64, level int, idx uint64) (mem.Line, int64) {
 			anchor = &ln
 			break
 		}
-		chain = append(chain, link{pl, pi, pa, mem.Line{}})
+		chain = append(chain, chainLink{pl, pi, pa, mem.Line{}})
 		l, i = pl, pi
 	}
+	b.chain = chain
 	// Parallel NVM reads after the meta-cache miss is known.
 	issue := now + b.P.MetaCycles
 	maxT := issue
@@ -503,8 +510,14 @@ func (b *Base) BumpCounter(now int64, addr mem.Addr) BumpResult {
 // cycle the re-encryption finished issuing.
 func (b *Base) ReencryptPage(now int64, addr mem.Addr, old, new seccrypto.CounterLine) int64 {
 	pageBase := mem.Addr(uint64(addr) / mem.PageSize * mem.PageSize)
-	// Gather and rewrite the page's HMAC lines once each.
-	hmacLines := map[mem.Addr]mem.Line{}
+	// Gather and rewrite the page's HMAC lines once each. They are
+	// contiguous, so they are held by position and written back in
+	// ascending address order: the controller's event order and, under a
+	// fault model, the in-flight sequence numbers follow it.
+	const pageHMACLines = mem.BlocksPerPage / mem.HMACsPerLine
+	var hmacLines [pageHMACLines]mem.Line
+	var gathered [pageHMACLines]bool
+	firstHA, _ := b.Lay.HMACLineOf(pageBase)
 	t := now
 	for s := 0; s < mem.BlocksPerPage; s++ {
 		da := pageBase + mem.Addr(s*mem.LineSize)
@@ -512,16 +525,15 @@ func (b *Base) ReencryptPage(now int64, addr mem.Addr, old, new seccrypto.Counte
 		pt := b.Cry.Decrypt(da, old.Counter(s), ct)
 		nct := b.Cry.Encrypt(da, new.Counter(s), pt)
 		ha, hslot := b.Lay.HMACLineOf(da)
-		hl, ok := hmacLines[ha]
-		if !ok {
+		k := int(ha-firstHA) / mem.LineSize
+		if !gathered[k] {
 			raw, present, _ := b.Ctrl.ReadBypass(t, ha)
 			if !present {
 				raw = b.DefaultHMACLine(ha)
 			}
-			hl = raw
+			hmacLines[k], gathered[k] = raw, true
 		}
-		seccrypto.PutHMAC(&hl, hslot, b.Cry.DataHMAC(da, new.Counter(s), nct))
-		hmacLines[ha] = hl
+		seccrypto.PutHMAC(&hmacLines[k], hslot, b.Cry.DataHMAC(da, new.Counter(s), nct))
 		tw := b.Ctrl.Write(tr, da, nct)
 		if tw > t {
 			t = tw
@@ -533,8 +545,8 @@ func (b *Base) ReencryptPage(now int64, addr mem.Addr, old, new seccrypto.Counte
 	b.stats.AESOps += uint64(2 * mem.BlocksPerPage)
 	t += b.P.AESCycles
 	t = b.HMACOp(t, mem.BlocksPerPage)
-	for ha, hl := range hmacLines {
-		tw := b.Ctrl.Write(t, ha, hl)
+	for k := range hmacLines {
+		tw := b.Ctrl.Write(t, firstHA+mem.Addr(k*mem.LineSize), hmacLines[k])
 		if tw > t {
 			t = tw
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ccnvm/internal/mem"
@@ -237,5 +238,43 @@ func TestTCBCloneExt(t *testing.T) {
 	cp.ExtDirty[64] = 9
 	if tcb.ExtDirty[64] != 3 {
 		t.Fatal("clone aliases the original map")
+	}
+}
+
+// TestReencryptPageEventOrderRepeats drives one block through a
+// minor-counter overflow on two fresh machines with the controller's
+// event tap installed. The page re-encryption's writes must reach the
+// controller in the same order both times — data lines, then the page's
+// sixteen HMAC lines in ascending address order — because the tap feeds
+// the persist-ordering graph and, under a fault model, that order
+// numbers the in-flight writes a crash tears.
+func TestReencryptPageEventOrderRepeats(t *testing.T) {
+	const addr = mem.Addr(5*mem.PageSize + 3*mem.LineSize)
+	run := func() []memctrl.Event {
+		b := newBase(t, 1<<30)
+		var events []memctrl.Event
+		b.Ctrl.SetEventTap(func(e memctrl.Event) { events = append(events, e) })
+		now := int64(0)
+		for i := 0; i <= seccrypto.MinorMax; i++ {
+			r := b.BumpCounter(now, addr)
+			now = b.WriteDataBlock(now, r.Avail, addr, mem.Line{byte(i)}, r.Counter) + 10
+		}
+		if b.Stats().CounterOverflows != 1 {
+			t.Fatalf("overflows = %d, want 1", b.Stats().CounterOverflows)
+		}
+		return events
+	}
+	first, second := run(), run()
+	if !slices.Equal(first, second) {
+		t.Fatal("two fresh machines emitted different event sequences across a page re-encryption")
+	}
+	// The re-encryption's HMAC-line writes are the last sixteen events
+	// before the overflowing write-back's own data and HMAC writes.
+	const n = mem.BlocksPerPage / mem.HMACsPerLine
+	hmacs := first[len(first)-2-n : len(first)-2]
+	for k, e := range hmacs {
+		if e.Kind != memctrl.EvWriteAccept || e.Addr != hmacs[0].Addr+mem.Addr(k*mem.LineSize) {
+			t.Fatalf("HMAC line %d of the re-encrypted page written at %#x, want ascending from %#x", k, uint64(e.Addr), uint64(hmacs[0].Addr))
+		}
 	}
 }

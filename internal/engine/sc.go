@@ -21,6 +21,7 @@ import (
 // worst-case write traffic (the 5.5x of §2.3).
 type SC struct {
 	Base
+	path []mem.Addr // persistPath's reused path buffer
 }
 
 // NewSC builds the strict-consistency engine.
@@ -75,7 +76,8 @@ func (s *SC) persistPath(now int64, leaf uint64) int64 {
 		}
 	}
 	write(s.Lay.CounterLineAddr(leaf))
-	for _, pa := range s.Lay.PathFrom(leaf) {
+	s.path = s.Lay.PathFrom(s.path[:0], leaf)
+	for _, pa := range s.path {
 		write(pa)
 	}
 	return t

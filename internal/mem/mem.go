@@ -301,15 +301,16 @@ func (l *Layout) ChildOf(level int, idx uint64, s int) (clevel int, cidx uint64)
 	return level - 1, idx*HMACsPerLine + uint64(s)
 }
 
-// PathFrom returns the addresses of the internal tree nodes on the path
-// from the counter line with leaf index idx up to and including the top
-// NVM node: first the level-1 parent, then level 2, and so on.
-func (l *Layout) PathFrom(leafIdx uint64) []Addr {
-	path := make([]Addr, 0, l.InternalLevels)
+// PathFrom appends to dst the addresses of the internal tree nodes on
+// the path from the counter line with leaf index idx up to and
+// including the top NVM node — first the level-1 parent, then level 2,
+// and so on — and returns the extended slice. A caller on a hot path
+// passes a reused buffer and allocates nothing.
+func (l *Layout) PathFrom(dst []Addr, leafIdx uint64) []Addr {
 	level, idx := 0, leafIdx
 	for level < l.InternalLevels {
 		level, idx, _ = l.ParentOf(level, idx)
-		path = append(path, l.NodeAddr(level, idx))
+		dst = append(dst, l.NodeAddr(level, idx))
 	}
-	return path
+	return dst
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -115,7 +116,7 @@ func TestTreeParentChildInverse(t *testing.T) {
 
 func TestPathFrom(t *testing.T) {
 	l := MustLayout(1 * gib)
-	path := l.PathFrom(0)
+	path := l.PathFrom(nil, 0)
 	if len(path) != l.InternalLevels {
 		t.Fatalf("path length %d, want %d", len(path), l.InternalLevels)
 	}
@@ -125,10 +126,14 @@ func TestPathFrom(t *testing.T) {
 			t.Fatalf("path element %d at level %d, want %d", i, lev, i+1)
 		}
 	}
+	// PathFrom appends: what the buffer already held stays in front.
+	if got := l.PathFrom([]Addr{7}, 0); got[0] != 7 || !slices.Equal(got[1:], path) {
+		t.Fatalf("PathFrom did not append to its buffer: %v", got)
+	}
 	// Every path must end at a top-NVM-level node, i.e. a direct child of
 	// the TCB root node.
 	for _, leaf := range []uint64{0, 1, l.LevelNodes(0) - 1} {
-		p := l.PathFrom(leaf)
+		p := l.PathFrom(path[:0], leaf)
 		lev, idx := l.NodeAt(p[len(p)-1])
 		if lev != l.TopLevel() || idx >= uint64(l.RootChildren()) {
 			t.Fatalf("path from leaf %d ends at level %d idx %d, not a root child", leaf, lev, idx)

@@ -57,22 +57,28 @@ func (c *CounterLine) Bump(slot int) (overflow bool) {
 	return true
 }
 
+// minorWordBytes is the size of one packed word of minors: eight
+// MinorBits-bit minors fill MinorBits bytes exactly.
+const minorWordBytes = MinorBits
+
 // Encode packs the counter line into its 64-byte NVM representation:
 // the major counter in the first 8 bytes (little endian), then the 64
-// seven-bit minors bit-packed into the remaining 56 bytes.
+// seven-bit minors bit-packed into the remaining 56 bytes, minor i at
+// bits [7i, 7i+7) of that little-endian bit string. Eight minors make
+// one 7-byte word, so the line is packed a word at a time.
 func (c *CounterLine) Encode() mem.Line {
 	var l mem.Line
 	binary.LittleEndian.PutUint64(l[:8], c.Major)
-	bitpos := 0
-	for _, m := range c.Minors {
-		byteIdx := 8 + bitpos/8
-		off := bitpos % 8
-		v := uint16(m&MinorMax) << off
-		l[byteIdx] |= byte(v)
-		if off > 8-MinorBits {
-			l[byteIdx+1] |= byte(v >> 8)
-		}
-		bitpos += MinorBits
+	for g := 0; g < mem.BlocksPerPage/8; g++ {
+		// Unrolled: the loop form measures twice as slow.
+		m := c.Minors[8*g : 8*g+8]
+		w := uint64(m[0]&MinorMax) | uint64(m[1]&MinorMax)<<7 | uint64(m[2]&MinorMax)<<14 |
+			uint64(m[3]&MinorMax)<<21 | uint64(m[4]&MinorMax)<<28 | uint64(m[5]&MinorMax)<<35 |
+			uint64(m[6]&MinorMax)<<42 | uint64(m[7]&MinorMax)<<49
+		b := l[8+minorWordBytes*g : 8+minorWordBytes*(g+1)]
+		binary.LittleEndian.PutUint32(b, uint32(w))
+		binary.LittleEndian.PutUint16(b[4:], uint16(w>>32))
+		b[6] = byte(w >> 48)
 	}
 	return l
 }
@@ -83,16 +89,18 @@ func (c *CounterLine) Encode() mem.Line {
 func DecodeCounterLine(l mem.Line) CounterLine {
 	var c CounterLine
 	c.Major = binary.LittleEndian.Uint64(l[:8])
-	bitpos := 0
-	for i := range c.Minors {
-		byteIdx := 8 + bitpos/8
-		off := bitpos % 8
-		v := uint16(l[byteIdx]) >> off
-		if off > 8-MinorBits {
-			v |= uint16(l[byteIdx+1]) << (8 - off)
-		}
-		c.Minors[i] = uint8(v & MinorMax)
-		bitpos += MinorBits
+	for g := 0; g < mem.BlocksPerPage/8; g++ {
+		b := l[8+minorWordBytes*g : 8+minorWordBytes*(g+1)]
+		w := uint64(binary.LittleEndian.Uint32(b)) | uint64(binary.LittleEndian.Uint16(b[4:]))<<32 | uint64(b[6])<<48
+		m := c.Minors[8*g : 8*g+8]
+		m[0] = uint8(w) & MinorMax
+		m[1] = uint8(w>>7) & MinorMax
+		m[2] = uint8(w>>14) & MinorMax
+		m[3] = uint8(w>>21) & MinorMax
+		m[4] = uint8(w>>28) & MinorMax
+		m[5] = uint8(w>>35) & MinorMax
+		m[6] = uint8(w>>42) & MinorMax
+		m[7] = uint8(w>>49) & MinorMax
 	}
 	return c
 }
