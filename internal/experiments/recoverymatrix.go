@@ -43,6 +43,9 @@ func (v Verdict) String() string {
 	}
 }
 
+// MarshalText makes JSON carry a verdict by name, as the table does.
+func (v Verdict) MarshalText() ([]byte, error) { return []byte(v.String()), nil }
+
 // Attacks lists the §4.4 scenarios of the recovery matrix, in report
 // order.
 func Attacks() []string {

@@ -171,7 +171,7 @@ func (db *DB) compactLocked() error {
 			}
 		}
 		hl := encodeHeader(seq+1, len(ops), len(payload))
-		sealHeader(&hl, fnv64(payload))
+		sealHeader(&hl, mem.FNV64a(payload))
 		if werr := db.st.Write(w, hl); werr != nil {
 			return fail(fmt.Errorf("kv: compaction commit write: %w", werr))
 		}

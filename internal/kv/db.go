@@ -197,7 +197,7 @@ func (db *DB) scan() error {
 		if err != nil {
 			return fmt.Errorf("kv: log scan payload at %#x: %w", uint64(payloadStart), err)
 		}
-		if fnv64(payload) != payloadCk {
+		if mem.FNV64a(payload) != payloadCk {
 			break
 		}
 		recs, err := decodePayload(payload, count)
@@ -499,7 +499,7 @@ func (db *DB) Batch(ops []Op) error {
 		}
 	}
 	hl := encodeHeader(db.seq+1, len(ops), len(payload))
-	sealHeader(&hl, fnv64(payload))
+	sealHeader(&hl, mem.FNV64a(payload))
 	if werr := db.st.Write(header, hl); werr != nil {
 		db.mu.Unlock()
 		return fmt.Errorf("kv: batch commit write: %w", werr)

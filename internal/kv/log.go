@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 
 	"ccnvm/internal/mem"
 )
@@ -61,12 +60,6 @@ const (
 // errFrameEnd distinguishes "no more frames" from a malformed record
 // inside a checksummed frame (which is a corruption bug, not an end).
 var errFrameEnd = errors.New("kv: end of log")
-
-func fnv64(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
-}
 
 // encodePayload serializes ops back-to-back. Record: kind(1),
 // keyLen(4), valLen(4), key, val.
@@ -152,7 +145,7 @@ func encodeHeader(seq uint64, count, payloadBytes int) mem.Line {
 
 func sealHeader(l *mem.Line, payloadCk uint64) {
 	binary.LittleEndian.PutUint64(l[24:32], payloadCk)
-	binary.LittleEndian.PutUint64(l[32:40], fnv64(l[0:32]))
+	binary.LittleEndian.PutUint64(l[32:40], mem.FNV64a(l[0:32]))
 }
 
 // parseHeader validates a header line and returns (seq, count,
@@ -162,7 +155,7 @@ func parseHeader(l mem.Line) (seq uint64, count, payloadBytes int, payloadCk uin
 	if string(l[0:8]) != frameMagic {
 		return 0, 0, 0, 0, errFrameEnd
 	}
-	if got, want := binary.LittleEndian.Uint64(l[32:40]), fnv64(l[0:32]); got != want {
+	if got, want := binary.LittleEndian.Uint64(l[32:40]), mem.FNV64a(l[0:32]); got != want {
 		return 0, 0, 0, 0, errFrameEnd
 	}
 	seq = binary.LittleEndian.Uint64(l[8:16])

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"ccnvm/internal/mem"
 )
 
 func TestPayloadRoundTrip(t *testing.T) {
@@ -67,12 +69,12 @@ func TestDecodeRejectsTruncatedPayload(t *testing.T) {
 func TestHeaderRoundTrip(t *testing.T) {
 	payload := []byte("some payload bytes")
 	hl := encodeHeader(7, 3, len(payload))
-	sealHeader(&hl, fnv64(payload))
+	sealHeader(&hl, mem.FNV64a(payload))
 	seq, count, pb, ck, err := parseHeader(hl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 7 || count != 3 || pb != len(payload) || ck != fnv64(payload) {
+	if seq != 7 || count != 3 || pb != len(payload) || ck != mem.FNV64a(payload) {
 		t.Fatalf("parsed (%d,%d,%d,%#x)", seq, count, pb, ck)
 	}
 }
@@ -80,7 +82,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 func TestHeaderRejectsDamage(t *testing.T) {
 	payload := []byte("p")
 	good := encodeHeader(1, 1, len(payload))
-	sealHeader(&good, fnv64(payload))
+	sealHeader(&good, mem.FNV64a(payload))
 	// Any mutated header byte in the sealed region must read as
 	// end-of-log, never as a different valid frame: this is the torn
 	// commit-write defense.

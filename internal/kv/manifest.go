@@ -59,7 +59,7 @@ func encodeManifest(rec manifestRecord) mem.Line {
 	binary.LittleEndian.PutUint64(l[8:16], rec.Seq)
 	binary.LittleEndian.PutUint64(l[16:24], rec.StartSeq)
 	l[24] = byte(rec.Half)
-	binary.LittleEndian.PutUint64(l[32:40], fnv64(l[0:32]))
+	binary.LittleEndian.PutUint64(l[32:40], mem.FNV64a(l[0:32]))
 	return l
 }
 
@@ -73,7 +73,7 @@ func decodeManifest(l mem.Line) (manifestRecord, bool, error) {
 	if string(l[0:8]) != manifestMagic {
 		return manifestRecord{}, false, errManifestTorn
 	}
-	if got, want := binary.LittleEndian.Uint64(l[32:40]), fnv64(l[0:32]); got != want {
+	if got, want := binary.LittleEndian.Uint64(l[32:40]), mem.FNV64a(l[0:32]); got != want {
 		return manifestRecord{}, false, errManifestTorn
 	}
 	rec := manifestRecord{

@@ -35,7 +35,9 @@ type RequestOp struct {
 // Response answers one request. Code types refusals so clients can
 // tell a retriable/degraded condition from a plain failure: "readonly"
 // (media degraded, reads still served), "full" (log out of space and
-// compaction cannot help), "closed" (namespace shut down).
+// compaction cannot help), "closed" (namespace shut down), "toolarge"
+// (the request line is past the 4 MiB cap; the connection closes after
+// this response, since the line's end is never found).
 type Response struct {
 	OK    bool   `json:"ok"`
 	Found bool   `json:"found,omitempty"`
@@ -52,6 +54,7 @@ const (
 	CodeReadOnly = "readonly"
 	CodeFull     = "full"
 	CodeClosed   = "closed"
+	CodeTooLarge = "toolarge"
 )
 
 // Server serves one DB over a listener. Termination ops (crash, quit)
@@ -158,6 +161,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err := w.Flush(); err != nil {
 			return
 		}
+	}
+	// A line past the cap cannot be skipped — its end is unknown — so the
+	// connection ends here, with an answer rather than a bare reset.
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		enc.Encode(&Response{Err: "request too large", Code: CodeTooLarge})
+		w.Flush()
 	}
 }
 

@@ -2,14 +2,17 @@ package kv_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
 	"ccnvm/internal/engine"
 	"ccnvm/internal/kv"
+	"ccnvm/internal/mem"
 	"ccnvm/internal/nvm"
 	"ccnvm/internal/store"
 )
@@ -30,27 +33,34 @@ func dial(t testing.TB, addr string) *client {
 	return &client{conn: conn, r: bufio.NewReader(conn)}
 }
 
-func (c *client) do(t testing.TB, req kv.Request) kv.Response {
-	t.Helper()
+// roundTrip sends one request and reads its response.
+func (c *client) roundTrip(req kv.Request) (kv.Response, error) {
+	var resp kv.Response
 	b, err := json.Marshal(req)
 	if err != nil {
-		t.Fatal(err)
+		return resp, err
 	}
 	if _, err := c.conn.Write(append(b, '\n')); err != nil {
-		t.Fatal(err)
+		return resp, err
 	}
 	line, err := c.r.ReadBytes('\n')
 	if err != nil {
-		t.Fatal(err)
+		return resp, err
 	}
-	var resp kv.Response
-	if err := json.Unmarshal(line, &resp); err != nil {
+	err = json.Unmarshal(line, &resp)
+	return resp, err
+}
+
+func (c *client) do(t testing.TB, req kv.Request) kv.Response {
+	t.Helper()
+	resp, err := c.roundTrip(req)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return resp
 }
 
-func startServer(t *testing.T, db *kv.DB) (*kv.Server, string, chan shutdown) {
+func startServer(t testing.TB, db *kv.DB) (*kv.Server, string, chan shutdown) {
 	t.Helper()
 	srv := kv.NewServer(db)
 	down := make(chan shutdown, 1)
@@ -111,6 +121,42 @@ func TestServerBasicOps(t *testing.T) {
 	resp = c.do(t, kv.Request{Op: "stats"})
 	if !resp.OK || resp.Stats == nil || resp.Stats.Keys != 2 {
 		t.Fatalf("stats: %+v", resp)
+	}
+}
+
+// TestServerOversizedRequestIsAnswered: a request line past the 4 MiB
+// cap ends the connection, but with a typed refusal the client can
+// read, and the server keeps serving everyone else.
+func TestServerOversizedRequestIsAnswered(t *testing.T) {
+	db := openDB(t, openStore(t))
+	_, addr, _ := startServer(t, db)
+	c := dial(t, addr)
+
+	// The server stops reading at the cap and closes, so the tail of
+	// this write may fail; the answer is what is under test.
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		c.conn.Write(append(bytes.Repeat([]byte{'x'}, 5<<20), '\n'))
+	}()
+	line, err := c.r.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("no answer to an oversized request: %v", err)
+	}
+	var resp kv.Response
+	if err := json.Unmarshal(line, &resp); err != nil {
+		t.Fatalf("bad answer %q: %v", line, err)
+	}
+	if resp.OK || resp.Code != kv.CodeTooLarge || resp.Err == "" {
+		t.Fatalf("oversized request not typed: %+v", resp)
+	}
+	if _, err := c.r.ReadBytes('\n'); err == nil {
+		t.Fatal("connection still open after an oversized request")
+	}
+	<-wrote
+
+	if resp := dial(t, addr).do(t, kv.Request{Op: "ping"}); !resp.OK {
+		t.Fatalf("second connection not served: %+v", resp)
 	}
 }
 
@@ -305,4 +351,45 @@ func TestServerReadOnlyDegradationServesReads(t *testing.T) {
 	if d := <-down; !d.clean {
 		t.Fatal("read-only quit reported as crash")
 	}
+}
+
+// BenchmarkServerBatchPut drives the kvd assembly over loopback in the
+// repo benchmark's kv_put shape — 2 connections, closed loop, batches
+// of 4 fresh-key 64 B puts — so `make profile-kv` can profile the
+// serving path with plain go tooling. One iteration is one batch. It is
+// a profiling harness; throughput claims come from benchmark/.
+func BenchmarkServerBatchPut(b *testing.B) {
+	const conns, batchOps, valBytes = 2, 4, 64
+	// Fresh keys only ever grow the log: size the store as kv_put does.
+	st, err := store.Open(store.Options{
+		Capacity: 256 << 20,
+		Params:   engine.Params{UpdateLimit: 16, QueueEntries: 64},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, addr, _ := startServer(b, openDB(b, st))
+	val := strings.Repeat("v", valBytes)
+
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for c := 0; c < conns; c++ {
+		cl := dial(b, addr)
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < b.N; i += conns {
+				req := kv.Request{Op: "batch", Ops: make([]kv.RequestOp, batchOps)}
+				for j := range req.Ops {
+					key := fmt.Sprintf("%016x", mem.Mix64(uint64(i*batchOps+j)))
+					req.Ops[j] = kv.RequestOp{Op: "put", Key: key, Val: val}
+				}
+				if resp, err := cl.roundTrip(req); err != nil || !resp.OK {
+					b.Errorf("batch %d: %+v, %v", i, resp, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }

@@ -27,3 +27,16 @@ func HashLine(l *Line) uint64 {
 	}
 	return Mix64(h)
 }
+
+// FNV64a is the FNV-1a 64-bit checksum of b, bit for bit hash/fnv's
+// New64a. It is the one seal of everything persisted inside the trust
+// boundary — spare-pool remap slots, the recovery journal, KV frames
+// and manifest slots, crash-image files: it catches torn and truncated
+// records, it authenticates nothing.
+func FNV64a(b []byte) uint64 {
+	h := uint64(0xcbf29ce484222325)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 0x100000001b3
+	}
+	return h
+}

@@ -73,16 +73,6 @@ type RemapRecord struct {
 	Entries []RemapEntry
 }
 
-// remapChecksum is FNV-64a, matching the recovery journal's.
-func remapChecksum(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x100000001b3
-	}
-	return h
-}
-
 // EncodeRemapRecord renders one slot. Entries beyond RemapMaxEntries
 // are a programming error (the pool is capped below that).
 func EncodeRemapRecord(r RemapRecord) []byte {
@@ -102,7 +92,7 @@ func EncodeRemapRecord(r RemapRecord) []byte {
 			b[off+8] = 1
 		}
 	}
-	binary.LittleEndian.PutUint64(b[remapChecksumOff:remapChecksumOff+8], remapChecksum(b[:remapChecksumOff]))
+	binary.LittleEndian.PutUint64(b[remapChecksumOff:remapChecksumOff+8], mem.FNV64a(b[:remapChecksumOff]))
 	return b
 }
 
@@ -112,7 +102,7 @@ func DecodeRemapSlot(b []byte) (RemapRecord, bool) {
 	if len(b) < RemapSlotLen || string(b[0:4]) != remapMagic || b[4] != remapVersion {
 		return RemapRecord{}, false
 	}
-	if binary.LittleEndian.Uint64(b[remapChecksumOff:remapChecksumOff+8]) != remapChecksum(b[:remapChecksumOff]) {
+	if binary.LittleEndian.Uint64(b[remapChecksumOff:remapChecksumOff+8]) != mem.FNV64a(b[:remapChecksumOff]) {
 		return RemapRecord{}, false
 	}
 	r := RemapRecord{

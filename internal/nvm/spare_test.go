@@ -64,7 +64,7 @@ func TestDecodeRemapSlotRejectsDamage(t *testing.T) {
 // copyChecksum re-seals a slot after a test mutates its header, so the
 // structural checks (not the checksum) are what reject it.
 func copyChecksum(b []byte) {
-	sum := remapChecksum(b[:remapChecksumOff])
+	sum := mem.FNV64a(b[:remapChecksumOff])
 	for i := 0; i < 8; i++ {
 		b[remapChecksumOff+i] = byte(sum >> (8 * i))
 	}

@@ -99,17 +99,6 @@ func sameHeader(a, b journalRecord) bool {
 		a.Nwb == b.Nwb && a.Nretry == b.Nretry && a.Blocks == b.Blocks && a.Lines == b.Lines
 }
 
-// journalChecksum is FNV-64a; content integrity only (the journal is
-// inside the TCB's trust boundary, like the root registers, so no MAC).
-func journalChecksum(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x100000001b3
-	}
-	return h
-}
-
 func encodeSlot(rec journalRecord) [journalSlotLen]byte {
 	var b [journalSlotLen]byte
 	copy(b[joMagic:], journalMagic)
@@ -140,7 +129,7 @@ func encodeSlot(rec journalRecord) [journalSlotLen]byte {
 	copy(b[joRootLine:], rec.Root[:])
 	binary.LittleEndian.PutUint64(b[joPendAddr:], uint64(rec.PendingAddr))
 	copy(b[joPendLine:], rec.PendingLine[:])
-	binary.LittleEndian.PutUint64(b[joChecksum:], journalChecksum(b[:joChecksum]))
+	binary.LittleEndian.PutUint64(b[joChecksum:], mem.FNV64a(b[:joChecksum]))
 	return b
 }
 
@@ -148,7 +137,7 @@ func decodeSlot(b []byte) (journalRecord, bool) {
 	if len(b) < journalSlotLen || string(b[joMagic:joMagic+4]) != journalMagic || b[joVersion] != journalVersion {
 		return journalRecord{}, false
 	}
-	if binary.LittleEndian.Uint64(b[joChecksum:]) != journalChecksum(b[:joChecksum]) {
+	if binary.LittleEndian.Uint64(b[joChecksum:]) != mem.FNV64a(b[:joChecksum]) {
 		return journalRecord{}, false
 	}
 	rec := journalRecord{

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"slices"
 
@@ -73,9 +72,7 @@ func EncodeImage(img *engine.CrashImage) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint64(b, uint64(a))
 		b = append(b, l[:]...)
 	}
-	h := fnv.New64a()
-	h.Write(b)
-	b = binary.LittleEndian.AppendUint64(b, h.Sum64())
+	b = binary.LittleEndian.AppendUint64(b, mem.FNV64a(b))
 	return b, nil
 }
 
@@ -85,9 +82,7 @@ func DecodeImage(b []byte) (*engine.CrashImage, error) {
 		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrImageCorrupt, len(b))
 	}
 	body, tail := b[:len(b)-8], b[len(b)-8:]
-	h := fnv.New64a()
-	h.Write(body)
-	if h.Sum64() != binary.LittleEndian.Uint64(tail) {
+	if mem.FNV64a(body) != binary.LittleEndian.Uint64(tail) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrImageCorrupt)
 	}
 	r := &reader{b: body}
