@@ -18,9 +18,13 @@ vet:
 
 # race runs the concurrency-sensitive packages under the race detector:
 # the parallel evaluation matrix, the simulator it drives, the torture
-# harness's parallel cell runner, and the recovery package it re-enters.
+# harness's parallel cell runner, the recovery package it re-enters, and
+# the two packages that serve concurrent clients — the KV server and the
+# store facade below it (-short trims only the 20 000-put snapshot-leak
+# drill, which the detector slows tenfold).
 race:
 	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/torture/ ./internal/recovery/
+	$(GO) test -race -short ./internal/kv/ ./internal/store/
 
 # fuzz-short gives each native fuzz target a fixed small budget; crashes
 # land in testdata/fuzz/ as regression inputs.
@@ -35,6 +39,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzSpareCell -fuzztime=20s ./internal/torture/
 	$(GO) test -fuzz=FuzzKVCompactCell -fuzztime=20s ./internal/torture/
 	$(GO) test -fuzz=FuzzPorderEvents -fuzztime=15s ./internal/porder/
+	$(GO) test -fuzz=FuzzWireCodec -fuzztime=15s ./internal/kv/
 
 # vuln scans the module against the Go vulnerability database. Skipped
 # with a notice when govulncheck is not installed (it needs network
@@ -182,9 +187,14 @@ profile:
 # benchmark's kv_put shape (2 connections, batches of 4 fresh-key 64 B
 # puts through the wire, kv, store and engine). Inspect with
 # `go tool pprof cpu-kv.out`; throughput itself is measured by
-# `go run -C benchmark .`.
+# `go run -C benchmark .`. BenchmarkServerGet is the read path in the
+# kv_get shape; its 100k-key preload is in the profile too, so read it
+# with `go tool pprof -focus serveConn`:
+#
+#	make profile-kv KV_BENCH=ServerGet
+KV_BENCH ?= ServerBatchPut
 profile-kv:
-	$(GO) test -run '^$$' -bench ServerBatchPut -benchtime 25000x -cpuprofile cpu-kv.out ./internal/kv/
+	$(GO) test -run '^$$' -bench '$(KV_BENCH)$$' -benchtime 25000x -cpuprofile cpu-kv.out ./internal/kv/
 
 clean:
 	rm -f cpu.out mem.out cpu-kv.out kv.test

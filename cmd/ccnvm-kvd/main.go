@@ -22,6 +22,11 @@
 //	{"op":"snap"} / {"op":"snapget","snap":1,"key":"k"} / {"op":"snaprel","snap":1}
 //	{"op":"stats"} / {"op":"flush"} / {"op":"compact"} / {"op":"crash"} / {"op":"quit"}
 //
+// A snapshot belongs to the connection that took it: its id means
+// nothing on another connection, and it is released when the connection
+// closes. Any valid JSON line is served; README "Serving" gives the
+// canonical form that is decoded without reflection.
+//
 // The compact op runs one log-compaction pass (the admin rung of the
 // space-pressure ladder) and returns the refreshed stats, including the
 // manifest generation and reclaim counters.

@@ -129,6 +129,8 @@ func dial(addr string) (*conn, error) {
 	return &conn{c: c, r: bufio.NewReader(c)}, nil
 }
 
+// do keeps encoding/json on the client side on purpose: it is the
+// independent check that what the server appends still parses.
 func (c *conn) do(req kv.Request) (kv.Response, error) {
 	b, err := json.Marshal(req)
 	if err != nil {

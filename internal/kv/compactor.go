@@ -18,7 +18,7 @@ var ErrCompactPinned = errors.New("kv: compaction blocked: open snapshots pin th
 // instead of one frame per original batch, which is where compaction's
 // space win beyond garbage collection comes from.
 const (
-	compactFrameOps   = 64      // max records per compacted frame
+	compactFrameOps   = 64       // max records per compacted frame
 	compactMaxPayload = 16 << 10 // max payload bytes per compacted frame
 )
 
@@ -154,7 +154,7 @@ func (db *DB) compactLocked() error {
 			payloadBytes += recHeadBytes + len(keys[i]) + len(val)
 			i++
 		}
-		payload, err := encodePayload(ops)
+		payload, recs, err := encodePayload(ops)
 		if err != nil {
 			return fail(fmt.Errorf("kv: compaction encode: %w", err))
 		}
@@ -176,10 +176,6 @@ func (db *DB) compactLocked() error {
 			return fail(fmt.Errorf("kv: compaction commit write: %w", werr))
 		}
 		seq++
-		recs, derr := decodePayload(payload, len(ops))
-		if derr != nil {
-			return fail(fmt.Errorf("kv: compaction round-trip decode: %w", derr))
-		}
 		for _, r := range recs {
 			newIdx[string(r.key)] = valRef{payload: payloadStart, off: r.valOff, n: r.valLen}
 		}

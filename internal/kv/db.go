@@ -408,7 +408,7 @@ func (db *DB) Batch(ops []Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	payload, err := encodePayload(ops)
+	payload, recs, err := encodePayload(ops)
 	if err != nil {
 		return err
 	}
@@ -509,12 +509,6 @@ func (db *DB) Batch(ops []Op) error {
 	db.head += mem.Addr(need)
 	db.batches++
 	db.opCount += uint64(len(ops))
-	recs, derr := decodePayload(payload, len(ops))
-	if derr != nil {
-		// Cannot happen: we just encoded it. Guard anyway.
-		db.mu.Unlock()
-		return fmt.Errorf("kv: round-trip decode: %w", derr)
-	}
 	db.apply(payloadStart, payload, recs)
 	db.mu.Unlock()
 

@@ -61,43 +61,48 @@ const (
 // inside a checksummed frame (which is a corruption bug, not an end).
 var errFrameEnd = errors.New("kv: end of log")
 
+// record is one log record plus the byte range its value occupies
+// inside the frame payload (for the index's value refs).
+type record struct {
+	kind   OpKind
+	key    []byte // aliases the payload
+	valOff int    // value offset within the payload
+	valLen int
+}
+
 // encodePayload serializes ops back-to-back. Record: kind(1),
-// keyLen(4), valLen(4), key, val.
-func encodePayload(ops []Op) ([]byte, error) {
+// keyLen(4), valLen(4), key, val. It also returns the records as
+// decodePayload would read them back, so a writer can index the frame
+// it just built without parsing it again.
+func encodePayload(ops []Op) ([]byte, []record, error) {
 	var n int
 	for _, op := range ops {
 		if op.Kind != OpPut && op.Kind != OpDelete {
-			return nil, fmt.Errorf("kv: bad op kind %d", op.Kind)
+			return nil, nil, fmt.Errorf("kv: bad op kind %d", op.Kind)
 		}
 		if len(op.Key) == 0 || len(op.Key) > maxKeyLen {
-			return nil, fmt.Errorf("kv: key length %d out of range [1,%d]", len(op.Key), maxKeyLen)
+			return nil, nil, fmt.Errorf("kv: key length %d out of range [1,%d]", len(op.Key), maxKeyLen)
 		}
 		if len(op.Val) > maxValLen {
-			return nil, fmt.Errorf("kv: value length %d exceeds %d", len(op.Val), maxValLen)
+			return nil, nil, fmt.Errorf("kv: value length %d exceeds %d", len(op.Val), maxValLen)
 		}
 		if op.Kind == OpDelete && len(op.Val) != 0 {
-			return nil, errors.New("kv: delete op carries a value")
+			return nil, nil, errors.New("kv: delete op carries a value")
 		}
 		n += recHeadBytes + len(op.Key) + len(op.Val)
 	}
+	// buf never outgrows n, so the key slices taken below stay valid.
 	buf := make([]byte, 0, n)
-	for _, op := range ops {
+	recs := make([]record, len(ops))
+	for i, op := range ops {
 		buf = append(buf, byte(op.Kind))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(op.Key)))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(op.Val)))
 		buf = append(buf, op.Key...)
+		recs[i] = record{kind: op.Kind, key: buf[len(buf)-len(op.Key):], valOff: len(buf), valLen: len(op.Val)}
 		buf = append(buf, op.Val...)
 	}
-	return buf, nil
-}
-
-// record is one decoded log record plus the byte range its value
-// occupies inside the frame payload (for the index's value refs).
-type record struct {
-	kind   OpKind
-	key    []byte
-	valOff int // value offset within the payload
-	valLen int
+	return buf, recs, nil
 }
 
 // decodePayload walks count records out of a checksummed payload.

@@ -3,6 +3,7 @@ package kv
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"ccnvm/internal/mem"
@@ -15,13 +16,16 @@ func TestPayloadRoundTrip(t *testing.T) {
 		{Kind: OpPut, Key: []byte("gamma"), Val: bytes.Repeat([]byte{0xAB}, 300)},
 		{Kind: OpPut, Key: []byte("empty"), Val: nil},
 	}
-	payload, err := encodePayload(ops)
+	payload, encRecs, err := encodePayload(ops)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs, err := decodePayload(payload, len(ops))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(encRecs, recs) {
+		t.Fatalf("encodePayload's records %+v differ from the decoded %+v", encRecs, recs)
 	}
 	if len(recs) != len(ops) {
 		t.Fatalf("decoded %d records, want %d", len(recs), len(ops))
@@ -47,14 +51,14 @@ func TestPayloadRejectsBadOps(t *testing.T) {
 		{"huge key", []Op{{Kind: OpPut, Key: make([]byte, maxKeyLen+1)}}},
 	}
 	for _, c := range cases {
-		if _, err := encodePayload(c.ops); err == nil {
+		if _, _, err := encodePayload(c.ops); err == nil {
 			t.Errorf("%s: encode accepted", c.name)
 		}
 	}
 }
 
 func TestDecodeRejectsTruncatedPayload(t *testing.T) {
-	payload, err := encodePayload([]Op{{Kind: OpPut, Key: []byte("k"), Val: []byte("value")}})
+	payload, _, err := encodePayload([]Op{{Kind: OpPut, Key: []byte("k"), Val: []byte("value")}})
 	if err != nil {
 		t.Fatal(err)
 	}

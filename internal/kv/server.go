@@ -2,59 +2,14 @@ package kv
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"ccnvm/internal/engine"
 	"ccnvm/internal/store"
-)
-
-// The wire protocol is JSON lines over TCP: one request object per
-// line, one response object per line, pipelinable per connection.
-// Keys and values travel as JSON strings.
-
-// Request is one client command.
-type Request struct {
-	Op   string      `json:"op"`             // ping get put del batch snap snapget snaprel flush stats compact crash quit
-	Key  string      `json:"key,omitempty"`  // get put del snapget
-	Val  string      `json:"val,omitempty"`  // put
-	Ops  []RequestOp `json:"ops,omitempty"`  // batch
-	Snap uint64      `json:"snap,omitempty"` // snapget snaprel
-}
-
-// RequestOp is one mutation inside a batch request.
-type RequestOp struct {
-	Op  string `json:"op"` // put del
-	Key string `json:"key"`
-	Val string `json:"val,omitempty"`
-}
-
-// Response answers one request. Code types refusals so clients can
-// tell a retriable/degraded condition from a plain failure: "readonly"
-// (media degraded, reads still served), "full" (log out of space and
-// compaction cannot help), "closed" (namespace shut down), "toolarge"
-// (the request line is past the 4 MiB cap; the connection closes after
-// this response, since the line's end is never found).
-type Response struct {
-	OK    bool   `json:"ok"`
-	Found bool   `json:"found,omitempty"`
-	Val   string `json:"val,omitempty"`
-	Snap  uint64 `json:"snap,omitempty"`
-	Seq   uint64 `json:"seq,omitempty"`
-	Err   string `json:"err,omitempty"`
-	Code  string `json:"code,omitempty"`
-	Stats *Stats `json:"stats,omitempty"`
-}
-
-// Refusal codes carried in Response.Code.
-const (
-	CodeReadOnly = "readonly"
-	CodeFull     = "full"
-	CodeClosed   = "closed"
-	CodeTooLarge = "toolarge"
 )
 
 // Server serves one DB over a listener. Termination ops (crash, quit)
@@ -71,17 +26,18 @@ type Server struct {
 
 	mu       sync.Mutex
 	ln       net.Listener
-	snaps    map[uint64]*Snapshot
-	nextSnap uint64
 	stopping bool
 
 	stopOnce sync.Once
 	wg       sync.WaitGroup
+
+	// Requests decoded by the one-pass path and by json.Unmarshal.
+	canonical, fallback atomic.Uint64
 }
 
 // NewServer wraps db.
 func NewServer(db *DB) *Server {
-	return &Server{db: db, snaps: make(map[uint64]*Snapshot)}
+	return &Server{db: db}
 }
 
 // Serve accepts connections on ln until Close (or a termination op)
@@ -130,49 +86,81 @@ func (s *Server) Close() {
 	})
 }
 
+// maxConnSnaps caps the snapshots one connection may hold open: each
+// is a copy of the whole keymap and pins an arena half against reclaim.
+const maxConnSnaps = 16
+
+// connSnaps is the snapshots one connection took. They are its alone:
+// ids count per connection, and whatever is still open when the
+// connection ends is released with it, so a client that goes away
+// cannot pin an arena half (and with it every later compaction pass).
+type connSnaps struct {
+	open map[uint64]*Snapshot
+	next uint64
+}
+
+func (c *connSnaps) releaseAll() {
+	for _, snap := range c.open {
+		snap.Release()
+	}
+}
+
+// serveConn owns the connection's memory: one Request whose Ops array
+// is decoded into again and again, and one output buffer written with
+// one Write per response. Both grow to the largest line seen, which the
+// scanner's 4 MiB cap bounds.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
+	var snaps connSnaps
+	defer snaps.releaseAll()
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	w := bufio.NewWriter(conn)
-	enc := json.NewEncoder(w)
+	var req Request
+	var out []byte
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var req Request
 		var resp Response
-		if err := json.Unmarshal(line, &req); err != nil {
+		var terminal func()
+		canonical, err := decodeRequest(line, &req)
+		if canonical {
+			s.canonical.Add(1)
+		} else {
+			s.fallback.Add(1)
+		}
+		if err != nil {
 			resp = Response{Err: "bad request: " + err.Error()}
 		} else {
-			var terminal func()
-			resp, terminal = s.handle(&req)
-			if terminal != nil {
-				enc.Encode(&resp)
-				w.Flush()
-				terminal()
-				return
-			}
+			resp, terminal = s.handle(&req, &snaps)
 		}
-		if err := enc.Encode(&resp); err != nil {
+		if out, err = appendResponse(out[:0], &resp); err == nil {
+			_, err = conn.Write(out)
+		}
+		// An accepted crash or quit runs even if its answer was not
+		// delivered.
+		if terminal != nil {
+			terminal()
 			return
 		}
-		if err := w.Flush(); err != nil {
+		if err != nil {
 			return
 		}
 	}
 	// A line past the cap cannot be skipped — its end is unknown — so the
 	// connection ends here, with an answer rather than a bare reset.
 	if errors.Is(sc.Err(), bufio.ErrTooLong) {
-		enc.Encode(&Response{Err: "request too large", Code: CodeTooLarge})
-		w.Flush()
+		if out, err := appendResponse(out[:0], &Response{Err: "request too large", Code: CodeTooLarge}); err == nil {
+			conn.Write(out)
+		}
 	}
 }
 
-// handle executes one request. A non-nil terminal closure means the
-// connection must flush the response and then run it (crash/quit).
-func (s *Server) handle(req *Request) (Response, func()) {
+// handle executes one request of the connection that owns snaps. A
+// non-nil terminal closure means the connection must send the response
+// and then run it (crash/quit).
+func (s *Server) handle(req *Request, snaps *connSnaps) (Response, func()) {
 	switch req.Op {
 	case "ping":
 		return Response{OK: true}, nil
@@ -209,17 +197,18 @@ func (s *Server) handle(req *Request) (Response, func()) {
 		}
 		return Response{OK: true}, nil
 	case "snap":
+		if len(snaps.open) >= maxConnSnaps {
+			return Response{Err: fmt.Sprintf("too many open snapshots on this connection (max %d)", maxConnSnaps)}, nil
+		}
 		snap := s.db.Snapshot()
-		s.mu.Lock()
-		s.nextSnap++
-		id := s.nextSnap
-		s.snaps[id] = snap
-		s.mu.Unlock()
-		return Response{OK: true, Snap: id, Seq: snap.Seq()}, nil
+		if snaps.open == nil {
+			snaps.open = make(map[uint64]*Snapshot)
+		}
+		snaps.next++
+		snaps.open[snaps.next] = snap
+		return Response{OK: true, Snap: snaps.next, Seq: snap.Seq()}, nil
 	case "snapget":
-		s.mu.Lock()
-		snap := s.snaps[req.Snap]
-		s.mu.Unlock()
+		snap := snaps.open[req.Snap]
 		if snap == nil {
 			return Response{Err: fmt.Sprintf("no snapshot %d", req.Snap)}, nil
 		}
@@ -229,11 +218,8 @@ func (s *Server) handle(req *Request) (Response, func()) {
 		}
 		return Response{OK: true, Found: found, Val: string(v)}, nil
 	case "snaprel":
-		s.mu.Lock()
-		snap := s.snaps[req.Snap]
-		delete(s.snaps, req.Snap)
-		s.mu.Unlock()
-		if snap != nil {
+		if snap := snaps.open[req.Snap]; snap != nil {
+			delete(snaps.open, req.Snap)
 			snap.Release()
 		}
 		return Response{OK: true}, nil
@@ -243,15 +229,13 @@ func (s *Server) handle(req *Request) (Response, func()) {
 		}
 		return Response{OK: true}, nil
 	case "stats":
-		st := s.db.Stats()
-		return Response{OK: true, Seq: st.Seq, Stats: &st}, nil
+		return s.statsResp(), nil
 	case "compact":
 		// Admin verb: run (or join) one compaction pass.
 		if err := s.db.Compact(); err != nil {
 			return errResp(err), nil
 		}
-		st := s.db.Stats()
-		return Response{OK: true, Seq: st.Seq, Stats: &st}, nil
+		return s.statsResp(), nil
 	case "crash":
 		// Simulated power failure: on-chip state (and any un-flushed
 		// epoch) is lost; the image is what the media held.
@@ -280,6 +264,14 @@ func (s *Server) handle(req *Request) (Response, func()) {
 	default:
 		return Response{Err: fmt.Sprintf("unknown op %q", req.Op)}, nil
 	}
+}
+
+// statsResp answers stats and compact: the namespace's counters and the
+// server's own.
+func (s *Server) statsResp() Response {
+	st := s.db.Stats()
+	wire := WireStats{Canonical: s.canonical.Load(), Fallback: s.fallback.Load()}
+	return Response{OK: true, Seq: st.Seq, Stats: &st, Wire: &wire}
 }
 
 // errResp types known refusals so clients can react without parsing

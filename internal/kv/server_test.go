@@ -33,7 +33,9 @@ func dial(t testing.TB, addr string) *client {
 	return &client{conn: conn, r: bufio.NewReader(conn)}
 }
 
-// roundTrip sends one request and reads its response.
+// roundTrip sends one request and reads its response. It keeps
+// encoding/json on the client side on purpose: it is the independent
+// check that what the server appends still parses.
 func (c *client) roundTrip(req kv.Request) (kv.Response, error) {
 	var resp kv.Response
 	b, err := json.Marshal(req)
@@ -185,6 +187,77 @@ func TestServerSnapshotOps(t *testing.T) {
 	}
 	if after := c.do(t, kv.Request{Op: "snapget", Snap: snap.Snap, Key: "k"}); after.Err == "" {
 		t.Fatal("released snapshot still readable")
+	}
+}
+
+// TestServerLeakedSnapshotDoesNotWedgeNamespace: a client that takes a
+// snapshot and goes away must not keep its arena half pinned. While the
+// server held snapshots for ever, the first compaction pass after such
+// a disconnect was the last, and the namespace answered "full" from
+// the ~800th overwrite of one key on.
+func TestServerLeakedSnapshotDoesNotWedgeNamespace(t *testing.T) {
+	db := openDB(t, openStore(t))
+	_, addr, _ := startServer(t, db)
+	c := dial(t, addr)
+	val := strings.Repeat("v", 1024)
+	if resp := c.do(t, kv.Request{Op: "put", Key: "k", Val: val}); !resp.OK {
+		t.Fatalf("put: %+v", resp)
+	}
+
+	leaker := dial(t, addr)
+	snap := leaker.do(t, kv.Request{Op: "snap"})
+	if !snap.OK || snap.Snap == 0 {
+		t.Fatalf("snap: %+v", snap)
+	}
+	// The id means nothing on any other connection.
+	want := fmt.Sprintf("no snapshot %d", snap.Snap)
+	if resp := c.do(t, kv.Request{Op: "snapget", Snap: snap.Snap, Key: "k"}); resp.OK || resp.Err != want {
+		t.Fatalf("snapget with another connection's id: %+v, want error %q", resp, want)
+	}
+	leaker.conn.Close()
+
+	// The wedge showed at the 818th overwrite; -short (make race) still
+	// crosses several compaction passes.
+	puts := 20000
+	if testing.Short() {
+		puts = 3000
+	}
+	for i := 0; i < puts; i++ {
+		if resp := c.do(t, kv.Request{Op: "put", Key: "k", Val: val}); !resp.OK {
+			t.Fatalf("overwrite %d refused after a snapshot leaked: %+v", i, resp)
+		}
+	}
+}
+
+// TestServerSnapshotCapPerConnection: each open snapshot is a keymap
+// copy, so a connection gets a fixed number of them and a plain error
+// past it; releasing one makes room again, and other connections are
+// not charged.
+func TestServerSnapshotCapPerConnection(t *testing.T) {
+	db := openDB(t, openStore(t))
+	_, addr, _ := startServer(t, db)
+	c := dial(t, addr)
+	var ids []uint64
+	for {
+		resp := c.do(t, kv.Request{Op: "snap"})
+		if !resp.OK {
+			if resp.Err == "" || resp.Code != "" {
+				t.Fatalf("snap past the cap: %+v, want a plain error", resp)
+			}
+			break
+		}
+		if ids = append(ids, resp.Snap); len(ids) > 1000 {
+			t.Fatal("1000 snapshots open on one connection and no cap in sight")
+		}
+	}
+	if resp := dial(t, addr).do(t, kv.Request{Op: "snap"}); !resp.OK {
+		t.Fatalf("another connection charged for this one's snapshots: %+v", resp)
+	}
+	if resp := c.do(t, kv.Request{Op: "snaprel", Snap: ids[0]}); !resp.OK {
+		t.Fatalf("snaprel: %+v", resp)
+	}
+	if resp := c.do(t, kv.Request{Op: "snap"}); !resp.OK {
+		t.Fatalf("snap after a release: %+v", resp)
 	}
 }
 
@@ -353,14 +426,9 @@ func TestServerReadOnlyDegradationServesReads(t *testing.T) {
 	}
 }
 
-// BenchmarkServerBatchPut drives the kvd assembly over loopback in the
-// repo benchmark's kv_put shape — 2 connections, closed loop, batches
-// of 4 fresh-key 64 B puts — so `make profile-kv` can profile the
-// serving path with plain go tooling. One iteration is one batch. It is
-// a profiling harness; throughput claims come from benchmark/.
-func BenchmarkServerBatchPut(b *testing.B) {
-	const conns, batchOps, valBytes = 2, 4, 64
-	// Fresh keys only ever grow the log: size the store as kv_put does.
+// openBenchDB is a namespace over the 256 MiB store the benchmark's
+// kv_put and kv_get run on: fresh keys only ever grow the log.
+func openBenchDB(b *testing.B) *kv.DB {
 	st, err := store.Open(store.Options{
 		Capacity: 256 << 20,
 		Params:   engine.Params{UpdateLimit: 16, QueueEntries: 64},
@@ -368,7 +436,17 @@ func BenchmarkServerBatchPut(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, addr, _ := startServer(b, openDB(b, st))
+	return openDB(b, st)
+}
+
+// BenchmarkServerBatchPut drives the kvd assembly over loopback in the
+// repo benchmark's kv_put shape — 2 connections, closed loop, batches
+// of 4 fresh-key 64 B puts — so `make profile-kv` can profile the
+// serving path with plain go tooling. One iteration is one batch. It is
+// a profiling harness; throughput claims come from benchmark/.
+func BenchmarkServerBatchPut(b *testing.B) {
+	const conns, batchOps, valBytes = 2, 4, 64
+	_, addr, _ := startServer(b, openBenchDB(b))
 	val := strings.Repeat("v", valBytes)
 
 	b.ResetTimer()
@@ -386,6 +464,46 @@ func BenchmarkServerBatchPut(b *testing.B) {
 				}
 				if resp, err := cl.roundTrip(req); err != nil || !resp.OK {
 					b.Errorf("batch %d: %+v, %v", i, resp, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
+// BenchmarkServerGet is the same assembly on the read path, in the
+// kv_get shape: 2 connections, closed loop, uniform gets over 100k
+// preloaded keys of 128 B values (past the metadata cache's reach, so
+// ReadBlock verifies with BMT misses). One iteration is one get; point
+// `make profile-kv` at it with KV_BENCH=ServerGet.
+func BenchmarkServerGet(b *testing.B) {
+	const conns, keys, valBytes, preloadBatch = 2, 100000, 128, 16
+	db := openBenchDB(b)
+	key := func(i int) string { return fmt.Sprintf("%016x", mem.Mix64(uint64(i))) }
+	val := strings.Repeat("v", valBytes)
+	for lo := 0; lo < keys; lo += preloadBatch {
+		ops := make([]kv.Op, preloadBatch)
+		for j := range ops {
+			ops[j] = kv.Op{Kind: kv.OpPut, Key: []byte(key(lo + j)), Val: []byte(val)}
+		}
+		if err := db.Batch(ops); err != nil {
+			b.Fatal(err)
+		}
+	}
+	_, addr, _ := startServer(b, db)
+
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for c := 0; c < conns; c++ {
+		cl := dial(b, addr)
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; i < b.N; i += conns {
+				k := key(int(mem.Mix64(uint64(i)+1<<40) % keys))
+				if resp, err := cl.roundTrip(kv.Request{Op: "get", Key: k}); err != nil || !resp.Found || resp.Val != val {
+					b.Errorf("get %s: %+v, %v", k, resp, err)
 					return
 				}
 			}
