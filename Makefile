@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 vet race fuzz-short vuln lint-designs lint-layering torture torture-faults torture-reboots torture-spares torture-guided torture-kv torture-compact torture-long campaign campaign-short kv-smoke benchmark-check ci profile profile-kv clean
+.PHONY: all tier1 vet cross race fuzz-short vuln lint-designs lint-layering torture torture-faults torture-reboots torture-spares torture-guided torture-kv torture-compact torture-long campaign campaign-short kv-smoke benchmark-check ci profile profile-kv clean
 
 all: tier1
 
@@ -15,6 +15,14 @@ tier1:
 
 vet:
 	$(GO) vet ./...
+
+# cross compiles the module for the architectures tier1 never builds:
+# the SHA-1 block kernel is amd64 assembly, so arm64 and 386 take the
+# crypto/hmac fallback through sha1block_other.go (on amd64, vet's
+# asmdecl pass checks the assembly against its Go declaration).
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 
 # race runs the concurrency-sensitive packages under the race detector:
 # the parallel evaluation matrix, the simulator it drives, the torture
@@ -32,6 +40,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzCompressRoundTrip -fuzztime=10s ./internal/compress/
 	$(GO) test -fuzz=FuzzCounterLineCodec -fuzztime=10s ./internal/seccrypto/
+	$(GO) test -fuzz=FuzzHMACKernel -fuzztime=10s ./internal/seccrypto/
 	$(GO) test -fuzz=FuzzStoreModel -fuzztime=10s ./internal/mem/
 	$(GO) test -fuzz=FuzzCell -fuzztime=20s ./internal/torture/
 	$(GO) test -fuzz=FuzzFaultCell -fuzztime=20s ./internal/torture/
@@ -170,7 +179,7 @@ benchmark-check:
 	$(GO) vet -C benchmark . && $(GO) test -C benchmark .
 
 # ci is what a merge must pass.
-ci: tier1 vet lint-designs lint-layering race fuzz-short vuln torture-reboots torture-spares torture-kv torture-compact campaign-short kv-smoke benchmark-check
+ci: tier1 vet cross lint-designs lint-layering race fuzz-short vuln torture-reboots torture-spares torture-kv torture-compact campaign-short kv-smoke benchmark-check
 
 # profile captures CPU and heap profiles of a Figure 5 run; inspect with
 # `go tool pprof cpu.out`. PROFILE_PARALLEL sets how many simulated
@@ -189,12 +198,21 @@ profile:
 # `go tool pprof cpu-kv.out`; throughput itself is measured by
 # `go run -C benchmark .`. BenchmarkServerGet is the read path in the
 # kv_get shape; its 100k-key preload is in the profile too, so read it
-# with `go tool pprof -focus serveConn`:
+# with `go tool pprof -focus serveConn`. BenchmarkReopen is the restart
+# path recover_ms times (LoadImage -> Reboot -> kv.Open of a kv_put-shaped
+# image); one iteration is a whole restart, so it runs 10 of them, and
+# building the image is in the profile, so read it with -focus reopenOnce:
 #
 #	make profile-kv KV_BENCH=ServerGet
+#	make profile-kv KV_BENCH=Reopen
 KV_BENCH ?= ServerBatchPut
+ifeq ($(KV_BENCH),Reopen)
+KV_BENCHTIME = 10x
+else
+KV_BENCHTIME = 25000x
+endif
 profile-kv:
-	$(GO) test -run '^$$' -bench '$(KV_BENCH)$$' -benchtime 25000x -cpuprofile cpu-kv.out ./internal/kv/
+	$(GO) test -run '^$$' -bench '$(KV_BENCH)$$' -benchtime $(KV_BENCHTIME) -cpuprofile cpu-kv.out ./internal/kv/
 
 clean:
 	rm -f cpu.out mem.out cpu-kv.out kv.test

@@ -200,9 +200,13 @@ func (db *DB) scan() error {
 		if mem.FNV64a(payload) != payloadCk {
 			break
 		}
+		// Both checksums passed, so the writer sealed these bytes: a
+		// record that does not decode is corruption, not the log's end,
+		// and stopping here would let the next Batch overwrite every
+		// committed frame after it.
 		recs, err := decodePayload(payload, count)
 		if err != nil {
-			break
+			return fmt.Errorf("kv: log frame seq %d at %#x is malformed: %w", seq, uint64(addr), err)
 		}
 		db.apply(payloadStart, payload, recs)
 		db.seq = seq

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"ccnvm/internal/engine"
 	"ccnvm/internal/kv"
+	"ccnvm/internal/mem"
 	"ccnvm/internal/store"
 )
 
@@ -349,4 +352,70 @@ func TestImageRoundTripServesReads(t *testing.T) {
 			t.Fatalf("k%d after encode/decode/reboot: (%q,%v,%v)", i, v, ok, err)
 		}
 	}
+}
+
+// reopenImage is BenchmarkReopen's crash image, built once per test
+// binary: every invocation of the benchmark function reuses it.
+var reopenImage struct {
+	once sync.Once
+	enc  []byte
+	err  error
+}
+
+// BenchmarkReopen times the restart path the repo benchmark's
+// recover_ms measures, on a kv_put-shaped image: a 256 MiB store that
+// took 40 000 batches of 4 fresh-key 64 B puts and then lost power. One
+// iteration is one LoadImage -> store.Reboot -> kv.Open of that image;
+// `make profile-kv KV_BENCH=Reopen` profiles it (read the profile with
+// -focus reopenOnce: building the image is in it too).
+func BenchmarkReopen(b *testing.B) {
+	const batches, batchOps, valBytes = 40000, 4, 64
+	reopenImage.once.Do(func() {
+		db := openBenchDB(b)
+		val := bytes.Repeat([]byte{'v'}, valBytes)
+		ops := make([]kv.Op, batchOps)
+		for i := 0; i < batches; i++ {
+			for j := range ops {
+				key := fmt.Sprintf("%016x", mem.Mix64(uint64(i*batchOps+j)))
+				ops[j] = kv.Op{Kind: kv.OpPut, Key: []byte(key), Val: val}
+			}
+			if err := db.Batch(ops); err != nil {
+				reopenImage.err = err
+				return
+			}
+		}
+		reopenImage.enc, reopenImage.err = store.EncodeImage(db.Crash())
+	})
+	if reopenImage.err != nil {
+		b.Fatal(reopenImage.err)
+	}
+	path := filepath.Join(b.TempDir(), "crash.img")
+	if err := os.WriteFile(path, reopenImage.enc, 0o644); err != nil {
+		b.Fatal(err)
+	}
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if keys := reopenOnce(b, path); keys != batches*batchOps {
+			b.Fatalf("reopened namespace has %d keys, want %d", keys, batches*batchOps)
+		}
+	}
+}
+
+// reopenOnce is one restart from the image file at path; it returns the
+// reopened namespace's key count.
+func reopenOnce(b *testing.B, path string) int {
+	img, err := store.LoadImage(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, _, err := store.Reboot(img, store.Options{Params: engine.Params{UpdateLimit: 16, QueueEntries: 64}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := kv.Open(st, kv.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return db.Stats().Keys
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ccnvm/internal/mem"
@@ -100,6 +101,49 @@ func TestHeaderRejectsDamage(t *testing.T) {
 	var zero [64]byte
 	if _, _, _, _, err := parseHeader(zero); !errors.Is(err, errFrameEnd) {
 		t.Fatal("zero line parsed as a frame")
+	}
+}
+
+// TestOpenRefusesMalformedSealedFrame: a frame whose header and payload
+// checksums both pass but whose records do not decode is corruption.
+// Open must refuse it by seq and address rather than treat it as the
+// log's end, which would hide the committed frames behind it and let
+// the next Batch overwrite them.
+func TestOpenRefusesMalformedSealedFrame(t *testing.T) {
+	st := compactStore(t, 1<<20)
+	db := compactDB(t, st)
+	for _, k := range []string{"first", "second"} {
+		if err := db.Put([]byte(k), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	hl, err := st.Read(arenaStart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, count, payloadBytes, payloadCk, err := parseHeader(hl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := encodeHeader(seq, count+1, payloadBytes)
+	sealHeader(&bad, payloadCk)
+	if err := st.Write(arenaStart, bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.FlushEpoch(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(st, Options{})
+	if err == nil {
+		t.Fatalf("Open accepted a malformed sealed frame and serves %d keys", db2.Stats().Keys)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "seq 1") || !strings.Contains(msg, "0x80") {
+		t.Fatalf("error does not name the frame's seq and address: %v", err)
 	}
 }
 

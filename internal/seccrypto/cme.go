@@ -35,24 +35,26 @@ func DefaultKeys() Keys {
 }
 
 // Engine performs the actual cryptography: OTP generation, block
-// encryption/decryption and HMAC computation. A reusable HMAC instance
-// avoids re-deriving the key pads on every authentication, which the
-// simulator performs millions of times, and bounded direct-mapped memo
-// tables (see memo.go) serve recurring pads and HMACs without redoing
-// the AES/SHA-1 work; as a consequence an Engine is not safe for
-// concurrent use — give each goroutine its own.
+// encryption/decryption and HMAC computation. Engines from NewEngine
+// compute every data and node HMAC with the fixed-length SHA-NI kernel
+// (hmac.go) when CPUID reports the SHA extensions, and with a reusable
+// crypto/hmac instance otherwise; the two agree bit for bit. Bounded
+// direct-mapped memo tables (see memo.go) serve recurring pads and
+// HMACs without redoing the AES/SHA-1 work. An Engine owns its scratch
+// buffers and is therefore not safe for concurrent use — give each
+// goroutine its own.
 type Engine struct {
 	block cipher.Block
-	hkey  []byte
 	mac   hash.Hash
 	sum   [sha1.Size]byte
+	kern  *hmacKernel // nil: HMACs go through mac
 
 	// Scratch buffers keep hot-path crypto allocation free: slices of
 	// local arrays passed to hash/cipher interface methods escape, so
 	// inputs are staged in engine-owned memory instead.
-	msg        [mem.LineSize + 16]byte // HMAC input: line content (+ addr/counter header)
-	seed       [16]byte                // AES pad seed
-	padScratch mem.Line                // pad destination when the pad cache is off
+	msg        [dataMsgBytes]byte // HMAC input: line content (+ addr/counter header)
+	seed       [16]byte           // AES pad seed
+	padScratch mem.Line           // pad destination when the pad cache is off
 
 	// Memo tables; nil when the engine is uncached.
 	pads   []padSlot
@@ -62,31 +64,33 @@ type Engine struct {
 }
 
 // NewEngine builds an Engine from keys, with the default memo tables
-// enabled. It fails only if the AES key size is rejected by the cipher
-// package, which cannot happen for the fixed 16-byte key type, but the
-// error is propagated for form.
+// enabled and the SHA-NI HMAC kernel where the CPU has one. It fails
+// only if the AES key size is rejected by the cipher package, which
+// cannot happen for the fixed 16-byte key type, but the error is
+// propagated for form.
 func NewEngine(k Keys) (*Engine, error) {
 	e, err := NewEngineUncached(k)
 	if err != nil {
 		return nil, err
 	}
+	e.kern = newHMACKernel(&k.HMAC)
 	e.pads = make([]padSlot, DefaultPadSlots)
 	e.datas = make([]dataSlot, DefaultDataSlots)
 	e.nodes = make([]nodeSlot, DefaultNodeSlots)
 	return e, nil
 }
 
-// NewEngineUncached builds an Engine with memoization disabled: every
-// call performs the full AES/SHA-1 computation. Equivalence tests use
-// it as the golden reference for the cached engine.
+// NewEngineUncached builds an Engine with memoization disabled and
+// every HMAC computed by crypto/hmac: each call performs the full
+// AES/SHA-1 computation through the standard library. Equivalence tests
+// and the torture reference machine use it as the golden reference for
+// NewEngine's memo tables and HMAC kernel.
 func NewEngineUncached(k Keys) (*Engine, error) {
 	b, err := aes.NewCipher(k.AES[:])
 	if err != nil {
 		return nil, fmt.Errorf("seccrypto: %w", err)
 	}
-	hk := make([]byte, len(k.HMAC))
-	copy(hk, k.HMAC[:])
-	return &Engine{block: b, hkey: hk, mac: hmac.New(sha1.New, hk)}, nil
+	return &Engine{block: b, mac: hmac.New(sha1.New, k.HMAC[:])}, nil
 }
 
 // MustEngine is NewEngine with panic-on-error for tests and examples.
@@ -170,6 +174,9 @@ func (e *Engine) DataHMAC(addr mem.Addr, counter uint64, ciphertext mem.Line) HM
 // ciphertext followed by the addr/counter header) is staged in the
 // engine's scratch buffer so nothing escapes to the heap per call.
 func (e *Engine) computeDataHMAC(addr mem.Addr, counter uint64, ciphertext *mem.Line) HMAC {
+	if e.kern != nil {
+		return e.kern.dataHMAC(addr, counter, ciphertext)
+	}
 	copy(e.msg[:mem.LineSize], ciphertext[:])
 	binary.LittleEndian.PutUint64(e.msg[mem.LineSize:mem.LineSize+8], uint64(addr))
 	binary.LittleEndian.PutUint64(e.msg[mem.LineSize+8:], counter)
@@ -204,6 +211,9 @@ func (e *Engine) NodeHMAC(child mem.Line) HMAC {
 // computeNodeHMAC performs the actual keyed hash over a node's content,
 // staged through the engine scratch buffer like computeDataHMAC.
 func (e *Engine) computeNodeHMAC(child *mem.Line) HMAC {
+	if e.kern != nil {
+		return e.kern.nodeHMAC(child)
+	}
 	copy(e.msg[:mem.LineSize], child[:])
 	e.mac.Reset()
 	e.mac.Write(e.msg[:mem.LineSize])
