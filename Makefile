@@ -26,13 +26,15 @@ cross:
 
 # race runs the concurrency-sensitive packages under the race detector:
 # the parallel evaluation matrix, the simulator it drives, the torture
-# harness's parallel cell runner, the recovery package it re-enters, and
-# the two packages that serve concurrent clients — the KV server and the
-# store facade below it (-short trims only the 20 000-put snapshot-leak
-# drill, which the detector slows tenfold).
+# harness's parallel cell runner, the recovery package it re-enters (and
+# whose counter walk splits across goroutines), the two packages that
+# serve concurrent clients — the KV server, whose Open scans in two
+# stages, and the store facade below it (-short trims only the 20 000-put
+# snapshot-leak drill, which the detector slows tenfold) — and mem, whose
+# checksum seals every record the others persist.
 race:
 	$(GO) test -race ./internal/experiments/ ./internal/sim/ ./internal/torture/ ./internal/recovery/
-	$(GO) test -race -short ./internal/kv/ ./internal/store/
+	$(GO) test -race -short ./internal/kv/ ./internal/store/ ./internal/mem/
 
 # fuzz-short gives each native fuzz target a fixed small budget; crashes
 # land in testdata/fuzz/ as regression inputs.
@@ -42,6 +44,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzCounterLineCodec -fuzztime=10s ./internal/seccrypto/
 	$(GO) test -fuzz=FuzzHMACKernel -fuzztime=10s ./internal/seccrypto/
 	$(GO) test -fuzz=FuzzStoreModel -fuzztime=10s ./internal/mem/
+	$(GO) test -fuzz=FuzzDecodeImage -fuzztime=10s ./internal/store/
 	$(GO) test -fuzz=FuzzCell -fuzztime=20s ./internal/torture/
 	$(GO) test -fuzz=FuzzFaultCell -fuzztime=20s ./internal/torture/
 	$(GO) test -fuzz=FuzzRebootCell -fuzztime=20s ./internal/torture/

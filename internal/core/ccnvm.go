@@ -366,8 +366,16 @@ func (c *CCNVM) drain(now int64, cause DrainCause) int64 {
 	// exhaustion: the controller is in read-only degradation and no new
 	// epoch may persist, so the epoch is parked — metadata stays dirty,
 	// ROOTold stays at the last committed epoch, and runtime reads keep
-	// verifying against the queue and caches.
-	if err := c.Ctrl.BeginEpochDrain(); err != nil {
+	// verifying against the queue and caches. Recovery's retries bridge a
+	// parked epoch's minor-counter lag, but not the major step of a
+	// counter overflow: the page re-encryption already wrote every block
+	// under the new major, so that epoch is owed and never parked (the
+	// re-encryption's own reads can be what empties the spare pool).
+	begin := c.Ctrl.BeginEpochDrain
+	if cause == DrainOverflow {
+		begin = c.Ctrl.BeginOwedEpochDrain
+	}
+	if err := begin(); err != nil {
 		var exhausted *nvm.SpareExhaustedError
 		if errors.As(err, &exhausted) {
 			return t

@@ -171,7 +171,7 @@ func (db *DB) compactLocked() error {
 			}
 		}
 		hl := encodeHeader(seq+1, len(ops), len(payload))
-		sealHeader(&hl, mem.FNV64a(payload))
+		sealHeader(&hl, mem.Checksum(payload))
 		if werr := db.st.Write(w, hl); werr != nil {
 			return fail(fmt.Errorf("kv: compaction commit write: %w", werr))
 		}

@@ -171,49 +171,101 @@ func (db *DB) usedLocked() uint64 {
 	return uint64(db.head - db.halfStart(db.active))
 }
 
-// scan replays the active half's committed frame prefix into the index.
+// scanDepth bounds the sealed frames the scan's read stage may run
+// ahead of its index stage: deep enough that the reader keeps reading
+// through the index stage's pauses (a keymap resize rehashes every key
+// at once), small enough that the queued payloads stay near 1 MiB at
+// the compactor's 16 KiB frames.
+const scanDepth = 64
+
+// sealedFrame is one frame whose header and payload checksums passed,
+// handed from the scan's read stage to its index stage.
+type sealedFrame struct {
+	seq     uint64
+	addr    mem.Addr // header line
+	count   int
+	payload []byte
+}
+
+// scan replays the active half's committed frame prefix into the index
+// in two stages. The calling goroutine reads: header, parseHeader,
+// payload, checksum, in log order, stopping at the first line that is
+// not a valid next frame. A second goroutine decodes each sealed frame
+// and applies it to the index, also in log order, so the verified
+// engine reads of frame k+1 overlap the keymap work of frame k. The
+// first error in log order wins: a malformed frame beats a read error
+// on any later frame the read stage had already moved on to.
 func (db *DB) scan() error {
+	frames := make(chan sealedFrame, scanDepth)
+	stop := make(chan struct{}) // closed by the index stage on a malformed frame
+	var indexErr error
+	indexed := make(chan struct{})
+	go func() {
+		defer close(indexed)
+		for f := range frames {
+			// Both checksums passed, so the writer sealed these bytes: a
+			// record that does not decode is corruption, not the log's
+			// end, and stopping here would let the next Batch overwrite
+			// every committed frame after it.
+			recs, err := decodePayload(f.payload, f.count)
+			if err != nil {
+				indexErr = fmt.Errorf("kv: log frame seq %d at %#x is malformed: %w", f.seq, uint64(f.addr), err)
+				close(stop)
+				return
+			}
+			db.apply(f.addr+mem.LineSize, f.payload, recs)
+		}
+	}()
+	seq, addr, readErr := db.readFrames(frames, stop)
+	close(frames)
+	<-indexed
+	if indexErr != nil {
+		return indexErr
+	}
+	if readErr != nil {
+		return readErr
+	}
+	db.seq, db.head = seq, addr
+	return nil
+}
+
+// readFrames is scan's read stage: it sends every sealed frame of the
+// active half's committed prefix to frames until the prefix ends or
+// stop closes, and returns the last frame's seq and the address after
+// it.
+func (db *DB) readFrames(frames chan<- sealedFrame, stop <-chan struct{}) (uint64, mem.Addr, error) {
 	start := db.halfStart(db.active)
 	end := start + mem.Addr(db.halfBytes)
-	addr := start
-	for {
-		if addr+mem.LineSize > end {
-			break
-		}
+	last, addr := db.seq, start
+	for addr+mem.LineSize <= end {
 		hl, err := db.st.Read(addr)
 		if err != nil {
-			return fmt.Errorf("kv: log scan read %#x: %w", uint64(addr), err)
+			return last, addr, fmt.Errorf("kv: log scan read %#x: %w", uint64(addr), err)
 		}
 		seq, count, payloadBytes, payloadCk, err := parseHeader(hl)
-		if err != nil || seq != db.seq+1 {
+		if err != nil || seq != last+1 {
 			break
 		}
 		need := mem.Addr(frameLines(payloadBytes)) * mem.LineSize
 		if addr+need > end {
 			break
 		}
-		payloadStart := addr + mem.LineSize
-		payload, err := db.readRange(payloadStart, payloadBytes)
+		payload, err := db.readRange(addr+mem.LineSize, payloadBytes)
 		if err != nil {
-			return fmt.Errorf("kv: log scan payload at %#x: %w", uint64(payloadStart), err)
+			return last, addr, fmt.Errorf("kv: log scan payload at %#x: %w", uint64(addr+mem.LineSize), err)
 		}
-		if mem.FNV64a(payload) != payloadCk {
+		if mem.Checksum(payload) != payloadCk {
 			break
 		}
-		// Both checksums passed, so the writer sealed these bytes: a
-		// record that does not decode is corruption, not the log's end,
-		// and stopping here would let the next Batch overwrite every
-		// committed frame after it.
-		recs, err := decodePayload(payload, count)
-		if err != nil {
-			return fmt.Errorf("kv: log frame seq %d at %#x is malformed: %w", seq, uint64(addr), err)
+		select {
+		case frames <- sealedFrame{seq: seq, addr: addr, count: count, payload: payload}:
+		case <-stop:
+			return last, addr, nil
 		}
-		db.apply(payloadStart, payload, recs)
-		db.seq = seq
+		last = seq
 		addr += need
 	}
-	db.head = addr
-	return nil
+	return last, addr, nil
 }
 
 // repairAndReclaim finishes an interrupted compaction pass at reopen:
@@ -503,7 +555,7 @@ func (db *DB) Batch(ops []Op) error {
 		}
 	}
 	hl := encodeHeader(db.seq+1, len(ops), len(payload))
-	sealHeader(&hl, mem.FNV64a(payload))
+	sealHeader(&hl, mem.Checksum(payload))
 	if werr := db.st.Write(header, hl); werr != nil {
 		db.mu.Unlock()
 		return fmt.Errorf("kv: batch commit write: %w", werr)

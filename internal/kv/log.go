@@ -47,8 +47,8 @@ type Op struct {
 //	[8:16)  seq   — 1-based, strictly sequential; a gap ends the log
 //	[16:20) count — ops in the frame
 //	[20:24) payloadBytes
-//	[24:32) FNV-64a over the payload bytes
-//	[32:40) FNV-64a over header bytes [0:32)
+//	[24:32) mem.Checksum (CRC-32C) over the payload bytes
+//	[32:40) mem.Checksum over header bytes [0:32)
 //	[40:64) zero
 const (
 	frameMagic   = "CKVBATCH"
@@ -150,7 +150,7 @@ func encodeHeader(seq uint64, count, payloadBytes int) mem.Line {
 
 func sealHeader(l *mem.Line, payloadCk uint64) {
 	binary.LittleEndian.PutUint64(l[24:32], payloadCk)
-	binary.LittleEndian.PutUint64(l[32:40], mem.FNV64a(l[0:32]))
+	binary.LittleEndian.PutUint64(l[32:40], mem.Checksum(l[0:32]))
 }
 
 // parseHeader validates a header line and returns (seq, count,
@@ -160,7 +160,7 @@ func parseHeader(l mem.Line) (seq uint64, count, payloadBytes int, payloadCk uin
 	if string(l[0:8]) != frameMagic {
 		return 0, 0, 0, 0, errFrameEnd
 	}
-	if got, want := binary.LittleEndian.Uint64(l[32:40]), mem.FNV64a(l[0:32]); got != want {
+	if got, want := binary.LittleEndian.Uint64(l[32:40]), mem.Checksum(l[0:32]); got != want {
 		return 0, 0, 0, 0, errFrameEnd
 	}
 	seq = binary.LittleEndian.Uint64(l[8:16])

@@ -3,6 +3,7 @@ package kv
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -74,12 +75,12 @@ func TestDecodeRejectsTruncatedPayload(t *testing.T) {
 func TestHeaderRoundTrip(t *testing.T) {
 	payload := []byte("some payload bytes")
 	hl := encodeHeader(7, 3, len(payload))
-	sealHeader(&hl, mem.FNV64a(payload))
+	sealHeader(&hl, mem.Checksum(payload))
 	seq, count, pb, ck, err := parseHeader(hl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 7 || count != 3 || pb != len(payload) || ck != mem.FNV64a(payload) {
+	if seq != 7 || count != 3 || pb != len(payload) || ck != mem.Checksum(payload) {
 		t.Fatalf("parsed (%d,%d,%d,%#x)", seq, count, pb, ck)
 	}
 }
@@ -87,7 +88,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 func TestHeaderRejectsDamage(t *testing.T) {
 	payload := []byte("p")
 	good := encodeHeader(1, 1, len(payload))
-	sealHeader(&good, mem.FNV64a(payload))
+	sealHeader(&good, mem.Checksum(payload))
 	// Any mutated header byte in the sealed region must read as
 	// end-of-log, never as a different valid frame: this is the torn
 	// commit-write defense.
@@ -144,6 +145,58 @@ func TestOpenRefusesMalformedSealedFrame(t *testing.T) {
 	}
 	if msg := err.Error(); !strings.Contains(msg, "seq 1") || !strings.Contains(msg, "0x80") {
 		t.Fatalf("error does not name the frame's seq and address: %v", err)
+	}
+}
+
+// TestOpenMalformedFrameWinsOverLaterFrames: the scan reads ahead of
+// the stage that decodes, so by the time a malformed sealed frame is
+// found the reader has moved past it — through more frames than its
+// queue holds. The malformed frame's seq must still be the error, and
+// no later frame may be indexed in its place.
+func TestOpenMalformedFrameWinsOverLaterFrames(t *testing.T) {
+	const frames, badSeq = 3 * scanDepth, 3
+	st := compactStore(t, 1<<20)
+	db := compactDB(t, st)
+	for i := 0; i < frames; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	addr := mem.Addr(arenaStart)
+	for {
+		hl, err := st.Read(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, count, payloadBytes, payloadCk, err := parseHeader(hl)
+		if err != nil {
+			t.Fatalf("frame header at %#x: %v", uint64(addr), err)
+		}
+		if seq == badSeq {
+			bad := encodeHeader(seq, count+1, payloadBytes)
+			sealHeader(&bad, payloadCk)
+			if err := st.Write(addr, bad); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+		addr += mem.Addr(frameLines(payloadBytes)) * mem.LineSize
+	}
+	if err := st.FlushEpoch(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(st, Options{})
+	if err == nil {
+		t.Fatalf("Open accepted a malformed sealed frame and serves %d keys", db2.Stats().Keys)
+	}
+	want := fmt.Sprintf("seq %d at %#x is malformed", badSeq, uint64(addr))
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("error = %v, want the malformed frame's %q", err, want)
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 //	                   active half's first frame carries startSeq+1
 //	[24]    half     — arena half (0/1) holding the live log
 //	[25:32) zero
-//	[32:40) FNV-64a over bytes [0:32)
+//	[32:40) mem.Checksum (CRC-32C) over bytes [0:32)
 //	[40:64) zero
 const (
 	manifestMagic = "CKVMANIF"
@@ -59,7 +59,7 @@ func encodeManifest(rec manifestRecord) mem.Line {
 	binary.LittleEndian.PutUint64(l[8:16], rec.Seq)
 	binary.LittleEndian.PutUint64(l[16:24], rec.StartSeq)
 	l[24] = byte(rec.Half)
-	binary.LittleEndian.PutUint64(l[32:40], mem.FNV64a(l[0:32]))
+	binary.LittleEndian.PutUint64(l[32:40], mem.Checksum(l[0:32]))
 	return l
 }
 
@@ -73,7 +73,7 @@ func decodeManifest(l mem.Line) (manifestRecord, bool, error) {
 	if string(l[0:8]) != manifestMagic {
 		return manifestRecord{}, false, errManifestTorn
 	}
-	if got, want := binary.LittleEndian.Uint64(l[32:40]), mem.FNV64a(l[0:32]); got != want {
+	if got, want := binary.LittleEndian.Uint64(l[32:40]), mem.Checksum(l[0:32]); got != want {
 		return manifestRecord{}, false, errManifestTorn
 	}
 	rec := manifestRecord{

@@ -1,6 +1,9 @@
 package mem
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"hash/crc32"
+)
 
 // Mix64 is a 64-bit finalizing mixer (the SplitMix64 / MurmurHash3
 // fmix64 constants). The simulator's hot-path memo tables index with it
@@ -28,15 +31,17 @@ func HashLine(l *Line) uint64 {
 	return Mix64(h)
 }
 
-// FNV64a is the FNV-1a 64-bit checksum of b, bit for bit hash/fnv's
-// New64a. It is the one seal of everything persisted inside the trust
+// castagnoli is the CRC-32C table; hash/crc32 runs it on the CPU's CRC32
+// instruction (SSE4.2 on amd64, the CRC extension on arm64).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Checksum is the CRC-32C of b, zero-extended to the 8-byte field every
+// record stores it in: a stored word with any high bit set never
+// matches. It is the one seal of everything persisted inside the trust
 // boundary — spare-pool remap slots, the recovery journal, KV frames
 // and manifest slots, crash-image files: it catches torn and truncated
-// records, it authenticates nothing.
-func FNV64a(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * 0x100000001b3
-	}
-	return h
+// records, it authenticates nothing (the HMACs do that), so it is
+// chosen for speed, not strength.
+func Checksum(b []byte) uint64 {
+	return uint64(crc32.Checksum(b, castagnoli))
 }

@@ -1,15 +1,16 @@
 package mem
 
 import (
-	"hash/fnv"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 )
 
-// TestFNV64aMatchesStdlib holds the persisted-record seal to hash/fnv:
-// slots, frames and image files written before the checksums were
-// folded into FNV64a must keep validating.
-func TestFNV64aMatchesStdlib(t *testing.T) {
+// TestChecksumMatchesStdlib holds the persisted-record seal to
+// hash/crc32's Castagnoli polynomial, zero-extended: slots, frames and
+// image files must validate on every architecture, whichever CRC code
+// path the CPU selects.
+func TestChecksumMatchesStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	random := make([]byte, 1000)
 	rng.Read(random)
@@ -24,10 +25,9 @@ func TestFNV64aMatchesStdlib(t *testing.T) {
 		{"line", line},
 		{"random", random},
 	} {
-		h := fnv.New64a()
-		h.Write(tc.in)
-		if got, want := FNV64a(tc.in), h.Sum64(); got != want {
-			t.Errorf("%s: FNV64a = %#x, hash/fnv = %#x", tc.name, got, want)
+		want := uint64(crc32.Checksum(tc.in, crc32.MakeTable(crc32.Castagnoli)))
+		if got := Checksum(tc.in); got != want {
+			t.Errorf("%s: Checksum = %#x, crc32c = %#x", tc.name, got, want)
 		}
 	}
 }

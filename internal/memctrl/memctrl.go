@@ -578,11 +578,26 @@ func (c *Controller) HeldEntries() int { return len(c.held) }
 // are tagged as epoch metadata and held in the WPQ. Nesting windows is a
 // protocol violation and returns ErrNestedDrain (also recorded sticky).
 func (c *Controller) BeginEpochDrain() error {
+	return c.beginEpochDrain(false)
+}
+
+// BeginOwedEpochDrain is BeginEpochDrain for an epoch the device already
+// owes: one whose data writes reached the media under counters only
+// this epoch persists, so parking it would leave those blocks
+// unauthenticatable after a crash. Read-only degradation does not
+// refuse it — like Write, it is the tail of an already-admitted
+// write-back, and a metadata line it writes onto a stuck cell simply
+// stays stuck.
+func (c *Controller) BeginOwedEpochDrain() error {
+	return c.beginEpochDrain(true)
+}
+
+func (c *Controller) beginEpochDrain(owed bool) error {
 	if c.inDrain {
 		c.fail(ErrNestedDrain)
 		return ErrNestedDrain
 	}
-	if c.readOnly() {
+	if !owed && c.readOnly() {
 		// Graceful degradation, not a protocol violation: the error is
 		// typed and not sticky, so the engine can park the epoch and
 		// leave runtime reads verifying. No window opens.

@@ -330,3 +330,35 @@ func TestCrashMidDrainAfterPartialEnd(t *testing.T) {
 		t.Fatalf("DroppedByADR = %d, want 2", got)
 	}
 }
+
+// TestReadOnlyRefusesEpochsButNotOwedOnes: an exhausted spare pool parks
+// a new epoch with a typed refusal, yet an owed epoch (a counter
+// overflow's, whose re-encrypted data is already on the media) still
+// opens, holds and commits.
+func TestReadOnlyRefusesEpochsButNotOwedOnes(t *testing.T) {
+	c := ctrl(t, Config{})
+	c.Device().SetFaultModel(&nvm.FaultModel{Seed: 1, SpareLines: 1})
+	if err := c.Device().Remap(0, false); err != nil {
+		t.Fatal(err)
+	}
+	if c.Health() != HealthReadOnly {
+		t.Fatalf("health = %v with the one spare consumed, want read-only", c.Health())
+	}
+	var exhausted *nvm.SpareExhaustedError
+	if err := c.BeginEpochDrain(); !errors.As(err, &exhausted) {
+		t.Fatalf("BeginEpochDrain in read-only = %v, want *nvm.SpareExhaustedError", err)
+	}
+	if c.InDrain() || c.Stats().RefusedEpochs != 1 {
+		t.Fatalf("refused epoch left inDrain=%v RefusedEpochs=%d", c.InDrain(), c.Stats().RefusedEpochs)
+	}
+	if err := c.BeginOwedEpochDrain(); err != nil {
+		t.Fatalf("owed epoch refused: %v", err)
+	}
+	c.Write(0, 64, line(7))
+	if _, err := c.EndEpochDrain(0); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := c.Device().Peek(64); got != line(7) || c.Stats().RefusedEpochs != 1 {
+		t.Fatalf("owed epoch did not commit its line (got %v, RefusedEpochs %d)", got[0], c.Stats().RefusedEpochs)
+	}
+}

@@ -36,7 +36,7 @@ import (
 //	off  20  reserved (4)
 //	off  24  entries: RemapMaxEntries × 9 bytes (addr 8 + flags 1;
 //	         flag bit 0 = weak-exempt)
-//	off 600  FNV-64a checksum over [0,600) (8)
+//	off 600  mem.Checksum (CRC-32C, zero-extended) over [0,600) (8)
 //	         zero padding to 640
 const (
 	remapMagic     = "CCRT"
@@ -92,7 +92,7 @@ func EncodeRemapRecord(r RemapRecord) []byte {
 			b[off+8] = 1
 		}
 	}
-	binary.LittleEndian.PutUint64(b[remapChecksumOff:remapChecksumOff+8], mem.FNV64a(b[:remapChecksumOff]))
+	binary.LittleEndian.PutUint64(b[remapChecksumOff:remapChecksumOff+8], mem.Checksum(b[:remapChecksumOff]))
 	return b
 }
 
@@ -102,7 +102,7 @@ func DecodeRemapSlot(b []byte) (RemapRecord, bool) {
 	if len(b) < RemapSlotLen || string(b[0:4]) != remapMagic || b[4] != remapVersion {
 		return RemapRecord{}, false
 	}
-	if binary.LittleEndian.Uint64(b[remapChecksumOff:remapChecksumOff+8]) != mem.FNV64a(b[:remapChecksumOff]) {
+	if binary.LittleEndian.Uint64(b[remapChecksumOff:remapChecksumOff+8]) != mem.Checksum(b[:remapChecksumOff]) {
 		return RemapRecord{}, false
 	}
 	r := RemapRecord{

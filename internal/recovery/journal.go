@@ -43,7 +43,7 @@ const (
 	journalMagic   = "CCRJ"
 	journalVersion = 1
 	// journalSlotLen is one record slot: 176 bytes of payload, an 8-byte
-	// FNV-64a checksum, padded to three 64-byte lines.
+	// mem.Checksum (CRC-32C) field, padded to three 64-byte lines.
 	journalSlotLen = 192
 	journalLen     = 2 * journalSlotLen
 )
@@ -129,7 +129,7 @@ func encodeSlot(rec journalRecord) [journalSlotLen]byte {
 	copy(b[joRootLine:], rec.Root[:])
 	binary.LittleEndian.PutUint64(b[joPendAddr:], uint64(rec.PendingAddr))
 	copy(b[joPendLine:], rec.PendingLine[:])
-	binary.LittleEndian.PutUint64(b[joChecksum:], mem.FNV64a(b[:joChecksum]))
+	binary.LittleEndian.PutUint64(b[joChecksum:], mem.Checksum(b[:joChecksum]))
 	return b
 }
 
@@ -137,7 +137,7 @@ func decodeSlot(b []byte) (journalRecord, bool) {
 	if len(b) < journalSlotLen || string(b[joMagic:joMagic+4]) != journalMagic || b[joVersion] != journalVersion {
 		return journalRecord{}, false
 	}
-	if binary.LittleEndian.Uint64(b[joChecksum:]) != mem.FNV64a(b[:joChecksum]) {
+	if binary.LittleEndian.Uint64(b[joChecksum:]) != mem.Checksum(b[:joChecksum]) {
 		return journalRecord{}, false
 	}
 	rec := journalRecord{

@@ -17,8 +17,15 @@ import (
 // power" is a process exit, so the simulated NVM contents must survive
 // as a file for the restarted process to Reboot from. The format is a
 // deterministic versioned binary record (sorted maps, little-endian,
-// trailing FNV-64a) — encoding the same image twice yields identical
-// bytes, which the round-trip tests rely on.
+// trailing 8-byte CRC-32C seal, mem.Checksum zero-extended) — encoding
+// the same image twice yields identical bytes, which the round-trip
+// tests rely on.
+//
+// Version 3 changed the seal from FNV-64a to CRC-32C, both the file's
+// own and that of every record the image carries (remap slots, the
+// recovery journal, KV frames and manifest slots). Those records reach
+// a process only inside an image file, so refusing older versions by
+// number refuses them all.
 //
 // MediaLog is not persisted: it is the torture harness's ground truth,
 // which recovery must never read (only Suspects travels). Images that
@@ -27,7 +34,7 @@ import (
 
 const (
 	imageMagic   = "CCNVMIMG"
-	imageVersion = 2
+	imageVersion = 3
 )
 
 // ErrImageCorrupt reports a crash-image file that fails structural or
@@ -72,25 +79,30 @@ func EncodeImage(img *engine.CrashImage) ([]byte, error) {
 		b = binary.LittleEndian.AppendUint64(b, uint64(a))
 		b = append(b, l[:]...)
 	}
-	b = binary.LittleEndian.AppendUint64(b, mem.FNV64a(b))
+	b = binary.LittleEndian.AppendUint64(b, mem.Checksum(b))
 	return b, nil
 }
 
-// DecodeImage parses bytes produced by EncodeImage.
+// DecodeImage parses bytes produced by EncodeImage, and only those:
+// anything that would not re-encode to the same bytes (unsorted or
+// repeated addresses, a flag byte other than 0 or 1) is refused with
+// ErrImageCorrupt like any other damage. Magic and version are checked
+// before the seal: a file of another version carries another seal, and
+// must be refused by number, not as corrupt bytes.
 func DecodeImage(b []byte) (*engine.CrashImage, error) {
 	if len(b) < len(imageMagic)+4+8 {
 		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrImageCorrupt, len(b))
 	}
 	body, tail := b[:len(b)-8], b[len(b)-8:]
-	if mem.FNV64a(body) != binary.LittleEndian.Uint64(tail) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrImageCorrupt)
-	}
 	r := &reader{b: body}
 	if string(r.take(8)) != imageMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrImageCorrupt)
 	}
 	if v := r.u32(); v != imageVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrImageCorrupt, v)
+	}
+	if mem.Checksum(body) != binary.LittleEndian.Uint64(tail) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrImageCorrupt)
 	}
 	img := &engine.CrashImage{}
 	img.Design = r.str()
@@ -105,11 +117,20 @@ func DecodeImage(b []byte) (*engine.CrashImage, error) {
 	img.TCB.Nwb = r.u64()
 	img.TCB.ExtDirty = r.addrU64Map()
 	img.Sideband = r.addrByteMap()
-	img.MediaFaults = r.take(1)[0] != 0
+	switch mf := r.take(1)[0]; mf {
+	case 0:
+	case 1:
+		img.MediaFaults = true
+	default:
+		return nil, fmt.Errorf("%w: media-fault flag %d", ErrImageCorrupt, mf)
+	}
 	img.Suspects = r.addrs()
 	img.RecoveryJournal = r.bytes()
 	stuck := r.addrs()
 	remap := r.bytes()
+	if r.err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrImageCorrupt, r.err)
+	}
 	lay, err := mem.NewLayout(capacity)
 	if err != nil {
 		return nil, fmt.Errorf("%w: layout: %v", ErrImageCorrupt, err)
@@ -117,27 +138,38 @@ func DecodeImage(b []byte) (*engine.CrashImage, error) {
 	// The seal is unkeyed, so every address is attacker-controlled: one
 	// that is unaligned or outside the layout is refused before it
 	// reaches the store or the stuck set.
-	for _, a := range stuck {
+	for i, a := range stuck {
 		if !validLineAddr(lay, a) {
 			return nil, fmt.Errorf("%w: stuck line %#x outside the layout", ErrImageCorrupt, uint64(a))
 		}
-	}
-	st := &mem.Store{}
-	n := r.count(r.u64(), 8+mem.LineSize)
-	for i := 0; i < n; i++ {
-		a := mem.Addr(r.u64())
-		if !validLineAddr(lay, a) {
-			return nil, fmt.Errorf("%w: line %#x outside the layout", ErrImageCorrupt, uint64(a))
+		if i > 0 && a <= stuck[i-1] {
+			return nil, fmt.Errorf("%w: stuck line %#x out of address order", ErrImageCorrupt, uint64(a))
 		}
-		var l mem.Line
-		copy(l[:], r.take(mem.LineSize))
-		st.Write(a, l)
 	}
+	// The line records are validated whole before the store is built, so
+	// a refused image never pays for the store's page index.
+	const lineRec = 8 + mem.LineSize
+	n := r.count(r.u64(), lineRec)
+	recs := r.take(n * lineRec)
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrImageCorrupt, r.err)
 	}
 	if len(r.b) != r.off {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrImageCorrupt, len(r.b)-r.off)
+	}
+	for i := 0; i < n; i++ {
+		a := mem.Addr(binary.LittleEndian.Uint64(recs[i*lineRec:]))
+		if !validLineAddr(lay, a) {
+			return nil, fmt.Errorf("%w: line %#x outside the layout", ErrImageCorrupt, uint64(a))
+		}
+		if i > 0 && a <= mem.Addr(binary.LittleEndian.Uint64(recs[(i-1)*lineRec:])) {
+			return nil, fmt.Errorf("%w: line %#x out of address order", ErrImageCorrupt, uint64(a))
+		}
+	}
+	st := &mem.Store{}
+	for i := 0; i < n; i++ {
+		rec := recs[i*lineRec:]
+		st.Write(mem.Addr(binary.LittleEndian.Uint64(rec)), mem.Line(rec[8:lineRec]))
 	}
 	img.Image = &nvm.Image{Layout: lay, Store: st, RemapTable: remap}
 	if len(stuck) > 0 {
@@ -290,8 +322,11 @@ func (r *reader) addrU64Map() map[mem.Addr]uint64 {
 		return nil
 	}
 	m := make(map[mem.Addr]uint64, n)
+	var prev mem.Addr
 	for i := 0; i < n; i++ {
 		a := mem.Addr(r.u64())
+		r.ascending(i, prev, a)
+		prev = a
 		m[a] = r.u64()
 	}
 	return m
@@ -303,9 +338,22 @@ func (r *reader) addrByteMap() map[mem.Addr]byte {
 		return nil
 	}
 	m := make(map[mem.Addr]byte, n)
+	var prev mem.Addr
 	for i := 0; i < n; i++ {
 		a := mem.Addr(r.u64())
+		r.ascending(i, prev, a)
+		prev = a
 		m[a] = r.take(1)[0]
 	}
 	return m
+}
+
+// ascending poisons the reader when map key a (the i-th) does not
+// follow prev: EncodeImage writes map keys sorted and unique, so any
+// other order is not its output and could not re-encode to the same
+// bytes.
+func (r *reader) ascending(i int, prev, a mem.Addr) {
+	if i > 0 && a <= prev && r.err == nil {
+		r.err = fmt.Errorf("map key %#x out of order at offset %d", uint64(a), r.off)
+	}
 }

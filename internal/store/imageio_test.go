@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"path/filepath"
 	"runtime"
@@ -15,7 +16,7 @@ import (
 	"ccnvm/internal/store"
 )
 
-func crashedImage(t *testing.T, design string) *engine.CrashImage {
+func crashedImage(t testing.TB, design string) *engine.CrashImage {
 	t.Helper()
 	st, err := store.Open(store.Options{
 		Design:   design,
@@ -143,9 +144,15 @@ func TestSaveLoadImageFile(t *testing.T) {
 	}
 }
 
-// reseal recomputes the trailing FNV-64a, which is unkeyed: anyone who
+// reseal recomputes the trailing seal, which is unkeyed: anyone who
 // can write the image file can make an edited record check out.
 func reseal(b []byte) []byte {
+	binary.LittleEndian.PutUint64(b[len(b)-8:], mem.Checksum(b[:len(b)-8]))
+	return b
+}
+
+// resealFNV seals b the way version-2 files were sealed: FNV-1a 64.
+func resealFNV(b []byte) []byte {
 	h := fnv.New64a()
 	h.Write(b[:len(b)-8])
 	binary.LittleEndian.PutUint64(b[len(b)-8:], h.Sum64())
@@ -228,16 +235,165 @@ func TestImageDecodeBoundsHostileCounts(t *testing.T) {
 	}
 }
 
-// TestImageDecodeRefusesOldVersion: version 1 files carry a field this
-// format no longer has, so they are refused by number, not misparsed.
-func TestImageDecodeRefusesOldVersion(t *testing.T) {
-	b, err := store.EncodeImage(crashedImage(t, "ccnvm"))
+// TestImageDecodeRefusesNonCanonical: bytes EncodeImage never writes
+// are refused even when correctly sealed — a media-fault flag other
+// than 0 or 1, and line records out of address order — so whatever
+// decodes re-encodes to the same file.
+func TestImageDecodeRefusesNonCanonical(t *testing.T) {
+	img := crashedImage(t, "ccnvm")
+	good, err := store.EncodeImage(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(b[8:], 1)
-	_, err = store.DecodeImage(reseal(b))
-	if !errors.Is(err, store.ErrImageCorrupt) || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Fatalf("v1 header: err = %v, want unsupported version 1", err)
+	// The fixture has no variable-length fields (TestImageDecodeBoundsHostileCounts
+	// checks that), so the media-fault flag follows the two map counts.
+	varOff := 8 + 4 + 4 + len(img.Design) + 8 + 8 + len(img.Keys.AES) + len(img.Keys.HMAC) + 2*mem.LineSize + 8
+	first := varOff + 25 + 8
+	for _, tc := range []struct {
+		want string
+		edit func(b []byte)
+	}{
+		{"media-fault flag 2", func(b []byte) { b[varOff+8] = 2 }},
+		{"out of address order", func(b []byte) {
+			copy(b[first+8+mem.LineSize:first+16+mem.LineSize], b[first:first+8])
+		}},
+	} {
+		b := append([]byte(nil), good...)
+		tc.edit(b)
+		_, err := store.DecodeImage(reseal(b))
+		if !errors.Is(err, store.ErrImageCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("err = %v, want ErrImageCorrupt naming %q", err, tc.want)
+		}
 	}
+}
+
+// TestImageDecodeRefusesOldVersion: version 1 files carry a field this
+// format no longer has, and version 2 files (and every record inside
+// them) are sealed with FNV-1a, so both are refused by number — never
+// misparsed, and never reported as a bad seal.
+func TestImageDecodeRefusesOldVersion(t *testing.T) {
+	good, err := store.EncodeImage(crashedImage(t, "ccnvm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		version uint32
+		seal    func([]byte) []byte
+	}{
+		{1, reseal},
+		{2, resealFNV},
+	} {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(b[8:], tc.version)
+		_, err := store.DecodeImage(tc.seal(b))
+		want := fmt.Sprintf("unsupported version %d", tc.version)
+		if !errors.Is(err, store.ErrImageCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d header: err = %v, want %s", tc.version, err, want)
+		}
+	}
+}
+
+// FuzzDecodeImage feeds the image decoder arbitrary bytes and, with
+// sealed set, bytes whose trailing seal is recomputed — the seal is
+// unkeyed, so mutations of a valid image that anyone can re-seal reach
+// the parser. Every input must either decode and re-encode to exactly
+// its own bytes, or be refused with ErrImageCorrupt; and decoding may
+// allocate at most 8x the input beyond a refusal's error value and a
+// fixed page-index charge per 256 KiB leaf its decoded lines touch (see
+// leafIndexBytes).
+func FuzzDecodeImage(f *testing.F) {
+	good, err := store.EncodeImage(crashedImage(f, "ccnvm"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good, false)
+	f.Add(good, true)
+	f.Add(good[:len(good)/2], true)
+	f.Add([]byte("CCNVMIMG"), false)
+	f.Add(sparseImage(f), false)
+	f.Fuzz(func(t *testing.T, b []byte, sealed bool) {
+		if sealed && len(b) >= 8 {
+			b = reseal(append([]byte(nil), b...))
+		}
+		const errorSlack = 1 << 10
+		var img *engine.CrashImage
+		var err error
+		grew := allocBytes(func() { img, err = store.DecodeImage(b) })
+		limit := 8*uint64(len(b)) + errorSlack
+		if err != nil {
+			if !errors.Is(err, store.ErrImageCorrupt) {
+				t.Fatalf("refusal is not ErrImageCorrupt: %v", err)
+			}
+			if grew > limit {
+				t.Fatalf("refusing a %d-byte input allocated %d bytes", len(b), grew)
+			}
+			return
+		}
+		leaves := map[mem.Addr]bool{}
+		for _, a := range img.Image.Store.Addrs() {
+			leaves[a/leafSpan] = true
+		}
+		if grew > limit+leafIndexBytes*uint64(len(leaves)) {
+			t.Fatalf("decoding a %d-byte image of %d lines in %d leaves allocated %d bytes",
+				len(b), img.Image.Store.Len(), len(leaves), grew)
+		}
+		re, err := store.EncodeImage(img)
+		if err != nil {
+			t.Fatalf("decoded image does not re-encode: %v", err)
+		}
+		if !bytes.Equal(re, b) {
+			t.Fatalf("decoded image re-encodes to different bytes (%d vs %d)", len(re), len(b))
+		}
+	})
+}
+
+// leafIndexBytes is the most a decoded store's page index may cost per
+// distinct 256 KiB leaf its lines touch, beyond the lines themselves
+// (which the 8x bound covers): the 2064 B leaf node, 2304 B once Go
+// adds its malloc header and rounds to a size class, plus the 8 KiB
+// directory of the 256 MiB segment above it, 9472 B the same way, and
+// 64 B for the segment's slot in the growing top-level slice — which a
+// sparse image pays once per leaf. A sparse image needs those nodes
+// whatever its encoded size: one line alone in its segment is a 72-byte
+// record that costs 11.9 KB (sparseImage is that worst case). The charge is fixed here, not measured
+// from mem.Store, so a store that grows its nodes fails this target.
+const (
+	leafSpan       = 256 << 10
+	leafIndexBytes = 2304 + 9472 + 64
+)
+
+// sparseImage encodes the page index's worst case: a crash image of a
+// 64 GiB store holding 256 lines, each alone in its 256 MiB segment.
+func sparseImage(t testing.TB) []byte {
+	st, err := store.Open(store.Options{Capacity: 64 << 30, Params: engine.Params{UpdateLimit: 8, QueueEntries: 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := st.Crash()
+	lines := &mem.Store{}
+	lo, hi := img.Image.Layout.Bounds(mem.RegionData)
+	for a := lo; a < hi && lines.Len() < 256; a += 256 << 20 {
+		lines.Write(a, mem.Line{byte(lines.Len())})
+	}
+	img.Image.Store = lines
+	b, err := store.EncodeImage(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// allocBytes is the heap bytes fn allocates: the least of three runs,
+// since the process-wide counter also sees whatever the fuzzing
+// engine's own goroutines allocate meanwhile. fn must be deterministic.
+func allocBytes(fn func()) uint64 {
+	least := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

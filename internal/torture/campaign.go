@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+
+	"ccnvm/internal/design/names"
 )
 
 // Class is one durability behavior class a campaign cell lands in.
@@ -196,6 +198,16 @@ func DefaultCampaignOpts() MatrixOpts {
 	}
 }
 
+// RegressionCells are shrunk repros of fixed bugs. Every campaign runs
+// them after its enumerated cells and counts them in the census, so a
+// regression lands in the oracle-failure class.
+var RegressionCells = []Cell{
+	// A counter overflow whose page re-encryption emptied the spare
+	// pool: its epoch drain was once parked by read-only degradation,
+	// and recovery flagged the whole page tampered.
+	{Design: names.CCNVM, Workload: "hammer", Seed: -28, Ops: 352, CrashAt: 352, Attack: "none", FaultSeed: 92, Stuck: 6, Spares: 1},
+}
+
 // Healthy reports whether the campaign saw no real oracle failures and
 // the sabotage self-test behaved as designed (guided caught the
 // injected bug, random missed it).
@@ -209,16 +221,17 @@ func (res *CampaignResult) Healthy() bool {
 }
 
 // RunCampaign executes the durability campaign: guided enumeration of
-// o, every cell classified, plus the pinned ordering-sabotage
-// self-test. The result is deterministic for fixed options — cells are
-// classified on a worker pool but collected by index, and nothing
-// depends on time or scheduling.
+// o and the RegressionCells, every cell classified, plus the pinned
+// ordering-sabotage self-test. The result is deterministic for fixed
+// options — cells are classified on a worker pool but collected by
+// index, and nothing depends on time or scheduling.
 func RunCampaign(ctx context.Context, o MatrixOpts, parallel int) (*CampaignResult, error) {
 	o = o.withDefaults()
 	cells, stats, err := EnumerateGuidedCells(o)
 	if err != nil {
 		return nil, err
 	}
+	cells = append(cells, RegressionCells...)
 	outcomes := classifyCells(ctx, DefaultRunner(), cells, parallel)
 
 	res := &CampaignResult{
@@ -363,7 +376,12 @@ func (res *CampaignResult) RenderMarkdown(artifact string) []byte {
 		strings.Join(s.Designs, ","), strings.Join(s.Workloads, ","), strings.Join(s.Attacks, ","), s.Seeds, s.Ops)
 	fmt.Fprintf(&b, "guided crash points (≤%d per trace); fault seeds=%d; reboot loops=%d.\n",
 		s.CrashPts, s.FaultSeeds, s.Reboots)
-	fmt.Fprintf(&b, "Cells executed: %d. Machine-readable artifact: [`%s`](%s).\n\n", res.Cells, artifact, artifact)
+	fmt.Fprintf(&b, "Cells executed: %d. Machine-readable artifact: [`%s`](%s).\n", res.Cells, artifact, artifact)
+	fmt.Fprintf(&b, "Of these, %d `RegressionCells` (shrunk repros of fixed bugs) run after the enumerated ones:\n\n", len(RegressionCells))
+	for _, c := range RegressionCells {
+		fmt.Fprintf(&b, "- `%s`\n", c.Repro())
+	}
+	fmt.Fprintf(&b, "\n")
 
 	fmt.Fprintf(&b, "## Behavior classes\n\n")
 	fmt.Fprintf(&b, "| class | cells | exemplar exit |\n|---|---:|---:|\n")
