@@ -45,6 +45,8 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzHMACKernel -fuzztime=10s ./internal/seccrypto/
 	$(GO) test -fuzz=FuzzStoreModel -fuzztime=10s ./internal/mem/
 	$(GO) test -fuzz=FuzzDecodeImage -fuzztime=10s ./internal/store/
+	$(GO) test -fuzz=FuzzTable -fuzztime=10s ./internal/twoslot/
+	$(GO) test -fuzz=FuzzLogFrame -fuzztime=10s ./internal/kv/
 	$(GO) test -fuzz=FuzzCell -fuzztime=20s ./internal/torture/
 	$(GO) test -fuzz=FuzzFaultCell -fuzztime=20s ./internal/torture/
 	$(GO) test -fuzz=FuzzRebootCell -fuzztime=20s ./internal/torture/

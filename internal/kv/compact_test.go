@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -40,40 +41,45 @@ func compactDB(t testing.TB, st *store.Store) *DB {
 	return db
 }
 
+// TestManifestRoundTripAndRuling pins the slot bytes (exactly what the
+// encoder wrote before the two-slot frame moved to internal/twoslot)
+// and reopen's ruling: a torn slot — damaged, or sealed over generation
+// 0 or a third arena half — is rewritten from the ruling record (zeroed
+// when none rules), two torn slots are refused, and a line whose first
+// word is zero is an empty slot, left as it is.
 func TestManifestRoundTripAndRuling(t *testing.T) {
 	rec := manifestRecord{Seq: 7, StartSeq: 123, Half: 1}
-	got, ok, err := decodeManifest(encodeManifest(rec))
-	if err != nil || !ok || got != rec {
-		t.Fatalf("round trip: %+v ok=%v err=%v", got, ok, err)
+	l := encodeManifest(rec)
+	const want = "434b564d414e494607000000000000007b0000000000000001000000000000007f00e7fa00000000000000000000000000000000000000000000000000000000"
+	if hex.EncodeToString(l[:]) != want || decodeManifest(l[:]) != rec {
+		t.Fatalf("slot %x decodes to %+v; want %s and %+v", l, decodeManifest(l[:]), want, rec)
 	}
-	if _, ok, err := decodeManifest(mem.Line{}); ok || err != nil {
-		t.Fatalf("zero line: ok=%v err=%v", ok, err)
-	}
-	// Any damaged byte in the sealed region must read as torn, never as
-	// a different valid record.
-	for i := 0; i < 40; i++ {
-		l := encodeManifest(rec)
-		l[i] ^= 0x20
-		if _, ok, err := decodeManifest(l); ok || !errors.Is(err, errManifestTorn) {
-			t.Fatalf("byte %d flip decoded: ok=%v err=%v", i, ok, err)
+	torn := encodeManifest(manifestRecord{Seq: 8})
+	torn[12] ^= 0xff
+	word0Zero := mem.Line{9: 3}
+	for i, tc := range []struct {
+		slot0, slot1, slot1After mem.Line
+		gen                      uint64 // the ruling generation, unless refused
+		refused                  bool
+	}{
+		{l, torn, l, 7, false},
+		{l, encodeManifest(manifestRecord{Seq: 8, Half: 2}), l, 7, false},
+		{mem.Line{}, encodeManifest(manifestRecord{Seq: 0}), mem.Line{}, 0, false},
+		{mem.Line{}, torn, mem.Line{}, 0, false},
+		{torn, torn, torn, 0, true},
+		{mem.Line{}, word0Zero, word0Zero, 0, false},
+	} {
+		st := compactStore(t, 1<<18)
+		if st.Write(0, tc.slot0) != nil || st.Write(mem.LineSize, tc.slot1) != nil || st.FlushEpoch() != nil {
+			t.Fatal("writing the manifest slots failed")
 		}
-	}
-
-	// Newest seq wins; a torn slot falls back to the survivor and is
-	// named for repair.
-	newer := manifestRecord{Seq: 8, StartSeq: 200, Half: 0}
-	ruled, torn, err := chooseManifest(encodeManifest(rec), encodeManifest(newer))
-	if err != nil || ruled != newer || torn != -1 {
-		t.Fatalf("newest-seq-wins: %+v torn=%d err=%v", ruled, torn, err)
-	}
-	tornLine := encodeManifest(newer)
-	tornLine[12] ^= 0xFF
-	ruled, torn, err = chooseManifest(encodeManifest(rec), tornLine)
-	if err != nil || ruled != rec || torn != 1 {
-		t.Fatalf("torn fallback: %+v torn=%d err=%v", ruled, torn, err)
-	}
-	if _, _, err := chooseManifest(tornLine, tornLine); err == nil {
-		t.Fatal("two torn slots accepted")
+		db, err := Open(st, Options{})
+		if (err != nil) != tc.refused || (err == nil && db.Generation() != tc.gen) {
+			t.Fatalf("row %d: Open err = %v, want refused %v and generation %d", i, err, tc.refused, tc.gen)
+		}
+		if got, _ := st.Read(mem.LineSize); got != tc.slot1After {
+			t.Fatalf("row %d: slot 1 after Open is %x, want %x", i, got, tc.slot1After)
+		}
 	}
 }
 

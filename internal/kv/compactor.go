@@ -196,7 +196,7 @@ func (db *DB) compactLocked() error {
 	// torture self-test proves the oracles catch.
 	if !db.sabotageDropManifest {
 		rec := manifestRecord{Seq: genBefore + 1, StartSeq: startSeq, Half: dst}
-		if err := db.st.Write(manifestSlotAddr(rec.Seq), encodeManifest(rec)); err != nil {
+		if err := db.st.Write(mem.Addr(ManifestFormat.Off(rec.Seq)), encodeManifest(rec)); err != nil {
 			return fail(fmt.Errorf("kv: manifest commit write: %w", err))
 		}
 		if err := db.st.FlushEpoch(); err != nil {

@@ -9,6 +9,7 @@ import (
 	"ccnvm/internal/engine"
 	"ccnvm/internal/mem"
 	"ccnvm/internal/store"
+	"ccnvm/internal/twoslot"
 )
 
 // ErrDBClosed reports an operation on a closed or crashed DB.
@@ -137,17 +138,21 @@ func Open(st *store.Store, o Options) (*DB, error) {
 	db.fcond = sync.NewCond(&db.fmu)
 	db.ccond = sync.NewCond(&db.mu)
 
-	l0, err := st.Read(0)
-	if err != nil {
-		return nil, fmt.Errorf("kv: manifest slot 0: %w", err)
+	manifest := make([]byte, ManifestFormat.TableLen())
+	for i := range 2 {
+		l, err := st.Read(mem.Addr(i) * mem.LineSize)
+		if err != nil {
+			return nil, fmt.Errorf("kv: manifest slot %d: %w", i, err)
+		}
+		copy(manifest[i*mem.LineSize:], l[:])
 	}
-	l1, err := st.Read(mem.LineSize)
-	if err != nil {
-		return nil, fmt.Errorf("kv: manifest slot 1: %w", err)
+	c := ManifestFormat.Choose(manifest, manifestOK)
+	if c.Torn[0] && c.Torn[1] {
+		return nil, errors.New("kv: both compaction manifest slots torn")
 	}
-	rec, torn, err := chooseManifest(l0, l1)
-	if err != nil {
-		return nil, err
+	var rec manifestRecord
+	if c.Winner != nil {
+		rec = decodeManifest(c.Winner)
 	}
 	db.gen, db.active, db.startSeq = rec.Seq, rec.Half, rec.StartSeq
 	db.seq = rec.StartSeq
@@ -155,7 +160,7 @@ func Open(st *store.Store, o Options) (*DB, error) {
 		return nil, err
 	}
 	db.appended, db.durable = db.seq, db.seq
-	if err := db.repairAndReclaim(rec, torn); err != nil {
+	if err := db.repairAndReclaim(manifest, c); err != nil {
 		return nil, err
 	}
 	return db, nil
@@ -269,21 +274,21 @@ func (db *DB) readFrames(frames chan<- sealedFrame, stop <-chan struct{}) (uint6
 }
 
 // repairAndReclaim finishes an interrupted compaction pass at reopen:
-// re-encode the ruling manifest record over a torn slot (or zero it
-// when no commit ever ruled), then return the inactive half to the
-// all-zero state — orphan runs without a committed manifest become
+// rewrite the torn manifest slot c names from the ruling record (or
+// zero it when no commit ever ruled), then return the inactive half to
+// the all-zero state — orphan runs without a committed manifest become
 // invisible and reclaimed, a committed pass gets its reclaim completed.
 // Read-only media degradation is tolerated: the namespace still serves
 // reads, orphans stay invisible either way.
-func (db *DB) repairAndReclaim(rec manifestRecord, torn int) error {
-	if torn >= 0 {
-		var l mem.Line
-		if rec.Seq > 0 {
-			l = encodeManifest(rec)
+func (db *DB) repairAndReclaim(manifest []byte, c twoslot.Choice) error {
+	ManifestFormat.Repair(manifest, c)
+	for i, torn := range c.Torn {
+		if !torn {
+			continue
 		}
-		err := db.st.Write(mem.Addr(torn)*mem.LineSize, l)
+		err := db.st.Write(mem.Addr(i)*mem.LineSize, mem.Line(manifest[i*mem.LineSize:]))
 		if err != nil && !errors.Is(err, store.ErrReadOnly) {
-			return fmt.Errorf("kv: manifest slot %d repair: %w", torn, err)
+			return fmt.Errorf("kv: manifest slot %d repair: %w", i, err)
 		}
 	}
 	if err := db.reclaimHalf(1 - db.active); err != nil && !errors.Is(err, store.ErrReadOnly) {

@@ -105,9 +105,12 @@ func encodePayload(ops []Op) ([]byte, []record, error) {
 	return buf, recs, nil
 }
 
-// decodePayload walks count records out of a checksummed payload.
+// decodePayload walks count records out of a checksummed payload. The
+// seal has no key, so count is only a claim: the capacity is bounded by
+// the records the payload can hold (each at least recHeadBytes plus a
+// one-byte key).
 func decodePayload(payload []byte, count int) ([]record, error) {
-	recs := make([]record, 0, count)
+	recs := make([]record, 0, min(count, len(payload)/(recHeadBytes+1)))
 	off := 0
 	for i := 0; i < count; i++ {
 		if off+recHeadBytes > len(payload) {
@@ -119,6 +122,9 @@ func decodePayload(payload []byte, count int) ([]record, error) {
 		off += recHeadBytes
 		if kind != OpPut && kind != OpDelete {
 			return nil, fmt.Errorf("kv: record %d bad kind %d", i, kind)
+		}
+		if kind == OpDelete && vl != 0 {
+			return nil, fmt.Errorf("kv: record %d is a delete carrying a value", i)
 		}
 		if kl <= 0 || kl > maxKeyLen || vl < 0 || vl > maxValLen || off+kl+vl > len(payload) {
 			return nil, fmt.Errorf("kv: record %d lengths (%d,%d) past payload end", i, kl, vl)

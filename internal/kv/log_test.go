@@ -2,9 +2,11 @@ package kv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -70,6 +72,70 @@ func TestDecodeRejectsTruncatedPayload(t *testing.T) {
 	if _, err := decodePayload(payload, 2); err == nil {
 		t.Fatal("over-count decoded")
 	}
+}
+
+// allocBytes is the least heap fn allocated over three runs.
+func allocBytes(fn func()) uint64 {
+	least := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// FuzzLogFrame feeds an arbitrary header line and payload, the header
+// optionally re-sealed over the payload (the seal has no key), through
+// the scan's frame decode: parseHeader, the payload checksum,
+// decodePayload. Nothing may panic, decoding may allocate at most 8x the
+// frame plus an error's worth — the second seed claims 1<<20 records
+// over one 10-byte record, which once cost a 48 MB slice — and an
+// accepted frame re-encodes to the same sealed bytes (so the third
+// seed, a delete carrying a value, must be refused).
+func FuzzLogFrame(f *testing.F) {
+	payload, _, err := encodePayload([]Op{{Kind: OpPut, Key: []byte("k")}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	hl := encodeHeader(3, 1, len(payload))
+	sealHeader(&hl, mem.Checksum(payload))
+	f.Add(hl[:], payload, false)
+	claim := encodeHeader(1, 1<<20, len(payload))
+	f.Add(claim[:], payload, true)
+	f.Add(hl[:], []byte{byte(OpDelete), 1, 0, 0, 0, 1, 0, 0, 0, 'k', 'v'}, true) // never written: must not decode
+	f.Fuzz(func(t *testing.T, header, payload []byte, seal bool) {
+		var hl mem.Line
+		copy(hl[:], header)
+		if seal {
+			binary.LittleEndian.PutUint32(hl[20:24], uint32(len(payload)))
+			sealHeader(&hl, mem.Checksum(payload))
+		}
+		seq, count, n, ck, err := parseHeader(hl)
+		if err != nil || n > len(payload) || mem.Checksum(payload[:n]) != ck {
+			return
+		}
+		payload = payload[:n]
+		var recs []record
+		if grew := allocBytes(func() { recs, err = decodePayload(payload, count) }); grew > 8*uint64(mem.LineSize+n)+1<<10 {
+			t.Fatalf("decoding %d bytes claiming %d records allocated %d bytes", n, count, grew)
+		}
+		if err != nil {
+			return
+		}
+		ops := make([]Op, len(recs))
+		for i, r := range recs {
+			ops[i] = Op{Kind: r.kind, Key: r.key, Val: payload[r.valOff : r.valOff+r.valLen]}
+		}
+		again, _, err := encodePayload(ops)
+		rh := encodeHeader(seq, len(ops), len(again))
+		sealHeader(&rh, mem.Checksum(again))
+		if err != nil || !bytes.Equal(again, payload) || !bytes.Equal(rh[:40], hl[:40]) { // [40:64) is unsealed
+			t.Fatalf("accepted frame %x + %x re-encodes to %x + %x (%v)", hl, payload, rh, again, err)
+		}
+	})
 }
 
 func TestHeaderRoundTrip(t *testing.T) {

@@ -137,6 +137,21 @@ func MixWords(old, new mem.Line, mask byte) mem.Line {
 	return out
 }
 
+// TearChunks composes a multi-line record write that power failure
+// struck: the 64-byte chunk at offset o of dst becomes MixWords of the
+// old and new chunks under the mask TearMask draws at base+o and seq.
+// dst may alias old or new. Reports whether any chunk lost a word.
+func (m *FaultModel) TearChunks(dst, old, new []byte, base mem.Addr, seq uint64) bool {
+	torn := false
+	for c := 0; c < len(dst); c += mem.LineSize {
+		mask := m.TearMask(base+mem.Addr(c), seq)
+		mixed := MixWords(mem.Line(old[c:c+mem.LineSize]), mem.Line(new[c:c+mem.LineSize]), mask)
+		copy(dst[c:], mixed[:])
+		torn = torn || mask != 0xff
+	}
+	return torn
+}
+
 // FaultEvent records one line a power failure damaged under the fault
 // model — the harness's ground truth for the healing oracles.
 type FaultEvent struct {

@@ -5,42 +5,34 @@ import (
 	"fmt"
 
 	"ccnvm/internal/mem"
+	"ccnvm/internal/twoslot"
 )
 
 // Finite spare-pool media management.
 //
 // With FaultModel.SpareLines > 0 the device carves an explicit spare
 // region out of the media: every stuck-line heal and every scrub
-// give-up consumes one spare line, recorded in a remap table that is
-// persisted with the same discipline as the recovery journal (PR 5):
-// two fixed slots, each a checksummed record, written alternately by
-// sequence number. A commit is one slot write; a crash mid-commit
-// leaves a torn slot whose checksum fails, so the previous record
-// rules and the interrupted remap rolls back cleanly (the line simply
-// re-presents as stuck or weak and is remapped again on the next
-// boot). Recovery validates and repairs the table before the four-step
-// walk, so a lost mapping is never misread as tampering.
+// give-up consumes one spare line, recorded in a remap table persisted
+// as a two-slot record (internal/twoslot; DESIGN.md "Two-slot
+// records"). A crash mid-commit tears only the slot being written, so
+// the previous record rules and the interrupted remap rolls back
+// cleanly (the line simply re-presents as stuck or weak and is remapped
+// again on the next boot). Recovery validates and repairs the table
+// before the four-step walk, so a lost mapping is never misread as
+// tampering.
 //
 // SpareLines == 0 keeps the historical unlimited pool: no table is
 // allocated, no accounting happens, and every prior image and digest
 // stays bit-identical.
 
-// Remap record geometry. One slot is RemapSlotLen bytes:
+// Remap record payload, inside the two-slot frame:
 //
-//	off   0  magic "CCRT" (4)
-//	off   4  version (1)
-//	off   5  reserved (3)
-//	off   8  sequence number (8, little-endian)
 //	off  16  entry count (2)
 //	off  18  pool size (2)
 //	off  20  reserved (4)
 //	off  24  entries: RemapMaxEntries × 9 bytes (addr 8 + flags 1;
 //	         flag bit 0 = weak-exempt)
-//	off 600  mem.Checksum (CRC-32C, zero-extended) over [0,600) (8)
-//	         zero padding to 640
 const (
-	remapMagic     = "CCRT"
-	remapVersion   = 1
 	remapEntryLen  = 9
 	remapHeaderLen = 24
 
@@ -48,14 +40,19 @@ const (
 	// record can describe.
 	RemapMaxEntries = 64
 
-	remapChecksumOff = remapHeaderLen + RemapMaxEntries*remapEntryLen
-
 	// RemapSlotLen is one record slot, RemapTableLen the whole two-slot
 	// table, both multiples of the 64-byte persistence chunk so crash
 	// tearing composes per chunk exactly like data lines.
 	RemapSlotLen  = 640
 	RemapTableLen = 2 * RemapSlotLen
 )
+
+// RemapFormat is the remap table's two-slot frame.
+var RemapFormat = twoslot.Format{
+	Magic:   "CCRT\x01", // version 1
+	SealOff: remapHeaderLen + RemapMaxEntries*remapEntryLen,
+	SlotLen: RemapSlotLen,
+}
 
 // RemapEntry is one address→spare mapping. Exempt marks lines the pool
 // also shields from weak-line decisions (scrub give-ups and runtime
@@ -80,9 +77,6 @@ func EncodeRemapRecord(r RemapRecord) []byte {
 		panic(fmt.Sprintf("nvm: remap record overflow: %d entries", len(r.Entries)))
 	}
 	b := make([]byte, RemapSlotLen)
-	copy(b[0:4], remapMagic)
-	b[4] = remapVersion
-	binary.LittleEndian.PutUint64(b[8:16], r.Seq)
 	binary.LittleEndian.PutUint16(b[16:18], uint16(len(r.Entries)))
 	binary.LittleEndian.PutUint16(b[18:20], uint16(r.Total))
 	for i, e := range r.Entries {
@@ -92,87 +86,51 @@ func EncodeRemapRecord(r RemapRecord) []byte {
 			b[off+8] = 1
 		}
 	}
-	binary.LittleEndian.PutUint64(b[remapChecksumOff:remapChecksumOff+8], mem.Checksum(b[:remapChecksumOff]))
+	RemapFormat.Seal(b, r.Seq)
 	return b
 }
 
-// DecodeRemapSlot parses one slot, reporting ok=false for anything
-// torn, truncated or foreign.
-func DecodeRemapSlot(b []byte) (RemapRecord, bool) {
-	if len(b) < RemapSlotLen || string(b[0:4]) != remapMagic || b[4] != remapVersion {
-		return RemapRecord{}, false
+// remapCountOK is the payload check: a record cannot list more entries
+// than its pool (or the slot) holds, so a slot claiming that is torn.
+func remapCountOK(b []byte) bool {
+	n := binary.LittleEndian.Uint16(b[16:18])
+	return n <= RemapMaxEntries && n <= binary.LittleEndian.Uint16(b[18:20])
+}
+
+// LoadRemapTable rules the two-slot table: ok is true when a record
+// rules (the newest valid one), torn when a slot is neither empty nor a
+// valid record — the signature of a crash mid-commit, which the
+// previous record's rule rolls back.
+func LoadRemapTable(table []byte) (rec RemapRecord, ok, torn bool) {
+	return remapRuling(RemapFormat.Choose(table, remapCountOK))
+}
+
+// RepairRemapTable is recovery's replay step: LoadRemapTable, plus the
+// winning record rewritten over any torn slot, so the rollback is made
+// durable and a re-entered recovery sees a fully intact table. With no
+// record ruling the table is left as it is.
+func RepairRemapTable(table []byte) (rec RemapRecord, ok, torn bool) {
+	c := RemapFormat.Choose(table, remapCountOK)
+	if c.Winner != nil {
+		RemapFormat.Repair(table, c)
 	}
-	if binary.LittleEndian.Uint64(b[remapChecksumOff:remapChecksumOff+8]) != mem.Checksum(b[:remapChecksumOff]) {
-		return RemapRecord{}, false
+	return remapRuling(c)
+}
+
+func remapRuling(c twoslot.Choice) (rec RemapRecord, ok, torn bool) {
+	if c.Winner == nil {
+		return RemapRecord{}, false, c.AnyTorn()
 	}
-	r := RemapRecord{
-		Seq:   binary.LittleEndian.Uint64(b[8:16]),
-		Total: int(binary.LittleEndian.Uint16(b[18:20])),
-	}
-	n := int(binary.LittleEndian.Uint16(b[16:18]))
-	if n > RemapMaxEntries || n > r.Total {
-		return RemapRecord{}, false
-	}
-	for i := 0; i < n; i++ {
+	b := c.Winner
+	rec = RemapRecord{Seq: c.Seq, Total: int(binary.LittleEndian.Uint16(b[18:20]))}
+	for i := 0; i < int(binary.LittleEndian.Uint16(b[16:18])); i++ {
 		off := remapHeaderLen + i*remapEntryLen
-		r.Entries = append(r.Entries, RemapEntry{
+		rec.Entries = append(rec.Entries, RemapEntry{
 			Addr:   mem.Addr(binary.LittleEndian.Uint64(b[off : off+8])),
 			Exempt: b[off+8]&1 != 0,
 		})
 	}
-	return r, true
-}
-
-// remapSlotEmpty reports a slot that was never written (all-zero magic):
-// fresh media, as opposed to a torn record.
-func remapSlotEmpty(b []byte) bool {
-	return len(b) >= 4 && b[0] == 0 && b[1] == 0 && b[2] == 0 && b[3] == 0
-}
-
-// LoadRemapTable decodes the two-slot table. ok is true when at least
-// one slot holds an intact record (the newest by sequence number wins);
-// torn is true when a non-empty slot failed its checksum — the
-// signature of a crash mid-commit, which the previous record's rule
-// rolls back.
-func LoadRemapTable(table []byte) (rec RemapRecord, ok, torn bool) {
-	if len(table) < RemapTableLen {
-		return RemapRecord{}, false, false
-	}
-	r0, ok0 := DecodeRemapSlot(table[:RemapSlotLen])
-	r1, ok1 := DecodeRemapSlot(table[RemapSlotLen:])
-	torn = (!ok0 && !remapSlotEmpty(table[:RemapSlotLen])) ||
-		(!ok1 && !remapSlotEmpty(table[RemapSlotLen:]))
-	switch {
-	case ok0 && ok1:
-		if r1.Seq > r0.Seq {
-			return r1, true, torn
-		}
-		return r0, true, torn
-	case ok0:
-		return r0, true, torn
-	case ok1:
-		return r1, true, torn
-	}
-	return RemapRecord{}, false, torn
-}
-
-// RepairRemapTable is recovery's replay step: the winning record is
-// re-encoded over any torn slot, so the rollback is made durable and a
-// re-entered recovery sees a fully intact table. Returns the ruling
-// record and whether a torn slot was repaired.
-func RepairRemapTable(table []byte) (rec RemapRecord, ok, torn bool) {
-	rec, ok, torn = LoadRemapTable(table)
-	if !ok || !torn {
-		return rec, ok, torn
-	}
-	enc := EncodeRemapRecord(rec)
-	if _, s0 := DecodeRemapSlot(table[:RemapSlotLen]); !s0 {
-		copy(table[:RemapSlotLen], enc)
-	}
-	if _, s1 := DecodeRemapSlot(table[RemapSlotLen:]); !s1 {
-		copy(table[RemapSlotLen:], enc)
-	}
-	return rec, ok, torn
+	return rec, true, c.AnyTorn()
 }
 
 // SpareStats is the pool's accounting snapshot. Total == 0 means the
@@ -275,10 +233,9 @@ func (d *Device) commitRemapRecord() {
 		return // sabotage: the spare is consumed but the record never lands
 	}
 	d.remapSeq++
-	slot := int(d.remapSeq % 2)
-	off := slot * RemapSlotLen
-	d.remapPrev = append(d.remapPrev[:0], d.remapTable[off:off+RemapSlotLen]...)
-	copy(d.remapTable[off:off+RemapSlotLen], EncodeRemapRecord(RemapRecord{
+	slot := RemapFormat.Slot(d.remapTable, d.remapSeq)
+	d.remapPrev = append(d.remapPrev[:0], slot...)
+	copy(slot, EncodeRemapRecord(RemapRecord{
 		Seq:     d.remapSeq,
 		Total:   d.spareTotal,
 		Entries: d.remapEntries,
@@ -297,26 +254,12 @@ func (d *Device) TearNewestRemapSlot() bool {
 	if d.spareTotal == 0 || d.remapsBoot == 0 || d.remapPrev == nil || !d.faults.CrashAffectsWPQ() || !d.faults.TornWrites {
 		return false
 	}
-	slot := int(d.remapSeq % 2)
-	off := slot * RemapSlotLen
 	// Pseudo-addresses past twice the device size keep the table's tear
 	// decisions out of every real line's stream (the recovery journal
 	// uses [TotalBytes, TotalBytes+384) for its own).
-	base := mem.Addr(2 * d.layout.TotalBytes())
-	torn := false
-	for c := 0; c < RemapSlotLen/64; c++ {
-		mask := d.faults.TearMask(base+mem.Addr(off+c*64), d.remapSeq)
-		if mask == 0xff {
-			continue
-		}
-		var old, new mem.Line
-		copy(old[:], d.remapPrev[c*64:c*64+64])
-		copy(new[:], d.remapTable[off+c*64:off+c*64+64])
-		mixed := MixWords(old, new, mask)
-		copy(d.remapTable[off+c*64:off+c*64+64], mixed[:])
-		torn = true
-	}
-	return torn
+	base := mem.Addr(2*d.layout.TotalBytes()) + mem.Addr(RemapFormat.Off(d.remapSeq))
+	slot := RemapFormat.Slot(d.remapTable, d.remapSeq)
+	return d.faults.TearChunks(slot, d.remapPrev, slot, base, d.remapSeq)
 }
 
 // SabotageDropRemapCommit breaks the remap-commit protocol for the

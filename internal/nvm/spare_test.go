@@ -1,6 +1,8 @@
 package nvm
 
 import (
+	"bytes"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
@@ -15,187 +17,40 @@ func spareDevice(t testing.TB, m *FaultModel) *Device {
 	return d
 }
 
+// TestRemapRecordRoundTrip pins the slot bytes: the record below
+// encodes to exactly what the encoder wrote before the two-slot frame
+// moved to internal/twoslot (a 51-byte header and entries, the checksum
+// at 600, zero elsewhere), and a table holding it rules back the same
+// record.
 func TestRemapRecordRoundTrip(t *testing.T) {
-	rec := RemapRecord{
-		Seq:   7,
-		Total: 5,
-		Entries: []RemapEntry{
-			{Addr: 0x1000},
-			{Addr: 0x2040, Exempt: true},
-			{Addr: 0x3f80},
-		},
-	}
+	rec := RemapRecord{Seq: 7, Total: 5, Entries: []RemapEntry{{Addr: 0x1000}, {Addr: 0x2040, Exempt: true}, {Addr: 0x3f80}}}
+	want := make([]byte, RemapSlotLen)
+	hex.Decode(want, []byte("434352540100000007000000000000000300050000000000001000000000000000402000000000000001803f0000000000"))
+	hex.Decode(want[600:], []byte("673a40a800000000"))
 	b := EncodeRemapRecord(rec)
-	if len(b) != RemapSlotLen {
-		t.Fatalf("slot length %d, want %d", len(b), RemapSlotLen)
+	if !bytes.Equal(b, want) {
+		t.Fatalf("slot bytes changed:\n got %x\nwant %x", b, want)
 	}
-	got, ok := DecodeRemapSlot(b)
-	if !ok {
-		t.Fatal("round trip failed to decode")
-	}
-	if got.Seq != rec.Seq || got.Total != rec.Total || !reflect.DeepEqual(got.Entries, rec.Entries) {
-		t.Fatalf("round trip changed the record: %+v -> %+v", rec, got)
+	table := make([]byte, RemapTableLen)
+	copy(RemapFormat.Slot(table, rec.Seq), b)
+	if got, ok, torn := LoadRemapTable(table); !ok || torn || !reflect.DeepEqual(got, rec) {
+		t.Fatalf("round trip: %+v (ok=%v torn=%v), want %+v", got, ok, torn, rec)
 	}
 }
 
+// TestDecodeRemapSlotRejectsDamage: frame damage is internal/twoslot's
+// to catch; the payload check is the table's own. A sealed slot listing
+// more entries than its pool holds is torn, and the record before it
+// rules.
 func TestDecodeRemapSlotRejectsDamage(t *testing.T) {
-	rec := RemapRecord{Seq: 3, Total: 4, Entries: []RemapEntry{{Addr: 0x40}}}
-	good := EncodeRemapRecord(rec)
-	for _, off := range []int{0, 4, 8, 16, 18, remapHeaderLen, remapChecksumOff, remapChecksumOff + 7} {
-		b := append([]byte(nil), good...)
-		b[off] ^= 0xff
-		if _, ok := DecodeRemapSlot(b); ok {
-			t.Errorf("decode accepted a slot with byte %d flipped", off)
-		}
-	}
-	if _, ok := DecodeRemapSlot(good[:RemapSlotLen-1]); ok {
-		t.Error("decode accepted a truncated slot")
-	}
-	// An entry count above the provisioned pool size is structurally
-	// impossible on a real device; a slot claiming it is damage.
-	over := EncodeRemapRecord(RemapRecord{Seq: 1, Total: 2, Entries: []RemapEntry{{Addr: 0x40}, {Addr: 0x80}}})
-	over[16] = 3 // count 3 > total 2; checksum now stale too, but fix it
-	copyChecksum(over)
-	if _, ok := DecodeRemapSlot(over); ok {
-		t.Error("decode accepted count > total")
-	}
-}
-
-// copyChecksum re-seals a slot after a test mutates its header, so the
-// structural checks (not the checksum) are what reject it.
-func copyChecksum(b []byte) {
-	sum := mem.Checksum(b[:remapChecksumOff])
-	for i := 0; i < 8; i++ {
-		b[remapChecksumOff+i] = byte(sum >> (8 * i))
-	}
-}
-
-func TestLoadRemapTableNewestWins(t *testing.T) {
 	table := make([]byte, RemapTableLen)
-	copy(table[:RemapSlotLen], EncodeRemapRecord(RemapRecord{Seq: 4, Total: 3, Entries: []RemapEntry{{Addr: 0x40}, {Addr: 0x80}}}))
-	copy(table[RemapSlotLen:], EncodeRemapRecord(RemapRecord{Seq: 3, Total: 3, Entries: []RemapEntry{{Addr: 0x40}}}))
-	rec, ok, torn := LoadRemapTable(table)
-	if !ok || torn {
-		t.Fatalf("load: ok=%v torn=%v", ok, torn)
-	}
-	if rec.Seq != 4 || len(rec.Entries) != 2 {
-		t.Fatalf("winner is seq %d with %d entries, want seq 4 with 2", rec.Seq, len(rec.Entries))
-	}
-}
-
-func TestLoadRemapTableTornFallsBack(t *testing.T) {
-	table := make([]byte, RemapTableLen)
-	copy(table[:RemapSlotLen], EncodeRemapRecord(RemapRecord{Seq: 4, Total: 3, Entries: []RemapEntry{{Addr: 0x40}, {Addr: 0x80}}}))
-	copy(table[RemapSlotLen:], EncodeRemapRecord(RemapRecord{Seq: 3, Total: 3, Entries: []RemapEntry{{Addr: 0x40}}}))
-	table[8] ^= 0x5a // tear the newest slot's sequence field
-	rec, ok, torn := LoadRemapTable(table)
-	if !ok || !torn {
-		t.Fatalf("load: ok=%v torn=%v, want intact fallback over a torn slot", ok, torn)
-	}
-	if rec.Seq != 3 || len(rec.Entries) != 1 {
-		t.Fatalf("fallback is seq %d with %d entries, want the previous record", rec.Seq, len(rec.Entries))
-	}
-
-	// Repair makes the rollback durable: the torn slot is rewritten from
-	// the winner and a re-entered load sees a fully intact table.
-	if _, ok, torn := RepairRemapTable(table); !ok || !torn {
-		t.Fatalf("repair: ok=%v torn=%v", ok, torn)
-	}
-	rec2, ok2, torn2 := LoadRemapTable(table)
-	if !ok2 || torn2 {
-		t.Fatalf("post-repair load: ok=%v torn=%v", ok2, torn2)
-	}
-	if rec2.Seq != rec.Seq || !reflect.DeepEqual(rec2.Entries, rec.Entries) {
-		t.Fatal("repair changed the ruling record")
-	}
-}
-
-func TestLoadRemapTableEmptySlotIsNotTorn(t *testing.T) {
-	table := make([]byte, RemapTableLen)
-	copy(table[:RemapSlotLen], EncodeRemapRecord(RemapRecord{Total: 2}))
-	rec, ok, torn := LoadRemapTable(table)
-	if !ok || torn {
-		t.Fatalf("freshly formatted table: ok=%v torn=%v", ok, torn)
-	}
-	if rec.Total != 2 || len(rec.Entries) != 0 {
-		t.Fatalf("format record = %+v", rec)
-	}
-}
-
-// TestRemapCommitTearEveryChunk is the exhaustive crash-mid-commit
-// property at the record layer: a commit is ten 64-byte chunk writes,
-// and a crash after any prefix — or tearing any chunk at word
-// granularity — must leave a table that decodes to exactly the old or
-// the new record, never to garbage and never to a false "unformatted".
-func TestRemapCommitTearEveryChunk(t *testing.T) {
-	oldRec := RemapRecord{Seq: 5, Total: 4, Entries: []RemapEntry{{Addr: 0x40}, {Addr: 0x80, Exempt: true}}}
-	newRec := RemapRecord{Seq: 7, Total: 4, Entries: []RemapEntry{{Addr: 0x40}, {Addr: 0x80, Exempt: true}, {Addr: 0x1000}}}
-	otherSlot := EncodeRemapRecord(RemapRecord{Seq: 6, Total: 4, Entries: oldRec.Entries})
-	oldSlot := EncodeRemapRecord(oldRec)
-	newSlot := EncodeRemapRecord(newRec)
-
-	check := func(name string, slot []byte, wantSeq uint64, wantTorn bool) {
-		t.Helper()
-		table := make([]byte, RemapTableLen)
-		copy(table[RemapSlotLen:], slot)      // slot 1: the commit in flight
-		copy(table[:RemapSlotLen], otherSlot) // slot 0: the intact seq-6 record
-		rec, ok, torn := LoadRemapTable(table)
-		if !ok {
-			t.Fatalf("%s: no record rules", name)
-		}
-		if torn != wantTorn {
-			t.Fatalf("%s: torn=%v, want %v", name, torn, wantTorn)
-		}
-		if rec.Seq != wantSeq {
-			t.Fatalf("%s: seq %d rules, want %d", name, rec.Seq, wantSeq)
-		}
-		n := len(rec.Entries)
-		if n != len(oldRec.Entries) && n != len(newRec.Entries) {
-			t.Fatalf("%s: ruling record has %d entries, want %d or %d", name, n, len(oldRec.Entries), len(newRec.Entries))
-		}
-		// Recovery's repair must converge: after one repair the table is
-		// intact and a second load agrees byte for byte.
-		RepairRemapTable(table)
-		rec2, ok2, torn2 := LoadRemapTable(table)
-		if !ok2 || torn2 || rec2.Seq != rec.Seq || !reflect.DeepEqual(rec2.Entries, rec.Entries) {
-			t.Fatalf("%s: repair did not converge (ok=%v torn=%v seq=%d)", name, ok2, torn2, rec2.Seq)
-		}
-	}
-
-	chunks := RemapSlotLen / 64
-	for k := 0; k <= chunks; k++ {
-		// Crash after the k-th chunk write: prefix new, suffix old.
-		slot := append([]byte(nil), oldSlot...)
-		copy(slot[:k*64], newSlot[:k*64])
-		wantSeq, wantTorn := uint64(6), true
-		switch k {
-		case 0:
-			wantSeq, wantTorn = oldRec.Seq, false // commit never started: old slot intact, seq 6 is older
-			if oldRec.Seq < 6 {
-				wantSeq = 6
-			}
-		case chunks:
-			wantSeq, wantTorn = newRec.Seq, false
-		}
-		check("prefix", slot, wantSeq, wantTorn)
-
-		// Crash inside the k-th chunk: prefix new, chunk k torn per word.
-		if k < chunks {
-			var oldL, newL mem.Line
-			copy(oldL[:], oldSlot[k*64:k*64+64])
-			copy(newL[:], newSlot[k*64:k*64+64])
-			if oldL == newL {
-				continue // identical chunk: no observable tear
-			}
-			mixed := MixWords(oldL, newL, 0x2d)
-			if mixed == oldL || mixed == newL {
-				continue
-			}
-			slot := append([]byte(nil), oldSlot...)
-			copy(slot[:k*64], newSlot[:k*64])
-			copy(slot[k*64:k*64+64], mixed[:])
-			check("word-mix", slot, 6, true)
-		}
+	copy(table, EncodeRemapRecord(RemapRecord{Seq: 2, Total: 2, Entries: []RemapEntry{{Addr: 0x40}}}))
+	over := RemapFormat.Slot(table, 3)
+	copy(over, EncodeRemapRecord(RemapRecord{Seq: 3, Total: 2, Entries: []RemapEntry{{Addr: 0x40}, {Addr: 0x80}}}))
+	over[16] = 3
+	RemapFormat.Seal(over, 3)
+	if rec, ok, torn := LoadRemapTable(table); !ok || !torn || rec.Seq != 2 {
+		t.Fatalf("count > total: ruled seq %d (ok=%v torn=%v), want seq 2 over a torn slot", rec.Seq, ok, torn)
 	}
 }
 

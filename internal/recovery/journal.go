@@ -7,14 +7,14 @@
 // word-granularity persistence rules as every other NVM write: a
 // journal record update can tear, and recovery must tolerate that too.
 //
-// The journal is two alternating 192-byte slots. Every record carries
-// the full pass header — the committed rebuilt root and the first
-// pass's report verdicts — plus an optional pending write: the one
-// counter line whose in-place persist is in flight. Records go to slot
-// Seq%2, so a torn record corrupts only the newest slot and the
-// previous record remains loadable; a checksum tells the two apart.
-// Tree-node writes are never journaled individually — they are
-// recomputable from the counters, so the header's root is enough.
+// The journal is a two-slot record (internal/twoslot; DESIGN.md
+// "Two-slot records") of 192-byte slots. Every record carries the full
+// pass header — the committed rebuilt root and the first pass's report
+// verdicts — plus an optional pending write: the one counter line whose
+// in-place persist is in flight. A torn record corrupts only the newest
+// slot and the previous record remains loadable. Tree-node writes are
+// never journaled individually — they are recomputable from the
+// counters, so the header's root is enough.
 //
 // The protocol per Apply pass:
 //
@@ -37,34 +37,31 @@ import (
 	"ccnvm/internal/engine"
 	"ccnvm/internal/mem"
 	"ccnvm/internal/nvm"
+	"ccnvm/internal/twoslot"
 )
 
+// JournalFormat is the journal's two-slot frame.
+var JournalFormat = twoslot.Format{
+	Magic:   "CCRJ\x01", // version 1
+	SealOff: joChecksum,
+	SlotLen: journalSlotLen,
+}
+
+// Slot layout inside the frame (magic [0,5), seq [8,16)): 176 bytes of
+// payload, the checksum, padding to three 64-byte lines.
 const (
-	journalMagic   = "CCRJ"
-	journalVersion = 1
-	// journalSlotLen is one record slot: 176 bytes of payload, an 8-byte
-	// mem.Checksum (CRC-32C) field, padded to three 64-byte lines.
+	joFlags        = 5   // 1 byte: bit0 Active, bit1 PendingValid
+	joRoot         = 6   // 1 byte: ConsistentRoot (0 "", 1 "old", 2 "new")
+	joVerdicts     = 7   // 1 byte: bit0 PotentialReplay, bit1 CrashLossWindow
+	joNwb          = 16  // 8 bytes
+	joNretry       = 24  // 8 bytes
+	joBlocks       = 32  // 4 bytes
+	joLines        = 36  // 4 bytes
+	joRootLine     = 40  // 64 bytes: committed rebuilt root
+	joPendAddr     = 104 // 8 bytes
+	joPendLine     = 112 // 64 bytes
+	joChecksum     = 176 // 8 bytes over [0, 176)
 	journalSlotLen = 192
-	journalLen     = 2 * journalSlotLen
-)
-
-// Slot byte offsets. The payload is checksummed as one unit; the
-// checksum sits at the end so a record torn anywhere fails closed.
-const (
-	joMagic    = 0   // 4 bytes
-	joVersion  = 4   // 1 byte
-	joFlags    = 5   // 1 byte: bit0 Active, bit1 PendingValid
-	joRoot     = 6   // 1 byte: ConsistentRoot (0 "", 1 "old", 2 "new")
-	joVerdicts = 7   // 1 byte: bit0 PotentialReplay, bit1 CrashLossWindow
-	joSeq      = 8   // 8 bytes
-	joNwb      = 16  // 8 bytes
-	joNretry   = 24  // 8 bytes
-	joBlocks   = 32  // 4 bytes
-	joLines    = 36  // 4 bytes
-	joRootLine = 40  // 64 bytes: committed rebuilt root
-	joPendAddr = 104 // 8 bytes
-	joPendLine = 112 // 64 bytes
-	joChecksum = 176 // 8 bytes over [0, 176)
 )
 
 // journalRecord is one decoded journal slot.
@@ -101,8 +98,6 @@ func sameHeader(a, b journalRecord) bool {
 
 func encodeSlot(rec journalRecord) [journalSlotLen]byte {
 	var b [journalSlotLen]byte
-	copy(b[joMagic:], journalMagic)
-	b[joVersion] = journalVersion
 	if rec.Active {
 		b[joFlags] |= 1
 	}
@@ -121,7 +116,6 @@ func encodeSlot(rec journalRecord) [journalSlotLen]byte {
 	if rec.CrashLossWindow {
 		b[joVerdicts] |= 2
 	}
-	binary.LittleEndian.PutUint64(b[joSeq:], rec.Seq)
 	binary.LittleEndian.PutUint64(b[joNwb:], rec.Nwb)
 	binary.LittleEndian.PutUint64(b[joNretry:], rec.Nretry)
 	binary.LittleEndian.PutUint32(b[joBlocks:], uint32(rec.Blocks))
@@ -129,23 +123,18 @@ func encodeSlot(rec journalRecord) [journalSlotLen]byte {
 	copy(b[joRootLine:], rec.Root[:])
 	binary.LittleEndian.PutUint64(b[joPendAddr:], uint64(rec.PendingAddr))
 	copy(b[joPendLine:], rec.PendingLine[:])
-	binary.LittleEndian.PutUint64(b[joChecksum:], mem.Checksum(b[:joChecksum]))
+	JournalFormat.Seal(b[:], rec.Seq)
 	return b
 }
 
-func decodeSlot(b []byte) (journalRecord, bool) {
-	if len(b) < journalSlotLen || string(b[joMagic:joMagic+4]) != journalMagic || b[joVersion] != journalVersion {
-		return journalRecord{}, false
-	}
-	if binary.LittleEndian.Uint64(b[joChecksum:]) != mem.Checksum(b[:joChecksum]) {
-		return journalRecord{}, false
-	}
+// decodeSlot reads the payload of a valid slot.
+func decodeSlot(b []byte) journalRecord {
 	rec := journalRecord{
 		Active:          b[joFlags]&1 != 0,
 		PendingValid:    b[joFlags]&2 != 0,
 		PotentialReplay: b[joVerdicts]&1 != 0,
 		CrashLossWindow: b[joVerdicts]&2 != 0,
-		Seq:             binary.LittleEndian.Uint64(b[joSeq:]),
+		Seq:             twoslot.Seq(b),
 		Nwb:             binary.LittleEndian.Uint64(b[joNwb:]),
 		Nretry:          binary.LittleEndian.Uint64(b[joNretry:]),
 		Blocks:          int(binary.LittleEndian.Uint32(b[joBlocks:])),
@@ -160,36 +149,25 @@ func decodeSlot(b []byte) (journalRecord, bool) {
 	}
 	copy(rec.Root[:], b[joRootLine:])
 	copy(rec.PendingLine[:], b[joPendLine:])
-	return rec, true
+	return rec
 }
 
-// loadJournal returns the newest intact record. A record torn mid-write
-// fails its checksum and the previous record (the other slot) rules.
+// loadJournal returns the newest valid record. A record torn mid-write
+// is not there, and the previous record (the other slot) rules; the
+// torn slot is never repaired, the next record written overwrites it.
 func loadJournal(img *engine.CrashImage) (journalRecord, bool) {
-	if len(img.RecoveryJournal) != journalLen {
+	c := JournalFormat.Choose(img.RecoveryJournal, nil)
+	if c.Winner == nil {
 		return journalRecord{}, false
 	}
-	r0, ok0 := decodeSlot(img.RecoveryJournal[:journalSlotLen])
-	r1, ok1 := decodeSlot(img.RecoveryJournal[journalSlotLen:])
-	switch {
-	case ok0 && ok1:
-		if r1.Seq > r0.Seq {
-			return r1, true
-		}
-		return r0, true
-	case ok0:
-		return r0, true
-	case ok1:
-		return r1, true
-	}
-	return journalRecord{}, false
+	return decodeSlot(c.Winner), true
 }
 
 // ensureJournal reserves the journal region. Allocation is not a
 // persisted write: hardware pre-provisions the lines at format time.
 func ensureJournal(img *engine.CrashImage) {
-	if len(img.RecoveryJournal) != journalLen {
-		img.RecoveryJournal = make([]byte, journalLen)
+	if n := JournalFormat.TableLen(); len(img.RecoveryJournal) != n {
+		img.RecoveryJournal = make([]byte, n)
 	}
 }
 
@@ -281,32 +259,20 @@ func (w *journalWriter) tearLine(a mem.Addr, l mem.Line) {
 }
 
 // writeSlot persists one journal-record update into slot Seq%2; false
-// means the interrupt fired.
+// means the interrupt fired. A struck update tears per 64-byte chunk,
+// each chunk deciding its fate at a pseudo-address past the end of the
+// layout (the journal's reserved lines live outside the data/metadata
+// regions); with no fault model it drops whole.
 func (w *journalWriter) writeSlot(rec journalRecord) bool {
 	buf := encodeSlot(rec)
-	off := int(rec.Seq%2) * journalSlotLen
+	slot := JournalFormat.Slot(w.img.RecoveryJournal, rec.Seq)
 	if w.strike() {
-		w.tearSlot(off, buf)
+		if w.itr.Faults != nil {
+			base := mem.Addr(w.img.Image.Layout.TotalBytes()) + mem.Addr(JournalFormat.Off(rec.Seq))
+			w.itr.Faults.TearChunks(slot, slot, buf[:], base, w.itr.Seq)
+		}
 		return false
 	}
-	copy(w.img.RecoveryJournal[off:], buf[:])
+	copy(slot, buf[:])
 	return true
-}
-
-// tearSlot tears a struck record update per 64-byte chunk, each chunk
-// deciding its fate at a pseudo-address past the end of the layout (the
-// journal's reserved lines live outside the data/metadata regions).
-func (w *journalWriter) tearSlot(off int, buf [journalSlotLen]byte) {
-	if w.itr.Faults == nil {
-		return // dropped whole
-	}
-	base := mem.Addr(w.img.Image.Layout.TotalBytes())
-	for c := 0; c < journalSlotLen; c += mem.LineSize {
-		var old, new mem.Line
-		copy(old[:], w.img.RecoveryJournal[off+c:])
-		copy(new[:], buf[c:])
-		mask := w.itr.Faults.TearMask(base+mem.Addr(off+c), w.itr.Seq)
-		mixed := nvm.MixWords(old, new, mask)
-		copy(w.img.RecoveryJournal[off+c:], mixed[:])
-	}
 }

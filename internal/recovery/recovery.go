@@ -198,8 +198,21 @@ type Recovered struct {
 // get the conservative generic procedure (design.ForImage). An image
 // whose recovery journal is active — power failed during a previous
 // Apply — resumes that pass instead of recovering from scratch.
+//
+// A finite spare pool's remap table is replayed first: the newest valid
+// record rules and a torn slot — a remap commit caught in flight — is
+// repaired from it, making the rollback durable. The mappings a
+// rolled-back commit loses need no further replay: the affected lines
+// re-present as stuck or weak and are remapped again in service, which
+// is why a lost mapping is never misread as tampering. With no record
+// ruling the table reads as unformatted: the pool restarts empty.
 func Recover(img *engine.CrashImage) *Report {
-	spares, hasSpares := replayRemapTable(img)
+	var spares nvm.RemapRecord
+	var sparesTorn bool
+	hasSpares := img != nil && img.Image != nil && len(img.Image.RemapTable) > 0
+	if hasSpares {
+		spares, _, sparesTorn = nvm.RepairRemapTable(img.Image.RemapTable)
+	}
 	var r *Report
 	if rec, ok := loadJournal(img); ok && rec.Active {
 		r = resumeRecover(img, rec)
@@ -212,39 +225,11 @@ func Recover(img *engine.CrashImage) *Report {
 		}
 	}
 	if hasSpares {
-		r.SparesTotal = spares.rec.Total
-		r.SparesUsed = len(spares.rec.Entries)
-		r.RemapTableTorn = spares.torn
+		r.SparesTotal = spares.Total
+		r.SparesUsed = len(spares.Entries)
+		r.RemapTableTorn = sparesTorn
 	}
 	return r
-}
-
-// spareReplay is the outcome of the pre-walk remap-table validation.
-type spareReplay struct {
-	rec  nvm.RemapRecord
-	torn bool
-}
-
-// replayRemapTable validates the finite spare pool's remap table before
-// the four-step walk, mirroring the two-slot journal rules: both slots
-// are decoded, the newest intact record wins, and a torn slot — a remap
-// commit caught in flight — is repaired from the winner, making the
-// rollback durable. The mappings a rolled-back commit loses need no
-// further replay: the affected lines re-present as stuck or weak and
-// are remapped again in service, which is why a lost mapping is never
-// misread as tampering. Images without a table (the unlimited legacy
-// pool) return ok=false and are untouched.
-func replayRemapTable(img *engine.CrashImage) (spareReplay, bool) {
-	if img == nil || img.Image == nil || len(img.Image.RemapTable) == 0 {
-		return spareReplay{}, false
-	}
-	rec, ok, torn := nvm.RepairRemapTable(img.Image.RemapTable)
-	if !ok {
-		// No intact record at all: treat the table as unformatted. The
-		// pool restarts empty; runtime remaps re-commit as lines fail.
-		return spareReplay{torn: torn}, true
-	}
-	return spareReplay{rec: rec, torn: torn}, true
 }
 
 // resumeRecover rebuilds a Report for an image whose recovery was
@@ -735,7 +720,7 @@ func ApplyInterrupted(img *engine.CrashImage, rep *Report, itr *Interrupt) (Reco
 		return Recovered{}, false
 	}
 	buf := encodeSlot(rec)
-	copy(img.RecoveryJournal[int(rec.Seq%2)*journalSlotLen:], buf[:])
+	copy(JournalFormat.Slot(img.RecoveryJournal, rec.Seq), buf[:])
 	img.TCB = engine.TCB{RootNew: root, RootOld: root, Nwb: 0}
 	return Recovered{TCB: img.TCB}, true
 }

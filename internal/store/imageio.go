@@ -10,6 +10,7 @@ import (
 	"ccnvm/internal/engine"
 	"ccnvm/internal/mem"
 	"ccnvm/internal/nvm"
+	"ccnvm/internal/recovery"
 	"ccnvm/internal/seccrypto"
 )
 
@@ -85,7 +86,8 @@ func EncodeImage(img *engine.CrashImage) ([]byte, error) {
 
 // DecodeImage parses bytes produced by EncodeImage, and only those:
 // anything that would not re-encode to the same bytes (unsorted or
-// repeated addresses, a flag byte other than 0 or 1) is refused with
+// repeated addresses, a flag byte other than 0 or 1, a journal or
+// remap table other than absent or whole) is refused with
 // ErrImageCorrupt like any other damage. Magic and version are checked
 // before the seal: a file of another version carries another seal, and
 // must be refused by number, not as corrupt bytes.
@@ -130,6 +132,14 @@ func DecodeImage(b []byte) (*engine.CrashImage, error) {
 	remap := r.bytes()
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrImageCorrupt, r.err)
+	}
+	// A short remap table would pass for a finite pool that the next
+	// commit slices past.
+	if n := len(img.RecoveryJournal); n != 0 && n != recovery.JournalFormat.TableLen() {
+		return nil, fmt.Errorf("%w: recovery journal of %d bytes", ErrImageCorrupt, n)
+	}
+	if n := len(remap); n != 0 && n != nvm.RemapTableLen {
+		return nil, fmt.Errorf("%w: remap table of %d bytes", ErrImageCorrupt, n)
 	}
 	lay, err := mem.NewLayout(capacity)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"ccnvm/internal/engine"
 	"ccnvm/internal/mem"
+	"ccnvm/internal/nvm"
 	"ccnvm/internal/store"
 )
 
@@ -237,30 +238,39 @@ func TestImageDecodeBoundsHostileCounts(t *testing.T) {
 
 // TestImageDecodeRefusesNonCanonical: bytes EncodeImage never writes
 // are refused even when correctly sealed — a media-fault flag other
-// than 0 or 1, and line records out of address order — so whatever
-// decodes re-encodes to the same file.
+// than 0 or 1, line records out of address order, a recovery journal or
+// remap table that is neither absent nor whole — so whatever decodes
+// re-encodes to the same file.
 func TestImageDecodeRefusesNonCanonical(t *testing.T) {
 	img := crashedImage(t, "ccnvm")
-	good, err := store.EncodeImage(img)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The fixture has no variable-length fields (TestImageDecodeBoundsHostileCounts
 	// checks that), so the media-fault flag follows the two map counts.
 	varOff := 8 + 4 + 4 + len(img.Design) + 8 + 8 + len(img.Keys.AES) + len(img.Keys.HMAC) + 2*mem.LineSize + 8
 	first := varOff + 25 + 8
 	for _, tc := range []struct {
-		want string
-		edit func(b []byte)
+		want  string
+		image func(img *engine.CrashImage)
+		edit  func(b []byte)
 	}{
-		{"media-fault flag 2", func(b []byte) { b[varOff+8] = 2 }},
-		{"out of address order", func(b []byte) {
+		{"media-fault flag 2", nil, func(b []byte) { b[varOff+8] = 2 }},
+		{"out of address order", nil, func(b []byte) {
 			copy(b[first+8+mem.LineSize:first+16+mem.LineSize], b[first:first+8])
 		}},
+		{"recovery journal of 192 bytes", func(img *engine.CrashImage) { img.RecoveryJournal = make([]byte, 192) }, nil},
+		{"remap table of 640 bytes", func(img *engine.CrashImage) { img.Image.RemapTable = make([]byte, nvm.RemapSlotLen) }, nil},
 	} {
-		b := append([]byte(nil), good...)
-		tc.edit(b)
-		_, err := store.DecodeImage(reseal(b))
+		img := crashedImage(t, "ccnvm")
+		if tc.image != nil {
+			tc.image(img)
+		}
+		b, err := store.EncodeImage(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.edit != nil {
+			tc.edit(b)
+		}
+		_, err = store.DecodeImage(reseal(b))
 		if !errors.Is(err, store.ErrImageCorrupt) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("err = %v, want ErrImageCorrupt naming %q", err, tc.want)
 		}
