@@ -135,7 +135,9 @@ torture-guided:
 # including between a batch frame's payload lines and its commit
 # header — for every crash-consistent design, re-crashes recovery
 # itself (-reboots), and holds the recovered namespace to the KV
-# oracles: acked batches durable, no partial batch ever visible.
+# oracles: acked batches durable, no partial batch ever visible. KV
+# cells are ordinary torture cells (workload=kv): the same worker pool,
+# shrinker, -json summary and one-line -repro as the trace matrix.
 torture-kv:
 	$(GO) run ./cmd/ccnvm-torture -kv -seeds 2 -designs all -reboots 2
 
@@ -145,7 +147,8 @@ torture-kv:
 # manifest slot write itself, and inside the retired half's reclaim —
 # with recovery re-crashed on top (-reboots) and the compaction
 # oracles (generation intact, no ghost resurrection, no lost acked
-# write, reclaim monotonic, recovery idempotent) holding throughout.
+# write, reclaim monotonic, recovery idempotent) holding throughout. A
+# failure replays with -repro '...,workload=kv,...,compact=2'.
 torture-compact:
 	$(GO) run ./cmd/ccnvm-torture -kv -kv-compact 2 -seeds 2 -designs all -reboots 2
 

@@ -17,6 +17,7 @@
 //	ccnvm-torture -guided                           # ordering-aware crash points + edge-coverage table
 //	ccnvm-torture -kv -reboots 2                    # crash the KV namespace at every write boundary
 //	ccnvm-torture -kv -kv-compact 2                 # add the log-compaction crash axis
+//	ccnvm-torture -repro 'design=ccnvm,workload=kv,seed=7,batches=5,crash=12,compact=2'
 //	ccnvm-torture -campaign docs/status/durability_report.md  # regenerate the durability report
 //	ccnvm-torture -oracles                          # list the invariants
 package main
@@ -29,6 +30,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -52,8 +54,7 @@ func main() {
 		rebootEvery = flag.String("reboot-every", "", "comma-separated strike strides for reboot cells (default 2,3,5)")
 		budget      = flag.Int("budget", 0, "max cells, evenly sampled after dropping refused cells (0 = run all)")
 		guided      = flag.Bool("guided", false, "ordering-aware crash points: profile each trace's persist-ordering graph and schedule one point per distinct edge cut; reports edge coverage vs evenly spaced points")
-		kvMode      = flag.Bool("kv", false, "KV-namespace crash cells: sweep every host-write boundary per design and assert atomic batch recovery (-reboots adds the reboot-loop axis)")
-		kvBatches   = flag.Int("kv-batches", 5, "batches per KV cell workload")
+		kvMode      = flag.Bool("kv", false, "KV-namespace crash cells instead of trace cells: sweep every host-write boundary per design and assert atomic batch recovery (-reboots adds the reboot-loop axis)")
 		kvCompact   = flag.Int("kv-compact", 0, "KV compaction crash axis: also sweep cells that compact after every k-th acked batch (0 = no compact cells)")
 		campaign    = flag.String("campaign", "", "run the fixed durability campaign and write the report to this markdown path (JSON artifact written beside it); other matrix flags are ignored")
 		parallel    = flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
@@ -67,7 +68,7 @@ func main() {
 	flag.Parse()
 
 	if *oracles {
-		for _, o := range torture.Oracles() {
+		for _, o := range slices.Concat(torture.Oracles(), torture.KVOracles()) {
 			fmt.Printf("%-16s %s\n", o.Name, o.Doc)
 		}
 		return
@@ -115,12 +116,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *kvMode {
-		if err := runKV(runner, designList, *seeds, *kvBatches, *reboots, *kvCompact, strides, *jsonOut); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	opts := torture.MatrixOpts{
 		Designs:     designList,
 		Workloads:   splitList(*workloads, nil, nil),
@@ -133,6 +128,8 @@ func main() {
 		RebootEvery: strides,
 		Spares:      *spares,
 		Budget:      *budget,
+		KV:          *kvMode,
+		KVCompact:   *kvCompact,
 	}
 	var cells []torture.Cell
 	var coverage []torture.CoverageStat
@@ -146,10 +143,14 @@ func main() {
 	}
 	if !*jsonOut {
 		mode := ""
-		if *guided {
+		if coverage != nil {
 			mode = " (guided crash points)"
 		}
-		fmt.Printf("torture: running %d cells on %d designs%s...\n", len(cells), len(opts.Designs), mode)
+		designs := map[string]bool{}
+		for _, c := range cells {
+			designs[c.Design] = true
+		}
+		fmt.Printf("torture: running %d cells on %d designs%s...\n", len(cells), len(designs), mode)
 	}
 	var progress func(done, total int, f *torture.Failure)
 	if *verbose && !*jsonOut {
@@ -179,7 +180,9 @@ func main() {
 
 	start := time.Now()
 	sum := torture.RunMatrix(ctx, runner, cells, *parallel, progress)
-	if *guided {
+	if coverage != nil {
+		// Only a guided trace enumeration has coverage rows: -kv sweeps
+		// every write boundary, so -guided leaves it unchanged.
 		sum.Mode = "guided"
 		sum.Coverage = coverage
 	}
@@ -195,91 +198,11 @@ func main() {
 		for _, f := range sum.Failures {
 			fmt.Printf("  oracle %s: %s\n    repro: %s (shrunk in %d runs)\n", f.Oracle, f.Detail, f.Repro, f.ShrinkRuns)
 		}
-		if *guided {
-			fmt.Print(torture.DescribeCoverage(coverage))
-		}
+		fmt.Print(torture.DescribeCoverage(coverage))
 	}
 	if sum.Failed() || sum.Interrupted {
 		os.Exit(1)
 	}
-}
-
-// runKV sweeps the KV crash cells: for each crash-consistent design and
-// seed, crash the namespace at every host-write boundary (then once at
-// each boundary under the reboot-loop axis when -reboots is set, and
-// once more under the compaction axis when -kv-compact is set) and
-// check the KV oracles. Designs that are not crash-consistent are
-// skipped — the KV contract does not apply to them.
-func runKV(runner *torture.Runner, designs []string, seeds, batches, reboots, compactEvery int, strides []int, jsonOut bool) error {
-	kvOK := map[string]bool{}
-	for _, d := range torture.KVDesigns() {
-		kvOK[d] = true
-	}
-	if len(strides) == 0 {
-		strides = []int{2}
-	}
-	type kvSummary struct {
-		Designs  []string           `json:"designs"`
-		Skipped  []string           `json:"skipped,omitempty"`
-		Cells    int                `json:"cells"`
-		Failures []*torture.Failure `json:"failures,omitempty"`
-	}
-	var sum kvSummary
-	start := time.Now()
-	for _, d := range designs {
-		if !kvOK[d] {
-			sum.Skipped = append(sum.Skipped, d)
-			continue
-		}
-		sum.Designs = append(sum.Designs, d)
-		for seed := 0; seed < seeds; seed++ {
-			specs := []torture.KVCell{{Design: d, Seed: int64(seed), Batches: batches}}
-			if reboots > 0 {
-				specs = append(specs, torture.KVCell{
-					Design: d, Seed: int64(seed), Batches: batches,
-					Reboots: reboots, RebootEvery: strides[seed%len(strides)],
-				})
-			}
-			if compactEvery > 0 {
-				specs = append(specs, torture.KVCell{
-					Design: d, Seed: int64(seed), Batches: batches, CompactEvery: compactEvery,
-				})
-				if reboots > 0 {
-					specs = append(specs, torture.KVCell{
-						Design: d, Seed: int64(seed), Batches: batches, CompactEvery: compactEvery,
-						Reboots: reboots, RebootEvery: strides[seed%len(strides)],
-					})
-				}
-			}
-			for _, spec := range specs {
-				fail, cells := runner.KVSweep(spec)
-				sum.Cells += cells
-				if fail != nil {
-					sum.Failures = append(sum.Failures, fail)
-				}
-			}
-		}
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(sum); err != nil {
-			return err
-		}
-	} else {
-		fmt.Printf("kv torture: %d cells on %d designs, %d failures [%s]\n",
-			sum.Cells, len(sum.Designs), len(sum.Failures), time.Since(start).Round(time.Millisecond))
-		if len(sum.Skipped) > 0 {
-			fmt.Printf("  skipped (not crash-consistent): %s\n", strings.Join(sum.Skipped, ", "))
-		}
-		for _, f := range sum.Failures {
-			fmt.Printf("  oracle %s: %s\n", f.Oracle, f.Detail)
-		}
-	}
-	if len(sum.Failures) > 0 {
-		os.Exit(1)
-	}
-	return nil
 }
 
 // runCampaign executes the fixed durability campaign and writes the

@@ -140,13 +140,13 @@ func BrokenRunner(mode string) (*Runner, error) {
 		// enumeration schedules a point per distinct edge cut and lands in
 		// the window; evenly spaced points at the same budget straddle it.
 		// Fault-model cells run unsabotaged: the knob is incompatible with
-		// crash-time tear composition and those cells are not the test.
+		// crash-time tear composition and those cells are not the test;
+		// neither are KV cells.
 		return &Runner{
-			ArmController: func(c Cell, ctrl *store.Store) {
-				if c.Faulty() {
-					return
+			Arm: func(c Cell, st *store.Store, _ *kv.DB) {
+				if !c.Faulty() && !c.KV() {
+					st.SabotageReorderPersist(reorderAfterCommits)
 				}
-				ctrl.SabotageReorderPersist(reorderAfterCommits)
 			},
 		}, nil
 	case "break-remap-commit":
@@ -160,9 +160,9 @@ func BrokenRunner(mode string) (*Runner, error) {
 		// finite-pool cells arm the knob; the rest of the matrix runs
 		// clean.
 		return &Runner{
-			ArmController: func(c Cell, ctrl *store.Store) {
+			Arm: func(c Cell, st *store.Store, _ *kv.DB) {
 				if c.Spares > 0 {
-					ctrl.Device().SabotageDropRemapCommit()
+					st.Device().SabotageDropRemapCommit()
 				}
 			},
 		}, nil
@@ -177,7 +177,7 @@ func BrokenRunner(mode string) (*Runner, error) {
 		// and resurrection checks behind it) must catch it on any compact
 		// cell; non-compact cells run clean.
 		return &Runner{
-			ArmDB: func(c KVCell, db *kv.DB) {
+			Arm: func(c Cell, _ *store.Store, db *kv.DB) {
 				if c.CompactEvery > 0 {
 					db.SabotageDropManifestCommit()
 				}

@@ -5,9 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"ccnvm/internal/design/names"
 )
@@ -232,7 +230,11 @@ func RunCampaign(ctx context.Context, o MatrixOpts, parallel int) (*CampaignResu
 		return nil, err
 	}
 	cells = append(cells, RegressionCells...)
-	outcomes := classifyCells(ctx, DefaultRunner(), cells, parallel)
+	// Outcomes are collected by index, so the census is deterministic
+	// under parallelism.
+	outcomes := make([]Outcome, len(cells))
+	r := DefaultRunner()
+	forEachCell(ctx, len(cells), parallel, func(i int) { outcomes[i] = r.ClassifyCell(cells[i]) })
 
 	res := &CampaignResult{
 		Schema: CampaignSchema,
@@ -274,38 +276,6 @@ func RunCampaign(ctx context.Context, o MatrixOpts, parallel int) (*CampaignResu
 	}
 	res.Sabotage = runSabotageSection(ctx)
 	return res, nil
-}
-
-// classifyCells classifies every cell on a worker pool, collecting
-// outcomes by index so the census is deterministic under parallelism.
-func classifyCells(ctx context.Context, r *Runner, cells []Cell, parallel int) []Outcome {
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(cells) && len(cells) > 0 {
-		parallel = len(cells)
-	}
-	outcomes := make([]Outcome, len(cells))
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				outcomes[i] = r.ClassifyCell(cells[i])
-			}
-		}()
-	}
-	for i := range cells {
-		select {
-		case <-ctx.Done():
-		case idxCh <- i:
-		}
-	}
-	close(idxCh)
-	wg.Wait()
-	return outcomes
 }
 
 // runSabotageSection runs the reorder-persist defect over the pinned

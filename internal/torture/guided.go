@@ -46,8 +46,8 @@ func frac(n, d int) float64 {
 
 // ProfileTrace drives the full (design, workload, seed, ops, n) trace
 // on a fresh faultless engine with a persist-order recorder attached
-// and returns the resulting ordering graph. The drive loop mirrors
-// RunCell's exactly, so the event op tags align with the harness's
+// and returns the resulting ordering graph. The drive loop is RunCell's
+// (driveTrace), so the event op tags align with the harness's
 // crash-point semantics: a cell crashing at k observes precisely the
 // events tagged Op < k.
 func ProfileTrace(designName, workload string, seed int64, ops int, n uint64) (*porder.Graph, error) {
@@ -61,18 +61,10 @@ func ProfileTrace(designName, workload string, seed int64, ops int, n uint64) (*
 	}
 	rec := porder.NewRecorder()
 	rec.Attach(ctrl)
-	now := int64(0)
-	for i, op := range trOps {
+	driveTrace(eng, trOps, nil, func(i int, _ trace.Op, now int64) (int64, bool) {
 		rec.BeginOp(i)
-		now += int64(op.Gap)
-		switch op.Kind {
-		case trace.Store:
-			now = eng.WriteBack(now, op.Addr, pattern(op.Addr, byte(i))) + 8
-		case trace.Load:
-			_, done := eng.ReadBlock(now, op.Addr)
-			now = done + 8
-		}
-	}
+		return now, true
+	})
 	if err := ctrl.Err(); err != nil {
 		return nil, fmt.Errorf("torture: profiling %s/%s seed %d: %w", designName, workload, seed, err)
 	}
@@ -85,12 +77,17 @@ func ProfileTrace(designName, workload string, seed int64, ops int, n uint64) (*
 // edge cut (greedy set cover, at most CrashPts points — the same
 // per-trace budget the random matrix spends). Traces pin their update
 // limit by seed so one profiling run serves all of the trace's crash
-// points. Fault and reboot cells ride along unchanged — their crash
-// points probe media damage and re-entrancy, not ordering — and the
-// budget applies after the same refusal filtering as the random
-// matrix, so -budget sweeps are mode-comparable.
+// points. Fault, reboot and spare cells ride along unchanged — their
+// crash points probe media damage, re-entrancy and wear, not ordering —
+// and the budget applies after the same refusal filtering as the random
+// matrix, so -budget sweeps are mode-comparable. KV cells crash at
+// write boundaries, not trace ops: with o.KV the enumeration is
+// EnumerateCells's, without coverage rows.
 func EnumerateGuidedCells(o MatrixOpts) ([]Cell, []CoverageStat, error) {
 	o = o.withDefaults()
+	if o.KV {
+		return EnumerateCells(o), nil, nil
+	}
 	var cells []Cell
 	var stats []CoverageStat
 	for _, d := range o.Designs {
@@ -128,9 +125,7 @@ func EnumerateGuidedCells(o MatrixOpts) ([]Cell, []CoverageStat, error) {
 			stats = append(stats, st)
 		}
 	}
-	cells = appendFaultCells(cells, o)
-	cells = appendRebootCells(cells, o)
-	return applyBudget(cells, o), stats, nil
+	return applyBudget(appendAxisCells(cells, o), o), stats, nil
 }
 
 // SabotageMatrixOpts is the pinned matrix slice of the guided-mode

@@ -188,3 +188,29 @@ func TestReorderPersistSelfTest(t *testing.T) {
 	}
 	t.Logf("reorder-persist caught by %q, shrunk in %d runs: %s", f.Oracle, f.ShrinkRuns, f.Repro)
 }
+
+// TestGuidedCarriesSpareCells: guided enumeration rides the same fault,
+// reboot and spare cells as the evenly spaced matrix — spares included,
+// which it once dropped.
+func TestGuidedCarriesSpareCells(t *testing.T) {
+	o := MatrixOpts{
+		Designs: []string{"ccnvm"}, Workloads: []string{"hot"},
+		Attacks: []string{"none"}, Seeds: 1, CrashPts: 1, Spares: 3,
+	}
+	guided, _, err := EnumerateGuidedCells(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(cells []Cell) int {
+		n := 0
+		for _, c := range cells {
+			if c.Spares > 0 {
+				n++
+			}
+		}
+		return n
+	}
+	if got, want := count(guided), count(EnumerateCells(o)); got != want || want != 3 {
+		t.Fatalf("guided enumeration carries %d spare cells, evenly spaced %d; want 3 each", got, want)
+	}
+}

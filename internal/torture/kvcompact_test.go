@@ -1,6 +1,8 @@
 package torture
 
 import (
+	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -20,10 +22,8 @@ func TestKVCompactCrashSweep(t *testing.T) {
 	for _, d := range designs {
 		t.Run(d, func(t *testing.T) {
 			t.Parallel()
-			fail, cells := r.KVSweep(KVCell{Design: d, Seed: 7, Batches: 6, CompactEvery: 2})
-			if fail != nil {
-				t.Fatal(fail.Detail)
-			}
+			spec := Cell{Design: d, Workload: KVWorkload, Seed: 7, Batches: 6, Attack: "none", CompactEvery: 2}
+			cells := runKVSweep(t, r, spec, 1)
 			if cells < 10 {
 				t.Fatalf("compact sweep covered only %d crash points; workload too small to matter", cells)
 			}
@@ -39,77 +39,72 @@ func TestKVCompactCrashSweep(t *testing.T) {
 // the looped recovery must land on the same namespace as a single-shot
 // recovery of a pristine clone.
 func TestKVCompactRebootLoopAxis(t *testing.T) {
-	r := DefaultRunner()
-	cells := 0
-	for n := 0; ; n += 3 {
-		c := KVCell{Design: "ccnvm", Seed: 11, Batches: 5, CrashWrite: n,
-			Reboots: 2, RebootEvery: 2, CompactEvery: 2}
-		fail, struck := r.RunKVCell(c)
-		cells++
-		if fail != nil {
-			t.Fatal(fail.Detail)
-		}
-		if !struck {
-			break
-		}
-	}
+	spec := Cell{Design: "ccnvm", Workload: KVWorkload, Seed: 11, Batches: 5, Attack: "none",
+		Reboots: 2, RebootEvery: 2, CompactEvery: 2}
+	cells := runKVSweep(t, DefaultRunner(), spec, 3)
 	if cells < 4 {
 		t.Fatalf("only %d compact reboot-loop cells ran", cells)
 	}
 	t.Logf("%d compact reboot-loop cells survived", cells)
 }
 
-// TestKVCompactCellValidate rejects a negative compaction stride and
-// keeps the spec string round-trippable for compact cells.
+// TestKVCompactCellValidate: Validate refuses a negative compaction
+// stride and accepts a positive one, which the cell's spec then names.
 func TestKVCompactCellValidate(t *testing.T) {
-	err := (KVCell{Design: "ccnvm", Batches: 3, CompactEvery: -1}).Validate()
-	if err == nil || !strings.Contains(err.Error(), "compact-every") {
-		t.Fatalf("negative compact-every accepted: %v", err)
+	c := Cell{Design: "ccnvm", Workload: KVWorkload, Attack: "none", Seed: 1, Batches: 3, CrashAt: 4, CompactEvery: -1}
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "compaction stride") {
+		t.Fatalf("negative compaction stride accepted: %v", err)
 	}
-	if err := (KVCell{Design: "ccnvm", Batches: 3, CompactEvery: 2}).Validate(); err != nil {
+	c.CompactEvery = 2
+	if err := c.Validate(); err != nil {
 		t.Fatalf("valid compact cell rejected: %v", err)
 	}
-	c := KVCell{Design: "ccnvm", Seed: 1, Batches: 3, CrashWrite: 4, CompactEvery: 2}
-	if s := c.String(); !strings.Contains(s, "compact-every=2") {
-		t.Fatalf("compact stride missing from cell spec: %q", s)
+	if s := c.String(); !strings.Contains(s, "compact=2") {
+		t.Fatalf("compaction stride missing from cell spec: %q", s)
 	}
 }
 
 // TestBrokenCompactSwitchCaught proves the compaction oracles have
-// teeth: a compactor that switches and reclaims without ever writing
-// the manifest commit must be caught, the failing cell must shrink to
-// something smaller, and the shrunk cell must pass the unsabotaged
-// runner.
+// teeth on the path `ccnvm-torture -kv -kv-compact 2 -break
+// break-compact-switch` takes: a compactor that switches and reclaims
+// without ever writing the manifest commit must fail compact cells (and
+// only those) in RunMatrix, each failure must name its cell and carry a
+// shrunk repro, and the repro must parse back, still fail under the
+// sabotage and pass on the real compactor.
 func TestBrokenCompactSwitchCaught(t *testing.T) {
 	r, err := BrokenRunner("break-compact-switch")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := KVCell{Design: "ccnvm", Seed: 5, Batches: 6, CrashWrite: -1, CompactEvery: 2}
-	fail, _ := r.RunKVCell(c)
-	if fail == nil {
-		t.Fatal("break-compact-switch slipped past every compaction oracle")
+	cells := EnumerateCells(MatrixOpts{Designs: []string{"ccnvm"}, Seeds: 1, KV: true, KVCompact: 2, Budget: 12})
+	sum := RunMatrix(context.Background(), r, cells, 0, nil)
+	if !sum.Failed() {
+		t.Fatalf("break-compact-switch slipped past every compaction oracle over %d cells", sum.Cells)
 	}
-	min, runs := ShrinkKVCell(r, c, fail.Oracle, 64)
-	if min.Batches > c.Batches {
-		t.Fatalf("shrink grew the cell: %s", min)
+	for _, f := range sum.Failures {
+		if f.Cell.Design == "" || f.Cell.CompactEvery == 0 {
+			t.Fatalf("failure on a non-compact or anonymous cell %q: %s", f.Cell, f.Detail)
+		}
 	}
-	again, _ := r.RunKVCell(min)
-	if again == nil {
-		t.Fatalf("minimized cell %s no longer fails", min)
+	f := sum.Failures[0]
+	if js, _ := json.Marshal(f); !strings.Contains(string(js), `"design":"ccnvm","workload":"kv"`) {
+		t.Fatalf("-json failure does not name its cell: %s", js)
 	}
-	if again.Oracle != fail.Oracle {
-		t.Fatalf("minimized cell fails a different oracle: %s vs %s", again.Oracle, fail.Oracle)
+	if f.ShrinkRuns == 0 || f.Cell.Batches > kvBatches {
+		t.Fatalf("failure was not shrunk: %+v", f)
 	}
-	if g, _ := DefaultRunner().RunKVCell(min); g != nil {
-		t.Fatalf("minimized cell also fails the real compactor: %v", g.Detail)
+	spec := strings.TrimSuffix(strings.TrimPrefix(f.Repro, "go run ./cmd/ccnvm-torture -repro '"), "'")
+	cell, err := ParseCell(spec)
+	if err != nil || cell != f.Cell {
+		t.Fatalf("repro %q does not parse back to %s: %v", f.Repro, f.Cell, err)
 	}
-	// The sabotage must not poison non-compact cells: the same runner on
-	// a plain cell stays clean.
-	if g, _ := r.RunKVCell(KVCell{Design: "ccnvm", Seed: 5, Batches: 3, CrashWrite: -1}); g != nil {
-		t.Fatalf("break-compact-switch leaked into a non-compact cell: %v", g.Detail)
+	if again := r.RunCell(cell); again == nil || again.Oracle != f.Oracle {
+		t.Fatalf("minimized repro %s no longer fails %s: %v", f.Repro, f.Oracle, again)
 	}
-	t.Logf("break-compact-switch caught by oracle %q, shrunk to %s in %d runs", fail.Oracle, min, runs)
+	if g := DefaultRunner().RunCell(cell); g != nil {
+		t.Fatalf("minimized cell also fails the real compactor: %v", g)
+	}
+	t.Logf("break-compact-switch caught by oracle %q, shrunk in %d runs: %s", f.Oracle, f.ShrinkRuns, f.Repro)
 }
 
 // FuzzKVCompactCell fuzzes the compaction axis: any (seed, batches,
@@ -121,21 +116,19 @@ func FuzzKVCompactCell(f *testing.F) {
 	f.Add(int64(3), uint8(8), int16(-1), uint8(3), uint8(0))
 	r := DefaultRunner()
 	f.Fuzz(func(t *testing.T, seed int64, batches uint8, crash int16, every, reboots uint8) {
-		c := KVCell{
+		c := Cell{
 			Design:       "ccnvm",
+			Workload:     KVWorkload,
 			Seed:         seed,
 			Batches:      1 + int(batches)%8,
 			CompactEvery: 1 + int(every)%4,
-			CrashWrite:   int(crash) % 96,
-		}
-		if c.CrashWrite < 0 {
-			c.CrashWrite = -1
+			CrashAt:      max(-1, int(crash)%96),
 		}
 		if n := int(reboots) % 4; n > 0 {
 			c.Reboots, c.RebootEvery = n, 2
 		}
-		if fail, _ := r.RunKVCell(c); fail != nil {
-			t.Fatalf("%s: %s", fail.Oracle, fail.Detail)
+		if fail := r.RunCell(c); fail != nil {
+			t.Fatalf("%v\nrepro: %s", fail, fail.Cell.Repro())
 		}
 	})
 }

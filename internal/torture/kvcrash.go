@@ -12,86 +12,35 @@ import (
 	"ccnvm/internal/store"
 )
 
-// KV torture cells crash the KV namespace at host-write granularity:
-// the facade's ArmCrash strikes the (CrashWrite+1)-th write, so
-// sweeping CrashWrite from 0 until a run completes uncrashed visits
-// every write boundary inside every batch — including between a
-// frame's payload lines and its commit header. After the full
-// recovery path (four-step walk, journal resume under the reboot-loop
-// axis), the recovered namespace is judged against the prefix states
-// of the issued batch sequence:
-//
-//   - kv-clean-recovery: an un-attacked crash must recover clean.
-//   - kv-acked-durable: every acknowledged batch is applied.
-//   - kv-no-ghosts: nothing beyond the issued batches appears.
-//   - kv-batch-atomic: the namespace equals state-after-batch-j for
-//     some j in [acked, issued] — no partial batch is ever visible.
-//
-// The compaction axis (CompactEvery > 0) runs a garbage-collection pass
-// after every CompactEvery-th acknowledged batch, so the crash sweep
-// also lands inside the pass's copy, commit and reclaim phases. Compact
-// cells swap the seq-based prefix oracle for four compaction ones:
-//
-//   - kv-compact-lost-acked: a key acknowledged in every reachable
-//     prefix state vanished through compact+crash+recover.
-//   - kv-no-ghost-resurrection: a key deleted (or never written) in
-//     every reachable prefix state came back.
-//   - kv-compact-gen: the recovered manifest generation diverges from
-//     the in-memory generation at the crash — the single-slot-write
-//     commit tore.
-//   - kv-reclaim-monotonic: a second reopen over the recovered store
-//     found more lines to reclaim — reclaim did not converge.
-//   - kv-compact-idempotent (reboot axis only): the reboot-looped
-//     recovery disagrees with a single-shot recovery of the same image.
-type KVCell struct {
-	Design       string `json:"design"`
-	Seed         int64  `json:"seed"`
-	Batches      int    `json:"batches"`
-	CrashWrite   int    `json:"crash_write"`             // -1: never crash
-	Reboots      int    `json:"reboots,omitempty"`       // reboot-loop axis passes
-	RebootEvery  int    `json:"reboot_every,omitempty"`  // strike the k-th recovery write
-	CompactEvery int    `json:"compact_every,omitempty"` // compact after every k-th acked batch
-}
+// KV cells crash the KV namespace at host-write granularity: the
+// facade's ArmCrash strikes the (CrashAt+1)-th write, so enumerating
+// CrashAt from 0 up to an uncrashed run's write count (kvSweep) visits
+// every write boundary inside every batch — including between a frame's
+// payload lines and its commit header. After the full recovery path
+// (four-step walk, the shared reboot loop under the reboot axis), the
+// recovered namespace is judged against the prefix states of the issued
+// batch sequence by the KVOracles. The compaction axis (CompactEvery >
+// 0) runs a garbage-collection pass after every CompactEvery-th
+// acknowledged batch, so the sweep also lands inside the pass's copy,
+// commit and reclaim phases; compact cells swap the seq-based prefix
+// check for the compaction oracles.
+
+// KVWorkload is the workload name that makes a cell a KV cell.
+const KVWorkload = "kv"
 
 // KVCapacity sizes KV cells' stores: small enough that a full crash
 // sweep across every write boundary stays fast.
 const KVCapacity = 1 << 20
 
-func (c KVCell) String() string {
-	s := fmt.Sprintf("kv design=%s seed=%d batches=%d crash-write=%d", c.Design, c.Seed, c.Batches, c.CrashWrite)
-	if c.Reboots > 0 {
-		s += fmt.Sprintf(" reboots=%d every=%d", c.Reboots, c.RebootEvery)
-	}
-	if c.CompactEvery > 0 {
-		s += fmt.Sprintf(" compact-every=%d", c.CompactEvery)
-	}
-	return s
-}
+// kvBatches is the batch count EnumerateCells gives every KV cell; the
+// shrinker lowers a failing cell's.
+const kvBatches = 5
 
-// Validate rejects malformed cells and designs whose capability sheet
-// cannot honor the KV contract: a namespace needs every acknowledged
-// write to survive a clean crash (CrashConsistent) and a recovery that
-// does not cry wolf (w/o CC flags every crash as tampering, so there
-// is no clean image to rebuild a keymap from).
-func (c KVCell) Validate() error {
-	d, ok := design.Lookup(c.Design)
-	if !ok {
-		return design.UnknownError(c.Design)
-	}
-	if !d.Caps.CrashConsistent || d.Caps.TamperOnCrash {
-		return fmt.Errorf("torture: design %s is not crash-consistent; KV cells do not apply", c.Design)
-	}
-	if c.Batches < 1 {
-		return fmt.Errorf("torture: kv cell needs at least 1 batch, got %d", c.Batches)
-	}
-	if c.Reboots > 0 && c.RebootEvery < 1 {
-		return fmt.Errorf("torture: kv reboot axis needs reboot-every >= 1, got %d", c.RebootEvery)
-	}
-	if c.CompactEvery < 0 {
-		return fmt.Errorf("torture: kv compact-every must be >= 0, got %d", c.CompactEvery)
-	}
-	return nil
-}
+// kvParams are the engine parameters of every KV cell's store.
+var kvParams = engine.Params{UpdateLimit: 16, QueueEntries: 64}
+
+// KV reports whether the cell crashes the KV namespace.
+func (c Cell) KV() bool { return c.Workload == KVWorkload }
 
 // KVDesigns lists the registered designs KV cells apply to.
 func KVDesigns() []string {
@@ -102,6 +51,34 @@ func KVDesigns() []string {
 		}
 	}
 	return out
+}
+
+// KVOracles lists the invariants KV cells are held to. runKV judges
+// them inline, so the entries carry no Check; the list documents them
+// beside Oracles (`ccnvm-torture -oracles` prints both).
+func KVOracles() []Oracle { return kvOracleList }
+
+var kvOracleList = []Oracle{
+	{Name: "kv-clean-recovery", Doc: "An un-attacked KV crash recovers clean — the first pass, the last " +
+		"re-entered pass of the reboot loop and the single-shot golden alike — and the recovered " +
+		"store reopens with its keymap rebuilt, twice over for compact cells."},
+	{Name: "kv-reboot-bounded", Doc: "Under the reboot axis, the uninterrupted final recovery pass commits."},
+	{Name: "kv-acked-durable", Doc: "Every acknowledged batch is applied: the recovered log holds at least " +
+		"the acknowledged batch count."},
+	{Name: "kv-no-ghosts", Doc: "Nothing beyond the issued batches appears: the recovered log holds at most " +
+		"the issued batch count, and the keymap has exactly the matched prefix state's keys."},
+	{Name: "kv-batch-atomic", Doc: "The namespace equals the state after batch j for some j in " +
+		"[acked, issued]: no partial batch is ever visible, compaction or not."},
+	{Name: "kv-compact-gen", Doc: "The recovered manifest generation equals the in-memory one at the crash: " +
+		"the switch happened iff its single-slot commit was accepted."},
+	{Name: "kv-no-ghost-resurrection", Doc: "A key deleted (or never written) in every reachable prefix state " +
+		"never reappears through compact + crash + recover."},
+	{Name: "kv-compact-lost-acked", Doc: "A key live in every reachable prefix state never disappears " +
+		"through compact + crash + recover."},
+	{Name: "kv-reclaim-monotonic", Doc: "A second reopen of the recovered store reclaims zero further lines: " +
+		"space reclaim converges."},
+	{Name: "kv-compact-idempotent", Doc: "Under the reboot axis, the reboot-looped recovery lands on the same " +
+		"generation and namespace as a single-shot recovery of a pristine clone."},
 }
 
 // genKVBatches derives the cell's deterministic batch sequence: ops
@@ -148,165 +125,167 @@ func kvCloneState(s map[string][]byte) map[string][]byte {
 	return cp
 }
 
-// RunKVCell executes one KV cell end to end: drive batches into a
-// fresh namespace, crash at the armed write boundary, recover through
-// the runner's seams (honoring the reboot-loop axis), reopen the
-// namespace and check the four KV oracles. struck reports whether the
-// armed crash point fired — a sweep stops once it no longer does.
-func (r *Runner) RunKVCell(c KVCell) (fail *Failure, struck bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			fail = &Failure{Oracle: "panic", Detail: fmt.Sprintf("kv cell panicked: %v (%s)", p, c)}
-			struck = false
-		}
-	}()
-	if err := c.Validate(); err != nil {
-		return &Failure{Oracle: "cell-spec", Detail: err.Error()}, false
-	}
-	params := engine.Params{UpdateLimit: 16, QueueEntries: 64}
-	st, err := store.Open(store.Options{Design: c.Design, Capacity: KVCapacity, Params: params})
+// kvRun is a driven KV cell's evidence: the crash image, the prefix
+// states of the batch sequence (states[j] is the namespace after
+// batches [0,j)), the acknowledged and issued batch counts, the
+// manifest generation when power failed, and the writes the store
+// accepted.
+type kvRun struct {
+	img           *engine.CrashImage
+	states        []map[string][]byte
+	acked, issued int
+	gen           uint64
+	writes        int
+}
+
+// driveKV drives the cell's batches into a fresh namespace, armed
+// through the runner's seam, with power failing at the armed write
+// boundary.
+func (r *Runner) driveKV(c Cell) (*kvRun, *Failure) {
+	st, err := store.Open(store.Options{Design: c.Design, Capacity: KVCapacity, Params: kvParams})
 	if err != nil {
-		return &Failure{Oracle: "cell-spec", Detail: err.Error()}, false
+		return nil, failf(c, "cell-spec", "%v", err)
 	}
 	db, err := kv.Open(st, kv.Options{})
 	if err != nil {
-		return &Failure{Oracle: "cell-spec", Detail: err.Error()}, false
+		return nil, failf(c, "cell-spec", "%v", err)
 	}
-	if r.ArmDB != nil {
-		r.ArmDB(c, db)
+	if r.Arm != nil {
+		r.Arm(c, st, db)
 	}
-
 	batches := genKVBatches(c.Seed, c.Batches)
-	// Prefix states: states[j] is the namespace after batches [0,j).
-	states := make([]map[string][]byte, len(batches)+1)
-	states[0] = map[string][]byte{}
+	run := &kvRun{states: make([]map[string][]byte, len(batches)+1)}
+	run.states[0] = map[string][]byte{}
 	for i, b := range batches {
-		states[i+1] = kvCloneState(states[i])
-		kvApply(states[i+1], b)
+		run.states[i+1] = kvCloneState(run.states[i])
+		kvApply(run.states[i+1], b)
 	}
 
-	if c.CrashWrite >= 0 {
-		st.ArmCrash(c.CrashWrite)
+	if c.CrashAt >= 0 {
+		st.ArmCrash(c.CrashAt)
 	}
-	acked, issued := 0, 0
+	before := st.Engine().Stats().Writebacks
 	for i, b := range batches {
-		issued = i + 1
-		err := db.Batch(b)
+		run.issued = i + 1
+		oracle, err := "kv-batch-error", db.Batch(b)
 		if err == nil {
-			acked = issued
-			if c.CompactEvery > 0 && acked%c.CompactEvery == 0 {
-				if cerr := db.Compact(); cerr != nil {
-					if errors.Is(cerr, store.ErrCrashed) {
-						struck = true
-						break
-					}
-					return &Failure{Oracle: "kv-compact-error",
-						Detail: fmt.Sprintf("compaction pass after batch %d failed pre-crash: %v (%s)", i, cerr, c)}, false
-				}
+			run.acked = run.issued
+			if c.CompactEvery > 0 && run.acked%c.CompactEvery == 0 {
+				oracle, err = "kv-compact-error", db.Compact()
 			}
-			continue
 		}
 		if errors.Is(err, store.ErrCrashed) {
-			struck = true
 			break
 		}
-		return &Failure{Oracle: "kv-batch-error", Detail: fmt.Sprintf("batch %d failed pre-crash: %v (%s)", i, err, c)}, false
-	}
-	memGen := db.Generation()
-	img := db.Crash()
-	// The idempotence oracle recovers a pristine clone single-shot; the
-	// reboot loop below mutates img in place.
-	var goldenImg *engine.CrashImage
-	if c.CompactEvery > 0 && c.Reboots > 0 {
-		goldenImg = img.Clone()
-	}
-
-	rep := r.recoverFn()(img)
-	if !rep.Clean() {
-		return &Failure{Oracle: "kv-clean-recovery",
-			Detail: fmt.Sprintf("un-attacked KV crash flagged: tampered=%d mismatches=%d (%s)",
-				len(rep.Tampered), len(rep.TreeMismatches), c)}, struck
-	}
-	rec, fail := r.kvRecover(c, img, rep)
-	if fail != nil {
-		return fail, struck
-	}
-
-	st2, err := store.OpenRecovered(img, rec, store.Options{Params: params})
-	if err != nil {
-		return &Failure{Oracle: "kv-clean-recovery", Detail: fmt.Sprintf("reopen after recovery: %v (%s)", err, c)}, struck
-	}
-	db2, err := kv.Open(st2, kv.Options{})
-	if err != nil {
-		return &Failure{Oracle: "kv-clean-recovery", Detail: fmt.Sprintf("keymap rebuild: %v (%s)", err, c)}, struck
-	}
-
-	if c.CompactEvery > 0 {
-		// Compaction renumbers frames, so the seq-based prefix oracle
-		// does not apply; compact cells get the compaction oracles.
-		return r.checkKVCompact(c, db2, st2, states, acked, issued, memGen, goldenImg), struck
-	}
-
-	recovered := int(db2.Stats().Seq)
-	switch {
-	case recovered < acked:
-		return &Failure{Oracle: "kv-acked-durable",
-			Detail: fmt.Sprintf("recovered %d batches but %d were acknowledged (%s)", recovered, acked, c)}, struck
-	case recovered > issued:
-		return &Failure{Oracle: "kv-no-ghosts",
-			Detail: fmt.Sprintf("recovered %d batches but only %d were issued (%s)", recovered, issued, c)}, struck
-	}
-	want := states[recovered]
-	live := 0
-	for k := range allKVKeys(states[:issued+1]) {
-		got, ok, err := db2.Get([]byte(k))
 		if err != nil {
-			return &Failure{Oracle: "kv-batch-atomic", Detail: fmt.Sprintf("post-recovery get %s: %v (%s)", k, err, c)}, struck
-		}
-		wv, wok := want[k]
-		if ok != wok || (ok && string(got) != string(wv)) {
-			return &Failure{Oracle: "kv-batch-atomic",
-				Detail: fmt.Sprintf("key %s diverges from prefix state %d (present=%v want %v) — partial batch visible (%s)",
-					k, recovered, ok, wok, c)}, struck
-		}
-		if wok {
-			live++
+			return nil, failf(c, oracle, "batch %d failed before any crash: %v", i, err)
 		}
 	}
-	if got := db2.Stats().Keys; got != live {
-		return &Failure{Oracle: "kv-no-ghosts",
-			Detail: fmt.Sprintf("recovered keymap has %d keys, prefix state %d has %d (%s)", got, recovered, live, c)}, struck
-	}
-	return nil, struck
+	run.writes = int(st.Engine().Stats().Writebacks - before)
+	run.gen = db.Generation()
+	run.img = db.Crash()
+	return run, nil
 }
 
-// kvRecover applies the recovery via the runner seams, running the
-// reboot-loop axis when the cell asks for it: each pass interrupts
-// Apply at its RebootEvery-th persisted recovery write, recovery
-// re-enters on the half-applied image, and a final uninterrupted pass
-// must commit.
-func (r *Runner) kvRecover(c KVCell, img *engine.CrashImage, rep *recovery.Report) (recovery.Recovered, *Failure) {
-	if c.Reboots <= 0 {
-		return r.applyFn()(img, rep), nil
+// kvSweep expands a KV spec into one cell per host-write boundary:
+// crash=0 through crash=W, where W counts the writes an uncrashed probe
+// of the spec accepts, so the last cell arms a point that never strikes
+// (the uncrashed control). A probe that fails yields the uncrashed cell
+// alone, which reports the failure when run.
+func kvSweep(spec Cell) []Cell {
+	spec.CrashAt = -1
+	run, fail := DefaultRunner().driveKV(spec)
+	if fail != nil {
+		return []Cell{spec}
 	}
-	for pass := 1; pass <= c.Reboots; pass++ {
-		itr := &recovery.Interrupt{After: c.RebootEvery, Seq: uint64(pass)}
-		rec, ok := r.applyInterruptedFn()(img, rep, itr)
+	cells := make([]Cell, run.writes+1)
+	for n := range cells {
+		cells[n] = spec
+		cells[n].CrashAt = n
+	}
+	return cells
+}
+
+// runKV executes one KV cell end to end: drive the batches, crash,
+// recover through the runner's seams (the shared reboot loop under the
+// reboot axis), reopen the namespace and judge it.
+func (r *Runner) runKV(c Cell) (*Context, *Failure) {
+	run, fail := r.driveKV(c)
+	if fail != nil {
+		return nil, fail
+	}
+	ctx := &Context{Cell: c, Img: run.img, Runner: r}
+	ctx.Rep = r.recoverFn()(ctx.Img)
+	if !ctx.Rep.Clean() {
+		return ctx, failf(c, "kv-clean-recovery", "un-attacked KV crash flagged: tampered=%d mismatches=%d",
+			len(ctx.Rep.Tampered), len(ctx.Rep.TreeMismatches))
+	}
+	if !r.runRebootLoop(ctx) {
+		return ctx, failf(c, "kv-reboot-bounded", "uninterrupted final recovery pass failed to commit")
+	}
+	if !ctx.Rep.Clean() {
+		return ctx, failf(c, "kv-clean-recovery", "re-entered recovery flagged a clean KV image")
+	}
+	ctx.applyRecovery()
+	db, st, err := reopenKV(ctx.Img, *ctx.Recovered)
+	if err != nil {
+		return ctx, failf(c, "kv-clean-recovery", "%v", err)
+	}
+	if g := db.Generation(); c.CompactEvery > 0 && g != run.gen {
+		return ctx, failf(c, "kv-compact-gen", "recovered manifest generation %d, but the namespace was at %d "+
+			"when power failed — the compaction commit tore", g, run.gen)
+	}
+	keys := allKVKeys(run.states[:run.issued+1])
+	got, err := kvContents(db, keys)
+	if err != nil {
+		return ctx, failf(c, "kv-batch-atomic", "post-recovery %v", err)
+	}
+	if c.CompactEvery > 0 {
+		return ctx, checkKVCompact(ctx, run, db, st, keys, got)
+	}
+
+	// Without compaction the recovered frame seq is the batch count.
+	j, n := int(db.Stats().Seq), db.Stats().Keys
+	switch {
+	case j < run.acked:
+		return ctx, failf(c, "kv-acked-durable", "recovered %d batches but %d were acknowledged", j, run.acked)
+	case j > run.issued:
+		return ctx, failf(c, "kv-no-ghosts", "recovered %d batches but only %d were issued", j, run.issued)
+	case !kvStateEqual(got, run.states[j]):
+		return ctx, failf(c, "kv-batch-atomic", "recovered namespace diverges from prefix state %d — partial batch visible", j)
+	case n != len(run.states[j]):
+		return ctx, failf(c, "kv-no-ghosts", "recovered keymap has %d keys, prefix state %d has %d", n, j, len(run.states[j]))
+	}
+	return ctx, nil
+}
+
+// reopenKV boots a store from a recovered KV crash image and rebuilds
+// its keymap.
+func reopenKV(img *engine.CrashImage, rec recovery.Recovered) (*kv.DB, *store.Store, error) {
+	st, err := store.OpenRecovered(img, rec, store.Options{Params: kvParams})
+	if err != nil {
+		return nil, nil, fmt.Errorf("reopen after recovery: %w", err)
+	}
+	db, err := kv.Open(st, kv.Options{})
+	if err != nil {
+		return nil, nil, fmt.Errorf("keymap rebuild: %w", err)
+	}
+	return db, st, nil
+}
+
+// kvContents reads every key back and returns the live ones.
+func kvContents(db *kv.DB, keys map[string]bool) (map[string][]byte, error) {
+	got := map[string][]byte{}
+	for k := range keys {
+		v, ok, err := db.Get([]byte(k))
+		if err != nil {
+			return nil, fmt.Errorf("get %s: %w", k, err)
+		}
 		if ok {
-			return rec, nil
-		}
-		rep = r.recoverFn()(img)
-		if !rep.Clean() {
-			return recovery.Recovered{}, &Failure{Oracle: "kv-clean-recovery",
-				Detail: fmt.Sprintf("re-entered recovery pass %d flagged a clean KV image (%s)", pass, c)}
+			got[k] = v
 		}
 	}
-	rec, ok := r.applyInterruptedFn()(img, rep, &recovery.Interrupt{Seq: uint64(c.Reboots + 1)})
-	if !ok {
-		return recovery.Recovered{}, &Failure{Oracle: "kv-reboot-bounded",
-			Detail: fmt.Sprintf("uninterrupted final recovery pass failed to commit (%s)", c)}
-	}
-	return rec, nil
+	return got, nil
 }
 
 // checkKVCompact judges a recovered compact cell. The frame seq is not
@@ -316,30 +295,16 @@ func (r *Runner) kvRecover(c KVCell, img *engine.CrashImage, rep *recovery.Repor
 // [acked, issued]. A failed match is classified — a key live after
 // recovery but dead in every reachable state is a resurrection; a key
 // live in every reachable state but gone is a lost acked write; anything
-// else is a visible partial batch. On top of that, the manifest
-// generation must have survived the crash exactly (the commit is one
-// slot write — it either happened or it did not), reclaim must converge
-// (a second reopen finds nothing more to zero), and under the reboot
-// axis the looped recovery must agree with a single-shot one.
-func (r *Runner) checkKVCompact(c KVCell, db2 *kv.DB, st2 *store.Store, states []map[string][]byte, acked, issued int, memGen uint64, goldenImg *engine.CrashImage) *Failure {
-	if g := db2.Generation(); g != memGen {
-		return &Failure{Oracle: "kv-compact-gen",
-			Detail: fmt.Sprintf("recovered manifest generation %d, but the namespace was at %d when power failed — the compaction commit tore (%s)", g, memGen, c)}
-	}
-	keys := allKVKeys(states[:issued+1])
-	got := map[string][]byte{}
-	for k := range keys {
-		v, ok, err := db2.Get([]byte(k))
-		if err != nil {
-			return &Failure{Oracle: "kv-batch-atomic", Detail: fmt.Sprintf("post-recovery get %s: %v (%s)", k, err, c)}
-		}
-		if ok {
-			got[k] = v
-		}
-	}
+// else is a visible partial batch. On top of that (runKV has already
+// held the manifest generation to the one at the crash), reclaim must
+// converge (a second reopen finds nothing more to zero), and under the
+// reboot axis the looped recovery must agree with the loop's
+// single-shot golden.
+func checkKVCompact(ctx *Context, run *kvRun, db *kv.DB, st *store.Store, keys map[string]bool, got map[string][]byte) *Failure {
+	c, acked, issued := ctx.Cell, run.acked, run.issued
 	match := -1
 	for j := acked; j <= issued; j++ {
-		if kvStateEqual(got, states[j]) {
+		if kvStateEqual(got, run.states[j]) {
 			match = j
 			break
 		}
@@ -350,7 +315,7 @@ func (r *Runner) checkKVCompact(c KVCell, db2 *kv.DB, st2 *store.Store, states [
 			_, liveNow := got[k]
 			anyPresent, allPresent := false, true
 			for j := acked; j <= issued; j++ {
-				if _, ok := states[j][k]; ok {
+				if _, ok := run.states[j][k]; ok {
 					anyPresent = true
 				} else {
 					allPresent = false
@@ -365,66 +330,54 @@ func (r *Runner) checkKVCompact(c KVCell, db2 *kv.DB, st2 *store.Store, states [
 		}
 		switch {
 		case ghost != "":
-			return &Failure{Oracle: "kv-no-ghost-resurrection",
-				Detail: fmt.Sprintf("key %s is live after recovery but dead in every reachable prefix state [%d,%d] — compaction resurrected it (%s)", ghost, acked, issued, c)}
+			return failf(c, "kv-no-ghost-resurrection", "key %s is live after recovery but dead in every reachable "+
+				"prefix state [%d,%d] — compaction resurrected it", ghost, acked, issued)
 		case lost != "":
-			return &Failure{Oracle: "kv-compact-lost-acked",
-				Detail: fmt.Sprintf("key %s is live in every reachable prefix state [%d,%d] but gone after recovery — compaction lost an acknowledged write (%s)", lost, acked, issued, c)}
+			return failf(c, "kv-compact-lost-acked", "key %s is live in every reachable prefix state [%d,%d] but "+
+				"gone after recovery — compaction lost an acknowledged write", lost, acked, issued)
 		default:
-			return &Failure{Oracle: "kv-batch-atomic",
-				Detail: fmt.Sprintf("recovered namespace matches no prefix state in [%d,%d] — partial batch visible through compaction (%s)", acked, issued, c)}
+			return failf(c, "kv-batch-atomic", "recovered namespace matches no prefix state in [%d,%d] — "+
+				"partial batch visible through compaction", acked, issued)
 		}
 	}
-	if gotKeys, want := db2.Stats().Keys, len(states[match]); gotKeys != want {
-		return &Failure{Oracle: "kv-no-ghosts",
-			Detail: fmt.Sprintf("recovered keymap has %d keys, prefix state %d has %d (%s)", gotKeys, match, want, c)}
+	if n, want := db.Stats().Keys, len(run.states[match]); n != want {
+		return failf(c, "kv-no-ghosts", "recovered keymap has %d keys, prefix state %d has %d", n, match, want)
 	}
 
 	// Space-reclaimed-monotonic: the first reopen is allowed (required)
 	// to finish an interrupted pass's reclaim; a second reopen over the
 	// same recovered store must find nothing left to zero.
-	db3, err := kv.Open(st2, kv.Options{})
+	db2, err := kv.Open(st, kv.Options{})
 	if err != nil {
-		return &Failure{Oracle: "kv-clean-recovery", Detail: fmt.Sprintf("second keymap rebuild: %v (%s)", err, c)}
+		return failf(c, "kv-clean-recovery", "second keymap rebuild: %v", err)
 	}
-	if cs := db3.Stats().Compaction; cs != nil && cs.ReclaimedLines != 0 {
-		return &Failure{Oracle: "kv-reclaim-monotonic",
-			Detail: fmt.Sprintf("second reopen reclaimed %d more lines — reclaim did not converge (%s)", cs.ReclaimedLines, c)}
+	if cs := db2.Stats().Compaction; cs != nil && cs.ReclaimedLines != 0 {
+		return failf(c, "kv-reclaim-monotonic", "second reopen reclaimed %d more lines — reclaim did not converge", cs.ReclaimedLines)
 	}
 
-	// Compaction-idempotent across the reboot loop: recovering the same
-	// crash image in one uninterrupted pass must land on the same
-	// namespace the interrupted-and-resumed passes did.
-	if goldenImg != nil {
-		grep := r.recoverFn()(goldenImg)
-		if !grep.Clean() {
-			return &Failure{Oracle: "kv-clean-recovery",
-				Detail: fmt.Sprintf("single-shot recovery of the golden clone flagged a clean image (%s)", c)}
-		}
-		grec := r.applyFn()(goldenImg, grep)
-		stG, err := store.OpenRecovered(goldenImg, grec, store.Options{Params: engine.Params{UpdateLimit: 16, QueueEntries: 64}})
-		if err != nil {
-			return &Failure{Oracle: "kv-compact-idempotent", Detail: fmt.Sprintf("golden reopen: %v (%s)", err, c)}
-		}
-		dbG, err := kv.Open(stG, kv.Options{})
-		if err != nil {
-			return &Failure{Oracle: "kv-compact-idempotent", Detail: fmt.Sprintf("golden keymap rebuild: %v (%s)", err, c)}
-		}
-		if dbG.Generation() != db2.Generation() {
-			return &Failure{Oracle: "kv-compact-idempotent",
-				Detail: fmt.Sprintf("reboot-looped recovery landed on generation %d, single-shot on %d (%s)", db2.Generation(), dbG.Generation(), c)}
-		}
-		for k := range keys {
-			gv, gok, err := dbG.Get([]byte(k))
-			if err != nil {
-				return &Failure{Oracle: "kv-compact-idempotent", Detail: fmt.Sprintf("golden get %s: %v (%s)", k, err, c)}
-			}
-			wv, wok := got[k]
-			if gok != wok || (gok && string(gv) != string(wv)) {
-				return &Failure{Oracle: "kv-compact-idempotent",
-					Detail: fmt.Sprintf("key %s diverges between reboot-looped and single-shot recovery (%s)", k, c)}
-			}
-		}
+	// Compaction-idempotent across the reboot loop: the crash image the
+	// loop recovered single-shot must land on the same namespace the
+	// interrupted-and-resumed passes did.
+	if !ctx.rebootRan {
+		return nil
+	}
+	if !ctx.GoldenRep.Clean() {
+		return failf(c, "kv-clean-recovery", "single-shot recovery of the golden clone flagged a clean image")
+	}
+	dbG, _, err := reopenKV(ctx.GoldenImg, *ctx.GoldenRec)
+	if err != nil {
+		return failf(c, "kv-compact-idempotent", "golden %v", err)
+	}
+	if dbG.Generation() != db.Generation() {
+		return failf(c, "kv-compact-idempotent", "reboot-looped recovery landed on generation %d, single-shot on %d",
+			db.Generation(), dbG.Generation())
+	}
+	gotG, err := kvContents(dbG, keys)
+	if err != nil {
+		return failf(c, "kv-compact-idempotent", "golden %v", err)
+	}
+	if !kvStateEqual(gotG, got) {
+		return failf(c, "kv-compact-idempotent", "reboot-looped and single-shot recovery hold different namespaces")
 	}
 	return nil
 }
@@ -444,70 +397,6 @@ func kvStateEqual(a, b map[string][]byte) bool {
 	return true
 }
 
-// ShrinkKVCell minimizes a failing KV cell while preserving the violated
-// oracle, re-running candidates against the same runner. Phases: drop
-// the reboot axis, drop the crash entirely (a cell that fails uncrashed
-// is the simplest repro there is), halve the batch count toward one,
-// tighten the compaction stride, then bisect and walk the crash write
-// downward. Spends at most budget runs; returns the smallest
-// still-failing cell and the runs used.
-func ShrinkKVCell(r *Runner, c KVCell, oracle string, budget int) (KVCell, int) {
-	if budget <= 0 {
-		budget = 64
-	}
-	best := c
-	runs := 0
-	try := func(cand KVCell) bool {
-		if runs >= budget {
-			return false
-		}
-		runs++
-		fail, _ := r.RunKVCell(cand)
-		if fail == nil || fail.Oracle != oracle {
-			return false
-		}
-		best = cand
-		return true
-	}
-
-	if best.Reboots > 0 {
-		cand := best
-		cand.Reboots, cand.RebootEvery = 0, 0
-		try(cand)
-	}
-	if best.CrashWrite >= 0 {
-		cand := best
-		cand.CrashWrite = -1
-		try(cand)
-	}
-	for best.Batches > 1 {
-		cand := best
-		cand.Batches = best.Batches / 2
-		if !try(cand) {
-			cand.Batches = best.Batches - 1
-			if !try(cand) {
-				break
-			}
-		}
-	}
-	if best.CompactEvery > 1 {
-		cand := best
-		cand.CompactEvery = 1
-		try(cand)
-	}
-	for best.CrashWrite > 0 {
-		cand := best
-		cand.CrashWrite = best.CrashWrite / 2
-		if !try(cand) {
-			cand.CrashWrite = best.CrashWrite - 1
-			if !try(cand) {
-				break
-			}
-		}
-	}
-	return best, runs
-}
-
 // allKVKeys unions every key any prefix state mentions.
 func allKVKeys(states []map[string][]byte) map[string]bool {
 	keys := map[string]bool{}
@@ -517,24 +406,4 @@ func allKVKeys(states []map[string][]byte) map[string]bool {
 		}
 	}
 	return keys
-}
-
-// KVSweep runs the cell at every host-write crash boundary: CrashWrite
-// 0, 1, 2, ... until the armed point no longer strikes (the workload
-// finished), then one uncrashed control run. It returns the first
-// failure and the number of cells executed.
-func (r *Runner) KVSweep(c KVCell) (*Failure, int) {
-	cells := 0
-	for n := 0; ; n++ {
-		cc := c
-		cc.CrashWrite = n
-		fail, struck := r.RunKVCell(cc)
-		cells++
-		if fail != nil {
-			return fail, cells
-		}
-		if !struck {
-			return nil, cells
-		}
-	}
 }

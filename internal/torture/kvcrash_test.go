@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,6 +9,22 @@ import (
 	"ccnvm/internal/engine"
 	"ccnvm/internal/recovery"
 )
+
+// runKVSweep runs every stride-th cell of a KV spec's write-boundary
+// sweep on r, failing the test on the first oracle violation, and
+// returns the number of cells run.
+func runKVSweep(t *testing.T, r *Runner, spec Cell, stride int) int {
+	t.Helper()
+	cells := kvSweep(spec)
+	n := 0
+	for i := 0; i < len(cells); i += stride {
+		if f := r.RunCell(cells[i]); f != nil {
+			t.Fatalf("%v\nrepro: %s", f, f.Cell.Repro())
+		}
+		n++
+	}
+	return n
+}
 
 // TestKVCrashSweepEveryWriteBoundary crashes the KV namespace at every
 // host-write boundary — including between a frame's payload lines and
@@ -22,10 +39,7 @@ func TestKVCrashSweepEveryWriteBoundary(t *testing.T) {
 	for _, d := range designs {
 		t.Run(d, func(t *testing.T) {
 			t.Parallel()
-			fail, cells := r.KVSweep(KVCell{Design: d, Seed: 7, Batches: 5})
-			if fail != nil {
-				t.Fatal(fail.Detail)
-			}
+			cells := runKVSweep(t, r, Cell{Design: d, Workload: KVWorkload, Seed: 7, Batches: 5, Attack: "none"}, 1)
 			if cells < 10 {
 				t.Fatalf("sweep covered only %d crash points; workload too small to matter", cells)
 			}
@@ -34,73 +48,71 @@ func TestKVCrashSweepEveryWriteBoundary(t *testing.T) {
 	}
 }
 
+// TestKVCellValidate holds Validate to the KV design rule and the KV
+// axes' ranges on a Cell with workload=kv.
+func TestKVCellValidate(t *testing.T) {
+	kvCell := func(design string, batches, reboots int) Cell {
+		return Cell{Design: design, Workload: KVWorkload, Attack: "none", Batches: batches, Reboots: reboots}
+	}
+	for _, tc := range []struct {
+		cell Cell
+		want string
+	}{
+		{kvCell("wocc", 1, 0), "not crash-consistent"},
+		{kvCell("no-such", 1, 0), "unknown design"},
+		{kvCell("ccnvm", 0, 0), "at least 1 batch"},
+		{kvCell("ccnvm", 1, 2), "revery >= 1"},
+	} {
+		if err := tc.cell.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate(%s) = %v, want %q", tc.cell, err, tc.want)
+		}
+	}
+	if err := kvCell("ccnvm", 3, 0).Validate(); err != nil {
+		t.Errorf("valid cell rejected: %v", err)
+	}
+	if slices.Contains(KVDesigns(), "wocc") {
+		t.Fatal("wocc listed as a KV design")
+	}
+}
+
 // TestKVCrashRebootLoopAxis re-crashes recovery itself while it is
 // recovering a crashed KV namespace: every third write boundary of the
 // workload, with three interrupted recovery passes before the final
 // uninterrupted one. Acked batches must survive the whole gauntlet.
 func TestKVCrashRebootLoopAxis(t *testing.T) {
-	r := DefaultRunner()
-	cells := 0
-	for n := 0; ; n += 3 {
-		c := KVCell{Design: "ccnvm", Seed: 11, Batches: 4, CrashWrite: n, Reboots: 3, RebootEvery: 2}
-		fail, struck := r.RunKVCell(c)
-		cells++
-		if fail != nil {
-			t.Fatal(fail.Detail)
-		}
-		if !struck {
-			break
-		}
-	}
+	spec := Cell{Design: "ccnvm", Workload: KVWorkload, Seed: 11, Batches: 4, Attack: "none", Reboots: 3, RebootEvery: 2}
+	cells := runKVSweep(t, DefaultRunner(), spec, 3)
 	if cells < 4 {
 		t.Fatalf("only %d reboot-loop cells ran", cells)
 	}
 	t.Logf("%d reboot-loop cells survived", cells)
 }
 
-// TestKVCellValidate rejects designs that cannot honor the KV contract
-// and malformed cells.
-func TestKVCellValidate(t *testing.T) {
-	cases := []struct {
-		cell KVCell
-		want string
-	}{
-		{KVCell{Design: "wocc", Batches: 1}, "not crash-consistent"},
-		{KVCell{Design: "no-such", Batches: 1}, "unknown design"},
-		{KVCell{Design: "ccnvm", Batches: 0}, "at least 1 batch"},
-		{KVCell{Design: "ccnvm", Batches: 1, Reboots: 2}, "reboot-every"},
-	}
-	for _, tc := range cases {
-		err := tc.cell.Validate()
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("Validate(%+v) = %v, want %q", tc.cell, err, tc.want)
-		}
-	}
-	if err := (KVCell{Design: "ccnvm", Batches: 3}).Validate(); err != nil {
-		t.Errorf("valid cell rejected: %v", err)
-	}
-	for _, d := range KVDesigns() {
-		if d == "wocc" {
-			t.Fatal("wocc listed as a KV design")
-		}
-	}
-}
-
 // TestKVOraclesCatchSabotagedRecovery proves the KV oracles bite: a
 // runner whose resumed Apply never commits must trip kv-reboot-bounded,
 // and a recovery that cries wolf on a clean crash must trip
-// kv-clean-recovery.
+// kv-clean-recovery. Both failures name their cell and a listed oracle.
 func TestKVOraclesCatchSabotagedRecovery(t *testing.T) {
+	cell := Cell{Design: "ccnvm", Workload: KVWorkload, Seed: 3, Batches: 3, CrashAt: 4, Attack: "none"}
+	caught := func(t *testing.T, r *Runner, c Cell, oracle string) {
+		t.Helper()
+		f := r.RunCell(c)
+		if f == nil || f.Oracle != oracle {
+			t.Fatalf("sabotage not caught by %s: %+v", oracle, f)
+		}
+		if f.Cell != c || !slices.ContainsFunc(KVOracles(), func(o Oracle) bool { return o.Name == oracle }) {
+			t.Fatalf("failure names cell %s and oracle %s; want %s and a KVOracles entry", f.Cell, f.Oracle, c)
+		}
+	}
 	t.Run("never-commits", func(t *testing.T) {
 		r := &Runner{
 			ApplyInterrupted: func(img *engine.CrashImage, rep *recovery.Report, itr *recovery.Interrupt) (recovery.Recovered, bool) {
 				return recovery.Recovered{}, false
 			},
 		}
-		fail, _ := r.RunKVCell(KVCell{Design: "ccnvm", Seed: 3, Batches: 3, CrashWrite: 4, Reboots: 2, RebootEvery: 2})
-		if fail == nil || fail.Oracle != "kv-reboot-bounded" {
-			t.Fatalf("sabotage not caught: %+v", fail)
-		}
+		c := cell
+		c.Reboots, c.RebootEvery = 2, 2
+		caught(t, r, c, "kv-reboot-bounded")
 	})
 	t.Run("cries-wolf", func(t *testing.T) {
 		r := &Runner{
@@ -110,9 +122,6 @@ func TestKVOraclesCatchSabotagedRecovery(t *testing.T) {
 				return rep
 			},
 		}
-		fail, _ := r.RunKVCell(KVCell{Design: "ccnvm", Seed: 3, Batches: 3, CrashWrite: 4})
-		if fail == nil || fail.Oracle != "kv-clean-recovery" {
-			t.Fatalf("sabotage not caught: %+v", fail)
-		}
+		caught(t, r, cell, "kv-clean-recovery")
 	})
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // MatrixOpts selects the slice of the torture matrix to run. Zero-value
@@ -39,6 +41,15 @@ type MatrixOpts struct {
 	// through healthy, degraded and read-only service. Zero (the
 	// default) adds no spare cells.
 	Spares int
+
+	// KV enumerates KV-namespace crash cells instead of trace cells: for
+	// every KV-capable design and seed, the batch workload swept across
+	// every host-write boundary, again under the reboot axis when
+	// Reboots is set (strides default to {2}), and both again with a
+	// compaction pass after every KVCompact-th acknowledged batch when
+	// KVCompact is set. The trace, attack and fault options do not apply.
+	KV        bool
+	KVCompact int
 }
 
 // FaultProfiles are the media-fault shapes the matrix cycles fault cells
@@ -54,6 +65,12 @@ func FaultProfiles() []Cell {
 		{WeakPct: 20, Stuck: 2},
 		{Torn: true, ADRBudget: 1, Stuck: 1},
 	}
+}
+
+// withProfile layers fault profile p, under fault seed seed, onto c.
+func (c Cell) withProfile(p Cell, seed int64) Cell {
+	c.FaultSeed, c.Torn, c.ADRBudget, c.WeakPct, c.Stuck = seed, p.Torn, p.ADRBudget, p.WeakPct, p.Stuck
+	return c
 }
 
 func (o MatrixOpts) withDefaults() MatrixOpts {
@@ -80,6 +97,9 @@ func (o MatrixOpts) withDefaults() MatrixOpts {
 	}
 	if o.Reboots > 0 && len(o.RebootEvery) == 0 {
 		o.RebootEvery = []int{2, 3, 5}
+		if o.KV {
+			o.RebootEvery = []int{2}
+		}
 	}
 	return o
 }
@@ -91,6 +111,9 @@ func (o MatrixOpts) withDefaults() MatrixOpts {
 // than truncated, so every design and attack still appears.
 func EnumerateCells(o MatrixOpts) []Cell {
 	o = o.withDefaults()
+	if o.KV {
+		return applyBudget(kvCells(o), o)
+	}
 	var cells []Cell
 	for _, d := range o.Designs {
 		for _, w := range o.Workloads {
@@ -112,10 +135,43 @@ func EnumerateCells(o MatrixOpts) []Cell {
 			}
 		}
 	}
-	cells = appendFaultCells(cells, o)
-	cells = appendRebootCells(cells, o)
-	cells = appendSpareCells(cells, o)
-	return applyBudget(cells, o)
+	return applyBudget(appendAxisCells(cells, o), o)
+}
+
+// appendAxisCells rides the fault, reboot and spare cells after the
+// crash-point cells; EnumerateCells and EnumerateGuidedCells share it.
+func appendAxisCells(cells []Cell, o MatrixOpts) []Cell {
+	return appendSpareCells(appendRebootCells(appendFaultCells(cells, o), o), o)
+}
+
+// kvCells enumerates the KV crash cells (see MatrixOpts.KV), each spec
+// expanded by kvSweep into one cell per host-write boundary. Designs
+// outside KVDesigns are skipped: the KV contract does not apply to them.
+func kvCells(o MatrixOpts) []Cell {
+	var cells []Cell
+	for _, d := range o.Designs {
+		if !slices.Contains(KVDesigns(), d) {
+			continue
+		}
+		for seed := 0; seed < o.Seeds; seed++ {
+			specs := []Cell{{Design: d, Workload: KVWorkload, Seed: int64(seed), Batches: kvBatches, Attack: "none"}}
+			if o.Reboots > 0 {
+				rb := specs[0]
+				rb.Reboots, rb.RebootEvery = o.Reboots, o.RebootEvery[seed%len(o.RebootEvery)]
+				specs = append(specs, rb)
+			}
+			if o.KVCompact > 0 {
+				for _, s := range specs {
+					s.CompactEvery = o.KVCompact
+					specs = append(specs, s)
+				}
+			}
+			for _, s := range specs {
+				cells = append(cells, kvSweep(s)...)
+			}
+		}
+	}
+	return cells
 }
 
 // appendFaultCells rides media-fault cells after the faultless matrix:
@@ -131,19 +187,14 @@ func appendFaultCells(cells []Cell, o MatrixOpts) []Cell {
 			for fs := 0; fs < o.FaultSeeds; fs++ {
 				p := profiles[fs%len(profiles)]
 				cells = append(cells, Cell{
-					Design:    d,
-					Workload:  w,
-					Seed:      int64(fs % o.Seeds),
-					Ops:       o.Ops,
-					CrashAt:   o.Ops * 2 / 3,
-					Attack:    "none",
-					N:         o.Ns[fs%len(o.Ns)],
-					FaultSeed: int64(fs)*7919 + 1,
-					Torn:      p.Torn,
-					ADRBudget: p.ADRBudget,
-					WeakPct:   p.WeakPct,
-					Stuck:     p.Stuck,
-				}.normalized())
+					Design:   d,
+					Workload: w,
+					Seed:     int64(fs % o.Seeds),
+					Ops:      o.Ops,
+					CrashAt:  o.Ops * 2 / 3,
+					Attack:   "none",
+					N:        o.Ns[fs%len(o.Ns)],
+				}.withProfile(p, int64(fs)*7919+1).normalized())
 			}
 		}
 	}
@@ -178,12 +229,7 @@ func appendRebootCells(cells []Cell, o MatrixOpts) []Cell {
 				faulty := base
 				faulty.Seed = int64((ri + 1) % o.Seeds)
 				p := profiles[(wi+ri)%len(profiles)]
-				faulty.FaultSeed = int64(wi+ri)*7919 + 1
-				faulty.Torn = p.Torn
-				faulty.ADRBudget = p.ADRBudget
-				faulty.WeakPct = p.WeakPct
-				faulty.Stuck = p.Stuck
-				cells = append(cells, faulty.normalized())
+				cells = append(cells, faulty.withProfile(p, int64(wi+ri)*7919+1).normalized())
 			}
 		}
 	}
@@ -218,20 +264,15 @@ func appendSpareCells(cells []Cell, o MatrixOpts) []Cell {
 			for pi, pool := range pools {
 				p := profiles[(di+wi+pi)%len(profiles)]
 				cells = append(cells, Cell{
-					Design:    d,
-					Workload:  w,
-					Seed:      int64((wi + pi) % o.Seeds),
-					Ops:       o.Ops,
-					CrashAt:   o.Ops * 2 / 3,
-					Attack:    "none",
-					N:         o.Ns[pi%len(o.Ns)],
-					FaultSeed: int64(di*len(pools)+pi)*7919 + 1,
-					Torn:      p.Torn,
-					ADRBudget: p.ADRBudget,
-					WeakPct:   p.WeakPct,
-					Stuck:     p.Stuck,
-					Spares:    pool,
-				}.normalized())
+					Design:   d,
+					Workload: w,
+					Seed:     int64((wi + pi) % o.Seeds),
+					Ops:      o.Ops,
+					CrashAt:  o.Ops * 2 / 3,
+					Attack:   "none",
+					N:        o.Ns[pi%len(o.Ns)],
+					Spares:   pool,
+				}.withProfile(p, int64(di*len(pools)+pi)*7919+1).normalized())
 			}
 		}
 	}
@@ -317,81 +358,44 @@ func (s *Summary) Failed() bool { return len(s.Failures) > 0 }
 // Cancelling ctx stops dispatching new cells — in-flight cells finish —
 // and skips the shrink pass, so a partial summary is returned promptly.
 func RunMatrix(ctx context.Context, r *Runner, cells []Cell, parallel int, progress func(done, total int, f *Failure)) *Summary {
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
+	type result struct {
+		i     int
+		f     *Failure
+		class string
 	}
-	if parallel > len(cells) && len(cells) > 0 {
-		parallel = len(cells)
-	}
-	type res struct {
-		idx     int
-		f       *Failure
-		class   string
-		skipped bool
-	}
-	idxCh := make(chan int)
-	resCh := make(chan res)
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				select {
-				case <-ctx.Done():
-					resCh <- res{idx: i, skipped: true}
-				default:
-					f, class := r.RunCellClass(cells[i])
-					resCh <- res{idx: i, f: f, class: class}
-				}
-			}
-		}()
-	}
+	sum := &Summary{Cells: len(cells)}
+	results := make(chan result)
 	go func() {
-		for i := range cells {
-			idxCh <- i
-		}
-		close(idxCh)
-		wg.Wait()
-		close(resCh)
+		defer close(results)
+		sum.Skipped = forEachCell(ctx, len(cells), parallel, func(i int) {
+			f, class := r.RunCellClass(cells[i])
+			results <- result{i, f, class}
+		})
 	}()
-
-	failed := map[int]*Failure{}
-	done, skipped := 0, 0
-	var spareCells, spareHealed, spareLost, spareRefused int
-	for rr := range resCh {
-		if rr.skipped {
-			skipped++
-			continue
-		}
+	failed := make([]*Failure, len(cells))
+	done := 0
+	for rr := range results {
 		done++
-		if cells[rr.idx].Spares > 0 {
-			spareCells++
+		failed[rr.i] = rr.f
+		if cells[rr.i].Spares > 0 {
+			sum.SpareCells++
 		}
 		switch rr.class {
 		case SpareClassHealed:
-			spareHealed++
+			sum.SpareHealed++
 		case SpareClassLost:
-			spareLost++
+			sum.SpareLost++
 		case SpareClassRefused:
-			spareRefused++
-		}
-		if rr.f != nil {
-			failed[rr.idx] = rr.f
+			sum.SpareRefused++
 		}
 		if progress != nil {
 			progress(done, len(cells), rr.f)
 		}
 	}
+	sum.Interrupted = ctx.Err() != nil
 
-	sum := &Summary{
-		Cells: len(cells), Skipped: skipped, Interrupted: ctx.Err() != nil,
-		SpareCells: spareCells, SpareHealed: spareHealed,
-		SpareLost: spareLost, SpareRefused: spareRefused,
-	}
-	for i := range cells {
-		f, ok := failed[i]
-		if !ok {
+	for _, f := range failed {
+		if f == nil {
 			continue
 		}
 		if sum.Interrupted {
@@ -407,6 +411,38 @@ func RunMatrix(ctx context.Context, r *Runner, cells []Cell, parallel int, progr
 		})
 	}
 	return sum
+}
+
+// forEachCell runs fn(i) for every cell index in [0,n) on a pool of
+// parallel workers (<= 0: GOMAXPROCS) and returns how many indices it
+// skipped: once ctx is cancelled, in-flight calls finish and no further
+// call starts. RunMatrix and the campaign share it.
+func forEachCell(ctx context.Context, n, parallel int, fn func(i int)) int {
+	if parallel <= 0 {
+		parallel = runtime.GOMAXPROCS(0)
+	}
+	idx := make(chan int)
+	var skipped atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(parallel, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				if ctx.Err() != nil {
+					skipped.Add(1)
+					continue
+				}
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	return int(skipped.Load())
 }
 
 // Describe renders a short human-readable summary line.

@@ -2,6 +2,7 @@ package torture
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ccnvm/internal/bmt"
@@ -365,13 +366,8 @@ func checkAttackCaught(c *Context) string {
 			// tamper evidence may land on a neighbour; §4.4 claims page
 			// granularity, and that is what the oracle demands.
 			page := pageOf(c.Victims[0])
-			located := pageListed(rep, page)
-			for _, tb := range rep.Tampered {
-				if pageOf(tb.Addr) == page {
-					located = true
-				}
-			}
-			if !located {
+			if !slices.Contains(rep.ReplayedPages, page) &&
+				!slices.ContainsFunc(rep.Tampered, func(tb recovery.TamperedBlock) bool { return pageOf(tb.Addr) == page }) {
 				return fmt.Sprintf("extension failed to localize the data replay to page %#x (pages=%v tampered=%v)",
 					uint64(page), rep.ReplayedPages, rep.Tampered)
 			}
@@ -449,10 +445,9 @@ func (c *Context) goldenVersions() (stale []mem.Addr, divs []string) {
 	for _, tb := range c.baseRep().Tampered {
 		excluded[tb.Addr] = true
 	}
-	if c.inlinePacked() {
-		return c.Ref.VerifyArsenalImageVersions(c.Img, excluded)
+	if !c.inlinePacked() {
+		c.applyRecovery()
 	}
-	c.applyRecovery()
 	return c.Ref.VerifyImageVersions(c.Img, excluded)
 }
 
@@ -480,17 +475,7 @@ func checkTornWriteDetected(c *Context) string {
 	// Stuck lines the device reports must surface as media errors.
 	if c.Media != nil {
 		for _, ev := range c.Media.Events {
-			if ev.Kind != "stuck" {
-				continue
-			}
-			found := false
-			for _, ma := range rep.MediaErrors {
-				if ma == ev.Addr {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if ev.Kind == "stuck" && !slices.Contains(rep.MediaErrors, ev.Addr) {
 				return fmt.Sprintf("stuck line %#x not reported as a media error", uint64(ev.Addr))
 			}
 		}
@@ -852,34 +837,15 @@ func missingFrom(sub, super []mem.Addr) []mem.Addr {
 }
 
 func tamperedContains(rep *recovery.Report, a mem.Addr) bool {
-	for _, tb := range rep.Tampered {
-		if tb.Addr == a {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(rep.Tampered, func(tb recovery.TamperedBlock) bool { return tb.Addr == a })
 }
 
 func mismatchContains(rep *recovery.Report, a mem.Addr) bool {
-	for _, m := range rep.TreeMismatches {
-		if m.Addr == a {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(rep.TreeMismatches, func(m bmt.Mismatch) bool { return m.Addr == a })
 }
 
 func pageOf(a mem.Addr) mem.Addr {
 	return mem.Addr(uint64(a) / mem.PageSize * mem.PageSize)
-}
-
-func pageListed(rep *recovery.Report, page mem.Addr) bool {
-	for _, p := range rep.ReplayedPages {
-		if p == page {
-			return true
-		}
-	}
-	return false
 }
 
 func victimList(vs []mem.Addr) string {

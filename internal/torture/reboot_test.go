@@ -8,7 +8,6 @@ import (
 
 	"ccnvm/internal/engine"
 	"ccnvm/internal/recovery"
-	"ccnvm/internal/trace"
 )
 
 // crashImage drives a cell's trace to its crash point on a fresh engine
@@ -24,17 +23,7 @@ func crashImage(t *testing.T, c Cell) *engine.CrashImage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := int64(0)
-	for i, op := range ops[:c.CrashAt] {
-		now += int64(op.Gap)
-		switch op.Kind {
-		case trace.Store:
-			now = eng.WriteBack(now, op.Addr, pattern(op.Addr, byte(i))) + 8
-		case trace.Load:
-			_, done := eng.ReadBlock(now, op.Addr)
-			now = done + 8
-		}
-	}
+	driveTrace(eng, ops[:c.CrashAt], nil, nil)
 	return eng.Crash()
 }
 

@@ -207,40 +207,20 @@ func (r *Reference) VerifyArsenalImage(img *engine.CrashImage) []string {
 	return divs
 }
 
-// VerifyImageVersions checks a post-Apply crash image of a
-// conventional-layout design against the reference's version history
-// instead of its latest state: every written block (minus the excluded
-// set, the blocks the report enumerated as lost or tampered) must
-// authenticate as SOME state the trace actually produced — the latest
-// version, an older one, or the implicit virgin state of a block whose
-// every write dropped. Blocks at a non-latest version are returned as
-// stale (acceptable crash loss the recovery report must own); content
-// matching no version at all is a divergence — recovery silently
-// accepted bytes the trace never wrote.
+// VerifyImageVersions checks a crash image against the reference's
+// version history instead of its latest state: every written block
+// (minus the excluded set, the blocks the report enumerated as lost or
+// tampered) must authenticate as SOME state the trace actually produced
+// — the latest version, an older one, or the implicit virgin state of a
+// block whose every write dropped. Blocks at a non-latest version are
+// returned as stale (acceptable crash loss the recovery report must
+// own); content matching no version at all is a divergence — recovery
+// silently accepted bytes the trace never wrote. Conventional-layout
+// images are checked post-Apply; Arsenal's packed blocks (tagged in the
+// sideband) carry counter and plaintext inline and are checked pre-Apply,
+// like VerifyArsenalImage, while its raw-fallback blocks follow the
+// conventional check.
 func (r *Reference) VerifyImageVersions(img *engine.CrashImage, excluded map[mem.Addr]bool) (stale []mem.Addr, divs []string) {
-	for _, a := range r.Written() {
-		if excluded[a] {
-			continue
-		}
-		if len(divs) >= maxDivergences {
-			divs = append(divs, "... more divergences suppressed")
-			return stale, divs
-		}
-		old, div := r.checkBlockVersion(img, a)
-		switch {
-		case div != "":
-			divs = append(divs, div)
-		case old:
-			stale = append(stale, a)
-		}
-	}
-	return stale, divs
-}
-
-// VerifyArsenalImageVersions is the Arsenal analogue (pre-Apply, like
-// VerifyArsenalImage): packed blocks carry counter and plaintext inline,
-// raw-fallback blocks follow the conventional check.
-func (r *Reference) VerifyArsenalImageVersions(img *engine.CrashImage, excluded map[mem.Addr]bool) (stale []mem.Addr, divs []string) {
 	for _, a := range r.Written() {
 		if excluded[a] {
 			continue

@@ -67,8 +67,8 @@ func TestRegistryTortureGolden(t *testing.T) {
 	}
 }
 
-// cellDigest executes one cell exactly as RunCell does (trace drive,
-// mid-trace snapshot, attack injection, recovery) and condenses the
+// cellDigest executes one cell exactly as RunCell does (the shared trace
+// drive, mid-trace snapshot, attack injection, recovery) and condenses the
 // crash image and recovery report into one comparable line.
 func cellDigest(t *testing.T, c Cell) string {
 	t.Helper()
@@ -85,23 +85,13 @@ func cellDigest(t *testing.T, c Cell) string {
 	snapAt := c.CrashAt / 2
 	var snap *nvm.Image
 	var snapWrites map[mem.Addr]uint64
-	now := int64(0)
-	for i, op := range ops[:c.CrashAt] {
+	driveTrace(eng, ops[:c.CrashAt], ref, func(i int, _ trace.Op, now int64) (int64, bool) {
 		if i == snapAt {
 			snap = eng.(interface{ NVMSnapshot() *nvm.Image }).NVMSnapshot()
 			snapWrites = ref.WriteCounts()
 		}
-		now += int64(op.Gap)
-		switch op.Kind {
-		case trace.Store:
-			pt := pattern(op.Addr, byte(i))
-			now = eng.WriteBack(now, op.Addr, pt) + 8
-			ref.WriteBack(op.Addr, pt)
-		case trace.Load:
-			_, done := eng.ReadBlock(now, op.Addr)
-			now = done + 8
-		}
-	}
+		return now, true
+	})
 	img := eng.Crash()
 	if _, _, err := injectAttack(c, img, snap, snapWrites, ref); err != nil {
 		t.Fatal(err)

@@ -30,21 +30,23 @@ func (f *Failure) Error() string {
 	return fmt.Sprintf("oracle %s: %s (cell %s)", f.Oracle, f.Detail, f.Cell.String())
 }
 
+// failf builds the failure of oracle on cell c.
+func failf(c Cell, oracle, format string, args ...any) *Failure {
+	return &Failure{Cell: c, Oracle: oracle, Detail: fmt.Sprintf(format, args...)}
+}
+
 // Runner executes torture cells. The Recover, Apply and ApplyInterrupted
 // seams default to the real recovery implementation; tests substitute
-// deliberately broken ones to prove the oracles catch them.
-// ArmController, when set, is invoked on every cell's freshly built
-// controller before the trace is driven — the seam the reorder-persist
-// sabotage uses to inject a pre-crash ordering defect. ArmDB is the KV
-// equivalent: it runs on every KV cell's freshly opened namespace before
-// batches are driven, and is the seam the break-compact-switch sabotage
-// uses to drop the compaction manifest commit.
+// deliberately broken ones to prove the oracles catch them. Arm, when
+// set, is invoked on every cell's freshly built store before the
+// workload is driven (db is the freshly opened namespace of a KV cell,
+// nil for a trace cell) — the seam the pre-crash sabotages use to inject
+// their defects.
 type Runner struct {
 	Recover          func(*engine.CrashImage) *recovery.Report
 	Apply            func(*engine.CrashImage, *recovery.Report) recovery.Recovered
 	ApplyInterrupted func(*engine.CrashImage, *recovery.Report, *recovery.Interrupt) (recovery.Recovered, bool)
-	ArmController    func(Cell, *store.Store)
-	ArmDB            func(KVCell, *kv.DB)
+	Arm              func(c Cell, st *store.Store, db *kv.DB)
 }
 
 // DefaultRunner runs cells against the real recovery path.
@@ -108,7 +110,7 @@ func (r *Runner) RunCellClass(c Cell) (fail *Failure, class string) {
 	c = c.normalized()
 	defer func() {
 		if p := recover(); p != nil {
-			fail = &Failure{Cell: c, Oracle: "panic", Detail: fmt.Sprintf("cell panicked: %v", p)}
+			fail = failf(c, "panic", "cell panicked: %v", p)
 			class = ""
 		}
 	}()
@@ -132,18 +134,21 @@ func (r *Runner) RunCellClass(c Cell) (fail *Failure, class string) {
 // driven. Callers own the panic conversion.
 func (r *Runner) runCell(c Cell) (*Context, *Failure) {
 	if err := c.Validate(); err != nil {
-		return nil, &Failure{Cell: c, Oracle: "cell-spec", Detail: err.Error()}
+		return nil, failf(c, "cell-spec", "%v", err)
+	}
+	if c.KV() {
+		return r.runKV(c)
 	}
 	ops, err := GenOps(c.Workload, c.Seed, c.Ops)
 	if err != nil {
-		return nil, &Failure{Cell: c, Oracle: "cell-spec", Detail: err.Error()}
+		return nil, failf(c, "cell-spec", "%v", err)
 	}
 	eng, ctrl, err := BuildEngine(c.Design, engine.Params{UpdateLimit: c.N, QueueEntries: c.M}, c.faultModel())
 	if err != nil {
-		return nil, &Failure{Cell: c, Oracle: "cell-spec", Detail: err.Error()}
+		return nil, failf(c, "cell-spec", "%v", err)
 	}
-	if r.ArmController != nil {
-		r.ArmController(c, ctrl)
+	if r.Arm != nil {
+		r.Arm(c, ctrl, nil)
 	}
 	ref := NewReference(mem.MustLayout(Capacity), seccrypto.DefaultKeys())
 	ctx := &Context{Cell: c, Ref: ref, Runner: r}
@@ -157,8 +162,7 @@ func (r *Runner) runCell(c Cell) (*Context, *Failure) {
 	snapAt := c.CrashAt / 2
 	var snap *nvm.Image
 	var snapWrites map[mem.Addr]uint64
-	now := int64(0)
-	for i, op := range ops[:c.CrashAt] {
+	ctx.ReadDivergence = driveTrace(eng, ops[:c.CrashAt], ref, func(i int, op trace.Op, now int64) (int64, bool) {
 		if i == snapAt {
 			snap = eng.(interface{ NVMSnapshot() *nvm.Image }).NVMSnapshot()
 			snapWrites = ref.WriteCounts()
@@ -176,39 +180,26 @@ func (r *Runner) runCell(c Cell) (*Context, *Failure) {
 				ctx.PostScrubWeak = len(ctrl.Device().WeakLines())
 			}
 		}
-		now += int64(op.Gap)
-		switch op.Kind {
-		case trace.Store:
-			if c.Spares > 0 && ctrl.Health() == store.HealthReadOnly {
-				// Front door of the degraded mode: a spare-exhausted
-				// controller accepts no new stores, so the harness skips
-				// them (the reference must not advance past what the
-				// device acknowledged). On the first refusal it probes the
-				// back door once — a direct controller write to a line the
-				// reference never touched — so the degradation oracle can
-				// prove the refusal is real, not just advisory.
-				ctx.RefusedStores++
-				if !ctx.ROProbed {
-					if probe := roProbeAddr(ref); probe != 0 {
-						ctx.ROProbed = true
-						ctx.ROProbeAddr = probe
-						ctrl.HostWrite(now, probe, pattern(probe, 0xA5))
-					}
+		if op.Kind == trace.Store && c.Spares > 0 && ctrl.Health() == store.HealthReadOnly {
+			// Front door of the degraded mode: a spare-exhausted
+			// controller accepts no new stores, so the harness skips
+			// them (the reference must not advance past what the
+			// device acknowledged). On the first refusal it probes the
+			// back door once — a direct controller write to a line the
+			// reference never touched — so the degradation oracle can
+			// prove the refusal is real, not just advisory.
+			ctx.RefusedStores++
+			if !ctx.ROProbed {
+				if probe := roProbeAddr(ref); probe != 0 {
+					ctx.ROProbed = true
+					ctx.ROProbeAddr = probe
+					ctrl.HostWrite(now, probe, pattern(probe, 0xA5))
 				}
-				continue
 			}
-			pt := pattern(op.Addr, byte(i))
-			now = eng.WriteBack(now, op.Addr, pt) + 8
-			ref.WriteBack(op.Addr, pt)
-		case trace.Load:
-			got, done := eng.ReadBlock(now, op.Addr)
-			if got != ref.Plaintext(op.Addr) && ctx.ReadDivergence == "" {
-				ctx.ReadDivergence = fmt.Sprintf("op %d: load of %#x returned content diverging from the reference plaintext",
-					i, uint64(mem.Align(op.Addr)))
-			}
-			now = done + 8
+			return now, false
 		}
-	}
+		return now, true
+	})
 	ctx.RunViolations = eng.Stats().IntegrityViolations
 
 	ctx.Img = eng.Crash()
@@ -223,15 +214,15 @@ func (r *Runner) runCell(c Cell) (*Context, *Failure) {
 		ctx.RemapEntriesAtCrash = ctrl.Device().RemapEntries()
 	}
 	if err := ctrl.Err(); err != nil {
-		return ctx, &Failure{Cell: c, Oracle: "device-fault", Detail: "controller recorded a device/protocol error: " + err.Error()}
+		return ctx, failf(c, "device-fault", "controller recorded a device/protocol error: %v", err)
 	}
 	ctx.Victims, ctx.AttackChanged, err = injectAttack(c, ctx.Img, snap, snapWrites, ref)
 	if err != nil {
-		return ctx, &Failure{Cell: c, Oracle: "cell-spec", Detail: err.Error()}
+		return ctx, failf(c, "cell-spec", "%v", err)
 	}
 	ctx.Rep = r.recoverFn()(ctx.Img)
-	if fail := r.runRebootLoop(ctx); fail != nil {
-		return ctx, fail
+	if !r.runRebootLoop(ctx) {
+		return ctx, failf(c, "reboot-bounded", "uninterrupted final recovery pass failed to commit")
 	}
 
 	for _, o := range Oracles() {
@@ -242,19 +233,21 @@ func (r *Runner) runCell(c Cell) (*Context, *Failure) {
 	return ctx, nil
 }
 
-// runRebootLoop executes the cell's reboot axis: after a clean first
-// recovery, run Apply with an interrupt striking the RebootEvery-th
-// persisted recovery write, re-enter recovery on the half-applied
-// image, and repeat, finishing with one uninterrupted pass. Before the
-// first strike it clones the crash image and recovers the clone
-// single-shot through the same runner seams — the convergence oracle's
-// golden final state. Cells whose first recovery is not clean skip the
-// loop: their Apply semantics stay owned by the single-shot oracles
-// (this also exempts w/o CC, whose crash images always flag tamper).
-func (r *Runner) runRebootLoop(ctx *Context) *Failure {
+// runRebootLoop executes the cell's reboot axis, for trace and KV cells
+// alike: after a clean first recovery, run Apply with an interrupt
+// striking the RebootEvery-th persisted recovery write, re-enter
+// recovery on the half-applied image, and repeat, finishing with one
+// uninterrupted pass; it reports false when that pass fails to commit.
+// Before the first strike it clones the crash image and recovers the
+// clone single-shot through the same runner seams — the convergence
+// oracles' golden final state. Cells whose first recovery is not clean
+// skip the loop: their Apply semantics stay owned by the single-shot
+// oracles (this also exempts w/o CC, whose crash images always flag
+// tamper).
+func (r *Runner) runRebootLoop(ctx *Context) bool {
 	c := ctx.Cell
 	if c.Reboots <= 0 || !ctx.Rep.Clean() {
-		return nil
+		return true
 	}
 	ctx.FirstRep = ctx.Rep
 	ctx.GoldenImg = ctx.Img.Clone()
@@ -281,15 +274,52 @@ func (r *Runner) runRebootLoop(ctx *Context) *Failure {
 		rec, ok := r.applyInterruptedFn()(ctx.Img, rep, itr)
 		ctx.FinalPlan = itr.Plan
 		if !ok {
-			return &Failure{Cell: c, Oracle: "reboot-bounded",
-				Detail: "uninterrupted final recovery pass failed to commit"}
+			return false
 		}
 		ctx.Recovered = &rec
 	}
 	ctx.Rep = rep
 	ctx.applied = true
 	ctx.rebootRan = true
-	return nil
+	return true
+}
+
+// driveTrace is the one trace-drive loop every trace path shares, so
+// crash points mean the same op boundary everywhere: ops run in order,
+// each after its gap; a store writes pattern(addr, i) and a load reads
+// the block back. ref, when non-nil, mirrors every store and checks
+// every load, and the first load diverging from it is returned. hook,
+// when non-nil, runs ahead of op i's gap: it returns the clock (a scrub
+// pass advances it) and whether the op runs (a refused store does not).
+func driveTrace(eng engine.Engine, ops []trace.Op, ref *Reference, hook func(i int, op trace.Op, now int64) (int64, bool)) string {
+	divergence := ""
+	now := int64(0)
+	for i, op := range ops {
+		run := true
+		if hook != nil {
+			now, run = hook(i, op, now)
+		}
+		now += int64(op.Gap)
+		if !run {
+			continue
+		}
+		switch op.Kind {
+		case trace.Store:
+			pt := pattern(op.Addr, byte(i))
+			now = eng.WriteBack(now, op.Addr, pt) + 8
+			if ref != nil {
+				ref.WriteBack(op.Addr, pt)
+			}
+		case trace.Load:
+			got, done := eng.ReadBlock(now, op.Addr)
+			if ref != nil && got != ref.Plaintext(op.Addr) && divergence == "" {
+				divergence = fmt.Sprintf("op %d: load of %#x returned content diverging from the reference plaintext",
+					i, uint64(mem.Align(op.Addr)))
+			}
+			now = done + 8
+		}
+	}
+	return divergence
 }
 
 // injectAttack mutates the crash image according to the cell's attack

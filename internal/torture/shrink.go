@@ -7,7 +7,7 @@ package torture
 // sound reduction. The search spends at most budget cell executions and
 // returns the smallest still-failing cell plus the number of runs used.
 //
-// Five phases, each kept only if the cell still fails the same oracle:
+// Six phases, each kept only if the cell still fails the same oracle:
 //  1. drop the attack (a failure that survives as a clean crash is a
 //     strictly simpler repro, whatever oracle it then trips);
 //  2. reduce the fault dimensions: first all of them at once (a
@@ -15,8 +15,13 @@ package torture
 //     then one dimension at a time, then the fault seed to 1;
 //  3. reduce the reboot axis: drop it entirely, then halve the reboot
 //     count toward one and walk the strike stride down toward 2;
-//  4. bisect CrashAt downward, then walk it down linearly;
-//  5. trim Ops to CrashAt so the repro generates no dead trace tail.
+//  4. on a KV cell, drop the crash entirely (a cell that fails with
+//     power lost only after its last batch is the simplest repro there
+//     is), halve the batch count toward one, and tighten the compaction
+//     stride to every batch;
+//  5. bisect CrashAt downward (to one op, or zero host writes), then
+//     walk it down linearly;
+//  6. trim Ops to CrashAt so the repro generates no dead trace tail.
 func Shrink(r *Runner, f Failure, budget int) (Failure, int) {
 	if budget <= 0 {
 		budget = 64
@@ -42,6 +47,23 @@ func Shrink(r *Runner, f Failure, budget int) (Failure, int) {
 		best = *g
 		best.Cell = best.Cell.normalized()
 		return true
+	}
+	// descend walks one axis down toward floor while the cell keeps
+	// failing the same oracle: halve it, else step it down by one, else
+	// stop.
+	descend := func(axis func(*Cell) *int, floor int) {
+		for runs < budget && *axis(&best.Cell) > floor {
+			c := best.Cell
+			*axis(&c) /= 2
+			if try(c, true) {
+				continue
+			}
+			c = best.Cell
+			*axis(&c)--
+			if !try(c, true) {
+				break
+			}
+		}
 	}
 
 	// Phase 1: a cell that fails even without its attack is simpler.
@@ -130,22 +152,28 @@ func Shrink(r *Runner, f Failure, budget int) (Failure, int) {
 		try(c, true)
 	}
 
-	// Phase 4: bisect the crash point down, then creep linearly.
-	for runs < budget && best.Cell.CrashAt > 1 {
-		c := best.Cell
-		c.CrashAt = best.Cell.CrashAt / 2
-		if try(c, true) {
-			continue
+	// Phase 4: shrink a KV cell's workload.
+	floor := 1
+	if best.Cell.KV() {
+		floor = 0
+		if best.Cell.CrashAt >= 0 {
+			c := best.Cell
+			c.CrashAt = -1
+			try(c, true)
 		}
-		c = best.Cell
-		c.CrashAt = best.Cell.CrashAt - 1
-		if !try(c, true) {
-			break
+		descend(func(c *Cell) *int { return &c.Batches }, 1)
+		if best.Cell.CompactEvery > 1 {
+			c := best.Cell
+			c.CompactEvery = 1
+			try(c, true)
 		}
 	}
 
-	// Phase 5: drop the trace tail past the crash.
-	if best.Cell.Ops > best.Cell.CrashAt {
+	// Phase 5: bisect the crash point down, then creep linearly.
+	descend(func(c *Cell) *int { return &c.CrashAt }, floor)
+
+	// Phase 6: drop the trace tail past the crash.
+	if !best.Cell.KV() && best.Cell.Ops > best.Cell.CrashAt {
 		c := best.Cell
 		c.Ops = c.CrashAt
 		try(c, true)

@@ -4,8 +4,10 @@
 // injects an attack into the crash image, invokes recovery, and checks a
 // shared set of invariant oracles against a golden serial reference
 // machine built on unmemoized crypto (see oracles.go for the oracle
-// list). Failures carry a one-line `ccnvm-torture -repro` command and
-// are minimized by the shrinker (shrink.go) before being reported.
+// list). KV cells (kvcrash.go) are the same Cell crashing the KV
+// namespace at host-write boundaries. Failures carry a one-line
+// `ccnvm-torture -repro` command and are minimized by the shrinker
+// (shrink.go) before being reported.
 //
 // The harness drives engines directly (WriteBack/ReadBlock), not through
 // the cached simulator machine, so crash points land between individual
@@ -15,6 +17,8 @@ package torture
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -43,15 +47,25 @@ func AttackNames() []string {
 
 // Cell is one torture-matrix point. The zero value is not runnable; use
 // (Cell).normalized or EnumerateCells to fill defaults.
+//
+// A cell whose Workload is KVWorkload crashes the KV namespace instead
+// of a trace (see kvcrash.go): it drives Batches batches, CrashAt counts
+// host writes rather than ops (-1: power fails only after the last
+// batch), and the trace, attack and fault axes stay zero.
 type Cell struct {
 	Design   string `json:"design"`
 	Workload string `json:"workload"`
 	Seed     int64  `json:"seed"`
-	Ops      int    `json:"ops"`    // trace length generated for the cell
-	CrashAt  int    `json:"crash"`  // power failure after this many ops
-	Attack   string `json:"attack"` // one of AttackNames
-	N        uint64 `json:"n"`      // engine update limit (0 = paper default)
-	M        int    `json:"m"`      // dirty address queue entries (0 = default)
+	Ops      int    `json:"ops"`               // trace length generated for the cell
+	Batches  int    `json:"batches,omitempty"` // KV cells: batches driven into the namespace
+	CrashAt  int    `json:"crash"`             // power failure after this many ops (KV: host writes)
+	Attack   string `json:"attack"`            // one of AttackNames
+	N        uint64 `json:"n"`                 // engine update limit (0 = paper default)
+	M        int    `json:"m"`                 // dirty address queue entries (0 = default)
+
+	// CompactEvery runs a KV compaction pass after every k-th
+	// acknowledged batch, so the crash sweep lands inside its phases.
+	CompactEvery int `json:"compact_every,omitempty"`
 
 	// Media-fault dimensions; all zero reproduces the idealized device
 	// bit-for-bit. FaultSeed drives every fault decision deterministically.
@@ -108,6 +122,9 @@ func (c Cell) normalized() Cell {
 	if c.Attack == "" {
 		c.Attack = "none"
 	}
+	if c.KV() {
+		return c
+	}
 	if c.Ops <= 0 {
 		c.Ops = 200
 	}
@@ -117,22 +134,44 @@ func (c Cell) normalized() Cell {
 	return c
 }
 
-// Validate rejects cells outside the harness's vocabulary.
+// Validate rejects cells outside the harness's vocabulary. A KV cell
+// also needs a design whose capability sheet honors the KV contract:
+// every acknowledged write survives a clean crash (CrashConsistent) and
+// recovery does not cry wolf (w/o CC flags every crash as tampering, so
+// there is no clean image to rebuild a keymap from).
 func (c Cell) Validate() error {
-	if !contains(DesignNames(), c.Design) {
+	if !slices.Contains(DesignNames(), c.Design) {
 		return fmt.Errorf("torture: unknown design %q", c.Design)
 	}
-	if !contains(WorkloadNames(), c.Workload) {
-		return fmt.Errorf("torture: unknown workload %q", c.Workload)
-	}
-	if !contains(AttackNames(), c.Attack) {
-		return fmt.Errorf("torture: unknown attack %q", c.Attack)
-	}
-	if c.Ops < 1 || c.Ops > 1<<20 {
-		return fmt.Errorf("torture: ops %d out of range", c.Ops)
-	}
-	if c.CrashAt < 1 || c.CrashAt > c.Ops {
-		return fmt.Errorf("torture: crash point %d outside trace of %d ops", c.CrashAt, c.Ops)
+	if c.KV() {
+		switch {
+		case !slices.Contains(KVDesigns(), c.Design):
+			return fmt.Errorf("torture: design %s is not crash-consistent; KV cells do not apply", c.Design)
+		case c.Batches < 1:
+			return fmt.Errorf("torture: kv cell needs at least 1 batch, got %d", c.Batches)
+		case c.CrashAt < -1:
+			return fmt.Errorf("torture: kv crash write %d out of range (-1 = after the last batch)", c.CrashAt)
+		case c.CompactEvery < 0:
+			return fmt.Errorf("torture: kv compaction stride %d must be >= 0", c.CompactEvery)
+		case c.Ops != 0 || c.Attack != "none" || c.N != 0 || c.M != 0 || c.Faulty():
+			return fmt.Errorf("torture: kv cells take no ops, attack, n, m or fault axis")
+		}
+	} else {
+		if !slices.Contains(WorkloadNames(), c.Workload) {
+			return fmt.Errorf("torture: unknown workload %q", c.Workload)
+		}
+		if !slices.Contains(AttackNames(), c.Attack) {
+			return fmt.Errorf("torture: unknown attack %q", c.Attack)
+		}
+		if c.Ops < 1 || c.Ops > 1<<20 {
+			return fmt.Errorf("torture: ops %d out of range", c.Ops)
+		}
+		if c.CrashAt < 1 || c.CrashAt > c.Ops {
+			return fmt.Errorf("torture: crash point %d outside trace of %d ops", c.CrashAt, c.Ops)
+		}
+		if c.Batches != 0 || c.CompactEvery != 0 {
+			return fmt.Errorf("torture: batches and compact apply to workload=%s only", KVWorkload)
+		}
 	}
 	if c.WeakPct < 0 || c.WeakPct > 100 {
 		return fmt.Errorf("torture: weak-line percentage %d out of range [0,100]", c.WeakPct)
@@ -194,34 +233,50 @@ func (c Cell) RefusalReason() string {
 	return ""
 }
 
-// String renders the cell as the key=value spec Repro embeds. Fault and
-// reboot dimensions are appended only when active, so historical cells
-// keep their spec (and repro lines) unchanged.
+// specFields is the cell spec grammar, one row per key in String's
+// order: the key, the Cell field it binds, and when String emits it.
+// A trace cell always carries ops, attack, n and m, a KV cell batches
+// instead, and every other axis appears only when active, so a cell's
+// spec names exactly the axes it exercises. ParseCell accepts every key.
+type specField struct {
+	key   string
+	field func(*Cell) any
+	show  func(Cell) bool
+}
+
+var specFields = []specField{
+	{"design", func(c *Cell) any { return &c.Design }, always},
+	{"workload", func(c *Cell) any { return &c.Workload }, always},
+	{"seed", func(c *Cell) any { return &c.Seed }, always},
+	{"ops", func(c *Cell) any { return &c.Ops }, isTrace},
+	{"batches", func(c *Cell) any { return &c.Batches }, Cell.KV},
+	{"crash", func(c *Cell) any { return &c.CrashAt }, always},
+	{"attack", func(c *Cell) any { return &c.Attack }, isTrace},
+	{"n", func(c *Cell) any { return &c.N }, isTrace},
+	{"m", func(c *Cell) any { return &c.M }, isTrace},
+	{"compact", func(c *Cell) any { return &c.CompactEvery }, func(c Cell) bool { return c.CompactEvery > 0 }},
+	{"fseed", func(c *Cell) any { return &c.FaultSeed }, Cell.Faulty},
+	{"torn", func(c *Cell) any { return &c.Torn }, func(c Cell) bool { return c.Torn }},
+	{"adr", func(c *Cell) any { return &c.ADRBudget }, func(c Cell) bool { return c.ADRBudget > 0 }},
+	{"weak", func(c *Cell) any { return &c.WeakPct }, func(c Cell) bool { return c.WeakPct > 0 }},
+	{"stuck", func(c *Cell) any { return &c.Stuck }, func(c Cell) bool { return c.Stuck > 0 }},
+	{"spares", func(c *Cell) any { return &c.Spares }, func(c Cell) bool { return c.Spares > 0 }},
+	{"revery", func(c *Cell) any { return &c.RebootEvery }, func(c Cell) bool { return c.Reboots > 0 }},
+	{"reboots", func(c *Cell) any { return &c.Reboots }, func(c Cell) bool { return c.Reboots > 0 }},
+}
+
+func always(Cell) bool    { return true }
+func isTrace(c Cell) bool { return !c.KV() }
+
+// String renders the cell as the key=value spec Repro embeds.
 func (c Cell) String() string {
-	s := fmt.Sprintf("design=%s,workload=%s,seed=%d,ops=%d,crash=%d,attack=%s,n=%d,m=%d",
-		c.Design, c.Workload, c.Seed, c.Ops, c.CrashAt, c.Attack, c.N, c.M)
-	if c.Faulty() {
-		s += fmt.Sprintf(",fseed=%d", c.FaultSeed)
-		if c.Torn {
-			s += ",torn=1"
-		}
-		if c.ADRBudget > 0 {
-			s += fmt.Sprintf(",adr=%d", c.ADRBudget)
-		}
-		if c.WeakPct > 0 {
-			s += fmt.Sprintf(",weak=%d", c.WeakPct)
-		}
-		if c.Stuck > 0 {
-			s += fmt.Sprintf(",stuck=%d", c.Stuck)
-		}
-		if c.Spares > 0 {
-			s += fmt.Sprintf(",spares=%d", c.Spares)
+	var parts []string
+	for _, f := range specFields {
+		if f.show(c) {
+			parts = append(parts, f.key+"="+formatField(f.field(&c)))
 		}
 	}
-	if c.Reboots > 0 {
-		s += fmt.Sprintf(",revery=%d,reboots=%d", c.RebootEvery, c.Reboots)
-	}
-	return s
+	return strings.Join(parts, ",")
 }
 
 // Repro is the one-line command that replays exactly this cell.
@@ -240,44 +295,11 @@ func ParseCell(spec string) (Cell, error) {
 		if !ok {
 			return Cell{}, fmt.Errorf("torture: bad cell field %q (want key=value)", kv)
 		}
-		var err error
-		switch k {
-		case "design":
-			c.Design = v
-		case "workload":
-			c.Workload = v
-		case "attack":
-			c.Attack = v
-		case "seed":
-			c.Seed, err = strconv.ParseInt(v, 10, 64)
-		case "ops":
-			c.Ops, err = strconv.Atoi(v)
-		case "crash":
-			c.CrashAt, err = strconv.Atoi(v)
-		case "n":
-			c.N, err = strconv.ParseUint(v, 10, 64)
-		case "m":
-			c.M, err = strconv.Atoi(v)
-		case "fseed":
-			c.FaultSeed, err = strconv.ParseInt(v, 10, 64)
-		case "torn":
-			c.Torn = v == "1" || v == "true"
-		case "adr":
-			c.ADRBudget, err = strconv.Atoi(v)
-		case "weak":
-			c.WeakPct, err = strconv.Atoi(v)
-		case "stuck":
-			c.Stuck, err = strconv.Atoi(v)
-		case "spares":
-			c.Spares, err = strconv.Atoi(v)
-		case "revery":
-			c.RebootEvery, err = strconv.Atoi(v)
-		case "reboots":
-			c.Reboots, err = strconv.Atoi(v)
-		default:
+		i := slices.IndexFunc(specFields, func(f specField) bool { return f.key == k })
+		if i < 0 {
 			return Cell{}, fmt.Errorf("torture: unknown cell field %q", k)
 		}
-		if err != nil {
+		if err := parseField(specFields[i].field(&c), v); err != nil {
 			return Cell{}, fmt.Errorf("torture: bad value for %s: %w", k, err)
 		}
 	}
@@ -286,6 +308,31 @@ func ParseCell(spec string) (Cell, error) {
 		return Cell{}, err
 	}
 	return c, nil
+}
+
+// formatField and parseField convert one spec value; a bool is "1" when
+// set and parses from "1" or "true".
+func formatField(p any) string {
+	if b, ok := p.(*bool); ok && *b {
+		return "1"
+	}
+	return fmt.Sprint(reflect.ValueOf(p).Elem())
+}
+
+func parseField(p any, s string) (err error) {
+	switch v := p.(type) {
+	case *string:
+		*v = s
+	case *int:
+		*v, err = strconv.Atoi(s)
+	case *int64:
+		*v, err = strconv.ParseInt(s, 10, 64)
+	case *uint64:
+		*v, err = strconv.ParseUint(s, 10, 64)
+	case *bool:
+		*v = s == "1" || s == "true"
+	}
+	return err
 }
 
 // BuildEngine constructs a fresh engine of the named design through the
@@ -305,13 +352,4 @@ func BuildEngine(name string, p engine.Params, fm *nvm.FaultModel) (engine.Engin
 		return nil, nil, fmt.Errorf("torture: %w", err)
 	}
 	return st.Engine(), st, nil
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

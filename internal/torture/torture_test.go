@@ -3,6 +3,7 @@ package torture
 import (
 	"context"
 	"flag"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -103,40 +104,74 @@ func TestShortMatrixCoversVocabulary(t *testing.T) {
 	}
 }
 
+// TestReproRoundTrip holds String and ParseCell to inverting each other
+// for trace and KV cells alike, pins both spec shapes byte for byte, and
+// checks ParseCell rejects what Validate rejects — the KV design rule
+// and KV-only axes included.
 func TestReproRoundTrip(t *testing.T) {
-	for _, orig := range []Cell{
-		{Design: "ccnvm", Workload: "hammer", Seed: 7, Ops: 300, CrashAt: 123, Attack: "data-replay", N: 4, M: 32},
-		{Design: "wocc", Workload: "hot", Seed: 2, Ops: 100, CrashAt: 50, Attack: "none", FaultSeed: 3, WeakPct: 10, Stuck: 2, Spares: 4},
+	for _, tc := range []struct {
+		cell Cell
+		spec string
+	}{
+		{Cell{Design: "ccnvm", Workload: "hammer", Seed: 7, Ops: 300, CrashAt: 123, Attack: "data-replay", N: 4, M: 32},
+			"design=ccnvm,workload=hammer,seed=7,ops=300,crash=123,attack=data-replay,n=4,m=32"},
+		{Cell{Design: "wocc", Workload: "hot", Seed: 2, Ops: 100, CrashAt: 50, Attack: "none", FaultSeed: 3, WeakPct: 10, Stuck: 2, Spares: 4},
+			"design=wocc,workload=hot,seed=2,ops=100,crash=50,attack=none,n=0,m=0,fseed=3,weak=10,stuck=2,spares=4"},
+		{Cell{Design: "ccnvm", Workload: KVWorkload, Seed: 7, Batches: 6, CrashAt: 12, CompactEvery: 2},
+			"design=ccnvm,workload=kv,seed=7,batches=6,crash=12,compact=2"},
+		{Cell{Design: "sc", Workload: KVWorkload, Seed: 1, Batches: 3, CrashAt: -1, Reboots: 2, RebootEvery: 2},
+			"design=sc,workload=kv,seed=1,batches=3,crash=-1,revery=2,reboots=2"},
 	} {
-		back, err := ParseCell(orig.String())
+		if s := tc.cell.String(); s != tc.spec {
+			t.Fatalf("spec %q, want %q", s, tc.spec)
+		}
+		back, err := ParseCell(tc.spec)
 		if err != nil {
-			t.Fatalf("ParseCell(%q): %v", orig.String(), err)
+			t.Fatalf("ParseCell(%q): %v", tc.spec, err)
 		}
-		if back != orig.normalized() {
-			t.Fatalf("round trip changed the cell: %s -> %s", orig.String(), back.String())
+		if back != tc.cell.normalized() {
+			t.Fatalf("round trip changed the cell: %s -> %s", tc.spec, back.String())
 		}
 	}
-	if _, err := ParseCell("design=nosuch"); err == nil {
-		t.Fatal("ParseCell accepted an unknown design")
-	}
-	if _, err := ParseCell("design=ccnvm,ops=10,crash=11"); err == nil {
-		t.Fatal("ParseCell accepted a crash point outside the trace")
-	}
-	if _, err := ParseCell("design=ccnvm,ops=10,crash=5,spares=2"); err == nil {
-		t.Fatal("ParseCell accepted a spare pool with no consumer axis")
+	for _, tc := range []struct{ spec, want string }{
+		{"design=nosuch", "unknown design"},
+		{"design=ccnvm,ops=10,crash=11", "outside trace"},
+		{"design=ccnvm,ops=10,crash=5,spares=2", "without a weak or stuck axis"},
+		{"design=ccnvm,ops=10,crash=5,batches=3", "workload=kv only"},
+		{"design=no-such,workload=kv,batches=1", "unknown design"},
+		{"design=wocc,workload=kv,batches=1", "not crash-consistent"},
+		{"design=ccnvm,workload=kv,batches=0", "at least 1 batch"},
+		{"design=ccnvm,workload=kv,batches=1,reboots=2", "revery >= 1"},
+		{"design=ccnvm,workload=kv,batches=3,compact=-1", "compaction stride"},
+		{"design=ccnvm,workload=kv,batches=3,crash=-2", "out of range"},
+		{"design=ccnvm,workload=kv,batches=3,attack=spoof", "no ops, attack"},
+	} {
+		if _, err := ParseCell(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseCell(%q) = %v, want an error containing %q", tc.spec, err, tc.want)
+		}
 	}
 }
 
+// TestOracleDocs: every trace and KV oracle has a unique name and a
+// doc — both lists are what `ccnvm-torture -oracles` prints — and only
+// the trace oracles, which runCell evaluates in order, carry a Check.
 func TestOracleDocs(t *testing.T) {
 	names := map[string]bool{}
-	for _, o := range Oracles() {
-		if o.Name == "" || o.Doc == "" || o.Check == nil {
-			t.Fatalf("oracle %+v missing name, doc or check", o.Name)
+	for i, o := range slices.Concat(Oracles(), KVOracles()) {
+		kvOracle := i >= len(Oracles())
+		if o.Name == "" || o.Doc == "" || (o.Check == nil) != kvOracle {
+			t.Fatalf("oracle %q missing name or doc, or its Check does not match its list", o.Name)
+		}
+		if kvOracle != strings.HasPrefix(o.Name, "kv-") {
+			t.Fatalf("oracle %q is in the wrong list", o.Name)
 		}
 		if names[o.Name] {
 			t.Fatalf("duplicate oracle name %s", o.Name)
 		}
 		names[o.Name] = true
+	}
+	if len(KVOracles()) != 10 {
+		t.Fatalf("%d KV oracles documented, want 10", len(KVOracles()))
 	}
 }
 
