@@ -58,10 +58,6 @@ func New(lay *mem.Layout, cry *seccrypto.Engine) *Tree {
 // Layout returns the bound address-space layout.
 func (t *Tree) Layout() *mem.Layout { return t.lay }
 
-// Crypto exposes the tree's crypto engine, e.g. to inspect memo-table
-// statistics.
-func (t *Tree) Crypto() *seccrypto.Engine { return t.cry }
-
 // DefaultNode returns the content of a never-written node at the given
 // level (0 = counter line).
 func (t *Tree) DefaultNode(level int) mem.Line {

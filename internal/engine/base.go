@@ -58,7 +58,7 @@ type Base struct {
 
 	// defLines memoizes synthesized default data-HMAC lines (four SHA-1
 	// HMACs each), which profiling shows dominate read-path time on
-	// sparse images. Direct-mapped and bounded, like the seccrypto memos.
+	// sparse images. Direct-mapped and bounded; nil turns it off.
 	defLines []defLineSlot
 
 	// OnViolation, when set, observes runtime integrity failures with a
@@ -165,16 +165,8 @@ func (b *Base) UpdatePendingEvict(a mem.Addr, mutate func(*mem.Line)) (mem.Line,
 // StatsRef exposes the mutable statistics to designs in this module.
 func (b *Base) StatsRef() *SecStats { return &b.stats }
 
-// Stats returns a copy of the accumulated statistics, folding in the
-// crypto engine's memo-table counters.
-func (b *Base) Stats() SecStats {
-	s := b.stats
-	cs := b.Cry.CacheStats()
-	s.PadCacheHits, s.PadCacheMisses = cs.PadHits, cs.PadMisses
-	s.DataMemoHits, s.DataMemoMisses = cs.DataHits, cs.DataMisses
-	s.NodeMemoHits, s.NodeMemoMisses = cs.NodeHits, cs.NodeMisses
-	return s
-}
+// Stats returns a copy of the accumulated statistics.
+func (b *Base) Stats() SecStats { return b.stats }
 
 // HMACOp schedules a chain of n dependent HMAC computations and
 // returns the completion cycle. The unit is modelled as fully

@@ -88,6 +88,28 @@ func TestDefaultHMACLineVerifiesZeroBlocks(t *testing.T) {
 	}
 }
 
+// TestDefaultHMACLineMemoMatchesRecompute holds the default-HMAC-line
+// memo to a Base without it: two HMAC-line addresses that share a memo
+// slot, requested alternately so each evicts the other, then one repeat,
+// must give the lines a recompute gives.
+func TestDefaultHMACLineMemoMatchesRecompute(t *testing.T) {
+	memo, plain := newBase(t, 1<<30), newBase(t, 1<<30)
+	plain.defLines = nil
+	ha1 := memo.Lay.HMACBase
+	ha2 := ha1 + mem.LineSize
+	for mem.Mix64(uint64(ha2))&(defLineSlots-1) != mem.Mix64(uint64(ha1))&(defLineSlots-1) {
+		ha2 += mem.LineSize
+	}
+	for i, ha := range []mem.Addr{ha1, ha2, ha1, ha2, ha2} {
+		if got, want := memo.DefaultHMACLine(ha), plain.DefaultHMACLine(ha); got != want {
+			t.Fatalf("request %d (%#x): memoized line differs from the recompute", i, uint64(ha))
+		}
+	}
+	if s := memo.Stats(); s.DefaultLineHits != 1 || s.DefaultLineMisses != 4 {
+		t.Fatalf("memo hits/misses = %d/%d, want 1/4", s.DefaultLineHits, s.DefaultLineMisses)
+	}
+}
+
 func TestFetchChainFillsAndVerifies(t *testing.T) {
 	b := newBase(t, 1<<30)
 	// Empty NVM: the whole default chain must verify against ROOTold.

@@ -183,26 +183,25 @@ type SecStats struct {
 	WritebackBufferStalls uint64 // evictions that found the buffer full
 	WritebackStallCycles  int64
 
-	// Memoization counters for the simulator's own hot-path caches (the
-	// OTP pad cache, the data/node HMAC memos and the default-HMAC-line
-	// memo). These are observational: modeled cycle counts come from the
-	// timing model (HMACOps/AESOps above), so memo hits never change
-	// results — see DESIGN.md, "Simulator performance".
+	// Memo counters. Only the default-HMAC-line memo
+	// (Base.DefaultHMACLine) exists; the pad, data-HMAC and node-HMAC
+	// counters are always zero and stay only because the repo benchmark
+	// still reads them. The counters are observational: modeled cycle
+	// counts come from the timing model (HMACOps/AESOps above), so memo
+	// hits never change results — see DESIGN.md, "Simulator performance".
 	PadCacheHits, PadCacheMisses       uint64
 	DataMemoHits, DataMemoMisses       uint64
 	NodeMemoHits, NodeMemoMisses       uint64
 	DefaultLineHits, DefaultLineMisses uint64
 }
 
-// MemoHitRatio reports the combined hit ratio of all memo tables; the
-// bench harness tracks it across PRs.
+// MemoHitRatio reports the default-HMAC-line memo's hit ratio.
 func (s SecStats) MemoHitRatio() float64 {
-	hits := s.PadCacheHits + s.DataMemoHits + s.NodeMemoHits + s.DefaultLineHits
-	total := hits + s.PadCacheMisses + s.DataMemoMisses + s.NodeMemoMisses + s.DefaultLineMisses
+	total := s.DefaultLineHits + s.DefaultLineMisses
 	if total == 0 {
 		return 0
 	}
-	return float64(hits) / float64(total)
+	return float64(s.DefaultLineHits) / float64(total)
 }
 
 // Params carries the microarchitectural latencies (cycles) and limits.

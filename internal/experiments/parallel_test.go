@@ -29,7 +29,7 @@ func workers() int {
 // TestParallelMatchesSerial runs the full design × benchmark matrix at
 // Parallelism 1 and at NumCPU-or-more workers: every cell must be
 // bit-identical. Machines share nothing, so any divergence would mean a
-// hidden shared-state bug in the simulator or crypto memo layer.
+// hidden shared-state bug in the simulator or crypto layer.
 func TestParallelMatchesSerial(t *testing.T) {
 	o := Options{Ops: 8000, Designs: sim.Designs(), Benchmarks: trace.Benchmarks()}
 	oa, ob := o, o

@@ -255,7 +255,7 @@ func (db *DB) readFrames(frames chan<- sealedFrame, stop <-chan struct{}) (uint6
 		if addr+need > end {
 			break
 		}
-		payload, err := db.readRange(addr+mem.LineSize, payloadBytes)
+		payload, err := db.readBytes(valRef{payload: addr + mem.LineSize, n: payloadBytes})
 		if err != nil {
 			return last, addr, fmt.Errorf("kv: log scan payload at %#x: %w", uint64(addr+mem.LineSize), err)
 		}
@@ -373,28 +373,10 @@ func (db *DB) apply(payloadStart mem.Addr, payload []byte, recs []record) {
 	}
 }
 
-// readRange assembles n bytes starting at line-aligned addr.
-func (db *DB) readRange(addr mem.Addr, n int) ([]byte, error) {
-	out := make([]byte, 0, n)
-	for got := 0; got < n; {
-		l, err := db.st.Read(addr)
-		if err != nil {
-			return nil, err
-		}
-		take := n - got
-		if take > mem.LineSize {
-			take = mem.LineSize
-		}
-		out = append(out, l[:take]...)
-		got += take
-		addr += mem.LineSize
-	}
-	return out, nil
-}
-
-// readBytes reads one value by ref. The caller must hold rmu shared
-// (or otherwise know the ref's half cannot be reclaimed, as the
-// compactor does for the active half it is copying out of).
+// readBytes reads one value, or a frame's whole payload, by ref. The
+// caller must hold rmu shared (or otherwise know the ref's half cannot
+// be reclaimed, as the compactor does for the active half it is
+// copying out of, and the reopen scan does before anything else runs).
 func (db *DB) readBytes(ref valRef) ([]byte, error) {
 	if ref.n == 0 {
 		return []byte{}, nil

@@ -1,15 +1,13 @@
 package mem
 
-import (
-	"encoding/binary"
-	"hash/crc32"
-)
+import "hash/crc32"
 
 // Mix64 is a 64-bit finalizing mixer (the SplitMix64 / MurmurHash3
-// fmix64 constants). The simulator's hot-path memo tables index with it
-// because map-free direct-mapped slots need a deterministic, well-mixed
-// hash: Go's built-in map would randomize iteration and seed, which
-// breaks bit-reproducible cache statistics.
+// fmix64 constants). The simulator's hot-path tables (the default-HMAC-
+// line memo, the dirty address queue) index with it because map-free
+// direct-mapped slots need a deterministic, well-mixed hash: Go's
+// built-in map would randomize iteration and seed, which breaks
+// bit-reproducible cache statistics.
 func Mix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -17,18 +15,6 @@ func Mix64(x uint64) uint64 {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return x
-}
-
-// HashLine hashes a full 64-byte line with an FNV-1a pass over its
-// eight words followed by a final mix. Used to index content-keyed memo
-// tables (Merkle-node HMAC memos); collisions are resolved by full
-// content comparison, so the hash only affects hit rate, never results.
-func HashLine(l *Line) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < LineSize; i += 8 {
-		h = (h ^ binary.LittleEndian.Uint64(l[i:])) * 1099511628211
-	}
-	return Mix64(h)
 }
 
 // castagnoli is the CRC-32C table; hash/crc32 runs it on the CPU's CRC32

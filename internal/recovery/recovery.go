@@ -794,8 +794,8 @@ var walkParts = func(n int) int {
 // splitCounterWalk cuts the address-ordered walk into at most parts
 // contiguous runs at counter-line (page) boundaries and walks them
 // concurrently: the first on the calling goroutine with cry, every other
-// on its own goroutine with its own crypto engine (an engine's memo
-// tables are not safe for concurrent use). A page's counter line, its
+// on its own goroutine with its own crypto engine (an engine's scratch
+// buffers are not safe for concurrent use). A page's counter line, its
 // HMAC lines and every line a loss can implicate belong to exactly one
 // run, so the per-run maps are disjoint and merging in address order —
 // concatenated block lists, unioned maps, summed counts — yields the

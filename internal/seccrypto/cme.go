@@ -35,14 +35,13 @@ func DefaultKeys() Keys {
 }
 
 // Engine performs the actual cryptography: OTP generation, block
-// encryption/decryption and HMAC computation. Engines from NewEngine
-// compute every data and node HMAC with the fixed-length SHA-NI kernel
+// encryption/decryption and HMAC computation. Every call does the full
+// AES/SHA-1 work; nothing is memoized. Engines from NewEngine compute
+// every data and node HMAC with the fixed-length SHA-NI kernel
 // (hmac.go) when CPUID reports the SHA extensions, and with a reusable
-// crypto/hmac instance otherwise; the two agree bit for bit. Bounded
-// direct-mapped memo tables (see memo.go) serve recurring pads and
-// HMACs without redoing the AES/SHA-1 work. An Engine owns its scratch
-// buffers and is therefore not safe for concurrent use — give each
-// goroutine its own.
+// crypto/hmac instance otherwise; the two agree bit for bit. An Engine
+// owns its scratch buffers and is therefore not safe for concurrent use
+// — give each goroutine its own.
 type Engine struct {
 	block cipher.Block
 	mac   hash.Hash
@@ -52,40 +51,29 @@ type Engine struct {
 	// Scratch buffers keep hot-path crypto allocation free: slices of
 	// local arrays passed to hash/cipher interface methods escape, so
 	// inputs are staged in engine-owned memory instead.
-	msg        [dataMsgBytes]byte // HMAC input: line content (+ addr/counter header)
-	seed       [16]byte           // AES pad seed
-	padScratch mem.Line           // pad destination when the pad cache is off
-
-	// Memo tables; nil when the engine is uncached.
-	pads   []padSlot
-	datas  []dataSlot
-	nodes  []nodeSlot
-	cstats CacheStats
+	msg  [dataMsgBytes]byte // HMAC input: line content (+ addr/counter header)
+	seed [16]byte           // AES pad seed
+	pad  mem.Line           // the one-time pad Encrypt XORs in
 }
 
-// NewEngine builds an Engine from keys, with the default memo tables
-// enabled and the SHA-NI HMAC kernel where the CPU has one. It fails
-// only if the AES key size is rejected by the cipher package, which
-// cannot happen for the fixed 16-byte key type, but the error is
-// propagated for form.
+// NewEngine builds an Engine from keys, with the SHA-NI HMAC kernel
+// where the CPU has one. It fails only if the AES key size is rejected
+// by the cipher package, which cannot happen for the fixed 16-byte key
+// type, but the error is propagated for form.
 func NewEngine(k Keys) (*Engine, error) {
-	e, err := NewEngineUncached(k)
+	e, err := NewReferenceEngine(k)
 	if err != nil {
 		return nil, err
 	}
 	e.kern = newHMACKernel(&k.HMAC)
-	e.pads = make([]padSlot, DefaultPadSlots)
-	e.datas = make([]dataSlot, DefaultDataSlots)
-	e.nodes = make([]nodeSlot, DefaultNodeSlots)
 	return e, nil
 }
 
-// NewEngineUncached builds an Engine with memoization disabled and
-// every HMAC computed by crypto/hmac: each call performs the full
-// AES/SHA-1 computation through the standard library. Equivalence tests
-// and the torture reference machine use it as the golden reference for
-// NewEngine's memo tables and HMAC kernel.
-func NewEngineUncached(k Keys) (*Engine, error) {
+// NewReferenceEngine builds an Engine that computes every HMAC with
+// crypto/hmac, whatever the CPU. Equivalence tests and the torture
+// reference machine use it as the golden reference for NewEngine's
+// HMAC kernel.
+func NewReferenceEngine(k Keys) (*Engine, error) {
 	b, err := aes.NewCipher(k.AES[:])
 	if err != nil {
 		return nil, fmt.Errorf("seccrypto: %w", err)
@@ -102,21 +90,18 @@ func MustEngine(k Keys) *Engine {
 	return e
 }
 
-// CacheStats returns the engine's memo-table hit/miss counters.
-func (e *Engine) CacheStats() CacheStats { return e.cstats }
-
 // computePad generates the 64-byte one-time pad for (addr, counter)
-// into dst: four AES blocks, each encrypting a seed of the line
+// into e.pad: four AES blocks, each encrypting a seed of the line
 // address, the effective counter and the block index within the line.
 // Seed uniqueness is the CME security requirement; it holds because
 // counters never repeat for the same address and the address/block-
 // index pair separates pads spatially.
-func (e *Engine) computePad(dst *mem.Line, addr mem.Addr, counter uint64) {
+func (e *Engine) computePad(addr mem.Addr, counter uint64) {
 	binary.LittleEndian.PutUint64(e.seed[0:8], uint64(addr))
 	binary.LittleEndian.PutUint64(e.seed[8:16], counter)
 	for i := 0; i < mem.LineSize/aes.BlockSize; i++ {
 		e.seed[7] ^= byte(i) // fold the intra-line block index into the seed
-		e.block.Encrypt(dst[i*aes.BlockSize:(i+1)*aes.BlockSize], e.seed[:])
+		e.block.Encrypt(e.pad[i*aes.BlockSize:(i+1)*aes.BlockSize], e.seed[:])
 		e.seed[7] ^= byte(i)
 	}
 }
@@ -132,11 +117,11 @@ func (e *Engine) Encrypt(addr mem.Addr, counter uint64, plaintext mem.Line) mem.
 	if counter == 0 {
 		return plaintext
 	}
-	p := e.padFor(addr, counter)
+	e.computePad(addr, counter)
 	var ct mem.Line
 	for i := 0; i < mem.LineSize; i += 8 {
 		binary.LittleEndian.PutUint64(ct[i:],
-			binary.LittleEndian.Uint64(plaintext[i:])^binary.LittleEndian.Uint64(p[i:]))
+			binary.LittleEndian.Uint64(plaintext[i:])^binary.LittleEndian.Uint64(e.pad[i:]))
 	}
 	return ct
 }
@@ -154,28 +139,12 @@ type HMAC [mem.HMACSize]byte
 // encrypted data, its address and its effective counter, truncated to
 // 128 bits. Including the MT-protected counter is what lets the Bonsai
 // scheme leave data blocks out of the tree while remaining immune to
-// replay.
+// replay. Without the kernel, the message (the ciphertext followed by
+// the addr/counter header) is staged in the engine's scratch buffer so
+// nothing escapes to the heap per call.
 func (e *Engine) DataHMAC(addr mem.Addr, counter uint64, ciphertext mem.Line) HMAC {
-	if e.datas == nil {
-		return e.computeDataHMAC(addr, counter, &ciphertext)
-	}
-	s := &e.datas[mem.Mix64(uint64(addr)^mem.Mix64(counter))&uint64(len(e.datas)-1)]
-	if s.live && s.addr == addr && s.counter == counter && s.ct == ciphertext {
-		e.cstats.DataHits++
-		return s.h
-	}
-	e.cstats.DataMisses++
-	h := e.computeDataHMAC(addr, counter, &ciphertext)
-	s.addr, s.counter, s.ct, s.h, s.live = addr, counter, ciphertext, h, true
-	return h
-}
-
-// computeDataHMAC performs the actual keyed hash. The message (the
-// ciphertext followed by the addr/counter header) is staged in the
-// engine's scratch buffer so nothing escapes to the heap per call.
-func (e *Engine) computeDataHMAC(addr mem.Addr, counter uint64, ciphertext *mem.Line) HMAC {
 	if e.kern != nil {
-		return e.kern.dataHMAC(addr, counter, ciphertext)
+		return e.kern.dataHMAC(addr, counter, &ciphertext)
 	}
 	copy(e.msg[:mem.LineSize], ciphertext[:])
 	binary.LittleEndian.PutUint64(e.msg[mem.LineSize:mem.LineSize+8], uint64(addr))
@@ -194,25 +163,8 @@ func (e *Engine) computeDataHMAC(addr mem.Addr, counter uint64, ciphertext *mem.
 // deliberately not an input — this keeps default (all-zero) subtrees
 // uniform per level, which lets sparse images memoize them.
 func (e *Engine) NodeHMAC(child mem.Line) HMAC {
-	if e.nodes == nil {
-		return e.computeNodeHMAC(&child)
-	}
-	s := &e.nodes[mem.HashLine(&child)&uint64(len(e.nodes)-1)]
-	if s.live && s.content == child {
-		e.cstats.NodeHits++
-		return s.h
-	}
-	e.cstats.NodeMisses++
-	h := e.computeNodeHMAC(&child)
-	s.content, s.h, s.live = child, h, true
-	return h
-}
-
-// computeNodeHMAC performs the actual keyed hash over a node's content,
-// staged through the engine scratch buffer like computeDataHMAC.
-func (e *Engine) computeNodeHMAC(child *mem.Line) HMAC {
 	if e.kern != nil {
-		return e.kern.nodeHMAC(child)
+		return e.kern.nodeHMAC(&child)
 	}
 	copy(e.msg[:mem.LineSize], child[:])
 	e.mac.Reset()

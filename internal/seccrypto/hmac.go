@@ -16,7 +16,7 @@ const sha1Block = sha1.BlockSize
 // length word from construction on, so an HMAC is three compressions —
 // two inner blocks and one outer — with no hash.Hash, no state
 // marshalling and no allocation. Its output equals crypto/hmac's bit
-// for bit; NewEngineUncached keeps crypto/hmac as the reference.
+// for bit; NewReferenceEngine keeps crypto/hmac as the reference.
 type hmacKernel struct {
 	ipad, opad [5]uint32 // SHA-1 state after the key block xor ipad / opad
 

@@ -81,15 +81,16 @@ func FuzzHMACKernel(f *testing.F) {
 	})
 }
 
-// TestEngineKernelMatchesUncached runs NewEngine's kernel against
-// NewEngineUncached's crypto/hmac on random messages of both shapes.
+// TestEngineKernelMatchesUncached holds NewEngine's HMACs of both
+// shapes to NewReferenceEngine's over random lines, addresses and
+// counters. On a SHA-NI CPU this runs the kernel against crypto/hmac;
+// elsewhere both engines use crypto/hmac.
 func TestEngineKernelMatchesUncached(t *testing.T) {
-	requireSHANI(t)
-	kern := testEngine(t)
-	if kern.kern == nil {
+	e := testEngine(t)
+	if haveSHANI && e.kern == nil {
 		t.Fatal("NewEngine on a SHA-NI CPU did not select the kernel")
 	}
-	golden, err := NewEngineUncached(DefaultKeys())
+	golden, err := NewReferenceEngine(DefaultKeys())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +99,59 @@ func TestEngineKernelMatchesUncached(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		rng.Read(l[:])
 		addr, counter := mem.Addr(rng.Uint64()), rng.Uint64()
-		if got, want := kern.computeDataHMAC(addr, counter, &l), golden.computeDataHMAC(addr, counter, &l); got != want {
+		if got, want := e.DataHMAC(addr, counter, l), golden.DataHMAC(addr, counter, l); got != want {
 			t.Fatalf("message %d: data HMAC %x, want %x", i, got, want)
 		}
-		if got, want := kern.computeNodeHMAC(&l), golden.computeNodeHMAC(&l); got != want {
+		if got, want := e.NodeHMAC(l), golden.NodeHMAC(l); got != want {
 			t.Fatalf("message %d: node HMAC %x, want %x", i, got, want)
+		}
+	}
+}
+
+// TestMemoizedEngineMatchesUncached holds NewEngine to a fresh
+// NewReferenceEngine over a trace with heavy key reuse: repeated
+// addresses, counters and payloads must give the same ciphertext,
+// plaintext and HMACs every time, and Decrypt must invert Encrypt,
+// counter 0 (the never-written path) included. NewEngine keeps no memo
+// tables; the trace guards against any per-key state creeping back in.
+func TestMemoizedEngineMatchesUncached(t *testing.T) {
+	e := testEngine(t)
+	golden, err := NewReferenceEngine(DefaultKeys())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+
+	// Small pools force repeats: addresses, counters and line payloads
+	// all recur.
+	addrs := make([]mem.Addr, 32)
+	for i := range addrs {
+		addrs[i] = mem.Addr(rng.Intn(1<<20)) * mem.LineSize
+	}
+	lines := make([]mem.Line, 16)
+	for i := range lines {
+		rng.Read(lines[i][:])
+	}
+
+	for i := 0; i < 20000; i++ {
+		addr := addrs[rng.Intn(len(addrs))]
+		counter := uint64(rng.Intn(8))
+		pt := lines[rng.Intn(len(lines))]
+
+		ct := e.Encrypt(addr, counter, pt)
+		if want := golden.Encrypt(addr, counter, pt); ct != want {
+			t.Fatalf("op %d: Encrypt(%#x, %d) diverges", i, addr, counter)
+		}
+		if got, want := e.Decrypt(addr, counter, ct), golden.Decrypt(addr, counter, ct); got != want {
+			t.Fatalf("op %d: Decrypt(%#x, %d) diverges", i, addr, counter)
+		} else if got != pt {
+			t.Fatalf("op %d: Decrypt does not invert Encrypt", i)
+		}
+		if got, want := e.DataHMAC(addr, counter, ct), golden.DataHMAC(addr, counter, ct); got != want {
+			t.Fatalf("op %d: DataHMAC(%#x, %d) diverges", i, addr, counter)
+		}
+		if got, want := e.NodeHMAC(pt), golden.NodeHMAC(pt); got != want {
+			t.Fatalf("op %d: NodeHMAC diverges", i)
 		}
 	}
 }
@@ -115,8 +164,8 @@ func TestHMACKernelAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		ctr++
 		l[0]++
-		_ = e.computeDataHMAC(64, ctr, &l)
-		_ = e.computeNodeHMAC(&l)
+		_ = e.DataHMAC(64, ctr, l)
+		_ = e.NodeHMAC(l)
 	}); n != 0 {
 		t.Fatalf("kernel HMAC allocates %v times per call pair", n)
 	}
@@ -124,13 +173,13 @@ func TestHMACKernelAllocs(t *testing.T) {
 
 var sinkHMAC HMAC
 
-// BenchmarkHMAC times one uncached HMAC of each shape through the
-// kernel (NewEngine) and crypto/hmac (NewEngineUncached).
+// BenchmarkHMAC times one HMAC of each shape through the kernel
+// (NewEngine) and crypto/hmac (NewReferenceEngine).
 func BenchmarkHMAC(b *testing.B) {
 	engines := []struct {
 		name string
 		new  func(Keys) (*Engine, error)
-	}{{"kernel", NewEngine}, {"stdlib", NewEngineUncached}}
+	}{{"kernel", NewEngine}, {"stdlib", NewReferenceEngine}}
 	for _, shape := range []string{"data", "node"} {
 		for _, eng := range engines {
 			b.Run(shape+"/"+eng.name, func(b *testing.B) {
@@ -147,9 +196,9 @@ func BenchmarkHMAC(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					l[0] = byte(i)
 					if shape == "data" {
-						sinkHMAC = e.computeDataHMAC(mem.Addr(i*64), uint64(i)+1, &l)
+						sinkHMAC = e.DataHMAC(mem.Addr(i*64), uint64(i)+1, l)
 					} else {
-						sinkHMAC = e.computeNodeHMAC(&l)
+						sinkHMAC = e.NodeHMAC(l)
 					}
 				}
 			})

@@ -213,12 +213,3 @@ func BenchmarkEncrypt(b *testing.B) {
 		pt = e.Encrypt(mem.Addr(i*64), uint64(i)+1, pt)
 	}
 }
-
-func BenchmarkDataHMAC(b *testing.B) {
-	e := testEngine(b)
-	var ct mem.Line
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = e.DataHMAC(mem.Addr(i*64), uint64(i)+1, ct)
-	}
-}

@@ -458,12 +458,6 @@ func subSec(a, b engine.SecStats) engine.SecStats {
 	a.DrainLinesFlushed -= b.DrainLinesFlushed
 	a.WritebackBufferStalls -= b.WritebackBufferStalls
 	a.WritebackStallCycles -= b.WritebackStallCycles
-	a.PadCacheHits -= b.PadCacheHits
-	a.PadCacheMisses -= b.PadCacheMisses
-	a.DataMemoHits -= b.DataMemoHits
-	a.DataMemoMisses -= b.DataMemoMisses
-	a.NodeMemoHits -= b.NodeMemoHits
-	a.NodeMemoMisses -= b.NodeMemoMisses
 	a.DefaultLineHits -= b.DefaultLineHits
 	a.DefaultLineMisses -= b.DefaultLineMisses
 	return a

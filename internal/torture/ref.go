@@ -13,8 +13,9 @@ import (
 // against: a serial, unmemoized model of what the architecture promises.
 // It mirrors every write-back at the semantic level — split-counter bump
 // (including minor overflow), latest plaintext, write count — using
-// seccrypto's uncached engine, so none of the memo tables, caches,
-// queues or drain policies under test can influence the expected state.
+// seccrypto's reference engine, so none of the memo tables, the HMAC
+// kernel, caches, queues or drain policies under test can influence the
+// expected state.
 type Reference struct {
 	cry      *seccrypto.Engine
 	lay      *mem.Layout
@@ -38,7 +39,7 @@ type version struct {
 
 // NewReference builds a reference machine over the harness layout.
 func NewReference(lay *mem.Layout, keys seccrypto.Keys) *Reference {
-	cry, err := seccrypto.NewEngineUncached(keys)
+	cry, err := seccrypto.NewReferenceEngine(keys)
 	if err != nil {
 		panic(err)
 	}
