@@ -19,7 +19,7 @@
 //	ccnvm-torture -kv -kv-compact 2                 # add the log-compaction crash axis
 //	ccnvm-torture -repro 'design=ccnvm,workload=kv,seed=7,batches=5,crash=12,compact=2'
 //	ccnvm-torture -campaign docs/status/durability_report.md  # regenerate the durability report
-//	ccnvm-torture -oracles                          # list the invariants
+//	ccnvm-torture -oracles                          # print the oracle table (markdown)
 package main
 
 import (
@@ -30,7 +30,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -68,9 +67,7 @@ func main() {
 	flag.Parse()
 
 	if *oracles {
-		for _, o := range slices.Concat(torture.Oracles(), torture.KVOracles()) {
-			fmt.Printf("%-16s %s\n", o.Name, o.Doc)
-		}
+		fmt.Print(torture.OracleTable())
 		return
 	}
 
@@ -88,7 +85,8 @@ func main() {
 			fatal(err)
 		}
 		runner = r
-		fmt.Printf("recovery sabotaged: %s (the matrix SHOULD fail)\n", *breakMode)
+		// On stderr, so -json output stays one JSON document.
+		fmt.Fprintf(os.Stderr, "recovery sabotaged: %s (the matrix SHOULD fail)\n", *breakMode)
 	}
 
 	if *repro != "" {

@@ -38,12 +38,7 @@ func BrokenRunner(mode string) (*Runner, error) {
 		// golden-state oracle's job to notice.
 		return &Runner{
 			Recover: func(img *engine.CrashImage) *recovery.Report {
-				rep := recovery.Recover(img)
-				rep.Tampered = nil
-				rep.TreeMismatches = nil
-				rep.ReplayedPages = nil
-				rep.PotentialReplay = false
-				rep.Nretry = rep.Nwb
+				rep := recoverSpotless(img)
 				if rep.ConsistentRoot == "" {
 					rep.ConsistentRoot = "old"
 				}
@@ -66,17 +61,7 @@ func BrokenRunner(mode string) (*Runner, error) {
 		// Detection is dropped on the floor: whatever recovery finds, the
 		// report comes back spotless. Attack cells must trip attack-caught
 		// (clean report + corrupted state fails the golden heal check).
-		return &Runner{
-			Recover: func(img *engine.CrashImage) *recovery.Report {
-				rep := recovery.Recover(img)
-				rep.Tampered = nil
-				rep.TreeMismatches = nil
-				rep.ReplayedPages = nil
-				rep.PotentialReplay = false
-				rep.Nretry = rep.Nwb
-				return rep
-			},
-		}, nil
+		return &Runner{Recover: recoverSpotless}, nil
 	case "skip-root-check":
 		// The tree-vs-root verification is skipped and the root reported
 		// consistent unconditionally; tree spoofs and counter replays on
@@ -185,4 +170,16 @@ func BrokenRunner(mode string) (*Runner, error) {
 		}, nil
 	}
 	return nil, fmt.Errorf("torture: unknown broken mode %q (have %v)", mode, BrokenModes())
+}
+
+// recoverSpotless runs the real recovery and drops every tamper and
+// replay verdict from its report, balancing the retry bookkeeping.
+func recoverSpotless(img *engine.CrashImage) *recovery.Report {
+	rep := recovery.Recover(img)
+	rep.Tampered = nil
+	rep.TreeMismatches = nil
+	rep.ReplayedPages = nil
+	rep.PotentialReplay = false
+	rep.Nretry = rep.Nwb
+	return rep
 }

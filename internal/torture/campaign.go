@@ -41,21 +41,13 @@ func Classes() []Class {
 	return []Class{ClassClean, ClassHealed, ClassLostDetected, ClassTamperCaught, ClassOracleFailure}
 }
 
-// classDoc is the fixed prose describing each class in the report.
-func classDoc(cl Class) string {
-	switch cl {
-	case ClassClean:
-		return "A crash (or an attack that changed nothing) followed by a recovery that reports no tamper evidence and restores every acknowledged write."
-	case ClassHealed:
-		return "Something was damaged — an attack inside the replay window, or media faults at the power failure — and recovery restored a clean, lossless image anyway."
-	case ClassLostDetected:
-		return "Acknowledged writes were lost and recovery says so: enumerated lost blocks, media errors, a bounded loss window, or a blanket staleness flag on designs without crash consistency. Loss without a lie."
-	case ClassTamperCaught:
-		return "An attack that changed persistent bytes was flagged by recovery (located where the design's capabilities promise location)."
-	case ClassOracleFailure:
-		return "The cell violated an invariant oracle. On a healthy tree only the deliberate ordering-sabotage section below populates this class."
-	}
-	return string(cl)
+// classDocs is the fixed prose describing each class in the report.
+var classDocs = map[Class]string{
+	ClassClean:         "A crash (or an attack that changed nothing) followed by a recovery that reports no tamper evidence and restores every acknowledged write.",
+	ClassHealed:        "Something was damaged — an attack inside the replay window, or media faults at the power failure — and recovery restored a clean, lossless image anyway.",
+	ClassLostDetected:  "Acknowledged writes were lost and recovery says so: enumerated lost blocks, media errors, a bounded loss window, or a blanket staleness flag on designs without crash consistency. Loss without a lie.",
+	ClassTamperCaught:  "An attack that changed persistent bytes was flagged by recovery (located where the design's capabilities promise location).",
+	ClassOracleFailure: "The cell violated an invariant oracle. On a healthy tree only the deliberate ordering-sabotage section below populates this class.",
 }
 
 // Outcome is one classified campaign cell.
@@ -66,18 +58,10 @@ type Outcome struct {
 	Oracle string `json:"oracle,omitempty"` // set for oracle-failure outcomes
 }
 
-// ClassifyCell executes one cell and classifies its behavior. Panics
-// are converted like RunCell's.
-func (r *Runner) ClassifyCell(c Cell) (out Outcome) {
+// ClassifyCell executes one cell and classifies its behavior. A panic
+// is an oracle failure, as in RunCell.
+func (r *Runner) ClassifyCell(c Cell) Outcome {
 	c = c.normalized()
-	out = Outcome{Cell: c}
-	defer func() {
-		if p := recover(); p != nil {
-			out.Class = ClassOracleFailure
-			out.Oracle = "panic"
-			out.Detail = fmt.Sprintf("cell panicked: %v", p)
-		}
-	}()
 	ctx, fail := r.runCell(c)
 	if fail != nil {
 		return Outcome{Cell: c, Class: ClassOracleFailure, Detail: fail.Detail, Oracle: fail.Oracle}
@@ -365,7 +349,7 @@ func (res *CampaignResult) RenderMarkdown(artifact string) []byte {
 	fmt.Fprintf(&b, "\n")
 	for _, cs := range res.Classes {
 		fmt.Fprintf(&b, "### %s — %d cells\n\n", cs.Class, cs.Cells)
-		fmt.Fprintf(&b, "%s\n\n", classDoc(cs.Class))
+		fmt.Fprintf(&b, "%s\n\n", classDocs[cs.Class])
 		if cs.Exemplar == nil {
 			if cs.Class == ClassOracleFailure {
 				fmt.Fprintf(&b, "No cell violated an oracle; the sabotage section below proves the\nclass is reachable.\n\n")

@@ -110,15 +110,7 @@ func EnumerateGuidedCells(o MatrixOpts) ([]Cell, []CoverageStat, error) {
 				st.RandomCut += len(g.CutSet(random))
 				for _, cp := range guided {
 					for _, atk := range o.Attacks {
-						cells = append(cells, Cell{
-							Design:   d,
-							Workload: w,
-							Seed:     int64(seed),
-							Ops:      o.Ops,
-							CrashAt:  cp,
-							Attack:   atk,
-							N:        n,
-						}.normalized())
+						cells = append(cells, o.traceCell(d, w, seed, cp, atk, n))
 					}
 				}
 			}

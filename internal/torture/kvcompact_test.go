@@ -52,7 +52,7 @@ func TestKVCompactRebootLoopAxis(t *testing.T) {
 // stride and accepts a positive one, which the cell's spec then names.
 func TestKVCompactCellValidate(t *testing.T) {
 	c := Cell{Design: "ccnvm", Workload: KVWorkload, Attack: "none", Seed: 1, Batches: 3, CrashAt: 4, CompactEvery: -1}
-	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "compaction stride") {
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "compact=-1 out of range") {
 		t.Fatalf("negative compaction stride accepted: %v", err)
 	}
 	c.CompactEvery = 2

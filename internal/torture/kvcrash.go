@@ -1,9 +1,12 @@
 package torture
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"ccnvm/internal/design"
 	"ccnvm/internal/engine"
@@ -19,11 +22,11 @@ import (
 // payload lines and its commit header. After the full recovery path
 // (four-step walk, the shared reboot loop under the reboot axis), the
 // recovered namespace is judged against the prefix states of the issued
-// batch sequence by the KVOracles. The compaction axis (CompactEvery >
-// 0) runs a garbage-collection pass after every CompactEvery-th
-// acknowledged batch, so the sweep also lands inside the pass's copy,
-// commit and reclaim phases; compact cells swap the seq-based prefix
-// check for the compaction oracles.
+// batch sequence by the oracle table's KV rows. The compaction axis
+// (CompactEvery > 0) runs a garbage-collection pass after every
+// CompactEvery-th acknowledged batch, so the sweep also lands inside the
+// pass's copy, commit and reclaim phases; compacting cells swap the
+// seq-based prefix claim for a search and answer to the compaction rows.
 
 // KVWorkload is the workload name that makes a cell a KV cell.
 const KVWorkload = "kv"
@@ -53,34 +56,6 @@ func KVDesigns() []string {
 	return out
 }
 
-// KVOracles lists the invariants KV cells are held to. runKV judges
-// them inline, so the entries carry no Check; the list documents them
-// beside Oracles (`ccnvm-torture -oracles` prints both).
-func KVOracles() []Oracle { return kvOracleList }
-
-var kvOracleList = []Oracle{
-	{Name: "kv-clean-recovery", Doc: "An un-attacked KV crash recovers clean — the first pass, the last " +
-		"re-entered pass of the reboot loop and the single-shot golden alike — and the recovered " +
-		"store reopens with its keymap rebuilt, twice over for compact cells."},
-	{Name: "kv-reboot-bounded", Doc: "Under the reboot axis, the uninterrupted final recovery pass commits."},
-	{Name: "kv-acked-durable", Doc: "Every acknowledged batch is applied: the recovered log holds at least " +
-		"the acknowledged batch count."},
-	{Name: "kv-no-ghosts", Doc: "Nothing beyond the issued batches appears: the recovered log holds at most " +
-		"the issued batch count, and the keymap has exactly the matched prefix state's keys."},
-	{Name: "kv-batch-atomic", Doc: "The namespace equals the state after batch j for some j in " +
-		"[acked, issued]: no partial batch is ever visible, compaction or not."},
-	{Name: "kv-compact-gen", Doc: "The recovered manifest generation equals the in-memory one at the crash: " +
-		"the switch happened iff its single-slot commit was accepted."},
-	{Name: "kv-no-ghost-resurrection", Doc: "A key deleted (or never written) in every reachable prefix state " +
-		"never reappears through compact + crash + recover."},
-	{Name: "kv-compact-lost-acked", Doc: "A key live in every reachable prefix state never disappears " +
-		"through compact + crash + recover."},
-	{Name: "kv-reclaim-monotonic", Doc: "A second reopen of the recovered store reclaims zero further lines: " +
-		"space reclaim converges."},
-	{Name: "kv-compact-idempotent", Doc: "Under the reboot axis, the reboot-looped recovery lands on the same " +
-		"generation and namespace as a single-shot recovery of a pristine clone."},
-}
-
 // genKVBatches derives the cell's deterministic batch sequence: ops
 // over a 16-key pool with multi-line values and occasional deletes, so
 // frames span several lines and crash points land inside payloads.
@@ -106,8 +81,9 @@ func genKVBatches(seed int64, n int) [][]kv.Op {
 	return batches
 }
 
-// kvApply folds a batch into a model state (nil value = absent).
-func kvApply(state map[string][]byte, ops []kv.Op) {
+// kvApply returns the model state after a batch (nil value = absent).
+func kvApply(state map[string][]byte, ops []kv.Op) map[string][]byte {
+	state = maps.Clone(state)
 	for _, op := range ops {
 		if op.Kind == kv.OpDelete {
 			delete(state, string(op.Key))
@@ -115,14 +91,7 @@ func kvApply(state map[string][]byte, ops []kv.Op) {
 			state[string(op.Key)] = op.Val
 		}
 	}
-}
-
-func kvCloneState(s map[string][]byte) map[string][]byte {
-	cp := make(map[string][]byte, len(s))
-	for k, v := range s {
-		cp[k] = v
-	}
-	return cp
+	return state
 }
 
 // kvRun is a driven KV cell's evidence: the crash image, the prefix
@@ -157,8 +126,7 @@ func (r *Runner) driveKV(c Cell) (*kvRun, *Failure) {
 	run := &kvRun{states: make([]map[string][]byte, len(batches)+1)}
 	run.states[0] = map[string][]byte{}
 	for i, b := range batches {
-		run.states[i+1] = kvCloneState(run.states[i])
-		kvApply(run.states[i+1], b)
+		run.states[i+1] = kvApply(run.states[i], b)
 	}
 
 	if c.CrashAt >= 0 {
@@ -167,18 +135,20 @@ func (r *Runner) driveKV(c Cell) (*kvRun, *Failure) {
 	before := st.Engine().Stats().Writebacks
 	for i, b := range batches {
 		run.issued = i + 1
-		oracle, err := "kv-batch-error", db.Batch(b)
+		err := db.Batch(b)
 		if err == nil {
 			run.acked = run.issued
 			if c.CompactEvery > 0 && run.acked%c.CompactEvery == 0 {
-				oracle, err = "kv-compact-error", db.Compact()
+				if err = db.Compact(); err != nil && !errors.Is(err, store.ErrCrashed) {
+					return nil, failf(c, "kv-compact-error", "batch %d failed before any crash: %v", i, err)
+				}
 			}
 		}
 		if errors.Is(err, store.ErrCrashed) {
 			break
 		}
 		if err != nil {
-			return nil, failf(c, oracle, "batch %d failed before any crash: %v", i, err)
+			return nil, failf(c, "kv-batch-error", "batch %d failed before any crash: %v", i, err)
 		}
 	}
 	run.writes = int(st.Engine().Stats().Writebacks - before)
@@ -206,16 +176,16 @@ func kvSweep(spec Cell) []Cell {
 	return cells
 }
 
-// runKV executes one KV cell end to end: drive the batches, crash,
-// recover through the runner's seams (the shared reboot loop under the
-// reboot axis), reopen the namespace and judge it.
+// runKV is a KV cell's setup: drive the batches, crash, recover through
+// the runner's seams (the shared reboot loop under the reboot axis),
+// reopen the namespace and gather the evidence the KV rows judge.
 func (r *Runner) runKV(c Cell) (*Context, *Failure) {
 	run, fail := r.driveKV(c)
 	if fail != nil {
 		return nil, fail
 	}
 	ctx := &Context{Cell: c, Img: run.img, Runner: r}
-	ctx.Rep = r.recoverFn()(ctx.Img)
+	ctx.Rep = r.Recover(ctx.Img)
 	if !ctx.Rep.Clean() {
 		return ctx, failf(c, "kv-clean-recovery", "un-attacked KV crash flagged: tampered=%d mismatches=%d",
 			len(ctx.Rep.Tampered), len(ctx.Rep.TreeMismatches))
@@ -231,32 +201,198 @@ func (r *Runner) runKV(c Cell) (*Context, *Failure) {
 	if err != nil {
 		return ctx, failf(c, "kv-clean-recovery", "%v", err)
 	}
-	if g := db.Generation(); c.CompactEvery > 0 && g != run.gen {
-		return ctx, failf(c, "kv-compact-gen", "recovered manifest generation %d, but the namespace was at %d "+
-			"when power failed — the compaction commit tore", g, run.gen)
-	}
-	keys := allKVKeys(run.states[:run.issued+1])
-	got, err := kvContents(db, keys)
-	if err != nil {
-		return ctx, failf(c, "kv-batch-atomic", "post-recovery %v", err)
-	}
-	if c.CompactEvery > 0 {
-		return ctx, checkKVCompact(ctx, run, db, st, keys, got)
-	}
-
+	e := &kvEvidence{kvRun: run, keys: allKVKeys(run.states[:run.issued+1])}
+	e.got = readKV(db, e.keys)
+	ctx.kv = e
 	// Without compaction the recovered frame seq is the batch count.
-	j, n := int(db.Stats().Seq), db.Stats().Keys
-	switch {
-	case j < run.acked:
-		return ctx, failf(c, "kv-acked-durable", "recovered %d batches but %d were acknowledged", j, run.acked)
-	case j > run.issued:
-		return ctx, failf(c, "kv-no-ghosts", "recovered %d batches but only %d were issued", j, run.issued)
-	case !kvStateEqual(got, run.states[j]):
-		return ctx, failf(c, "kv-batch-atomic", "recovered namespace diverges from prefix state %d — partial batch visible", j)
-	case n != len(run.states[j]):
-		return ctx, failf(c, "kv-no-ghosts", "recovered keymap has %d keys, prefix state %d has %d", n, j, len(run.states[j]))
+	e.prefix = e.got.seq
+	if c.CompactEvery == 0 {
+		return ctx, nil
+	}
+	// A pass renumbers the log, so a compacting cell claims the first
+	// reachable state its contents equal.
+	e.prefix = slices.IndexFunc(run.states[run.acked:run.issued+1], func(s map[string][]byte) bool {
+		return maps.EqualFunc(e.got.live, s, bytes.Equal)
+	})
+	if e.prefix >= 0 {
+		e.prefix += run.acked
+	}
+	// The first reopen is allowed (required) to finish an interrupted
+	// pass's reclaim; a second over the same store must find nothing left
+	// to zero.
+	if db2, err := kv.Open(st, kv.Options{}); err != nil {
+		e.reopenErr = err
+	} else if cs := db2.Stats().Compaction; cs != nil {
+		e.reclaimed = cs.ReclaimedLines
+	}
+	if ctx.rebootRan && ctx.GoldenRep.Clean() {
+		dbG, _, err := reopenKV(ctx.GoldenImg, *ctx.GoldenRec)
+		e.golden = &kvView{err: err}
+		if err == nil {
+			*e.golden = readKV(dbG, e.keys)
+		}
 	}
 	return ctx, nil
+}
+
+// kvEvidence is a reopened KV cell's evidence: the driven run, every key
+// its reachable prefix states mention, the recovered namespace and the
+// prefix state it claims to be (-1: a compacting cell matching none).
+// Compacting cells add the outcome of a second reopen of the same store
+// and, under the reboot axis, the namespace the single-shot golden clone
+// reopens to (nil when that clone's recovery flagged it).
+type kvEvidence struct {
+	*kvRun
+	keys      []string
+	got       kvView
+	prefix    int
+	reopenErr error
+	reclaimed uint64
+	golden    *kvView
+}
+
+// kvView is one reopened namespace: its manifest generation, frame seq,
+// keymap size and the live value of every key; err is a failed reopen
+// or read-back.
+type kvView struct {
+	gen        uint64
+	seq, nkeys int
+	live       map[string][]byte
+	err        error
+}
+
+// readKV reads a reopened namespace back, every key included.
+func readKV(db *kv.DB, keys []string) kvView {
+	s := db.Stats()
+	v := kvView{gen: db.Generation(), seq: int(s.Seq), nkeys: s.Keys, live: map[string][]byte{}}
+	for _, k := range keys {
+		val, ok, err := db.Get([]byte(k))
+		if err != nil {
+			v.err = fmt.Errorf("get %s: %w", k, err)
+			break
+		}
+		if ok {
+			v.live[k] = val
+		}
+	}
+	return v
+}
+
+// strays classifies a compacting cell's failed match: ghost is a key
+// live after recovery but dead in every reachable prefix state, lost a
+// key live in every reachable state but gone after recovery.
+func (e *kvEvidence) strays() (ghost, lost string) {
+	for _, k := range e.keys {
+		_, liveNow := e.got.live[k]
+		inAny, inAll := false, true
+		for _, s := range e.states[e.acked : e.issued+1] {
+			_, ok := s[k]
+			inAny, inAll = inAny || ok, inAll && ok
+		}
+		if liveNow && !inAny && ghost == "" {
+			ghost = k
+		}
+		if !liveNow && inAll && lost == "" {
+			lost = k
+		}
+	}
+	return ghost, lost
+}
+
+func checkKVCompactGen(c *Context) string {
+	if e := c.kv; e.got.gen != e.gen {
+		return fmt.Sprintf("recovered manifest generation %d, but the namespace was at %d "+
+			"when power failed — the compaction commit tore", e.got.gen, e.gen)
+	}
+	return ""
+}
+
+// checkKVBatchAtomic holds the namespace to the prefix state it claims.
+// A claim outside [acked, issued] belongs to kv-acked-durable or
+// kv-no-ghosts, and a compacting cell that matches no reachable state
+// is a resurrection or a lost write before it is a partial batch.
+func checkKVBatchAtomic(c *Context) string {
+	e := c.kv
+	switch j := e.prefix; {
+	case e.got.err != nil:
+		return "post-recovery " + e.got.err.Error()
+	case j < 0:
+		if ghost, lost := e.strays(); ghost == "" && lost == "" {
+			return fmt.Sprintf("recovered namespace matches no prefix state in [%d,%d] — "+
+				"partial batch visible through compaction", e.acked, e.issued)
+		}
+	case j >= e.acked && j <= e.issued && !maps.EqualFunc(e.got.live, e.states[j], bytes.Equal):
+		return fmt.Sprintf("recovered namespace diverges from prefix state %d — partial batch visible", j)
+	}
+	return ""
+}
+
+func checkKVAckedDurable(c *Context) string {
+	if e := c.kv; e.prefix < e.acked {
+		return fmt.Sprintf("recovered %d batches but %d were acknowledged", e.prefix, e.acked)
+	}
+	return ""
+}
+
+func checkKVNoGhostResurrection(c *Context) string {
+	if ghost, _ := c.kv.strays(); ghost != "" {
+		return fmt.Sprintf("key %s is live after recovery but dead in every reachable prefix state [%d,%d] — "+
+			"compaction resurrected it", ghost, c.kv.acked, c.kv.issued)
+	}
+	return ""
+}
+
+func checkKVCompactLostAcked(c *Context) string {
+	if _, lost := c.kv.strays(); lost != "" {
+		return fmt.Sprintf("key %s is live in every reachable prefix state [%d,%d] but gone after recovery — "+
+			"compaction lost an acknowledged write", lost, c.kv.acked, c.kv.issued)
+	}
+	return ""
+}
+
+func checkKVNoGhosts(c *Context) string {
+	e := c.kv
+	switch j := e.prefix; {
+	case j > e.issued:
+		return fmt.Sprintf("recovered %d batches but only %d were issued", j, e.issued)
+	case j >= 0 && e.got.nkeys != len(e.states[j]):
+		return fmt.Sprintf("recovered keymap has %d keys, prefix state %d has %d", e.got.nkeys, j, len(e.states[j]))
+	}
+	return ""
+}
+
+func checkKVReclaimMonotonic(c *Context) string {
+	if n := c.kv.reclaimed; n != 0 {
+		return fmt.Sprintf("second reopen reclaimed %d more lines — reclaim did not converge", n)
+	}
+	return ""
+}
+
+// checkKVCleanRecovery judges the reopens setup leaves to it: the
+// second keymap rebuild and the golden clone's recovery.
+func checkKVCleanRecovery(c *Context) string {
+	if err := c.kv.reopenErr; err != nil {
+		return "second keymap rebuild: " + err.Error()
+	}
+	if c.rebootRan && !c.GoldenRep.Clean() {
+		return "single-shot recovery of the golden clone flagged a clean image"
+	}
+	return ""
+}
+
+func checkKVCompactIdempotent(c *Context) string {
+	got, g := c.kv.got, c.kv.golden
+	switch {
+	case g == nil:
+		return ""
+	case g.err != nil:
+		return "golden " + g.err.Error()
+	case g.gen != got.gen:
+		return fmt.Sprintf("reboot-looped recovery landed on generation %d, single-shot on %d", got.gen, g.gen)
+	case !maps.EqualFunc(g.live, got.live, bytes.Equal):
+		return "reboot-looped and single-shot recovery hold different namespaces"
+	}
+	return ""
 }
 
 // reopenKV boots a store from a recovered KV crash image and rebuilds
@@ -273,137 +409,16 @@ func reopenKV(img *engine.CrashImage, rec recovery.Recovered) (*kv.DB, *store.St
 	return db, st, nil
 }
 
-// kvContents reads every key back and returns the live ones.
-func kvContents(db *kv.DB, keys map[string]bool) (map[string][]byte, error) {
-	got := map[string][]byte{}
-	for k := range keys {
-		v, ok, err := db.Get([]byte(k))
-		if err != nil {
-			return nil, fmt.Errorf("get %s: %w", k, err)
-		}
-		if ok {
-			got[k] = v
-		}
-	}
-	return got, nil
-}
-
-// checkKVCompact judges a recovered compact cell. The frame seq is not
-// the batch count once a pass has renumbered the log, so the oracle
-// matches the recovered contents against the reachable prefix states
-// directly: the namespace must equal states[j] exactly for some j in
-// [acked, issued]. A failed match is classified — a key live after
-// recovery but dead in every reachable state is a resurrection; a key
-// live in every reachable state but gone is a lost acked write; anything
-// else is a visible partial batch. On top of that (runKV has already
-// held the manifest generation to the one at the crash), reclaim must
-// converge (a second reopen finds nothing more to zero), and under the
-// reboot axis the looped recovery must agree with the loop's
-// single-shot golden.
-func checkKVCompact(ctx *Context, run *kvRun, db *kv.DB, st *store.Store, keys map[string]bool, got map[string][]byte) *Failure {
-	c, acked, issued := ctx.Cell, run.acked, run.issued
-	match := -1
-	for j := acked; j <= issued; j++ {
-		if kvStateEqual(got, run.states[j]) {
-			match = j
-			break
-		}
-	}
-	if match < 0 {
-		ghost, lost := "", ""
-		for k := range keys {
-			_, liveNow := got[k]
-			anyPresent, allPresent := false, true
-			for j := acked; j <= issued; j++ {
-				if _, ok := run.states[j][k]; ok {
-					anyPresent = true
-				} else {
-					allPresent = false
-				}
-			}
-			if liveNow && !anyPresent {
-				ghost = k
-			}
-			if !liveNow && allPresent {
-				lost = k
-			}
-		}
-		switch {
-		case ghost != "":
-			return failf(c, "kv-no-ghost-resurrection", "key %s is live after recovery but dead in every reachable "+
-				"prefix state [%d,%d] — compaction resurrected it", ghost, acked, issued)
-		case lost != "":
-			return failf(c, "kv-compact-lost-acked", "key %s is live in every reachable prefix state [%d,%d] but "+
-				"gone after recovery — compaction lost an acknowledged write", lost, acked, issued)
-		default:
-			return failf(c, "kv-batch-atomic", "recovered namespace matches no prefix state in [%d,%d] — "+
-				"partial batch visible through compaction", acked, issued)
-		}
-	}
-	if n, want := db.Stats().Keys, len(run.states[match]); n != want {
-		return failf(c, "kv-no-ghosts", "recovered keymap has %d keys, prefix state %d has %d", n, match, want)
-	}
-
-	// Space-reclaimed-monotonic: the first reopen is allowed (required)
-	// to finish an interrupted pass's reclaim; a second reopen over the
-	// same recovered store must find nothing left to zero.
-	db2, err := kv.Open(st, kv.Options{})
-	if err != nil {
-		return failf(c, "kv-clean-recovery", "second keymap rebuild: %v", err)
-	}
-	if cs := db2.Stats().Compaction; cs != nil && cs.ReclaimedLines != 0 {
-		return failf(c, "kv-reclaim-monotonic", "second reopen reclaimed %d more lines — reclaim did not converge", cs.ReclaimedLines)
-	}
-
-	// Compaction-idempotent across the reboot loop: the crash image the
-	// loop recovered single-shot must land on the same namespace the
-	// interrupted-and-resumed passes did.
-	if !ctx.rebootRan {
-		return nil
-	}
-	if !ctx.GoldenRep.Clean() {
-		return failf(c, "kv-clean-recovery", "single-shot recovery of the golden clone flagged a clean image")
-	}
-	dbG, _, err := reopenKV(ctx.GoldenImg, *ctx.GoldenRec)
-	if err != nil {
-		return failf(c, "kv-compact-idempotent", "golden %v", err)
-	}
-	if dbG.Generation() != db.Generation() {
-		return failf(c, "kv-compact-idempotent", "reboot-looped recovery landed on generation %d, single-shot on %d",
-			db.Generation(), dbG.Generation())
-	}
-	gotG, err := kvContents(dbG, keys)
-	if err != nil {
-		return failf(c, "kv-compact-idempotent", "golden %v", err)
-	}
-	if !kvStateEqual(gotG, got) {
-		return failf(c, "kv-compact-idempotent", "reboot-looped and single-shot recovery hold different namespaces")
-	}
-	return nil
-}
-
-// kvStateEqual compares a recovered contents map against a model prefix
-// state: same key set, same values.
-func kvStateEqual(a, b map[string][]byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		w, ok := b[k]
-		if !ok || string(v) != string(w) {
-			return false
-		}
-	}
-	return true
-}
-
-// allKVKeys unions every key any prefix state mentions.
-func allKVKeys(states []map[string][]byte) map[string]bool {
-	keys := map[string]bool{}
+// allKVKeys lists every key any prefix state mentions, sorted.
+func allKVKeys(states []map[string][]byte) []string {
+	var keys []string
 	for _, s := range states {
 		for k := range s {
-			keys[k] = true
+			if !slices.Contains(keys, k) {
+				keys = append(keys, k)
+			}
 		}
 	}
+	slices.Sort(keys)
 	return keys
 }

@@ -91,7 +91,8 @@ func TestKVCrashRebootLoopAxis(t *testing.T) {
 // TestKVOraclesCatchSabotagedRecovery proves the KV oracles bite: a
 // runner whose resumed Apply never commits must trip kv-reboot-bounded,
 // and a recovery that cries wolf on a clean crash must trip
-// kv-clean-recovery. Both failures name their cell and a listed oracle.
+// kv-clean-recovery. Both failures name their cell and a KV row of the
+// oracle table.
 func TestKVOraclesCatchSabotagedRecovery(t *testing.T) {
 	cell := Cell{Design: "ccnvm", Workload: KVWorkload, Seed: 3, Batches: 3, CrashAt: 4, Attack: "none"}
 	caught := func(t *testing.T, r *Runner, c Cell, oracle string) {
@@ -100,8 +101,9 @@ func TestKVOraclesCatchSabotagedRecovery(t *testing.T) {
 		if f == nil || f.Oracle != oracle {
 			t.Fatalf("sabotage not caught by %s: %+v", oracle, f)
 		}
-		if f.Cell != c || !slices.ContainsFunc(KVOracles(), func(o Oracle) bool { return o.Name == oracle }) {
-			t.Fatalf("failure names cell %s and oracle %s; want %s and a KVOracles entry", f.Cell, f.Oracle, c)
+		kvRow := func(o Oracle) bool { return o.Name == oracle && o.Scope.covers(c) }
+		if f.Cell != c || !slices.ContainsFunc(Oracles(), kvRow) {
+			t.Fatalf("failure names cell %s and oracle %s; want %s and a KV row of Oracles", f.Cell, f.Oracle, c)
 		}
 	}
 	t.Run("never-commits", func(t *testing.T) {

@@ -121,21 +121,20 @@ func EnumerateCells(o MatrixOpts) []Cell {
 				for cp := 0; cp < o.CrashPts; cp++ {
 					crash := (cp + 1) * o.Ops / (o.CrashPts + 1)
 					for ai, atk := range o.Attacks {
-						cells = append(cells, Cell{
-							Design:   d,
-							Workload: w,
-							Seed:     int64(seed),
-							Ops:      o.Ops,
-							CrashAt:  crash,
-							Attack:   atk,
-							N:        o.Ns[(seed+cp+ai)%len(o.Ns)],
-						}.normalized())
+						cells = append(cells, o.traceCell(d, w, seed, crash, atk, o.Ns[(seed+cp+ai)%len(o.Ns)]))
 					}
 				}
 			}
 		}
 	}
 	return applyBudget(appendAxisCells(cells, o), o)
+}
+
+// traceCell is one trace cell of the matrix: o.Ops ops of workload w
+// on design d under trace seed seed, crashed after crash ops with update
+// limit n.
+func (o MatrixOpts) traceCell(d, w string, seed, crash int, attack string, n uint64) Cell {
+	return Cell{Design: d, Workload: w, Seed: int64(seed), Ops: o.Ops, CrashAt: crash, Attack: attack, N: n}.normalized()
 }
 
 // appendAxisCells rides the fault, reboot and spare cells after the
@@ -185,16 +184,8 @@ func appendFaultCells(cells []Cell, o MatrixOpts) []Cell {
 	for _, d := range o.Designs {
 		for _, w := range o.Workloads {
 			for fs := 0; fs < o.FaultSeeds; fs++ {
-				p := profiles[fs%len(profiles)]
-				cells = append(cells, Cell{
-					Design:   d,
-					Workload: w,
-					Seed:     int64(fs % o.Seeds),
-					Ops:      o.Ops,
-					CrashAt:  o.Ops * 2 / 3,
-					Attack:   "none",
-					N:        o.Ns[fs%len(o.Ns)],
-				}.withProfile(p, int64(fs)*7919+1).normalized())
+				c := o.traceCell(d, w, fs%o.Seeds, o.Ops*2/3, "none", o.Ns[fs%len(o.Ns)])
+				cells = append(cells, c.withProfile(profiles[fs%len(profiles)], int64(fs)*7919+1))
 			}
 		}
 	}
@@ -213,23 +204,12 @@ func appendRebootCells(cells []Cell, o MatrixOpts) []Cell {
 	for _, d := range o.Designs {
 		for wi, w := range o.Workloads {
 			for ri, stride := range o.RebootEvery {
-				base := Cell{
-					Design:      d,
-					Workload:    w,
-					Ops:         o.Ops,
-					CrashAt:     o.Ops * 2 / 3,
-					Attack:      "none",
-					N:           o.Ns[ri%len(o.Ns)],
-					RebootEvery: stride,
-					Reboots:     o.Reboots,
-				}
-				faultless := base
-				faultless.Seed = int64(ri % o.Seeds)
-				cells = append(cells, faultless.normalized())
-				faulty := base
+				faultless := o.traceCell(d, w, ri%o.Seeds, o.Ops*2/3, "none", o.Ns[ri%len(o.Ns)])
+				faultless.RebootEvery, faultless.Reboots = stride, o.Reboots
+				faulty := faultless
 				faulty.Seed = int64((ri + 1) % o.Seeds)
 				p := profiles[(wi+ri)%len(profiles)]
-				cells = append(cells, faulty.withProfile(p, int64(wi+ri)*7919+1).normalized())
+				cells = append(cells, faultless, faulty.withProfile(p, int64(wi+ri)*7919+1))
 			}
 		}
 	}
@@ -262,17 +242,9 @@ func appendSpareCells(cells []Cell, o MatrixOpts) []Cell {
 	for di, d := range o.Designs {
 		for wi, w := range o.Workloads {
 			for pi, pool := range pools {
-				p := profiles[(di+wi+pi)%len(profiles)]
-				cells = append(cells, Cell{
-					Design:   d,
-					Workload: w,
-					Seed:     int64((wi + pi) % o.Seeds),
-					Ops:      o.Ops,
-					CrashAt:  o.Ops * 2 / 3,
-					Attack:   "none",
-					N:        o.Ns[pi%len(o.Ns)],
-					Spares:   pool,
-				}.withProfile(p, int64(di*len(pools)+pi)*7919+1).normalized())
+				c := o.traceCell(d, w, (wi+pi)%o.Seeds, o.Ops*2/3, "none", o.Ns[pi%len(o.Ns)])
+				c.Spares = pool
+				cells = append(cells, c.withProfile(profiles[(di+wi+pi)%len(profiles)], int64(di*len(pools)+pi)*7919+1))
 			}
 		}
 	}
@@ -347,6 +319,20 @@ type Summary struct {
 	SpareRefused int `json:"spare_readonly_refused,omitempty"`
 }
 
+// spareClass returns the outcome counter a passing finite-spare cell
+// lands in — the degraded-mode contract that a dying device heals what
+// it can, detects what it loses, and refuses what it can no longer
+// serve.
+func (s *Summary) spareClass(ev *Context) *int {
+	switch {
+	case ev.RefusedStores > 0:
+		return &s.SpareRefused
+	case !ev.baseRep().Lossless():
+		return &s.SpareLost
+	}
+	return &s.SpareHealed
+}
+
 // Failed reports whether any cell violated an oracle.
 func (s *Summary) Failed() bool { return len(s.Failures) > 0 }
 
@@ -361,15 +347,19 @@ func RunMatrix(ctx context.Context, r *Runner, cells []Cell, parallel int, progr
 	type result struct {
 		i     int
 		f     *Failure
-		class string
+		class *int // the spare-outcome counter a passing spare cell adds to
 	}
 	sum := &Summary{Cells: len(cells)}
 	results := make(chan result)
 	go func() {
 		defer close(results)
 		sum.Skipped = forEachCell(ctx, len(cells), parallel, func(i int) {
-			f, class := r.RunCellClass(cells[i])
-			results <- result{i, f, class}
+			ev, f := r.runCell(cells[i])
+			res := result{i: i, f: f}
+			if f == nil && cells[i].Spares > 0 {
+				res.class = sum.spareClass(ev)
+			}
+			results <- res
 		})
 	}()
 	failed := make([]*Failure, len(cells))
@@ -380,13 +370,8 @@ func RunMatrix(ctx context.Context, r *Runner, cells []Cell, parallel int, progr
 		if cells[rr.i].Spares > 0 {
 			sum.SpareCells++
 		}
-		switch rr.class {
-		case SpareClassHealed:
-			sum.SpareHealed++
-		case SpareClassLost:
-			sum.SpareLost++
-		case SpareClassRefused:
-			sum.SpareRefused++
+		if rr.class != nil {
+			*rr.class++
 		}
 		if progress != nil {
 			progress(done, len(cells), rr.f)

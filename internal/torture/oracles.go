@@ -81,14 +81,14 @@ type Context struct {
 	RebootPlans []int
 	FinalPlan   int
 
+	// kv is a KV cell's evidence (see runKV); nil on trace cells.
+	kv *kvEvidence
+
 	applied    bool
 	rebootRan  bool
 	goldenDivs []string
 	goldenRun  bool
 }
-
-// Faulty reports whether the cell ran under a media-fault model.
-func (c *Context) Faulty() bool { return c.Cell.Faulty() }
 
 // caps resolves the cell's declared capability set from the design
 // registry; the oracles read expectations from it instead of matching on
@@ -107,7 +107,7 @@ func (c *Context) inlinePacked() bool {
 // post-recovery state share the applied image.
 func (c *Context) applyRecovery() {
 	if !c.applied {
-		rec := c.Runner.applyFn()(c.Img, c.Rep)
+		rec := c.Runner.Apply(c.Img, c.Rep)
 		c.Recovered = &rec
 		c.applied = true
 	}
@@ -150,35 +150,95 @@ func (c *Context) baseRep() *recovery.Report {
 	return c.Rep
 }
 
-// Oracle is one invariant checked against every cell. Check returns ""
-// on pass, otherwise a human-readable failure detail.
+// Oracle is one invariant: its name, the statement it holds cells to,
+// the cells it applies to, and its check. Check returns "" on pass,
+// otherwise a human-readable failure detail.
 type Oracle struct {
 	Name  string
 	Doc   string
+	Scope Scope
 	Check func(*Context) string
 }
 
-// Oracles returns the invariant set in evaluation order; RunCell reports
-// the first violation. The list is exported so documentation and the CLI
-// can enumerate it.
-func Oracles() []Oracle { return oracleList }
+// Scope names the cells an oracle applies to, in the words the oracle
+// table prints; runCell evaluates a row only on the cells it covers.
+type Scope string
 
-var oracleList = []Oracle{
+const (
+	scopeTrace   Scope = "trace cells"
+	scopeFault   Scope = "fault cells"
+	scopeWeak    Scope = "weak-line cells"
+	scopeSpares  Scope = "finite-spare cells"
+	scopePlainKV Scope = "KV cells without compaction"
+	scopeCompact Scope = "compacting KV cells"
+	scopeKV      Scope = "KV cells"
+	scopeEvery   Scope = "every cell"
+)
+
+// covers reports whether the scope includes cell c. Validate keeps the
+// fault, weak and spare axes off KV cells and compaction off trace cells.
+func (s Scope) covers(c Cell) bool {
+	switch s {
+	case scopeTrace:
+		return !c.KV()
+	case scopeFault:
+		return c.Faulty()
+	case scopeWeak:
+		return c.WeakPct > 0
+	case scopeSpares:
+		return c.Spares > 0
+	case scopePlainKV:
+		return c.KV() && c.CompactEvery == 0
+	case scopeCompact:
+		return c.CompactEvery > 0
+	case scopeKV:
+		return c.KV()
+	}
+	return s == scopeEvery
+}
+
+// Oracles returns the invariant table in evaluation order; runCell
+// reports the first violation among the rows that apply to the cell.
+func Oracles() []Oracle { return oracles }
+
+// OracleTable renders the oracles, then the harness failures, as the
+// markdown table `ccnvm-torture -oracles` prints and DESIGN.md embeds.
+func OracleTable() string {
+	var b strings.Builder
+	b.WriteString("| name | applies to | holds that |\n|---|---|---|\n")
+	for _, o := range slices.Concat(oracles, harnessFailures) {
+		fmt.Fprintf(&b, "| `%s` | %s | %s |\n", o.Name, o.Scope, o.Doc)
+	}
+	return b.String()
+}
+
+// harnessFailures are the failures setup raises when it cannot produce
+// evidence for the rows (it also raises three rows' own names).
+var harnessFailures = []Oracle{
+	{Name: "cell-spec", Scope: scopeEvery, Doc: "Setup: the cell validates, and its workload, engine and attack build."},
+	{Name: "panic", Scope: scopeEvery, Doc: "Setup: nothing in the cell panics; fuzzed and fault-injected paths " +
+		"degrade to typed errors."},
+	{Name: "device-fault", Scope: scopeTrace, Doc: "Setup: the controller records no device or protocol error."},
+	{Name: "kv-batch-error", Scope: scopeKV, Doc: "Setup: every batch issued before the crash is acknowledged."},
+	{Name: "kv-compact-error", Scope: scopeCompact, Doc: "Setup: every compaction pass run before the crash succeeds."},
+}
+
+var oracles = []Oracle{
 	{
-		Name: "runtime-reads",
+		Name: "runtime-reads", Scope: scopeTrace,
 		Doc: "Before the crash, every load returns the reference plaintext and " +
 			"the engine flags zero integrity violations on its own traffic.",
 		Check: checkRuntimeReads,
 	},
 	{
-		Name: "clean-recovery",
+		Name: "clean-recovery", Scope: scopeTrace,
 		Doc: "A crash without an effective attack recovers with zero tamper flags " +
 			"on every recoverable design (w/o CC is exempt: unbounded staleness is " +
 			"its motivating defect). SC additionally needs zero counter retries.",
 		Check: checkCleanRecovery,
 	},
 	{
-		Name: "attack-caught",
+		Name: "attack-caught", Scope: scopeTrace,
 		Doc: "Every injected attack that changed persistent state is detected, " +
 			"and designs that claim location pin it: spoof/splice to the victim " +
 			"blocks, counter replay to the victim's counter line, data replay " +
@@ -188,7 +248,7 @@ var oracleList = []Oracle{
 		Check: checkAttackCaught,
 	},
 	{
-		Name: "epoch-atomicity",
+		Name: "epoch-atomicity", Scope: scopeTrace,
 		Doc: "For epoch-draining designs the NVM tree verifies against exactly " +
 			"one root register (drains are all-or-nothing), and on clean crashes " +
 			"the recovery retries account exactly for the replay window (Nretry " +
@@ -196,23 +256,22 @@ var oracleList = []Oracle{
 		Check: checkEpochAtomicity,
 	},
 	{
-		Name: "golden-state",
+		Name: "golden-state", Scope: scopeTrace,
 		Doc: "Whenever recovery reports clean, the recovered image must match the " +
 			"golden unmemoized reference machine bit-for-bit: counter lines, " +
 			"decrypted data and stored HMACs.",
 		Check: checkGoldenState,
 	},
 	{
-		Name: "torn-write-detected",
-		Doc: "Under media faults, every surviving block of the recovered image " +
-			"verifies as a version the trace actually wrote (nothing is silently " +
-			"accepted as fabricated or mixed content), any block left at a stale " +
-			"version is covered by a loss report, stuck lines surface as media " +
-			"errors, and the post-recovery tree matches the recovered root.",
+		Name: "torn-write-detected", Scope: scopeFault,
+		Doc: "Every surviving block of the recovered image verifies as a version " +
+			"the trace actually wrote, any block left at a stale version is covered " +
+			"by a loss report, stuck lines surface as media errors, and the " +
+			"post-recovery tree matches the recovered root.",
 		Check: checkTornWriteDetected,
 	},
 	{
-		Name: "adr-budget",
+		Name: "adr-budget", Scope: scopeFault,
 		Doc: "The crash-time ADR flush never exceeds its energy budget, every " +
 			"damaged line is covered by the suspects manifest recovery consumes, " +
 			"and an undamaged fault cell recovers lossless — recovery neither " +
@@ -220,46 +279,45 @@ var oracleList = []Oracle{
 		Check: checkADRBudget,
 	},
 	{
-		Name: "read-error-bounded-retry",
+		Name: "read-error-bounded-retry", Scope: scopeWeak,
 		Doc: "Transient read errors are absorbed by bounded retry (no read ever " +
 			"exhausts the retry budget) and a scrub pass rewrites or remaps every " +
 			"weak line, so none survives the maintenance window.",
 		Check: checkReadErrorBoundedRetry,
 	},
 	{
-		Name: "reboot-convergence",
+		Name: "reboot-convergence", Scope: scopeTrace,
 		Doc: "A recovery interrupted at every k-th persisted write and re-entered " +
-			"across reboots converges to the exact state a single uninterrupted " +
-			"recovery produces: store content, stuck-line set and committed root " +
-			"registers are all bit-identical to the single-shot golden clone.",
+			"across reboots converges bit-for-bit to the single-shot golden clone: " +
+			"store content, stuck-line set and committed root registers.",
 		Check: checkRebootConvergence,
 	},
 	{
-		Name: "reboot-no-new-loss",
+		Name: "reboot-no-new-loss", Scope: scopeTrace,
 		Doc: "Interrupted recovery never makes the verdict worse: the final report " +
 			"loses or flags no block the single-shot report did not, and a clean " +
 			"single-shot recovery stays clean through any number of reboots.",
 		Check: checkRebootNoNewLoss,
 	},
 	{
-		Name: "reboot-bounded",
+		Name: "reboot-bounded", Scope: scopeTrace,
 		Doc: "Designs declaring re-entrant recovery converge within their declared " +
-			"reboot budget: write plans shrink monotonically across passes, no plan " +
-			"size repeats longer than the capability's stride, and the converged " +
-			"image carries no active recovery journal.",
+			"reboot budget: the uninterrupted final pass commits, write plans shrink " +
+			"monotonically across passes, no plan size repeats longer than the " +
+			"capability's stride, and the converged image carries no active " +
+			"recovery journal.",
 		Check: checkRebootBounded,
 	},
 	{
-		Name: "remap-consistency",
-		Doc: "On finite-spare cells the crash image carries a decodable remap " +
-			"table whose entries are unique, line-aligned and in-range, recovery's " +
-			"report agrees with the table it replayed, and every remapped data " +
-			"line the report does not enumerate as lost reads back bit-identical " +
-			"to a version the trace actually wrote.",
+		Name: "remap-consistency", Scope: scopeSpares,
+		Doc: "The crash image carries a decodable remap table whose entries are " +
+			"unique, line-aligned and in-range, recovery's report agrees with the " +
+			"table it replayed, and every remapped data line the report does not " +
+			"enumerate as lost reads back bit-identical to a version the trace actually wrote.",
 		Check: checkRemapConsistency,
 	},
 	{
-		Name: "spare-accounting",
+		Name: "spare-accounting", Scope: scopeSpares,
 		Doc: "Spares consumed equal remap-table entries and never exceed the " +
 			"pool (or go negative); the persisted table trails the in-memory " +
 			"count by at most the one commit a torn crash may roll back; and a " +
@@ -267,7 +325,7 @@ var oracleList = []Oracle{
 		Check: checkSpareAccounting,
 	},
 	{
-		Name: "degradation-correctness",
+		Name: "degradation-correctness", Scope: scopeSpares,
 		Doc: "A spare-exhausted controller goes read-only for real: the harness " +
 			"only ever skips stores once the pool is empty, the direct probe " +
 			"write issued past the front door never lands on the device and is " +
@@ -275,6 +333,34 @@ var oracleList = []Oracle{
 			"still claims write service.",
 		Check: checkDegradationCorrectness,
 	},
+
+	// The KV rows judge a recovered namespace against the prefix states
+	// of its issued batch sequence (kvcrash.go). A row that cannot judge
+	// a claim leaves it to the later row that owns it: the shrinker keeps
+	// only candidates failing the same name, so the order is behaviour.
+	{Name: "kv-compact-gen", Scope: scopeCompact, Check: checkKVCompactGen, Doc: "The recovered manifest " +
+		"generation equals the in-memory one at the crash: the switch happened iff its single-slot commit was accepted."},
+	{Name: "kv-batch-atomic", Scope: scopeKV, Check: checkKVBatchAtomic, Doc: "The namespace equals the state " +
+		"after batch j for some j in [acked, issued]: no partial batch is ever visible, compaction or not."},
+	{Name: "kv-acked-durable", Scope: scopePlainKV, Check: checkKVAckedDurable, Doc: "Every acknowledged batch " +
+		"is applied: the recovered log holds at least the acknowledged batch count."},
+	{Name: "kv-no-ghost-resurrection", Scope: scopeCompact, Check: checkKVNoGhostResurrection, Doc: "A key " +
+		"deleted (or never written) in every reachable prefix state never reappears through compact + crash + recover."},
+	{Name: "kv-compact-lost-acked", Scope: scopeCompact, Check: checkKVCompactLostAcked, Doc: "A key live in " +
+		"every reachable prefix state never disappears through compact + crash + recover."},
+	{Name: "kv-no-ghosts", Scope: scopeKV, Check: checkKVNoGhosts, Doc: "Nothing beyond the issued batches " +
+		"appears: the recovered log holds at most the issued batch count, and the keymap has exactly the matched " +
+		"prefix state's keys."},
+	{Name: "kv-reclaim-monotonic", Scope: scopeCompact, Check: checkKVReclaimMonotonic, Doc: "A second reopen " +
+		"of the recovered store reclaims zero further lines: space reclaim converges."},
+	{Name: "kv-clean-recovery", Scope: scopeKV, Check: checkKVCleanRecovery, Doc: "An un-attacked KV crash " +
+		"recovers clean — the first pass, the last re-entered pass of the reboot loop and the single-shot golden " +
+		"alike — and the recovered store reopens with its keymap rebuilt, twice over for compacting cells."},
+	{Name: "kv-compact-idempotent", Scope: scopeCompact, Check: checkKVCompactIdempotent, Doc: "Under the " +
+		"reboot axis, the reboot-looped recovery lands on the same generation and namespace as a single-shot " +
+		"recovery of a pristine clone."},
+	{Name: "kv-reboot-bounded", Scope: scopeKV, Check: checkFinalPassCommitted, Doc: "Under the reboot axis, " +
+		"the uninterrupted final recovery pass commits and leaves no active recovery journal."},
 }
 
 func checkRuntimeReads(c *Context) string {
@@ -303,7 +389,7 @@ func checkCleanRecovery(c *Context) string {
 			len(rep.TreeMismatches), len(rep.Tampered), len(rep.ReplayedPages),
 			rep.PotentialReplay, rep.Nwb, rep.Nretry)
 	}
-	if !c.Faulty() && c.caps().ZeroRetryRecovery && (rep.Nretry != 0 || rep.RecoveredBlocks != 0) {
+	if !c.Cell.Faulty() && c.caps().ZeroRetryRecovery && (rep.Nretry != 0 || rep.RecoveredBlocks != 0) {
 		return fmt.Sprintf("design persists the full path per write-back yet recovery needed %d retries over %d blocks",
 			rep.Nretry, rep.RecoveredBlocks)
 	}
@@ -317,7 +403,7 @@ func checkAttackCaught(c *Context) string {
 		return ""
 	}
 	rep := c.Rep
-	if c.Faulty() {
+	if c.Cell.Faulty() {
 		// Under media faults the located-evidence minimums are waived:
 		// damage may displace the evidence, and a loss verdict already
 		// proves the attacked state was not silently trusted. Only a
@@ -386,7 +472,7 @@ func checkEpochAtomicity(c *Context) string {
 	if !caps.EpochAtomic {
 		return ""
 	}
-	if c.Faulty() {
+	if c.Cell.Faulty() {
 		// Torn or dropped drain writes legitimately leave the tree
 		// matching neither root and skew the retry accounting; the
 		// torn-write-detected oracle owns fault cells.
@@ -413,7 +499,7 @@ func checkEpochAtomicity(c *Context) string {
 }
 
 func checkGoldenState(c *Context) string {
-	if c.Faulty() {
+	if c.Cell.Faulty() {
 		// Accepted crash loss means the latest reference state is not
 		// the contract; the torn-write-detected oracle holds fault cells
 		// to the versioned contract instead.
@@ -435,8 +521,9 @@ func checkGoldenState(c *Context) string {
 
 // goldenVersions verifies the recovered image against the reference's
 // version history (see VerifyImageVersions), excluding the blocks the
-// report enumerates as lost or tampered, and caching the result. For
-// non-arsenal designs it applies recovery first.
+// report enumerates as lost or tampered. Nothing is cached: every call
+// walks the image again. For non-arsenal designs it applies recovery
+// first.
 func (c *Context) goldenVersions() (stale []mem.Addr, divs []string) {
 	excluded := map[mem.Addr]bool{}
 	for _, lb := range c.baseRep().LostBlocks {
@@ -456,7 +543,7 @@ func (c *Context) goldenVersions() (stale []mem.Addr, divs []string) {
 // version) or lost-but-detected (enumerated or covered by a loss
 // verdict) — never silently accepted.
 func checkTornWriteDetected(c *Context) string {
-	if !c.Faulty() || c.attackInPlay() {
+	if c.attackInPlay() {
 		return ""
 	}
 	rep := c.baseRep()
@@ -511,22 +598,18 @@ func checkTornWriteDetected(c *Context) string {
 // manifest covers every damaged line, and a cell whose crash damaged
 // nothing recovers lossless.
 func checkADRBudget(c *Context) string {
-	if !c.Faulty() || c.Media == nil {
+	if c.Media == nil {
 		return ""
 	}
 	rep := c.baseRep()
 	if c.Cell.ADRBudget > 0 && c.Media.Flushed > c.Cell.ADRBudget {
 		return fmt.Sprintf("ADR flushed %d entries over a budget of %d", c.Media.Flushed, c.Cell.ADRBudget)
 	}
-	suspects := map[mem.Addr]bool{}
-	for _, a := range c.Img.Suspects {
-		suspects[a] = true
-	}
 	for _, ev := range c.Media.Events {
 		if ev.Kind == "stuck" {
 			continue // stuck lines are reported by the device, not the manifest
 		}
-		if !suspects[ev.Addr] {
+		if !slices.Contains(c.Img.Suspects, ev.Addr) {
 			return fmt.Sprintf("%s line %#x damaged at crash but missing from the suspects manifest", ev.Kind, uint64(ev.Addr))
 		}
 	}
@@ -562,9 +645,6 @@ func checkADRBudget(c *Context) string {
 // throttled or give-up remaps started failing — states a healthy-at-crash
 // controller by definition never entered.
 func checkReadErrorBoundedRetry(c *Context) string {
-	if c.Cell.WeakPct <= 0 {
-		return ""
-	}
 	if c.CtrlStats.PermanentReadErrors != 0 {
 		if c.Cell.Spares == 0 || c.SpareStats.Remaining() > 0 {
 			return fmt.Sprintf("%d reads exhausted the retry budget (transient errors must stay transient)",
@@ -585,9 +665,6 @@ func checkReadErrorBoundedRetry(c *Context) string {
 // it replayed, and remapped data lines still read back as written — a
 // remap must be transparent to content.
 func checkRemapConsistency(c *Context) string {
-	if c.Cell.Spares <= 0 {
-		return ""
-	}
 	rec, ok, torn := nvm.LoadRemapTable(c.Img.Image.RemapTable)
 	if !ok {
 		return "finite-pool crash image carries no decodable remap table"
@@ -633,9 +710,6 @@ func checkRemapConsistency(c *Context) string {
 // only divergence a crash may cause: a torn commit rolling back exactly
 // one record.
 func checkSpareAccounting(c *Context) string {
-	if c.Cell.Spares <= 0 {
-		return ""
-	}
 	s := c.SpareStats
 	if s.Total != c.Cell.Spares {
 		return fmt.Sprintf("device provisioned %d spares, cell asked for %d", s.Total, c.Cell.Spares)
@@ -666,9 +740,6 @@ func checkSpareAccounting(c *Context) string {
 // harness pushed past the front door was rejected by the controller
 // itself — counted, and never persisted.
 func checkDegradationCorrectness(c *Context) string {
-	if c.Cell.Spares <= 0 {
-		return ""
-	}
 	if c.RefusedStores > 0 {
 		if c.SpareStats.Remaining() > 0 {
 			return fmt.Sprintf("%d stores skipped as read-only while %d spares remained",
@@ -703,16 +774,9 @@ func checkRebootConvergence(c *Context) string {
 	}
 	got, want := c.Img.Image, c.GoldenImg.Image
 	if !got.Store.Equal(want.Store) {
-		for _, a := range want.Store.Addrs() {
+		for _, a := range slices.Concat(want.Store.Addrs(), got.Store.Addrs()) {
 			wl, _ := want.Store.Read(a)
 			if gl, _ := got.Store.Read(a); gl != wl {
-				return fmt.Sprintf("store diverges from single-shot recovery at %#x after %d interrupted passes",
-					uint64(a), len(c.RebootPlans))
-			}
-		}
-		for _, a := range got.Store.Addrs() {
-			gl, _ := got.Store.Read(a)
-			if wl, _ := want.Store.Read(a); gl != wl {
 				return fmt.Sprintf("store diverges from single-shot recovery at %#x after %d interrupted passes",
 					uint64(a), len(c.RebootPlans))
 			}
@@ -747,11 +811,11 @@ func checkRebootNoNewLoss(c *Context) string {
 		return fmt.Sprintf("single-shot recovery is clean but the resumed report flags: mismatches=%d tampered=%d replayedPages=%d potentialReplay=%v",
 			len(f.TreeMismatches), len(f.Tampered), len(f.ReplayedPages), f.PotentialReplay)
 	}
-	if extra := missingFrom(lostAddrs(f), lostAddrs(g)); len(extra) > 0 {
-		return fmt.Sprintf("reboots turned block %#x into crash loss (single-shot recovery kept it)", uint64(extra[0]))
+	if a, ok := firstNew(f.LostBlocks, g.LostBlocks, func(b recovery.LostBlock) mem.Addr { return b.Addr }); ok {
+		return fmt.Sprintf("reboots turned block %#x into crash loss (single-shot recovery kept it)", uint64(a))
 	}
-	if extra := missingFrom(tamperedAddrs(f), tamperedAddrs(g)); len(extra) > 0 {
-		return fmt.Sprintf("reboots turned block %#x into a tamper verdict (single-shot recovery kept it)", uint64(extra[0]))
+	if a, ok := firstNew(f.Tampered, g.Tampered, func(b recovery.TamperedBlock) mem.Addr { return b.Addr }); ok {
+		return fmt.Sprintf("reboots turned block %#x into a tamper verdict (single-shot recovery kept it)", uint64(a))
 	}
 	if f.CrashLossWindow && !g.CrashLossWindow {
 		return "reboots introduced a crash-loss window the single-shot recovery did not report"
@@ -797,43 +861,28 @@ func checkRebootBounded(c *Context) string {
 			}
 		}
 	}
-	if recovery.JournalActive(c.Img) {
+	return checkFinalPassCommitted(c)
+}
+
+// checkFinalPassCommitted holds the reboot loop's final pass to its
+// commit: runCell already fails a pass that reports failure, and a pass
+// that claims success must have deactivated the recovery journal.
+func checkFinalPassCommitted(c *Context) string {
+	if c.rebootRan && recovery.JournalActive(c.Img) {
 		return "converged recovery left an active journal behind"
 	}
 	return ""
 }
 
-// lostAddrs and tamperedAddrs flatten a report's loss evidence for the
-// subset checks; missingFrom returns the members of sub absent from
-// super.
-func lostAddrs(rep *recovery.Report) []mem.Addr {
-	out := make([]mem.Addr, 0, len(rep.LostBlocks))
-	for _, lb := range rep.LostBlocks {
-		out = append(out, lb.Addr)
-	}
-	return out
-}
-
-func tamperedAddrs(rep *recovery.Report) []mem.Addr {
-	out := make([]mem.Addr, 0, len(rep.Tampered))
-	for _, tb := range rep.Tampered {
-		out = append(out, tb.Addr)
-	}
-	return out
-}
-
-func missingFrom(sub, super []mem.Addr) []mem.Addr {
-	in := make(map[mem.Addr]bool, len(super))
-	for _, a := range super {
-		in[a] = true
-	}
-	var out []mem.Addr
-	for _, a := range sub {
-		if !in[a] {
-			out = append(out, a)
+// firstNew returns the address of the first record of f whose address
+// no record of g carries: evidence the reboots added.
+func firstNew[T any](f, g []T, addr func(T) mem.Addr) (mem.Addr, bool) {
+	for _, x := range f {
+		if !slices.ContainsFunc(g, func(y T) bool { return addr(y) == addr(x) }) {
+			return addr(x), true
 		}
 	}
-	return out
+	return 0, false
 }
 
 func tamperedContains(rep *recovery.Report, a mem.Addr) bool {

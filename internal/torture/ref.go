@@ -2,6 +2,7 @@ package torture
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"ccnvm/internal/engine"
@@ -104,13 +105,7 @@ func (r *Reference) Written() []mem.Addr {
 
 // WriteCounts returns a copy of the per-block write counts; replay
 // attacks use the counts at snapshot time to pick meaningful victims.
-func (r *Reference) WriteCounts() map[mem.Addr]uint64 {
-	cp := make(map[mem.Addr]uint64, len(r.writes))
-	for a, n := range r.writes {
-		cp[a] = n
-	}
-	return cp
-}
+func (r *Reference) WriteCounts() map[mem.Addr]uint64 { return maps.Clone(r.writes) }
 
 // maxDivergences bounds how many divergences a verify pass reports; one
 // is enough to fail a cell, a handful is enough to debug it.
@@ -127,9 +122,6 @@ func (r *Reference) VerifyImage(img *engine.CrashImage) []string {
 	add := func(format string, args ...interface{}) bool {
 		if len(divs) == maxDivergences {
 			divs = append(divs, "... more divergences suppressed")
-			return false
-		}
-		if len(divs) > maxDivergences {
 			return false
 		}
 		divs = append(divs, fmt.Sprintf(format, args...))

@@ -52,25 +52,20 @@ type Runner struct {
 // DefaultRunner runs cells against the real recovery path.
 func DefaultRunner() *Runner { return &Runner{} }
 
-func (r *Runner) recoverFn() func(*engine.CrashImage) *recovery.Report {
-	if r.Recover != nil {
-		return r.Recover
+// withSeams returns a copy of r whose unset recovery seams run the real
+// recovery implementation.
+func (r *Runner) withSeams() *Runner {
+	s := *r
+	if s.Recover == nil {
+		s.Recover = recovery.Recover
 	}
-	return recovery.Recover
-}
-
-func (r *Runner) applyFn() func(*engine.CrashImage, *recovery.Report) recovery.Recovered {
-	if r.Apply != nil {
-		return r.Apply
+	if s.Apply == nil {
+		s.Apply = recovery.Apply
 	}
-	return recovery.Apply
-}
-
-func (r *Runner) applyInterruptedFn() func(*engine.CrashImage, *recovery.Report, *recovery.Interrupt) (recovery.Recovered, bool) {
-	if r.ApplyInterrupted != nil {
-		return r.ApplyInterrupted
+	if s.ApplyInterrupted == nil {
+		s.ApplyInterrupted = recovery.ApplyInterrupted
 	}
-	return recovery.ApplyInterrupted
+	return &s
 }
 
 // pattern derives a block's store content from its address and the op
@@ -88,57 +83,49 @@ func pattern(addr mem.Addr, v byte) mem.Line {
 // cell (engine, recovery, oracle) is converted into a "panic" failure —
 // fuzzed and fault-injected paths must degrade to typed errors, never
 // take the harness down.
-func (r *Runner) RunCell(c Cell) (fail *Failure) {
-	fail, _ = r.RunCellClass(c)
+func (r *Runner) RunCell(c Cell) *Failure {
+	_, fail := r.runCell(c)
 	return fail
-}
-
-// Spare-outcome classes: every finite-spare cell that passes its oracles
-// is exactly one of these — the degraded-mode contract that a dying
-// device heals what it can, detects what it loses, and refuses what it
-// can no longer serve.
-const (
-	SpareClassHealed  = "spare_healed"
-	SpareClassLost    = "spare_lost_detected"
-	SpareClassRefused = "spare_readonly_refused"
-)
-
-// RunCellClass is RunCell plus the spare-outcome classification of a
-// passing finite-spare cell ("" for failing or non-spare cells), which
-// RunMatrix aggregates into the summary.
-func (r *Runner) RunCellClass(c Cell) (fail *Failure, class string) {
-	c = c.normalized()
-	defer func() {
-		if p := recover(); p != nil {
-			fail = failf(c, "panic", "cell panicked: %v", p)
-			class = ""
-		}
-	}()
-	ctx, fail := r.runCell(c)
-	if fail == nil && ctx != nil && ctx.Rep != nil && c.Spares > 0 {
-		switch {
-		case ctx.RefusedStores > 0:
-			class = SpareClassRefused
-		case !ctx.baseRep().Lossless():
-			class = SpareClassLost
-		default:
-			class = SpareClassHealed
-		}
-	}
-	return fail, class
 }
 
 // runCell is RunCell's body, returning the evidence context alongside
 // the first oracle violation so the durability campaign can classify
-// passing cells too. ctx is nil when setup failed before a trace was
-// driven. Callers own the panic conversion.
-func (r *Runner) runCell(c Cell) (*Context, *Failure) {
+// passing cells too. Trace and KV cells differ only in setup (runTrace,
+// runKV), which may fail the cell itself; the oracle rows whose scope
+// covers the cell then judge it in table order. ctx is nil when setup
+// failed before a workload was driven, or the cell panicked.
+func (r *Runner) runCell(c Cell) (ctx *Context, fail *Failure) {
+	c = c.normalized()
+	defer func() {
+		if p := recover(); p != nil {
+			ctx, fail = nil, failf(c, "panic", "cell panicked: %v", p)
+		}
+	}()
 	if err := c.Validate(); err != nil {
 		return nil, failf(c, "cell-spec", "%v", err)
 	}
+	r = r.withSeams()
+	setup := r.runTrace
 	if c.KV() {
-		return r.runKV(c)
+		setup = r.runKV
 	}
+	if ctx, fail = setup(c); fail != nil {
+		return ctx, fail
+	}
+	for _, o := range oracles {
+		if !o.Scope.covers(c) {
+			continue
+		}
+		if detail := o.Check(ctx); detail != "" {
+			return ctx, &Failure{Cell: c, Oracle: o.Name, Detail: detail}
+		}
+	}
+	return ctx, nil
+}
+
+// runTrace is a trace cell's setup: drive the trace to the crash point,
+// inject the attack, recover, and run the reboot loop.
+func (r *Runner) runTrace(c Cell) (*Context, *Failure) {
 	ops, err := GenOps(c.Workload, c.Seed, c.Ops)
 	if err != nil {
 		return nil, failf(c, "cell-spec", "%v", err)
@@ -220,15 +207,9 @@ func (r *Runner) runCell(c Cell) (*Context, *Failure) {
 	if err != nil {
 		return ctx, failf(c, "cell-spec", "%v", err)
 	}
-	ctx.Rep = r.recoverFn()(ctx.Img)
+	ctx.Rep = r.Recover(ctx.Img)
 	if !r.runRebootLoop(ctx) {
 		return ctx, failf(c, "reboot-bounded", "uninterrupted final recovery pass failed to commit")
-	}
-
-	for _, o := range Oracles() {
-		if detail := o.Check(ctx); detail != "" {
-			return ctx, &Failure{Cell: c, Oracle: o.Name, Detail: detail}
-		}
 	}
 	return ctx, nil
 }
@@ -251,27 +232,27 @@ func (r *Runner) runRebootLoop(ctx *Context) bool {
 	}
 	ctx.FirstRep = ctx.Rep
 	ctx.GoldenImg = ctx.Img.Clone()
-	ctx.GoldenRep = r.recoverFn()(ctx.GoldenImg)
-	grec := r.applyFn()(ctx.GoldenImg, ctx.GoldenRep)
+	ctx.GoldenRep = r.Recover(ctx.GoldenImg)
+	grec := r.Apply(ctx.GoldenImg, ctx.GoldenRep)
 	ctx.GoldenRec = &grec
 	ctx.FinalPlan = -1
 	rep := ctx.Rep
 	done := false
 	for pass := 1; pass <= c.Reboots && !done; pass++ {
 		itr := &recovery.Interrupt{After: c.RebootEvery, Faults: c.faultModel(), Seq: uint64(pass)}
-		rec, ok := r.applyInterruptedFn()(ctx.Img, rep, itr)
+		rec, ok := r.ApplyInterrupted(ctx.Img, rep, itr)
 		ctx.RebootPlans = append(ctx.RebootPlans, itr.Plan)
 		if ok {
 			// The pass finished before its strike point: converged early.
 			ctx.Recovered = &rec
 			done = true
 		} else {
-			rep = r.recoverFn()(ctx.Img)
+			rep = r.Recover(ctx.Img)
 		}
 	}
 	if !done {
 		itr := &recovery.Interrupt{Seq: uint64(c.Reboots + 1)}
-		rec, ok := r.applyInterruptedFn()(ctx.Img, rep, itr)
+		rec, ok := r.ApplyInterrupted(ctx.Img, rep, itr)
 		ctx.FinalPlan = itr.Plan
 		if !ok {
 			return false

@@ -151,8 +151,6 @@ func (c Cell) Validate() error {
 			return fmt.Errorf("torture: kv cell needs at least 1 batch, got %d", c.Batches)
 		case c.CrashAt < -1:
 			return fmt.Errorf("torture: kv crash write %d out of range (-1 = after the last batch)", c.CrashAt)
-		case c.CompactEvery < 0:
-			return fmt.Errorf("torture: kv compaction stride %d must be >= 0", c.CompactEvery)
 		case c.Ops != 0 || c.Attack != "none" || c.N != 0 || c.M != 0 || c.Faulty():
 			return fmt.Errorf("torture: kv cells take no ops, attack, n, m or fault axis")
 		}
@@ -173,28 +171,15 @@ func (c Cell) Validate() error {
 			return fmt.Errorf("torture: batches and compact apply to workload=%s only", KVWorkload)
 		}
 	}
-	if c.WeakPct < 0 || c.WeakPct > 100 {
-		return fmt.Errorf("torture: weak-line percentage %d out of range [0,100]", c.WeakPct)
-	}
-	if c.ADRBudget < 0 || c.ADRBudget > 1<<16 {
-		return fmt.Errorf("torture: ADR budget %d out of range", c.ADRBudget)
-	}
-	if c.Stuck < 0 || c.Stuck > 64 {
-		return fmt.Errorf("torture: stuck-line count %d out of range [0,64]", c.Stuck)
-	}
-	if c.Spares < 0 || c.Spares > nvm.RemapMaxEntries {
-		return fmt.Errorf("torture: spare-pool size %d out of range [0,%d]", c.Spares, nvm.RemapMaxEntries)
+	for _, f := range specFields {
+		if f.hi > 0 && !f.inRange(&c) {
+			return fmt.Errorf("torture: %s=%s out of range [%d,%d]", f.key, formatField(f.field(&c)), f.lo, f.hi)
+		}
 	}
 	if c.Spares > 0 && c.WeakPct == 0 && c.Stuck == 0 {
 		// A finite pool no heal or scrub ever draws from exercises
 		// nothing; require a consumer axis.
 		return fmt.Errorf("torture: spares=%d without a weak or stuck axis to consume them", c.Spares)
-	}
-	if c.Reboots < 0 || c.Reboots > 64 {
-		return fmt.Errorf("torture: reboot count %d out of range [0,64]", c.Reboots)
-	}
-	if c.RebootEvery < 0 || c.RebootEvery > 1<<16 {
-		return fmt.Errorf("torture: reboot stride %d out of range", c.RebootEvery)
 	}
 	if c.Reboots > 0 && c.RebootEvery < 1 {
 		return fmt.Errorf("torture: reboots=%d needs a strike stride (revery >= 1)", c.Reboots)
@@ -234,39 +219,52 @@ func (c Cell) RefusalReason() string {
 }
 
 // specFields is the cell spec grammar, one row per key in String's
-// order: the key, the Cell field it binds, and when String emits it.
-// A trace cell always carries ops, attack, n and m, a KV cell batches
-// instead, and every other axis appears only when active, so a cell's
-// spec names exactly the axes it exercises. ParseCell accepts every key.
+// order: the key, the Cell field it binds, when String emits it, and
+// for a plain numeric axis the [lo, hi] range Validate holds it to (hi
+// 0: the field has no range of its own). A trace cell always carries
+// ops, attack, n and m, a KV cell batches instead, and every other axis
+// appears only when active, so a cell's spec names exactly the axes it
+// exercises. ParseCell accepts every key.
 type specField struct {
-	key   string
-	field func(*Cell) any
-	show  func(Cell) bool
+	key    string
+	field  func(*Cell) any
+	show   func(Cell) bool
+	lo, hi int64
 }
 
 var specFields = []specField{
-	{"design", func(c *Cell) any { return &c.Design }, always},
-	{"workload", func(c *Cell) any { return &c.Workload }, always},
-	{"seed", func(c *Cell) any { return &c.Seed }, always},
-	{"ops", func(c *Cell) any { return &c.Ops }, isTrace},
-	{"batches", func(c *Cell) any { return &c.Batches }, Cell.KV},
-	{"crash", func(c *Cell) any { return &c.CrashAt }, always},
-	{"attack", func(c *Cell) any { return &c.Attack }, isTrace},
-	{"n", func(c *Cell) any { return &c.N }, isTrace},
-	{"m", func(c *Cell) any { return &c.M }, isTrace},
-	{"compact", func(c *Cell) any { return &c.CompactEvery }, func(c Cell) bool { return c.CompactEvery > 0 }},
-	{"fseed", func(c *Cell) any { return &c.FaultSeed }, Cell.Faulty},
-	{"torn", func(c *Cell) any { return &c.Torn }, func(c Cell) bool { return c.Torn }},
-	{"adr", func(c *Cell) any { return &c.ADRBudget }, func(c Cell) bool { return c.ADRBudget > 0 }},
-	{"weak", func(c *Cell) any { return &c.WeakPct }, func(c Cell) bool { return c.WeakPct > 0 }},
-	{"stuck", func(c *Cell) any { return &c.Stuck }, func(c Cell) bool { return c.Stuck > 0 }},
-	{"spares", func(c *Cell) any { return &c.Spares }, func(c Cell) bool { return c.Spares > 0 }},
-	{"revery", func(c *Cell) any { return &c.RebootEvery }, func(c Cell) bool { return c.Reboots > 0 }},
-	{"reboots", func(c *Cell) any { return &c.Reboots }, func(c Cell) bool { return c.Reboots > 0 }},
+	{"design", func(c *Cell) any { return &c.Design }, always, 0, 0},
+	{"workload", func(c *Cell) any { return &c.Workload }, always, 0, 0},
+	{"seed", func(c *Cell) any { return &c.Seed }, always, 0, 0},
+	{"ops", func(c *Cell) any { return &c.Ops }, isTrace, 0, 0},
+	{"batches", func(c *Cell) any { return &c.Batches }, Cell.KV, 0, 1 << 10},
+	{"crash", func(c *Cell) any { return &c.CrashAt }, always, 0, 0},
+	{"attack", func(c *Cell) any { return &c.Attack }, isTrace, 0, 0},
+	{"n", func(c *Cell) any { return &c.N }, isTrace, 0, 1 << 12},
+	{"m", func(c *Cell) any { return &c.M }, isTrace, 0, 1 << 12},
+	{"compact", func(c *Cell) any { return &c.CompactEvery }, func(c Cell) bool { return c.CompactEvery > 0 }, 0, 1 << 10},
+	{"fseed", func(c *Cell) any { return &c.FaultSeed }, Cell.Faulty, 0, 0},
+	{"torn", func(c *Cell) any { return &c.Torn }, func(c Cell) bool { return c.Torn }, 0, 0},
+	{"adr", func(c *Cell) any { return &c.ADRBudget }, func(c Cell) bool { return c.ADRBudget > 0 }, 0, 1 << 16},
+	{"weak", func(c *Cell) any { return &c.WeakPct }, func(c Cell) bool { return c.WeakPct > 0 }, 0, 100},
+	{"stuck", func(c *Cell) any { return &c.Stuck }, func(c Cell) bool { return c.Stuck > 0 }, 0, 64},
+	{"spares", func(c *Cell) any { return &c.Spares }, func(c Cell) bool { return c.Spares > 0 }, 0, nvm.RemapMaxEntries},
+	{"revery", func(c *Cell) any { return &c.RebootEvery }, func(c Cell) bool { return c.Reboots > 0 }, 0, 1 << 16},
+	{"reboots", func(c *Cell) any { return &c.Reboots }, func(c Cell) bool { return c.Reboots > 0 }, 0, 64},
 }
 
 func always(Cell) bool    { return true }
 func isTrace(c Cell) bool { return !c.KV() }
+
+// inRange reports whether c's value of the numeric field f lies in
+// [f.lo, f.hi].
+func (f specField) inRange(c *Cell) bool {
+	v := reflect.ValueOf(f.field(c)).Elem()
+	if v.CanUint() {
+		return v.Uint() <= uint64(f.hi)
+	}
+	return v.Int() >= f.lo && v.Int() <= f.hi
+}
 
 // String renders the cell as the key=value spec Repro embeds.
 func (c Cell) String() string {

@@ -3,7 +3,13 @@ package torture
 import (
 	"context"
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -142,9 +148,12 @@ func TestReproRoundTrip(t *testing.T) {
 		{"design=wocc,workload=kv,batches=1", "not crash-consistent"},
 		{"design=ccnvm,workload=kv,batches=0", "at least 1 batch"},
 		{"design=ccnvm,workload=kv,batches=1,reboots=2", "revery >= 1"},
-		{"design=ccnvm,workload=kv,batches=3,compact=-1", "compaction stride"},
+		{"design=ccnvm,workload=kv,batches=3,compact=-1", "compact=-1 out of range"},
 		{"design=ccnvm,workload=kv,batches=3,crash=-2", "out of range"},
 		{"design=ccnvm,workload=kv,batches=3,attack=spoof", "no ops, attack"},
+		// newCCNVM sizes its queue from m, and running out of memory is
+		// fatal: no panic conversion can catch it.
+		{"design=ccnvm,workload=hot,seed=1,ops=50,crash=20,attack=none,n=4,m=100000000000", "m=100000000000 out of range"},
 	} {
 		if _, err := ParseCell(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("ParseCell(%q) = %v, want an error containing %q", tc.spec, err, tc.want)
@@ -152,26 +161,93 @@ func TestReproRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOracleDocs: every trace and KV oracle has a unique name and a
-// doc — both lists are what `ccnvm-torture -oracles` prints — and only
-// the trace oracles, which runCell evaluates in order, carry a Check.
+// TestOracleDocs holds the one oracle table to its shape: every row has
+// a name, a doc, a scope the table can print and a Check; names are
+// unique across the rows and the harness failures; ten rows judge KV
+// cells; and every name the package's failf calls can put on a Failure
+// is a row or a listed harness failure.
 func TestOracleDocs(t *testing.T) {
+	trace := Cell{Design: "ccnvm", Workload: "hot", Attack: "none", FaultSeed: 1, WeakPct: 10, Stuck: 1, Spares: 2}
+	kvCell := Cell{Design: "ccnvm", Workload: KVWorkload, Batches: 1}
+	compact := kvCell
+	compact.CompactEvery = 1
 	names := map[string]bool{}
-	for i, o := range slices.Concat(Oracles(), KVOracles()) {
-		kvOracle := i >= len(Oracles())
-		if o.Name == "" || o.Doc == "" || (o.Check == nil) != kvOracle {
-			t.Fatalf("oracle %q missing name or doc, or its Check does not match its list", o.Name)
-		}
-		if kvOracle != strings.HasPrefix(o.Name, "kv-") {
-			t.Fatalf("oracle %q is in the wrong list", o.Name)
+	kvRows := 0
+	for i, o := range slices.Concat(Oracles(), harnessFailures) {
+		row := i < len(Oracles())
+		covered := slices.ContainsFunc([]Cell{trace, kvCell, compact}, o.Scope.covers)
+		if o.Name == "" || o.Doc == "" || !covered || (o.Check != nil) != row {
+			t.Fatalf("%q lacks a name, doc or scope, or its Check does not match its list", o.Name)
 		}
 		if names[o.Name] {
 			t.Fatalf("duplicate oracle name %s", o.Name)
 		}
 		names[o.Name] = true
+		if kv := o.Scope.covers(kvCell) || o.Scope.covers(compact); row && kv {
+			kvRows++
+			if !strings.HasPrefix(o.Name, "kv-") || o.Scope.covers(trace) {
+				t.Fatalf("KV row %q is misnamed or also judges trace cells", o.Name)
+			}
+		}
 	}
-	if len(KVOracles()) != 10 {
-		t.Fatalf("%d KV oracles documented, want 10", len(KVOracles()))
+	if len(Oracles()) != 24 || kvRows != 10 {
+		t.Fatalf("%d rows, %d of them for KV cells; want 24 and 10", len(Oracles()), kvRows)
+	}
+
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	calls := 0
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "failf" {
+				return true
+			}
+			calls++
+			lit, ok := call.Args[1].(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				t.Fatalf("%s: failf names its failure with a non-literal", fset.Position(call.Pos()))
+			}
+			if s, _ := strconv.Unquote(lit.Value); !names[s] {
+				t.Fatalf("%s: failure %q is neither an oracle row nor a harness failure", fset.Position(call.Pos()), s)
+			}
+			return true
+		})
+	}
+	if calls == 0 {
+		t.Fatal("found no failf calls to check")
+	}
+}
+
+// TestDesignOracleTable renders the oracle table and fails if DESIGN.md's
+// copy has drifted. The table lives between the oracles:begin/end
+// markers; regenerate it with `go run ./cmd/ccnvm-torture -oracles`.
+func TestDesignOracleTable(t *testing.T) {
+	raw, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatalf("reading DESIGN.md: %v", err)
+	}
+	const begin, end = "<!-- oracles:begin -->", "<!-- oracles:end -->"
+	text := string(raw)
+	i, j := strings.Index(text, begin), strings.Index(text, end)
+	if i < 0 || j < i {
+		t.Fatalf("DESIGN.md lacks the %s / %s markers", begin, end)
+	}
+	if got, want := strings.TrimSpace(text[i+len(begin):j]), strings.TrimSpace(OracleTable()); got != want {
+		t.Errorf("DESIGN.md oracle table is out of date.\n--- DESIGN.md has ---\n%s\n--- OracleTable renders ---\n%s", got, want)
 	}
 }
 
