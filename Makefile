@@ -67,11 +67,19 @@ vuln:
 
 # lint-designs enforces the design registry: no quoted design names and
 # no switches on a .Design field outside internal/design (tests may
-# spell names out — that is what pins the registry). A line that is just
-# the root-package import `"ccnvm"` is excluded; it is an import path,
-# not a design name.
+# spell names out — that is what pins the registry). The names are the
+# string constants of internal/design/names/names.go, so a new design is
+# linted without editing this target. A line that is just the
+# root-package import `"ccnvm"` is excluded; it is an import path, not a
+# design name.
 lint-designs:
-	@bad=$$(grep -rn -E '"(wocc|sc|osiris|ccnvm|ccnvm-wods|ccnvm-ext|arsenal)"' \
+	@names=$$(sed -n 's/^[[:space:]]*[A-Za-z0-9_]*[[:space:]]*=[[:space:]]*"\([^"]*\)".*/\1/p' \
+		internal/design/names/names.go | paste -sd '|' -); \
+	if [ -z "$$names" ]; then \
+		echo "lint-designs: no design names found in internal/design/names/names.go"; \
+		exit 1; \
+	fi; \
+	bad=$$(grep -rn -E "\"($$names)\"" \
 		--include='*.go' . \
 		| grep -v '_test\.go' | grep -v '^\./internal/design/' \
 		| grep -v -E ':[[:space:]]*(_ )?"ccnvm"$$'); \

@@ -11,8 +11,8 @@ import (
 )
 
 // The catalog: one Register call per design, paper order first. This is
-// the single place a design's name, label, constructor, recovery
-// strategy and capabilities are stated; everything else derives from it.
+// the single place a design's name, label, constructor and capabilities
+// are stated; everything else derives from it.
 func init() {
 	Register(Descriptor{
 		Name:      names.WoCC,
@@ -22,24 +22,14 @@ func init() {
 		New: func(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, mc metacache.Config, p engine.Params) engine.Engine {
 			return engine.NewWoCC(lay, keys, ctrl, mc, p)
 		},
-		Strategy: RecoverCounterRetry,
 		Caps: Capabilities{
 			// Secure but not crash consistent: on-chip counters and tree
 			// state die with power, so even an un-attacked crash image
 			// fails verification — tamper reports by design, unbounded
 			// staleness, no replay evidence.
-			CrashConsistent: false,
-			TamperOnCrash:   true,
-			TreePersisted:   true,
-			TamperLocation:  LocateNothing,
-			Replay:          ReplayUndetectable,
-			// Recovery's own writes go through the shared journaled
-			// Apply, so even the unrecoverable baseline re-enters
-			// cleanly: what it failed to verify once it fails to verify
-			// identically after any number of reboot loops.
-			ReentrantRecovery: true,
-			RebootStride:      3,
-			SpareManaged:      true,
+			TamperOnCrash: true,
+			TreePersisted: true,
+			Replay:        ReplayUndetectable,
 		},
 	})
 	Register(Descriptor{
@@ -49,20 +39,14 @@ func init() {
 		New: func(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, mc metacache.Config, p engine.Params) engine.Engine {
 			return engine.NewSC(lay, keys, ctrl, mc, p)
 		},
-		Strategy: RecoverCounterRetry,
 		Caps: Capabilities{
 			// Strict consistency persists the full metadata path per
 			// write-back: recovery needs zero retries, and a clean crash
 			// leaves nothing to recover.
-			CrashConsistent:   true,
 			TreePersisted:     true,
 			EpochAtomic:       true,
 			ZeroRetryRecovery: true,
-			TamperLocation:    LocateLine,
 			Replay:            ReplayRootCompare,
-			ReentrantRecovery: true,
-			RebootStride:      3,
-			SpareManaged:      true,
 		},
 	})
 	Register(Descriptor{
@@ -72,18 +56,12 @@ func init() {
 		New: func(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, mc metacache.Config, p engine.Params) engine.Engine {
 			return engine.NewOsiris(lay, keys, ctrl, mc, p)
 		},
-		Strategy: RecoverCounterRetry,
 		Caps: Capabilities{
 			// Osiris bounds counter staleness but does not persist its
 			// tree: step 1 is skipped, and replay is detect-only via the
 			// rebuilt-root comparison.
-			CrashConsistent:   true,
-			TreePersisted:     false,
-			TamperLocation:    LocateLine,
-			Replay:            ReplayRootCompare,
-			ReentrantRecovery: true,
-			RebootStride:      3,
-			SpareManaged:      true,
+			TreePersisted: false,
+			Replay:        ReplayRootCompare,
 		},
 	})
 	Register(Descriptor{
@@ -93,18 +71,12 @@ func init() {
 		New: func(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, mc metacache.Config, p engine.Params) engine.Engine {
 			return core.NewCCNVMWoDS(lay, keys, ctrl, mc, p)
 		},
-		Strategy: RecoverCounterRetry,
 		Caps: Capabilities{
 			// cc-NVM without deferred spreading: epoch-atomic persistence
 			// but no Nwb window evidence — replay is root-compare only.
-			CrashConsistent:   true,
-			TreePersisted:     true,
-			EpochAtomic:       true,
-			TamperLocation:    LocateLine,
-			Replay:            ReplayRootCompare,
-			ReentrantRecovery: true,
-			RebootStride:      3,
-			SpareManaged:      true,
+			TreePersisted: true,
+			EpochAtomic:   true,
+			Replay:        ReplayRootCompare,
 		},
 	})
 	Register(Descriptor{
@@ -114,19 +86,13 @@ func init() {
 		New: func(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, mc metacache.Config, p engine.Params) engine.Engine {
 			return core.NewCCNVM(lay, keys, ctrl, mc, p)
 		},
-		Strategy: RecoverCounterRetry,
 		Caps: Capabilities{
 			// The paper's design: epoch-atomic persistence plus the Nwb
 			// register, so the deferred-spreading replay window is
 			// detected (though not located) by Nretry-vs-Nwb.
-			CrashConsistent:   true,
-			TreePersisted:     true,
-			EpochAtomic:       true,
-			TamperLocation:    LocateLine,
-			Replay:            ReplayNwbWindow,
-			ReentrantRecovery: true,
-			RebootStride:      3,
-			SpareManaged:      true,
+			TreePersisted: true,
+			EpochAtomic:   true,
+			Replay:        ReplayNwbWindow,
 		},
 	})
 	Register(Descriptor{
@@ -135,18 +101,12 @@ func init() {
 		New: func(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, mc metacache.Config, p engine.Params) engine.Engine {
 			return core.NewCCNVMExt(lay, keys, ctrl, mc, p)
 		},
-		Strategy: RecoverCounterRetry,
 		Caps: Capabilities{
 			// §4.4 extension: per-counter-line update registers pin a
 			// window replay to its 4 KiB page.
-			CrashConsistent:   true,
-			TreePersisted:     true,
-			EpochAtomic:       true,
-			TamperLocation:    LocateLine,
-			Replay:            ReplayPerLinePage,
-			ReentrantRecovery: true,
-			RebootStride:      3,
-			SpareManaged:      true,
+			TreePersisted: true,
+			EpochAtomic:   true,
+			Replay:        ReplayPerLinePage,
 		},
 	})
 	Register(Descriptor{
@@ -155,19 +115,14 @@ func init() {
 		New: func(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, mc metacache.Config, p engine.Params) engine.Engine {
 			return engine.NewArsenal(lay, keys, ctrl, mc, p)
 		},
-		Strategy: RecoverInlinePacked,
 		Caps: Capabilities{
 			// Compression baseline: counters/HMACs inline in packed lines,
 			// recovered without retries (but blocks still count as
-			// recovered, so no ZeroRetryRecovery claim); replay of a whole
-			// self-consistent line is detect-only via root compare.
-			CrashConsistent:   true,
-			TreePersisted:     true,
-			TamperLocation:    LocateLine,
-			Replay:            ReplayRootCompare,
-			ReentrantRecovery: true,
-			RebootStride:      3,
-			SpareManaged:      true,
+			// recovered, so no ZeroRetryRecovery claim). Like Osiris it
+			// keeps its tree on chip only, so step 1 has nothing to verify
+			// and replay of a whole self-consistent line is detect-only
+			// via root compare.
+			Replay: ReplayRootCompare,
 		},
 	})
 }

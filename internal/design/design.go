@@ -1,6 +1,6 @@
 // Package design is the central registry of secure-NVM designs. Every
 // design contributes exactly one Descriptor — its name, paper label,
-// engine constructor, recovery strategy and declarative capability set —
+// engine constructor and declarative capability set —
 // and every consumer (sim, recovery, torture, experiments, the CLIs)
 // dispatches off the registry instead of re-encoding per-design facts in
 // scattered string switches. Adding a design is one Register call in
@@ -37,24 +37,6 @@ const (
 // device reached through the given memory controller.
 type Constructor func(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, mc metacache.Config, p engine.Params) engine.Engine
 
-// Strategy selects which recovery procedure applies to a design's crash
-// image. The recovery package maps each value to its implementation;
-// design only declares the choice, so the two packages stay acyclic.
-type Strategy int
-
-const (
-	// RecoverCounterRetry is the generic four-step process (paper §4.4):
-	// verify the persisted tree, recover stalled counters by bounded
-	// data-HMAC retries, compare the retry total against the design's
-	// replay-window evidence, rebuild the tree.
-	RecoverCounterRetry Strategy = iota
-
-	// RecoverInlinePacked is the compression-baseline variant: counters
-	// and HMACs live inline in packed lines, so recovery unpacks instead
-	// of retrying, then rebuilds and root-compares.
-	RecoverInlinePacked
-)
-
 // ReplayDetection classifies how (and whether) a design detects a
 // data-replay inside its post-crash window, i.e. recovery's step 3.
 type ReplayDetection int
@@ -78,32 +60,19 @@ const (
 	ReplayPerLinePage
 )
 
-// Granularity is how precisely a design locates a tampered object.
-type Granularity int
-
-const (
-	// LocateNothing: tampering is at best detected, never pinned.
-	LocateNothing Granularity = iota
-
-	// LocateLine: tampering is pinned to the affected line/block.
-	LocateLine
-)
-
 // Capabilities is the declarative per-design fact sheet the oracles and
 // recovery consult instead of matching on names.
 type Capabilities struct {
-	// CrashConsistent: every acknowledged write survives a clean (not
-	// attacked, not media-damaged) crash and recovery reports clean.
-	CrashConsistent bool
-
 	// TamperOnCrash: the design cries wolf on a clean crash — losing
 	// on-chip metadata makes the image unverifiable, so recovery reports
-	// tampering by design (the w/o-CC baseline).
+	// tampering by design (the w/o-CC baseline). Every other design is
+	// crash consistent: each acknowledged write survives a clean (not
+	// attacked, not media-damaged) crash and recovery reports clean.
 	TamperOnCrash bool
 
 	// TreePersisted: the integrity tree is persisted consistently enough
 	// for recovery step 1 to verify it against ROOTold/ROOTnew. Osiris
-	// does not persist its tree and skips the step.
+	// and Arsenal keep their tree on chip only and skip the step.
 	TreePersisted bool
 
 	// EpochAtomic: crash recovery lands exactly on an epoch boundary —
@@ -117,34 +86,8 @@ type Capabilities struct {
 	// recovers with zero HMAC retries and zero recovered blocks (SC).
 	ZeroRetryRecovery bool
 
-	// TamperLocation: granularity at which spoofing/splicing is pinned.
-	TamperLocation Granularity
-
 	// Replay: how the post-crash replay window is detected (step 3).
 	Replay ReplayDetection
-
-	// ReentrantRecovery: the design's recovery journals its own NVM
-	// writes, so a power failure during recovery resumes from the
-	// persisted journal instead of restarting blind, and repeated
-	// reboot-crash-reboot loops converge to the single-shot result.
-	ReentrantRecovery bool
-
-	// RebootStride bounds re-entrant recovery's convergence: across any
-	// RebootStride consecutive interrupted recovery passes (each struck
-	// at its k-th persisted write, k >= 2), the remaining write plan
-	// shrinks by at least one entry — so the total reboots needed to
-	// converge are at most RebootStride times the initial plan size,
-	// plus the stride itself for the journal bootstrap. Zero when
-	// ReentrantRecovery is false.
-	RebootStride int
-
-	// SpareManaged: the design tolerates finite spare-pool media
-	// management — its recovery validates and replays the device's
-	// persisted remap table before the four-step walk, and its images
-	// stay recoverable across a remap-commit rollback. The torture
-	// harness refuses the spare-exhaustion axis on designs that do not
-	// declare it.
-	SpareManaged bool
 }
 
 // Descriptor is one registered design.
@@ -166,9 +109,6 @@ type Descriptor struct {
 
 	// New constructs the design's security engine.
 	New Constructor
-
-	// Strategy selects the recovery procedure for the design's images.
-	Strategy Strategy
 
 	// Caps is the design's declarative capability set.
 	Caps Capabilities
@@ -277,27 +217,15 @@ func All() []Descriptor {
 
 // ForImage resolves the descriptor recovery should use for a crash
 // image. Unregistered names (hand-built test images, forward-compat)
-// fall back to the conservative historical behaviour: generic recovery,
-// tree verified in step 1, no replay-window claim.
+// fall back to the conservative historical behaviour: tree verified in
+// step 1, no replay-window claim.
 func ForImage(name string) Descriptor {
 	if d, ok := Lookup(name); ok {
 		return d
 	}
 	return Descriptor{
-		Name:     name,
-		Label:    name,
-		Strategy: RecoverCounterRetry,
-		Caps: Capabilities{
-			TreePersisted:  true,
-			TamperLocation: LocateLine,
-			Replay:         ReplayUndetectable,
-			// Unregistered images still go through the journaled Apply,
-			// so the re-entrancy contract holds for them too.
-			ReentrantRecovery: true,
-			RebootStride:      3,
-			// Table validation lives in the shared Recover front end, so
-			// unregistered images get it as well.
-			SpareManaged: true,
-		},
+		Name:  name,
+		Label: name,
+		Caps:  Capabilities{TreePersisted: true, Replay: ReplayUndetectable},
 	}
 }

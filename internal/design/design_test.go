@@ -18,8 +18,8 @@ const capacity = 1 << 30
 
 // TestDescriptorsComplete asserts every registered descriptor is fully
 // usable: non-empty unique name and label, a constructor that builds an
-// engine answering to the registered name, and a recovery strategy that
-// round-trips a real crash image.
+// engine answering to the registered name, and a real crash image that
+// recovers under the design's capabilities.
 func TestDescriptorsComplete(t *testing.T) {
 	all := design.All()
 	if len(all) == 0 {
@@ -52,9 +52,9 @@ func TestDescriptorsComplete(t *testing.T) {
 			t.Fatalf("%s constructor built an engine calling itself %q", d.Name, e.Name())
 		}
 
-		// Strategy round-trip: drive a few write-backs, crash, recover.
-		// The report must carry the design name, and every crash-consistent
-		// design must recover a clean un-attacked image.
+		// Recovery round-trip: drive a few write-backs, crash, recover.
+		// The report must carry the design name, and every design that
+		// does not cry wolf must recover a clean un-attacked image.
 		now := int64(0)
 		for i, a := range []mem.Addr{0, 64, 4096, 64 << 10} {
 			for v := 0; v < 3; v++ {
@@ -70,14 +70,11 @@ func TestDescriptorsComplete(t *testing.T) {
 		if rep.Design != d.Name {
 			t.Fatalf("%s: recovery report names design %q", d.Name, rep.Design)
 		}
-		if d.Caps.CrashConsistent && !rep.Clean() {
+		if !d.Caps.TamperOnCrash && !rep.Clean() {
 			t.Fatalf("%s claims crash consistency but a clean crash recovered dirty: %+v", d.Name, rep)
 		}
 		if d.Caps.ZeroRetryRecovery && rep.Nretry != 0 {
 			t.Fatalf("%s claims zero-retry recovery but needed %d retries", d.Name, rep.Nretry)
-		}
-		if d.Caps.TamperOnCrash == d.Caps.CrashConsistent {
-			t.Fatalf("%s: TamperOnCrash and CrashConsistent must be complements in the current catalog", d.Name)
 		}
 	}
 	// The paper designs are the in-figure prefix of the full list, and
@@ -112,15 +109,14 @@ func TestCapabilitiesMatchPreRegistryBehaviour(t *testing.T) {
 	// torture.treePersisting: designs whose crash image must verify
 	// against exactly one root register (epoch-atomic drains).
 	oldTreePersisting := map[string]bool{"sc": true, "ccnvm": true, "ccnvm-wods": true, "ccnvm-ext": true}
-	// recovery step 1 ran for every design except osiris.
-	oldStep1Skipped := map[string]bool{"osiris": true}
+	// recovery step 1 ran for every design except osiris — and arsenal,
+	// whose own recovery path never ran it: its tree is on chip only.
+	oldStep1Skipped := map[string]bool{"osiris": true, "arsenal": true}
 	// recovery step 3 switch arms.
 	oldNwbWindow := map[string]bool{"ccnvm": true}
 	oldPerLinePage := map[string]bool{"ccnvm-ext": true}
-	// the rebuilt-root comparison arms (arsenal's lives in its own path).
+	// the rebuilt-root comparison arms (arsenal's lived in its own path).
 	oldRootCompare := map[string]bool{"osiris": true, "ccnvm-wods": true, "sc": true, "arsenal": true}
-	// the inline-packed recovery special case.
-	oldInlinePacked := map[string]bool{"arsenal": true}
 	// oracle special cases: sc expects zero retries, wocc is exempt from
 	// clean-recovery/attack-caught (cries wolf on every crash).
 	oldZeroRetry := map[string]bool{"sc": true}
@@ -158,9 +154,6 @@ func TestCapabilitiesMatchPreRegistryBehaviour(t *testing.T) {
 		if got := d.Caps.Replay == design.ReplayRootCompare; got != oldRootCompare[d.Name] {
 			t.Errorf("%s: RootCompare=%v, pre-refactor root comparison said %v", d.Name, got, oldRootCompare[d.Name])
 		}
-		if got := d.Strategy == design.RecoverInlinePacked; got != oldInlinePacked[d.Name] {
-			t.Errorf("%s: InlinePacked=%v, pre-refactor arsenal dispatch said %v", d.Name, got, oldInlinePacked[d.Name])
-		}
 		if d.Caps.ZeroRetryRecovery != oldZeroRetry[d.Name] {
 			t.Errorf("%s: ZeroRetryRecovery=%v, pre-refactor SC oracle said %v",
 				d.Name, d.Caps.ZeroRetryRecovery, oldZeroRetry[d.Name])
@@ -169,21 +162,15 @@ func TestCapabilitiesMatchPreRegistryBehaviour(t *testing.T) {
 			t.Errorf("%s: TamperOnCrash=%v, pre-refactor wocc exemptions said %v",
 				d.Name, d.Caps.TamperOnCrash, oldCryWolf[d.Name])
 		}
-		if got := d.Caps.TamperLocation == design.LocateNothing; got != oldCryWolf[d.Name] {
-			t.Errorf("%s: TamperLocation=%v disagrees with the pre-refactor location claims", d.Name, d.Caps.TamperLocation)
-		}
 	}
 }
 
 // TestForImageFallback pins the conservative behaviour Recover applies
 // to crash images of unregistered designs — the same path hand-built
-// test images took before the registry existed: generic recovery, tree
-// verified in step 1, no replay-window claim.
+// test images took before the registry existed: tree verified in step 1,
+// no replay-window claim.
 func TestForImageFallback(t *testing.T) {
 	d := design.ForImage("experimental-thing")
-	if d.Strategy != design.RecoverCounterRetry {
-		t.Fatalf("fallback strategy = %v, want generic counter-retry", d.Strategy)
-	}
 	if !d.Caps.TreePersisted {
 		t.Fatal("fallback must verify the tree in step 1, as pre-registry Recover did for any non-osiris name")
 	}
@@ -192,7 +179,7 @@ func TestForImageFallback(t *testing.T) {
 	}
 	reg, ok := design.Lookup("ccnvm")
 	got := design.ForImage("ccnvm")
-	if !ok || got.Name != reg.Name || got.Strategy != reg.Strategy || got.Caps != reg.Caps {
+	if !ok || got.Name != reg.Name || got.Caps != reg.Caps {
 		t.Fatal("ForImage must return the registered descriptor for registered names")
 	}
 }

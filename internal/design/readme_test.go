@@ -35,8 +35,8 @@ func TestReadmeDesignTable(t *testing.T) {
 // commits to. Everything in it derives from the Descriptor fields.
 func renderDesignTable() string {
 	var b strings.Builder
-	b.WriteString("| design | paper label | role | recovery | capabilities |\n")
-	b.WriteString("|---|---|---|---|---|\n")
+	b.WriteString("| design | paper label | role | capabilities |\n")
+	b.WriteString("|---|---|---|---|\n")
 	for _, d := range design.All() {
 		role := "extra"
 		switch {
@@ -45,21 +45,17 @@ func renderDesignTable() string {
 		case d.InFigures:
 			role = "figures"
 		}
-		strat := "counter retry"
-		if d.Strategy == design.RecoverInlinePacked {
-			strat = "inline packed"
-		}
-		b.WriteString("| `" + d.Name + "` | " + d.Label + " | " + role + " | " + strat + " | " + capsWords(d.Caps) + " |\n")
+		b.WriteString("| `" + d.Name + "` | " + d.Label + " | " + role + " | " + capsWords(d.Caps) + " |\n")
 	}
 	return b.String()
 }
 
 func capsWords(c design.Capabilities) string {
 	var parts []string
-	if c.CrashConsistent {
-		parts = append(parts, "crash-consistent")
-	} else {
+	if c.TamperOnCrash {
 		parts = append(parts, "crash reads as tamper")
+	} else {
+		parts = append(parts, "crash-consistent")
 	}
 	if !c.TreePersisted {
 		parts = append(parts, "volatile tree")

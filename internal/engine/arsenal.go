@@ -30,9 +30,8 @@ import (
 // blocks fit; delta4 and raw blocks do not.
 type Arsenal struct {
 	Base
-	shadowCtr  map[mem.Addr]seccrypto.CounterLine // newest counter truth
-	shadowTree map[mem.Addr]mem.Line              // newest tree truth
-	tags       map[mem.Addr]byte                  // sideband: 1 = packed
+	onChipTree
+	tags map[mem.Addr]byte // sideband: 1 = packed
 
 	compressed   uint64 // write-backs that fit inline
 	uncompressed uint64
@@ -54,12 +53,10 @@ const CompressLatency = 8
 
 // NewArsenal builds the Arsenal engine.
 func NewArsenal(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, metaCfg metacache.Config, p Params) *Arsenal {
-	a := &Arsenal{
-		shadowCtr:  make(map[mem.Addr]seccrypto.CounterLine),
-		shadowTree: make(map[mem.Addr]mem.Line),
-		tags:       make(map[mem.Addr]byte),
-	}
+	a := &Arsenal{tags: make(map[mem.Addr]byte)}
 	a.InitBase(lay, keys, ctrl, metaCfg, p)
+	a.onChipTree = onChipTree{b: &a.Base}
+	a.reset()
 	a.VerifyFetchedMeta = false // the in-NVM tree is not maintained
 	a.SetCounterSource(a.counterLine)
 	return a
@@ -75,16 +72,6 @@ func (a *Arsenal) CompressionRatio() float64 {
 		return 0
 	}
 	return float64(a.compressed) / float64(total)
-}
-
-// truth returns the newest counter line content (inline counters are
-// authoritative; the shadow mirrors them for whole-line operations).
-func (a *Arsenal) truth(ca mem.Addr) seccrypto.CounterLine {
-	if cl, ok := a.shadowCtr[ca]; ok {
-		return cl
-	}
-	l, _ := a.Ctrl.Device().Peek(ca)
-	return seccrypto.DecodeCounterLine(l)
 }
 
 // counterLine serves the shared read/bump paths from the shadow truth;
@@ -145,6 +132,21 @@ func UnpackArsenalLine(cry *seccrypto.Engine, addr mem.Addr, line mem.Line) (pt 
 		return mem.Line{}, 0, false
 	}
 	return out, ctr, true
+}
+
+// PackedBlock decodes data block a of the image when its sideband tag
+// marks it packed: the plaintext and counter ride inline, and ok reports
+// whether the inline HMAC authenticates them. packed is false for a block
+// in the conventional layout, whose counter and HMAC live in their own
+// regions. Recovery and the torture reference read packed lines only
+// through this accessor, so the format stays inside this package.
+func (ci *CrashImage) PackedBlock(cry *seccrypto.Engine, a mem.Addr) (pt mem.Line, ctr uint64, packed, ok bool) {
+	if ci.Sideband[a] != TagPacked {
+		return mem.Line{}, 0, false, false
+	}
+	line, _ := ci.Image.Read(a)
+	pt, ctr, ok = UnpackArsenalLine(cry, a, line)
+	return pt, ctr, true, ok
 }
 
 func putU64(b []byte, v uint64) {
@@ -231,36 +233,6 @@ func (a *Arsenal) WriteBack(now int64, addr mem.Addr, pt mem.Line) int64 {
 	return accept
 }
 
-// updatePath mirrors the Osiris shadow-tree walk.
-func (a *Arsenal) updatePath(now int64, leaf uint64) int64 {
-	cl := a.truth(a.Lay.CounterLineAddr(leaf))
-	child := cl.Encode()
-	level, idx := 0, leaf
-	t := now
-	for level < a.Lay.TopLevel() {
-		pl, pi, slot := a.Lay.ParentOf(level, idx)
-		pa := a.Lay.NodeAddr(pl, pi)
-		node, ok := a.shadowTree[pa]
-		if !ok {
-			node = a.Tree.DefaultNode(pl)
-		}
-		if !a.Meta.Contains(pa) {
-			_, _, tr := a.Ctrl.ReadBypass(t, pa)
-			t = tr
-		}
-		a.Tree.SetParentSlot(&node, slot, child)
-		t = a.HMACOp(t, 1)
-		a.shadowTree[pa] = node
-		a.Meta.Fill(pa, node)
-		child = node
-		level, idx = pl, pi
-	}
-	a.Tree.SetParentSlot(&a.TCB.RootNew, int(idx), child)
-	t = a.HMACOp(t, 1)
-	a.TCB.RootOld = a.TCB.RootNew
-	return t
-}
-
 // reencryptPagePacked is the Arsenal form of minor-overflow handling:
 // packed lines must be unpacked with their old counters and re-packed
 // under the new ones; raw lines follow the conventional re-encryption.
@@ -323,12 +295,16 @@ func (a *Arsenal) Settle(now int64) int64 {
 }
 
 // Crash implements Engine: the sideband tags persist (ECC spare bits);
-// the shadow tree and counter mirrors are volatile.
+// the shadow tree and counter mirrors are volatile. The image's
+// UpdateLimit is 0: packed counters travel inline and raw-fallback
+// counter lines persist synchronously, so no counter ever lags and
+// recovery tries only the stored one — a raw block whose counter write
+// the crash dropped is loss, not something a retry may heal.
 func (a *Arsenal) Crash() *CrashImage {
 	a.ApplyCrashVolatility()
-	a.shadowCtr = make(map[mem.Addr]seccrypto.CounterLine)
-	a.shadowTree = make(map[mem.Addr]mem.Line)
+	a.reset()
 	img := a.MakeCrashImage(a.Name())
+	img.UpdateLimit = 0
 	img.Sideband = make(map[mem.Addr]byte, len(a.tags))
 	for k, v := range a.tags {
 		img.Sideband[k] = v

@@ -105,13 +105,15 @@ type CrashImage struct {
 	// Keys gives recovery the same secrets the runtime engine used; in
 	// hardware they are fused into the chip.
 	Keys seccrypto.Keys
-	// UpdateLimit is the design's N, bounding recovery retries.
+	// UpdateLimit is the design's N, bounding recovery retries; 0 when
+	// the design's counters never lag (Arsenal).
 	UpdateLimit uint64
 	// Design names the engine that produced the image.
 	Design string
 	// Sideband carries per-line out-of-band state that real hardware
 	// keeps in ECC spare bits and that survives power failure; Arsenal
-	// stores its per-block compressibility tags here.
+	// stores its per-block compressibility tags here, read back through
+	// PackedBlock.
 	Sideband map[mem.Addr]byte
 
 	// MediaFaults reports that the device ran under a fault model, so

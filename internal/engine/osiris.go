@@ -25,19 +25,77 @@ import (
 // stale line is brought on chip.
 type Osiris struct {
 	Base
+	onChipTree
+	distance map[mem.Addr]uint64 // updates ahead of NVM per counter line
+}
+
+// onChipTree is the volatile truth of a design that keeps its Merkle
+// tree on chip only and moves the TCB root on every write-back (Osiris
+// Plus, Arsenal): the newest counter lines and tree nodes. A crash loses
+// both maps.
+type onChipTree struct {
+	b          *Base
 	shadowCtr  map[mem.Addr]seccrypto.CounterLine // newest counter truth
 	shadowTree map[mem.Addr]mem.Line              // newest tree truth
-	distance   map[mem.Addr]uint64                // updates ahead of NVM per counter line
+}
+
+// reset empties the shadow state, as a power failure does.
+func (s *onChipTree) reset() {
+	s.shadowCtr = make(map[mem.Addr]seccrypto.CounterLine)
+	s.shadowTree = make(map[mem.Addr]mem.Line)
+}
+
+// truth returns the newest content of counter line ca: the shadow entry
+// if the line ever ran ahead of NVM, otherwise the persistent copy.
+func (s *onChipTree) truth(ca mem.Addr) seccrypto.CounterLine {
+	if cl, ok := s.shadowCtr[ca]; ok {
+		return cl
+	}
+	l, _ := s.b.Ctrl.Device().Peek(ca)
+	return seccrypto.DecodeCounterLine(l)
+}
+
+// updatePath recomputes the Merkle path of leaf in the shadow tree and
+// the ROOT register, charging the same fetch and HMAC costs a cached
+// tree walk would incur.
+func (s *onChipTree) updatePath(now int64, leaf uint64) int64 {
+	b := s.b
+	cl := s.truth(b.Lay.CounterLineAddr(leaf))
+	child := cl.Encode()
+	level, idx := 0, leaf
+	t := now
+	for level < b.Lay.TopLevel() {
+		pl, pi, slot := b.Lay.ParentOf(level, idx)
+		pa := b.Lay.NodeAddr(pl, pi)
+		node, ok := s.shadowTree[pa]
+		if !ok {
+			node = b.Tree.DefaultNode(pl)
+		}
+		if !b.Meta.Contains(pa) {
+			// Timing: the node must be brought on chip (reconstructed in
+			// real Osiris); charge one NVM access.
+			_, _, tr := b.Ctrl.ReadBypass(t, pa)
+			t = tr
+		}
+		b.Tree.SetParentSlot(&node, slot, child)
+		t = b.HMACOp(t, 1)
+		s.shadowTree[pa] = node
+		b.Meta.Fill(pa, node)
+		child = node
+		level, idx = pl, pi
+	}
+	b.Tree.SetParentSlot(&b.TCB.RootNew, int(idx), child)
+	t = b.HMACOp(t, 1)
+	b.TCB.RootOld = b.TCB.RootNew
+	return t
 }
 
 // NewOsiris builds the Osiris Plus engine.
 func NewOsiris(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, metaCfg metacache.Config, p Params) *Osiris {
-	o := &Osiris{
-		shadowCtr:  make(map[mem.Addr]seccrypto.CounterLine),
-		shadowTree: make(map[mem.Addr]mem.Line),
-		distance:   make(map[mem.Addr]uint64),
-	}
+	o := &Osiris{distance: make(map[mem.Addr]uint64)}
 	o.InitBase(lay, keys, ctrl, metaCfg, p)
+	o.onChipTree = onChipTree{b: &o.Base}
+	o.reset()
 	o.VerifyFetchedMeta = false // the in-NVM tree is not maintained
 	o.SetCounterSource(o.counterLine)
 	return o
@@ -45,16 +103,6 @@ func NewOsiris(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, m
 
 // Name implements Engine.
 func (o *Osiris) Name() string { return names.Osiris }
-
-// truth returns the newest content of counter line ca: the shadow entry
-// if the line ever ran ahead of NVM, otherwise the persistent copy.
-func (o *Osiris) truth(ca mem.Addr) seccrypto.CounterLine {
-	if cl, ok := o.shadowCtr[ca]; ok {
-		return cl
-	}
-	l, _ := o.Ctrl.Device().Peek(ca)
-	return seccrypto.DecodeCounterLine(l)
-}
 
 // counterLine is the design's counter source: a metadata-cache hit costs
 // the cache access; a miss reads NVM and pays one HMAC verification per
@@ -84,40 +132,6 @@ func (o *Osiris) persistCounter(now int64, ca mem.Addr, cl seccrypto.CounterLine
 	delete(o.shadowCtr, ca)
 	o.distance[ca] = 0
 	o.Meta.Clean(ca)
-	return t
-}
-
-// updatePath recomputes the Merkle path of leaf in the shadow tree and
-// the ROOT register, charging the same fetch and HMAC costs a cached
-// tree walk would incur.
-func (o *Osiris) updatePath(now int64, leaf uint64) int64 {
-	cl := o.truth(o.Lay.CounterLineAddr(leaf))
-	child := cl.Encode()
-	level, idx := 0, leaf
-	t := now
-	for level < o.Lay.TopLevel() {
-		pl, pi, slot := o.Lay.ParentOf(level, idx)
-		pa := o.Lay.NodeAddr(pl, pi)
-		node, ok := o.shadowTree[pa]
-		if !ok {
-			node = o.Tree.DefaultNode(pl)
-		}
-		if !o.Meta.Contains(pa) {
-			// Timing: the node must be brought on chip (reconstructed in
-			// real Osiris); charge one NVM access.
-			_, _, tr := o.Ctrl.ReadBypass(t, pa)
-			t = tr
-		}
-		o.Tree.SetParentSlot(&node, slot, child)
-		t = o.HMACOp(t, 1)
-		o.shadowTree[pa] = node
-		o.Meta.Fill(pa, node)
-		child = node
-		level, idx = pl, pi
-	}
-	o.Tree.SetParentSlot(&o.TCB.RootNew, int(idx), child)
-	t = o.HMACOp(t, 1)
-	o.TCB.RootOld = o.TCB.RootNew
 	return t
 }
 
@@ -185,8 +199,7 @@ func (o *Osiris) Settle(now int64) int64 {
 // Crash implements Engine: shadow state is volatile and vanishes.
 func (o *Osiris) Crash() *CrashImage {
 	o.ApplyCrashVolatility()
-	o.shadowCtr = make(map[mem.Addr]seccrypto.CounterLine)
-	o.shadowTree = make(map[mem.Addr]mem.Line)
+	o.reset()
 	o.distance = make(map[mem.Addr]uint64)
 	return o.MakeCrashImage(o.Name())
 }

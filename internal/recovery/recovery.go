@@ -14,11 +14,12 @@
 //  4. Rebuild the Merkle tree from the recovered counters and install
 //     the new root.
 //
-// The same machinery recovers the baselines with their respective
-// validation rules: Osiris Plus and cc-NVM w/o DS compare the rebuilt
-// root against ROOTnew (detect-only), SC expects zero retries, and a
-// w/o-CC image is generally unrecoverable — which is the paper's
-// motivation.
+// Every design runs the same four steps, shaped only by its registry
+// capabilities: Osiris Plus, Arsenal and cc-NVM w/o DS compare the
+// rebuilt root against ROOTnew (detect-only), SC expects zero retries,
+// and a w/o-CC image is generally unrecoverable — which is the paper's
+// motivation. Arsenal's packed lines are a per-block case of step 2:
+// their counters unpack from the line instead of being retried.
 package recovery
 
 import (
@@ -193,11 +194,11 @@ type Recovered struct {
 	TCB engine.TCB
 }
 
-// Recover dispatches a crash image to the recovery procedure its
-// design's registry descriptor declares. Images of unregistered designs
-// get the conservative generic procedure (design.ForImage). An image
-// whose recovery journal is active — power failed during a previous
-// Apply — resumes that pass instead of recovering from scratch.
+// Recover runs the four-step process on a crash image, shaped by its
+// design's registry capabilities; images of unregistered designs get the
+// conservative fallback (design.ForImage). An image whose recovery
+// journal is active — power failed during a previous Apply — resumes
+// that pass instead of recovering from scratch.
 //
 // A finite spare pool's remap table is replayed first: the newest valid
 // record rules and a torn slot — a remap commit caught in flight — is
@@ -217,12 +218,7 @@ func Recover(img *engine.CrashImage) *Report {
 	if rec, ok := loadJournal(img); ok && rec.Active {
 		r = resumeRecover(img, rec)
 	} else {
-		d := design.ForImage(img.Design)
-		if d.Strategy == design.RecoverInlinePacked {
-			r = recoverInlinePackedImage(img)
-		} else {
-			r = recoverGenericImage(img, d)
-		}
+		r = recoverImage(img, design.ForImage(img.Design))
 	}
 	if hasSpares {
 		r.SparesTotal = spares.Total
@@ -249,13 +245,7 @@ func resumeRecover(img *engine.CrashImage, rec journalRecord) *Report {
 	if rec.PendingValid {
 		pend = &pendingWrite{addr: rec.PendingAddr, line: rec.PendingLine}
 	}
-	d := design.ForImage(img.Design)
-	var res counterResult
-	if d.Strategy == design.RecoverInlinePacked {
-		res = recoverInlineCounters(img, cry, pend)
-	} else {
-		res = recoverCounters(img, cry, pend)
-	}
+	res := recoverCounters(img, cry, pend)
 	r.res = &res
 
 	r.ConsistentRoot = rec.ConsistentRoot
@@ -276,9 +266,9 @@ func resumeRecover(img *engine.CrashImage, rec journalRecord) *Report {
 	return r
 }
 
-// recoverGenericImage runs the four-step counter-retry process, with
-// steps 1 and 3 shaped by the design's declared capabilities.
-func recoverGenericImage(img *engine.CrashImage, d design.Descriptor) *Report {
+// recoverImage runs the four-step process, with steps 1 and 3 shaped by
+// the design's declared capabilities.
+func recoverImage(img *engine.CrashImage, d design.Descriptor) *Report {
 	r := &Report{Design: img.Design, Nwb: img.TCB.Nwb}
 	cry := seccrypto.MustEngine(img.Keys)
 	lay := img.Image.Layout
@@ -286,11 +276,11 @@ func recoverGenericImage(img *engine.CrashImage, d design.Descriptor) *Report {
 	sus := suspectSet(img)
 
 	// Step 1: locate replay attacks via the consistent NVM tree. Designs
-	// that do not persist their tree (Osiris) have nothing to check.
-	// Under a fault model, mismatches covered by the suspects manifest
-	// (the torn line itself, or a child whose torn parent stores a stale
-	// link) are crash damage: the step-4 rebuild heals them, and only the
-	// unexplained remainder is reported as an attack.
+	// that do not persist their tree (Osiris, Arsenal) have nothing to
+	// check. Under a fault model, mismatches covered by the suspects
+	// manifest (the torn line itself, or a child whose torn parent stores
+	// a stale link) are crash damage: the step-4 rebuild heals them, and
+	// only the unexplained remainder is reported as an attack.
 	if d.Caps.TreePersisted {
 		addrs := treeAddrs(lay, img.Image.Store)
 		rd := imageReader{img.Image}
@@ -583,12 +573,7 @@ func ApplyInterrupted(img *engine.CrashImage, rep *Report, itr *Interrupt) (Reco
 	}
 	res := rep.res
 	if res == nil {
-		var walk counterResult
-		if design.ForImage(img.Design).Strategy == design.RecoverInlinePacked {
-			walk = recoverInlineCounters(img, cry, pend)
-		} else {
-			walk = recoverCounters(img, cry, pend)
-		}
+		walk := recoverCounters(img, cry, pend)
 		res = &walk
 	}
 
@@ -768,8 +753,9 @@ type counterResult struct {
 const splitWalkMin = 4096
 
 // recoverCounters walks every data block in the image, recovering its
-// counter by HMAC retries bounded by the design's update limit. Under a
-// fault model, blocks whose lines are stuck are lost outright, and
+// counter by HMAC retries bounded by the image's update limit — or, for
+// a packed line (engine.CrashImage.PackedBlock), from the line itself.
+// Under a fault model, blocks whose lines are stuck are lost outright, and
 // blocks whose HMAC never matches are classified lost rather than
 // tampered when the failure is covered by a suspect line — torn data,
 // counter or HMAC content left by the partial ADR drain. pend, set when
@@ -865,6 +851,36 @@ func walkCounters(img *engine.CrashImage, cry *seccrypto.Engine, pend *pendingWr
 	)
 	for _, a := range addrs {
 		ca := lay.CounterLineOf(a)
+		slot := lay.CounterSlotOf(a)
+		if ca != curCA {
+			var ok bool
+			if cl, ok = res.lines[ca]; !ok {
+				raw, _ := readLine(img, pend, ca)
+				cl = seccrypto.DecodeCounterLine(raw)
+			}
+			curCA = ca
+		}
+		if _, ctr, packed, authed := img.PackedBlock(cry, a); packed {
+			// A packed line carries its counter and HMAC inline: nothing
+			// is retried, only the data line itself can lose the block,
+			// and the unpacked counter lands in the page's counter line.
+			switch {
+			case img.MediaFaults && stuck[a]:
+				res.lost = append(res.lost, LostBlock{Addr: a, Line: a, Cause: "stuck-data"})
+				res.implicated[a] = true
+			case !authed && img.MediaFaults && sus[a]:
+				res.lost = append(res.lost, LostBlock{Addr: a, Line: a, Cause: "torn-data"})
+				res.implicated[a] = true
+			case !authed:
+				res.tampered = append(res.tampered, TamperedBlock{Addr: a})
+			default:
+				cl.Major = ctr >> seccrypto.MinorBits
+				cl.Minors[slot] = uint8(ctr & seccrypto.MinorMax)
+				res.lines[ca] = cl
+				res.blocks++
+			}
+			continue
+		}
 		ha, hslot := lay.HMACLineOf(a)
 		if img.MediaFaults {
 			if cause, line := stuckCause(stuck, a, ca, ha); cause != "" {
@@ -878,15 +894,6 @@ func walkCounters(img *engine.CrashImage, cry *seccrypto.Engine, pend *pendingWr
 			hl, curHA = hmacLine(img, cry, ha), ha
 		}
 		stored := seccrypto.GetHMAC(hl, hslot)
-		if ca != curCA {
-			var ok bool
-			if cl, ok = res.lines[ca]; !ok {
-				raw, _ := readLine(img, pend, ca)
-				cl = seccrypto.DecodeCounterLine(raw)
-			}
-			curCA = ca
-		}
-		slot := lay.CounterSlotOf(a)
 		base := cl.Counter(slot)
 		found := false
 		for retry := uint64(0); retry <= img.UpdateLimit; retry++ {
@@ -976,12 +983,6 @@ func stuckCause(stuck map[mem.Addr]bool, a, ca, ha mem.Addr) (string, mem.Addr) 
 	return "", 0
 }
 
-// storedHMAC extracts the stored data HMAC of block a.
-func storedHMAC(img *engine.CrashImage, cry *seccrypto.Engine, a mem.Addr) seccrypto.HMAC {
-	ha, hslot := img.Image.Layout.HMACLineOf(a)
-	return seccrypto.GetHMAC(hmacLine(img, cry, ha), hslot)
-}
-
 // hmacLine reads HMAC line ha, synthesizing the never-written default
 // when it is absent.
 func hmacLine(img *engine.CrashImage, cry *seccrypto.Engine, ha mem.Addr) mem.Line {
@@ -1046,132 +1047,3 @@ func encodeLines(m map[mem.Addr]seccrypto.CounterLine) map[mem.Addr]mem.Line {
 }
 
 var _ bmt.Reader = overlayReader{}
-
-// recoverInlinePackedImage handles the compression-based baseline:
-// counters and HMACs live inline in packed lines (raw-fallback blocks
-// use the conventional regions, written synchronously), so recovery
-// needs no retries at all. Spoofing/splicing breaks the inline HMAC and
-// is located; a whole-line replay is internally consistent, so it is
-// detected only by rebuilding the tree from the recovered counters and
-// comparing against ROOTnew — like Osiris, detect-only.
-func recoverInlinePackedImage(img *engine.CrashImage) *Report {
-	r := &Report{Design: img.Design}
-	cry := seccrypto.MustEngine(img.Keys)
-	lay := img.Image.Layout
-	tree := bmt.New(lay, cry)
-	sus := suspectSet(img)
-
-	res := recoverInlineCounters(img, cry, nil)
-	r.res = &res
-	r.Tampered = res.tampered
-	r.LostBlocks = res.lost
-	r.RecoveredBlocks = res.blocks
-	r.RecoveredLines = len(res.lines)
-
-	// Same pessimism as the generic path: an unserviced WPQ entry may
-	// have dropped whole without leaving verifiable damage.
-	if img.MediaFaults && len(img.Suspects) > 0 {
-		r.CrashLossWindow = true
-	}
-
-	overlay := overlayReader{base: imageReader{img.Image}, lines: encodeLines(res.lines)}
-	counterAddrs := collectCounterAddrs(lay, img.Image.Store, res.lines)
-	_, rebuilt := tree.Rebuild(overlay, counterAddrs)
-	r.RebuiltRoot = rebuilt
-	if rebuilt != img.TCB.RootNew && len(r.Tampered) == 0 {
-		if img.MediaFaults && (len(sus) > 0 || len(r.LostBlocks) > 0) {
-			r.CrashLossWindow = true
-		} else {
-			r.PotentialReplay = true
-		}
-	}
-	finishMediaReport(r, img, sus, res.implicated)
-	return r
-}
-
-// recoverInlineCounters is the inline-packed design's step-2 walk:
-// packed lines are self-describing (counter and HMAC unpack from the
-// line itself, no retries), raw-fallback blocks verify conventionally
-// at their stored counter. The reconstructed counter lines land in
-// res.lines so Apply persists them and the tree rebuild covers them,
-// exactly like the generic walk's retried lines. pend is the resume
-// overlay, as in recoverCounters.
-func recoverInlineCounters(img *engine.CrashImage, cry *seccrypto.Engine, pend *pendingWrite) counterResult {
-	lay := img.Image.Layout
-	res := counterResult{
-		lines:      map[mem.Addr]seccrypto.CounterLine{},
-		perLine:    map[mem.Addr]uint64{},
-		implicated: map[mem.Addr]bool{},
-	}
-	sus := suspectSet(img)
-	stuck := img.Image.Stuck
-	lineOf := func(ca mem.Addr) seccrypto.CounterLine {
-		if cl, ok := res.lines[ca]; ok {
-			return cl
-		}
-		raw, _ := readLine(img, pend, ca)
-		return seccrypto.DecodeCounterLine(raw)
-	}
-	for _, a := range dataWalkAddrs(img, sus) {
-		ca := lay.CounterLineOf(a)
-		slot := lay.CounterSlotOf(a)
-		line, _ := img.Image.Read(a)
-		if img.Sideband[a] == 1 { // engine.TagPacked
-			// Packed lines are self-describing; only the data line itself
-			// can lose them (the counter line is reconstructed inline).
-			if img.MediaFaults && stuck[a] {
-				res.lost = append(res.lost, LostBlock{Addr: a, Line: a, Cause: "stuck-data"})
-				res.implicated[a] = true
-				continue
-			}
-			_, ctr, ok := engine.UnpackArsenalLine(cry, a, line)
-			if !ok {
-				if img.MediaFaults && sus[a] {
-					res.lost = append(res.lost, LostBlock{Addr: a, Line: a, Cause: "torn-data"})
-					res.implicated[a] = true
-					continue
-				}
-				res.tampered = append(res.tampered, TamperedBlock{Addr: a})
-				continue
-			}
-			cl := lineOf(ca)
-			cl.Major = ctr >> seccrypto.MinorBits
-			cl.Minors[slot] = uint8(ctr & seccrypto.MinorMax)
-			res.lines[ca] = cl
-			res.blocks++
-		} else {
-			ha, _ := lay.HMACLineOf(a)
-			if img.MediaFaults {
-				if cause, bad := stuckCause(stuck, a, ca, ha); cause != "" {
-					res.lost = append(res.lost, LostBlock{Addr: a, Line: bad, Cause: cause})
-					res.implicated[bad] = true
-					continue
-				}
-			}
-			cl := lineOf(ca)
-			base := cl.Counter(slot)
-			stored := storedHMAC(img, cry, a)
-			if cry.DataHMAC(a, base, line) != stored {
-				if img.MediaFaults && (sus[a] || sus[ca] || sus[ha]) {
-					bad, cause := ca, "torn-counter"
-					if !sus[ca] {
-						if sus[a] {
-							bad, cause = a, "torn-data"
-						} else {
-							bad, cause = ha, "torn-hmac"
-						}
-					}
-					res.lost = append(res.lost, LostBlock{Addr: a, Line: bad, Cause: cause})
-					for _, s := range []mem.Addr{a, ca, ha} {
-						if sus[s] {
-							res.implicated[s] = true
-						}
-					}
-					continue
-				}
-				res.tampered = append(res.tampered, TamperedBlock{Addr: a, StoredCounter: base})
-			}
-		}
-	}
-	return res
-}

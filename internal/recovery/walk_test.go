@@ -15,14 +15,15 @@ import (
 
 // TestSplitWalkReportIdentical holds the split counter-recovery walk to
 // the serial one: every crash image a slice of the torture matrix hands
-// to recovery — clean, attacked, torn, stuck, spare-pool and half-applied
-// images with an active journal — recovers to the same Report at 1, 2, 3
+// to recovery — clean, attacked, torn, stuck, spare-pool, packed (Arsenal)
+// and half-applied images with an active journal — recovers to the same
+// Report at 1, 2, 3
 // and 7 parts, byte for byte in its exported fields and deeply in the
 // walk result Apply reuses. Cells run one at a time: SetWalkParts is
 // package state.
 func TestSplitWalkReportIdentical(t *testing.T) {
 	opts := torture.MatrixOpts{
-		Designs:    []string{"ccnvm", "ccnvm-ext", "osiris"},
+		Designs:    []string{"ccnvm", "ccnvm-ext", "osiris", "arsenal"},
 		Workloads:  []string{"hot", "hammer"},
 		Attacks:    []string{"none", "spoof", "counter-replay"},
 		Seeds:      1,

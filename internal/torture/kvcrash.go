@@ -49,7 +49,7 @@ func (c Cell) KV() bool { return c.Workload == KVWorkload }
 func KVDesigns() []string {
 	var out []string
 	for _, d := range design.All() {
-		if d.Caps.CrashConsistent && !d.Caps.TamperOnCrash {
+		if !d.Caps.TamperOnCrash {
 			out = append(out, d.Name)
 		}
 	}

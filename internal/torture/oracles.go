@@ -96,13 +96,6 @@ type Context struct {
 // cannot miss.
 func (c *Context) caps() design.Capabilities { return design.MustLookup(c.Cell.Design).Caps }
 
-// inlinePacked reports whether the cell's design recovers via the
-// inline-packed strategy (counters/HMACs inside packed data lines),
-// which the golden verification must inspect pre-Apply.
-func (c *Context) inlinePacked() bool {
-	return design.MustLookup(c.Cell.Design).Strategy == design.RecoverInlinePacked
-}
-
 // applyRecovery runs the runner's Apply seam once; oracles that inspect
 // post-recovery state share the applied image.
 func (c *Context) applyRecovery() {
@@ -113,19 +106,11 @@ func (c *Context) applyRecovery() {
 	}
 }
 
-// golden returns the divergences between the recovered image and the
-// reference machine, computing them once. Inline-packed images are
-// verified functionally pre-Apply (their counters and HMACs live inline
-// in packed lines, which the generic Apply does not understand); every
-// other design is verified bit-for-bit after Apply.
+// golden returns the divergences between the image, recovered by
+// Apply, and the reference machine, computing them once.
 func (c *Context) golden() []string {
-	if c.goldenRun {
-		return c.goldenDivs
-	}
-	c.goldenRun = true
-	if c.inlinePacked() {
-		c.goldenDivs = c.Ref.VerifyArsenalImage(c.Img)
-	} else {
+	if !c.goldenRun {
+		c.goldenRun = true
 		c.applyRecovery()
 		c.goldenDivs = c.Ref.VerifyImage(c.Img)
 	}
@@ -301,10 +286,10 @@ var oracles = []Oracle{
 	},
 	{
 		Name: "reboot-bounded", Scope: scopeTrace,
-		Doc: "Designs declaring re-entrant recovery converge within their declared " +
-			"reboot budget: the uninterrupted final pass commits, write plans shrink " +
-			"monotonically across passes, no plan size repeats longer than the " +
-			"capability's stride, and the converged image carries no active " +
+		Doc: "Interrupted recovery converges within the journaled Apply's reboot " +
+			"budget: the uninterrupted final pass commits, write plans shrink " +
+			"monotonically across passes, no plan size repeats across more than " +
+			"three interrupted passes, and the converged image carries no active " +
 			"recovery journal.",
 		Check: checkRebootBounded,
 	},
@@ -521,9 +506,8 @@ func checkGoldenState(c *Context) string {
 
 // goldenVersions verifies the recovered image against the reference's
 // version history (see VerifyImageVersions), excluding the blocks the
-// report enumerates as lost or tampered. Nothing is cached: every call
-// walks the image again. For non-arsenal designs it applies recovery
-// first.
+// report enumerates as lost or tampered, after applying recovery.
+// Nothing is cached: every call walks the image again.
 func (c *Context) goldenVersions() (stale []mem.Addr, divs []string) {
 	excluded := map[mem.Addr]bool{}
 	for _, lb := range c.baseRep().LostBlocks {
@@ -532,9 +516,7 @@ func (c *Context) goldenVersions() (stale []mem.Addr, divs []string) {
 	for _, tb := range c.baseRep().Tampered {
 		excluded[tb.Addr] = true
 	}
-	if !c.inlinePacked() {
-		c.applyRecovery()
-	}
+	c.applyRecovery()
 	return c.Ref.VerifyImageVersions(c.Img, excluded)
 }
 
@@ -570,25 +552,21 @@ func checkTornWriteDetected(c *Context) string {
 	// The post-recovery image must be self-consistent: the rebuilt tree
 	// verifies against the root Apply installed. Mismatches at (or under)
 	// a stuck line are waived — Apply cannot rewrite an unreadable node,
-	// and the report already surfaces it as a media error. (Arsenal is
-	// verified functionally pre-Apply; the generic rebuild does not
-	// apply.)
-	if !c.inlinePacked() && c.Recovered != nil {
-		lay := c.Img.Image.Layout
-		tree := bmt.New(lay, seccrypto.MustEngine(c.Img.Keys))
-		stuck := c.Img.Image.Stuck
-		for _, m := range tree.VerifyAll(c.Img.Image, c.Recovered.TCB.RootNew, c.Img.Image.Store.Addrs()) {
-			if stuck[m.Addr] {
+	// and the report already surfaces it as a media error.
+	lay := c.Img.Image.Layout
+	tree := bmt.New(lay, seccrypto.MustEngine(c.Img.Keys))
+	stuck := c.Img.Image.Stuck
+	for _, m := range tree.VerifyAll(c.Img.Image, c.Recovered.TCB.RootNew, c.Img.Image.Store.Addrs()) {
+		if stuck[m.Addr] {
+			continue
+		}
+		if m.Level < lay.TopLevel() {
+			pl, pi, _ := lay.ParentOf(m.Level, m.Index)
+			if stuck[lay.NodeAddr(pl, pi)] {
 				continue
 			}
-			if m.Level < lay.TopLevel() {
-				pl, pi, _ := lay.ParentOf(m.Level, m.Index)
-				if stuck[lay.NodeAddr(pl, pi)] {
-					continue
-				}
-			}
-			return fmt.Sprintf("post-recovery tree mismatches the recovered root beyond any stuck line: %s", m.String())
 		}
+		return fmt.Sprintf("post-recovery tree mismatches the recovered root beyond any stuck line: %s", m.String())
 	}
 	return ""
 }
@@ -826,13 +804,20 @@ func checkRebootNoNewLoss(c *Context) string {
 	return ""
 }
 
-// checkRebootBounded asserts re-entrant designs converge within their
-// declared budget: every pass's write plan is no larger than its
-// predecessor's, no plan size repeats across more interrupted passes
-// than the capability's stride allows, and the converged image carries
-// no active journal.
+// rebootStride bounds the convergence of the shared journaled Apply,
+// whatever the design: across any rebootStride consecutive interrupted
+// passes (each struck at its k-th persisted write, k >= 2) the remaining
+// write plan shrinks by at least one entry, so converging takes at most
+// rebootStride reboots per initial plan entry, plus rebootStride for the
+// journal bootstrap.
+const rebootStride = 3
+
+// checkRebootBounded asserts recovery converges within that budget:
+// every pass's write plan is no larger than its predecessor's, no plan
+// size repeats across more than rebootStride interrupted passes, and the
+// converged image carries no active journal.
 func checkRebootBounded(c *Context) string {
-	if !c.rebootRan || !c.caps().ReentrantRecovery {
+	if !c.rebootRan {
 		return ""
 	}
 	plans := append([]int{}, c.RebootPlans...)
@@ -845,7 +830,7 @@ func checkRebootBounded(c *Context) string {
 				i+1, plans[i], plans[i-1])
 		}
 	}
-	if stride := c.caps().RebootStride; c.Cell.RebootEvery >= 2 && stride > 0 {
+	if c.Cell.RebootEvery >= 2 {
 		// Striking the first write of every pass (RebootEvery == 1) makes
 		// zero progress by construction, so the stride bound only binds
 		// when each pass can persist at least one record.
@@ -855,9 +840,9 @@ func checkRebootBounded(c *Context) string {
 				run = 1
 				continue
 			}
-			if run++; run > stride {
+			if run++; run > rebootStride {
 				return fmt.Sprintf("plan size %d repeated across %d interrupted passes (declared stride %d): recovery is not progressing",
-					c.RebootPlans[i], run, stride)
+					c.RebootPlans[i], run, rebootStride)
 			}
 		}
 	}

@@ -111,12 +111,13 @@ func (r *Reference) WriteCounts() map[mem.Addr]uint64 { return maps.Clone(r.writ
 // is enough to fail a cell, a handful is enough to debug it.
 const maxDivergences = 5
 
-// VerifyImage checks a post-Apply crash image of a conventional-layout
-// design against the reference, bit-for-bit: every touched counter line
-// must equal the reference encoding exactly, and every written block
-// must decrypt (with uncached crypto) to the reference plaintext and
-// carry the matching stored data HMAC. It returns the divergences, empty
-// when the image is golden.
+// VerifyImage checks a post-Apply crash image against the reference,
+// bit-for-bit: every touched counter line must equal the reference
+// encoding exactly, and every written block must decrypt (with uncached
+// crypto) to the reference plaintext and carry the matching stored data
+// HMAC — or, packed (engine.CrashImage.PackedBlock), carry the reference
+// counter and plaintext under a valid inline HMAC. It returns the
+// divergences, empty when the image is golden.
 func (r *Reference) VerifyImage(img *engine.CrashImage) []string {
 	var divs []string
 	add := func(format string, args ...interface{}) bool {
@@ -144,8 +145,23 @@ func (r *Reference) VerifyImage(img *engine.CrashImage) []string {
 		}
 	}
 	for _, a := range r.Written() {
-		ct, _ := img.Image.Read(a)
 		ctr := r.CounterOf(a)
+		if pt, got, packed, authed := img.PackedBlock(r.cry, a); packed {
+			var div string
+			switch {
+			case !authed:
+				div = "fails inline authentication"
+			case got != ctr:
+				div = fmt.Sprintf("carries counter %d, reference %d", got, ctr)
+			case pt != r.plain[a]:
+				div = "decrypts to wrong plaintext"
+			}
+			if div != "" && !add("packed block %#x %s", uint64(a), div) {
+				return divs
+			}
+			continue
+		}
+		ct, _ := img.Image.Read(a)
 		if got := r.cry.Decrypt(a, ctr, ct); got != r.plain[a] {
 			if !add("data block %#x does not decrypt to the reference plaintext (counter %d)",
 				uint64(a), ctr) {
@@ -163,43 +179,6 @@ func (r *Reference) VerifyImage(img *engine.CrashImage) []string {
 	return divs
 }
 
-// VerifyArsenalImage checks an Arsenal crash image (pre-Apply; the
-// generic Apply does not understand packed lines). Packed blocks carry
-// counter and HMAC inline, so the check unpacks each written line and
-// compares plaintext and counter against the reference; raw-fallback
-// blocks follow the conventional decrypt-and-authenticate check.
-func (r *Reference) VerifyArsenalImage(img *engine.CrashImage) []string {
-	var divs []string
-	for _, a := range r.Written() {
-		if len(divs) >= maxDivergences {
-			divs = append(divs, "... more divergences suppressed")
-			return divs
-		}
-		line, _ := img.Image.Read(a)
-		want := r.CounterOf(a)
-		if img.Sideband[a] == engine.TagPacked {
-			pt, ctr, ok := engine.UnpackArsenalLine(r.cry, a, line)
-			switch {
-			case !ok:
-				divs = append(divs, fmt.Sprintf("packed block %#x fails inline authentication", uint64(a)))
-			case ctr != want:
-				divs = append(divs, fmt.Sprintf("packed block %#x carries counter %d, reference %d", uint64(a), ctr, want))
-			case pt != r.plain[a]:
-				divs = append(divs, fmt.Sprintf("packed block %#x decrypts to wrong plaintext", uint64(a)))
-			}
-			continue
-		}
-		if got := r.cry.Decrypt(a, want, line); got != r.plain[a] {
-			divs = append(divs, fmt.Sprintf("raw block %#x does not decrypt to the reference plaintext (counter %d)", uint64(a), want))
-			continue
-		}
-		if r.storedHMAC(img, a) != r.cry.DataHMAC(a, want, line) {
-			divs = append(divs, fmt.Sprintf("stored HMAC of raw block %#x diverges from reference", uint64(a)))
-		}
-	}
-	return divs
-}
-
 // VerifyImageVersions checks a crash image against the reference's
 // version history instead of its latest state: every written block
 // (minus the excluded set, the blocks the report enumerated as lost or
@@ -208,11 +187,9 @@ func (r *Reference) VerifyArsenalImage(img *engine.CrashImage) []string {
 // block whose every write dropped. Blocks at a non-latest version are
 // returned as stale (acceptable crash loss the recovery report must
 // own); content matching no version at all is a divergence — recovery
-// silently accepted bytes the trace never wrote. Conventional-layout
-// images are checked post-Apply; Arsenal's packed blocks (tagged in the
-// sideband) carry counter and plaintext inline and are checked pre-Apply,
-// like VerifyArsenalImage, while its raw-fallback blocks follow the
-// conventional check.
+// silently accepted bytes the trace never wrote. The image is checked
+// post-Apply; a packed block (engine.CrashImage.PackedBlock) is judged by
+// the counter and plaintext it carries inline.
 func (r *Reference) VerifyImageVersions(img *engine.CrashImage, excluded map[mem.Addr]bool) (stale []mem.Addr, divs []string) {
 	for _, a := range r.Written() {
 		if excluded[a] {
@@ -222,7 +199,8 @@ func (r *Reference) VerifyImageVersions(img *engine.CrashImage, excluded map[mem
 			divs = append(divs, "... more divergences suppressed")
 			return stale, divs
 		}
-		if img.Sideband[a] != engine.TagPacked {
+		pt, ctr, packed, authed := img.PackedBlock(r.cry, a)
+		if !packed {
 			old, div := r.checkBlockVersion(img, a)
 			switch {
 			case div != "":
@@ -239,7 +217,6 @@ func (r *Reference) VerifyImageVersions(img *engine.CrashImage, excluded map[mem
 			stale = append(stale, a)
 			continue
 		}
-		pt, ctr, authed := engine.UnpackArsenalLine(r.cry, a, line)
 		if !authed {
 			divs = append(divs, fmt.Sprintf("packed block %#x fails inline authentication", uint64(a)))
 			continue

@@ -135,10 +135,9 @@ func (c Cell) normalized() Cell {
 }
 
 // Validate rejects cells outside the harness's vocabulary. A KV cell
-// also needs a design whose capability sheet honors the KV contract:
-// every acknowledged write survives a clean crash (CrashConsistent) and
-// recovery does not cry wolf (w/o CC flags every crash as tampering, so
-// there is no clean image to rebuild a keymap from).
+// also needs a crash-consistent design, one whose recovery does not cry
+// wolf (TamperOnCrash): w/o CC flags every crash as tampering, so there
+// is no clean image to rebuild a keymap from.
 func (c Cell) Validate() error {
 	if !slices.Contains(DesignNames(), c.Design) {
 		return fmt.Errorf("torture: unknown design %q", c.Design)
@@ -211,9 +210,6 @@ func (c Cell) RefusalReason() string {
 	}
 	if c.Reboots > 0 && design.MustLookup(c.Design).Caps.TamperOnCrash {
 		return "reboot loop refused: design flags tamper on every crash"
-	}
-	if c.Spares > 0 && !design.MustLookup(c.Design).Caps.SpareManaged {
-		return "spare axis refused: design does not declare spare-pool media management"
 	}
 	return ""
 }

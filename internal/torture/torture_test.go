@@ -302,10 +302,19 @@ func TestBrokenRecoveryCaught(t *testing.T) {
 			Attacks: []string{"none"}, Seeds: 2, Ops: 160, CrashPts: 1,
 			FaultSeeds: 4,
 		},
+		// Arsenal's recovery rebuilds a replayed counter line's packed
+		// slots from the inline counters but not its raw-fallback ones:
+		// with the tamper verdict dropped, the golden check must still
+		// find the stale counter line after Apply.
+		"ignore-tampered:arsenal": {
+			Designs: []string{"arsenal"}, Workloads: []string{"hot"},
+			Attacks: []string{"counter-replay"}, Seeds: 2, Ops: 160, CrashPts: 2,
+		},
 	}
-	for mode, opts := range modes {
-		mode, opts := mode, opts
-		t.Run(mode, func(t *testing.T) {
+	for name, opts := range modes {
+		name, opts := name, opts
+		mode, _, _ := strings.Cut(name, ":")
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			r, err := BrokenRunner(mode)
 			if err != nil {
