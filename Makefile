@@ -92,19 +92,27 @@ lint-designs:
 	fi; \
 	echo "lint-designs: ok"
 
-# lint-layering enforces the storage-engine facade boundary:
-# internal/memctrl is an implementation detail, importable only by the
-# facade itself and the engine-core packages that assemble a
-# controller. Everything else — simulator, KV layer, experiments,
-# commands — must go through internal/store.
+# lint-layering enforces two boundaries. internal/memctrl is behind the
+# storage-engine facade: importable only by the facade itself and the
+# engine-core packages that assemble a controller; everything else —
+# simulator, KV layer, experiments, commands — must go through
+# internal/store. And the design registry is the only way to a design:
+# non-test code outside internal/core and internal/design never imports
+# internal/core, so no caller can reach for a concrete cc-NVM engine.
 lint-layering:
 	@bad=$$(grep -rl '"ccnvm/internal/memctrl"' --include='*.go' . \
 		| grep -v -E '^\./internal/(memctrl|store|engine|core|design|porder)/'); \
+	core=$$(grep -rl '"ccnvm/internal/core"' --include='*.go' . \
+		| grep -v '_test\.go' | grep -v -E '^\./internal/(core|design)/'); \
 	if [ -n "$$bad" ]; then \
 		echo "lint-layering: internal/memctrl is behind the internal/store facade; import that instead:"; \
 		echo "$$bad" | sed 's/^/  /'; \
-		exit 1; \
 	fi; \
+	if [ -n "$$core" ]; then \
+		echo "lint-layering: internal/core is reached through the internal/design registry; import that instead:"; \
+		echo "$$core" | sed 's/^/  /'; \
+	fi; \
+	if [ -n "$$bad$$core" ]; then exit 1; fi; \
 	echo "lint-layering: ok"
 
 # torture runs the full differential crash/attack matrix via the CLI;

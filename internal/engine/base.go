@@ -2,6 +2,7 @@ package engine
 
 import (
 	"ccnvm/internal/bmt"
+	"ccnvm/internal/cache"
 	"ccnvm/internal/mem"
 	"ccnvm/internal/memctrl"
 	"ccnvm/internal/metacache"
@@ -167,6 +168,9 @@ func (b *Base) StatsRef() *SecStats { return &b.stats }
 
 // Stats returns a copy of the accumulated statistics.
 func (b *Base) Stats() SecStats { return b.stats }
+
+// MetaStats returns the metadata cache's hit/miss counters.
+func (b *Base) MetaStats() cache.Stats { return b.Meta.Stats() }
 
 // HMACOp schedules a chain of n dependent HMAC computations and
 // returns the completion cycle. The unit is modelled as fully

@@ -17,6 +17,7 @@
 package engine
 
 import (
+	"ccnvm/internal/cache"
 	"ccnvm/internal/mem"
 	"ccnvm/internal/nvm"
 	"ccnvm/internal/seccrypto"
@@ -57,6 +58,9 @@ type Engine interface {
 
 	// Stats returns the engine's accumulated counters.
 	Stats() SecStats
+
+	// MetaStats returns the metadata cache's counters.
+	MetaStats() cache.Stats
 }
 
 // TCB holds the secure processor's persistent registers: the two Merkle

@@ -91,7 +91,7 @@ func TestManifestRoundTripAndRuling(t *testing.T) {
 func TestChurnSurvivesBeyondLogCapacity(t *testing.T) {
 	st := compactStore(t, 1<<18)
 	db := compactDB(t, st)
-	logCap := db.wc.Stats().Capacity
+	logCap := db.Stats().Stall.Capacity
 	val := bytes.Repeat([]byte{0xC7}, 1024)
 	var written uint64
 	model := map[string]byte{}
@@ -406,7 +406,7 @@ func TestLadderAndStallStatsStayQuietWhenHealthy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc := db.wc.Stats()
+	wc := s.Stall
 	want := fmt.Sprintf(`{"capacity":%d,"slowdown_at":%d,"stop_at":%d}`, wc.Capacity, wc.SlowdownAt, wc.StopAt)
 	if string(b) != want {
 		t.Fatalf("faultless stall JSON changed shape:\n got %s\nwant %s", b, want)

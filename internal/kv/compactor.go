@@ -61,7 +61,7 @@ func (db *DB) worthCompactingLocked(need uint64, overStop bool) bool {
 	}
 	used := db.usedLocked()
 	est := db.estCompactedLocked()
-	if overStop && est+need > db.wc.stopTrigger() {
+	if overStop && est+need > db.stall.StopAt {
 		return false
 	}
 	return used > est && used-est >= used/4 && used-est >= 4*mem.LineSize
@@ -162,22 +162,12 @@ func (db *DB) compactLocked() error {
 		if uint64(w-dstStart)+uint64(need) > db.halfBytes {
 			return fail(fmt.Errorf("kv: compacted run overflows the %d-byte half", db.halfBytes))
 		}
-		payloadStart := w + mem.LineSize
-		for j := 0; j < payloadLines(len(payload)); j++ {
-			var l mem.Line
-			copy(l[:], payload[j*mem.LineSize:])
-			if werr := db.st.Write(payloadStart+mem.Addr(j*mem.LineSize), l); werr != nil {
-				return fail(fmt.Errorf("kv: compaction payload write: %w", werr))
-			}
-		}
-		hl := encodeHeader(seq+1, len(ops), len(payload))
-		sealHeader(&hl, mem.Checksum(payload))
-		if werr := db.st.Write(w, hl); werr != nil {
-			return fail(fmt.Errorf("kv: compaction commit write: %w", werr))
+		if werr := db.writeFrame("compaction", w, seq+1, len(ops), payload); werr != nil {
+			return fail(werr)
 		}
 		seq++
 		for _, r := range recs {
-			newIdx[string(r.key)] = valRef{payload: payloadStart, off: r.valOff, n: r.valLen}
+			newIdx[string(r.key)] = valRef{payload: w + mem.LineSize, off: r.valOff, n: r.valLen}
 		}
 		w += need
 	}
@@ -227,17 +217,6 @@ func (db *DB) compactLocked() error {
 	db.pendingReclaim = src
 	pinned := db.pins[src] > 0
 	db.mu.Unlock()
-
-	// Everything through the run's last frame was flushed above, so
-	// group commit may acknowledge it without another epoch.
-	db.fmu.Lock()
-	if seq > db.appended {
-		db.appended = seq
-	}
-	if db.flushErr == nil && seq > db.durable {
-		db.durable = seq
-	}
-	db.fmu.Unlock()
 
 	if db.testHookAfterSwitch != nil {
 		db.testHookAfterSwitch()

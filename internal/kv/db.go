@@ -47,7 +47,6 @@ const (
 type Stats struct {
 	Keys       int                  `json:"keys"`
 	Seq        uint64               `json:"seq"`
-	DurableSeq uint64               `json:"durable_seq"`
 	LogBytes   uint64               `json:"log_bytes"`
 	Capacity   uint64               `json:"capacity"`
 	Gets       uint64               `json:"gets"`
@@ -60,16 +59,16 @@ type Stats struct {
 
 // DB is one KV namespace over a storage-engine facade. All methods are
 // safe for concurrent use; batches from concurrent writers serialize
-// at the log head and share epoch flushes (group commit).
+// at the log head, and each batch acknowledges after its own epoch
+// flush.
 //
 // The data region is laid out as two manifest slots followed by a log
 // arena split into two equal halves. The live log occupies exactly one
-// half (the write controller's capacity); compaction rewrites the live
-// set into the other half and flips the manifest, so the namespace
-// survives indefinite write traffic as long as the live set fits.
+// half (the admission capacity); compaction rewrites the live set into
+// the other half and flips the manifest, so the namespace survives
+// indefinite write traffic as long as the live set fits.
 type DB struct {
 	st *store.Store
-	wc *WriteController
 
 	// rmu orders value reads against half reclamation: readers hold it
 	// shared from index lookup through the last line read, the
@@ -105,12 +104,11 @@ type DB struct {
 	batches uint64
 	opCount uint64
 
-	fmu      sync.Mutex // group-commit state
-	fcond    *sync.Cond
-	flushing bool
-	appended uint64 // highest seq fully in the log
-	durable  uint64 // highest seq covered by a returned FlushEpoch
-	flushErr error  // sticky terminal flush failure
+	// Admission (the write controller, see Batch): the triggers fixed at
+	// Open and the stall counters, all under mu. Stops is derived in
+	// Stats.
+	stall    WriteControllerStats
+	throttle time.Duration // per-batch delay past stall.SlowdownAt
 }
 
 // Open builds the namespace over st: load the compaction manifest
@@ -130,12 +128,27 @@ func Open(st *store.Store, o Options) (*DB, error) {
 	if hb < 4*mem.LineSize {
 		return nil, fmt.Errorf("kv: capacity %d too small for a two-half log arena", capacity)
 	}
-	wc, err := NewWriteController(hb, o.WriteController)
-	if err != nil {
-		return nil, err
+	wo := o.WriteController
+	if wo.SlowdownFrac == 0 {
+		wo.SlowdownFrac = 0.85
 	}
-	db := &DB{st: st, wc: wc, idx: make(map[string]valRef), halfBytes: hb, pendingReclaim: -1}
-	db.fcond = sync.NewCond(&db.fmu)
+	if wo.StopFrac == 0 {
+		wo.StopFrac = 0.95
+	}
+	if wo.SlowdownDelay == 0 {
+		wo.SlowdownDelay = time.Millisecond
+	}
+	if wo.SlowdownFrac < 0 || wo.SlowdownFrac > wo.StopFrac || wo.StopFrac > 1 {
+		return nil, fmt.Errorf("kv: bad write-controller triggers slowdown=%v stop=%v", wo.SlowdownFrac, wo.StopFrac)
+	}
+	db := &DB{st: st, idx: make(map[string]valRef), halfBytes: hb, pendingReclaim: -1,
+		stall: WriteControllerStats{
+			Capacity:   hb,
+			SlowdownAt: uint64(float64(hb) * wo.SlowdownFrac),
+			StopAt:     uint64(float64(hb) * wo.StopFrac),
+		},
+		throttle: wo.SlowdownDelay,
+	}
 	db.ccond = sync.NewCond(&db.mu)
 
 	manifest := make([]byte, ManifestFormat.TableLen())
@@ -159,7 +172,6 @@ func Open(st *store.Store, o Options) (*DB, error) {
 	if err := db.scan(); err != nil {
 		return nil, err
 	}
-	db.appended, db.durable = db.seq, db.seq
 	if err := db.repairAndReclaim(manifest, c); err != nil {
 		return nil, err
 	}
@@ -302,25 +314,8 @@ func (db *DB) repairAndReclaim(manifest []byte, c twoslot.Choice) error {
 // at reopen. Takes rmu exclusively so no in-flight value read can
 // observe the zeroing.
 func (db *DB) reclaimHalf(h int) error {
-	lo := db.halfStart(h)
 	db.rmu.Lock()
-	n, err := db.st.ReclaimRange(lo, lo+mem.Addr(db.halfBytes))
-	db.rmu.Unlock()
-	db.mu.Lock()
-	db.reclaimedLines += uint64(n)
-	if err == nil && db.pendingReclaim == h {
-		db.pendingReclaim = -1
-	}
-	db.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		if ferr := db.st.FlushEpoch(); ferr != nil {
-			return ferr
-		}
-	}
-	return nil
+	return db.zeroHalfUnlock(h)
 }
 
 // reclaimRetired is the deferred-reclaim path (snapshot Release): it
@@ -328,7 +323,9 @@ func (db *DB) reclaimHalf(h int) error {
 // already holding rmu exclusively, so it can never race a new pass
 // that is about to write a fresh run into h — a pass that has not yet
 // taken rmu for its own destination cleaning cannot have written yet,
-// and one that has is ordered entirely before or after us.
+// and one that has is ordered entirely before or after us. Reclaim
+// durability is best-effort here: a failed flush is retried by the
+// next pass or reopen.
 func (db *DB) reclaimRetired(h int) {
 	db.rmu.Lock()
 	db.mu.Lock()
@@ -339,6 +336,13 @@ func (db *DB) reclaimRetired(h int) {
 		db.rmu.Unlock()
 		return
 	}
+	_ = db.zeroHalfUnlock(h)
+}
+
+// zeroHalfUnlock is the one reclaim body: called with rmu held
+// exclusively, it zeroes half h, releases rmu, counts the lines, clears
+// the owed reclaim, and flushes the zero writes if there were any.
+func (db *DB) zeroHalfUnlock(h int) error {
 	lo := db.halfStart(h)
 	n, err := db.st.ReclaimRange(lo, lo+mem.Addr(db.halfBytes))
 	db.rmu.Unlock()
@@ -348,11 +352,10 @@ func (db *DB) reclaimRetired(h int) {
 		db.pendingReclaim = -1
 	}
 	db.mu.Unlock()
-	if err == nil && n > 0 {
-		// Reclaim durability is best-effort here: a failed flush is
-		// retried by the next pass or reopen.
-		_ = db.st.FlushEpoch()
+	if err != nil || n == 0 {
+		return err
 	}
+	return db.st.FlushEpoch()
 }
 
 // apply folds one frame's records into the index, keeping the live-set
@@ -476,25 +479,24 @@ func (db *DB) Batch(ops []Op) error {
 		if db.compacting {
 			// Backpressure rung: queue behind the running pass, then
 			// re-evaluate against the compacted layout.
-			db.wc.noteBackpressure()
+			db.stall.BackpressureWaits++
 			t0 := time.Now()
 			for db.compacting && !db.closed {
 				db.ccond.Wait()
 			}
-			db.wc.noteStall(time.Since(t0))
+			db.stall.StallNanos += int64(time.Since(t0))
 			continue
 		}
 		if db.st.Health() == store.HealthReadOnly {
-			db.wc.noteReadOnlyStop()
+			db.stall.ReadOnlyStops++
 			db.mu.Unlock()
 			return fmt.Errorf("kv: write refused: %w", store.ErrReadOnly)
 		}
 		used := db.usedLocked()
-		adm := db.wc.evaluate(used, need)
-		if !adm.overStop {
-			delay = adm.delay
-			if delay > 0 {
-				db.wc.noteSlowdown()
+		if used+need <= db.stall.StopAt {
+			if used >= db.stall.SlowdownAt {
+				delay = db.throttle
+				db.stall.Slowdowns++
 				// Throttled rung: run a worthwhile pass before the
 				// delayed admission so the log drains back to healthy.
 				if !triedCompact && db.worthCompactingLocked(0, false) {
@@ -523,76 +525,53 @@ func (db *DB) Batch(ops []Op) error {
 			// otherwise a full namespace could never free itself.
 			break
 		}
-		db.wc.noteCapacityStop()
+		db.stall.CapacityStops++
 		db.mu.Unlock()
 		return fmt.Errorf("%w: %d used + %d needed > %d stop trigger and compaction cannot free enough",
-			ErrLogFull, used, need, db.wc.stopTrigger())
+			ErrLogFull, used, need, db.stall.StopAt)
 	}
 
-	header := db.head
-	payloadStart := header + mem.LineSize
-	// Payload first, header last: a crash before the header write
-	// leaves no valid frame, so the batch is all-or-nothing.
-	for i := 0; i < payloadLines(len(payload)); i++ {
-		var l mem.Line
-		copy(l[:], payload[i*mem.LineSize:])
-		if werr := db.st.Write(payloadStart+mem.Addr(i*mem.LineSize), l); werr != nil {
-			db.mu.Unlock()
-			return fmt.Errorf("kv: batch payload write: %w", werr)
-		}
-	}
-	hl := encodeHeader(db.seq+1, len(ops), len(payload))
-	sealHeader(&hl, mem.Checksum(payload))
-	if werr := db.st.Write(header, hl); werr != nil {
+	if werr := db.writeFrame("batch", db.head, db.seq+1, len(ops), payload); werr != nil {
 		db.mu.Unlock()
-		return fmt.Errorf("kv: batch commit write: %w", werr)
+		return werr
 	}
 	db.seq++
 	mySeq := db.seq
+	db.apply(db.head+mem.LineSize, payload, recs)
 	db.head += mem.Addr(need)
 	db.batches++
 	db.opCount += uint64(len(ops))
-	db.apply(payloadStart, payload, recs)
 	db.mu.Unlock()
 
 	if delay > 0 {
 		time.Sleep(delay)
 	}
-	return db.waitDurable(mySeq)
+	// The store persists every write accepted before a FlushEpoch, so
+	// this flush covers the batch whoever else has flushed since.
+	if err := db.st.FlushEpoch(); err != nil {
+		return fmt.Errorf("kv: batch %d not durable: %w", mySeq, err)
+	}
+	return nil
 }
 
-// waitDurable blocks until an epoch flush covering seq has returned,
-// sharing flushes across concurrent writers: whichever writer finds no
-// flush in flight runs one for everybody appended so far; the rest
-// wait on the condvar.
-func (db *DB) waitDurable(seq uint64) error {
-	db.fmu.Lock()
-	defer db.fmu.Unlock()
-	if seq > db.appended {
-		db.appended = seq
-	}
-	for db.durable < seq && db.flushErr == nil {
-		if db.flushing {
-			db.fcond.Wait()
-			continue
+// writeFrame writes one sealed frame at header: the payload lines
+// first and the header last, so a crash before the header write leaves
+// no valid frame and the frame is all-or-nothing. Batch and the
+// compactor both write through it; who names the writer in errors.
+func (db *DB) writeFrame(who string, header mem.Addr, seq uint64, count int, payload []byte) error {
+	for i := 0; i < payloadLines(len(payload)); i++ {
+		var l mem.Line
+		copy(l[:], payload[i*mem.LineSize:])
+		if err := db.st.Write(header+mem.Addr((i+1)*mem.LineSize), l); err != nil {
+			return fmt.Errorf("kv: %s payload write: %w", who, err)
 		}
-		db.flushing = true
-		target := db.appended
-		db.fmu.Unlock()
-		err := db.st.FlushEpoch()
-		db.fmu.Lock()
-		db.flushing = false
-		if err != nil {
-			db.flushErr = err
-		} else if target > db.durable {
-			db.durable = target
-		}
-		db.fcond.Broadcast()
 	}
-	if db.durable >= seq {
-		return nil
+	hl := encodeHeader(seq, count, len(payload))
+	sealHeader(&hl, mem.Checksum(payload))
+	if err := db.st.Write(header, hl); err != nil {
+		return fmt.Errorf("kv: %s commit write: %w", who, err)
 	}
-	return fmt.Errorf("kv: batch %d not durable: %w", seq, db.flushErr)
+	return nil
 }
 
 // Flush forces an epoch flush covering everything appended so far.
@@ -603,7 +582,7 @@ func (db *DB) Flush() error {
 	if seq == 0 {
 		return nil
 	}
-	return db.waitDurable(seq)
+	return db.st.FlushEpoch()
 }
 
 // Stats snapshots the namespace counters.
@@ -629,11 +608,9 @@ func (db *DB) Stats() Stats {
 			LiveBytes:      db.liveBytes,
 		}
 	}
+	s.Stall = db.stall
+	s.Stall.Stops = db.stall.CapacityStops + db.stall.ReadOnlyStops
 	db.mu.Unlock()
-	db.fmu.Lock()
-	s.DurableSeq = db.durable
-	db.fmu.Unlock()
-	s.Stall = db.wc.Stats()
 	return s
 }
 
@@ -644,7 +621,7 @@ func (db *DB) ladderLocked() string {
 		return LadderReadOnly
 	case db.compacting:
 		return LadderBackpressure
-	case db.usedLocked() >= db.wc.slowdownTrigger():
+	case db.usedLocked() >= db.stall.SlowdownAt:
 		return LadderThrottled
 	default:
 		return LadderHealthy
@@ -668,12 +645,6 @@ func (db *DB) Crash() *engine.CrashImage {
 	db.closed = true
 	db.ccond.Broadcast()
 	db.mu.Unlock()
-	db.fmu.Lock()
-	if db.flushErr == nil {
-		db.flushErr = ErrDBClosed
-	}
-	db.fcond.Broadcast()
-	db.fmu.Unlock()
 	return db.st.Crash()
 }
 
@@ -685,11 +656,5 @@ func (db *DB) Close() error {
 	db.closed = true
 	db.ccond.Broadcast()
 	db.mu.Unlock()
-	db.fmu.Lock()
-	if db.flushErr == nil {
-		db.flushErr = ErrDBClosed
-	}
-	db.fcond.Broadcast()
-	db.fmu.Unlock()
 	return err
 }

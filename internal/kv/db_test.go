@@ -200,6 +200,9 @@ func assertBatchApplied(t *testing.T, db *kv.DB, applied bool) {
 	}
 }
 
+// TestConcurrentWritersGroupCommit: 8 writers race Put, then the power
+// fails with no Flush or Close. Every acknowledged put must read back
+// after the full reboot path.
 func TestConcurrentWritersGroupCommit(t *testing.T) {
 	st := openStore(t)
 	db := openDB(t, st)
@@ -224,17 +227,22 @@ func TestConcurrentWritersGroupCommit(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	if s := db.Stats(); s.Ops != writers*perWriter {
+		t.Fatalf("ops = %d, want %d", s.Ops, writers*perWriter)
+	}
+	st2, rep, err := store.Reboot(db.Crash(), store.Options{})
+	if err != nil {
+		t.Fatalf("reboot: %v (report %+v)", err, rep)
+	}
+	db2 := openDB(t, st2)
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perWriter; i++ {
 			k := fmt.Sprintf("w%d-%d", w, i)
-			v, ok, err := db.Get([]byte(k))
+			v, ok, err := db2.Get([]byte(k))
 			if err != nil || !ok || string(v) != k {
-				t.Fatalf("get %s = (%q,%v,%v)", k, v, ok, err)
+				t.Fatalf("acked %s after power cut = (%q,%v,%v)", k, v, ok, err)
 			}
 		}
-	}
-	if s := db.Stats(); s.Ops != writers*perWriter {
-		t.Fatalf("ops = %d, want %d", s.Ops, writers*perWriter)
 	}
 }
 

@@ -2,8 +2,6 @@ package kv
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"time"
 )
 
@@ -12,31 +10,11 @@ import (
 // write was refused outright.
 var ErrLogFull = errors.New("kv: log region full")
 
-// WriteController throttles writers as the log's active half fills, in
-// the classic LSM shape: past the slowdown trigger every batch is
-// delayed, past the stop trigger writes are refused unless a compaction
-// pass can make room. It is also the ladder's scoreboard: the DB routes
-// every stall through it — capacity refusals, read-only refusals and
-// backpressure waits behind a running pass are counted separately so
-// the stats name the cause, not just the symptom.
-type WriteController struct {
-	mu sync.Mutex
-
-	capacity   uint64 // log bytes available (one arena half)
-	slowdownAt uint64 // used >= this: delay every admission
-	stopAt     uint64 // used + need > this: refuse
-
-	delay time.Duration // per-admission delay in the slowdown band
-
-	slowdowns     uint64
-	capacityStops uint64
-	readOnlyStops uint64
-	backpressure  uint64
-	stallNanos    int64
-}
-
-// WriteControllerOptions tunes the triggers. Zero values take the
-// defaults noted on each field.
+// WriteControllerOptions tunes Batch's admission triggers, which
+// throttle writers as the log's active half fills, in the classic LSM
+// shape: past the slowdown trigger every batch is delayed, past the
+// stop trigger writes are refused unless a compaction pass can make
+// room. Zero values take the defaults noted on each field.
 type WriteControllerOptions struct {
 	// SlowdownFrac is the used/capacity fraction past which admissions
 	// are delayed. Default 0.85.
@@ -49,86 +27,12 @@ type WriteControllerOptions struct {
 	SlowdownDelay time.Duration
 }
 
-// NewWriteController builds a controller over a log of capacity bytes.
-func NewWriteController(capacity uint64, o WriteControllerOptions) (*WriteController, error) {
-	if o.SlowdownFrac == 0 {
-		o.SlowdownFrac = 0.85
-	}
-	if o.StopFrac == 0 {
-		o.StopFrac = 0.95
-	}
-	if o.SlowdownDelay == 0 {
-		o.SlowdownDelay = time.Millisecond
-	}
-	if o.SlowdownFrac < 0 || o.SlowdownFrac > o.StopFrac || o.StopFrac > 1 {
-		return nil, fmt.Errorf("kv: bad write-controller triggers slowdown=%v stop=%v", o.SlowdownFrac, o.StopFrac)
-	}
-	return &WriteController{
-		capacity:   capacity,
-		slowdownAt: uint64(float64(capacity) * o.SlowdownFrac),
-		stopAt:     uint64(float64(capacity) * o.StopFrac),
-		delay:      o.SlowdownDelay,
-	}, nil
-}
-
-// admission is the controller's pure verdict on one batch; the DB walks
-// the ladder (compact, queue, refuse) and reports what it actually did
-// through the note* counters.
-type admission struct {
-	delay    time.Duration
-	overStop bool
-}
-
-// evaluate judges a batch needing need bytes when used bytes of log are
-// already consumed. Pure: counters move only via the note* calls.
-func (wc *WriteController) evaluate(used, need uint64) admission {
-	if used+need > wc.stopAt {
-		return admission{overStop: true}
-	}
-	if used >= wc.slowdownAt {
-		return admission{delay: wc.delay}
-	}
-	return admission{}
-}
-
-func (wc *WriteController) slowdownTrigger() uint64 { return wc.slowdownAt }
-func (wc *WriteController) stopTrigger() uint64     { return wc.stopAt }
-
-func (wc *WriteController) noteSlowdown() {
-	wc.mu.Lock()
-	wc.slowdowns++
-	wc.mu.Unlock()
-}
-
-func (wc *WriteController) noteCapacityStop() {
-	wc.mu.Lock()
-	wc.capacityStops++
-	wc.mu.Unlock()
-}
-
-func (wc *WriteController) noteReadOnlyStop() {
-	wc.mu.Lock()
-	wc.readOnlyStops++
-	wc.mu.Unlock()
-}
-
-func (wc *WriteController) noteBackpressure() {
-	wc.mu.Lock()
-	wc.backpressure++
-	wc.mu.Unlock()
-}
-
-func (wc *WriteController) noteStall(d time.Duration) {
-	wc.mu.Lock()
-	wc.stallNanos += int64(d)
-	wc.mu.Unlock()
-}
-
-// WriteControllerStats is a point-in-time view of the throttle. Stops
-// stays the aggregate refusal count; the per-cause counters split it so
-// "out of space" and "media read-only" and "queued behind compaction"
-// are distinguishable. Everything variable is omitzero, so a namespace
-// that never stalled marshals exactly as it always has.
+// WriteControllerStats is a point-in-time view of admission: the
+// triggers and the ladder's scoreboard. Stops stays the aggregate
+// refusal count; the per-cause counters split it so "out of space" and
+// "media read-only" and "queued behind compaction" are
+// distinguishable. Everything variable is omitzero, so a namespace that
+// never stalled marshals exactly as it always has.
 type WriteControllerStats struct {
 	Capacity          uint64 `json:"capacity"`
 	SlowdownAt        uint64 `json:"slowdown_at"`
@@ -139,21 +43,4 @@ type WriteControllerStats struct {
 	ReadOnlyStops     uint64 `json:"readonly_stops,omitzero"`
 	BackpressureWaits uint64 `json:"backpressure_waits,omitzero"`
 	StallNanos        int64  `json:"stall_nanos,omitzero"`
-}
-
-// Stats snapshots the trigger configuration and firing counts.
-func (wc *WriteController) Stats() WriteControllerStats {
-	wc.mu.Lock()
-	defer wc.mu.Unlock()
-	return WriteControllerStats{
-		Capacity:          wc.capacity,
-		SlowdownAt:        wc.slowdownAt,
-		StopAt:            wc.stopAt,
-		Slowdowns:         wc.slowdowns,
-		Stops:             wc.capacityStops + wc.readOnlyStops,
-		CapacityStops:     wc.capacityStops,
-		ReadOnlyStops:     wc.readOnlyStops,
-		BackpressureWaits: wc.backpressure,
-		StallNanos:        wc.stallNanos,
-	}
 }

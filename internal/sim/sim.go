@@ -14,7 +14,6 @@ import (
 	"runtime/pprof"
 
 	"ccnvm/internal/cache"
-	"ccnvm/internal/core"
 	"ccnvm/internal/design"
 	"ccnvm/internal/engine"
 	"ccnvm/internal/mem"
@@ -385,19 +384,12 @@ func (m *Machine) result(workload string) Result {
 		L1:           m.l1.Stats(),
 		L2:           m.l2.Stats(),
 		Sec:          m.eng.Stats(),
+		Meta:         m.eng.MetaStats(),
+		Ctrl:         m.st.CtrlStats(),
 	}
-	if c, ok := m.eng.(*core.CCNVM); ok {
-		r.AvgEpochLen = c.AvgEpochLength()
-		r.Meta = c.Meta.Stats()
-		r.Ctrl = c.Ctrl.Stats()
-	}
-	switch e := m.eng.(type) {
-	case *engine.WoCC:
-		r.Meta, r.Ctrl = e.Meta.Stats(), e.Ctrl.Stats()
-	case *engine.SC:
-		r.Meta, r.Ctrl = e.Meta.Stats(), e.Ctrl.Stats()
-	case *engine.Osiris:
-		r.Meta, r.Ctrl = e.Meta.Stats(), e.Ctrl.Stats()
+	// Only cc-NVM's epochs have a length to report.
+	if e, ok := m.eng.(interface{ AvgEpochLength() float64 }); ok {
+		r.AvgEpochLen = e.AvgEpochLength()
 	}
 	_, r.MaxWear = m.dev.MaxWear()
 	if m.finiteSpares {

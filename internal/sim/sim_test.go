@@ -42,14 +42,15 @@ func TestDesignLabels(t *testing.T) {
 
 // TestEndToEndShadowCheck is the whole-stack functional test: every
 // value the core stores must read back identically through L1, L2,
-// encryption, authentication and NVM — for every design.
+// encryption, authentication and NVM — for every registered design,
+// whose metadata-cache and controller counters must reach the Result.
 func TestEndToEndShadowCheck(t *testing.T) {
 	p, err := trace.ProfileByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ops := trace.Collect(trace.MustGenerator(p, 42), 40000)
-	for _, d := range Designs() {
+	for _, d := range AllDesigns() {
 		t.Run(d, func(t *testing.T) {
 			m, err := New(Config{Design: d, CheckReads: true})
 			if err != nil {
@@ -64,6 +65,9 @@ func TestEndToEndShadowCheck(t *testing.T) {
 			}
 			if r.IPC <= 0 || r.IPC > 1 {
 				t.Fatalf("implausible IPC %v", r.IPC)
+			}
+			if r.Meta.Hits+r.Meta.Misses == 0 || r.Ctrl.Writes == 0 {
+				t.Fatalf("stats not reported: meta %+v, controller writes %d", r.Meta, r.Ctrl.Writes)
 			}
 		})
 	}

@@ -4,7 +4,7 @@
 // CLIs — reaches a security engine. It assembles the layered machine
 // (layout, NVM device, memory controller, security engine) exactly the
 // way the simulator always wired it, and exposes a concurrency-safe
-// Open/Read/Write/DeleteRange/FlushEpoch/Snapshot/Close lifecycle over
+// Open/Read/Write/ReclaimRange/FlushEpoch/Snapshot/Close lifecycle over
 // the secure NVM address space:
 //
 //   - Writes go through the engine's write-back path, so they are
@@ -280,23 +280,6 @@ func (s *Store) Write(a mem.Addr, l mem.Line) error {
 	return s.writeLocked(a, l)
 }
 
-// WriteBatch writes addrs[i] <- lines[i] in order under one lock
-// acquisition. On the first error the batch stops; earlier writes
-// stand (they are ordinary accepted writes).
-func (s *Store) WriteBatch(addrs []mem.Addr, lines []mem.Line) error {
-	if len(addrs) != len(lines) {
-		return fmt.Errorf("store: WriteBatch length mismatch (%d addrs, %d lines)", len(addrs), len(lines))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, a := range addrs {
-		if err := s.writeLocked(a, lines[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (s *Store) writeLocked(a mem.Addr, l mem.Line) error {
 	if s.closed {
 		return ErrClosed
@@ -325,23 +308,15 @@ func (s *Store) writeLocked(a mem.Addr, l mem.Line) error {
 	return nil
 }
 
-// DeleteRange returns every written line in [lo, hi) to the zero state
-// by writing zero lines through the engine (the secure address space
-// has no "unwrite"; zero is the default content of an untouched line).
-// Used by namespace owners to trim retired log regions.
-func (s *Store) DeleteRange(lo, hi mem.Addr) error {
-	_, err := s.ReclaimRange(lo, hi)
-	return err
-}
-
-// ReclaimRange is the page-reclaim hook: like DeleteRange it zeroes
-// every written non-zero line in [lo, hi), but it reports how many
-// lines it returned to the zero state, and it walks the range in
-// ascending address order so a reclaim is deterministic — crash-sweep
-// harnesses arm a power failure at the n-th accepted write and need the
-// n-th write to be the same line on every run. On error the count
-// covers the lines already reclaimed; the zero writes that were
-// accepted stand.
+// ReclaimRange is the page-reclaim hook: it returns every written
+// non-zero line in [lo, hi) to the zero state by writing zero lines
+// through the engine (the secure address space has no "unwrite"; zero
+// is the default content of an untouched line) and reports how many it
+// reclaimed. It walks the range in ascending address order so a
+// reclaim is deterministic — crash-sweep harnesses arm a power failure
+// at the n-th accepted write and need the n-th write to be the same
+// line on every run. On error the count covers the lines already
+// reclaimed; the zero writes that were accepted stand.
 func (s *Store) ReclaimRange(lo, hi mem.Addr) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -437,13 +412,6 @@ func (s *Store) ArmCrash(n int) {
 	s.armed = true
 	s.armWrites = n
 	s.seenWrites = 0
-}
-
-// Crashed reports whether an armed crash point has struck.
-func (s *Store) Crashed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.crashed
 }
 
 // Health reports the controller's media-health state.
