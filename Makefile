@@ -28,7 +28,7 @@ cross:
 # the parallel evaluation matrix, the simulator it drives, the torture
 # harness's parallel cell runner, the recovery package it re-enters (and
 # whose counter walk splits across goroutines), the two packages that
-# serve concurrent clients — the KV server, whose Open scans in two
+# serve concurrent clients — the KV server, whose Open scans in three
 # stages, and the store facade below it (-short trims only the 20 000-put
 # snapshot-leak drill, which the detector slows tenfold) — and mem, whose
 # checksum seals every record the others persist.
@@ -92,18 +92,23 @@ lint-designs:
 	fi; \
 	echo "lint-designs: ok"
 
-# lint-layering enforces two boundaries. internal/memctrl is behind the
+# lint-layering enforces three boundaries. internal/memctrl is behind the
 # storage-engine facade: importable only by the facade itself and the
 # engine-core packages that assemble a controller; everything else —
 # simulator, KV layer, experiments, commands — must go through
-# internal/store. And the design registry is the only way to a design:
+# internal/store. The design registry is the only way to a design:
 # non-test code outside internal/core and internal/design never imports
 # internal/core, so no caller can reach for a concrete cc-NVM engine.
+# And keys and crypto engines stay below the store: non-test code in
+# internal/kv never imports internal/seccrypto, so the KV layer opens
+# lines only through the store's Opener.
 lint-layering:
 	@bad=$$(grep -rl '"ccnvm/internal/memctrl"' --include='*.go' . \
 		| grep -v -E '^\./internal/(memctrl|store|engine|core|design|porder)/'); \
 	core=$$(grep -rl '"ccnvm/internal/core"' --include='*.go' . \
 		| grep -v '_test\.go' | grep -v -E '^\./internal/(core|design)/'); \
+	cry=$$(grep -rl '"ccnvm/internal/seccrypto"' --include='*.go' ./internal/kv \
+		| grep -v '_test\.go'); \
 	if [ -n "$$bad" ]; then \
 		echo "lint-layering: internal/memctrl is behind the internal/store facade; import that instead:"; \
 		echo "$$bad" | sed 's/^/  /'; \
@@ -112,7 +117,11 @@ lint-layering:
 		echo "lint-layering: internal/core is reached through the internal/design registry; import that instead:"; \
 		echo "$$core" | sed 's/^/  /'; \
 	fi; \
-	if [ -n "$$bad$$core" ]; then exit 1; fi; \
+	if [ -n "$$cry" ]; then \
+		echo "lint-layering: internal/kv opens lines through the internal/store Opener, not internal/seccrypto:"; \
+		echo "$$cry" | sed 's/^/  /'; \
+	fi; \
+	if [ -n "$$bad$$core$$cry" ]; then exit 1; fi; \
 	echo "lint-layering: ok"
 
 # torture runs the full differential crash/attack matrix via the CLI;
@@ -224,11 +233,15 @@ profile:
 # kv_get shape; its 100k-key preload is in the profile too, so read it
 # with `go tool pprof -focus serveConn`. BenchmarkReopen is the restart
 # path recover_ms times (LoadImage -> Reboot -> kv.Open of a kv_put-shaped
-# image); one iteration is a whole restart, so it runs 10 of them, and
-# building the image is in the profile, so read it with -focus reopenOnce:
+# image); one iteration is a whole restart, so it runs 10 of them.
+# Building the image is in the profile too, so each restart carries the
+# pprof label restart=reopen, which the goroutines it starts (the
+# recovery walk's parts, the scan's verify and index stages) inherit;
+# -focus on a function would drop them:
 #
 #	make profile-kv KV_BENCH=ServerGet
 #	make profile-kv KV_BENCH=Reopen
+#	go tool pprof -top -tagfocus restart=reopen kv.test cpu-kv.out
 KV_BENCH ?= ServerBatchPut
 ifeq ($(KV_BENCH),Reopen)
 KV_BENCHTIME = 10x

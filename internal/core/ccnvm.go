@@ -176,15 +176,22 @@ func (c *CCNVM) AvgEpochLength() float64 {
 	return float64(c.epochLenSum) / float64(c.StatsRef().Drains)
 }
 
-// ReadBlock implements engine.Engine: the shared verified read path; a
-// fetch that displaces dirty metadata fires draining trigger 2.
-func (c *CCNVM) ReadBlock(now int64, addr mem.Addr) (mem.Line, int64) {
-	pt, done := c.Base.ReadBlock(now, addr)
+// FetchBlock implements engine.Engine: the shared fetch path; a fetch
+// that displaces dirty metadata fires draining trigger 2.
+func (c *CCNVM) FetchBlock(now int64, addr mem.Addr, f *engine.Fetched) int64 {
+	done := c.Base.FetchBlock(now, addr, f)
 	c.absorbEvicts()
 	if c.stashN > 0 {
 		c.drain(now, DrainEvict)
 	}
-	return pt, done
+	return done
+}
+
+// ReadBlock implements engine.Engine.
+func (c *CCNVM) ReadBlock(now int64, addr mem.Addr) (mem.Line, int64) {
+	var f engine.Fetched
+	done := c.FetchBlock(now, addr, &f)
+	return c.Open(&f), done
 }
 
 // WriteBack implements engine.Engine: the cc-NVM fast path. The

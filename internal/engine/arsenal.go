@@ -163,26 +163,30 @@ func getU64(b []byte) uint64 {
 	return v
 }
 
-// ReadBlock implements Engine: packed blocks need a single NVM read
+// FetchBlock implements Engine: packed blocks need a single NVM read
 // (counter and HMAC are inline); raw blocks follow the conventional
 // path.
-func (a *Arsenal) ReadBlock(now int64, addr mem.Addr) (mem.Line, int64) {
+func (a *Arsenal) FetchBlock(now int64, addr mem.Addr, f *Fetched) int64 {
 	addr = mem.Align(addr)
 	if a.tags[addr] != TagPacked {
-		pt, done := a.Base.ReadBlock(now, addr)
+		done := a.Base.FetchBlock(now, addr, f)
 		a.dropEvicts()
-		return pt, done
+		return done
 	}
 	a.StatsRef().Reads++
 	line, _, tData := a.Ctrl.Read(now, addr)
-	pt, _, ok := UnpackArsenalLine(a.Cry, addr, line)
-	if !ok {
-		a.StatsRef().IntegrityViolations++
-	}
+	*f = Fetched{Addr: addr, Line: line, Packed: true}
 	tOTP := a.AESOp(tData)
 	done := a.HMACOp(tOTP, 1) + CompressLatency
 	a.dropEvicts()
-	return pt, done
+	return done
+}
+
+// ReadBlock implements Engine.
+func (a *Arsenal) ReadBlock(now int64, addr mem.Addr) (mem.Line, int64) {
+	var f Fetched
+	done := a.FetchBlock(now, addr, &f)
+	return a.Open(&f), done
 }
 
 // WriteBack implements Engine.

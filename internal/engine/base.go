@@ -418,41 +418,40 @@ func (b *Base) CounterLine(now int64, ca mem.Addr) (seccrypto.CounterLine, int64
 	return seccrypto.DecodeCounterLine(l), t
 }
 
-// ReadBlock is the shared read path: fetch ciphertext and data HMAC from
-// NVM, obtain the counter, overlap pad generation with the data read,
-// decrypt and authenticate. Designs reuse it directly; Osiris wraps it
-// with online counter recovery.
-func (b *Base) ReadBlock(now int64, addr mem.Addr) (mem.Line, int64) {
-	pt, done, _ := b.readBlockChecked(now, addr)
-	return pt, done
-}
-
-// readBlockChecked is ReadBlock plus an authentication verdict, letting
-// Osiris distinguish "stale counter" from "attack".
-func (b *Base) readBlockChecked(now int64, addr mem.Addr) (mem.Line, int64, bool) {
+// FetchBlock is the shared fetch half of the read path: read the
+// ciphertext and the data-HMAC line from NVM, obtain the counter, and
+// charge the pad generation overlapped with the data read plus the
+// authenticating HMAC. Designs call it from their own FetchBlock, which
+// adds the design's read-side hooks.
+func (b *Base) FetchBlock(now int64, addr mem.Addr, f *Fetched) int64 {
 	addr = mem.Align(addr)
 	b.stats.Reads++
 	ct, _, tData := b.Ctrl.Read(now, addr)
 	hline, hslot, tH := b.ReadHMACLine(now, addr)
-	ca := b.Lay.CounterLineOf(addr)
-	cl, tCtr := b.counterFn(now, ca)
-	slot := b.Lay.CounterSlotOf(addr)
-	ctr := cl.Counter(slot)
-
-	stored := seccrypto.GetHMAC(hline, hslot)
-	okAuth := b.Cry.DataHMAC(addr, ctr, ct) == stored
-
+	cl, tCtr := b.counterFn(now, b.Lay.CounterLineOf(addr))
+	f.Addr, f.Line, f.Packed = addr, ct, false
+	f.Ctr, f.MAC = cl.Counter(b.Lay.CounterSlotOf(addr)), seccrypto.GetHMAC(hline, hslot)
 	tOTP := b.AESOp(tCtr)
 	tVer := b.HMACOp(max(max(tData, tCtr), tH), 1)
-	done := max(max(tData, tOTP), tVer)
-	pt := b.Cry.Decrypt(addr, ctr, ct)
-	if !okAuth {
-		b.stats.IntegrityViolations++
-		if b.OnViolation != nil {
-			b.OnViolation("data-hmac", addr, -1)
-		}
+	return max(max(tData, tOTP), tVer)
+}
+
+// Open finishes a read with the engine's own crypto engine: every
+// design's ReadBlock is its FetchBlock followed by Open.
+func (b *Base) Open(f *Fetched) mem.Line {
+	pt, ok := f.Open(b.Cry)
+	if !ok {
+		b.Violation(f.Addr)
 	}
-	return pt, done, okAuth
+	return pt
+}
+
+// Violation counts a failed data authentication at a.
+func (b *Base) Violation(a mem.Addr) {
+	b.stats.IntegrityViolations++
+	if b.OnViolation != nil {
+		b.OnViolation("data-hmac", a, -1)
+	}
 }
 
 // WriteDataBlock encrypts pt under ctr, computes its data HMAC and

@@ -33,10 +33,26 @@ type Engine interface {
 	// agree.
 	Name() string
 
-	// ReadBlock fetches, decrypts and authenticates the data block at
-	// addr. It returns the plaintext and the cycle at which the verified
-	// value is available to the core.
+	// FetchBlock is the stateful half of the verified read of the data
+	// block at addr: the controller reads, the counter and data-HMAC
+	// line fetch through the metadata cache (verifying fetched tree
+	// lines), the timing charges, the statistics and the design's
+	// read-side hooks. It fills f with what Fetched.Open needs (an out
+	// parameter: the read path would otherwise copy f at every return)
+	// and returns the cycle at which the verified value is available to
+	// the core.
+	FetchBlock(now int64, addr mem.Addr, f *Fetched) int64
+
+	// ReadBlock is the verified read: FetchBlock, then Fetched.Open with
+	// the engine's own crypto engine, counting a failed open as an
+	// integrity violation. It returns the plaintext and FetchBlock's
+	// cycle.
 	ReadBlock(now int64, addr mem.Addr) (mem.Line, int64)
+
+	// Violation counts a block FetchBlock returned whose Open failed
+	// as a runtime integrity violation; callers that open off the
+	// engine report through it.
+	Violation(a mem.Addr)
 
 	// WriteBack accepts a dirty LLC eviction. The returned cycle is when
 	// the victim entered the engine's writeback buffer — the earliest
@@ -61,6 +77,30 @@ type Engine interface {
 
 	// MetaStats returns the metadata cache's counters.
 	MetaStats() cache.Stats
+}
+
+// Fetched is one data block as FetchBlock left it: the line read from
+// NVM and, for the conventional layout, the block's counter and stored
+// data HMAC. It carries nothing of the engine's state, so Open may run
+// on any goroutine with any crypto engine built from the same keys.
+type Fetched struct {
+	Addr   mem.Addr
+	Line   mem.Line       // ciphertext, or an Arsenal packed line
+	Ctr    uint64         // the block's counter (conventional layout)
+	MAC    seccrypto.HMAC // the stored data HMAC (conventional layout)
+	Packed bool           // Line carries its counter and HMAC inline
+}
+
+// Open is the pure half of the verified read: the data-HMAC compare and
+// the decrypt. ok is false when the block fails authentication; a
+// conventional block still yields its decryption, a packed one zero.
+func (f *Fetched) Open(cry *seccrypto.Engine) (pt mem.Line, ok bool) {
+	if f.Packed {
+		pt, _, ok = UnpackArsenalLine(cry, f.Addr, f.Line)
+		return pt, ok
+	}
+	ok = cry.DataHMAC(f.Addr, f.Ctr, f.Line) == f.MAC
+	return cry.Decrypt(f.Addr, f.Ctr, f.Line), ok
 }
 
 // TCB holds the secure processor's persistent registers: the two Merkle

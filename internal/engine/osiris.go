@@ -135,12 +135,19 @@ func (o *Osiris) persistCounter(now int64, ca mem.Addr, cl seccrypto.CounterLine
 	return t
 }
 
-// ReadBlock implements Engine via the shared path with the
+// FetchBlock implements Engine via the shared path with the
 // online-recovery counter source.
-func (o *Osiris) ReadBlock(now int64, addr mem.Addr) (mem.Line, int64) {
-	pt, done := o.Base.ReadBlock(now, addr)
+func (o *Osiris) FetchBlock(now int64, addr mem.Addr, f *Fetched) int64 {
+	done := o.Base.FetchBlock(now, addr, f)
 	o.dropEvicts()
-	return pt, done
+	return done
+}
+
+// ReadBlock implements Engine.
+func (o *Osiris) ReadBlock(now int64, addr mem.Addr) (mem.Line, int64) {
+	var f Fetched
+	done := o.FetchBlock(now, addr, &f)
+	return o.Open(&f), done
 }
 
 // WriteBack implements Engine.

@@ -34,11 +34,18 @@ func NewSC(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, metaC
 // Name implements Engine.
 func (s *SC) Name() string { return names.SC }
 
-// ReadBlock implements Engine via the shared path.
-func (s *SC) ReadBlock(now int64, addr mem.Addr) (mem.Line, int64) {
-	pt, done := s.Base.ReadBlock(now, addr)
+// FetchBlock implements Engine via the shared path.
+func (s *SC) FetchBlock(now int64, addr mem.Addr, f *Fetched) int64 {
+	done := s.Base.FetchBlock(now, addr, f)
 	s.handleEvicts(now)
-	return pt, done
+	return done
+}
+
+// ReadBlock implements Engine.
+func (s *SC) ReadBlock(now int64, addr mem.Addr) (mem.Line, int64) {
+	var f Fetched
+	done := s.FetchBlock(now, addr, &f)
+	return s.Open(&f), done
 }
 
 // WriteBack implements Engine: full path recomputation, then all

@@ -35,12 +35,19 @@ func NewWoCC(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, met
 // Name implements Engine.
 func (w *WoCC) Name() string { return names.WoCC }
 
-// ReadBlock implements Engine via the shared path, then settles any
+// FetchBlock implements Engine via the shared path, then settles any
 // dirty metadata the fetch displaced.
-func (w *WoCC) ReadBlock(now int64, addr mem.Addr) (mem.Line, int64) {
-	pt, done := w.Base.ReadBlock(now, addr)
+func (w *WoCC) FetchBlock(now int64, addr mem.Addr, f *Fetched) int64 {
+	done := w.Base.FetchBlock(now, addr, f)
 	w.handleEvicts(now)
-	return pt, done
+	return done
+}
+
+// ReadBlock implements Engine.
+func (w *WoCC) ReadBlock(now int64, addr mem.Addr) (mem.Line, int64) {
+	var f Fetched
+	done := w.FetchBlock(now, addr, &f)
+	return w.Open(&f), done
 }
 
 // WriteBack implements Engine: bump the counter in the cache, write the

@@ -3,6 +3,7 @@ package kv
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -122,11 +123,9 @@ type DB struct {
 // never-written zero lines) is invisible, which is the crash-atomicity
 // guarantee.
 func Open(st *store.Store, o Options) (*DB, error) {
-	capacity := st.Capacity()
-	hb := (capacity - min(capacity, uint64(arenaStart))) / 2
-	hb -= hb % mem.LineSize
+	hb := arenaHalf(st.Capacity())
 	if hb < 4*mem.LineSize {
-		return nil, fmt.Errorf("kv: capacity %d too small for a two-half log arena", capacity)
+		return nil, fmt.Errorf("kv: capacity %d too small for a two-half log arena", st.Capacity())
 	}
 	wo := o.WriteController
 	if wo.SlowdownFrac == 0 {
@@ -178,6 +177,13 @@ func Open(st *store.Store, o Options) (*DB, error) {
 	return db, nil
 }
 
+// arenaHalf is the line-aligned size of each arena half of a store of
+// the given capacity.
+func arenaHalf(capacity uint64) uint64 {
+	hb := (capacity - min(capacity, uint64(arenaStart))) / 2
+	return hb - hb%mem.LineSize
+}
+
 // halfStart is the first line of arena half h.
 func (db *DB) halfStart(h int) mem.Addr {
 	return arenaStart + mem.Addr(h)*mem.Addr(db.halfBytes)
@@ -188,76 +194,111 @@ func (db *DB) usedLocked() uint64 {
 	return uint64(db.head - db.halfStart(db.active))
 }
 
-// scanDepth bounds the sealed frames the scan's read stage may run
-// ahead of its index stage: deep enough that the reader keeps reading
-// through the index stage's pauses (a keymap resize rehashes every key
-// at once), small enough that the queued payloads stay near 1 MiB at
-// the compactor's 16 KiB frames.
-const scanDepth = 64
+// The scan's pipeline shape. Frames move between stages in chunks of
+// whole frames, at most scanChunk log lines (header and payload lines)
+// unless one frame is longer, and each stage may run up to scanDepth
+// chunks ahead of the next: deep enough that the read stage keeps
+// reading through the index stage's pauses (a keymap resize rehashes
+// every key at once), small enough that the queued lines stay near
+// 1 MiB. The first chunk holds a sixteenth of scanChunk and each next
+// one twice its predecessor, so a short log neither allocates nor waits
+// for a full chunk.
+const (
+	scanChunk = 512
+	scanDepth = 4
+)
 
-// sealedFrame is one frame whose header and payload checksums passed,
-// handed from the scan's read stage to its index stage.
-type sealedFrame struct {
-	seq     uint64
-	addr    mem.Addr // header line
-	count   int
-	payload []byte
+// scanShape is the chunk size and queue depth scan runs with. It is a
+// variable only so the pipeline identity test can force both to 1.
+var scanShape = struct{ chunk, depth int }{scanChunk, scanDepth}
+
+// scanFrame is one frame whose header is valid and whose payload lines
+// the read stage fetched.
+type scanFrame struct {
+	seq   uint64
+	addr  mem.Addr // header line
+	count int
+	n     int    // payload bytes
+	ck    uint64 // payload checksum the header carries
+	line  int    // first payload line in the chunk's lines
+	off   int    // first payload byte in the chunk's payload
+}
+
+// scanBatch is a chunk of consecutive frames in log order.
+type scanBatch struct {
+	frames  []scanFrame
+	lines   []store.Fetched // read stage: every frame's payload lines
+	payload []byte          // verify stage: every frame's opened payload
+	sealed  int             // verify stage: frames[:sealed] passed their checksum
+	err     error           // read stage: the error that ended the log after frames
 }
 
 // scan replays the active half's committed frame prefix into the index
-// in two stages. The calling goroutine reads: header, parseHeader,
-// payload, checksum, in log order, stopping at the first line that is
-// not a valid next frame. A second goroutine decodes each sealed frame
-// and applies it to the index, also in log order, so the verified
-// engine reads of frame k+1 overlap the keymap work of frame k. The
-// first error in log order wins: a malformed frame beats a read error
-// on any later frame the read stage had already moved on to.
+// through a three-stage pipeline, every stage in log order:
+//
+//  1. read (the calling goroutine): a verified Store.Read of each frame
+//     header, whose plaintext locates the next frame, then a
+//     Store.Fetch of the payload lines — the stateful engine work, under
+//     the store's lock;
+//  2. verify: open the payload lines with an Opener of its own (a failed
+//     HMAC counts as the engine's integrity violation, as in Read) and
+//     check the payload checksum;
+//  3. index: decode each sealed frame and apply it to the keymap.
+//
+// The read stage walks the header chain to its end whatever the later
+// stages find, so the engine work, and with it the store's clock and
+// statistics, does not depend on how the stages interleave. The first
+// event in log order decides: a frame failing its checksum ends the log
+// there, a malformed sealed frame is refused by seq and address, and a
+// read error counts only if no earlier frame ended the log.
 func (db *DB) scan() error {
-	frames := make(chan sealedFrame, scanDepth)
-	stop := make(chan struct{}) // closed by the index stage on a malformed frame
-	var indexErr error
-	indexed := make(chan struct{})
-	go func() {
-		defer close(indexed)
-		for f := range frames {
-			// Both checksums passed, so the writer sealed these bytes: a
-			// record that does not decode is corruption, not the log's
-			// end, and stopping here would let the next Batch overwrite
-			// every committed frame after it.
-			recs, err := decodePayload(f.payload, f.count)
-			if err != nil {
-				indexErr = fmt.Errorf("kv: log frame seq %d at %#x is malformed: %w", f.seq, uint64(f.addr), err)
-				close(stop)
-				return
-			}
-			db.apply(f.addr+mem.LineSize, f.payload, recs)
+	shape := scanShape
+	// The pool recycles chunk buffers: it can take every chunk alive at
+	// once, up to depth in each queue plus one held by each stage.
+	pool := make(chan *scanBatch, 2*shape.depth+3)
+	get := func(lines int) *scanBatch {
+		var b *scanBatch
+		select {
+		case b = <-pool:
+		default:
+			b = &scanBatch{}
 		}
-	}()
-	seq, addr, readErr := db.readFrames(frames, stop)
-	close(frames)
-	<-indexed
-	if indexErr != nil {
-		return indexErr
+		b.lines = slices.Grow(b.lines, lines)
+		return b
 	}
-	if readErr != nil {
-		return readErr
+	put := func(b *scanBatch) {
+		b.frames, b.lines, b.payload, b.sealed, b.err = b.frames[:0], b.lines[:0], b.payload[:0], 0, nil
+		select {
+		case pool <- b:
+		default:
+		}
 	}
-	db.seq, db.head = seq, addr
-	return nil
+	read := make(chan *scanBatch, shape.depth)
+	sealed := make(chan *scanBatch, shape.depth)
+	go db.verifyFrames(read, sealed, put)
+
+	indexed := make(chan error)
+	go func() { indexed <- db.indexFrames(sealed, put) }()
+	db.readFrames(read, get, shape.chunk)
+	return <-indexed
 }
 
-// readFrames is scan's read stage: it sends every sealed frame of the
-// active half's committed prefix to frames until the prefix ends or
-// stop closes, and returns the last frame's seq and the address after
-// it.
-func (db *DB) readFrames(frames chan<- sealedFrame, stop <-chan struct{}) (uint64, mem.Addr, error) {
+// readFrames is scan's read stage: it sends the active half's header
+// chain, from its first frame to the first line that is not a valid
+// next frame header, in chunks of up to chunk lines, then closes out. A
+// read error ends the chain; it rides on the last chunk.
+func (db *DB) readFrames(out chan<- *scanBatch, get func(lines int) *scanBatch, chunk int) {
+	defer close(out)
 	start := db.halfStart(db.active)
 	end := start + mem.Addr(db.halfBytes)
 	last, addr := db.seq, start
+	size := max(1, chunk/16)
+	b := get(size)
 	for addr+mem.LineSize <= end {
 		hl, err := db.st.Read(addr)
 		if err != nil {
-			return last, addr, fmt.Errorf("kv: log scan read %#x: %w", uint64(addr), err)
+			b.err = fmt.Errorf("kv: log scan read %#x: %w", uint64(addr), err)
+			break
 		}
 		seq, count, payloadBytes, payloadCk, err := parseHeader(hl)
 		if err != nil || seq != last+1 {
@@ -267,22 +308,93 @@ func (db *DB) readFrames(frames chan<- sealedFrame, stop <-chan struct{}) (uint6
 		if addr+need > end {
 			break
 		}
-		payload, err := db.readBytes(valRef{payload: addr + mem.LineSize, n: payloadBytes})
-		if err != nil {
-			return last, addr, fmt.Errorf("kv: log scan payload at %#x: %w", uint64(addr+mem.LineSize), err)
+		if len(b.frames) > 0 && len(b.frames)+len(b.lines)+frameLines(payloadBytes) > size {
+			out <- b
+			size = min(2*size, chunk)
+			b = get(size)
 		}
-		if mem.Checksum(payload) != payloadCk {
+		first := len(b.lines)
+		if b.lines, err = db.st.Fetch(b.lines, addr+mem.LineSize, payloadLines(payloadBytes)); err != nil {
+			b.lines = b.lines[:first]
+			b.err = fmt.Errorf("kv: log scan payload at %#x: %w", uint64(addr+mem.LineSize), err)
 			break
 		}
-		select {
-		case frames <- sealedFrame{seq: seq, addr: addr, count: count, payload: payload}:
-		case <-stop:
-			return last, addr, nil
-		}
+		b.frames = append(b.frames, scanFrame{seq: seq, addr: addr, count: count, n: payloadBytes, ck: payloadCk, line: first})
 		last = seq
 		addr += need
 	}
-	return last, addr, nil
+	out <- b
+}
+
+// verifyFrames is scan's verify stage: it opens each frame's payload
+// lines and checks the payload checksum, marking the sealed prefix of
+// every chunk. Chunks after the first failed checksum are dropped
+// unopened: the log ended before them.
+func (db *DB) verifyFrames(in <-chan *scanBatch, out chan<- *scanBatch, put func(*scanBatch)) {
+	defer close(out)
+	op := db.st.NewOpener()
+	ended := false
+	for b := range in {
+		if ended {
+			put(b)
+			continue
+		}
+		b.payload = slices.Grow(b.payload, len(b.lines)*mem.LineSize)
+		for i := range b.frames {
+			f := &b.frames[i]
+			f.off = len(b.payload)
+			for j := range payloadLines(f.n) {
+				pt, _ := op.Open(&b.lines[f.line+j])
+				b.payload = append(b.payload, pt[:min(mem.LineSize, f.n-j*mem.LineSize)]...)
+			}
+			if mem.Checksum(b.payload[f.off:]) != f.ck {
+				ended = true
+				break
+			}
+			b.sealed = i + 1
+		}
+		out <- b
+	}
+}
+
+// indexFrames is scan's index stage: it decodes every sealed frame and
+// applies it to the index in log order, and on reaching the log's end
+// sets the log head and seq. Chunks after the end are drained unread.
+func (db *DB) indexFrames(in <-chan *scanBatch, put func(*scanBatch)) error {
+	head, seq := db.halfStart(db.active), db.seq
+	var recs []record
+	var err error
+	done := false
+	for b := range in {
+		for i := 0; !done && i < b.sealed; i++ {
+			f := &b.frames[i]
+			payload := b.payload[f.off : f.off+f.n]
+			// Both checksums passed, so the writer sealed these bytes: a
+			// record that does not decode is corruption, not the log's
+			// end, and stopping here would let the next Batch overwrite
+			// every committed frame after it.
+			var derr error
+			if recs, derr = decodePayload(recs, payload, f.count); derr != nil {
+				err = fmt.Errorf("kv: log frame seq %d at %#x is malformed: %w", f.seq, uint64(f.addr), derr)
+				done = true
+				break
+			}
+			db.apply(f.addr+mem.LineSize, payload, recs)
+			head, seq = f.addr+mem.Addr(frameLines(f.n))*mem.LineSize, f.seq
+		}
+		switch {
+		case done:
+		case b.sealed < len(b.frames): // a failed checksum ends the log
+			done = true
+		case b.err != nil:
+			err, done = b.err, true
+		}
+		put(b)
+	}
+	if err == nil {
+		db.seq, db.head = seq, head
+	}
+	return err
 }
 
 // repairAndReclaim finishes an interrupted compaction pass at reopen:

@@ -2,10 +2,12 @@ package kv_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"sync"
 	"testing"
 	"time"
@@ -375,8 +377,11 @@ var reopenImage struct {
 // took 40 000 batches of 4 fresh-key 64 B puts and then lost power. One
 // iteration is one LoadImage -> store.Reboot -> kv.Open of that image,
 // and each stage's mean is reported as load_ms, reboot_ms and open_ms;
-// `make profile-kv KV_BENCH=Reopen` profiles it (read the profile with
-// -focus reopenOnce: building the image is in it too).
+// `make profile-kv KV_BENCH=Reopen` profiles it. Building the image is
+// in the profile too, so each restart runs under the pprof label
+// restart=reopen, which the goroutines it starts (the recovery walk's
+// parts, the scan's stages) inherit: read the restart alone with
+// `go tool pprof -tagfocus restart=reopen kv.test cpu-kv.out`.
 func BenchmarkReopen(b *testing.B) {
 	const batches, batchOps, valBytes = 40000, 4, 64
 	reopenImage.once.Do(func() {
@@ -406,7 +411,11 @@ func BenchmarkReopen(b *testing.B) {
 	b.ResetTimer()
 	var stages [3]time.Duration
 	for i := 0; i < b.N; i++ {
-		if keys := reopenOnce(b, path, &stages); keys != batches*batchOps {
+		var keys int
+		pprof.Do(context.Background(), pprof.Labels("restart", "reopen"), func(context.Context) {
+			keys = reopenOnce(b, path, &stages)
+		})
+		if keys != batches*batchOps {
 			b.Fatalf("reopened namespace has %d keys, want %d", keys, batches*batchOps)
 		}
 	}

@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"ccnvm/internal/mem"
 )
@@ -105,12 +106,12 @@ func encodePayload(ops []Op) ([]byte, []record, error) {
 	return buf, recs, nil
 }
 
-// decodePayload walks count records out of a checksummed payload. The
-// seal has no key, so count is only a claim: the capacity is bounded by
-// the records the payload can hold (each at least recHeadBytes plus a
-// one-byte key).
-func decodePayload(payload []byte, count int) ([]record, error) {
-	recs := make([]record, 0, min(count, len(payload)/(recHeadBytes+1)))
+// decodePayload walks count records out of a checksummed payload into
+// recs[:0], growing it as needed. The seal has no key, so count is only
+// a claim: the capacity is bounded by the records the payload can hold
+// (each at least recHeadBytes plus a one-byte key).
+func decodePayload(recs []record, payload []byte, count int) ([]record, error) {
+	recs = slices.Grow(recs[:0], min(count, len(payload)/(recHeadBytes+1)))
 	off := 0
 	for i := 0; i < count; i++ {
 		if off+recHeadBytes > len(payload) {

@@ -24,7 +24,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := decodePayload(payload, len(ops))
+	recs, err := decodePayload(nil, payload, len(ops))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +66,10 @@ func TestDecodeRejectsTruncatedPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodePayload(payload[:len(payload)-2], 1); err == nil {
+	if _, err := decodePayload(nil, payload[:len(payload)-2], 1); err == nil {
 		t.Fatal("truncated payload decoded")
 	}
-	if _, err := decodePayload(payload, 2); err == nil {
+	if _, err := decodePayload(nil, payload, 2); err == nil {
 		t.Fatal("over-count decoded")
 	}
 }
@@ -119,7 +119,7 @@ func FuzzLogFrame(f *testing.F) {
 		}
 		payload = payload[:n]
 		var recs []record
-		if grew := allocBytes(func() { recs, err = decodePayload(payload, count) }); grew > 8*uint64(mem.LineSize+n)+1<<10 {
+		if grew := allocBytes(func() { recs, err = decodePayload(nil, payload, count) }); grew > 8*uint64(mem.LineSize+n)+1<<10 {
 			t.Fatalf("decoding %d bytes claiming %d records allocated %d bytes", n, count, grew)
 		}
 		if err != nil {
@@ -216,11 +216,11 @@ func TestOpenRefusesMalformedSealedFrame(t *testing.T) {
 
 // TestOpenMalformedFrameWinsOverLaterFrames: the scan reads ahead of
 // the stage that decodes, so by the time a malformed sealed frame is
-// found the reader has moved past it — through more frames than its
-// queue holds. The malformed frame's seq must still be the error, and
-// no later frame may be indexed in its place.
+// found the reader has moved past it — through more two-line frames
+// than its queues hold. The malformed frame's seq must still be the
+// error, and no later frame may be indexed in its place.
 func TestOpenMalformedFrameWinsOverLaterFrames(t *testing.T) {
-	const frames, badSeq = 3 * scanDepth, 3
+	const frames, badSeq = 3 * scanDepth * scanChunk / 2, 3
 	st := compactStore(t, 1<<20)
 	db := compactDB(t, st)
 	for i := 0; i < frames; i++ {

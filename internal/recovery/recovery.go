@@ -743,14 +743,14 @@ type counterResult struct {
 
 // splitWalkMin is the data-walk length from which recoverCounters
 // splits its walk across GOMAXPROCS goroutines; shorter walks stay on
-// the calling goroutine. BenchmarkCounterWalk (whole clean cc-NVM
-// recoveries, 2-vCPU Intel Xeon with SHA-NI, medians of 3) puts the
-// crossover between 2 048 and 4 096 data lines: serial vs 2-way split
-// is 0.63 vs 0.85 ms at 2 048 lines (a part's fresh 1 MB crypto engine
-// and goroutine outweigh the HMACs it takes off the caller), 1.13 vs
-// 0.94 ms at 4 096 and 4.5 vs 3.7 ms at 16 384. The torture harness's
-// thousands of tiny recoveries therefore never pay for a split.
-const splitWalkMin = 4096
+// the calling goroutine. A part costs a goroutine and a crypto engine
+// of its own, which holds no memo tables and is under 1 KB.
+// BenchmarkCounterWalk (whole clean cc-NVM recoveries, 2-vCPU Intel
+// Xeon with SHA-NI, medians of 5 to 10) puts the crossover between 512
+// and 1 024 data lines: serial vs 2-way split is 0.29 vs 0.32 ms at
+// 512 lines, 0.55 vs 0.47 ms at 1 024, 1.00 vs 0.86 ms at 2 048 and
+// 1.97 vs 1.92 ms at 4 096.
+const splitWalkMin = 1024
 
 // recoverCounters walks every data block in the image, recovering its
 // counter by HMAC retries bounded by the image's update limit — or, for

@@ -254,8 +254,9 @@ func (s *Store) checkAddr(a mem.Addr) error {
 	return nil
 }
 
-// Read fetches, decrypts and authenticates the line at a. Never-written
-// lines read as zero.
+// Read fetches, decrypts and authenticates the line at a through the
+// engine's ReadBlock: FetchBlock, then the open on the engine's own
+// crypto engine. Never-written lines read as zero.
 func (s *Store) Read(a mem.Addr) (mem.Line, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -268,6 +269,60 @@ func (s *Store) Read(a mem.Addr) (mem.Line, error) {
 	pt, done := s.eng.ReadBlock(s.now, mem.Align(a))
 	s.now = done
 	return pt, nil
+}
+
+// Fetched is one line as Fetch left it: read, charged and counted under
+// the store's lock, but not yet authenticated or decrypted. Only an
+// Opener of the same store turns it into plaintext.
+type Fetched struct{ f engine.Fetched }
+
+// Fetch is the stateful half of Read for the n lines from a: the
+// engine's FetchBlock of each line in address order — the engine work
+// of n Reads up to the authentication and decryption — under one
+// acquisition of the lock, appending the fetched lines to dst. On error
+// the lines already fetched stay in the result.
+func (s *Store) Fetch(dst []Fetched, a mem.Addr, n int) ([]Fetched, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return dst, ErrClosed
+	}
+	a = mem.Align(a)
+	for i := 0; i < n; i, a = i+1, a+mem.LineSize {
+		if err := s.checkAddr(a); err != nil {
+			return dst, err
+		}
+		dst = append(dst, Fetched{})
+		s.now = s.eng.FetchBlock(s.now, a, &dst[len(dst)-1].f)
+	}
+	return dst, nil
+}
+
+// Opener is the pure half of Read, for use off the store's lock: it
+// authenticates and decrypts fetched lines with a crypto engine of its
+// own. An Opener is not safe for concurrent use; give each goroutine
+// its own.
+type Opener struct {
+	s   *Store
+	cry *seccrypto.Engine
+}
+
+// NewOpener returns an Opener over the store's keys.
+func (s *Store) NewOpener() *Opener {
+	return &Opener{s: s, cry: seccrypto.MustEngine(*s.opts.Keys)}
+}
+
+// Open authenticates and decrypts f, which this store fetched. A line
+// that fails authentication counts as an integrity violation of the
+// store's engine, as it would in Read, and ok is false.
+func (o *Opener) Open(f *Fetched) (pt mem.Line, ok bool) {
+	pt, ok = f.f.Open(o.cry)
+	if !ok {
+		o.s.mu.Lock()
+		o.s.eng.Violation(f.f.Addr)
+		o.s.mu.Unlock()
+	}
+	return pt, ok
 }
 
 // Write encrypts, authenticates and persists the line at a through the
