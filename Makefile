@@ -92,19 +92,24 @@ lint-designs:
 	fi; \
 	echo "lint-designs: ok"
 
-# lint-layering enforces three boundaries. internal/memctrl is behind the
+# lint-layering enforces four boundaries. internal/memctrl is behind the
 # storage-engine facade: importable only by the facade itself and the
 # engine-core packages that assemble a controller; everything else —
 # simulator, KV layer, experiments, commands — must go through
-# internal/store. The design registry is the only way to a design:
-# non-test code outside internal/core and internal/design never imports
-# internal/core, so no caller can reach for a concrete cc-NVM engine.
+# internal/store. internal/metacache is behind it too: the metadata
+# cache's geometry is the paper's, fixed where the store assembles an
+# engine, so nothing above the facade imports it. The design registry
+# is the only way to a design: non-test code outside internal/core and
+# internal/design never imports internal/core, so no caller can reach
+# for a concrete cc-NVM engine.
 # And keys and crypto engines stay below the store: non-test code in
 # internal/kv never imports internal/seccrypto, so the KV layer opens
 # lines only through the store's Opener.
 lint-layering:
 	@bad=$$(grep -rl '"ccnvm/internal/memctrl"' --include='*.go' . \
 		| grep -v -E '^\./internal/(memctrl|store|engine|core|design|porder)/'); \
+	meta=$$(grep -rl '"ccnvm/internal/metacache"' --include='*.go' . \
+		| grep -v -E '^\./internal/(metacache|engine|core|design|store)/'); \
 	core=$$(grep -rl '"ccnvm/internal/core"' --include='*.go' . \
 		| grep -v '_test\.go' | grep -v -E '^\./internal/(core|design)/'); \
 	cry=$$(grep -rl '"ccnvm/internal/seccrypto"' --include='*.go' ./internal/kv \
@@ -112,6 +117,10 @@ lint-layering:
 	if [ -n "$$bad" ]; then \
 		echo "lint-layering: internal/memctrl is behind the internal/store facade; import that instead:"; \
 		echo "$$bad" | sed 's/^/  /'; \
+	fi; \
+	if [ -n "$$meta" ]; then \
+		echo "lint-layering: internal/metacache is assembled by internal/store; nothing above the facade imports it:"; \
+		echo "$$meta" | sed 's/^/  /'; \
 	fi; \
 	if [ -n "$$core" ]; then \
 		echo "lint-layering: internal/core is reached through the internal/design registry; import that instead:"; \
@@ -121,7 +130,7 @@ lint-layering:
 		echo "lint-layering: internal/kv opens lines through the internal/store Opener, not internal/seccrypto:"; \
 		echo "$$cry" | sed 's/^/  /'; \
 	fi; \
-	if [ -n "$$bad$$core$$cry" ]; then exit 1; fi; \
+	if [ -n "$$bad$$meta$$core$$cry" ]; then exit 1; fi; \
 	echo "lint-layering: ok"
 
 # torture runs the full differential crash/attack matrix via the CLI;

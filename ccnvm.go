@@ -70,7 +70,7 @@ type (
 	Machine = sim.Machine
 	// Result is the outcome of a simulation run.
 	Result = sim.Result
-	// Params carries the security engine's latencies and limits (N, M).
+	// Params carries the security engine's limits N and M.
 	Params = engine.Params
 
 	// Addr is a physical line-aligned NVM address.

@@ -70,7 +70,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	ops := fs.Int("ops", 300000, "memory operations per trace")
-	warmup := fs.Int("warmup", 0, "warm-up operations excluded from statistics")
 	seed := fs.Int64("seed", 1, "workload seed")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "concurrent simulations")
 	benchList := fs.String("benchmarks", "", "comma-separated benchmark subset (default: all eight)")
@@ -91,7 +90,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 	}()
 
-	o := experiments.Options{Ops: *ops, Warmup: *warmup, Seed: *seed, Parallelism: *parallel}
+	o := experiments.Options{Ops: *ops, Seed: *seed, Parallelism: *parallel}
 	if *benchList != "" {
 		o.Benchmarks = strings.Split(*benchList, ",")
 	}

@@ -64,9 +64,19 @@ func TestJSONIsDatasetsOnly(t *testing.T) {
 func TestRemovedFlagsRejected(t *testing.T) {
 	for _, args := range [][]string{
 		{"-ledger", "x"}, {"-check", "."}, {"-kvconns", "1"}, {"-kvops", "1"}, {"-churn", "1"},
+		{"-warmup", "1"},
 	} {
 		if err := run(args, new(bytes.Buffer)); !errors.Is(err, errUsage) {
 			t.Errorf("run %v = %v, want a usage error", args, err)
 		}
+	}
+}
+
+// TestNegativeOpsRefused: a negative op count is an error, not a panic
+// in the trace generator.
+func TestNegativeOpsRefused(t *testing.T) {
+	err := run([]string{"-fig", "5a", "-ops", "-5", "-benchmarks", "gcc"}, new(bytes.Buffer))
+	if err == nil || errors.Is(err, errUsage) {
+		t.Fatalf("run -ops -5 = %v, want a run error", err)
 	}
 }

@@ -213,7 +213,7 @@ func (c *CCNVM) WriteBack(now int64, addr mem.Addr, pt mem.Line) int64 {
 	ca := c.Lay.CounterLineOf(addr)
 	leaf := c.Lay.CounterLineIndex(ca)
 	c.needed = c.Lay.PathFrom(append(c.needed[:0], ca), leaf)
-	t := accept + c.P.QueueLookupCycles
+	t := accept + engine.QueueLookupCycles
 	if c.queue.Missing(c.needed) > c.queue.Free() {
 		t = c.drain(t, DrainQueueFull)
 	}
@@ -358,7 +358,7 @@ func (c *CCNVM) drain(now int64, cause DrainCause) int64 {
 				continue
 			}
 			st.HMACOps += uint64(n)
-			t += c.P.HMACCycles + int64(n-1)*c.P.HMACIssueCycles
+			t += engine.HMACCycles + int64(n-1)*engine.HMACIssueCycles
 		}
 		// Fold the recomputed top level into ROOTnew.
 		for i := range top {

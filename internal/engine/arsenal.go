@@ -79,11 +79,11 @@ func (a *Arsenal) CompressionRatio() float64 {
 // data), so no recovery retries are ever charged.
 func (a *Arsenal) counterLine(now int64, ca mem.Addr) (seccrypto.CounterLine, int64) {
 	if _, ok := a.Meta.Read(ca); ok {
-		return a.truth(ca), now + a.P.MetaCycles
+		return a.truth(ca), now + MetaCycles
 	}
 	cl := a.truth(ca)
 	a.Meta.Fill(ca, cl.Encode())
-	return cl, now + a.P.MetaCycles
+	return cl, now + MetaCycles
 }
 
 // PackArsenalLine builds the packed NVM representation: encoding byte,
@@ -281,7 +281,7 @@ func (a *Arsenal) reencryptPagePacked(now int64, addr mem.Addr, old, cl seccrypt
 		}
 	}
 	// Bulk crypto charge: unpack+repack per present block.
-	t += a.P.AESCycles + int64(mem.BlocksPerPage)*a.P.HMACCycles/4
+	t += AESCycles + int64(mem.BlocksPerPage)*HMACCycles/4
 	// The region copy of the counter line must follow so raw blocks (and
 	// recovery) see the new major.
 	t = max(t, a.Ctrl.Write(t, a.Lay.CounterLineOf(addr), cl.Encode()))

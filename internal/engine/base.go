@@ -87,7 +87,7 @@ func (b *Base) InitBase(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Cont
 	b.Ctrl = ctrl
 	b.P = p
 	b.VerifyFetchedMeta = true
-	b.wbSlots = make([]int64, p.WritebackBuffer)
+	b.wbSlots = make([]int64, WritebackBuffer)
 	b.defLines = make([]defLineSlot, defLineSlots)
 	b.Meta = metacache.New(metaCfg, func(a mem.Addr, l mem.Line, dirty bool) {
 		if dirty {
@@ -184,14 +184,14 @@ func (b *Base) HMACOp(now int64, n int) int64 {
 		return now
 	}
 	b.stats.HMACOps += uint64(n)
-	return now + int64(n)*b.P.HMACCycles
+	return now + int64(n)*HMACCycles
 }
 
 // AESOp schedules one pad generation on the AES unit; like the HMAC
 // unit it is fully pipelined, so only latency is charged.
 func (b *Base) AESOp(now int64) int64 {
 	b.stats.AESOps++
-	return now + b.P.AESCycles
+	return now + AESCycles
 }
 
 // AcquireWBSlot obtains a writeback-buffer slot, blocking (in simulated
@@ -337,7 +337,7 @@ func (b *Base) FetchChain(now int64, level int, idx uint64) (mem.Line, int64) {
 	reqAddr := b.metaNodeAddr(level, idx)
 	if ln, ok := b.onChip(reqAddr); ok {
 		b.Meta.Fill(reqAddr, ln)
-		return ln, now + b.P.MetaCycles
+		return ln, now + MetaCycles
 	}
 	chain := append(b.chain[:0], chainLink{level, idx, reqAddr, mem.Line{}})
 	var anchor *mem.Line
@@ -359,7 +359,7 @@ func (b *Base) FetchChain(now int64, level int, idx uint64) (mem.Line, int64) {
 	}
 	b.chain = chain
 	// Parallel NVM reads after the meta-cache miss is known.
-	issue := now + b.P.MetaCycles
+	issue := now + MetaCycles
 	maxT := issue
 	for k := range chain {
 		ln, ok, t := b.Ctrl.ReadBypass(issue, chain[k].addr)
@@ -412,7 +412,7 @@ func (b *Base) FetchChain(now int64, level int, idx uint64) (mem.Line, int64) {
 // verification) on a miss.
 func (b *Base) CounterLine(now int64, ca mem.Addr) (seccrypto.CounterLine, int64) {
 	if l, ok := b.Meta.Read(ca); ok {
-		return seccrypto.DecodeCounterLine(l), now + b.P.MetaCycles
+		return seccrypto.DecodeCounterLine(l), now + MetaCycles
 	}
 	l, t := b.FetchChain(now, 0, b.Lay.CounterLineIndex(ca))
 	return seccrypto.DecodeCounterLine(l), t
@@ -538,7 +538,7 @@ func (b *Base) ReencryptPage(now int64, addr mem.Addr, old, new seccrypto.Counte
 	// and one HMAC per block; the pads pipeline but the page rewrite is
 	// one serial pass, so charge the AES latency once plus the HMACs.
 	b.stats.AESOps += uint64(2 * mem.BlocksPerPage)
-	t += b.P.AESCycles
+	t += AESCycles
 	t = b.HMACOp(t, mem.BlocksPerPage)
 	for k := range hmacLines {
 		tw := b.Ctrl.Write(t, firstHA+mem.Addr(k*mem.LineSize), hmacLines[k])

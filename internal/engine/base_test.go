@@ -26,8 +26,8 @@ func newBase(t testing.TB, capacity uint64) *Base {
 func TestParamsDefaults(t *testing.T) {
 	var p Params
 	p.Fill()
-	if p.MetaCycles != 32 || p.HMACCycles != 80 || p.AESCycles != 216 ||
-		p.QueueLookupCycles != 32 || p.UpdateLimit != 16 || p.QueueEntries != 64 {
+	if MetaCycles != 32 || HMACCycles != 80 || HMACIssueCycles != 24 || AESCycles != 216 ||
+		QueueLookupCycles != 32 || WritebackBuffer != 5 || p.UpdateLimit != 16 || p.QueueEntries != 64 {
 		t.Fatalf("defaults wrong: %+v", p)
 	}
 }
@@ -59,7 +59,7 @@ func TestAESOpLatency(t *testing.T) {
 func TestWritebackBufferSlots(t *testing.T) {
 	b := newBase(t, 1<<30)
 	// Fill every default slot with long-running work.
-	for i := 0; i < b.P.WritebackBuffer; i++ {
+	for i := 0; i < WritebackBuffer; i++ {
 		slot, accept := b.AcquireWBSlot(0)
 		if accept != 0 {
 			t.Fatalf("slot %d not immediately free", i)
@@ -128,7 +128,7 @@ func TestFetchChainFillsAndVerifies(t *testing.T) {
 	}
 	// Second access is a cache hit: CounterLine returns fast.
 	_, t2 := b.CounterLine(1000, b.Lay.CounterLineAddr(5))
-	if t2 != 1000+b.P.MetaCycles {
+	if t2 != 1000+MetaCycles {
 		t.Fatalf("cached counter took %d, want meta hit latency", t2-1000)
 	}
 }

@@ -250,39 +250,26 @@ func (s SecStats) MemoHitRatio() float64 {
 	return float64(s.DefaultLineHits) / float64(total)
 }
 
-// Params carries the microarchitectural latencies (cycles) and limits.
-// Zero values select the paper's configuration at 3 GHz.
+// The paper's machine at 3 GHz, in cycles. The evaluation varies only
+// the limits N and M (Figure 6), so every latency is a constant.
+const (
+	MetaCycles        = 32  // metadata cache access
+	HMACCycles        = 80  // SHA-1 HMAC latency
+	HMACIssueCycles   = 24  // HMAC unit initiation interval
+	AESCycles         = 216 // AES OTP generation (72 ns)
+	QueueLookupCycles = 32  // dirty address queue lookup
+	WritebackBuffer   = 5   // victim buffer entries
+)
+
+// Params carries the limits the paper sweeps. Zero values select the
+// paper's configuration.
 type Params struct {
-	MetaCycles        int64  // metadata cache access (default 32)
-	HMACCycles        int64  // SHA-1 HMAC latency (default 80)
-	HMACIssueCycles   int64  // HMAC unit initiation interval (default 24)
-	AESCycles         int64  // AES OTP generation (default 216 = 72 ns)
-	QueueLookupCycles int64  // dirty address queue lookup (default 32)
-	WritebackBuffer   int    // victim buffer entries (default 5)
-	UpdateLimit       uint64 // N, per-line update limit (default 16)
-	QueueEntries      int    // M, dirty address queue entries (default 64)
+	UpdateLimit  uint64 // N, per-line update limit (default 16)
+	QueueEntries int    // M, dirty address queue entries (default 64)
 }
 
 // Fill applies the paper's defaults to unset fields.
 func (p *Params) Fill() {
-	if p.MetaCycles == 0 {
-		p.MetaCycles = 32
-	}
-	if p.HMACCycles == 0 {
-		p.HMACCycles = 80
-	}
-	if p.HMACIssueCycles == 0 {
-		p.HMACIssueCycles = 24
-	}
-	if p.AESCycles == 0 {
-		p.AESCycles = 216
-	}
-	if p.QueueLookupCycles == 0 {
-		p.QueueLookupCycles = 32
-	}
-	if p.WritebackBuffer == 0 {
-		p.WritebackBuffer = 5
-	}
 	if p.UpdateLimit == 0 {
 		p.UpdateLimit = 16
 	}

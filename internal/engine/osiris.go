@@ -110,9 +110,9 @@ func (o *Osiris) Name() string { return names.Osiris }
 // bounded by N thanks to the stop-loss.
 func (o *Osiris) counterLine(now int64, ca mem.Addr) (seccrypto.CounterLine, int64) {
 	if _, ok := o.Meta.Read(ca); ok {
-		return o.truth(ca), now + o.P.MetaCycles
+		return o.truth(ca), now + MetaCycles
 	}
-	_, _, t := o.Ctrl.ReadBypass(now+o.P.MetaCycles, ca)
+	_, _, t := o.Ctrl.ReadBypass(now+MetaCycles, ca)
 	cl := o.truth(ca)
 	retries := int(o.distance[ca])
 	o.stats.StaleCounterRetries += uint64(retries)

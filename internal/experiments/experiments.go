@@ -25,7 +25,6 @@ import (
 // Options control an evaluation run.
 type Options struct {
 	Ops      int    // memory operations per trace (default 300000)
-	Warmup   int    // warm-up operations excluded from statistics (default 0)
 	Seed     int64  // workload seed (default 1)
 	Capacity uint64 // NVM capacity (default 16 GiB: the paper's geometry)
 
@@ -156,7 +155,7 @@ func runOne(design, bench string, o Options) (sim.Result, error) {
 			QueueEntries: o.QueueEntries,
 		},
 	}
-	return sim.RunBenchmarkWarm(design, bench, o.Ops, o.Warmup, o.Seed, cfg)
+	return sim.RunBenchmark(design, bench, o.Ops, o.Seed, cfg)
 }
 
 // runMatrix evaluates f-style (design, benchmark) cells with bounded
@@ -181,10 +180,7 @@ func runMatrix(o Options, designs, benches []string) (map[string]map[string]sim.
 	}
 	in := make(chan job)
 	out := make(chan outcome)
-	workers := o.Parallelism
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers := max(1, min(o.Parallelism, len(jobs)))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

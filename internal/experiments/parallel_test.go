@@ -59,6 +59,28 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestNegativeParallelismRunsSerially: a negative width means one
+// worker, not zero workers and a deadlocked matrix.
+func TestNegativeParallelismRunsSerially(t *testing.T) {
+	o := Options{Ops: 2000, Benchmarks: []string{"gcc"}}
+	oa, ob := o, o
+	oa.Parallelism = 1
+	ob.Parallelism = -1
+	a, err := RunFig5(oa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunFig5(ob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range a.Designs {
+		if ca, cb := a.Cells[d]["gcc"], b.Cells[d]["gcc"]; ca.Raw.Cycles != cb.Raw.Cycles || ca.Writes != cb.Writes {
+			t.Fatalf("%s: Parallelism -1 differs from 1: %+v vs %+v", d, cb, ca)
+		}
+	}
+}
+
 // TestParallelSweepMatchesSerial applies the same bit-identity check to
 // the Figure 6(a)-style sensitivity sweep, which routes through the
 // same worker pool per sweep point.

@@ -278,17 +278,6 @@ func (l *Layout) TopLevel() int { return l.InternalLevels }
 // the TCB root node: the node count of the top NVM level (at most 4).
 func (l *Layout) RootChildren() int { return int(l.levelNodes[l.InternalLevels]) }
 
-// TopNodeAddr returns the address of child slot s (0 <= s <
-// RootChildren) of the TCB root node. At the top level these are
-// internal nodes, unless the tree is so small that the counter lines
-// themselves are the root's children.
-func (l *Layout) TopNodeAddr(s int) Addr {
-	if l.InternalLevels == 0 {
-		return l.CounterLineAddr(uint64(s))
-	}
-	return l.NodeAddr(l.InternalLevels, uint64(s))
-}
-
 // ChildOf returns the position of child slot s of internal node
 // (level, idx). The children of level-1 nodes are counter lines
 // (level 0). The returned index may exceed the populated node count at

@@ -42,31 +42,28 @@ var (
 // Config sizes the controller. Zero values select the paper's setup.
 type Config struct {
 	Banks      int // parallel PCM banks (default 24)
-	ReadQueue  int // read queue entries (default 32)
 	WriteQueue int // WPQ entries (default 64)
-
-	// ReadRetryLimit bounds how many times a failing media read is
-	// retried (with exponential backoff) before the controller reports a
-	// permanent read error. Only consulted when the device carries a
-	// fault model; default 4, which covers the transient-error model's
-	// worst case of two consecutive failures.
-	ReadRetryLimit int
 }
 
 func (c *Config) fill() {
 	if c.Banks == 0 {
 		c.Banks = 24
 	}
-	if c.ReadQueue == 0 {
-		c.ReadQueue = 32
-	}
 	if c.WriteQueue == 0 {
 		c.WriteQueue = 64
 	}
-	if c.ReadRetryLimit == 0 {
-		c.ReadRetryLimit = 4
-	}
 }
+
+const (
+	// readQueue is the read queue's entry count.
+	readQueue = 32
+	// readRetryLimit bounds how many times a failing media read is
+	// retried (with exponential backoff) before the controller reports a
+	// permanent read error. Only consulted when the device carries a
+	// fault model; 4 covers the transient-error model's worst case of
+	// two consecutive failures.
+	readRetryLimit = 4
+)
 
 // Stats reports controller-level contention and, under a fault model,
 // the retry/scrub/crash-damage counters.
@@ -375,7 +372,7 @@ func (c *Controller) Read(now int64, a mem.Addr) (mem.Line, bool, int64) {
 		}
 	}
 	c.readQ = kept
-	if len(c.readQ) >= c.cfg.ReadQueue {
+	if len(c.readQ) >= readQueue {
 		earliest := c.readQ[0]
 		for _, f := range c.readQ[1:] {
 			if f < earliest {
@@ -418,7 +415,7 @@ func (c *Controller) retryPenalty(a mem.Addr) int64 {
 		c.stats.ReadRetries++
 		c.stats.ReadRetryCycles += cost
 		extra += cost
-		if attempt >= c.cfg.ReadRetryLimit {
+		if attempt >= readRetryLimit {
 			if c.dev.SpareStats().Finite() {
 				// Runtime remap: the retry budget is exhausted, so the
 				// controller reconstructs the line via ECC and moves it to

@@ -195,7 +195,7 @@ func TestEpochWriteCounting(t *testing.T) {
 
 func TestDefaultConfig(t *testing.T) {
 	c := ctrl(t, Config{})
-	if len(c.readBanks) != 24 || c.cfg.WriteQueue != 64 || c.cfg.ReadQueue != 32 {
+	if len(c.readBanks) != 24 || c.cfg.WriteQueue != 64 || readQueue != 32 || readRetryLimit != 4 {
 		t.Fatalf("defaults not applied: %+v banks=%d", c.cfg, len(c.readBanks))
 	}
 }

@@ -17,9 +17,7 @@ import (
 	"ccnvm/internal/design"
 	"ccnvm/internal/engine"
 	"ccnvm/internal/mem"
-	"ccnvm/internal/metacache"
 	"ccnvm/internal/nvm"
-	"ccnvm/internal/seccrypto"
 	"ccnvm/internal/store"
 	"ccnvm/internal/trace"
 )
@@ -37,21 +35,26 @@ func AllDesigns() []string { return design.Names() }
 // over the design registry.
 func DesignLabel(d string) string { return design.Label(d) }
 
+// The paper's core and caches. Only the cache sizes are settable:
+// tests and the spare-lifetime sweep shrink them to force evictions.
+const (
+	l1Ways = 2
+	l2Ways = 8
+	l1Lat  = 2  // cycles
+	l2Lat  = 20 // cycles
+	mshrs  = 8  // outstanding memory reads
+)
+
 // Config describes one machine instance. Zero values select the paper's
 // configuration.
 type Config struct {
 	Design   string // a design registered in internal/design (default cc-NVM)
 	Capacity uint64 // NVM data capacity (default 16 GiB)
 
-	L1Size, L1Ways int   // default 32 KiB, 2-way
-	L2Size, L2Ways int   // default 256 KiB, 8-way
-	L1Lat, L2Lat   int64 // default 2, 20 cycles
-	MSHRs          int   // outstanding memory reads (default 8)
+	L1Size int // default 32 KiB
+	L2Size int // default 256 KiB
 
-	Params  engine.Params
-	MemCfg  store.ControllerConfig
-	MetaCfg metacache.Config
-	Keys    *seccrypto.Keys
+	Params engine.Params
 
 	// CheckReads verifies every memory-level read against a shadow copy
 	// of what the core last stored — an end-to-end check of the whole
@@ -80,30 +83,11 @@ func (c *Config) fill() error {
 	if c.L1Size == 0 {
 		c.L1Size = 32 << 10
 	}
-	if c.L1Ways == 0 {
-		c.L1Ways = 2
-	}
 	if c.L2Size == 0 {
 		c.L2Size = 256 << 10
 	}
-	if c.L2Ways == 0 {
-		c.L2Ways = 8
-	}
-	if c.L1Lat == 0 {
-		c.L1Lat = 2
-	}
-	if c.L2Lat == 0 {
-		c.L2Lat = 20
-	}
-	if c.MSHRs == 0 {
-		c.MSHRs = 8
-	}
 	if c.ScrubOps == 0 {
 		c.ScrubOps = 100000
-	}
-	if c.Keys == nil {
-		k := seccrypto.DefaultKeys()
-		c.Keys = &k
 	}
 	if _, ok := design.Lookup(c.Design); !ok {
 		return fmt.Errorf("sim: %w", design.UnknownError(c.Design))
@@ -156,8 +140,6 @@ type Machine struct {
 
 	shadow map[mem.Addr]mem.Line // CheckReads oracle
 	seq    uint64                // store content sequence
-
-	base *Result // stats baseline captured by MarkWarm
 }
 
 type coreState struct {
@@ -180,9 +162,6 @@ func New(cfg Config) (*Machine, error) {
 		Design:   cfg.Design,
 		Capacity: cfg.Capacity,
 		Params:   cfg.Params,
-		Ctrl:     cfg.MemCfg,
-		Meta:     cfg.MetaCfg,
-		Keys:     cfg.Keys,
 		Faults:   cfg.Faults,
 	})
 	if err != nil {
@@ -196,7 +175,7 @@ func New(cfg Config) (*Machine, error) {
 		m.shadow = make(map[mem.Addr]mem.Line)
 	}
 	// The L1 evicts into the L2; the L2 evicts into the security engine.
-	m.l2 = cache.MustNew(cache.Config{Name: "l2", SizeBytes: cfg.L2Size, Ways: cfg.L2Ways},
+	m.l2 = cache.MustNew(cache.Config{Name: "l2", SizeBytes: cfg.L2Size, Ways: l2Ways},
 		func(a mem.Addr, l mem.Line, dirty bool) {
 			if dirty {
 				accept := m.eng.WriteBack(m.core.now, a, l)
@@ -205,7 +184,7 @@ func New(cfg Config) (*Machine, error) {
 				}
 			}
 		})
-	m.l1 = cache.MustNew(cache.Config{Name: "l1", SizeBytes: cfg.L1Size, Ways: cfg.L1Ways},
+	m.l1 = cache.MustNew(cache.Config{Name: "l1", SizeBytes: cfg.L1Size, Ways: l1Ways},
 		func(a mem.Addr, l mem.Line, dirty bool) {
 			if dirty {
 				m.l2.Fill(a, l, true)
@@ -224,7 +203,7 @@ func (m *Machine) Device() *nvm.Device { return m.dev }
 // MSHR-bounded parallelism. It returns the line and its completion.
 func (m *Machine) memRead(a mem.Addr, dep bool) mem.Line {
 	// Wait for an MSHR when the window is full.
-	if len(m.core.outstanding) >= m.cfg.MSHRs {
+	if len(m.core.outstanding) >= mshrs {
 		earliest, ei := m.core.outstanding[0], 0
 		for i, t := range m.core.outstanding {
 			if t < earliest {
@@ -264,7 +243,7 @@ func (m *Machine) loadLine(a mem.Addr, dep bool) mem.Line {
 	if l, hit := m.l2.Read(a); hit {
 		// L1 hits are hidden by the pipeline; an L2 hit pays the L1 miss
 		// detection plus the L2 access.
-		m.core.now += m.cfg.L1Lat + m.cfg.L2Lat
+		m.core.now += l1Lat + l2Lat
 		m.l1.Fill(a, l, false)
 		return l
 	}
@@ -346,16 +325,6 @@ func (m *Machine) RunWithCrash(workload string, ops []trace.Op, crashAt int) (Re
 	return res, m.eng.Crash()
 }
 
-// MarkWarm ends the warm-up phase: statistics accumulated so far
-// (cycles, instructions, traffic, cache and engine counters) are
-// subtracted from every subsequent Result, mirroring the paper's
-// "simulate for 500 million instructions after fast-forwarding to
-// representative regions". Functional and cache state carry over.
-func (m *Machine) MarkWarm() {
-	r := m.result("")
-	m.base = &r
-}
-
 // Snapshot captures the current NVM contents non-destructively — the
 // adversary's view of the DIMM, used by replay attacks that need an
 // older image.
@@ -397,93 +366,24 @@ func (m *Machine) result(workload string) Result {
 		r.Spares = m.dev.SpareStats()
 		r.RefusedStores = m.refusedStores
 	}
-	if m.base != nil {
-		r = subtractBaseline(r, *m.base)
-	}
 	if r.Cycles > 0 {
 		r.IPC = float64(r.Instructions) / float64(r.Cycles)
 	}
 	return r
 }
 
-// subtractBaseline removes warm-up statistics from a result. MaxWear
-// and AvgEpochLen are running quantities, not counters, and stay as-is.
-func subtractBaseline(r, b Result) Result {
-	r.Instructions -= b.Instructions
-	r.Cycles -= b.Cycles
-	r.NVMWrites.Data -= b.NVMWrites.Data
-	r.NVMWrites.HMAC -= b.NVMWrites.HMAC
-	r.NVMWrites.Counter -= b.NVMWrites.Counter
-	r.NVMWrites.Tree -= b.NVMWrites.Tree
-	r.NVMReads -= b.NVMReads
-	r.L1 = subCache(r.L1, b.L1)
-	r.L2 = subCache(r.L2, b.L2)
-	r.Meta = subCache(r.Meta, b.Meta)
-	r.Sec = subSec(r.Sec, b.Sec)
-	r.Ctrl = subCtrl(r.Ctrl, b.Ctrl)
-	r.RefusedStores -= b.RefusedStores
-	return r
-}
-
-func subCache(a, b cache.Stats) cache.Stats {
-	a.Hits -= b.Hits
-	a.Misses -= b.Misses
-	a.Evictions -= b.Evictions
-	a.DirtyEvicts -= b.DirtyEvicts
-	a.Writes -= b.Writes
-	a.Reads -= b.Reads
-	return a
-}
-
-func subSec(a, b engine.SecStats) engine.SecStats {
-	a.Reads -= b.Reads
-	a.Writebacks -= b.Writebacks
-	a.HMACOps -= b.HMACOps
-	a.AESOps -= b.AESOps
-	a.IntegrityViolations -= b.IntegrityViolations
-	a.CounterOverflows -= b.CounterOverflows
-	a.StaleCounterRetries -= b.StaleCounterRetries
-	a.Drains -= b.Drains
-	a.DrainQueueFull -= b.DrainQueueFull
-	a.DrainEvict -= b.DrainEvict
-	a.DrainUpdateLimit -= b.DrainUpdateLimit
-	a.DrainLinesFlushed -= b.DrainLinesFlushed
-	a.WritebackBufferStalls -= b.WritebackBufferStalls
-	a.WritebackStallCycles -= b.WritebackStallCycles
-	a.DefaultLineHits -= b.DefaultLineHits
-	a.DefaultLineMisses -= b.DefaultLineMisses
-	return a
-}
-
-func subCtrl(a, b store.ControllerStats) store.ControllerStats {
-	a.Reads -= b.Reads
-	a.Writes -= b.Writes
-	a.WPQFullStalls -= b.WPQFullStalls
-	a.WPQStallCycles -= b.WPQStallCycles
-	a.EpochWrites -= b.EpochWrites
-	a.DroppedOnCrash -= b.DroppedOnCrash
-	a.RetryRemapped -= b.RetryRemapped
-	a.RefusedWrites -= b.RefusedWrites
-	a.RefusedEpochs -= b.RefusedEpochs
-	return a
-}
-
 // RunBenchmark is the one-call entry point: build a machine for design,
-// generate the named workload and run n operations after a warm-up of
-// warmup operations (statistics cover only the measured window, like
-// the paper's fast-forwarding methodology).
-func RunBenchmark(design, benchmark string, n int, seed int64, cfg Config) (Result, error) {
-	return RunBenchmarkWarm(design, benchmark, n, 0, seed, cfg)
-}
-
-// RunBenchmarkWarm is RunBenchmark with an explicit warm-up window.
+// generate the named workload and run n operations.
 //
-// The run is wrapped in pprof labels (design, workload, phase), so a
-// CPU profile captured around a sweep attributes every sample to the
-// cell that produced it — `go tool pprof -tagfocus design=ccnvm` or
-// `-tagshow phase` slice the profile without re-running anything. See
-// DESIGN.md, "Simulator performance".
-func RunBenchmarkWarm(design, benchmark string, n, warmup int, seed int64, cfg Config) (Result, error) {
+// The run is wrapped in pprof labels (design, workload), so a CPU
+// profile captured around a sweep attributes every sample to the cell
+// that produced it — `go tool pprof -tagfocus design=ccnvm` or
+// `-tagshow workload` slice the profile without re-running anything.
+// See DESIGN.md, "Simulator performance".
+func RunBenchmark(design, benchmark string, n int, seed int64, cfg Config) (Result, error) {
+	if n < 0 {
+		return Result{}, fmt.Errorf("sim: negative op count %d", n)
+	}
 	p, err := trace.ProfileByName(benchmark)
 	if err != nil {
 		return Result{}, err
@@ -498,15 +398,7 @@ func RunBenchmarkWarm(design, benchmark string, n, warmup int, seed int64, cfg C
 		return Result{}, err
 	}
 	var res Result
-	labels := pprof.Labels("design", design, "workload", benchmark, "phase", "measure")
-	if warmup > 0 {
-		pprof.Do(context.Background(), pprof.Labels("design", design, "workload", benchmark, "phase", "warmup"),
-			func(context.Context) {
-				m.Run(benchmark, trace.Collect(g, warmup))
-				m.MarkWarm()
-			})
-	}
-	pprof.Do(context.Background(), labels, func(context.Context) {
+	pprof.Do(context.Background(), pprof.Labels("design", design, "workload", benchmark), func(context.Context) {
 		res = m.Run(benchmark, trace.Collect(g, n))
 	})
 	return res, nil

@@ -17,7 +17,8 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c.Design != "ccnvm" || c.Capacity != 16<<30 || c.L1Size != 32<<10 ||
-		c.L2Size != 256<<10 || c.MSHRs != 8 || c.L2Lat != 20 {
+		c.L2Size != 256<<10 || c.ScrubOps != 100000 || l1Ways != 2 || l2Ways != 8 ||
+		l1Lat != 2 || l2Lat != 20 || mshrs != 8 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 }
@@ -171,6 +172,9 @@ func TestRunBenchmarkEntryPoint(t *testing.T) {
 	}
 	if _, err := RunBenchmark("ccnvm", "nosuch", 10, 1, Config{}); err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+	if _, err := RunBenchmark("ccnvm", "hmmer", -5, 1, Config{}); err == nil {
+		t.Fatal("negative op count accepted")
 	}
 }
 

@@ -23,7 +23,7 @@
 //     the same guarantees the torture matrix pins for raw traffic.
 //
 // The package also re-exports the controller types consumers need
-// (Config, Stats, HealthState) as aliases, so the layering lint can
+// (Stats, HealthState, Event) as aliases, so the layering lint can
 // forbid direct internal/memctrl imports outside the core without
 // breaking a single golden: an alias is the identical type.
 package store
@@ -44,12 +44,10 @@ import (
 )
 
 // Controller type re-exports. These are aliases, not definitions: a
-// sim.Config or torture Context declared against them is bit-identical
+// sim.Result or torture Context declared against them is bit-identical
 // to one declared against the memctrl originals, which is what keeps
 // every golden file byte-stable across the facade extraction.
 type (
-	// ControllerConfig sizes the memory controller (banks, queues).
-	ControllerConfig = memctrl.Config
 	// ControllerStats reports controller-level contention and fault
 	// counters.
 	ControllerStats = memctrl.Stats
@@ -91,15 +89,13 @@ func (e *AddrError) Error() string {
 }
 
 // Options configures Open. Zero values select the paper's machine:
-// design cc-NVM, controller and metadata-cache defaults, deterministic
-// keys.
+// design cc-NVM, the paper's controller and metadata cache,
+// deterministic keys.
 type Options struct {
 	Design   string // a design registered in internal/design (default cc-NVM)
 	Capacity uint64 // NVM data capacity in bytes (default 16 GiB)
 
 	Params engine.Params
-	Ctrl   ControllerConfig
-	Meta   metacache.Config
 	Keys   *seccrypto.Keys
 
 	// Faults installs a media fault model on the NVM device; nil is the
@@ -166,12 +162,12 @@ func Open(o Options) (*Store, error) {
 	// controller decides at construction whether to track in-flight WPQ
 	// entries for crash-time fault injection.
 	dev.SetFaultModel(o.Faults)
-	ctrl := memctrl.New(o.Ctrl, dev)
+	ctrl := memctrl.New(memctrl.Config{}, dev)
 	d, ok := design.Lookup(o.Design)
 	if !ok {
 		return nil, fmt.Errorf("store: %w", design.UnknownError(o.Design))
 	}
-	eng := d.New(lay, *o.Keys, ctrl, o.Meta, o.Params)
+	eng := d.New(lay, *o.Keys, ctrl, metacache.Config{}, o.Params)
 	return &Store{opts: o, lay: lay, dev: dev, ctrl: ctrl, eng: eng}, nil
 }
 
