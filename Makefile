@@ -45,6 +45,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzHMACKernel -fuzztime=10s ./internal/seccrypto/
 	$(GO) test -fuzz=FuzzStoreModel -fuzztime=10s ./internal/mem/
 	$(GO) test -fuzz=FuzzDecodeImage -fuzztime=10s ./internal/store/
+	$(GO) test -fuzz=FuzzBootVerdict -fuzztime=10s ./internal/store/
 	$(GO) test -fuzz=FuzzTable -fuzztime=10s ./internal/twoslot/
 	$(GO) test -fuzz=FuzzLogFrame -fuzztime=10s ./internal/kv/
 	$(GO) test -fuzz=FuzzCell -fuzztime=20s ./internal/torture/
@@ -241,18 +242,20 @@ profile:
 # `go run -C benchmark .`. BenchmarkServerGet is the read path in the
 # kv_get shape; its 100k-key preload is in the profile too, so read it
 # with `go tool pprof -focus serveConn`. BenchmarkReopen is the restart
-# path recover_ms times (LoadImage -> Reboot -> kv.Open of a kv_put-shaped
-# image); one iteration is a whole restart, so it runs 10 of them.
-# Building the image is in the profile too, so each restart carries the
-# pprof label restart=reopen, which the goroutines it starts (the
-# recovery walk's parts, the scan's verify and index stages) inherit;
-# -focus on a function would drop them:
+# path recover_ms times (LoadImage -> Reboot -> kv.Open), one
+# sub-benchmark per workload image: Reopen/kv_put (40 000 batches of 4
+# fresh-key 64 B puts) and Reopen/kv_get (100 000 128 B keys preloaded
+# 16 to a batch); Reopen runs both. One iteration is a whole restart, so
+# it runs 10 of them per image. Building the image is in the profile
+# too, so each restart carries the pprof label restart=reopen, which the
+# goroutines it starts (the recovery walk's parts, the scan's verify and
+# index stages) inherit; -focus on a function would drop them:
 #
 #	make profile-kv KV_BENCH=ServerGet
-#	make profile-kv KV_BENCH=Reopen
+#	make profile-kv KV_BENCH=Reopen/kv_get
 #	go tool pprof -top -tagfocus restart=reopen kv.test cpu-kv.out
 KV_BENCH ?= ServerBatchPut
-ifeq ($(KV_BENCH),Reopen)
+ifeq ($(firstword $(subst /, ,$(KV_BENCH))),Reopen)
 KV_BENCHTIME = 10x
 else
 KV_BENCHTIME = 25000x

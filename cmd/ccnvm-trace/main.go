@@ -42,6 +42,9 @@ func main() {
 }
 
 func generate(bench string, ops int, seed int64, out string) error {
+	if ops < 0 {
+		return fmt.Errorf("negative op count %d", ops)
+	}
 	p, err := trace.ProfileByName(bench)
 	if err != nil {
 		return err

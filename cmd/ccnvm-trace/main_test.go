@@ -53,3 +53,16 @@ func TestGeneratedTraceReplaysLikeTheGenerator(t *testing.T) {
 			got.Cycles, got.NVMWrites, got.Sec, want.Cycles, want.NVMWrites, want.Sec)
 	}
 }
+
+// TestNegativeOpsRefused: a negative -ops is an error, which main turns
+// into a non-zero exit, not a panic in the trace generator, and no file
+// is written.
+func TestNegativeOpsRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "neg.trc")
+	if err := generate("gcc", -5, 1, path); err == nil {
+		t.Fatal("generate -ops -5 succeeded")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("generate -ops -5 left %s behind (stat: %v)", path, err)
+	}
+}

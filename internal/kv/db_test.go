@@ -364,63 +364,79 @@ func TestImageRoundTripServesReads(t *testing.T) {
 	}
 }
 
-// reopenImage is BenchmarkReopen's crash image, built once per test
-// binary: every invocation of the benchmark function reuses it.
-var reopenImage struct {
+// reopenShapes are BenchmarkReopen's crash images, one per repo
+// benchmark workload whose restart recover_ms times, each built once
+// per test binary: every invocation of the benchmark reuses it. Key i
+// is Mix64(i) in hex, as in BenchmarkServerGet.
+var reopenShapes = []struct {
+	name                        string
+	batches, batchOps, valBytes int
+
 	once sync.Once
 	enc  []byte
 	err  error
+}{
+	// kv_put: 40 000 batches of 4 fresh-key 64 B puts.
+	{name: "kv_put", batches: 40000, batchOps: 4, valBytes: 64},
+	// kv_get: the 100 000 preloaded 128 B keys, 16 to a batch, as
+	// benchmark/gen.go preloads them.
+	{name: "kv_get", batches: 6250, batchOps: 16, valBytes: 128},
 }
 
 // BenchmarkReopen times the restart path the repo benchmark's
-// recover_ms measures, on a kv_put-shaped image: a 256 MiB store that
-// took 40 000 batches of 4 fresh-key 64 B puts and then lost power. One
-// iteration is one LoadImage -> store.Reboot -> kv.Open of that image,
-// and each stage's mean is reported as load_ms, reboot_ms and open_ms;
-// `make profile-kv KV_BENCH=Reopen` profiles it. Building the image is
-// in the profile too, so each restart runs under the pprof label
+// recover_ms measures, on a 256 MiB store that took one workload's
+// writes and then lost power; each sub-benchmark is one shape of
+// reopenShapes. One iteration is one LoadImage -> store.Reboot ->
+// kv.Open of that image, and each stage's mean is reported as load_ms,
+// reboot_ms and open_ms; `make profile-kv KV_BENCH=Reopen/kv_get`
+// profiles one shape (`KV_BENCH=Reopen` both). Building the image is in
+// the profile too, so each restart runs under the pprof label
 // restart=reopen, which the goroutines it starts (the recovery walk's
 // parts, the scan's stages) inherit: read the restart alone with
 // `go tool pprof -tagfocus restart=reopen kv.test cpu-kv.out`.
 func BenchmarkReopen(b *testing.B) {
-	const batches, batchOps, valBytes = 40000, 4, 64
-	reopenImage.once.Do(func() {
-		db := openBenchDB(b)
-		val := bytes.Repeat([]byte{'v'}, valBytes)
-		ops := make([]kv.Op, batchOps)
-		for i := 0; i < batches; i++ {
-			for j := range ops {
-				key := fmt.Sprintf("%016x", mem.Mix64(uint64(i*batchOps+j)))
-				ops[j] = kv.Op{Kind: kv.OpPut, Key: []byte(key), Val: val}
+	for i := range reopenShapes {
+		sh := &reopenShapes[i]
+		b.Run(sh.name, func(b *testing.B) {
+			sh.once.Do(func() {
+				db := openBenchDB(b)
+				val := bytes.Repeat([]byte{'v'}, sh.valBytes)
+				ops := make([]kv.Op, sh.batchOps)
+				for i := 0; i < sh.batches; i++ {
+					for j := range ops {
+						key := fmt.Sprintf("%016x", mem.Mix64(uint64(i*sh.batchOps+j)))
+						ops[j] = kv.Op{Kind: kv.OpPut, Key: []byte(key), Val: val}
+					}
+					if err := db.Batch(ops); err != nil {
+						sh.err = err
+						return
+					}
+				}
+				sh.enc, sh.err = store.EncodeImage(db.Crash())
+			})
+			if sh.err != nil {
+				b.Fatal(sh.err)
 			}
-			if err := db.Batch(ops); err != nil {
-				reopenImage.err = err
-				return
+			path := filepath.Join(b.TempDir(), "crash.img")
+			if err := os.WriteFile(path, sh.enc, 0o644); err != nil {
+				b.Fatal(err)
 			}
-		}
-		reopenImage.enc, reopenImage.err = store.EncodeImage(db.Crash())
-	})
-	if reopenImage.err != nil {
-		b.Fatal(reopenImage.err)
-	}
-	path := filepath.Join(b.TempDir(), "crash.img")
-	if err := os.WriteFile(path, reopenImage.enc, 0o644); err != nil {
-		b.Fatal(err)
-	}
 
-	b.ResetTimer()
-	var stages [3]time.Duration
-	for i := 0; i < b.N; i++ {
-		var keys int
-		pprof.Do(context.Background(), pprof.Labels("restart", "reopen"), func(context.Context) {
-			keys = reopenOnce(b, path, &stages)
+			b.ResetTimer()
+			var stages [3]time.Duration
+			for i := 0; i < b.N; i++ {
+				var keys int
+				pprof.Do(context.Background(), pprof.Labels("restart", "reopen"), func(context.Context) {
+					keys = reopenOnce(b, path, &stages)
+				})
+				if keys != sh.batches*sh.batchOps {
+					b.Fatalf("reopened namespace has %d keys, want %d", keys, sh.batches*sh.batchOps)
+				}
+			}
+			for i, name := range []string{"load_ms", "reboot_ms", "open_ms"} {
+				b.ReportMetric(float64(stages[i].Microseconds())/1e3/float64(b.N), name)
+			}
 		})
-		if keys != batches*batchOps {
-			b.Fatalf("reopened namespace has %d keys, want %d", keys, batches*batchOps)
-		}
-	}
-	for i, name := range []string{"load_ms", "reboot_ms", "open_ms"} {
-		b.ReportMetric(float64(stages[i].Microseconds())/1e3/float64(b.N), name)
 	}
 }
 

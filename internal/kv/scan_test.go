@@ -126,13 +126,30 @@ func scanImage(t *testing.T, frames int) (*store.Store, []mem.Addr) {
 	return st, addrs
 }
 
+// tamperRaw flips one bit of the written line a on the store's device,
+// below the engine: the adversary's edit of a running machine's DIMM.
+func tamperRaw(t *testing.T, st *store.Store, a mem.Addr) {
+	t.Helper()
+	l, ok := st.Device().Peek(a)
+	if !ok {
+		t.Fatalf("line %#x never written", uint64(a))
+	}
+	l[5] ^= 1
+	if err := st.Device().Write(a, l); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestScanPipelineIdentity: the three-stage scan rebuilds what the
 // serial specification rebuilds — keymap, seq, head, live bytes, error —
 // and leaves the store's clock and integrity-violation count where the
 // specification leaves them, with every chunk size and queue depth from
-// one frame and one chunk up to the defaults, on a clean log and on the
-// three ways a log goes wrong inside the header chain. The log spans
-// several default chunks, and every damaged frame has frames after it.
+// one frame and one chunk up to the defaults, on a clean log, on the
+// three ways a log goes wrong inside the header chain, and on the
+// data-HMAC or counter line under a payload tampered on the device
+// inside the boot verdict's window, whose outcomes are pinned. The log
+// spans several default chunks, and every damaged frame has frames
+// after it.
 func TestScanPipelineIdentity(t *testing.T) {
 	const frames, bad = 300, 130
 	rewrite := func(t *testing.T, st *store.Store, a mem.Addr, edit func(*mem.Line)) {
@@ -195,6 +212,27 @@ func TestScanPipelineIdentity(t *testing.T) {
 			if o.err != "" || o.seq != bad-1 || o.head != frame || o.violations != 1 {
 				t.Fatalf("seq %d head %#x, %d violations, error %q; want one violation and the log to end at frame %d (%#x)",
 					o.seq, uint64(o.head), o.violations, o.err, bad, uint64(frame))
+			}
+		}},
+		{"HMAC line tampered after reboot", func(t *testing.T, st *store.Store, frame mem.Addr) {
+			ha, _ := st.Layout().HMACLineOf(frame + 2*mem.LineSize)
+			tamperRaw(t, st, ha)
+		}, func(t *testing.T, o scanOutcome, _ mem.Addr) {
+			// A conventional block that fails its HMAC still decrypts, so
+			// the payload checksum passes and the log runs to its end.
+			if o.err != "" || o.seq != frames || o.head != 0x1c280 || o.violations != 1 || len(o.idx) != 900 {
+				t.Fatalf("seq %d head %#x, %d violations, %d keys, error %q; want seq %d head 0x1c280, one violation, 900 keys",
+					o.seq, uint64(o.head), o.violations, len(o.idx), o.err, frames)
+			}
+		}},
+		{"counter line tampered after reboot", func(t *testing.T, st *store.Store, frame mem.Addr) {
+			tamperRaw(t, st, st.Layout().CounterLineOf(frame+2*mem.LineSize))
+		}, func(t *testing.T, o scanOutcome, _ mem.Addr) {
+			// The page's first frame decrypts under the wrong counter: the
+			// log ends before it.
+			if o.err != "" || o.seq != 127 || o.head != 0xbf00 || o.violations != 4 || len(o.idx) != 508 {
+				t.Fatalf("seq %d head %#x, %d violations, %d keys, error %q; want seq 127 head 0xbf00, 4 violations, 508 keys",
+					o.seq, uint64(o.head), o.violations, len(o.idx), o.err)
 			}
 		}},
 	}

@@ -196,6 +196,18 @@ func (m *LineMap[V]) Clone() *LineMap[V] {
 	return &LineMap[V]{segs: slices.Clone(m.segs), owner: new(owner), n: m.n}
 }
 
+// Shares reports whether m and o are one snapshot: one was cloned from
+// the other, or both from one map, and neither was written since. It
+// compares the top-level directories, one step per segment, and never
+// reads a line: a write copies the directory it goes through, so
+// sharing every directory means holding the very same pages. False
+// says nothing about the contents.
+func (m *LineMap[V]) Shares(o *LineMap[V]) bool {
+	return slices.EqualFunc(m.segs, o.segs, func(x, y segment[V]) bool {
+		return x.key == y.key && x.leaves == y.leaves
+	})
+}
+
 // walk calls fn for every written line with lo <= address <= last in
 // ascending order, handing it the address and the slot. It reads only
 // the directory, so a walk that wants addresses alone never touches

@@ -138,6 +138,39 @@ func TestStoreDeleteAbsentKeepsSharing(t *testing.T) {
 	}
 }
 
+// TestStoreShares: a clone shares its source's directories until either
+// side writes — in place, to a new page or segment, or by deleting a
+// line — and a no-op delete keeps the sharing, as it keeps the content.
+func TestStoreShares(t *testing.T) {
+	var s Store
+	s.Write(0, Line{1})
+	s.Write(Addr(1)<<40, Line{2})
+	for _, tc := range []struct {
+		name   string
+		edit   func(*Store)
+		shares bool
+	}{
+		{"untouched", func(*Store) {}, true},
+		{"no-op delete", func(m *Store) { m.Delete(LineSize) }, true},
+		{"rewrite", func(m *Store) { m.Write(0, Line{1}) }, false},
+		{"new page", func(m *Store) { m.Write(PageSize, Line{3}) }, false},
+		{"new segment", func(m *Store) { m.Write(Addr(1)<<50, Line{3}) }, false},
+		{"delete", func(m *Store) { m.Delete(Addr(1) << 40) }, false},
+	} {
+		for side := range 2 {
+			c := s.Clone()
+			if side == 0 {
+				tc.edit(c)
+			} else {
+				tc.edit(&s)
+			}
+			if got := c.Shares(&s) && s.Shares(c); got != tc.shares {
+				t.Fatalf("%s on side %d: Shares = %v, want %v", tc.name, side, got, tc.shares)
+			}
+		}
+	}
+}
+
 // TestStoreMemoryFollowsLines pins the sparse top level: lines
 // scattered over the full 64-bit address space cost a bounded number of
 // bytes each (at worst a segment, a leaf and a page of their own), never

@@ -132,6 +132,11 @@ func (d *Device) Read(a mem.Addr) (mem.Line, bool) {
 // Peek reads without counting an access; recovery and tests use it.
 func (d *Device) Peek(a mem.Addr) (mem.Line, bool) { return d.store.Read(a) }
 
+// Holds reports whether the device holds img's lines, unwritten since
+// one was snapshotted or restored from the other (mem.LineMap.Shares):
+// false after any write to either, even of the same bytes.
+func (d *Device) Holds(img *Image) bool { return d.store.Shares(img.Store) }
+
 // Range lists the written lines in [lo, hi) in ascending address order
 // without counting an access; page reclaim walks its arena half with it.
 func (d *Device) Range(lo, hi mem.Addr) []mem.Addr { return d.store.Range(lo, hi) }

@@ -192,7 +192,21 @@ func (r *Report) Lossless() bool {
 // Recovered is the post-recovery persistent state produced by Apply.
 type Recovered struct {
 	TCB engine.TCB
+
+	// verdict is the image as a lossless Apply left it; see Verdict.
+	verdict *engine.CrashImage
 }
+
+// Verdict is the boot verdict: a copy-on-write clone of the image as a
+// lossless Apply left it. Every data line in it, read with the counter
+// in its applied counter line, is a line this boot's step-2 walk
+// authenticated — a packed line (its sideband tag) with its inline
+// counter instead. It is nil when the pass was struck, the report was
+// not lossless, the walk Apply used found a damaged block, or a packed
+// block moved a page's major under a raw block the walk had
+// authenticated. Like Apply, it trusts that the report came from
+// Recover on the image as it was.
+func (r Recovered) Verdict() *engine.CrashImage { return r.verdict }
 
 // Recover runs the four-step process on a crash image, shaped by its
 // design's registry capabilities; images of unregistered designs get the
@@ -707,7 +721,11 @@ func ApplyInterrupted(img *engine.CrashImage, rep *Report, itr *Interrupt) (Reco
 	buf := encodeSlot(rec)
 	copy(JournalFormat.Slot(img.RecoveryJournal, rec.Seq), buf[:])
 	img.TCB = engine.TCB{RootNew: root, RootOld: root, Nwb: 0}
-	return Recovered{TCB: img.TCB}, true
+	out := Recovered{TCB: img.TCB}
+	if rep.Lossless() && len(res.tampered) == 0 && len(res.lost) == 0 && !res.remajored {
+		out.verdict = img.Clone()
+	}
+	return out, true
 }
 
 // sortedLineKeys and sortedNodeKeys order map iteration: the plan (and
@@ -739,6 +757,7 @@ type counterResult struct {
 	lost       []LostBlock                        // HMAC never matched, media-attributable
 	perLine    map[mem.Addr]uint64                // per-counter-line retry totals (§4.4 extension)
 	implicated map[mem.Addr]bool                  // suspect/stuck lines tied to a loss
+	remajored  bool                               // a packed block moved the major under an authenticated raw block
 }
 
 // splitWalkMin is the data-walk length from which recoverCounters
@@ -807,6 +826,7 @@ func splitCounterWalk(img *engine.CrashImage, cry *seccrypto.Engine, pend *pendi
 		res[0].blocks += r.blocks
 		res[0].tampered = append(res[0].tampered, r.tampered...)
 		res[0].lost = append(res[0].lost, r.lost...)
+		res[0].remajored = res[0].remajored || r.remajored
 	}
 	return res[0]
 }
@@ -848,6 +868,7 @@ func walkCounters(img *engine.CrashImage, cry *seccrypto.Engine, pend *pendingWr
 		cl           seccrypto.CounterLine
 		hl           mem.Line
 		curCA, curHA = ^mem.Addr(0), ^mem.Addr(0) // unaligned: no line yet
+		rawAuthed    bool                         // a raw block of the page matched its HMAC
 	)
 	for _, a := range addrs {
 		ca := lay.CounterLineOf(a)
@@ -858,7 +879,7 @@ func walkCounters(img *engine.CrashImage, cry *seccrypto.Engine, pend *pendingWr
 				raw, _ := readLine(img, pend, ca)
 				cl = seccrypto.DecodeCounterLine(raw)
 			}
-			curCA = ca
+			curCA, rawAuthed = ca, false
 		}
 		if _, ctr, packed, authed := img.PackedBlock(cry, a); packed {
 			// A packed line carries its counter and HMAC inline: nothing
@@ -874,6 +895,9 @@ func walkCounters(img *engine.CrashImage, cry *seccrypto.Engine, pend *pendingWr
 			case !authed:
 				res.tampered = append(res.tampered, TamperedBlock{Addr: a})
 			default:
+				// A raw block already authenticated under the old major
+				// no longer opens at its applied counter.
+				res.remajored = res.remajored || rawAuthed && cl.Major != ctr>>seccrypto.MinorBits
 				cl.Major = ctr >> seccrypto.MinorBits
 				cl.Minors[slot] = uint8(ctr & seccrypto.MinorMax)
 				res.lines[ca] = cl
@@ -916,6 +940,7 @@ func walkCounters(img *engine.CrashImage, cry *seccrypto.Engine, pend *pendingWr
 			break
 		}
 		if found {
+			rawAuthed = true
 			continue
 		}
 		if img.MediaFaults && (sus[a] || sus[ca] || sus[ha]) {

@@ -9,6 +9,7 @@ import (
 	"ccnvm/internal/mem"
 	"ccnvm/internal/nvm"
 	"ccnvm/internal/recovery"
+	"ccnvm/internal/seccrypto"
 	"ccnvm/internal/store"
 	"ccnvm/internal/torture"
 )
@@ -513,4 +514,45 @@ func cloneImage(img *engine.CrashImage) *engine.CrashImage {
 	cp.Image = img.Image.Clone()
 	cp.TCB = img.TCB.CloneExt()
 	return &cp
+}
+
+// TestVerdictWithheldWhenPackedLineMovesMajor: a packed line whose
+// inline counter carries another major than the counter line a raw block
+// of its page was authenticated under moves the page's applied major, so
+// that raw block no longer opens at its applied counter, and even a
+// lossless Apply hands out no boot verdict. The test re-registers the
+// rebuilt root to make the forged image recover lossless.
+func TestVerdictWithheldWhenPackedLineMovesMajor(t *testing.T) {
+	st, err := store.Open(store.Options{Design: "arsenal", Capacity: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw mem.Line
+	for k := range raw {
+		raw[k] = byte(mem.Mix64(uint64(k)))
+	}
+	for a, l := range map[mem.Addr]mem.Line{0: raw, mem.LineSize: {7}} {
+		if err := st.Write(a, l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.FlushEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	img := st.Crash()
+	cry := seccrypto.MustEngine(img.Keys)
+	_, ctr, packed, ok := img.PackedBlock(cry, mem.LineSize)
+	if _, _, rawPacked, _ := img.PackedBlock(cry, 0); !packed || !ok || rawPacked {
+		t.Fatal("want a raw block at line 0 and a packed one at line 1")
+	}
+	forged, _ := engine.PackArsenalLine(cry, mem.LineSize, ctr+1<<seccrypto.MinorBits, mem.Line{7})
+	img.Image.Write(mem.LineSize, forged)
+	img.TCB.RootNew = recovery.Recover(cloneImage(img)).RebuiltRoot
+	rep := recovery.Recover(img)
+	if !rep.Lossless() {
+		t.Fatalf("forged image does not recover lossless: %+v", rep)
+	}
+	if recovery.Apply(img, rep).Verdict() != nil {
+		t.Fatal("Apply handed out a boot verdict over a raw block its walk authenticated under another major")
+	}
 }

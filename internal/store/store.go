@@ -12,7 +12,10 @@
 //     design's own drain policy; FlushEpoch forces the epoch closed,
 //     which is the durability point a server acknowledges at.
 //   - Reads decrypt and verify through the engine; a never-written line
-//     reads as zero, exactly like a fresh DIMM.
+//     reads as zero, exactly like a fresh DIMM. The one exception is
+//     the boot verdict (see OpenRecovered): until a recovered store's
+//     first write, a line the recovery walk authenticated is only
+//     decrypted, and such a read bypasses the timing model.
 //   - Snapshot captures the adversary-visible NVM image via the COW
 //     mem.Store.Clone — one top-level directory slice, whatever the
 //     image size, so point-in-time readers are cheap.
@@ -143,6 +146,17 @@ type Store struct {
 	seenWrites int
 
 	refusedWrites uint64
+
+	// verdict is the boot verdict OpenRecovered keeps (see verdictLine)
+	// and vcry the crypto engine Read decrypts its lines with; nil from
+	// the first write, HostWrite, Scrub, Crash or Close on, or once the
+	// device no longer holds it.
+	verdict *engine.CrashImage
+	vcry    *seccrypto.Engine
+	// vca and vcl are the last counter line verdictLine decoded, its
+	// address and the decoded line.
+	vca mem.Addr
+	vcl seccrypto.CounterLine
 }
 
 // Open assembles a fresh machine over an empty NVM. The wiring order
@@ -176,6 +190,13 @@ func Open(o Options) (*Store, error) {
 // TCB registers, exactly as a rebooted controller would. The caller
 // runs Recover/Apply first (or uses the Reboot convenience below) and
 // passes the resulting TCB state.
+//
+// When rec carries a boot verdict (a lossless Apply, recovery.Recovered
+// Verdict) made with the store's keys, and the device has no fault
+// model, the store keeps it: until the first write, HostWrite, Scrub,
+// Crash or Close, Read and Fetch serve every data line the verdict
+// covers without the engine — no controller, metadata-cache, tree or
+// clock work, so those reads bypass the timing model.
 func OpenRecovered(img *engine.CrashImage, rec recovery.Recovered, o Options) (*Store, error) {
 	o.Design = img.Design
 	o.Capacity = img.Image.Layout.DataBytes
@@ -197,7 +218,40 @@ func OpenRecovered(img *engine.CrashImage, rec recovery.Recovered, o Options) (*
 		return nil, fmt.Errorf("store: design %s cannot restore TCB state", img.Design)
 	}
 	r.RestoreTCB(rec.TCB)
+	if v := rec.Verdict(); v != nil && v.Keys == *o.Keys && o.Faults == nil {
+		st.verdict, st.vcry, st.vca = v, seccrypto.MustEngine(v.Keys), ^mem.Addr(0)
+	}
 	return st, nil
+}
+
+// verdictLine fills f with the data line at a from the boot verdict and
+// reports whether it may be served without authentication: only while
+// the device holds the verdict image, unwritten since the restore —
+// checked on every call. The recovery walk matched the line's HMAC at
+// the counter in its applied counter line, so the line needs
+// decrypting only. Absent data lines and Arsenal packed lines (by the
+// verdict's sideband) are left to the engine. Caller holds mu.
+func (s *Store) verdictLine(a mem.Addr, f *engine.Fetched) bool {
+	v := s.verdict
+	if v == nil {
+		return false
+	}
+	if !s.dev.Holds(v.Image) {
+		s.verdict = nil
+		return false
+	}
+	ct, ok := v.Image.Read(a)
+	if !ok || v.Sideband[a] == engine.TagPacked {
+		return false
+	}
+	if ca := s.lay.CounterLineOf(a); ca != s.vca {
+		// An absent counter line reads as the zero line, the default
+		// both the walk and the engine use.
+		cl, _ := v.Image.Read(ca)
+		s.vca, s.vcl = ca, seccrypto.DecodeCounterLine(cl)
+	}
+	*f = engine.Fetched{Addr: a, Line: ct, Ctr: s.vcl.Counter(s.lay.CounterSlotOf(a))}
+	return true
 }
 
 // Reboot runs the full crash-to-serving path on an image: four-step
@@ -252,7 +306,9 @@ func (s *Store) checkAddr(a mem.Addr) error {
 
 // Read fetches, decrypts and authenticates the line at a through the
 // engine's ReadBlock: FetchBlock, then the open on the engine's own
-// crypto engine. Never-written lines read as zero.
+// crypto engine. Never-written lines read as zero. A line the boot
+// verdict serves (see OpenRecovered) is only decrypted, outside the
+// engine and its timing model.
 func (s *Store) Read(a mem.Addr) (mem.Line, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -262,21 +318,31 @@ func (s *Store) Read(a mem.Addr) (mem.Line, error) {
 	if err := s.checkAddr(a); err != nil {
 		return mem.Line{}, err
 	}
-	pt, done := s.eng.ReadBlock(s.now, mem.Align(a))
+	a = mem.Align(a)
+	var f engine.Fetched
+	if s.verdictLine(a, &f) {
+		return s.vcry.Decrypt(f.Addr, f.Ctr, f.Line), nil
+	}
+	pt, done := s.eng.ReadBlock(s.now, a)
 	s.now = done
 	return pt, nil
 }
 
 // Fetched is one line as Fetch left it: read, charged and counted under
-// the store's lock, but not yet authenticated or decrypted. Only an
-// Opener of the same store turns it into plaintext.
-type Fetched struct{ f engine.Fetched }
+// the store's lock, but not yet authenticated or decrypted — or, when
+// authed, served by the boot verdict, whose walk authenticated it
+// already. Only an Opener of the same store turns it into plaintext.
+type Fetched struct {
+	f      engine.Fetched
+	authed bool
+}
 
 // Fetch is the stateful half of Read for the n lines from a: the
 // engine's FetchBlock of each line in address order — the engine work
 // of n Reads up to the authentication and decryption — under one
-// acquisition of the lock, appending the fetched lines to dst. On error
-// the lines already fetched stay in the result.
+// acquisition of the lock, appending the fetched lines to dst. A line
+// the boot verdict serves skips FetchBlock, and with it the timing
+// model. On error the lines already fetched stay in the result.
 func (s *Store) Fetch(dst []Fetched, a mem.Addr, n int) ([]Fetched, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -289,7 +355,10 @@ func (s *Store) Fetch(dst []Fetched, a mem.Addr, n int) ([]Fetched, error) {
 			return dst, err
 		}
 		dst = append(dst, Fetched{})
-		s.now = s.eng.FetchBlock(s.now, a, &dst[len(dst)-1].f)
+		f := &dst[len(dst)-1]
+		if f.authed = s.verdictLine(a, &f.f); !f.authed {
+			s.now = s.eng.FetchBlock(s.now, a, &f.f)
+		}
 	}
 	return dst, nil
 }
@@ -310,8 +379,12 @@ func (s *Store) NewOpener() *Opener {
 
 // Open authenticates and decrypts f, which this store fetched. A line
 // that fails authentication counts as an integrity violation of the
-// store's engine, as it would in Read, and ok is false.
+// store's engine, as it would in Read, and ok is false. A line the boot
+// verdict served is decrypted only.
 func (o *Opener) Open(f *Fetched) (pt mem.Line, ok bool) {
+	if f.authed {
+		return o.cry.Decrypt(f.f.Addr, f.f.Ctr, f.f.Line), true
+	}
 	pt, ok = f.f.Open(o.cry)
 	if !ok {
 		o.s.mu.Lock()
@@ -335,6 +408,7 @@ func (s *Store) writeLocked(a mem.Addr, l mem.Line) error {
 	if s.closed {
 		return ErrClosed
 	}
+	s.verdict = nil
 	if s.crashed {
 		return ErrCrashed
 	}
@@ -433,7 +507,7 @@ func (s *Store) Snapshot() *nvm.Image {
 func (s *Store) Crash() *engine.CrashImage {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.closed = true
+	s.closed, s.verdict = true, nil
 	return s.eng.Crash()
 }
 
@@ -447,7 +521,7 @@ func (s *Store) Close() error {
 	if !s.crashed {
 		s.now = s.eng.Settle(s.now)
 	}
-	s.closed = true
+	s.closed, s.verdict = true, nil
 	return s.ctrl.Err()
 }
 
@@ -500,6 +574,7 @@ func (s *Store) RefusedWrites() uint64 {
 func (s *Store) Scrub(now int64) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.verdict = nil
 	return s.ctrl.Scrub(now)
 }
 
@@ -510,6 +585,7 @@ func (s *Store) Scrub(now int64) int64 {
 func (s *Store) HostWrite(now int64, a mem.Addr, l mem.Line) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.verdict = nil
 	return s.ctrl.HostWrite(now, a, l)
 }
 
