@@ -105,7 +105,10 @@ lint-designs:
 # for a concrete cc-NVM engine.
 # And keys and crypto engines stay below the store: non-test code in
 # internal/kv never imports internal/seccrypto, so the KV layer opens
-# lines only through the store's Opener.
+# lines only through the store's Opener. Finally, the torture harness's
+# break modes live in the harness: no non-test code outside
+# internal/torture and cmd/ccnvm-torture mentions sabotage, so no
+# product package carries a deliberate defect.
 lint-layering:
 	@bad=$$(grep -rl '"ccnvm/internal/memctrl"' --include='*.go' . \
 		| grep -v -E '^\./internal/(memctrl|store|engine|core|design|porder)/'); \
@@ -115,6 +118,8 @@ lint-layering:
 		| grep -v '_test\.go' | grep -v -E '^\./internal/(core|design)/'); \
 	cry=$$(grep -rl '"ccnvm/internal/seccrypto"' --include='*.go' ./internal/kv \
 		| grep -v '_test\.go'); \
+	sab=$$(grep -rli 'sabotage' --include='*.go' . \
+		| grep -v '_test\.go' | grep -v -E '^\./(internal/torture|cmd/ccnvm-torture)/'); \
 	if [ -n "$$bad" ]; then \
 		echo "lint-layering: internal/memctrl is behind the internal/store facade; import that instead:"; \
 		echo "$$bad" | sed 's/^/  /'; \
@@ -131,7 +136,11 @@ lint-layering:
 		echo "lint-layering: internal/kv opens lines through the internal/store Opener, not internal/seccrypto:"; \
 		echo "$$cry" | sed 's/^/  /'; \
 	fi; \
-	if [ -n "$$bad$$meta$$core$$cry" ]; then exit 1; fi; \
+	if [ -n "$$sab" ]; then \
+		echo "lint-layering: break modes live in internal/torture; no product code carries a sabotage hook:"; \
+		echo "$$sab" | sed 's/^/  /'; \
+	fi; \
+	if [ -n "$$bad$$meta$$core$$cry$$sab" ]; then exit 1; fi; \
 	echo "lint-layering: ok"
 
 # torture runs the full differential crash/attack matrix via the CLI;

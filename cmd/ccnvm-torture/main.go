@@ -25,6 +25,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -39,58 +40,105 @@ import (
 	"ccnvm/internal/torture"
 )
 
-func main() {
-	var (
-		designs     = flag.String("designs", "all", `comma-separated designs, "all", or "paper"`)
-		workloads   = flag.String("workloads", "", "comma-separated workloads (default: all)")
-		attacks     = flag.String("attacks", "", `comma-separated attacks incl. "none" (default: all)`)
-		seeds       = flag.Int("seeds", 4, "trace seeds per combination")
-		ops         = flag.Int("ops", 240, "trace length per cell")
-		crashPts    = flag.Int("crashpoints", 3, "crash points per trace")
-		faultSeeds  = flag.Int("faultseeds", 0, "media-fault seeds per design/workload, cycled through the fault profiles (0 = no fault cells)")
-		reboots     = flag.Int("reboots", 0, "reboot-loop cells: interrupt recovery this many times per cell (0 = no reboot cells)")
-		spares      = flag.Int("spares", 0, "finite-spare cells: sweep spare pools from this size down to one line over the weak/stuck fault profiles (0 = no spare cells)")
-		rebootEvery = flag.String("reboot-every", "", "comma-separated strike strides for reboot cells (default 2,3,5)")
-		budget      = flag.Int("budget", 0, "max cells, evenly sampled after dropping refused cells (0 = run all)")
-		guided      = flag.Bool("guided", false, "ordering-aware crash points: profile each trace's persist-ordering graph and schedule one point per distinct edge cut; reports edge coverage vs evenly spaced points")
-		kvMode      = flag.Bool("kv", false, "KV-namespace crash cells instead of trace cells: sweep every host-write boundary per design and assert atomic batch recovery (-reboots adds the reboot-loop axis)")
-		kvCompact   = flag.Int("kv-compact", 0, "KV compaction crash axis: also sweep cells that compact after every k-th acked batch (0 = no compact cells)")
-		campaign    = flag.String("campaign", "", "run the fixed durability campaign and write the report to this markdown path (JSON artifact written beside it); other matrix flags are ignored")
-		parallel    = flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
-		timeout     = flag.Duration("timeout", 0, "stop dispatching new cells after this duration and report partial results (0 = none)")
-		jsonOut     = flag.Bool("json", false, "emit the summary as JSON")
-		repro       = flag.String("repro", "", "replay one cell spec and exit")
-		breakMode   = flag.String("break", "", "sabotage recovery (modes: "+strings.Join(torture.BrokenModes(), ", ")+")")
-		oracles     = flag.Bool("oracles", false, "list the oracles and exit")
-		verbose     = flag.Bool("v", false, "print progress")
-	)
-	flag.Parse()
+// options is the parsed command line.
+type options struct {
+	designs, workloads, attacks, rebootEvery  string
+	campaign, repro, breakMode                string
+	seeds, ops, crashPts, faultSeeds, reboots int
+	spares, budget, kvCompact, parallel       int
+	guided, kv, json, oracles, verbose        bool
+	timeout                                   time.Duration
+}
 
-	if *oracles {
+// errUsage reports a command line the flag package has already
+// complained about on stderr.
+var errUsage = errors.New("bad command line")
+
+// parseArgs parses the command line. A negative count is refused by
+// name: none of them means "use the default".
+func parseArgs(args []string) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("ccnvm-torture", flag.ContinueOnError)
+	fs.StringVar(&o.designs, "designs", "all", `comma-separated designs, "all", or "paper"`)
+	fs.StringVar(&o.workloads, "workloads", "", "comma-separated workloads (default: all)")
+	fs.StringVar(&o.attacks, "attacks", "", `comma-separated attacks incl. "none" (default: all)`)
+	fs.IntVar(&o.seeds, "seeds", 4, "trace seeds per combination")
+	fs.IntVar(&o.ops, "ops", 240, "trace length per cell")
+	fs.IntVar(&o.crashPts, "crashpoints", 3, "crash points per trace")
+	fs.IntVar(&o.faultSeeds, "faultseeds", 0, "media-fault seeds per design/workload, cycled through the fault profiles (0 = no fault cells)")
+	fs.IntVar(&o.reboots, "reboots", 0, "reboot-loop cells: interrupt recovery this many times per cell (0 = no reboot cells)")
+	fs.IntVar(&o.spares, "spares", 0, "finite-spare cells: sweep spare pools from this size down to one line over the weak/stuck fault profiles (0 = no spare cells)")
+	fs.StringVar(&o.rebootEvery, "reboot-every", "", "comma-separated strike strides for reboot cells (default 2,3,5)")
+	fs.IntVar(&o.budget, "budget", 0, "max cells, evenly sampled after dropping refused cells (0 = run all)")
+	fs.BoolVar(&o.guided, "guided", false, "ordering-aware crash points: profile each trace's persist-ordering graph and schedule one point per distinct edge cut; reports edge coverage vs evenly spaced points")
+	fs.BoolVar(&o.kv, "kv", false, "KV-namespace crash cells instead of trace cells: sweep every host-write boundary per design and assert atomic batch recovery (-reboots adds the reboot-loop axis)")
+	fs.IntVar(&o.kvCompact, "kv-compact", 0, "KV compaction crash axis: also sweep cells that compact after every k-th acked batch (0 = no compact cells)")
+	fs.StringVar(&o.campaign, "campaign", "", "run the fixed durability campaign and write the report to this markdown path (JSON artifact written beside it); other matrix flags are ignored")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
+	fs.DurationVar(&o.timeout, "timeout", 0, "stop dispatching new cells after this duration and report partial results (0 = none)")
+	fs.BoolVar(&o.json, "json", false, "emit the summary as JSON")
+	fs.StringVar(&o.repro, "repro", "", "replay one cell spec and exit")
+	fs.StringVar(&o.breakMode, "break", "", "sabotage recovery (modes: "+strings.Join(torture.BrokenModes(), ", ")+")")
+	fs.BoolVar(&o.oracles, "oracles", false, "list the oracles and exit")
+	fs.BoolVar(&o.verbose, "v", false, "print progress")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, err
+		}
+		return nil, errUsage
+	}
+	counts := []struct {
+		name string
+		n    int
+	}{
+		{"seeds", o.seeds}, {"ops", o.ops}, {"crashpoints", o.crashPts},
+		{"faultseeds", o.faultSeeds}, {"reboots", o.reboots}, {"spares", o.spares},
+		{"budget", o.budget}, {"kv-compact", o.kvCompact}, {"parallel", o.parallel},
+	}
+	for _, c := range counts {
+		if c.n < 0 {
+			return nil, fmt.Errorf("-%s %d: a count cannot be negative", c.name, c.n)
+		}
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseArgs(os.Args[1:])
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
+		fatal(err)
+	}
+
+	if o.oracles {
 		fmt.Print(torture.OracleTable())
 		return
 	}
 
-	if *campaign != "" {
-		if err := runCampaign(*campaign, *parallel); err != nil {
+	if o.campaign != "" {
+		if err := runCampaign(o.campaign, o.parallel); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
 	runner := torture.DefaultRunner()
-	if *breakMode != "" {
-		r, err := torture.BrokenRunner(*breakMode)
+	if o.breakMode != "" {
+		r, err := torture.BrokenRunner(o.breakMode)
 		if err != nil {
 			fatal(err)
 		}
 		runner = r
 		// On stderr, so -json output stays one JSON document.
-		fmt.Fprintf(os.Stderr, "recovery sabotaged: %s (the matrix SHOULD fail)\n", *breakMode)
+		fmt.Fprintf(os.Stderr, "recovery sabotaged: %s (the matrix SHOULD fail)\n", o.breakMode)
 	}
 
-	if *repro != "" {
-		cell, err := torture.ParseCell(*repro)
+	if o.repro != "" {
+		cell, err := torture.ParseCell(o.repro)
 		if err != nil {
 			fatal(err)
 		}
@@ -102,7 +150,7 @@ func main() {
 		return
 	}
 
-	designList := splitList(*designs, torture.DesignNames(), map[string][]string{"all": torture.DesignNames(), "paper": torture.PaperDesigns()})
+	designList := splitList(o.designs, torture.DesignNames(), map[string][]string{"all": torture.DesignNames(), "paper": torture.PaperDesigns()})
 	// Fail fast on a typo'd design name before any cell is enumerated,
 	// listing the registered names instead of silently running nothing.
 	for _, d := range designList {
@@ -110,28 +158,28 @@ func main() {
 			fatal(design.UnknownError(d))
 		}
 	}
-	strides, err := parseStrides(*rebootEvery)
+	strides, err := parseStrides(o.rebootEvery)
 	if err != nil {
 		fatal(err)
 	}
 	opts := torture.MatrixOpts{
 		Designs:     designList,
-		Workloads:   splitList(*workloads, nil, nil),
-		Attacks:     splitList(*attacks, nil, nil),
-		Seeds:       *seeds,
-		Ops:         *ops,
-		CrashPts:    *crashPts,
-		FaultSeeds:  *faultSeeds,
-		Reboots:     *reboots,
+		Workloads:   splitList(o.workloads, nil, nil),
+		Attacks:     splitList(o.attacks, nil, nil),
+		Seeds:       o.seeds,
+		Ops:         o.ops,
+		CrashPts:    o.crashPts,
+		FaultSeeds:  o.faultSeeds,
+		Reboots:     o.reboots,
 		RebootEvery: strides,
-		Spares:      *spares,
-		Budget:      *budget,
-		KV:          *kvMode,
-		KVCompact:   *kvCompact,
+		Spares:      o.spares,
+		Budget:      o.budget,
+		KV:          o.kv,
+		KVCompact:   o.kvCompact,
 	}
 	var cells []torture.Cell
 	var coverage []torture.CoverageStat
-	if *guided {
+	if o.guided {
 		cells, coverage, err = torture.EnumerateGuidedCells(opts)
 		if err != nil {
 			fatal(err)
@@ -139,7 +187,7 @@ func main() {
 	} else {
 		cells = torture.EnumerateCells(opts)
 	}
-	if !*jsonOut {
+	if !o.json {
 		mode := ""
 		if coverage != nil {
 			mode = " (guided crash points)"
@@ -151,7 +199,7 @@ func main() {
 		fmt.Printf("torture: running %d cells on %d designs%s...\n", len(cells), len(designs), mode)
 	}
 	var progress func(done, total int, f *torture.Failure)
-	if *verbose && !*jsonOut {
+	if o.verbose && !o.json {
 		progress = func(done, total int, f *torture.Failure) {
 			if f != nil {
 				fmt.Printf("  FAIL %v\n", f)
@@ -167,8 +215,8 @@ func main() {
 	// still emitted (including as JSON) before the non-zero exit.
 	ctx := context.Background()
 	var cancel context.CancelFunc
-	if *timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+	if o.timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, o.timeout)
 	} else {
 		ctx, cancel = context.WithCancel(ctx)
 	}
@@ -177,7 +225,7 @@ func main() {
 	defer stop()
 
 	start := time.Now()
-	sum := torture.RunMatrix(ctx, runner, cells, *parallel, progress)
+	sum := torture.RunMatrix(ctx, runner, cells, o.parallel, progress)
 	if coverage != nil {
 		// Only a guided trace enumeration has coverage rows: -kv sweeps
 		// every write boundary, so -guided leaves it unchanged.
@@ -185,7 +233,7 @@ func main() {
 		sum.Coverage = coverage
 	}
 
-	if *jsonOut {
+	if o.json {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(sum); err != nil {

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"maps"
+
 	"ccnvm/internal/compress"
 	"ccnvm/internal/design/names"
 	"ccnvm/internal/mem"
@@ -314,6 +316,14 @@ func (a *Arsenal) Crash() *CrashImage {
 		img.Sideband[k] = v
 	}
 	return img
+}
+
+// RestoreSideband installs a crash image's sideband tags, as a reboot
+// reads the ECC spare bits back with their lines; without them every
+// packed line would be fetched as a raw one and fail its data HMAC.
+func (a *Arsenal) RestoreSideband(tags map[mem.Addr]byte) {
+	a.tags = make(map[mem.Addr]byte, len(tags))
+	maps.Copy(a.tags, tags)
 }
 
 var _ Engine = (*Arsenal)(nil)

@@ -181,17 +181,13 @@ func (db *DB) compactLocked() error {
 
 	// Commit phase: one checksummed slot write switches the layout.
 	// Before this write the run is an invisible orphan (reopen reclaims
-	// it); after it the old half is the invisible garbage. The sabotage
-	// knob drops exactly this write, which the break-compact-switch
-	// torture self-test proves the oracles catch.
-	if !db.sabotageDropManifest {
-		rec := manifestRecord{Seq: genBefore + 1, StartSeq: startSeq, Half: dst}
-		if err := db.st.Write(mem.Addr(ManifestFormat.Off(rec.Seq)), encodeManifest(rec)); err != nil {
-			return fail(fmt.Errorf("kv: manifest commit write: %w", err))
-		}
-		if err := db.st.FlushEpoch(); err != nil {
-			return fail(fmt.Errorf("kv: manifest commit flush: %w", err))
-		}
+	// it); after it the old half is the invisible garbage.
+	rec := manifestRecord{Seq: genBefore + 1, StartSeq: startSeq, Half: dst}
+	if err := db.st.Write(mem.Addr(ManifestFormat.Off(rec.Seq)), encodeManifest(rec)); err != nil {
+		return fail(fmt.Errorf("kv: manifest commit write: %w", err))
+	}
+	if err := db.st.FlushEpoch(); err != nil {
+		return fail(fmt.Errorf("kv: manifest commit flush: %w", err))
 	}
 
 	// Switch phase: the keymap flips to the compacted refs atomically
@@ -237,14 +233,4 @@ func (db *DB) compactLocked() error {
 	db.compacting = false
 	db.ccond.Broadcast()
 	return reclaimErr
-}
-
-// SabotageDropManifestCommit makes every future pass skip its manifest
-// commit write while still switching and reclaiming — the
-// "half-switched keymap" defect class. Torture self-tests only: it
-// exists to prove the compaction oracles bite.
-func (db *DB) SabotageDropManifestCommit() {
-	db.mu.Lock()
-	db.sabotageDropManifest = true
-	db.mu.Unlock()
 }

@@ -97,9 +97,8 @@ type DB struct {
 	compactFreed   uint64 // log bytes freed by passes
 	reclaimedLines uint64 // lines returned to zero (passes + reopen)
 
-	sabotageDropManifest bool   // torture self-tests: skip the manifest commit
-	testHookMidCopy      func() // tests: runs after the copy phase, before commit
-	testHookAfterSwitch  func() // tests: runs between switch and reclaim
+	testHookMidCopy     func() // tests: runs after the copy phase, before commit
+	testHookAfterSwitch func() // tests: runs between switch and reclaim
 
 	gets    uint64
 	batches uint64

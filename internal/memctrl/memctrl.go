@@ -201,14 +201,6 @@ type Controller struct {
 
 	// Persistence event tap (SetEventTap); nil when nothing listens.
 	tap func(Event)
-
-	// Reorder-persist sabotage state (SabotageReorderPersist): a
-	// deliberate single-shot ADR-ordering defect the torture harness
-	// arms to prove guided crash enumeration has teeth.
-	sabAfter   int        // arm after this many epoch commits; 0 = off
-	sabCommits int        // epoch commits delivered so far
-	sabVictim  *heldEntry // the parked non-epoch write; nil when none
-	sabDone    bool       // the defect already fired; behavior nominal
 }
 
 // New builds a controller over dev.
@@ -224,11 +216,6 @@ func New(cfg Config, dev *nvm.Device) *Controller {
 // heldForward looks a up among the held epoch entries (first match in
 // acceptance order, as the WPQ would forward).
 func (c *Controller) heldForward(a mem.Addr) (mem.Line, bool) {
-	if c.sabVictim != nil && c.sabVictim.addr == a {
-		// The parked reorder-persist victim still occupies the WPQ and
-		// forwards like any entry; only its durability is sabotaged.
-		return c.sabVictim.line, true
-	}
 	for _, h := range c.held {
 		if h.addr == a {
 			return h.line, true
@@ -484,47 +471,8 @@ func (c *Controller) Write(now int64, a mem.Addr, l mem.Line) int64 {
 		return now
 	}
 	c.emit(EvWriteAccept, a)
-	if c.sabParks() {
-		// Reorder-persist sabotage: the victim write is accepted (and
-		// forwarded to readers) but NOT written through — it loses the
-		// ADR guarantee and persists only at the next epoch commit.
-		// Later writes to the victim line coalesce into the parked slot.
-		if c.sabVictim == nil {
-			c.sabVictim = &heldEntry{a, l}
-			return now
-		}
-		if c.sabVictim.addr == a {
-			c.sabVictim.line = l
-			return now
-		}
-	}
 	c.devWrite(a, l) // durable at acceptance (ADR)
 	return now
-}
-
-// sabParks reports whether the reorder-persist defect is armed and
-// still hunting (or holding) its victim.
-func (c *Controller) sabParks() bool {
-	return c.sabAfter > 0 && !c.sabDone && c.sabCommits >= c.sabAfter
-}
-
-// SabotageReorderPersist arms a deliberate persist-ordering defect used
-// by the torture harness's guided-mode self-test: the first non-epoch
-// write accepted after the afterCommits-th epoch commit silently loses
-// its ADR durability guarantee. The write still occupies the WPQ and
-// forwards to readers, but it reaches the media only at the NEXT epoch
-// commit; a crash before that commit drops it entirely. The defect is
-// invisible to any crash point outside the victim-write→next-commit
-// window — exactly one persist-ordering edge of the cell's graph — so
-// it discriminates guided from evenly spaced crash enumeration.
-// Single-shot: once the victim flushes or drops, behavior is nominal.
-// Panics when the device carries a fault model, whose crash composition
-// assumes nominal WPQ ordering.
-func (c *Controller) SabotageReorderPersist(afterCommits int) {
-	if c.dev.FaultModel() != nil {
-		panic("memctrl: SabotageReorderPersist is incompatible with a fault model")
-	}
-	c.sabAfter = afterCommits
 }
 
 // devWrite services one WPQ entry: the line becomes durable, the fluid
@@ -627,16 +575,6 @@ func (c *Controller) EndEpochDrain(now int64) (int64, error) {
 		c.devWrite(h.addr, h.line)
 	}
 	c.held = c.held[:0]
-	if c.sabVictim != nil {
-		// The reorder-persist victim finally reaches the media: its
-		// durability was delayed past this commit instead of holding at
-		// acceptance, which is the injected ordering bug.
-		v := *c.sabVictim
-		c.sabVictim = nil
-		c.sabDone = true
-		c.devWrite(v.addr, v.line)
-	}
-	c.sabCommits++
 	return now + int64(c.backlog/c.drainRate()), nil
 }
 
@@ -705,12 +643,6 @@ func (c *Controller) Crash() {
 		c.crashFaults()
 	}
 	c.stats.DroppedOnCrash += uint64(len(c.held))
-	if c.sabVictim != nil {
-		// The parked reorder-persist victim never reached the media: the
-		// injected defect loses it exactly as a real ordering bug would.
-		c.sabVictim = nil
-		c.sabDone = true
-	}
 	c.held = c.held[:0]
 	c.pending = nil
 	c.inDrain = false

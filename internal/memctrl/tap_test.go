@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ccnvm/internal/mem"
-	"ccnvm/internal/nvm"
 )
 
 // TestEventTapStream pins the tap's event taxonomy against a scripted
@@ -62,97 +61,4 @@ func TestEventTapObservational(t *testing.T) {
 	if e1 != e2 || s1 != s2 || l1 != l2 {
 		t.Fatalf("tap changed behavior: (%d,%+v,%v) vs (%d,%+v,%v)", e1, s1, l1, e2, s2, l2)
 	}
-}
-
-// drainEpoch runs one empty-bodied epoch window so the sabotage commit
-// counter advances.
-func drainEpoch(t *testing.T, c *Controller, now int64) {
-	t.Helper()
-	if err := c.BeginEpochDrain(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.EndEpochDrain(now); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSabotageReorderPersist exercises the injected ordering defect end
-// to end: the victim write is parked (absent from media, forwarded to
-// readers), persists at the next commit, and behavior is nominal after.
-func TestSabotageReorderPersist(t *testing.T) {
-	c := ctrl(t, Config{})
-	c.SabotageReorderPersist(1)
-
-	// Before the arming commit the defect is dormant.
-	c.Write(0, 0, line(1))
-	if _, ok := c.Device().Peek(0); !ok {
-		t.Fatal("pre-arm write must be durable at acceptance")
-	}
-	drainEpoch(t, c, 10)
-
-	// First non-epoch write after commit #1 is the victim: parked.
-	c.Write(20, 64, line(2))
-	if _, ok := c.Device().Peek(64); ok {
-		t.Fatal("victim write reached the media despite the sabotage")
-	}
-	if got, ok, _ := c.Read(20, 64); !ok || got != line(2) {
-		t.Fatal("parked victim must still forward to readers")
-	}
-	if got, ok, _ := c.ReadBypass(20, 64); !ok || got != line(2) {
-		t.Fatal("parked victim must forward on the bypass path too")
-	}
-
-	// A later write to the victim line coalesces into the parked slot;
-	// writes to other lines proceed normally.
-	c.Write(30, 64, line(3))
-	if _, ok := c.Device().Peek(64); ok {
-		t.Fatal("coalesced victim write must stay parked")
-	}
-	c.Write(30, 128, line(4))
-	if _, ok := c.Device().Peek(128); !ok {
-		t.Fatal("non-victim write must stay durable at acceptance")
-	}
-
-	// The next commit finally persists the (coalesced) victim.
-	drainEpoch(t, c, 40)
-	if got, ok := c.Device().Peek(64); !ok || got != line(3) {
-		t.Fatalf("victim not persisted at the next commit: %v, %v", got, ok)
-	}
-
-	// Single-shot: the defect never fires again.
-	c.Write(50, 192, line(5))
-	if _, ok := c.Device().Peek(192); !ok {
-		t.Fatal("post-defect write must be durable at acceptance")
-	}
-	if err := c.Err(); err != nil {
-		t.Fatalf("controller error: %v", err)
-	}
-}
-
-// TestSabotageReorderPersistDropsOnCrash: a crash inside the
-// victim-write→next-commit window loses the victim entirely.
-func TestSabotageReorderPersistDropsOnCrash(t *testing.T) {
-	c := ctrl(t, Config{})
-	c.SabotageReorderPersist(1)
-	drainEpoch(t, c, 10)
-	c.Write(20, 64, line(2))
-	c.Crash()
-	if _, ok := c.Device().Peek(64); ok {
-		t.Fatal("parked victim must be lost at a crash before the next commit")
-	}
-}
-
-// TestSabotageRefusesFaultModel: the defect is incompatible with the
-// media fault model and must refuse loudly rather than corrupt its
-// crash composition.
-func TestSabotageRefusesFaultModel(t *testing.T) {
-	dev := nvm.NewDevice(mem.MustLayout(64<<20), nvm.Timing{ReadCycles: 100, WriteCycles: 400})
-	dev.SetFaultModel(&nvm.FaultModel{Seed: 1, TornWrites: true})
-	c := New(Config{}, dev)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SabotageReorderPersist must panic under a fault model")
-		}
-	}()
-	c.SabotageReorderPersist(1)
 }

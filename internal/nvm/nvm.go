@@ -77,16 +77,15 @@ type Device struct {
 
 	// Finite spare-pool state (see spare.go); all zero/nil on the
 	// unlimited legacy pool (FaultModel.SpareLines == 0).
-	spareTotal      int
-	spareUsed       int
-	remapEntries    []RemapEntry
-	remapIdx        map[mem.Addr]int
-	remapSeq        uint64
-	remapsBoot      uint64
-	remapRefused    uint64
-	remapTable      []byte
-	remapPrev       []byte // prior bytes of the most recently written slot
-	dropRemapCommit bool   // torture sabotage: drop record writes
+	spareTotal   int
+	spareUsed    int
+	remapEntries []RemapEntry
+	remapIdx     map[mem.Addr]int
+	remapSeq     uint64
+	remapsBoot   uint64
+	remapRefused uint64
+	remapTable   []byte
+	remapPrev    []byte // prior bytes of the most recently written slot
 }
 
 // NewDevice builds a device over the given layout and timing.

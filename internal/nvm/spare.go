@@ -229,9 +229,6 @@ func (d *Device) Remap(a mem.Addr, exempt bool) error {
 // old/new per 64-byte chunk, exactly like a torn data line.
 func (d *Device) commitRemapRecord() {
 	d.remapsBoot++
-	if d.dropRemapCommit {
-		return // sabotage: the spare is consumed but the record never lands
-	}
 	d.remapSeq++
 	slot := RemapFormat.Slot(d.remapTable, d.remapSeq)
 	d.remapPrev = append(d.remapPrev[:0], slot...)
@@ -261,13 +258,6 @@ func (d *Device) TearNewestRemapSlot() bool {
 	slot := RemapFormat.Slot(d.remapTable, d.remapSeq)
 	return d.faults.TearChunks(slot, d.remapPrev, slot, base, d.remapSeq)
 }
-
-// SabotageDropRemapCommit breaks the remap-commit protocol for the
-// torture harness's break-remap-commit self-test: spares are consumed
-// and lines healed, but record writes are silently dropped, so the
-// persisted table forgets every remap. The spare-accounting oracle
-// must notice.
-func (d *Device) SabotageDropRemapCommit() { d.dropRemapCommit = true }
 
 // healOnWrite heals a stuck line at its rewrite. On the unlimited
 // legacy pool this is the free delete it always was; a finite pool

@@ -181,8 +181,9 @@ func TestSpareSnapshotRestoreRoundTrip(t *testing.T) {
 
 // TestSabotagedCommitRollsBackOnRestore pins what the torture harness's
 // break-remap-commit self-test relies on: a consumed spare whose record
-// write was dropped does not survive a reboot — the table is the single
-// source of truth.
+// never reached the persisted table does not survive a reboot — the
+// table is the single source of truth. The harness drops the commit by
+// crashing with the table as it stood before the heal, as here.
 func TestSabotagedCommitRollsBackOnRestore(t *testing.T) {
 	d := spareDevice(t, &FaultModel{Seed: 3, StuckLines: 1, SpareLines: 2})
 	var l mem.Line
@@ -190,13 +191,15 @@ func TestSabotagedCommitRollsBackOnRestore(t *testing.T) {
 		d.Write(mem.Addr(i)*mem.LineSize, l)
 	}
 	stuck := d.InjectStuckLines()
-	d.SabotageDropRemapCommit()
+	before := append([]byte(nil), d.RemapTable()...)
 	d.Write(stuck[0], l)
 	if s := d.SpareStats(); s.Used != 1 {
-		t.Fatalf("sabotaged heal did not consume in memory: %+v", s)
+		t.Fatalf("heal did not consume a spare: %+v", s)
 	}
+	img := d.Snapshot()
+	img.RemapTable = before
 	d2 := spareDevice(t, &FaultModel{Seed: 3, StuckLines: 1, SpareLines: 2})
-	d2.Restore(d.Snapshot())
+	d2.Restore(img)
 	if s := d2.SpareStats(); s.Used != 0 {
 		t.Fatalf("dropped commit survived the reboot: %+v", s)
 	}

@@ -68,6 +68,13 @@ const (
 	HealthReadOnly = memctrl.HealthReadOnly
 )
 
+// Event kinds, re-exported for harnesses that follow the write stream
+// through SetEventTap.
+const (
+	EvWriteAccept = memctrl.EvWriteAccept
+	EvEpochCommit = memctrl.EvEpochCommit
+)
+
 // Typed facade errors.
 var (
 	// ErrClosed reports use after Close.
@@ -187,7 +194,8 @@ func Open(o Options) (*Store, error) {
 
 // OpenRecovered boots a store from a recovered crash image: the device
 // is restored from the image and the engine resumes from the recovered
-// TCB registers, exactly as a rebooted controller would. The caller
+// TCB registers and the image's sideband tags (Arsenal's packed-line
+// bits), exactly as a rebooted controller would. The caller
 // runs Recover/Apply first (or uses the Reboot convenience below) and
 // passes the resulting TCB state.
 //
@@ -218,6 +226,9 @@ func OpenRecovered(img *engine.CrashImage, rec recovery.Recovered, o Options) (*
 		return nil, fmt.Errorf("store: design %s cannot restore TCB state", img.Design)
 	}
 	r.RestoreTCB(rec.TCB)
+	if sr, ok := st.eng.(interface{ RestoreSideband(map[mem.Addr]byte) }); ok {
+		sr.RestoreSideband(img.Sideband)
+	}
 	if v := rec.Verdict(); v != nil && v.Keys == *o.Keys && o.Faults == nil {
 		st.verdict, st.vcry, st.vca = v, seccrypto.MustEngine(v.Keys), ^mem.Addr(0)
 	}
@@ -595,12 +606,4 @@ func (s *Store) SetEventTap(fn func(Event)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ctrl.SetEventTap(fn)
-}
-
-// SabotageReorderPersist arms the controller's deliberate single-shot
-// persist-ordering defect (torture self-tests only).
-func (s *Store) SabotageReorderPersist(afterCommits int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ctrl.SabotageReorderPersist(afterCommits)
 }

@@ -2,19 +2,21 @@ package torture
 
 import (
 	"fmt"
+	"slices"
 
 	"ccnvm/internal/bmt"
 	"ccnvm/internal/engine"
 	"ccnvm/internal/kv"
 	"ccnvm/internal/mem"
+	"ccnvm/internal/nvm"
 	"ccnvm/internal/recovery"
 	"ccnvm/internal/seccrypto"
 	"ccnvm/internal/store"
 )
 
-// BrokenModes lists the deliberately sabotaged recovery variants the
-// harness can run, used to prove the oracles have teeth: each mode must
-// be caught by at least one oracle on an otherwise healthy matrix.
+// BrokenModes lists the deliberate defects the harness can run, used to
+// prove the oracles have teeth: each mode must be caught by at least
+// one oracle on an otherwise healthy matrix.
 func BrokenModes() []string {
 	return []string{"skip-counter-replay", "ignore-tampered", "skip-root-check", "accept-torn", "accept-divergent", "reorder-persist", "break-remap-commit", "break-compact-switch"}
 }
@@ -25,9 +27,11 @@ func BrokenModes() []string {
 // injected bug's location.
 const reorderAfterCommits = 3
 
-// BrokenRunner returns a runner whose recovery is sabotaged in the named
-// way. The sabotage forges reports that claim success, so only the
-// differential oracles (golden state, replay-window accounting) can tell.
+// BrokenRunner returns a runner broken in the named way. The recovery
+// modes forge reports that claim success, so only the differential
+// oracles (golden state, replay-window accounting) can tell; the
+// controller, device and compactor modes edit what reaches the media
+// through the Arm and Reopen seams, so the product carries no defect.
 func BrokenRunner(mode string) (*Runner, error) {
 	switch mode {
 	case "skip-counter-replay":
@@ -117,59 +121,106 @@ func BrokenRunner(mode string) (*Runner, error) {
 	case "reorder-persist":
 		// A controller-level ordering bug rather than a recovery one: the
 		// first non-epoch write after the third epoch commit loses its ADR
-		// durability guarantee and persists only at the NEXT commit (see
-		// memctrl.SabotageReorderPersist). Runtime reads still see the
-		// write (the WPQ forwards it), so the defect is observable only at
-		// a crash point inside the victim-write→commit window — exactly
-		// one persist-ordering edge of the cell's graph. Guided
-		// enumeration schedules a point per distinct edge cut and lands in
-		// the window; evenly spaced points at the same budget straddle it.
-		// Fault-model cells run unsabotaged: the knob is incompatible with
-		// crash-time tear composition and those cells are not the test;
-		// neither are KV cells.
+		// durability guarantee and persists only at the NEXT commit.
+		// Runtime reads still see the write (the WPQ would forward it), so
+		// the defect is observable only at a crash point inside the
+		// victim-write→commit window — exactly one persist-ordering edge
+		// of the cell's graph. Guided enumeration schedules a point per
+		// distinct edge cut and lands in the window; evenly spaced points
+		// at the same budget straddle it. Fault-model cells run clean:
+		// their crash-time tearing assumes nominal WPQ ordering and they
+		// are not the test; neither are KV cells.
 		return &Runner{
-			Arm: func(c Cell, st *store.Store, _ *kv.DB) {
-				if !c.Faulty() && !c.KV() {
-					st.SabotageReorderPersist(reorderAfterCommits)
+			Arm: func(c Cell, st *store.Store) func(*nvm.Image) {
+				if c.Faulty() || c.KV() {
+					return nil
 				}
+				return reorderPersist(st)
 			},
 		}, nil
 	case "break-remap-commit":
 		// A device-level wear-management bug: spares are consumed and lines
 		// remapped, but the durable remap record is never written — the
 		// atomic-commit discipline silently dropped. Everything looks fine
-		// until the crash, when the persisted table disagrees with the
-		// spares the device actually spent by more than the one record a
-		// torn commit may legitimately roll back. The spare-accounting
-		// ledger reconciliation is the oracle that must notice. Only
-		// finite-pool cells arm the knob; the rest of the matrix runs
-		// clean.
+		// until the crash, when the persisted table (the one the cell
+		// armed with) disagrees with the spares the device actually spent
+		// by more than the one record a torn commit may legitimately roll
+		// back. The spare-accounting ledger reconciliation is the oracle
+		// that must notice. Only finite-pool cells are broken; the rest of
+		// the matrix runs clean.
 		return &Runner{
-			Arm: func(c Cell, st *store.Store, _ *kv.DB) {
-				if c.Spares > 0 {
-					st.Device().SabotageDropRemapCommit()
+			Arm: func(c Cell, st *store.Store) func(*nvm.Image) {
+				if c.Spares == 0 {
+					return nil
 				}
+				table := slices.Clone(st.Device().RemapTable())
+				return func(img *nvm.Image) { img.RemapTable = slices.Clone(table) }
 			},
 		}, nil
 	case "break-compact-switch":
 		// A KV-layer crash-consistency bug: the compactor copies the live
 		// set, switches the in-memory keymap and reclaims the retired
-		// half, but never writes the manifest slot that commits the
-		// switch — the classic "forgot the commit record" defect. The
-		// namespace looks perfect until the crash, when reopen follows
-		// the stale manifest into a half whose frames were just zeroed.
-		// The compaction oracles (generation equality first, lost-acked
-		// and resurrection checks behind it) must catch it on any compact
-		// cell; non-compact cells run clean.
+		// half, but its manifest commit never lands — the classic "forgot
+		// the commit record" defect. The namespace looks perfect until the
+		// crash, when reopen follows the fresh namespace's empty manifest
+		// into a half whose frames were just zeroed. The compaction
+		// oracles (generation equality first, lost-acked and resurrection
+		// checks behind it) must catch it on any compact cell;
+		// non-compact cells run clean.
 		return &Runner{
-			Arm: func(c Cell, _ *store.Store, db *kv.DB) {
-				if c.CompactEvery > 0 {
-					db.SabotageDropManifestCommit()
+			Reopen: func(c Cell, st *store.Store) error {
+				if c.CompactEvery == 0 {
+					return nil
 				}
+				for a := 0; a < kv.ManifestFormat.TableLen(); a += mem.LineSize {
+					if err := st.Write(mem.Addr(a), mem.Line{}); err != nil {
+						return err
+					}
+				}
+				return nil
 			},
 		}, nil
 	}
 	return nil, fmt.Errorf("torture: unknown broken mode %q (have %v)", mode, BrokenModes())
+}
+
+// reorderPersist arms the reorder-persist defect on st through its
+// event tap: the first write accepted after reorderAfterCommits epoch
+// commits is the victim, and until the next commit an image of the
+// device loses it — the returned edit puts back the victim line's
+// content from before that write, or removes a line the write created.
+// Later writes to the victim line inside the window are lost with it,
+// as if they coalesced into the unpersisted slot.
+func reorderPersist(st *store.Store) func(*nvm.Image) {
+	var (
+		commits      int
+		hunting      = true
+		open         bool
+		victim       mem.Addr
+		prior        mem.Line
+		priorPresent bool
+	)
+	st.SetEventTap(func(ev store.Event) {
+		switch ev.Kind {
+		case store.EvEpochCommit:
+			commits++
+			open = false
+		case store.EvWriteAccept:
+			if hunting && commits >= reorderAfterCommits {
+				hunting, open, victim = false, true, ev.Addr
+				prior, priorPresent = st.Device().Peek(ev.Addr)
+			}
+		}
+	})
+	return func(img *nvm.Image) {
+		switch {
+		case !open:
+		case priorPresent:
+			img.Write(victim, prior)
+		default:
+			img.Store.Delete(victim)
+		}
+	}
 }
 
 // recoverSpotless runs the real recovery and drops every tamper and

@@ -3,8 +3,13 @@ package torture
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"ccnvm/internal/engine"
+	"ccnvm/internal/mem"
+	"ccnvm/internal/nvm"
 )
 
 // TestProfileTraceDeterministic: profiling the same trace twice yields
@@ -187,6 +192,84 @@ func TestReorderPersistSelfTest(t *testing.T) {
 		t.Fatalf("minimized cell fails real recovery too: %v", g)
 	}
 	t.Logf("reorder-persist caught by %q, shrunk in %d runs: %s", f.Oracle, f.ShrinkRuns, f.Repro)
+}
+
+// TestReorderPersistLosesOnlyTheVictim pins the harness-side
+// reorder-persist defect on the self-test's pinned cell, at every crash
+// point of its trace: a crash inside the victim-write→commit window
+// leaves an image that differs from the real controller's only at the
+// victim line, which holds its content from before the victim write;
+// a crash outside the window — before the victim, or after the next
+// commit — leaves the identical image.
+func TestReorderPersistLosesOnlyTheVictim(t *testing.T) {
+	br, err := BrokenRunner("reorder-persist")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := EnumerateCells(SabotageMatrixOpts())[0]
+	ops, err := GenOps(cell.Workload, cell.Seed, cell.Ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash := func(r *Runner, k int) *nvm.Image {
+		eng, st, err := BuildEngine(cell.Design, engine.Params{UpdateLimit: cell.N, QueueEntries: cell.M}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit := r.arm(cell, st)
+		driveTrace(eng, ops[:k], nil, nil)
+		img := eng.Crash().Image
+		edit(img)
+		return img
+	}
+	var window []int
+	var victim mem.Addr
+	var before *nvm.Image // the real image one crash point ahead of the window
+	for k := 0; k <= cell.Ops; k++ {
+		got, want := crash(br, k), crash(DefaultRunner(), k)
+		diff := diffLines(got, want)
+		if len(diff) == 0 {
+			if len(window) > 0 && k == window[len(window)-1]+1 {
+				t.Logf("window: crash points %d..%d, victim %#x", window[0], window[len(window)-1], uint64(victim))
+			}
+			before = want
+			continue
+		}
+		if len(window) > 0 && k != window[len(window)-1]+1 {
+			t.Fatalf("crash point %d loses lines again after the window %v closed", k, window)
+		}
+		if len(window) == 0 {
+			victim = diff[0]
+		}
+		window = append(window, k)
+		if len(diff) != 1 || diff[0] != victim {
+			t.Fatalf("crash point %d: image differs at %#x, want only the victim %#x", k, diff, uint64(victim))
+		}
+		gl, gok := got.Read(victim)
+		bl, bok := before.Read(victim)
+		if gl != bl || gok != bok {
+			t.Fatalf("crash point %d: victim line holds %x (present %v), before the victim write %x (present %v)",
+				k, gl[:8], gok, bl[:8], bok)
+		}
+	}
+	if len(window) == 0 || window[len(window)-1] == cell.Ops {
+		t.Fatalf("window %v: want a non-empty window that closes before the trace ends", window)
+	}
+}
+
+// diffLines lists the lines whose content or presence differs between
+// two images, in address order.
+func diffLines(a, b *nvm.Image) []mem.Addr {
+	var out []mem.Addr
+	for _, x := range append(a.Store.Addrs(), b.Store.Addrs()...) {
+		la, oka := a.Read(x)
+		lb, okb := b.Read(x)
+		if (la != lb || oka != okb) && !slices.Contains(out, x) {
+			out = append(out, x)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // TestGuidedCarriesSpareCells: guided enumeration rides the same fault,

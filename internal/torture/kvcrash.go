@@ -119,9 +119,7 @@ func (r *Runner) driveKV(c Cell) (*kvRun, *Failure) {
 	if err != nil {
 		return nil, failf(c, "cell-spec", "%v", err)
 	}
-	if r.Arm != nil {
-		r.Arm(c, st, db)
-	}
+	edit := r.arm(c, st)
 	batches := genKVBatches(c.Seed, c.Batches)
 	run := &kvRun{states: make([]map[string][]byte, len(batches)+1)}
 	run.states[0] = map[string][]byte{}
@@ -154,6 +152,7 @@ func (r *Runner) driveKV(c Cell) (*kvRun, *Failure) {
 	run.writes = int(st.Engine().Stats().Writebacks - before)
 	run.gen = db.Generation()
 	run.img = db.Crash()
+	edit(run.img.Image)
 	return run, nil
 }
 
@@ -197,7 +196,7 @@ func (r *Runner) runKV(c Cell) (*Context, *Failure) {
 		return ctx, failf(c, "kv-clean-recovery", "re-entered recovery flagged a clean KV image")
 	}
 	ctx.applyRecovery()
-	db, st, err := reopenKV(ctx.Img, *ctx.Recovered)
+	db, st, err := r.reopenKV(c, ctx.Img, *ctx.Recovered)
 	if err != nil {
 		return ctx, failf(c, "kv-clean-recovery", "%v", err)
 	}
@@ -226,7 +225,7 @@ func (r *Runner) runKV(c Cell) (*Context, *Failure) {
 		e.reclaimed = cs.ReclaimedLines
 	}
 	if ctx.rebootRan && ctx.GoldenRep.Clean() {
-		dbG, _, err := reopenKV(ctx.GoldenImg, *ctx.GoldenRec)
+		dbG, _, err := r.reopenKV(c, ctx.GoldenImg, *ctx.GoldenRec)
 		e.golden = &kvView{err: err}
 		if err == nil {
 			*e.golden = readKV(dbG, e.keys)
@@ -395,12 +394,17 @@ func checkKVCompactIdempotent(c *Context) string {
 	return ""
 }
 
-// reopenKV boots a store from a recovered KV crash image and rebuilds
-// its keymap.
-func reopenKV(img *engine.CrashImage, rec recovery.Recovered) (*kv.DB, *store.Store, error) {
+// reopenKV boots a store from a recovered KV crash image, runs the
+// Reopen seam on it, and rebuilds its keymap.
+func (r *Runner) reopenKV(c Cell, img *engine.CrashImage, rec recovery.Recovered) (*kv.DB, *store.Store, error) {
 	st, err := store.OpenRecovered(img, rec, store.Options{Params: kvParams})
 	if err != nil {
 		return nil, nil, fmt.Errorf("reopen after recovery: %w", err)
+	}
+	if r.Reopen != nil {
+		if err := r.Reopen(c, st); err != nil {
+			return nil, nil, fmt.Errorf("reopen edit: %w", err)
+		}
 	}
 	db, err := kv.Open(st, kv.Options{})
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"ccnvm/internal/attack"
 	"ccnvm/internal/engine"
-	"ccnvm/internal/kv"
 	"ccnvm/internal/mem"
 	"ccnvm/internal/nvm"
 	"ccnvm/internal/recovery"
@@ -37,16 +36,20 @@ func failf(c Cell, oracle, format string, args ...any) *Failure {
 
 // Runner executes torture cells. The Recover, Apply and ApplyInterrupted
 // seams default to the real recovery implementation; tests substitute
-// deliberately broken ones to prove the oracles catch them. Arm, when
-// set, is invoked on every cell's freshly built store before the
-// workload is driven (db is the freshly opened namespace of a KV cell,
-// nil for a trace cell) — the seam the pre-crash sabotages use to inject
-// their defects.
+// deliberately broken ones to prove the oracles catch them. Arm and
+// Reopen break what reaches the media instead, from the harness side,
+// leaving the store itself nominal. Arm, when set, is invoked on every
+// cell's freshly built store before the workload is driven; the edit it
+// returns (nil: none) is applied to each image taken of the device
+// afterwards — the adversary's mid-trace snapshot and the crash image.
+// Reopen, when set, edits a KV cell's recovered store before the
+// namespace is rebuilt over it.
 type Runner struct {
 	Recover          func(*engine.CrashImage) *recovery.Report
 	Apply            func(*engine.CrashImage, *recovery.Report) recovery.Recovered
 	ApplyInterrupted func(*engine.CrashImage, *recovery.Report, *recovery.Interrupt) (recovery.Recovered, bool)
-	Arm              func(c Cell, st *store.Store, db *kv.DB)
+	Arm              func(c Cell, st *store.Store) func(*nvm.Image)
+	Reopen           func(c Cell, st *store.Store) error
 }
 
 // DefaultRunner runs cells against the real recovery path.
@@ -66,6 +69,17 @@ func (r *Runner) withSeams() *Runner {
 		s.ApplyInterrupted = recovery.ApplyInterrupted
 	}
 	return &s
+}
+
+// arm runs the Arm seam on a cell's fresh store and returns its image
+// edit, a no-op when the seam is unset or declines the cell.
+func (r *Runner) arm(c Cell, st *store.Store) func(*nvm.Image) {
+	if r.Arm != nil {
+		if edit := r.Arm(c, st); edit != nil {
+			return edit
+		}
+	}
+	return func(*nvm.Image) {}
 }
 
 // pattern derives a block's store content from its address and the op
@@ -134,9 +148,7 @@ func (r *Runner) runTrace(c Cell) (*Context, *Failure) {
 	if err != nil {
 		return nil, failf(c, "cell-spec", "%v", err)
 	}
-	if r.Arm != nil {
-		r.Arm(c, ctrl, nil)
-	}
+	edit := r.arm(c, ctrl)
 	ref := NewReference(mem.MustLayout(Capacity), seccrypto.DefaultKeys())
 	ctx := &Context{Cell: c, Ref: ref, Runner: r}
 
@@ -152,6 +164,7 @@ func (r *Runner) runTrace(c Cell) (*Context, *Failure) {
 	ctx.ReadDivergence = driveTrace(eng, ops[:c.CrashAt], ref, func(i int, op trace.Op, now int64) (int64, bool) {
 		if i == snapAt {
 			snap = eng.(interface{ NVMSnapshot() *nvm.Image }).NVMSnapshot()
+			edit(snap)
 			snapWrites = ref.WriteCounts()
 			if c.Spares > 0 && c.Stuck > 0 {
 				// The spare axis needs live stuck lines to consume the
@@ -190,6 +203,7 @@ func (r *Runner) runTrace(c Cell) (*Context, *Failure) {
 	ctx.RunViolations = eng.Stats().IntegrityViolations
 
 	ctx.Img = eng.Crash()
+	edit(ctx.Img.Image)
 	ctx.Media = ctx.Img.MediaLog
 	ctx.CtrlStats = ctrl.CtrlStats()
 	if c.Spares > 0 {
