@@ -55,6 +55,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzKVCompactCell -fuzztime=20s ./internal/torture/
 	$(GO) test -fuzz=FuzzPorderEvents -fuzztime=15s ./internal/porder/
 	$(GO) test -fuzz=FuzzWireCodec -fuzztime=15s ./internal/kv/
+	$(GO) test -fuzz=FuzzLazyPath -fuzztime=10s ./internal/engine/
 
 # vuln scans the module against the Go vulnerability database. Skipped
 # with a notice when govulncheck is not installed (it needs network
@@ -239,6 +240,12 @@ ci: tier1 vet cross lint-designs lint-layering race fuzz-short vuln torture-rebo
 #
 #	make profile                                   # serial baseline
 #	make profile PROFILE_PARALLEL=4                # 4 concurrent machines
+#
+# Each run carries the pprof labels design and workload. -tagfocus takes
+# a regular expression, so design=ccnvm also matches ccnvm-wods and
+# ccnvm-ext; anchor it for one design:
+#
+#	go tool pprof -top -tagfocus 'design=^ccnvm$' cpu.out
 PROFILE_PARALLEL ?= 1
 profile:
 	$(GO) run ./cmd/ccnvm-bench -fig 5 -parallel $(PROFILE_PARALLEL) -cpuprofile cpu.out -memprofile mem.out

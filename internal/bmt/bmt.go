@@ -276,7 +276,8 @@ type SpreadScratch struct {
 // until the next call with the same scratch.
 func (t *Tree) SpreadDeferred(leaves []SpreadNode, s *SpreadScratch, lookup func(mem.Addr) mem.Line, emit func(mem.Addr, mem.Line)) (counts []int, top []SpreadNode) {
 	slices.SortFunc(leaves, func(a, b SpreadNode) int { return cmp.Compare(a.Index, b.Index) })
-	s.counts = append(s.counts[:0], make([]int, t.lay.TopLevel()+1)...)
+	s.counts = slices.Grow(s.counts[:0], t.lay.TopLevel()+1)[:t.lay.TopLevel()+1]
+	clear(s.counts)
 	affected := leaves
 	for level := 0; level < t.lay.TopLevel(); level++ {
 		parents := s.levels[level%2][:0]

@@ -13,6 +13,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"ccnvm/internal/mem"
 )
@@ -157,6 +158,21 @@ func (c *Cache) Write(a mem.Addr, l mem.Line) bool {
 	return false
 }
 
+// Touch is Write without new content: on a hit it marks a dirty, makes
+// it most recently used and counts the write; on a miss it returns
+// false and counts nothing. The content arrives later, by Overwrite.
+func (c *Cache) Touch(a mem.Addr) bool {
+	w := c.find(mem.Align(a))
+	if w == nil {
+		return false
+	}
+	c.stats.Writes++
+	c.stats.Hits++
+	w.dirty = true
+	c.touch(w)
+	return true
+}
+
 // Fill inserts line l for address a (after a miss was serviced from
 // below), evicting the LRU way of the set if needed. dirty seeds the
 // line's dirty bit: false for demand fills, true when installing a
@@ -218,6 +234,17 @@ func (c *Cache) CleanLine(a mem.Addr) {
 	}
 }
 
+// Overwrite replaces a cached line's content without touching LRU
+// state, dirtiness or statistics, reporting whether a was cached. It
+// stores content computed after the fact, not a new write.
+func (c *Cache) Overwrite(a mem.Addr, l mem.Line) bool {
+	if w := c.find(mem.Align(a)); w != nil {
+		w.data = l
+		return true
+	}
+	return false
+}
+
 // Peek returns a cached line's content without touching LRU state or
 // statistics.
 func (c *Cache) Peek(a mem.Addr) (mem.Line, bool) {
@@ -273,11 +300,7 @@ func (c *Cache) DirtyAddrs() []mem.Addr {
 			out = append(out, c.addrAt(&c.lines[i], i/c.ways))
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 

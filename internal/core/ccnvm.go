@@ -130,16 +130,16 @@ func newCCNVM(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, me
 	return c
 }
 
-// stashLookup returns the stashed content of a, if the epoch displaced
-// it from the meta cache.
-func (c *CCNVM) stashLookup(a mem.Addr) (mem.Line, bool) {
+// stashLookup returns the stashed line at a, in place, if the epoch
+// displaced it from the meta cache.
+func (c *CCNVM) stashLookup(a mem.Addr) *mem.Line {
 	if c.stashN == 0 {
-		return mem.Line{}, false
+		return nil
 	}
 	if i := c.queue.Index(a); i >= 0 && c.stashed[i] {
-		return c.stash[i], true
+		return &c.stash[i]
 	}
-	return mem.Line{}, false
+	return nil
 }
 
 // clearEpoch forgets the epoch's tracking state: the queue and, when it
@@ -232,7 +232,7 @@ func (c *CCNVM) WriteBack(now int64, addr mem.Addr, pt mem.Line) int64 {
 		// Without deferred spreading the full path and ROOTnew are
 		// recomputed on every write-back; data may enter the WPQ only
 		// after the root is updated.
-		tready, _ = c.UpdatePathInCache(r.Avail, leaf)
+		tready = c.UpdatePathInCache(r.Avail, leaf)
 	}
 	done := c.WriteDataBlock(t, tready, addr, pt, r.Counter)
 
@@ -272,35 +272,13 @@ func (c *CCNVM) absorbEvicts() {
 	}
 }
 
-// metaContent returns the newest content of a tracked metadata line:
-// the meta cache, the epoch stash, or NVM (for reserved-but-clean
-// lines).
-func (c *CCNVM) metaContent(a mem.Addr) mem.Line {
-	if l, ok := c.Meta.Peek(a); ok {
-		return l
-	}
-	if l, ok := c.stashLookup(a); ok {
-		return l
-	}
-	l, ok := c.Ctrl.Device().Peek(a)
-	if !ok {
-		switch c.Lay.RegionOf(a) {
-		case mem.RegionCounter:
-			return c.Tree.DefaultNode(0)
-		case mem.RegionTree:
-			level, _ := c.Lay.NodeAt(a)
-			return c.Tree.DefaultNode(level)
-		}
-	}
-	return l
-}
-
 // drain executes the atomic draining protocol (paper §4.2) and, with
 // deferred spreading, the once-per-node Merkle recomputation (§4.3).
 // It returns the cycle at which the drainer finished issuing — the
 // point from which blocked write-backs may resume; the WPQ continues
 // flushing in the background under ADR.
 func (c *CCNVM) drain(now int64, cause DrainCause) int64 {
+	c.Materialize()
 	c.absorbEvicts()
 	tracked := c.queue.Addrs()
 	if len(tracked) == 0 {
@@ -323,7 +301,7 @@ func (c *CCNVM) drain(now int64, cause DrainCause) int64 {
 	// The epoch's line contents, content[i] for tracked[i].
 	content := c.content[:0]
 	for _, a := range tracked {
-		content = append(content, c.metaContent(a))
+		content = append(content, c.MetaContent(a))
 	}
 	c.content = content
 
@@ -347,7 +325,7 @@ func (c *CCNVM) drain(now int64, cause DrainCause) int64 {
 			if i := c.queue.Index(pa); i >= 0 {
 				return content[i]
 			}
-			return c.metaContent(pa)
+			return c.MetaContent(pa)
 		}, func(pa mem.Addr, node mem.Line) {
 			if i := c.queue.Index(pa); i >= 0 {
 				content[i] = node

@@ -121,10 +121,10 @@ func TestSettleDrainsEverything(t *testing.T) {
 	if len(c.Meta.DirtyAddrs()) != 0 {
 		t.Fatal("dirty metadata survived settle")
 	}
-	if c.TCB.Nwb != 0 {
+	if c.Registers().Nwb != 0 {
 		t.Fatal("Nwb not reset by settle")
 	}
-	if c.TCB.RootNew != c.TCB.RootOld {
+	if tcb := c.Registers(); tcb.RootNew != tcb.RootOld {
 		t.Fatal("roots diverged after settle")
 	}
 }
@@ -184,25 +184,25 @@ func regionEqual(c *CCNVM, r mem.Region, want map[mem.Addr]mem.Line) bool {
 
 func TestWoDSUpdatesRootPerWriteback(t *testing.T) {
 	c := rig(t, engine.Params{UpdateLimit: 1 << 20}, "ccnvm-wods")
-	rootBefore := c.TCB.RootNew
+	rootBefore := c.Registers().RootNew
 	c.WriteBack(0, 0, fill(1))
-	if c.TCB.RootNew == rootBefore {
+	if c.Registers().RootNew == rootBefore {
 		t.Fatal("w/o DS did not update ROOTnew on a write-back")
 	}
-	if c.TCB.RootOld == c.TCB.RootNew {
+	if tcb := c.Registers(); tcb.RootOld == tcb.RootNew {
 		t.Fatal("ROOTold moved without a drain")
 	}
 }
 
 func TestDSDefersRootToDrain(t *testing.T) {
 	c := rig(t, engine.Params{UpdateLimit: 1 << 20}, "ccnvm")
-	rootBefore := c.TCB.RootNew
+	rootBefore := c.Registers().RootNew
 	c.WriteBack(0, 0, fill(1))
-	if c.TCB.RootNew != rootBefore {
+	if c.Registers().RootNew != rootBefore {
 		t.Fatal("deferred spreading updated ROOTnew before the drain")
 	}
 	c.Settle(1000)
-	if c.TCB.RootNew == rootBefore {
+	if c.Registers().RootNew == rootBefore {
 		t.Fatal("drain did not update ROOTnew")
 	}
 }
@@ -285,7 +285,7 @@ func TestShallowTreesAndFloorQueue(t *testing.T) {
 			verify := func(when string) {
 				t.Helper()
 				dev := c.Ctrl.Device().Snapshot()
-				if bad := c.Tree.VerifyAll(dev.Store, c.TCB.RootOld, dev.Store.Addrs()); len(bad) != 0 {
+				if bad := c.Tree.VerifyAll(dev.Store, c.Registers().RootOld, dev.Store.Addrs()); len(bad) != 0 {
 					t.Fatalf("%s/%d %s: NVM tree does not verify against ROOTold: %v", variant, tc.levels, when, bad[0])
 				}
 			}

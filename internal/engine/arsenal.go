@@ -57,8 +57,7 @@ const CompressLatency = 8
 func NewArsenal(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, metaCfg metacache.Config, p Params) *Arsenal {
 	a := &Arsenal{tags: make(map[mem.Addr]byte)}
 	a.InitBase(lay, keys, ctrl, metaCfg, p)
-	a.onChipTree = onChipTree{b: &a.Base}
-	a.reset()
+	a.onChipTree.init(&a.Base)
 	a.VerifyFetchedMeta = false // the in-NVM tree is not maintained
 	a.SetCounterSource(a.counterLine)
 	return a

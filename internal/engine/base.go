@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"ccnvm/internal/bmt"
 	"ccnvm/internal/cache"
 	"ccnvm/internal/mem"
@@ -29,6 +31,9 @@ type Base struct {
 	Ctrl *memctrl.Controller
 	Meta *metacache.Cache
 	P    Params
+	// TCB holds the registers as the design last wrote them; from
+	// outside a design read them through Registers, which first hashes
+	// the recorded paths into ROOTnew.
 	TCB  TCB
 	Keys seccrypto.Keys
 
@@ -69,11 +74,35 @@ type Base struct {
 	// StashLookup, when set, lets the owning design expose additional
 	// on-chip metadata buffers (cc-NVM's epoch stash) to the
 	// victim-forwarding path, so a fetch never reads a stale NVM copy of
-	// a line that is still in flight on chip.
-	StashLookup func(a mem.Addr) (mem.Line, bool)
+	// a line that is still in flight on chip. It returns the stashed
+	// line in place, or nil: the lazy path hashing stores through it.
+	StashLookup func(a mem.Addr) *mem.Line
+
+	lazy lazyPaths
 
 	stats SecStats
 }
+
+// lazyPaths is the write-back walks' deferred hashing (DESIGN.md, "Hash
+// on observation"). A walk records its leaf; Materialize hashes every
+// recorded path once, through the design's content and store hooks.
+type lazyPaths struct {
+	leaves  []uint64 // counter-line indices walked since the last step; may repeat
+	nodes   []bmt.SpreadNode
+	scratch bmt.SpreadScratch
+	// content returns the newest content of a counter line or tree
+	// node; store keeps a recomputed tree node wherever the chip holds
+	// it.
+	content func(a mem.Addr) mem.Line
+	store   func(a mem.Addr, l mem.Line)
+	// oneRoot makes ROOTold follow ROOTnew at every step: the designs
+	// without epochs keep a single root.
+	oneRoot bool
+}
+
+// maxLazyLeaves bounds the recorded leaves between two steps; a design
+// whose tree nothing reads (Osiris Plus, Arsenal) hashes when it fills.
+const maxLazyLeaves = 4096
 
 // InitBase wires the shared components. Designs call it from their
 // constructors; the metadata cache is created here so that its eviction
@@ -102,6 +131,7 @@ func (b *Base) InitBase(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Cont
 	b.TCB.RootNew = b.Tree.RootNode(emptyReader{})
 	b.TCB.RootOld = b.TCB.RootNew
 	b.counterFn = b.CounterLine
+	b.lazy.content, b.lazy.store = b.MetaContent, b.storeNode
 }
 
 // SetCounterSource replaces the counter-line source used by the shared
@@ -280,18 +310,49 @@ func (b *Base) readHMACLineBypass(now int64, addr mem.Addr) (mem.Line, int, int6
 	return l, slot, t
 }
 
-// onChip returns metadata content that has left the metadata cache but
-// is still on chip: a displaced victim awaiting its design's eviction
-// policy, or a line in the design's stash. Such content is trusted (it
-// never left the TCB) and must shadow the NVM copy.
-func (b *Base) onChip(a mem.Addr) (mem.Line, bool) {
+// offCache returns, in place, metadata content that has left the
+// metadata cache but is still on chip: a displaced victim awaiting its
+// design's eviction policy, or a line in the design's stash; nil when
+// there is none. Such content is trusted (it never left the TCB) and
+// must shadow the NVM copy.
+func (b *Base) offCache(a mem.Addr) *mem.Line {
 	if i := b.findPendingEvict(a); i >= 0 {
-		return b.pendingEvicts[i].Line, true
+		return &b.pendingEvicts[i].Line
 	}
 	if b.StashLookup != nil {
 		return b.StashLookup(a)
 	}
+	return nil
+}
+
+// OnChip returns the content the chip holds for metadata line a: the
+// metadata cache's copy, else a displaced victim or a stashed line. ok
+// is false when only NVM holds a.
+func (b *Base) OnChip(a mem.Addr) (mem.Line, bool) {
+	if l, ok := b.Meta.Peek(a); ok {
+		return l, true
+	}
+	if p := b.offCache(a); p != nil {
+		return *p, true
+	}
 	return mem.Line{}, false
+}
+
+// MetaContent returns the newest content of metadata line a (a counter
+// line or tree node): the chip's copy, else NVM's, else the level
+// default of a never-written line.
+func (b *Base) MetaContent(a mem.Addr) mem.Line {
+	if l, ok := b.OnChip(a); ok {
+		return l
+	}
+	if l, ok := b.Ctrl.Device().Peek(a); ok {
+		return l
+	}
+	if b.Lay.RegionOf(a) == mem.RegionTree {
+		level, _ := b.Lay.NodeAt(a)
+		return b.Tree.DefaultNode(level)
+	}
+	return b.Tree.DefaultNode(0)
 }
 
 // metaNodeAddr returns the NVM address of tree position (level, idx),
@@ -332,10 +393,14 @@ type chainLink struct {
 // The caller must already have missed in the meta cache for (level,
 // idx); the meta-cache access cost is charged here.
 func (b *Base) FetchChain(now int64, level int, idx uint64) (mem.Line, int64) {
+	// Anchors are read and victims displaced below: hash the recorded
+	// paths first.
+	b.Materialize()
 	// Victim forwarding: content still on chip shadows NVM and needs no
 	// verification.
 	reqAddr := b.metaNodeAddr(level, idx)
-	if ln, ok := b.onChip(reqAddr); ok {
+	if p := b.offCache(reqAddr); p != nil {
+		ln := *p
 		b.Meta.Fill(reqAddr, ln)
 		return ln, now + MetaCycles
 	}
@@ -348,9 +413,10 @@ func (b *Base) FetchChain(now int64, level int, idx uint64) (mem.Line, int64) {
 		if b.Meta.Contains(pa) {
 			break
 		}
-		if ln, ok := b.onChip(pa); ok {
+		if p := b.offCache(pa); p != nil {
 			// An in-flight victim is as trusted as a cached line and
 			// terminates the walk.
+			ln := *p
 			anchor = &ln
 			break
 		}
@@ -549,47 +615,104 @@ func (b *Base) ReencryptPage(now int64, addr mem.Addr, old, new seccrypto.Counte
 	return t
 }
 
-// UpdatePathInCache recomputes the Merkle path of the counter line at
-// leafIdx from the bottom up inside the meta cache, fetching any
-// uncached ancestors, and finally updates the TCB ROOTnew register.
-// This is the cascading per-write-back update that SC, Osiris Plus and
-// cc-NVM w/o DS pay on every eviction; cc-NVM with deferred spreading
-// skips it entirely and recomputes paths once per drain instead.
-// It returns the completion cycle and the number of levels recomputed
-// (internal nodes plus the root).
-func (b *Base) UpdatePathInCache(now int64, leafIdx uint64) (int64, int) {
-	child, ok := b.Meta.Peek(b.Lay.CounterLineAddr(leafIdx))
-	if !ok {
+// UpdatePathInCache is the cascading per-write-back path update that
+// SC and cc-NVM w/o DS pay on every eviction (cc-NVM with deferred
+// spreading skips it and recomputes paths once per drain). The walk
+// charges what the hardware does — a fetch of every uncached ancestor,
+// one HMAC per level and for the root, an update of each node (dirty
+// bit, LRU, update count) — and records the leaf; the hashing itself
+// happens in Materialize, before anything reads a node or a root. It
+// returns the completion cycle.
+func (b *Base) UpdatePathInCache(now int64, leafIdx uint64) int64 {
+	if !b.Meta.Contains(b.Lay.CounterLineAddr(leafIdx)) {
 		panic("engine: path update requires the counter line to be resident")
 	}
 	level, idx := 0, leafIdx
 	t := now
-	levels := 0
 	for level < b.Lay.TopLevel() {
-		pl, pi, slot := b.Lay.ParentOf(level, idx)
+		pl, pi, _ := b.Lay.ParentOf(level, idx)
 		pa := b.Lay.NodeAddr(pl, pi)
-		node, resident := b.Meta.Peek(pa)
-		if !resident {
-			node, t = b.FetchChain(t, pl, pi)
+		// The node's update without its content, which Materialize
+		// supplies.
+		if !b.Meta.Touch(pa) {
+			_, t = b.FetchChain(t, pl, pi)
+			b.Meta.Touch(pa)
 		}
-		b.Tree.SetParentSlot(&node, slot, child)
 		t = b.HMACOp(t, 1)
-		b.Meta.Update(pa, node)
-		levels++
-		child = node
 		level, idx = pl, pi
 	}
-	// Update ROOTnew with the new top-level node.
-	b.Tree.SetParentSlot(&b.TCB.RootNew, int(idx), child)
-	t = b.HMACOp(t, 1)
-	levels++
-	return t, levels
+	t = b.HMACOp(t, 1) // ROOTnew
+	b.recordLeaf(leafIdx)
+	return t
+}
+
+// recordLeaf adds a walked leaf to the next Materialize step.
+func (b *Base) recordLeaf(leafIdx uint64) {
+	l := &b.lazy
+	if n := len(l.leaves); n > 0 && l.leaves[n-1] == leafIdx {
+		return
+	}
+	l.leaves = append(l.leaves, leafIdx)
+	if len(l.leaves) >= maxLazyLeaves {
+		b.Materialize()
+	}
+}
+
+// Materialize hashes the Merkle paths of every leaf walked since the
+// last step, each affected node once (bmt.Tree.SpreadDeferred), and
+// folds the top level into ROOTnew. Every node and root it writes is
+// what the walks would have computed one by one: a node holds the
+// hashes of its children's newest content, and between a walk and the
+// step only another recorded walk changes that content. It moves no
+// cycle, statistic, LRU position or dirty bit.
+func (b *Base) Materialize() {
+	l := &b.lazy
+	if len(l.leaves) == 0 {
+		return
+	}
+	slices.Sort(l.leaves)
+	nodes := l.nodes[:0]
+	for _, idx := range slices.Compact(l.leaves) {
+		nodes = append(nodes, bmt.SpreadNode{Index: idx, Line: l.content(b.Lay.CounterLineAddr(idx))})
+	}
+	l.leaves, l.nodes = l.leaves[:0], nodes
+	_, top := b.Tree.SpreadDeferred(nodes, &l.scratch, l.content, l.store)
+	for i := range top {
+		b.Tree.SetParentSlot(&b.TCB.RootNew, int(top[i].Index), top[i].Line)
+	}
+	if l.oneRoot {
+		b.TCB.RootOld = b.TCB.RootNew
+	}
+}
+
+// storeNode keeps a recomputed tree node where the chip holds it. Every
+// node on a recorded path is on chip until the step: the walk left it in
+// the metadata cache, and only a fill can displace it, into the victim
+// queue or the design's stash.
+func (b *Base) storeNode(a mem.Addr, l mem.Line) {
+	if b.Meta.Overwrite(a, l) {
+		return
+	}
+	if p := b.offCache(a); p != nil {
+		*p = l
+		return
+	}
+	panic("engine: a node of a recorded path left the chip before it was hashed")
+}
+
+// Registers returns the TCB registers with every recorded path hashed:
+// the one way to read the roots from outside a design.
+func (b *Base) Registers() TCB {
+	b.Materialize()
+	return b.TCB
 }
 
 // ApplyCrashVolatility models the on-chip losses common to all designs:
 // the metadata cache and in-flight writeback buffer vanish, and the
 // memory controller applies ADR semantics.
 func (b *Base) ApplyCrashVolatility() {
+	// The root registers are persistent: they keep every completed walk.
+	b.Materialize()
 	b.Meta.Lose()
 	b.pendingEvicts = nil
 	b.pendingIdx = nil
@@ -625,7 +748,7 @@ func (b *Base) NVMSnapshot() *nvm.Image { return b.Ctrl.Device().Snapshot() }
 func (b *Base) MakeCrashImage(design string) *CrashImage {
 	img := &CrashImage{
 		Image:       b.Ctrl.Device().Snapshot(),
-		TCB:         b.TCB.CloneExt(),
+		TCB:         b.Registers().CloneExt(),
 		Keys:        b.Keys,
 		UpdateLimit: b.P.UpdateLimit,
 		Design:      design,

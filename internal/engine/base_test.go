@@ -165,11 +165,11 @@ func TestVictimForwardingFromStash(t *testing.T) {
 	var stashed mem.Line
 	stashed[1] = 0xCD
 	ca := b.Lay.CounterLineAddr(11)
-	b.StashLookup = func(a mem.Addr) (mem.Line, bool) {
+	b.StashLookup = func(a mem.Addr) *mem.Line {
 		if a == ca {
-			return stashed, true
+			return &stashed
 		}
-		return mem.Line{}, false
+		return nil
 	}
 	got, _ := b.FetchChain(0, 0, 11)
 	if got != stashed {

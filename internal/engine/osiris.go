@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"ccnvm/internal/design/names"
 	"ccnvm/internal/mem"
 	"ccnvm/internal/memctrl"
@@ -36,7 +38,14 @@ type Osiris struct {
 type onChipTree struct {
 	b          *Base
 	shadowCtr  map[mem.Addr]seccrypto.CounterLine // newest counter truth
-	shadowTree map[mem.Addr]mem.Line              // newest tree truth
+	shadowTree map[mem.Addr]mem.Line              // tree truth as of the last Materialize
+}
+
+// init binds the shadow state to b as its lazy paths' content and store.
+func (s *onChipTree) init(b *Base) {
+	s.b = b
+	s.reset()
+	b.lazy.content, b.lazy.store, b.lazy.oneRoot = s.content, s.store, true
 }
 
 // reset empties the shadow state, as a power failure does.
@@ -55,38 +64,57 @@ func (s *onChipTree) truth(ca mem.Addr) seccrypto.CounterLine {
 	return seccrypto.DecodeCounterLine(l)
 }
 
-// updatePath recomputes the Merkle path of leaf in the shadow tree and
-// the ROOT register, charging the same fetch and HMAC costs a cached
-// tree walk would incur.
+// node returns the shadow content of tree node a at level.
+func (s *onChipTree) node(level int, a mem.Addr) mem.Line {
+	if n, ok := s.shadowTree[a]; ok {
+		return n
+	}
+	return s.b.Tree.DefaultNode(level)
+}
+
+// content is the lazy paths' source: the counter truth for a leaf, the
+// shadow tree for a node.
+func (s *onChipTree) content(a mem.Addr) mem.Line {
+	lay := s.b.Lay
+	if lay.RegionOf(a) == mem.RegionCounter {
+		cl := s.truth(a)
+		return cl.Encode()
+	}
+	level, _ := lay.NodeAt(a)
+	return s.node(level, a)
+}
+
+// store keeps a recomputed node in the shadow tree and, when resident,
+// in the metadata cache.
+func (s *onChipTree) store(a mem.Addr, l mem.Line) {
+	s.shadowTree[a] = l
+	s.b.Meta.Overwrite(a, l)
+}
+
+// updatePath walks the Merkle path of leaf toward the ROOT register,
+// charging the fetch and HMAC costs a cached tree walk would incur and
+// bringing each node on chip, and records the leaf for Materialize.
 func (s *onChipTree) updatePath(now int64, leaf uint64) int64 {
 	b := s.b
-	cl := s.truth(b.Lay.CounterLineAddr(leaf))
-	child := cl.Encode()
 	level, idx := 0, leaf
 	t := now
 	for level < b.Lay.TopLevel() {
-		pl, pi, slot := b.Lay.ParentOf(level, idx)
+		pl, pi, _ := b.Lay.ParentOf(level, idx)
 		pa := b.Lay.NodeAddr(pl, pi)
-		node, ok := s.shadowTree[pa]
-		if !ok {
-			node = b.Tree.DefaultNode(pl)
-		}
-		if !b.Meta.Contains(pa) {
+		node, resident := b.Meta.Peek(pa)
+		if !resident {
 			// Timing: the node must be brought on chip (reconstructed in
 			// real Osiris); charge one NVM access.
 			_, _, tr := b.Ctrl.ReadBypass(t, pa)
 			t = tr
+			node = s.node(pl, pa)
 		}
-		b.Tree.SetParentSlot(&node, slot, child)
 		t = b.HMACOp(t, 1)
-		s.shadowTree[pa] = node
 		b.Meta.Fill(pa, node)
-		child = node
 		level, idx = pl, pi
 	}
-	b.Tree.SetParentSlot(&b.TCB.RootNew, int(idx), child)
 	t = b.HMACOp(t, 1)
-	b.TCB.RootOld = b.TCB.RootNew
+	b.recordLeaf(leaf)
 	return t
 }
 
@@ -94,8 +122,7 @@ func (s *onChipTree) updatePath(now int64, leaf uint64) int64 {
 func NewOsiris(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, metaCfg metacache.Config, p Params) *Osiris {
 	o := &Osiris{distance: make(map[mem.Addr]uint64)}
 	o.InitBase(lay, keys, ctrl, metaCfg, p)
-	o.onChipTree = onChipTree{b: &o.Base}
-	o.reset()
+	o.onChipTree.init(&o.Base)
 	o.VerifyFetchedMeta = false // the in-NVM tree is not maintained
 	o.SetCounterSource(o.counterLine)
 	return o
@@ -192,7 +219,15 @@ func (o *Osiris) dropEvicts() { o.TakePendingEvicts() }
 // of NVM. The tree stays volatile by design.
 func (o *Osiris) Settle(now int64) int64 {
 	o.dropEvicts()
-	for ca, cl := range o.shadowCtr {
+	// Ascending address order, so the controller sees the same event
+	// sequence on every run.
+	addrs := make([]mem.Addr, 0, len(o.shadowCtr))
+	for ca := range o.shadowCtr {
+		addrs = append(addrs, ca)
+	}
+	slices.Sort(addrs)
+	for _, ca := range addrs {
+		cl := o.shadowCtr[ca]
 		nv, _ := o.Ctrl.Device().Peek(ca)
 		if seccrypto.DecodeCounterLine(nv) != cl {
 			o.Ctrl.Write(now, ca, cl.Encode())

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"slices"
 	"testing"
 
 	"ccnvm/internal/design"
@@ -68,6 +69,41 @@ func TestOsirisWriteBackCounts(t *testing.T) {
 	}
 	if w.Tree != 0 {
 		t.Fatalf("osiris persisted %d tree nodes; the tree must stay volatile (%s)", w.Tree, w)
+	}
+}
+
+// TestOsirisSettleEventOrderRepeats pins the order in which Settle
+// persists the counter lines that run ahead of NVM: ascending by
+// address, the same on every run, because the controller event tap
+// feeds the persist-ordering graph and, under a fault model, the order
+// numbers the in-flight writes a crash tears.
+func TestOsirisSettleEventOrderRepeats(t *testing.T) {
+	const pages = 16
+	run := func() []memctrl.Event {
+		e, _ := rigDev(t, "osiris", engine.Params{})
+		now := int64(0)
+		for i := 0; i < pages; i++ {
+			a := mem.Addr((i*7919)%1024) * mem.PageSize
+			now = e.WriteBack(now, a, pattern(a, byte(i))) + 50
+		}
+		var events []memctrl.Event
+		e.(*engine.Osiris).Ctrl.SetEventTap(func(ev memctrl.Event) { events = append(events, ev) })
+		e.Settle(now)
+		return events
+	}
+	first := run()
+	if len(first) != pages {
+		t.Fatalf("Settle emitted %d events, want one write per run-ahead counter line (%d)", len(first), pages)
+	}
+	for k, ev := range first {
+		if ev.Kind != memctrl.EvWriteAccept || (k > 0 && ev.Addr <= first[k-1].Addr) {
+			t.Fatalf("Settle event %d is kind %d at %#x, want counter-line writes in ascending address order", k, ev.Kind, uint64(ev.Addr))
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if !slices.Equal(run(), first) {
+			t.Fatal("two fresh machines emitted different event sequences at Settle")
+		}
 	}
 }
 

@@ -28,6 +28,8 @@ type SC struct {
 func NewSC(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Controller, metaCfg metacache.Config, p Params) *SC {
 	s := &SC{}
 	s.InitBase(lay, keys, ctrl, metaCfg, p)
+	// The root is persisted in the TCB: both registers move together.
+	s.lazy.oneRoot = true
 	return s
 }
 
@@ -55,9 +57,7 @@ func (s *SC) WriteBack(now int64, addr mem.Addr, pt mem.Line) int64 {
 	slot, accept := s.AcquireWBSlot(now)
 	r := s.BumpCounter(accept, addr)
 	leaf := s.Lay.CounterLineIndex(s.Lay.CounterLineOf(addr))
-	tPath, _ := s.UpdatePathInCache(r.Avail, leaf)
-	// Root persisted in TCB: both registers move together.
-	s.TCB.RootOld = s.TCB.RootNew
+	tPath := s.UpdatePathInCache(r.Avail, leaf)
 	// The persistent-register atomicity protocol [Osiris, MICRO'18]
 	// orders its commit record ahead of the thirteen in-place writes,
 	// exposing one NVM write latency per write-back.
@@ -71,10 +71,12 @@ func (s *SC) WriteBack(now int64, addr mem.Addr, pt mem.Line) int64 {
 	return accept
 }
 
-// persistPath writes the counter line and every internal path node from
-// the metadata cache to NVM and marks them clean. Nodes displaced
-// mid-operation were already persisted by the eviction handler.
+// persistPath hashes the walked path, then writes the counter line and
+// every internal path node from the metadata cache to NVM and marks them
+// clean. Nodes displaced mid-operation are persisted by the eviction
+// handler.
 func (s *SC) persistPath(now int64, leaf uint64) int64 {
+	s.Materialize()
 	t := now
 	write := func(a mem.Addr) {
 		if content, ok := s.Meta.Peek(a); ok && s.Meta.IsDirty(a) {

@@ -69,6 +69,26 @@ func (m *Cache) Update(a mem.Addr, l mem.Line) uint64 {
 	return m.updates[a]
 }
 
+// Touch is Update of a resident line whose new content is not known
+// yet: dirty bit, LRU position, update count and statistics move as
+// Update moves them, the content stays. It returns false, changing
+// nothing, when a is not resident.
+func (m *Cache) Touch(a mem.Addr) bool {
+	a = mem.Align(a)
+	if !m.c.Touch(a) {
+		return false
+	}
+	m.updates[a]++
+	return true
+}
+
+// Overwrite replaces the content of a resident line and nothing else:
+// no LRU, dirtiness, update-count or statistics side effect. It reports
+// whether a was resident. The lazily hashed Merkle paths store their
+// recomputed nodes with it, after Touch did the bookkeeping, so hashing
+// late leaves the cache exactly as hashing in the walk did.
+func (m *Cache) Overwrite(a mem.Addr, l mem.Line) bool { return m.c.Overwrite(a, l) }
+
 // Updates returns the update count of a since it became dirty.
 func (m *Cache) Updates(a mem.Addr) uint64 { return m.updates[mem.Align(a)] }
 

@@ -129,3 +129,44 @@ func TestDirtyAddrs(t *testing.T) {
 		t.Fatalf("DirtyAddrs = %v, want [64]", d)
 	}
 }
+
+// TestTouchThenOverwriteIsUpdate pins the lazy path's split of Update:
+// Touch does the bookkeeping and Overwrite supplies the content later,
+// and together they leave the cache as one Update does — content,
+// dirty bit, update count, statistics and LRU order (which line the
+// next conflicting fill evicts).
+func TestTouchThenOverwriteIsUpdate(t *testing.T) {
+	const ways, sets = 2, 8
+	run := func(update func(m *Cache, a mem.Addr, l mem.Line)) (*Cache, []mem.Addr) {
+		var evicted []mem.Addr
+		m := New(Config{SizeBytes: ways * sets * mem.LineSize, Ways: ways}, func(a mem.Addr, _ mem.Line, _ bool) {
+			evicted = append(evicted, a)
+		})
+		set := mem.Addr(sets * mem.LineSize) // stride that maps to one set
+		m.Fill(0, line(1))
+		m.Fill(set, line(2))
+		update(m, 0, line(3)) // 0 becomes most recently used
+		m.Fill(2*set, line(4))
+		return m, evicted
+	}
+	want, wantEv := run(func(m *Cache, a mem.Addr, l mem.Line) { m.Update(a, l) })
+	got, gotEv := run(func(m *Cache, a mem.Addr, l mem.Line) {
+		if !m.Touch(a) || !m.Overwrite(a, l) {
+			t.Fatal("Touch or Overwrite missed a resident line")
+		}
+	})
+	wl, _ := want.Peek(0)
+	gl, _ := got.Peek(0)
+	if gl != wl || got.IsDirty(0) != want.IsDirty(0) || got.Updates(0) != want.Updates(0) ||
+		got.Stats() != want.Stats() || len(gotEv) != 1 || len(wantEv) != 1 || gotEv[0] != wantEv[0] {
+		t.Fatalf("Touch+Overwrite left %v/%v/%d/%+v evicting %v, Update left %v/%v/%d/%+v evicting %v",
+			gl[0], got.IsDirty(0), got.Updates(0), got.Stats(), gotEv, wl[0], want.IsDirty(0), want.Updates(0), want.Stats(), wantEv)
+	}
+	before := got.Stats()
+	if got.Touch(64) || got.Overwrite(64, line(9)) {
+		t.Fatal("Touch or Overwrite reported a miss as resident")
+	}
+	if got.Stats() != before || got.Contains(64) {
+		t.Fatal("a missed Touch or Overwrite changed the cache")
+	}
+}
