@@ -262,7 +262,10 @@ profile:
 # sub-benchmark per workload image: Reopen/kv_put (40 000 batches of 4
 # fresh-key 64 B puts) and Reopen/kv_get (100 000 128 B keys preloaded
 # 16 to a batch); Reopen runs both. One iteration is a whole restart, so
-# it runs 10 of them per image. Building the image is in the profile
+# it runs 10 of them per image, each begun outside the timer with the
+# last one's heap handed back to the operating system (as the repo
+# benchmark's restarts are), so the load pays a fresh process's page
+# faults. Building the image is in the profile
 # too, so each restart carries the pprof label restart=reopen, which the
 # goroutines it starts (the recovery walk's parts, the scan's verify and
 # index stages) inherit; -focus on a function would drop them:

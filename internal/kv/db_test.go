@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"runtime/pprof"
 	"sync"
 	"testing"
@@ -387,7 +388,8 @@ var reopenShapes = []struct {
 // recover_ms measures, on a 256 MiB store that took one workload's
 // writes and then lost power; each sub-benchmark is one shape of
 // reopenShapes. One iteration is one LoadImage -> store.Reboot ->
-// kv.Open of that image, and each stage's mean is reported as load_ms,
+// kv.Open of that image, started with the heap handed back to the
+// operating system, and each stage's mean is reported as load_ms,
 // reboot_ms and open_ms; `make profile-kv KV_BENCH=Reopen/kv_get`
 // profiles one shape (`KV_BENCH=Reopen` both). Building the image is in
 // the profile too, so each restart runs under the pprof label
@@ -425,6 +427,14 @@ func BenchmarkReopen(b *testing.B) {
 			b.ResetTimer()
 			var stages [3]time.Duration
 			for i := 0; i < b.N; i++ {
+				// Each restart runs in what stands in for a fresh process,
+				// as the repo benchmark's do: the last restart's heap is
+				// collected and its pages go back to the operating system,
+				// outside the timer, so the load pays for the page faults a
+				// restarted daemon pays for.
+				b.StopTimer()
+				debug.FreeOSMemory()
+				b.StartTimer()
 				var keys int
 				pprof.Do(context.Background(), pprof.Labels("restart", "reopen"), func(context.Context) {
 					keys = reopenOnce(b, path, &stages)

@@ -31,3 +31,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func Checksum(b []byte) uint64 {
 	return uint64(crc32.Checksum(b, castagnoli))
 }
+
+// ChecksumUpdate extends sum, a Checksum of some prefix, over p: the
+// Checksum of the prefix followed by p, for records sealed as they
+// stream. ChecksumUpdate(0, b) == Checksum(b).
+func ChecksumUpdate(sum uint64, p []byte) uint64 {
+	return uint64(crc32.Update(uint32(sum), castagnoli, p))
+}

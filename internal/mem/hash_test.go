@@ -29,5 +29,9 @@ func TestChecksumMatchesStdlib(t *testing.T) {
 		if got := Checksum(tc.in); got != want {
 			t.Errorf("%s: Checksum = %#x, crc32c = %#x", tc.name, got, want)
 		}
+		cut := len(tc.in) / 3
+		if got := ChecksumUpdate(Checksum(tc.in[:cut]), tc.in[cut:]); got != want {
+			t.Errorf("%s: ChecksumUpdate over a split = %#x, crc32c = %#x", tc.name, got, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 )
@@ -25,12 +26,12 @@ type owner struct{ _ byte }
 
 // leaf indexes 64 pages. A page holds only its written lines, packed in
 // address order: line l of page p sits at index rank(present[p], l) of
-// pages[p]. A page's backing array grows by doubling, so it is 64 B for
-// a lone line and exactly 4 KiB once the page is full — always a Go size
-// class. The presence words live here rather than with the lines, so
-// absent lines and ordered walks never touch page memory. Bit p of own
-// is set when pages[p] was allocated or copied under this leaf's owner;
-// it is meaningless to any other owner.
+// pages[p]. A page that Write fills grows by doubling; a page that
+// BuildLineMap makes is exactly as long as its lines. The presence words
+// live here rather than with the lines, so absent lines and ordered
+// walks never touch page memory. Bit p of own is set when pages[p] was
+// allocated or copied under this leaf's owner; it is meaningless to any
+// other owner.
 type leaf[V any] struct {
 	owner   *owner
 	own     uint64
@@ -152,6 +153,70 @@ func (m *LineMap[V]) private(a Addr) *leaf[V] {
 		lf.own |= 1 << p
 	}
 	return lf
+}
+
+// BuildLineMap returns a new map holding the lines fill hands to add,
+// which must come in strictly ascending line-address order; add panics
+// on any other. It is what Write would build from the same lines, built
+// the way a decoder reads them: each page is gathered whole and stored
+// as one exact-size slice owned by the new map, and the directory is
+// walked once per page, not once per line.
+func BuildLineMap[V comparable](fill func(add func(Addr, V))) *LineMap[V] {
+	b := &builder[V]{m: &LineMap[V]{}}
+	fill(b.add)
+	if b.word != 0 {
+		b.flush()
+	}
+	return b.m
+}
+
+// builder gathers BuildLineMap's lines one page at a time.
+type builder[V comparable] struct {
+	m    *LineMap[V]
+	buf  [pageLines]V // the lines of the page being gathered, packed
+	word uint64       // their presence word; zero before the first line
+	base Addr         // that page's base address
+	last Addr         // the last line added
+}
+
+func (b *builder[V]) add(a Addr, v V) {
+	a = Align(a)
+	if b.word != 0 && a <= b.last {
+		panic(fmt.Sprintf("mem: BuildLineMap line %#x does not follow %#x", uint64(a), uint64(b.last)))
+	}
+	if page := a &^ (1<<pageShift - 1); b.word == 0 || page != b.base {
+		if b.word != 0 {
+			b.flush()
+		}
+		b.base, b.word = page, 0
+	}
+	_, _, l := split(a)
+	b.buf[bits.OnesCount64(b.word)] = v
+	b.word |= 1 << l
+	b.last = a
+}
+
+// flush stores the gathered page under its leaf, appending the segment
+// and creating the leaf when the page is their first.
+func (b *builder[V]) flush() {
+	m := b.m
+	key := uint64(b.base >> segShift)
+	if n := len(m.segs); n == 0 || m.segs[n-1].key != key {
+		m.segs = append(m.segs, segment[V]{key: key, owner: m.owner, leaves: new([segLeaves]*leaf[V])})
+	}
+	leaves := m.segs[len(m.segs)-1].leaves
+	j, p, _ := split(b.base)
+	lf := leaves[j]
+	if lf == nil {
+		lf = &leaf[V]{owner: m.owner}
+		leaves[j] = lf
+	}
+	n := bits.OnesCount64(b.word)
+	lf.pages[p] = make([]V, n)
+	copy(lf.pages[p], b.buf[:n])
+	lf.present[p] = b.word
+	lf.own |= 1 << p
+	m.n += n
 }
 
 // Write stores v at address a.

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -198,6 +199,138 @@ func TestStoreMemoryFollowsLines(t *testing.T) {
 	}
 }
 
+// builderAddrs are line addresses on every boundary of the page index:
+// lines around page, leaf and segment edges, a full page, a page of 13
+// lines, and a line alone at 1<<62.
+func builderAddrs() []Addr {
+	var out []Addr
+	for _, edge := range []Addr{0, 1 << pageShift, 1 << leafShift, 1 << segShift, 3<<segShift + 5<<leafShift} {
+		if edge > 0 {
+			out = append(out, edge-2*LineSize, edge-LineSize)
+		}
+		out = append(out, edge, edge+LineSize, edge+3*LineSize)
+	}
+	for a := Addr(7) << pageShift; a < 8<<pageShift; a += LineSize {
+		out = append(out, a)
+	}
+	for i := Addr(0); i < 13; i++ { // 832 B: no allocation size class fits it exactly
+		out = append(out, 9<<pageShift+i*LineSize)
+	}
+	out = append(out, 1<<62)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+func buildFrom(addrs []Addr) *Store {
+	return BuildLineMap(func(add func(Addr, Line)) {
+		for i, a := range addrs {
+			add(a, Line{byte(i), byte(i >> 8), 1})
+		}
+	})
+}
+
+// TestBuildLineMapMatchesWrite: a map built from ascending lines holds
+// what Write builds from them, across every boundary of the index, and
+// answers Len, Addrs and Range alike.
+func TestBuildLineMapMatchesWrite(t *testing.T) {
+	addrs := builderAddrs()
+	built, written := buildFrom(addrs), &Store{}
+	for i, a := range addrs {
+		written.Write(a, Line{byte(i), byte(i >> 8), 1})
+	}
+	if !built.Equal(written) || built.Len() != written.Len() || !slices.Equal(built.Addrs(), addrs) {
+		t.Fatalf("built map (%d lines) differs from the written one (%d)", built.Len(), written.Len())
+	}
+	for _, r := range [][2]Addr{{0, 1 << 62}, {LineSize, 1<<leafShift + LineSize}, {1<<segShift - LineSize, 1<<segShift + 2*LineSize}, {1 << 62, ^Addr(0)}} {
+		if got, want := built.Range(r[0], r[1]), written.Range(r[0], r[1]); !slices.Equal(got, want) {
+			t.Fatalf("Range(%#x, %#x) = %#x, written map has %#x", r[0], r[1], got, want)
+		}
+	}
+	if empty := BuildLineMap(func(func(Addr, Line)) {}); empty.Len() != 0 || len(empty.Addrs()) != 0 {
+		t.Fatal("a map built from no lines is not empty")
+	}
+}
+
+// TestBuildLineMapClone: a built map's clone shares it until the first
+// write on either side, and from then on neither side sees the other's
+// writes or deletes — the built pages are copy-on-write like any other.
+func TestBuildLineMapClone(t *testing.T) {
+	addrs := builderAddrs()
+	for side := range 2 {
+		built := buildFrom(addrs)
+		c := built.Clone()
+		if !c.Shares(built) || !built.Shares(c) {
+			t.Fatal("a clone of a built map does not share it")
+		}
+		w, o := built, c
+		if side == 1 {
+			w, o = c, built
+		}
+		w.Write(addrs[3], Line{0xEE})             // overwrite in a built page
+		w.Write(addrs[3]+32*LineSize, Line{0xEF}) // insert into a built page
+		w.Delete(addrs[len(addrs)-1])             // the line at 1<<62
+		if w.Shares(o) {
+			t.Fatal("Shares holds after a write")
+		}
+		if !o.Equal(buildFrom(addrs)) {
+			t.Fatalf("side %d's writes leaked into the other side", side)
+		}
+		o.Write(addrs[4], Line{0xDD})
+		o.Delete(addrs[0])
+		if got, _ := w.Read(addrs[4]); got[0] == 0xDD {
+			t.Fatal("a write on the other side leaked back")
+		}
+		if _, ok := w.Read(addrs[0]); !ok {
+			t.Fatal("a delete on the other side leaked back")
+		}
+		if got, _ := w.Read(addrs[3] + 32*LineSize); got[0] != 0xEF || w.Len() != len(addrs) {
+			t.Fatalf("written side holds %d lines, want %d", w.Len(), len(addrs))
+		}
+	}
+}
+
+// TestBuildLineMapRefusesDisorder: a line that does not follow the last
+// one, as a repeat or out of order, panics rather than corrupt a page.
+func TestBuildLineMapRefusesDisorder(t *testing.T) {
+	for _, addrs := range [][]Addr{{LineSize, 0}, {0, 0}, {1 << segShift, 1 << pageShift}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("BuildLineMap accepted %#x", addrs)
+				}
+			}()
+			buildFrom(addrs)
+		}()
+	}
+}
+
+// TestBuildLineMapAllocs bounds what building costs: one exact-size
+// slice per page, the directory nodes above the pages (a leaf per leaf,
+// a leaf directory per segment, and the top-level slice as append grows
+// it), and a fixed few for the builder's own state.
+func TestBuildLineMapAllocs(t *testing.T) {
+	addrs := builderAddrs()
+	pages, leaves, segs := map[Addr]bool{}, map[Addr]bool{}, map[Addr]bool{}
+	for _, a := range addrs {
+		pages[a>>pageShift], leaves[a>>leafShift], segs[a>>segShift] = true, true, true
+	}
+	const builder = 3 // the map, the builder and its add method value
+	limit := len(pages) + len(leaves) + len(segs) + bits.Len(uint(len(segs))) + builder
+	if got := testing.AllocsPerRun(20, func() { sinkStore = buildFrom(addrs) }); got > float64(limit) {
+		t.Fatalf("building %d pages in %d leaves and %d segments took %v allocations, want at most %d",
+			len(pages), len(leaves), len(segs), got, limit)
+	}
+	for _, sg := range sinkStore.segs {
+		for _, lf := range sg.leaves {
+			for p := 0; lf != nil && p < leafPages; p++ {
+				if pg := lf.pages[p]; cap(pg) != len(pg) {
+					t.Fatalf("a built page has capacity %d for %d lines", cap(pg), len(pg))
+				}
+			}
+		}
+	}
+}
+
 // modelStore pairs a Store with the plain map it must behave like.
 type modelStore struct {
 	s   *Store
@@ -211,6 +344,15 @@ func (m modelStore) sortedRef() []Addr {
 	}
 	slices.Sort(out)
 	return out
+}
+
+// built is the store BuildLineMap makes from the model's lines.
+func (m modelStore) built() *Store {
+	return BuildLineMap(func(add func(Addr, Line)) {
+		for _, a := range m.sortedRef() {
+			add(a, m.ref[a])
+		}
+	})
 }
 
 // check compares everything observable about the store with its model.
@@ -277,7 +419,9 @@ func (p *modelProgram) addr(lay *Layout) Addr {
 }
 
 // runStoreModel interprets prog against up to five live clones of one
-// store, each shadowed by a map. After every operation the address it
+// store, each shadowed by a map; a store may also be replaced by the one
+// BuildLineMap makes from its model, so later writes, deletes and clones
+// run on built pages. After every operation the address it
 // touched is read back on every clone — a write or delete on one side
 // of a Clone that shows on another side fails there and then — and
 // every clone is compared with its model in full when it is cloned and
@@ -292,7 +436,7 @@ func runStoreModel(t testing.TB, prog []byte) {
 		i := pick()
 		m := live[i]
 		var a Addr
-		switch op % 10 {
+		switch op % 11 {
 		case 0, 1, 2: // write; every fourth value is the zero line
 			a = p.addr(lay)
 			v := Line{p.byte() % 4, op}
@@ -349,13 +493,19 @@ func runStoreModel(t testing.TB, prog []byte) {
 		case 9: // a by-value copy of a clone, as nvm.Device.Restore makes
 			v := *m.s.Clone()
 			live[i].s = &v
+		case 10: // rebuilt from the model in address order, as an image decoder builds it
+			b := m.built()
+			if !b.Equal(m.s) {
+				t.Fatalf("store %d: the map built from its model differs from it", i)
+			}
+			live[i].s = b
 		}
 		for k, m := range live {
 			got, ok := m.s.Read(a)
 			want, wok := m.ref[Align(a)]
 			if got != want || ok != wok || m.s.Len() != len(m.ref) {
 				t.Fatalf("after op %d on store %d: store %d reads %#x as %v, %v and has %d lines; model has %v, %v and %d",
-					op%10, i, k, a, got[0], ok, m.s.Len(), want[0], wok, len(m.ref))
+					op%11, i, k, a, got[0], ok, m.s.Len(), want[0], wok, len(m.ref))
 			}
 		}
 	}

@@ -1,10 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"slices"
 
 	"ccnvm/internal/engine"
@@ -42,15 +45,52 @@ const (
 // checksum validation.
 var ErrImageCorrupt = errors.New("store: crash image file corrupt")
 
+// chunkSize bounds the buffer a file is encoded or decoded through.
+const chunkSize = 1 << 20
+
+// lineRec is the encoded size of one line record: address, then line.
+const lineRec = 8 + mem.LineSize
+
 // EncodeImage serializes a crash image to deterministic bytes.
 func EncodeImage(img *engine.CrashImage) ([]byte, error) {
+	return encodeImage(nil, img)
+}
+
+// encodeImage is the one encoder. With w nil it returns the image's
+// bytes; otherwise it streams them to w through one chunk-sized buffer,
+// sealing each chunk before it goes, and returns the first write error.
+func encodeImage(w io.Writer, img *engine.CrashImage) ([]byte, error) {
 	if img == nil || img.Image == nil || img.Image.Layout == nil {
 		return nil, errors.New("store: nil crash image")
 	}
 	if img.MediaLog != nil {
 		return nil, errors.New("store: refusing to encode an image with a harness media log")
 	}
-	b := make([]byte, 0, 1<<16)
+	var (
+		b    []byte
+		sum  uint64 // seal of the bytes already written to w
+		werr error
+	)
+	// spill writes b out once it cannot take another line record, or at
+	// the end; without w, b keeps every byte.
+	spill := func(end bool) {
+		if w == nil || !end && cap(b)-len(b) >= lineRec {
+			return
+		}
+		sum = mem.ChecksumUpdate(sum, b)
+		if werr == nil {
+			_, werr = w.Write(b)
+		}
+		b = b[:0]
+	}
+	addrs := img.Image.Store.Addrs()
+	// Room for a typical header and every record: the whole image in
+	// memory, and no more than it or a chunk when streaming.
+	size := 1<<16 + len(addrs)*lineRec
+	if w != nil {
+		size = min(size, chunkSize)
+	}
+	b = make([]byte, 0, size)
 	b = append(b, imageMagic...)
 	b = binary.LittleEndian.AppendUint32(b, imageVersion)
 	b = appendString(b, img.Design)
@@ -72,124 +112,168 @@ func EncodeImage(img *engine.CrashImage) ([]byte, error) {
 	b = appendBytes(b, img.RecoveryJournal)
 	b = appendAddrs(b, sortedKeys(img.Image.Stuck))
 	b = appendBytes(b, img.Image.RemapTable)
-	addrs := img.Image.Store.Addrs()
-	b = slices.Grow(b, 8+len(addrs)*(8+mem.LineSize)+8)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(addrs)))
 	for _, a := range addrs {
+		spill(false)
 		l, _ := img.Image.Store.Read(a)
 		b = binary.LittleEndian.AppendUint64(b, uint64(a))
 		b = append(b, l[:]...)
 	}
-	b = binary.LittleEndian.AppendUint64(b, mem.Checksum(b))
-	return b, nil
+	b = binary.LittleEndian.AppendUint64(b, mem.ChecksumUpdate(sum, b))
+	spill(true)
+	return b, werr
 }
 
 // DecodeImage parses bytes produced by EncodeImage, and only those:
 // anything that would not re-encode to the same bytes (unsorted or
 // repeated addresses, a flag byte other than 0 or 1, a journal or
 // remap table other than absent or whole) is refused with
-// ErrImageCorrupt like any other damage. Magic and version are checked
-// before the seal: a file of another version carries another seal, and
-// must be refused by number, not as corrupt bytes.
+// ErrImageCorrupt like any other damage.
 func DecodeImage(b []byte) (*engine.CrashImage, error) {
-	if len(b) < len(imageMagic)+4+8 {
-		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrImageCorrupt, len(b))
+	return decodeImage(bytes.NewReader(b), int64(len(b)))
+}
+
+// decodeImage is the one decoder, over size bytes of r, in two passes
+// through one chunk buffer. Pass 1 checks magic and version, then
+// streams the seal over the body while it parses the header and checks
+// every line record's address: aligned, inside the layout, strictly
+// ascending. Magic and version come first: a file of another version
+// carries another seal, and must be refused by number, not as corrupt
+// bytes. Only an image that passes all of it reaches pass 2, which
+// re-reads the record section into mem.BuildLineMap, so a refused image
+// never pays for the store's page index.
+func decodeImage(r io.ReaderAt, size int64) (*engine.CrashImage, error) {
+	if size < int64(len(imageMagic)+4+8) {
+		return nil, fmt.Errorf("%w: truncated (%d bytes)", ErrImageCorrupt, size)
 	}
-	body, tail := b[:len(b)-8], b[len(b)-8:]
-	r := &reader{b: body}
-	if string(r.take(8)) != imageMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrImageCorrupt)
+	d := &decoder{r: r, body: size - 8, buf: make([]byte, min(chunkSize, size)), seal: true}
+	if string(d.take(8)) != imageMagic {
+		return nil, corrupt(errors.New("bad magic"))
 	}
-	if v := r.u32(); v != imageVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrImageCorrupt, v)
+	if v := d.u32(); v != imageVersion {
+		return nil, corrupt(fmt.Errorf("unsupported version %d", v))
 	}
-	if mem.Checksum(body) != binary.LittleEndian.Uint64(tail) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrImageCorrupt)
+	img, n, err := d.header()
+	if err == nil {
+		err = d.lines(img.Image.Layout, n, nil)
 	}
+	if d.fail != nil {
+		return nil, d.fail
+	}
+	if !d.sealed() {
+		return nil, corrupt(errors.New("checksum mismatch"))
+	}
+	if err != nil {
+		return nil, corrupt(err)
+	}
+	// The records end the body, so they start n records before its end.
+	d.seek(d.body - int64(n)*lineRec)
+	st := mem.BuildLineMap(func(add func(mem.Addr, mem.Line)) { err = d.lines(img.Image.Layout, n, add) })
+	if d.fail != nil {
+		return nil, d.fail
+	}
+	if err != nil {
+		return nil, corrupt(err)
+	}
+	img.Image.Store = st
+	return img, nil
+}
+
+// header parses everything before the line records and returns the
+// image without its store and the record count, checked to fill the
+// rest of the body exactly.
+func (d *decoder) header() (*engine.CrashImage, int, error) {
 	img := &engine.CrashImage{}
-	img.Design = r.str()
-	capacity := r.u64()
-	img.UpdateLimit = r.u64()
+	img.Design = d.str()
+	capacity := d.u64()
+	img.UpdateLimit = d.u64()
 	var keys seccrypto.Keys
-	copy(keys.AES[:], r.take(len(keys.AES)))
-	copy(keys.HMAC[:], r.take(len(keys.HMAC)))
+	copy(keys.AES[:], d.take(len(keys.AES)))
+	copy(keys.HMAC[:], d.take(len(keys.HMAC)))
 	img.Keys = keys
-	copy(img.TCB.RootNew[:], r.take(mem.LineSize))
-	copy(img.TCB.RootOld[:], r.take(mem.LineSize))
-	img.TCB.Nwb = r.u64()
-	img.TCB.ExtDirty = r.addrU64Map()
-	img.Sideband = r.addrByteMap()
-	switch mf := r.take(1)[0]; mf {
+	copy(img.TCB.RootNew[:], d.take(mem.LineSize))
+	copy(img.TCB.RootOld[:], d.take(mem.LineSize))
+	img.TCB.Nwb = d.u64()
+	img.TCB.ExtDirty = d.addrU64Map()
+	img.Sideband = d.addrByteMap()
+	switch mf := d.take(1)[0]; mf {
 	case 0:
 	case 1:
 		img.MediaFaults = true
 	default:
-		return nil, fmt.Errorf("%w: media-fault flag %d", ErrImageCorrupt, mf)
+		return nil, 0, fmt.Errorf("media-fault flag %d", mf)
 	}
-	img.Suspects = r.addrs()
-	img.RecoveryJournal = r.bytes()
-	stuck := r.addrs()
-	remap := r.bytes()
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrImageCorrupt, r.err)
+	img.Suspects = d.addrs()
+	img.RecoveryJournal = d.bytes()
+	stuck := d.addrs()
+	remap := d.bytes()
+	n := d.count(d.u64(), lineRec)
+	if d.err != nil {
+		return nil, 0, d.err
+	}
+	if left := d.left() - int64(n)*lineRec; left != 0 {
+		return nil, 0, fmt.Errorf("%d trailing bytes", left)
 	}
 	// A short remap table would pass for a finite pool that the next
 	// commit slices past.
 	if n := len(img.RecoveryJournal); n != 0 && n != recovery.JournalFormat.TableLen() {
-		return nil, fmt.Errorf("%w: recovery journal of %d bytes", ErrImageCorrupt, n)
+		return nil, 0, fmt.Errorf("recovery journal of %d bytes", n)
 	}
 	if n := len(remap); n != 0 && n != nvm.RemapTableLen {
-		return nil, fmt.Errorf("%w: remap table of %d bytes", ErrImageCorrupt, n)
+		return nil, 0, fmt.Errorf("remap table of %d bytes", n)
 	}
 	lay, err := mem.NewLayout(capacity)
 	if err != nil {
-		return nil, fmt.Errorf("%w: layout: %v", ErrImageCorrupt, err)
+		return nil, 0, fmt.Errorf("layout: %v", err)
 	}
 	// The seal is unkeyed, so every address is attacker-controlled: one
 	// that is unaligned or outside the layout is refused before it
 	// reaches the store or the stuck set.
 	for i, a := range stuck {
 		if !validLineAddr(lay, a) {
-			return nil, fmt.Errorf("%w: stuck line %#x outside the layout", ErrImageCorrupt, uint64(a))
+			return nil, 0, fmt.Errorf("stuck line %#x outside the layout", uint64(a))
 		}
 		if i > 0 && a <= stuck[i-1] {
-			return nil, fmt.Errorf("%w: stuck line %#x out of address order", ErrImageCorrupt, uint64(a))
+			return nil, 0, fmt.Errorf("stuck line %#x out of address order", uint64(a))
 		}
 	}
-	// The line records are validated whole before the store is built, so
-	// a refused image never pays for the store's page index.
-	const lineRec = 8 + mem.LineSize
-	n := r.count(r.u64(), lineRec)
-	recs := r.take(n * lineRec)
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrImageCorrupt, r.err)
-	}
-	if len(r.b) != r.off {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrImageCorrupt, len(r.b)-r.off)
-	}
-	for i := 0; i < n; i++ {
-		a := mem.Addr(binary.LittleEndian.Uint64(recs[i*lineRec:]))
-		if !validLineAddr(lay, a) {
-			return nil, fmt.Errorf("%w: line %#x outside the layout", ErrImageCorrupt, uint64(a))
-		}
-		if i > 0 && a <= mem.Addr(binary.LittleEndian.Uint64(recs[(i-1)*lineRec:])) {
-			return nil, fmt.Errorf("%w: line %#x out of address order", ErrImageCorrupt, uint64(a))
-		}
-	}
-	st := &mem.Store{}
-	for i := 0; i < n; i++ {
-		rec := recs[i*lineRec:]
-		st.Write(mem.Addr(binary.LittleEndian.Uint64(rec)), mem.Line(rec[8:lineRec]))
-	}
-	img.Image = &nvm.Image{Layout: lay, Store: st, RemapTable: remap}
+	img.Image = &nvm.Image{Layout: lay, RemapTable: remap}
 	if len(stuck) > 0 {
 		img.Image.Stuck = make(map[mem.Addr]bool, len(stuck))
 		for _, a := range stuck {
 			img.Image.Stuck[a] = true
 		}
 	}
-	return img, nil
+	return img, n, nil
 }
+
+// lines reads n line records, checks each address, and hands the line
+// to add when add is set. Pass 1 calls it without add; pass 2 repeats
+// the checks, so add never sees an order pass 1 did not.
+func (d *decoder) lines(lay *mem.Layout, n int, add func(mem.Addr, mem.Line)) error {
+	var prev mem.Addr
+	for i := 0; i < n; i++ {
+		rec := d.take(lineRec)
+		if d.err != nil || d.fail != nil {
+			return d.err
+		}
+		a := mem.Addr(binary.LittleEndian.Uint64(rec))
+		if !validLineAddr(lay, a) {
+			return fmt.Errorf("line %#x outside the layout", uint64(a))
+		}
+		if i > 0 && a <= prev {
+			return fmt.Errorf("line %#x out of address order", uint64(a))
+		}
+		prev = a
+		if add != nil {
+			add(a, mem.Line(rec[8:lineRec]))
+		}
+	}
+	return nil
+}
+
+// corrupt wraps the reason an image is malformed in ErrImageCorrupt.
+func corrupt(err error) error { return fmt.Errorf("%w: %v", ErrImageCorrupt, err) }
 
 // validLineAddr reports whether a is a line-aligned address inside one
 // of the layout's regions.
@@ -197,26 +281,60 @@ func validLineAddr(lay *mem.Layout, a mem.Addr) bool {
 	return a == mem.Align(a) && lay.RegionOf(a) != mem.RegionInvalid
 }
 
-// SaveImage writes the image to path atomically (temp file + rename).
-func SaveImage(path string, img *engine.CrashImage) error {
-	b, err := EncodeImage(img)
+// SaveImage writes the image to path durably and atomically: it streams
+// the encoding into path.tmp, syncs it, renames it over path and syncs
+// the directory, so a host crash leaves either the old file or the
+// whole new one. On any error the temp file is removed.
+func SaveImage(path string, img *engine.CrashImage) (err error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	defer func() {
+		if err != nil {
+			f.Close() // f may be closed already; a second Close is harmless
+			os.Remove(tmp)
+		}
+	}()
+	if _, err = encodeImage(f, img); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	if err = os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
 }
 
-// LoadImage reads an image file written by SaveImage.
+// syncDir makes a rename inside dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// LoadImage reads an image file written by SaveImage, streaming it
+// through the decoder DecodeImage uses.
 func LoadImage(path string) (*engine.CrashImage, error) {
-	b, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeImage(b)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return decodeImage(f, fi.Size())
 }
 
 func appendString(b []byte, s string) []byte {
@@ -266,104 +384,173 @@ func sortedKeys[V any](m map[mem.Addr]V) []mem.Addr {
 	return keys
 }
 
-// reader is a bounds-checked little-endian cursor; the first overrun
-// poisons it and every later read returns zeros. The checksum is
+// decoder is a bounds-checked little-endian cursor over an image file's
+// body, everything before its 8-byte seal, read through one chunk
+// buffer; the first overrun poisons it and every later read returns
+// zeros. While seal is set each byte read extends sum. The checksum is
 // unkeyed, so a length prefix is attacker-controlled: every prefix goes
 // through count before anything is allocated or looped over.
-type reader struct {
-	b   []byte
-	off int
-	err error
+type decoder struct {
+	r    io.ReaderAt
+	body int64  // bytes before the seal
+	next int64  // file offset of the first byte not yet read into buf
+	buf  []byte // the chunk buffer
+	win  []byte // its unread bytes, which end at next
+	seal bool
+	sum  uint64
+	err  error // the first overrun or malformed field
+	fail error // the first read error: the file, not its contents
 }
 
-func (r *reader) take(n int) []byte {
-	if r.err != nil || r.off+n > len(r.b) {
-		if r.err == nil {
-			r.err = fmt.Errorf("read past end at offset %d", r.off)
+// offset is the file offset of the next unread byte.
+func (d *decoder) offset() int64 { return d.next - int64(len(d.win)) }
+
+// left is how many body bytes are unread.
+func (d *decoder) left() int64 { return d.body - d.offset() }
+
+// fill moves the unread bytes to the front of buf and reads as much of
+// the body behind them as fits.
+func (d *decoder) fill() {
+	k := copy(d.buf, d.win)
+	m := int(min(int64(len(d.buf)-k), d.body-d.next))
+	got, err := d.r.ReadAt(d.buf[k:k+m], d.next)
+	if got < m && d.fail == nil {
+		d.fail = fmt.Errorf("store: read crash image at offset %d: %w", d.next+int64(got), err)
+	}
+	if d.seal {
+		d.sum = mem.ChecksumUpdate(d.sum, d.buf[k:k+got])
+	}
+	d.next += int64(got)
+	d.win = d.buf[:k+got]
+}
+
+// take returns the next n bytes, n at most the buffer's length; the
+// slice is valid until the next read.
+func (d *decoder) take(n int) []byte {
+	if len(d.win) < n && d.err == nil && d.fail == nil {
+		if int64(n) > d.left() {
+			d.err = fmt.Errorf("read past end at offset %d", d.offset())
+		} else {
+			d.fill()
 		}
+	}
+	if len(d.win) < n || d.err != nil {
 		return make([]byte, n)
 	}
-	p := r.b[r.off : r.off+n]
-	r.off += n
+	p := d.win[:n]
+	d.win = d.win[n:]
 	return p
+}
+
+// read returns the next n bytes in a new slice; n has been through
+// count, so it may exceed the buffer.
+func (d *decoder) read(n int) []byte {
+	p := make([]byte, n)
+	for dst := p; len(dst) > 0 && d.err == nil && d.fail == nil; {
+		if len(d.win) == 0 {
+			d.fill()
+		}
+		k := copy(dst, d.win)
+		d.win, dst = d.win[k:], dst[k:]
+	}
+	return p
+}
+
+// sealed reads the rest of the body into the seal and reports whether
+// the file's trailing seal matches it.
+func (d *decoder) sealed() bool {
+	for d.next < d.body && d.fail == nil {
+		d.win = nil
+		d.fill()
+	}
+	var tail [8]byte
+	if got, err := d.r.ReadAt(tail[:], d.body); got < len(tail) && d.fail == nil {
+		d.fail = fmt.Errorf("store: read crash image seal: %w", err)
+	}
+	return d.fail == nil && d.sum == binary.LittleEndian.Uint64(tail[:])
+}
+
+// seek starts pass 2 at file offset off, with the seal off.
+func (d *decoder) seek(off int64) {
+	d.next, d.win, d.seal = off, nil, false
 }
 
 // count validates a length prefix of n elements, each at least elem
 // encoded bytes: a count the remaining input cannot hold poisons the
-// reader. It returns 0 once poisoned, so callers allocate and loop over
+// decoder. It returns 0 once poisoned, so callers allocate and loop over
 // at most what the input actually carries.
-func (r *reader) count(n uint64, elem int) int {
-	if left := len(r.b) - r.off; r.err == nil && n > uint64(left/elem) {
-		r.err = fmt.Errorf("count %d at offset %d exceeds the %d bytes left", n, r.off, left)
+func (d *decoder) count(n uint64, elem int) int {
+	if left := d.left(); d.err == nil && n > uint64(left/int64(elem)) {
+		d.err = fmt.Errorf("count %d at offset %d exceeds the %d bytes left", n, d.offset(), left)
 	}
-	if r.err != nil {
+	if d.err != nil {
 		return 0
 	}
 	return int(n)
 }
 
-func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
-func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
-func (r *reader) str() string { return string(r.take(r.count(uint64(r.u32()), 1))) }
+func (d *decoder) u32() uint32 { return binary.LittleEndian.Uint32(d.take(4)) }
+func (d *decoder) u64() uint64 { return binary.LittleEndian.Uint64(d.take(8)) }
+func (d *decoder) str() string { return string(d.read(d.count(uint64(d.u32()), 1))) }
 
-func (r *reader) bytes() []byte {
-	n := r.count(uint64(r.u32()), 1)
+func (d *decoder) bytes() []byte {
+	n := d.count(uint64(d.u32()), 1)
 	if n == 0 {
 		return nil
 	}
-	return append([]byte(nil), r.take(n)...)
+	return d.read(n)
 }
 
-func (r *reader) addrs() []mem.Addr {
-	n := r.count(uint64(r.u32()), 8)
+func (d *decoder) addrs() []mem.Addr {
+	n := d.count(uint64(d.u32()), 8)
 	if n == 0 {
 		return nil
 	}
 	as := make([]mem.Addr, n)
 	for i := range as {
-		as[i] = mem.Addr(r.u64())
+		as[i] = mem.Addr(d.u64())
 	}
 	return as
 }
 
-func (r *reader) addrU64Map() map[mem.Addr]uint64 {
-	n := r.count(uint64(r.u32()), 16)
+func (d *decoder) addrU64Map() map[mem.Addr]uint64 {
+	n := d.count(uint64(d.u32()), 16)
 	if n == 0 {
 		return nil
 	}
 	m := make(map[mem.Addr]uint64, n)
 	var prev mem.Addr
 	for i := 0; i < n; i++ {
-		a := mem.Addr(r.u64())
-		r.ascending(i, prev, a)
+		a := mem.Addr(d.u64())
+		d.ascending(i, prev, a)
 		prev = a
-		m[a] = r.u64()
+		m[a] = d.u64()
 	}
 	return m
 }
 
-func (r *reader) addrByteMap() map[mem.Addr]byte {
-	n := r.count(uint64(r.u32()), 9)
+func (d *decoder) addrByteMap() map[mem.Addr]byte {
+	n := d.count(uint64(d.u32()), 9)
 	if n == 0 {
 		return nil
 	}
 	m := make(map[mem.Addr]byte, n)
 	var prev mem.Addr
 	for i := 0; i < n; i++ {
-		a := mem.Addr(r.u64())
-		r.ascending(i, prev, a)
+		a := mem.Addr(d.u64())
+		d.ascending(i, prev, a)
 		prev = a
-		m[a] = r.take(1)[0]
+		m[a] = d.take(1)[0]
 	}
 	return m
 }
 
-// ascending poisons the reader when map key a (the i-th) does not
+// ascending poisons the decoder when map key a (the i-th) does not
 // follow prev: EncodeImage writes map keys sorted and unique, so any
 // other order is not its output and could not re-encode to the same
 // bytes.
-func (r *reader) ascending(i int, prev, a mem.Addr) {
-	if i > 0 && a <= prev && r.err == nil {
-		r.err = fmt.Errorf("map key %#x out of order at offset %d", uint64(a), r.off)
+func (d *decoder) ascending(i int, prev, a mem.Addr) {
+	if i > 0 && a <= prev && d.err == nil {
+		d.err = fmt.Errorf("map key %#x out of order at offset %d", uint64(a), d.offset())
 	}
 }

@@ -6,14 +6,18 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
+	"ccnvm/internal/design"
+	"ccnvm/internal/design/names"
 	"ccnvm/internal/engine"
 	"ccnvm/internal/mem"
 	"ccnvm/internal/nvm"
+	"ccnvm/internal/recovery"
 	"ccnvm/internal/store"
 )
 
@@ -142,6 +146,200 @@ func TestSaveLoadImageFile(t *testing.T) {
 	}
 	if l != want {
 		t.Fatal("reloaded store serves wrong data")
+	}
+}
+
+// richImage is a crash image with every variable-length field set —
+// stuck lines, suspects, a recovery journal and a remap table — and
+// more line records than one chunk of the codec holds, so both passes
+// refill their buffer in the middle of a record.
+func richImage(t testing.TB) *engine.CrashImage {
+	img := crashedImage(t, names.CCNVM)
+	lay := img.Image.Layout
+	lo, hi := lay.Bounds(mem.RegionData)
+	for a := lo; a < hi; a += mem.LineSize {
+		img.Image.Store.Write(a, mem.Line{byte(a >> 6), byte(a >> 14), 7})
+	}
+	img.MediaFaults = true
+	img.Suspects = []mem.Addr{lay.CounterBase, lay.HMACBase + mem.LineSize}
+	img.Image.Stuck = map[mem.Addr]bool{mem.LineSize: true, lay.TreeBase: true}
+	img.RecoveryJournal = bytes.Repeat([]byte{0x5A}, recovery.JournalFormat.TableLen())
+	img.Image.RemapTable = bytes.Repeat([]byte{0xA5}, nvm.RemapTableLen)
+	return img
+}
+
+// TestLoadImageMatchesDecode: the file path and the byte path are one
+// codec. For every registered design's crash image, and for one with
+// every variable-length field set that spans several chunks, SaveImage
+// writes what EncodeImage returns, and LoadImage of the file and
+// DecodeImage of its bytes give equal stores that re-encode to the
+// file's bytes.
+func TestLoadImageMatchesDecode(t *testing.T) {
+	type namedImage struct {
+		name string
+		img  *engine.CrashImage
+	}
+	var cases []namedImage
+	for _, d := range design.All() {
+		cases = append(cases, namedImage{d.Name, crashedImage(t, d.Name)})
+	}
+	cases = append(cases, namedImage{"rich", richImage(t)})
+	sideband := false
+	for _, tc := range cases {
+		sideband = sideband || len(tc.img.Sideband) > 0
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "nvm.img")
+			if err := store.SaveImage(path, tc.img); err != nil {
+				t.Fatal(err)
+			}
+			file, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, err := store.EncodeImage(tc.img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(file, enc) {
+				t.Fatalf("SaveImage wrote %d bytes that differ from EncodeImage's %d", len(file), len(enc))
+			}
+			fromFile, err := store.LoadImage(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromBytes, err := store.DecodeImage(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !fromFile.Image.Store.Equal(fromBytes.Image.Store) || !fromFile.Image.Store.Equal(tc.img.Image.Store) {
+				t.Fatal("LoadImage and DecodeImage hold different lines")
+			}
+			for _, got := range []*engine.CrashImage{fromFile, fromBytes} {
+				re, err := store.EncodeImage(got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(re, file) {
+					t.Fatal("a loaded image re-encodes to different bytes")
+				}
+			}
+		})
+	}
+	if !sideband {
+		t.Fatal("no design's crash image carries a sideband")
+	}
+}
+
+// TestLoadImageRefusesCorruptFiles: LoadImage refuses damaged and
+// resealed-but-malformed files with ErrImageCorrupt. The file is the
+// page index's worst case, lines alone in their segments, with the
+// last two records swapped in one case: a decoder that built pages
+// before it checked the order would pay 11.8 KB per line before the
+// refusal, far past FuzzDecodeImage's allocation bound.
+func TestLoadImageRefusesCorruptFiles(t *testing.T) {
+	good := sparseImage(t)
+	img, err := store.DecodeImage(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The line records end the body, right behind their count.
+	const rec = 8 + mem.LineSize
+	last := len(good) - 8 - rec
+	countOff := last - (img.Image.Store.Len()-1)*rec - 8
+	for _, tc := range []struct {
+		name string
+		edit func(b []byte) []byte
+	}{
+		{"truncated by one byte", func(b []byte) []byte { return b[:len(b)-1] }},
+		{"seal bit flipped", func(b []byte) []byte { b[len(b)-8] ^= 1; return b }},
+		{"two records swapped", func(b []byte) []byte {
+			var tmp [rec]byte
+			copy(tmp[:], b[last:])
+			copy(b[last:], b[last-rec:last])
+			copy(b[last-rec:], tmp[:])
+			return reseal(b)
+		}},
+		{"record count too large", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[countOff:], uint64(img.Image.Store.Len())+1)
+			return reseal(b)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := tc.edit(append([]byte(nil), good...))
+			path := filepath.Join(t.TempDir(), "nvm.img")
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			grew := allocBytes(func() { _, err = store.LoadImage(path) })
+			if !errors.Is(err, store.ErrImageCorrupt) {
+				t.Fatalf("err = %v, want ErrImageCorrupt", err)
+			}
+			if limit := 8*uint64(len(b)) + 1<<10; grew > limit {
+				t.Fatalf("refusing a %d-byte file allocated %d bytes, over %d", len(b), grew, limit)
+			}
+		})
+	}
+}
+
+// TestSaveImageLeavesNoTemp: a save that fails — the rename onto a
+// directory, or an image the encoder refuses — leaves no temp file.
+func TestSaveImageLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	taken := filepath.Join(dir, "taken")
+	if err := os.Mkdir(taken, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveImage(taken, crashedImage(t, names.CCNVM)); err == nil {
+		t.Fatal("saved an image over a directory")
+	}
+	if err := store.SaveImage(filepath.Join(dir, "nil.img"), nil); err == nil {
+		t.Fatal("saved a nil image")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "taken" {
+		var left []string
+		for _, e := range entries {
+			left = append(left, e.Name())
+		}
+		t.Fatalf("failed saves left %v behind", left)
+	}
+}
+
+// TestSaveImageFailureKeepsOldImage: a save over an existing image that
+// fails while writing the new one leaves the old image in place and
+// loadable, and removes its temp file.
+func TestSaveImageFailureKeepsOldImage(t *testing.T) {
+	const full = "/dev/full" // every write to it fails with ENOSPC
+	if _, err := os.Stat(full); err != nil {
+		t.Skip("no", full, "to fail writes on")
+	}
+	path := filepath.Join(t.TempDir(), "nvm.img")
+	if err := store.SaveImage(path, crashedImage(t, names.CCNVM)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(full, path+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveImage(path, richImage(t)); err == nil {
+		t.Fatal("a save whose writes fail succeeded")
+	}
+	if _, err := os.Lstat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("the failed save left its temp file (%v)", err)
+	}
+	got, err := store.LoadImage(path)
+	if err != nil {
+		t.Fatalf("the old image no longer loads: %v", err)
+	}
+	if re, err := store.EncodeImage(got); err != nil || !bytes.Equal(re, want) {
+		t.Fatalf("the old image changed (%v)", err)
 	}
 }
 
