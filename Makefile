@@ -56,6 +56,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzPorderEvents -fuzztime=15s ./internal/porder/
 	$(GO) test -fuzz=FuzzWireCodec -fuzztime=15s ./internal/kv/
 	$(GO) test -fuzz=FuzzLazyPath -fuzztime=10s ./internal/engine/
+	$(GO) test -fuzz=FuzzNeverWrittenRead -fuzztime=10s ./internal/engine/
 
 # vuln scans the module against the Go vulnerability database. Skipped
 # with a notice when govulncheck is not installed (it needs network

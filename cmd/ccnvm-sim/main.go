@@ -222,7 +222,6 @@ func Render(r sim.Result, faults bool) string {
 	t.AddRow("memory reads (engine)", fmt.Sprintf("%d", r.Sec.Reads))
 	t.AddRow("HMAC ops", fmt.Sprintf("%d", r.Sec.HMACOps))
 	t.AddRow("AES ops", fmt.Sprintf("%d", r.Sec.AESOps))
-	t.AddRow("default-line memo hit ratio", fmt.Sprintf("%.4f", r.Sec.MemoHitRatio()))
 	t.AddRow("integrity violations", fmt.Sprintf("%d", r.Sec.IntegrityViolations))
 	t.AddRow("counter overflows", fmt.Sprintf("%d", r.Sec.CounterOverflows))
 	t.AddRow("stale-counter retries", fmt.Sprintf("%d", r.Sec.StaleCounterRetries))

@@ -274,7 +274,7 @@ func (a *Arsenal) reencryptPagePacked(now int64, addr mem.Addr, old, cl seccrypt
 			ha, hslot := a.Lay.HMACLineOf(da)
 			hl, ok, _ := a.Ctrl.ReadBypass(tr, ha)
 			if !ok {
-				hl = a.DefaultHMACLine(ha)
+				hl = defaultHMACNeighbours(a.Cry, a.Lay, ha, hslot)
 			}
 			seccrypto.PutHMAC(&hl, hslot, a.Cry.DataHMAC(da, cl.Counter(s), ct))
 			t = a.Ctrl.Write(tr, da, ct)

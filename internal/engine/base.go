@@ -62,11 +62,6 @@ type Base struct {
 	// chain is FetchChain's reused working memory.
 	chain []chainLink
 
-	// defLines memoizes synthesized default data-HMAC lines (four SHA-1
-	// HMACs each), which profiling shows dominate read-path time on
-	// sparse images. Direct-mapped and bounded; nil turns it off.
-	defLines []defLineSlot
-
 	// OnViolation, when set, observes runtime integrity failures with a
 	// short site tag; tests use it to pinpoint verification bugs.
 	OnViolation func(site string, a mem.Addr, level int)
@@ -117,7 +112,6 @@ func (b *Base) InitBase(lay *mem.Layout, keys seccrypto.Keys, ctrl *memctrl.Cont
 	b.P = p
 	b.VerifyFetchedMeta = true
 	b.wbSlots = make([]int64, WritebackBuffer)
-	b.defLines = make([]defLineSlot, defLineSlots)
 	b.Meta = metacache.New(metaCfg, func(a mem.Addr, l mem.Line, dirty bool) {
 		if dirty {
 			b.pendingEvicts = append(b.pendingEvicts, EvictRec{Addr: a, Line: l})
@@ -246,68 +240,32 @@ func (b *Base) AcquireWBSlot(now int64) (int, int64) {
 // ReleaseWBSlot marks slot busy until done.
 func (b *Base) ReleaseWBSlot(slot int, done int64) { b.wbSlots[slot] = done }
 
-// defLineSlots bounds the default-HMAC-line memo (power of two;
-// 1024 x ~80 B = ~80 KB).
-const defLineSlots = 1024
-
-// defLineSlot memoizes one synthesized default data-HMAC line.
-type defLineSlot struct {
-	ha   mem.Addr
-	live bool
-	line mem.Line
+// defaultHMAC is the data HMAC a never-written block at da holds: the
+// HMAC of a zero ciphertext under counter 0. It is the one definition
+// of "never written" the read path, the write path, page re-encryption
+// and recovery share.
+func defaultHMAC(cry *seccrypto.Engine, da mem.Addr) seccrypto.HMAC {
+	return cry.DataHMAC(da, 0, mem.Line{})
 }
 
-// DefaultHMACLine synthesizes the content of a never-written data-HMAC
-// line: each slot holds the HMAC of a zero ciphertext with counter 0 at
-// the slot's data address, which is exactly what verification of a
-// never-written block expects. The content is a pure function of the
-// keys and ha, so it is served from a bounded direct-mapped memo —
-// sparse-image read paths otherwise recompute four SHA-1 HMACs per
-// never-written line touched.
-func (b *Base) DefaultHMACLine(ha mem.Addr) mem.Line {
-	var slot *defLineSlot
-	if b.defLines != nil {
-		slot = &b.defLines[mem.Mix64(uint64(ha))&(defLineSlots-1)]
-		if slot.live && slot.ha == ha {
-			b.stats.DefaultLineHits++
-			return slot.line
-		}
-		b.stats.DefaultLineMisses++
-	}
+// DefaultHMACLine synthesizes the content of the never-written
+// data-HMAC line ha: every slot holds its block's defaultHMAC.
+func DefaultHMACLine(cry *seccrypto.Engine, lay *mem.Layout, ha mem.Addr) mem.Line {
+	return defaultHMACNeighbours(cry, lay, ha, -1)
+}
+
+// defaultHMACNeighbours is DefaultHMACLine with slot skip left zero: a
+// write onto a never-written HMAC line patches skip itself, so only the
+// neighbours' defaults are worth computing.
+func defaultHMACNeighbours(cry *seccrypto.Engine, lay *mem.Layout, ha mem.Addr, skip int) mem.Line {
 	var l mem.Line
-	lineIdx := uint64(ha-b.Lay.HMACBase) / mem.LineSize
+	first := uint64(ha-lay.HMACBase) / mem.LineSize * mem.HMACsPerLine
 	for s := 0; s < mem.HMACsPerLine; s++ {
-		dataAddr := mem.Addr((lineIdx*mem.HMACsPerLine + uint64(s)) * mem.LineSize)
-		seccrypto.PutHMAC(&l, s, b.Cry.DataHMAC(dataAddr, 0, mem.Line{}))
-	}
-	if slot != nil {
-		slot.ha, slot.line, slot.live = ha, l, true
+		if s != skip {
+			seccrypto.PutHMAC(&l, s, defaultHMAC(cry, mem.Addr((first+uint64(s))*mem.LineSize)))
+		}
 	}
 	return l
-}
-
-// ReadHMACLine fetches the data-HMAC line covering addr, substituting
-// the synthesized default when never written. The core-facing read path
-// uses it; bank contention applies.
-func (b *Base) ReadHMACLine(now int64, addr mem.Addr) (mem.Line, int, int64) {
-	ha, slot := b.Lay.HMACLineOf(addr)
-	l, ok, t := b.Ctrl.Read(now, ha)
-	if !ok {
-		l = b.DefaultHMACLine(ha)
-	}
-	return l, slot, t
-}
-
-// readHMACLineBypass is ReadHMACLine for pipeline-internal callers (the
-// write path's read-modify-write and page re-encryption), which run at
-// future timestamps and must not reserve bank slots there.
-func (b *Base) readHMACLineBypass(now int64, addr mem.Addr) (mem.Line, int, int64) {
-	ha, slot := b.Lay.HMACLineOf(addr)
-	l, ok, t := b.Ctrl.ReadBypass(now, ha)
-	if !ok {
-		l = b.DefaultHMACLine(ha)
-	}
-	return l, slot, t
 }
 
 // offCache returns, in place, metadata content that has left the
@@ -487,16 +445,18 @@ func (b *Base) CounterLine(now int64, ca mem.Addr) (seccrypto.CounterLine, int64
 // FetchBlock is the shared fetch half of the read path: read the
 // ciphertext and the data-HMAC line from NVM, obtain the counter, and
 // charge the pad generation overlapped with the data read plus the
-// authenticating HMAC. Designs call it from their own FetchBlock, which
-// adds the design's read-side hooks.
+// authenticating HMAC. A never-written HMAC line is only flagged: Open
+// knows its slot by definition. Designs call it from their own
+// FetchBlock, which adds the design's read-side hooks.
 func (b *Base) FetchBlock(now int64, addr mem.Addr, f *Fetched) int64 {
 	addr = mem.Align(addr)
 	b.stats.Reads++
 	ct, _, tData := b.Ctrl.Read(now, addr)
-	hline, hslot, tH := b.ReadHMACLine(now, addr)
+	ha, hslot := b.Lay.HMACLineOf(addr)
+	hline, present, tH := b.Ctrl.Read(now, ha)
 	cl, tCtr := b.counterFn(now, b.Lay.CounterLineOf(addr))
 	f.Addr, f.Line, f.Packed = addr, ct, false
-	f.Ctr, f.MAC = cl.Counter(b.Lay.CounterSlotOf(addr)), seccrypto.GetHMAC(hline, hslot)
+	f.Ctr, f.MAC, f.NoMACLine = cl.Counter(b.Lay.CounterSlotOf(addr)), seccrypto.GetHMAC(hline, hslot), !present
 	tOTP := b.AESOp(tCtr)
 	tVer := b.HMACOp(max(max(tData, tCtr), tH), 1)
 	return max(max(tData, tOTP), tVer)
@@ -523,15 +483,19 @@ func (b *Base) Violation(a mem.Addr) {
 // WriteDataBlock encrypts pt under ctr, computes its data HMAC and
 // issues the two NVM writes (data line and read-modify-written HMAC
 // line). ctrAvail is when the counter became available; the returned
-// cycle is when both writes were accepted by the WPQ.
+// cycle is when both writes were accepted by the WPQ. The read-modify-
+// write runs at a future timestamp, so it bypasses bank reservation.
 func (b *Base) WriteDataBlock(now, ctrAvail int64, addr mem.Addr, pt mem.Line, ctr uint64) int64 {
 	addr = mem.Align(addr)
 	ct := b.Cry.Encrypt(addr, ctr, pt)
 	tEnc := b.AESOp(ctrAvail)
-	hline, hslot, tH := b.readHMACLineBypass(now, addr)
+	ha, hslot := b.Lay.HMACLineOf(addr)
+	hline, present, tH := b.Ctrl.ReadBypass(now, ha)
+	if !present {
+		hline = defaultHMACNeighbours(b.Cry, b.Lay, ha, hslot)
+	}
 	seccrypto.PutHMAC(&hline, hslot, b.Cry.DataHMAC(addr, ctr, ct))
 	tMac := b.HMACOp(max(tEnc, tH), 1)
-	ha, _ := b.Lay.HMACLineOf(addr)
 	t1 := b.Ctrl.Write(tMac, addr, ct)
 	t2 := b.Ctrl.Write(tMac, ha, hline)
 	return max(t1, t2)
@@ -588,11 +552,11 @@ func (b *Base) ReencryptPage(now int64, addr mem.Addr, old, new seccrypto.Counte
 		ha, hslot := b.Lay.HMACLineOf(da)
 		k := int(ha-firstHA) / mem.LineSize
 		if !gathered[k] {
-			raw, present, _ := b.Ctrl.ReadBypass(t, ha)
-			if !present {
-				raw = b.DefaultHMACLine(ha)
-			}
-			hmacLines[k], gathered[k] = raw, true
+			// The read is modelled traffic only: every slot of the line
+			// is overwritten below, so an absent line (read as zero)
+			// needs no defaults.
+			hmacLines[k], _, _ = b.Ctrl.ReadBypass(t, ha)
+			gathered[k] = true
 		}
 		seccrypto.PutHMAC(&hmacLines[k], hslot, b.Cry.DataHMAC(da, new.Counter(s), nct))
 		tw := b.Ctrl.Write(tr, da, nct)

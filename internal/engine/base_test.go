@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -80,7 +81,7 @@ func TestWritebackBufferSlots(t *testing.T) {
 func TestDefaultHMACLineVerifiesZeroBlocks(t *testing.T) {
 	b := newBase(t, 1<<30)
 	ha, slot := b.Lay.HMACLineOf(256)
-	l := b.DefaultHMACLine(ha)
+	l := DefaultHMACLine(b.Cry, b.Lay, ha)
 	got := seccrypto.GetHMAC(l, slot)
 	want := b.Cry.DataHMAC(256, 0, mem.Line{})
 	if got != want {
@@ -88,25 +89,236 @@ func TestDefaultHMACLineVerifiesZeroBlocks(t *testing.T) {
 	}
 }
 
-// TestDefaultHMACLineMemoMatchesRecompute holds the default-HMAC-line
-// memo to a Base without it: two HMAC-line addresses that share a memo
-// slot, requested alternately so each evicts the other, then one repeat,
-// must give the lines a recompute gives.
-func TestDefaultHMACLineMemoMatchesRecompute(t *testing.T) {
-	memo, plain := newBase(t, 1<<30), newBase(t, 1<<30)
-	plain.defLines = nil
-	ha1 := memo.Lay.HMACBase
-	ha2 := ha1 + mem.LineSize
-	for mem.Mix64(uint64(ha2))&(defLineSlots-1) != mem.Mix64(uint64(ha1))&(defLineSlots-1) {
-		ha2 += mem.LineSize
+// refDefaultHMACLine is the never-written data-HMAC line ha computed
+// with the reference engine by its own loop, so the tests below do not
+// check the engine's rule against itself.
+func refDefaultHMACLine(ref *seccrypto.Engine, lay *mem.Layout, ha mem.Addr) mem.Line {
+	var l mem.Line
+	lineIdx := uint64(ha-lay.HMACBase) / mem.LineSize
+	for s := 0; s < mem.HMACsPerLine; s++ {
+		da := mem.Addr((lineIdx*mem.HMACsPerLine + uint64(s)) * mem.LineSize)
+		seccrypto.PutHMAC(&l, s, ref.DataHMAC(da, 0, mem.Line{}))
 	}
-	for i, ha := range []mem.Addr{ha1, ha2, ha1, ha2, ha2} {
-		if got, want := memo.DefaultHMACLine(ha), plain.DefaultHMACLine(ha); got != want {
-			t.Fatalf("request %d (%#x): memoized line differs from the recompute", i, uint64(ha))
+	return l
+}
+
+func refEngine(t testing.TB) *seccrypto.Engine {
+	t.Helper()
+	ref, err := seccrypto.NewReferenceEngine(seccrypto.DefaultKeys())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// storedBlock is one data block as a read finds it in NVM: its counter,
+// its data line and its data-HMAC line, nil when never written.
+type storedBlock struct {
+	ctr        uint64
+	data, hmac *mem.Line
+}
+
+// blankReadAddr sits in slot 2 of its data-HMAC line and mid-page, so
+// neither slot nor counter index is the trivial 0.
+const blankReadAddr = mem.Addr(0x1000 + 6*mem.LineSize)
+
+// checkBlankRead reads blk through FetchBlock and Fetched.Open and holds
+// the verdict and plaintext to the reference engine over the full
+// default line: the stored HMAC is the HMAC line's slot when written,
+// the reference default otherwise. It also holds the modelled charge to
+// one HMAC and one pad per read, blank or not. It returns the verdict.
+func checkBlankRead(t *testing.T, blk storedBlock) bool {
+	t.Helper()
+	b := newBase(t, 1<<30)
+	var cl seccrypto.CounterLine
+	cslot := b.Lay.CounterSlotOf(blankReadAddr)
+	cl.Major, cl.Minors[cslot] = blk.ctr>>seccrypto.MinorBits, uint8(blk.ctr&seccrypto.MinorMax)
+	b.SetCounterSource(func(now int64, _ mem.Addr) (seccrypto.CounterLine, int64) { return cl, now })
+	ha, hslot := b.Lay.HMACLineOf(blankReadAddr)
+	dev := b.Ctrl.Device()
+	if blk.data != nil {
+		if err := dev.Write(blankReadAddr, *blk.data); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if s := memo.Stats(); s.DefaultLineHits != 1 || s.DefaultLineMisses != 4 {
-		t.Fatalf("memo hits/misses = %d/%d, want 1/4", s.DefaultLineHits, s.DefaultLineMisses)
+	if blk.hmac != nil {
+		if err := dev.Write(ha, *blk.hmac); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var f Fetched
+	b.FetchBlock(0, blankReadAddr, &f)
+	pt, ok := f.Open(b.Cry)
+
+	ref := refEngine(t)
+	var ct mem.Line
+	if blk.data != nil {
+		ct = *blk.data
+	}
+	hl := refDefaultHMACLine(ref, b.Lay, ha)
+	if blk.hmac != nil {
+		hl = *blk.hmac
+	}
+	wantOK := ref.DataHMAC(blankReadAddr, blk.ctr, ct) == seccrypto.GetHMAC(hl, hslot)
+	if wantPT := ref.Decrypt(blankReadAddr, blk.ctr, ct); ok != wantOK || pt != wantPT {
+		t.Fatalf("Open = (plaintext match %v, ok %v), reference ok %v", pt == wantPT, ok, wantOK)
+	}
+	if f.NoMACLine != (blk.hmac == nil) {
+		t.Fatalf("NoMACLine = %v with HMAC line written = %v", f.NoMACLine, blk.hmac != nil)
+	}
+	if s := b.Stats(); s.HMACOps != 1 || s.AESOps != 1 {
+		t.Fatalf("read charged %d HMACs and %d pads, want 1 and 1", s.HMACOps, s.AESOps)
+	}
+	return ok
+}
+
+// TestNeverWrittenReadMatchesReference covers the read of a block whose
+// data-HMAC line may never have been written: HMAC line absent or
+// present, counter 0 or not, data line absent, zero or not, and the
+// stored slot or the data tampered with. Beside the reference, each
+// case must authenticate exactly when it is genuine: untampered, and
+// either its HMAC line written or the block still blank at counter 0.
+func TestNeverWrittenReadMatchesReference(t *testing.T) {
+	ref := refEngine(t)
+	lay := mem.MustLayout(1 << 30)
+	ha, hslot := lay.HMACLineOf(blankReadAddr)
+	nonZero := ref.Encrypt(blankReadAddr, 9, mem.Line{1, 2, 3})
+	type dataKind struct {
+		name string
+		line *mem.Line
+	}
+	datas := []dataKind{{"absent", nil}, {"zero", &mem.Line{}}, {"nonzero", &nonZero}}
+	for _, present := range []bool{false, true} {
+		for _, ctr := range []uint64{0, 9, 3<<seccrypto.MinorBits | 9} {
+			for _, d := range datas {
+				for _, tamper := range []string{"none", "slot", "data"} {
+					if tamper == "slot" && !present {
+						continue // an absent line has no slot to tamper with
+					}
+					var ct mem.Line
+					if d.line != nil {
+						ct = *d.line
+					}
+					blk := storedBlock{ctr: ctr, data: d.line}
+					if present {
+						// The genuine line: neighbours at their defaults,
+						// the block's slot authenticating what it holds.
+						hl := refDefaultHMACLine(ref, lay, ha)
+						seccrypto.PutHMAC(&hl, hslot, ref.DataHMAC(blankReadAddr, ctr, ct))
+						if tamper == "slot" {
+							hl[hslot*mem.HMACSize] ^= 0x80
+						}
+						blk.hmac = &hl
+					}
+					if tamper == "data" {
+						bad := ct
+						bad[17] ^= 1
+						blk.data = &bad
+					}
+					genuine := tamper == "none" && (present || ctr == 0 && ct == mem.Line{})
+					name := map[bool]string{false: "hmac-absent", true: "hmac-present"}[present]
+					t.Run(fmt.Sprintf("%s/ctr=%d/data=%s/tamper=%s", name, ctr, d.name, tamper), func(t *testing.T) {
+						if ok := checkBlankRead(t, blk); ok != genuine {
+							t.Fatalf("authenticated = %v, want %v", ok, genuine)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// FuzzNeverWrittenRead is TestNeverWrittenReadMatchesReference over
+// arbitrary counters and data. data empty leaves the data line
+// unwritten; mode picks the stored HMAC line: 0 never written, 1 the
+// default line, 2 the genuine line, 3 the genuine line with its slot
+// flipped.
+func FuzzNeverWrittenRead(f *testing.F) {
+	f.Add(uint64(0), []byte{}, uint8(0))
+	f.Add(uint64(0), []byte{0}, uint8(0))
+	f.Add(uint64(0), []byte{1}, uint8(0))
+	f.Add(uint64(5), []byte{}, uint8(0))
+	f.Add(uint64(0), []byte{}, uint8(1))
+	f.Add(uint64(7), []byte{4, 5}, uint8(2))
+	f.Add(uint64(7), []byte{4, 5}, uint8(3))
+	ref := refEngine(f)
+	lay := mem.MustLayout(1 << 30)
+	ha, hslot := lay.HMACLineOf(blankReadAddr)
+	f.Fuzz(func(t *testing.T, ctr uint64, data []byte, mode uint8) {
+		blk := storedBlock{ctr: ctr}
+		var ct mem.Line
+		if len(data) > 0 {
+			copy(ct[:], data)
+			blk.data = &ct
+		}
+		if mode%4 != 0 {
+			hl := refDefaultHMACLine(ref, lay, ha)
+			if mode%4 >= 2 {
+				seccrypto.PutHMAC(&hl, hslot, ref.DataHMAC(blankReadAddr, ctr, ct))
+			}
+			if mode%4 == 3 {
+				hl[hslot*mem.HMACSize] ^= 1
+			}
+			blk.hmac = &hl
+		}
+		checkBlankRead(t, blk)
+	})
+}
+
+// TestWriteOntoNeverWrittenHMACLine holds WriteDataBlock onto an absent
+// data-HMAC line to the full default line with the written slot
+// patched, for every slot; a second write into the same line keeps the
+// first one's slot.
+func TestWriteOntoNeverWrittenHMACLine(t *testing.T) {
+	ref := refEngine(t)
+	for slot := 0; slot < mem.HMACsPerLine; slot++ {
+		b := newBase(t, 1<<30)
+		base := mem.Addr(0x2000)
+		addr := base + mem.Addr(slot*mem.LineSize)
+		ha, hslot := b.Lay.HMACLineOf(addr)
+		if hslot != slot {
+			t.Fatalf("block %#x sits in slot %d, want %d", uint64(addr), hslot, slot)
+		}
+		pt := mem.Line{byte(slot + 1), 0xAA}
+		b.WriteDataBlock(0, 0, addr, pt, 3)
+		want := refDefaultHMACLine(ref, b.Lay, ha)
+		seccrypto.PutHMAC(&want, slot, ref.DataHMAC(addr, 3, ref.Encrypt(addr, 3, pt)))
+		if got, _ := b.Ctrl.Device().Peek(ha); got != want {
+			t.Fatalf("slot %d: stored HMAC line differs from the default line with the slot patched", slot)
+		}
+		other := base + mem.Addr((slot+1)%mem.HMACsPerLine*mem.LineSize)
+		b.WriteDataBlock(0, 0, other, pt, 4)
+		seccrypto.PutHMAC(&want, (slot+1)%mem.HMACsPerLine, ref.DataHMAC(other, 4, ref.Encrypt(other, 4, pt)))
+		if got, _ := b.Ctrl.Device().Peek(ha); got != want {
+			t.Fatalf("slot %d: a second write into the line lost a slot", slot)
+		}
+	}
+}
+
+// TestReencryptFreshPage re-encrypts a page nothing was written to:
+// every HMAC line it writes must hold, slot by slot, the HMAC of the
+// block's new ciphertext, none of the defaults it no longer reads.
+func TestReencryptFreshPage(t *testing.T) {
+	ref := refEngine(t)
+	b := newBase(t, 1<<30)
+	page := mem.Addr(3 * mem.PageSize)
+	var old, cl seccrypto.CounterLine
+	cl.Major = 1
+	cl.Minors[5] = 1
+	b.ReencryptPage(0, page, old, cl)
+	dev := b.Ctrl.Device()
+	for s := 0; s < mem.BlocksPerPage; s++ {
+		da := page + mem.Addr(s*mem.LineSize)
+		ct, ok := dev.Peek(da)
+		if want := ref.Encrypt(da, cl.Counter(s), mem.Line{}); !ok || ct != want {
+			t.Fatalf("block %d: ciphertext not re-encrypted under counter %d", s, cl.Counter(s))
+		}
+		ha, hslot := b.Lay.HMACLineOf(da)
+		hl, ok := dev.Peek(ha)
+		if !ok || seccrypto.GetHMAC(hl, hslot) != ref.DataHMAC(da, cl.Counter(s), ct) {
+			t.Fatalf("block %d: stored HMAC does not authenticate the new ciphertext", s)
+		}
 	}
 }
 

@@ -1013,11 +1013,7 @@ func stuckCause(stuck map[mem.Addr]bool, a, ca, ha mem.Addr) (string, mem.Addr) 
 func hmacLine(img *engine.CrashImage, cry *seccrypto.Engine, ha mem.Addr) mem.Line {
 	hl, ok := img.Image.Read(ha)
 	if !ok {
-		lineIdx := uint64(ha-img.Image.Layout.HMACBase) / mem.LineSize
-		for s := 0; s < mem.HMACsPerLine; s++ {
-			da := mem.Addr((lineIdx*mem.HMACsPerLine + uint64(s)) * mem.LineSize)
-			seccrypto.PutHMAC(&hl, s, cry.DataHMAC(da, 0, mem.Line{}))
-		}
+		hl = engine.DefaultHMACLine(cry, img.Image.Layout, ha)
 	}
 	return hl
 }

@@ -278,7 +278,9 @@ func (r *Reference) versionAt(a mem.Addr, ctr uint64) (version, bool) {
 
 // storedHMAC extracts the stored data HMAC of block a from the image,
 // synthesizing the never-written default line when absent — the same
-// rule recovery and the runtime read path apply.
+// rule recovery and the runtime read path apply. It keeps its own loop
+// on the reference engine instead of calling engine.DefaultHMACLine on
+// purpose: the oracle must not share the code it judges.
 func (r *Reference) storedHMAC(img *engine.CrashImage, a mem.Addr) seccrypto.HMAC {
 	ha, hslot := r.lay.HMACLineOf(a)
 	hl, ok := img.Image.Read(ha)
