@@ -70,10 +70,10 @@ func (db *DB) worthCompactingLocked(need uint64, overStop bool) bool {
 // Compact runs one garbage-collection pass unconditionally (the admin
 // verb; admission-triggered passes apply the gain floor first): rewrite
 // the live set into the inactive half as fresh header-last sealed
-// frames, flush, commit the relocation with one manifest slot write,
-// flush again, switch the in-memory keymap, and only then reclaim the
-// retired half. If a pass is already running, Compact waits for it and
-// returns. Open snapshots pinning the retired half refuse the pass with
+// frames, commit the relocation with one manifest slot write, switch
+// the in-memory keymap, and only then reclaim the retired half. If a
+// pass is already running, Compact waits for it and returns. Open
+// snapshots pinning the retired half refuse the pass with
 // ErrCompactPinned.
 func (db *DB) Compact() error {
 	db.mu.Lock()
@@ -174,20 +174,15 @@ func (db *DB) compactLocked() error {
 	if db.testHookMidCopy != nil {
 		db.testHookMidCopy()
 	}
-	// The run must be durable before the manifest can point at it.
-	if err := db.st.FlushEpoch(); err != nil {
-		return fail(fmt.Errorf("kv: compaction run flush: %w", err))
-	}
 
-	// Commit phase: one checksummed slot write switches the layout.
-	// Before this write the run is an invisible orphan (reopen reclaims
-	// it); after it the old half is the invisible garbage.
+	// Commit phase: one checksummed slot write switches the layout. A
+	// store write is durable once accepted, so the run is durable before
+	// the manifest can point at it. Before this write the run is an
+	// invisible orphan (reopen reclaims it); after it the old half is
+	// the invisible garbage.
 	rec := manifestRecord{Seq: genBefore + 1, StartSeq: startSeq, Half: dst}
 	if err := db.st.Write(mem.Addr(ManifestFormat.Off(rec.Seq)), encodeManifest(rec)); err != nil {
 		return fail(fmt.Errorf("kv: manifest commit write: %w", err))
-	}
-	if err := db.st.FlushEpoch(); err != nil {
-		return fail(fmt.Errorf("kv: manifest commit flush: %w", err))
 	}
 
 	// Switch phase: the keymap flips to the compacted refs atomically

@@ -60,8 +60,8 @@ type Stats struct {
 
 // DB is one KV namespace over a storage-engine facade. All methods are
 // safe for concurrent use; batches from concurrent writers serialize
-// at the log head, and each batch acknowledges after its own epoch
-// flush.
+// at the log head, and each batch acknowledges once the store has
+// accepted its header line.
 //
 // The data region is laid out as two manifest slots followed by a log
 // arena split into two equal halves. The live log occupies exactly one
@@ -434,9 +434,8 @@ func (db *DB) reclaimHalf(h int) error {
 // already holding rmu exclusively, so it can never race a new pass
 // that is about to write a fresh run into h — a pass that has not yet
 // taken rmu for its own destination cleaning cannot have written yet,
-// and one that has is ordered entirely before or after us. Reclaim
-// durability is best-effort here: a failed flush is retried by the
-// next pass or reopen.
+// and one that has is ordered entirely before or after us. Reclaim is
+// best-effort here: a failed one is retried by the next pass or reopen.
 func (db *DB) reclaimRetired(h int) {
 	db.rmu.Lock()
 	db.mu.Lock()
@@ -451,8 +450,9 @@ func (db *DB) reclaimRetired(h int) {
 }
 
 // zeroHalfUnlock is the one reclaim body: called with rmu held
-// exclusively, it zeroes half h, releases rmu, counts the lines, clears
-// the owed reclaim, and flushes the zero writes if there were any.
+// exclusively, it zeroes half h, releases rmu, counts the lines and
+// clears the owed reclaim. The zero writes are durable as the store
+// accepts them.
 func (db *DB) zeroHalfUnlock(h int) error {
 	lo := db.halfStart(h)
 	n, err := db.st.ReclaimRange(lo, lo+mem.Addr(db.halfBytes))
@@ -463,10 +463,7 @@ func (db *DB) zeroHalfUnlock(h int) error {
 		db.pendingReclaim = -1
 	}
 	db.mu.Unlock()
-	if err != nil || n == 0 {
-		return err
-	}
-	return db.st.FlushEpoch()
+	return err
 }
 
 // apply folds one frame's records into the index, keeping the live-set
@@ -537,20 +534,23 @@ func (db *DB) Get(key []byte) ([]byte, bool, error) {
 	return v, ok, err
 }
 
-// Put maps key to val, acknowledged durable.
+// Put maps key to val; a nil return means the put is durable.
 func (db *DB) Put(key, val []byte) error {
 	return db.Batch([]Op{{Kind: OpPut, Key: key, Val: val}})
 }
 
-// Delete removes key, acknowledged durable.
+// Delete removes key; a nil return means the delete is durable.
 func (db *DB) Delete(key []byte) error {
 	return db.Batch([]Op{{Kind: OpDelete, Key: key}})
 }
 
 // Batch applies ops atomically: after a crash at any point, recovery
-// sees either every op or none. Batch returns only once a covering
-// epoch flush has committed — a nil return means the batch survives
-// any later crash.
+// sees either every op or none. Batch acknowledges at the store's
+// persist point: a store write is durable when Store.Write returns, so
+// once the frame's header line is accepted the batch survives any
+// later crash, and a nil return means exactly that. No epoch is closed
+// for it; the design's own triggers close epochs, and recovery
+// re-derives the counters an open epoch left behind.
 //
 // Admission walks the degradation ladder: healthy batches append
 // immediately; in the throttled band each admission is delayed and a
@@ -647,7 +647,6 @@ func (db *DB) Batch(ops []Op) error {
 		return werr
 	}
 	db.seq++
-	mySeq := db.seq
 	db.apply(db.head+mem.LineSize, payload, recs)
 	db.head += mem.Addr(need)
 	db.batches++
@@ -656,11 +655,6 @@ func (db *DB) Batch(ops []Op) error {
 
 	if delay > 0 {
 		time.Sleep(delay)
-	}
-	// The store persists every write accepted before a FlushEpoch, so
-	// this flush covers the batch whoever else has flushed since.
-	if err := db.st.FlushEpoch(); err != nil {
-		return fmt.Errorf("kv: batch %d not durable: %w", mySeq, err)
 	}
 	return nil
 }
@@ -685,7 +679,9 @@ func (db *DB) writeFrame(who string, header mem.Addr, seq uint64, count int, pay
 	return nil
 }
 
-// Flush forces an epoch flush covering everything appended so far.
+// Flush closes the store's open epoch, persisting the security
+// metadata of everything appended so far. Acknowledged batches are
+// durable without it; Close and the flush and quit verbs call it.
 func (db *DB) Flush() error {
 	db.mu.Lock()
 	seq := db.seq
@@ -759,8 +755,8 @@ func (db *DB) Crash() *engine.CrashImage {
 	return db.st.Crash()
 }
 
-// Close flushes outstanding appends and marks the DB closed. The
-// caller still owns the store's lifecycle.
+// Close closes the store's open epoch (Flush) and marks the DB closed.
+// The caller still owns the store's lifecycle.
 func (db *DB) Close() error {
 	err := db.Flush()
 	db.mu.Lock()

@@ -249,6 +249,34 @@ func TestConcurrentWritersGroupCommit(t *testing.T) {
 	}
 }
 
+// TestBatchClosesNoEpoch pins the acknowledgement point: a batch is
+// acknowledged once the store has accepted its header line, so 200
+// batches of four fresh-key 64-byte puts (the kv_put shape) make no
+// drain beyond the design's own triggers (dirty-queue full, eviction,
+// update limit). TestConcurrentWritersGroupCommit holds such acks to a
+// power cut that no flush preceded.
+func TestBatchClosesNoEpoch(t *testing.T) {
+	const batches = 200
+	st := openStore(t)
+	db := openDB(t, st)
+	s0 := st.Engine().Stats()
+	for i := range batches {
+		ops := make([]kv.Op, 4)
+		for j := range ops {
+			ops[j] = kv.Op{Kind: kv.OpPut, Key: []byte(fmt.Sprintf("k%04d", i*4+j)), Val: bytes.Repeat([]byte{byte(i)}, 64)}
+		}
+		if err := db.Batch(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s1 := st.Engine().Stats()
+	explicit := (s1.Drains - s0.Drains) - (s1.DrainQueueFull - s0.DrainQueueFull) -
+		(s1.DrainEvict - s0.DrainEvict) - (s1.DrainUpdateLimit - s0.DrainUpdateLimit)
+	if explicit != 0 {
+		t.Fatalf("%d batches made %d explicit epoch drains, want 0", batches, explicit)
+	}
+}
+
 func TestSnapshotIsolation(t *testing.T) {
 	db := openDB(t, openStore(t))
 	if err := db.Put([]byte("k"), []byte("old")); err != nil {

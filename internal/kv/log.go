@@ -12,8 +12,9 @@
 // header — invisible to the recovery scan — while a torn or
 // half-serviced header fails its checksum. Either way the namespace
 // exposes all of the batch or none of it. Durability of an
-// acknowledged batch comes from the facade's FlushEpoch: the DB only
-// acks a batch once a covering epoch flush has returned.
+// acknowledged batch comes from the facade's persist point: a store
+// write is durable when Store.Write returns, so the DB acks a batch
+// once its header line is accepted, without closing an epoch.
 package kv
 
 import (

@@ -237,8 +237,10 @@ func (s *Server) handle(req *Request, snaps *connSnaps) (Response, func()) {
 		}
 		return s.statsResp(), nil
 	case "crash":
-		// Simulated power failure: on-chip state (and any un-flushed
-		// epoch) is lost; the image is what the media held.
+		// Simulated power failure: on-chip state is lost, the open
+		// epoch's counters and tree included; the image is what the
+		// media held. Every acknowledged batch is in it, and recovery
+		// re-derives the counters the open epoch left behind.
 		return Response{OK: true}, func() {
 			s.Close()
 			img := s.db.Crash()

@@ -1,0 +1,184 @@
+package store_test
+
+import (
+	"errors"
+	"slices"
+	"testing"
+
+	"ccnvm/internal/engine"
+	"ccnvm/internal/mem"
+	"ccnvm/internal/nvm"
+	"ccnvm/internal/recovery"
+	"ccnvm/internal/store"
+	"ccnvm/internal/torture"
+)
+
+// persistLine is the content of the i-th write of a durability test:
+// distinct per write, so a line that recovers an older version fails.
+func persistLine(i int) mem.Line {
+	var l mem.Line
+	for k := range l {
+		l[k] = byte(mem.Mix64(uint64(i<<8 + k)))
+	}
+	return l
+}
+
+// persistAddr is the address of the i-th write: overwrites within the
+// first page, whose counter line reaches the update limit again and
+// again, and every fifth write on the next page.
+func persistAddr(i int) mem.Addr {
+	if i%5 == 4 {
+		return mem.PageSize + mem.Addr(i%7)*mem.LineSize
+	}
+	return mem.Addr(i*7%40) * mem.LineSize
+}
+
+// TestWriteIsDurableAtReturn pins the store's durability contract: a
+// write is durable when Store.Write returns, with no FlushEpoch. For
+// every design the KV layer serves on, at N = 16 and M = 64, a run of
+// writes that crosses at least two update-limit drains is crashed
+// after every k-th write and rebooted. Every accepted line must read
+// back its last value, the recovery report must name no lost block,
+// and reading every line again through the engine (after a write has
+// retired the boot verdict) must count no integrity violation.
+func TestWriteIsDurableAtReturn(t *testing.T) {
+	const writes = 56
+	params := engine.Params{UpdateLimit: 16, QueueEntries: 64}
+	open := func(t *testing.T, name string) *store.Store {
+		st, err := store.Open(store.Options{Design: name, Capacity: 1 << 20, Params: params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for _, name := range torture.KVDesigns() {
+		t.Run(name, func(t *testing.T) {
+			full := open(t, name)
+			for i := range writes {
+				if err := full.Write(persistAddr(i), persistLine(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Only the cc-NVM designs drain; the others persist their
+			// metadata by their own rules on every write.
+			if s := full.Engine().Stats(); s.Drains > 0 && s.DrainUpdateLimit < 2 {
+				t.Fatalf("%d writes crossed %d update-limit drains, want at least 2", writes, s.DrainUpdateLimit)
+			}
+			for k := 1; k <= writes; k++ {
+				st := open(t, name)
+				want := map[mem.Addr]mem.Line{}
+				for i := range k {
+					if err := st.Write(persistAddr(i), persistLine(i)); err != nil {
+						t.Fatal(err)
+					}
+					want[persistAddr(i)] = persistLine(i)
+				}
+				rb, rep, err := store.Reboot(st.Crash(), store.Options{Params: params})
+				if err != nil {
+					t.Fatalf("crash after write %d: %v", k, err)
+				}
+				if len(rep.LostBlocks) > 0 {
+					t.Fatalf("crash after write %d: recovery lost %v", k, rep.LostBlocks)
+				}
+				check := func(how string) {
+					for a, l := range want {
+						got, err := rb.Read(a)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != l {
+							t.Fatalf("crash after write %d: line %#x %s reads %x, want %x", k, uint64(a), how, got[:8], l[:8])
+						}
+					}
+				}
+				check("from the boot verdict")
+				if err := rb.Write(mem.Addr(rb.Capacity())-mem.LineSize, persistLine(-1)); err != nil {
+					t.Fatal(err)
+				}
+				check("through the engine")
+				if v := rb.Engine().Stats().IntegrityViolations; v != 0 {
+					t.Fatalf("crash after write %d: %d integrity violations after reboot", k, v)
+				}
+			}
+		})
+	}
+}
+
+// TestBoundedADRLossIsDeclared: under a bounded ADR budget an accepted
+// write can be lost at a crash whether or not an epoch flush followed
+// it — FlushEpoch does not wait for the write queue to retire — but
+// never silently. The crash image's Suspects (the manifest recovery
+// consumes) must be non-empty and the report must open a loss window;
+// every written line that does not read back intact after the reboot
+// must be a suspect itself (dropped whole, it reads its stale content)
+// or a lost block the report pins on a suspect line (a torn counter or
+// HMAC line takes the blocks it covers with it).
+func TestBoundedADRLossIsDeclared(t *testing.T) {
+	const writes = 8
+	params := engine.Params{UpdateLimit: 16, QueueEntries: 64}
+	for _, name := range torture.KVDesigns() {
+		for _, flush := range []bool{false, true} {
+			st, err := store.Open(store.Options{Design: name, Capacity: 1 << 20, Params: params,
+				Faults: &nvm.FaultModel{Seed: 1, TornWrites: true, ADRBudget: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range writes {
+				if err := st.Write(mem.Addr(i)*mem.LineSize, persistLine(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if flush {
+				if err := st.FlushEpoch(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			img := st.Crash()
+			rb, rep, err := store.Reboot(img, store.Options{Params: params})
+			if err != nil {
+				t.Fatalf("%s flush=%v: %v", name, flush, err)
+			}
+			if len(img.Suspects) == 0 || !rep.CrashLossWindow {
+				t.Fatalf("%s flush=%v: a one-entry ADR budget left suspects %v, loss window %v",
+					name, flush, img.Suspects, rep.CrashLossWindow)
+			}
+			declared := func(a mem.Addr) bool {
+				return slices.Contains(img.Suspects, a) || slices.ContainsFunc(rep.LostBlocks, func(b recovery.LostBlock) bool {
+					return b.Addr == a && slices.Contains(img.Suspects, b.Line)
+				})
+			}
+			for i := range writes {
+				a := mem.Addr(i) * mem.LineSize
+				v0 := rb.Engine().Stats().IntegrityViolations
+				got, err := rb.Read(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				intact := got == persistLine(i) && rb.Engine().Stats().IntegrityViolations == v0
+				if !intact && !declared(a) {
+					t.Fatalf("%s flush=%v: line %#x lost without being declared (suspects %v, lost %v)",
+						name, flush, uint64(a), img.Suspects, rep.LostBlocks)
+				}
+			}
+		}
+	}
+}
+
+// TestWriteReportsControllerError: with no flush behind an
+// acknowledgement, Write itself must return the controller's device
+// error, so a write is never reported durable once the controller has
+// failed one.
+func TestWriteReportsControllerError(t *testing.T) {
+	st, err := store.Open(store.Options{Capacity: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Write(0, persistLine(0)); err != nil {
+		t.Fatal(err)
+	}
+	st.HostWrite(st.Now(), ^mem.Addr(0)&^(mem.LineSize-1), persistLine(1))
+	var rangeErr *nvm.AddrRangeError
+	if err := st.Write(mem.LineSize, persistLine(2)); !errors.As(err, &rangeErr) {
+		t.Fatalf("Write after a failed device write returned %v, want the *nvm.AddrRangeError", err)
+	}
+}

@@ -9,8 +9,10 @@
 //
 //   - Writes go through the engine's write-back path, so they are
 //     encrypted, authenticated and batched into ADR epochs by the
-//     design's own drain policy; FlushEpoch forces the epoch closed,
-//     which is the durability point a server acknowledges at.
+//     design's own drain policy. A write is durable when Write returns
+//     (see Write for the contract), which is the point a server
+//     acknowledges at; FlushEpoch closes the open epoch, persisting the
+//     security metadata the design had left dirty.
 //   - Reads decrypt and verify through the engine; a never-written line
 //     reads as zero, exactly like a fresh DIMM. The one exception is
 //     the boot verdict (see OpenRecovered): until a recovered store's
@@ -406,9 +408,31 @@ func (o *Opener) Open(f *Fetched) (pt mem.Line, ok bool) {
 }
 
 // Write encrypts, authenticates and persists the line at a through the
-// engine's write-back path. The write is durable once the covering
-// FlushEpoch returns (writes are batched into ADR epochs; the design's
-// drain policy may persist them earlier, never later).
+// engine's write-back path.
+//
+// The durability contract: a write is durable when Write returns nil.
+// A later crash at any point recovers the line, through the four-step
+// recovery, for every design whose clean crash recovers without a
+// tamper verdict (design.Caps.TamperOnCrash false; the KV torture
+// designs). Write returns once the engine's write-back has put the
+// data and its HMAC into the controller's ADR-backed write queue, the
+// paper's persist point (§4.3): counters and tree nodes may lag, and
+// recovery re-derives a lagging counter by HMAC retry within the
+// update limit N. No write is left in cc-NVM's epoch hold queue either:
+// a drain is begun and ended inside one engine write-back, under the
+// store's lock. So Write needs no FlushEpoch, and successive writes
+// become durable in the order Write accepted them.
+//
+// Under a fault model with a bounded ADR budget (nvm.FaultModel
+// ADRBudget) accepted entries beyond the budget may tear or drop at a
+// crash, and no call prevents it: FlushEpoch does not wait for the
+// write queue to retire. The loss is declared, never silent: a lost
+// line is in the crash image's Suspects or is a lost block the
+// recovery report pins on a suspect line, and the report opens its
+// loss window.
+//
+// Write also returns the controller's first device or protocol error,
+// so a write the device refused is never reported durable.
 func (s *Store) Write(a mem.Addr, l mem.Line) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -441,7 +465,7 @@ func (s *Store) writeLocked(a mem.Addr, l mem.Line) error {
 		s.seenWrites++
 	}
 	s.now = s.eng.WriteBack(s.now, mem.Align(a), l)
-	return nil
+	return s.ctrl.Err()
 }
 
 // ReclaimRange is the page-reclaim hook: it returns every written
@@ -484,10 +508,14 @@ func (s *Store) ReclaimRange(lo, hi mem.Addr) (int, error) {
 	return reclaimed, nil
 }
 
-// FlushEpoch closes the current ADR epoch: every accepted write and all
-// dirty security metadata are persisted consistently. This is the
-// durability point — a batch acknowledged after FlushEpoch survives any
-// later crash.
+// FlushEpoch closes the current ADR epoch: the design persists all of
+// its dirty security metadata (for cc-NVM, one drain of every dirty
+// counter line and its Merkle path). It is not needed for durability,
+// which every write has when Write returns; it is for a clean shutdown
+// (Close settles the same way) and for callers that need the tree
+// itself persisted, so recovery has no counter to retry. It does not
+// wait for the write queue to retire: under a bounded ADR budget an
+// accepted entry can still be lost at a crash (declared in Suspects).
 func (s *Store) FlushEpoch() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

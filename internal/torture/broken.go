@@ -21,11 +21,16 @@ func BrokenModes() []string {
 	return []string{"skip-counter-replay", "ignore-tampered", "skip-root-check", "accept-torn", "accept-divergent", "reorder-persist", "break-remap-commit", "break-compact-switch"}
 }
 
-// reorderAfterCommits is the reorder-persist defect's arming point: the
-// first non-epoch write after this many epoch commits is the victim.
-// Fixed so repro commands and the guided-mode self-test agree on the
-// injected bug's location.
+// reorderAfterCommits is the reorder-persist defect's arming point in a
+// trace cell: the first non-epoch write after this many epoch commits
+// is the victim. Fixed so repro commands and the guided-mode self-test
+// agree on the injected bug's location.
 const reorderAfterCommits = 3
+
+// reorderKVAfterCommits is the arming point in a KV cell. A batch
+// closes no epoch, so a five-batch cell may never see three commits;
+// the victim is the cell's first write, inside its first epoch.
+const reorderKVAfterCommits = 0
 
 // BrokenRunner returns a runner broken in the named way. The recovery
 // modes forge reports that claim success, so only the differential
@@ -127,15 +132,21 @@ func BrokenRunner(mode string) (*Runner, error) {
 		// victim-write→commit window — exactly one persist-ordering edge
 		// of the cell's graph. Guided enumeration schedules a point per
 		// distinct edge cut and lands in the window; evenly spaced points
-		// at the same budget straddle it. Fault-model cells run clean:
-		// their crash-time tearing assumes nominal WPQ ordering and they
-		// are not the test; neither are KV cells.
+		// at the same budget straddle it. A KV cell arms at its first
+		// write (reorderKVAfterCommits): an acknowledged batch whose line
+		// never persisted trips kv-acked-durable, or kv-clean-recovery
+		// where the counter retry flags the stale line first (cc-NVM).
+		// Fault-model cells run clean: their crash-time tearing assumes
+		// nominal WPQ ordering and they are not the test.
 		return &Runner{
 			Arm: func(c Cell, st *store.Store) func(*nvm.Image) {
-				if c.Faulty() || c.KV() {
+				switch {
+				case c.Faulty():
 					return nil
+				case c.KV():
+					return reorderPersist(st, reorderKVAfterCommits)
 				}
-				return reorderPersist(st)
+				return reorderPersist(st, reorderAfterCommits)
 			},
 		}, nil
 	case "break-remap-commit":
@@ -185,13 +196,13 @@ func BrokenRunner(mode string) (*Runner, error) {
 }
 
 // reorderPersist arms the reorder-persist defect on st through its
-// event tap: the first write accepted after reorderAfterCommits epoch
+// event tap: the first write accepted after the given number of epoch
 // commits is the victim, and until the next commit an image of the
 // device loses it — the returned edit puts back the victim line's
 // content from before that write, or removes a line the write created.
 // Later writes to the victim line inside the window are lost with it,
 // as if they coalesced into the unpersisted slot.
-func reorderPersist(st *store.Store) func(*nvm.Image) {
+func reorderPersist(st *store.Store, after int) func(*nvm.Image) {
 	var (
 		commits      int
 		hunting      = true
@@ -206,7 +217,7 @@ func reorderPersist(st *store.Store) func(*nvm.Image) {
 			commits++
 			open = false
 		case store.EvWriteAccept:
-			if hunting && commits >= reorderAfterCommits {
+			if hunting && commits >= after {
 				hunting, open, victim = false, true, ev.Addr
 				prior, priorPresent = st.Device().Peek(ev.Addr)
 			}

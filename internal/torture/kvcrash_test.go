@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"testing"
@@ -126,4 +127,40 @@ func TestKVOraclesCatchSabotagedRecovery(t *testing.T) {
 		}
 		caught(t, r, cell, "kv-clean-recovery")
 	})
+}
+
+// TestBrokenReorderPersistKVCaught gives reorder-persist teeth at the
+// KV storey: with a batch closing no epoch, the victim write is a KV
+// cell's first (reorderKVAfterCommits). Every KV design must fail some
+// cell, and an acknowledged batch that lost the write must trip
+// kv-acked-durable (on cc-NVM the counter retry flags the stale line
+// first, so kv-clean-recovery catches it there). That failure names a
+// KV cell, and its shrunk repro replays under the defect and passes
+// without it.
+func TestBrokenReorderPersistKVCaught(t *testing.T) {
+	r, err := BrokenRunner("reorder-persist")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := RunMatrix(context.Background(), r, EnumerateCells(MatrixOpts{Seeds: 1, KV: true}), 0, nil)
+	for _, d := range KVDesigns() {
+		if !slices.ContainsFunc(sum.Failures, func(f MatrixFailure) bool { return f.Cell.Design == d }) {
+			t.Errorf("reorder-persist slipped past every oracle on %s", d)
+		}
+	}
+	i := slices.IndexFunc(sum.Failures, func(f MatrixFailure) bool { return f.Oracle == "kv-acked-durable" })
+	if i < 0 {
+		t.Fatalf("reorder-persist slipped past kv-acked-durable over %d KV cells (%d failures)", sum.Cells, len(sum.Failures))
+	}
+	f := sum.Failures[i]
+	if !f.Cell.KV() {
+		t.Fatalf("failure on a non-KV cell %s", f.Cell)
+	}
+	if again := r.RunCell(f.Cell); again == nil || again.Oracle != f.Oracle {
+		t.Fatalf("repro %s no longer fails %s: %v", f.Repro, f.Oracle, again)
+	}
+	if g := DefaultRunner().RunCell(f.Cell); g != nil {
+		t.Fatalf("cell %s also fails without the defect: %v", f.Cell, g)
+	}
+	t.Logf("reorder-persist caught by kv-acked-durable: %s", f.Repro)
 }
