@@ -46,6 +46,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzStoreModel -fuzztime=10s ./internal/mem/
 	$(GO) test -fuzz=FuzzDecodeImage -fuzztime=10s ./internal/store/
 	$(GO) test -fuzz=FuzzBootVerdict -fuzztime=10s ./internal/store/
+	$(GO) test -fuzz=FuzzReclaimKnown -fuzztime=10s ./internal/store/
 	$(GO) test -fuzz=FuzzTable -fuzztime=10s ./internal/twoslot/
 	$(GO) test -fuzz=FuzzLogFrame -fuzztime=10s ./internal/kv/
 	$(GO) test -fuzz=FuzzCell -fuzztime=20s ./internal/torture/

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -385,6 +386,67 @@ func TestReopenDiscardsOrphanRunAndConverges(t *testing.T) {
 	db3 := compactDB(t, st2)
 	if s3 := db3.Stats(); s3.Compaction != nil && s3.Compaction.ReclaimedLines != 0 {
 		t.Fatalf("reclaim not monotonic: second reopen zeroed %d more lines", s3.Compaction.ReclaimedLines)
+	}
+}
+
+// TestFailedPassOwesItsDestinationAReclaim: a pass that fails after
+// writing part of its run into the destination half leaves that half
+// owing a reclaim, so the next pass zeroes it before laying its own run
+// there (phase 2) and no stale frame outlives the new run. One batch of
+// 2-byte keys with empty values fills 93 % of the half; the same
+// records packed into 64-op compacted frames overflow it.
+func TestFailedPassOwesItsDestinationAReclaim(t *testing.T) {
+	st := compactStore(t, 64<<10)
+	db := compactDB(t, st)
+	var ops []Op
+	for i := 0; ; i++ {
+		ops = append(ops, Op{Kind: OpPut, Key: []byte{byte(i >> 8), byte(i)}})
+		payload, _, err := encodePayload(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uint64(frameLines(len(payload))*mem.LineSize) >= db.halfBytes*93/100 {
+			break
+		}
+	}
+	if err := db.Batch(ops); err != nil {
+		t.Fatal(err)
+	}
+	dst := 1 - db.active
+	if err := db.Compact(); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("pass over a 93 %% full half: %v, want an overflow", err)
+	}
+	if db.pendingReclaim != dst {
+		t.Fatalf("failed pass left pendingReclaim %d, want the destination half %d", db.pendingReclaim, dst)
+	}
+
+	// Delete a twentieth of the keys (a delete-only batch is admitted
+	// past the stop trigger) so the live set fits, and compact again.
+	var dels []Op
+	for _, op := range ops[:len(ops)/20] {
+		dels = append(dels, Op{Kind: OpDelete, Key: op.Key})
+	}
+	if err := db.Batch(dels); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if db.active != dst || db.pendingReclaim != -1 {
+		t.Fatalf("second pass: active %d, pendingReclaim %d", db.active, db.pendingReclaim)
+	}
+	for a := db.head; a < db.halfStart(dst)+mem.Addr(db.halfBytes); a += mem.LineSize {
+		if l, err := st.Read(a); err != nil || l != (mem.Line{}) {
+			t.Fatalf("line %#x past the new run: %x, %v; want zero", uint64(a), l[:8], err)
+		}
+	}
+	img := db.Crash()
+	st2, _, err := store.Reboot(img, store.Options{Params: engine.Params{UpdateLimit: 16, QueueEntries: 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, want := len(compactDB(t, st2).idx), len(ops)-len(dels); n != want {
+		t.Fatalf("reopened namespace holds %d keys, want %d", n, want)
 	}
 }
 

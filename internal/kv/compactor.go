@@ -117,8 +117,17 @@ func (db *DB) compactLocked() error {
 	}
 	db.mu.Unlock()
 
+	// owe is whether a pass failing now leaves dst owing a reclaim. It
+	// is true from the first run write, which can leave a partial run
+	// the next pass must not lay its own over, until the commit write is
+	// issued: from then on the run may be the committed layout, and only
+	// the reopen can tell, from the manifest on the device.
+	owe := false
 	fail := func(err error) error {
 		db.mu.Lock()
+		if owe {
+			db.pendingReclaim = dst
+		}
 		db.compacting = false
 		db.ccond.Broadcast()
 		return err
@@ -162,6 +171,7 @@ func (db *DB) compactLocked() error {
 		if uint64(w-dstStart)+uint64(need) > db.halfBytes {
 			return fail(fmt.Errorf("kv: compacted run overflows the %d-byte half", db.halfBytes))
 		}
+		owe = true
 		if werr := db.writeFrame("compaction", w, seq+1, len(ops), payload); werr != nil {
 			return fail(werr)
 		}
@@ -181,6 +191,7 @@ func (db *DB) compactLocked() error {
 	// invisible orphan (reopen reclaims it); after it the old half is
 	// the invisible garbage.
 	rec := manifestRecord{Seq: genBefore + 1, StartSeq: startSeq, Half: dst}
+	owe = false
 	if err := db.st.Write(mem.Addr(ManifestFormat.Off(rec.Seq)), encodeManifest(rec)); err != nil {
 		return fail(fmt.Errorf("kv: manifest commit write: %w", err))
 	}

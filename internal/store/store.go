@@ -156,6 +156,14 @@ type Store struct {
 
 	refusedWrites uint64
 
+	// nonZero holds every data line whose last write this session
+	// accepted, through Write or a reclaim, without an error and with
+	// non-zero plaintext: ReclaimRange zeroes such a line without
+	// reading it back. An erroring write and a HostWrite take the line
+	// out; a struck or refused write leaves it as it was. It starts
+	// empty on every Open, so a rebooted store knows no line.
+	nonZero lineSet
+
 	// verdict is the boot verdict OpenRecovered keeps (see verdictLine)
 	// and vcry the crypto engine Read decrypts its lines with; nil from
 	// the first write, HostWrite, Scrub, Crash or Close on, or once the
@@ -328,6 +336,9 @@ func (s *Store) Read(a mem.Addr) (mem.Line, error) {
 	if s.closed {
 		return mem.Line{}, ErrClosed
 	}
+	if s.crashed {
+		return mem.Line{}, ErrCrashed
+	}
 	if err := s.checkAddr(a); err != nil {
 		return mem.Line{}, err
 	}
@@ -361,6 +372,9 @@ func (s *Store) Fetch(dst []Fetched, a mem.Addr, n int) ([]Fetched, error) {
 	defer s.mu.Unlock()
 	if s.closed {
 		return dst, ErrClosed
+	}
+	if s.crashed {
+		return dst, ErrCrashed
 	}
 	a = mem.Align(a)
 	for i := 0; i < n; i, a = i+1, a+mem.LineSize {
@@ -464,8 +478,11 @@ func (s *Store) writeLocked(a mem.Addr, l mem.Line) error {
 		}
 		s.seenWrites++
 	}
-	s.now = s.eng.WriteBack(s.now, mem.Align(a), l)
-	return s.ctrl.Err()
+	a = mem.Align(a)
+	s.now = s.eng.WriteBack(s.now, a, l)
+	err := s.ctrl.Err()
+	s.nonZero.put(a, err == nil && l != mem.Line{})
+	return err
 }
 
 // ReclaimRange is the page-reclaim hook: it returns every written
@@ -477,11 +494,22 @@ func (s *Store) writeLocked(a mem.Addr, l mem.Line) error {
 // at the n-th accepted write and need the n-th write to be the same
 // line on every run. On error the count covers the lines already
 // reclaimed; the zero writes that were accepted stand.
+//
+// A line this session last wrote with non-zero plaintext is zeroed
+// without being read: its content is known, and the read would only
+// confirm it. Every other written line is read through the engine and
+// zeroed only if it is not zero already, so a tampered line of that
+// kind still counts as an integrity violation; a tampered line of the
+// first kind is overwritten without one. Either way the line is dead,
+// and no read that serves data skips authentication.
 func (s *Store) ReclaimRange(lo, hi mem.Addr) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0, ErrClosed
+	}
+	if s.crashed {
+		return 0, ErrCrashed
 	}
 	if hi > mem.Addr(s.lay.DataBytes) {
 		hi = mem.Addr(s.lay.DataBytes)
@@ -495,10 +523,12 @@ func (s *Store) ReclaimRange(lo, hi mem.Addr) (int, error) {
 		// the decrypted content — an encrypted zero line is not the zero
 		// ciphertext, and re-zeroing it would make reclaim non-idempotent
 		// (and non-monotonic across reopens).
-		pt, done := s.eng.ReadBlock(s.now, a)
-		s.now = done
-		if pt == zero {
-			continue
+		if !s.nonZero.has(a) {
+			pt, done := s.eng.ReadBlock(s.now, a)
+			s.now = done
+			if pt == zero {
+				continue
+			}
 		}
 		if err := s.writeLocked(a, zero); err != nil {
 			return reclaimed, err
@@ -565,11 +595,13 @@ func (s *Store) Close() error {
 }
 
 // ArmCrash schedules a simulated power failure after the next n facade
-// writes have been accepted: write n+1 and everything after it (writes
-// and epoch flushes alike) fail with ErrCrashed and never reach the
-// media. The caller then collects the image with Crash. Torture
-// harnesses sweep n across a workload to crash a namespace at every
-// host-write boundary.
+// writes have been accepted: write n+1 and everything after it (writes,
+// epoch flushes, reads, fetches and reclaims alike) fail with
+// ErrCrashed and leave the media as the power failure left it — a read
+// after the failure would otherwise run the engine, whose metadata
+// fills can start an eviction-triggered drain. The caller then collects
+// the image with Crash. Torture harnesses sweep n across a workload to
+// crash a namespace at every host-write boundary.
 func (s *Store) ArmCrash(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -625,6 +657,7 @@ func (s *Store) HostWrite(now int64, a mem.Addr, l mem.Line) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.verdict = nil
+	s.nonZero.put(mem.Align(a), false)
 	return s.ctrl.HostWrite(now, a, l)
 }
 
