@@ -96,7 +96,7 @@ lint-designs:
 	fi; \
 	echo "lint-designs: ok"
 
-# lint-layering enforces four boundaries. internal/memctrl is behind the
+# lint-layering enforces six boundaries. internal/memctrl is behind the
 # storage-engine facade: importable only by the facade itself and the
 # engine-core packages that assemble a controller; everything else —
 # simulator, KV layer, experiments, commands — must go through
@@ -111,7 +111,14 @@ lint-designs:
 # lines only through the store's Opener. Finally, the torture harness's
 # break modes live in the harness: no non-test code outside
 # internal/torture and cmd/ccnvm-torture mentions sabotage, so no
-# product package carries a deliberate defect.
+# product package carries a deliberate defect. Media faults have one
+# front end too: no non-test code outside internal/nvm, internal/torture
+# and cmd/ccnvm-torture builds an nvm.FaultModel, so the simulator and
+# the figures run the paper's faultless machine. Every way to build one
+# (a literal, new, a var or field of the type) names the type other
+# than behind a '*', so the rule flags any such mention outside a
+# comment line; the layers that only pass a model on (*nvm.FaultModel)
+# stay free to.
 lint-layering:
 	@bad=$$(grep -rl '"ccnvm/internal/memctrl"' --include='*.go' . \
 		| grep -v -E '^\./internal/(memctrl|store|engine|core|design|porder)/'); \
@@ -123,6 +130,9 @@ lint-layering:
 		| grep -v '_test\.go'); \
 	sab=$$(grep -rli 'sabotage' --include='*.go' . \
 		| grep -v '_test\.go' | grep -v -E '^\./(internal/torture|cmd/ccnvm-torture)/'); \
+	flt=$$(grep -rnE '(^|[^*])nvm\.FaultModel\b' --include='*.go' . \
+		| grep -v -E '^[^:]+:[0-9]+:[[:space:]]*//' | cut -d: -f1 | sort -u \
+		| grep -v '_test\.go' | grep -v -E '^\./(internal/nvm|internal/torture|cmd/ccnvm-torture)/'); \
 	if [ -n "$$bad" ]; then \
 		echo "lint-layering: internal/memctrl is behind the internal/store facade; import that instead:"; \
 		echo "$$bad" | sed 's/^/  /'; \
@@ -143,7 +153,11 @@ lint-layering:
 		echo "lint-layering: break modes live in internal/torture; no product code carries a sabotage hook:"; \
 		echo "$$sab" | sed 's/^/  /'; \
 	fi; \
-	if [ -n "$$bad$$meta$$core$$cry$$sab" ]; then exit 1; fi; \
+	if [ -n "$$flt" ]; then \
+		echo "lint-layering: media faults are driven by the torture harness alone; nothing else builds an nvm.FaultModel:"; \
+		echo "$$flt" | sed 's/^/  /'; \
+	fi; \
+	if [ -n "$$bad$$meta$$core$$cry$$sab$$flt" ]; then exit 1; fi; \
 	echo "lint-layering: ok"
 
 # torture runs the full differential crash/attack matrix via the CLI;

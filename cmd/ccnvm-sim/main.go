@@ -17,8 +17,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -26,68 +28,63 @@ import (
 
 	"ccnvm/internal/design"
 	"ccnvm/internal/engine"
-	"ccnvm/internal/nvm"
 	"ccnvm/internal/report"
 	"ccnvm/internal/sim"
-	"ccnvm/internal/store"
 	"ccnvm/internal/trace"
 )
 
+// errUsage reports a command line the flag package has already
+// complained about on stderr.
+var errUsage = errors.New("bad command line")
+
 func main() {
-	designFlag := flag.String("design", design.CCNVM,
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil:
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "ccnvm-sim:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it parses args, runs every selected design
+// and writes the reports or JSON to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ccnvm-sim", flag.ContinueOnError)
+	designFlag := fs.String("design", design.CCNVM,
 		"design ("+strings.Join(design.Names(), ", ")+"), a comma-separated list, or \"all\" for the paper's five")
-	bench := flag.String("benchmark", "gcc", "workload: one of the eight SPEC stand-ins")
-	ops := flag.Int("ops", 300000, "memory operations")
-	seed := flag.Int64("seed", 1, "workload seed")
-	n := flag.Uint64("n", 16, "update-times limit N")
-	m := flag.Int("m", 64, "dirty address queue entries M")
-	capacity := flag.Uint64("capacity", 16<<30, "NVM capacity in bytes")
-	faultSeed := flag.Int64("fault-seed", 1, "media fault model seed")
-	faultTorn := flag.Bool("fault-torn", false, "tear WPQ entries at 8-byte word granularity on power failure")
-	faultADR := flag.Int("fault-adr", 0, "ADR energy budget in WPQ entries at power failure (0 = unbounded)")
-	faultWeak := flag.Int("fault-weak", 0, "weak-line rate in percent: transient read errors healed by retry and scrubbing")
-	faultStuck := flag.Int("fault-stuck", 0, "lines stuck permanently at each power failure")
-	spares := flag.Int("spares", 0, "finite spare-line pool: arms remap accounting and graceful degradation to read-only (requires -fault-weak or -fault-stuck to consume spares)")
-	scrubOps := flag.Int("scrub-ops", 0, "trace ops between scrub passes under a fault model (0 = default)")
-	traceFile := flag.String("trace", "", "replay a recorded trace file instead of a generated workload")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "concurrent simulations when multiple designs are given")
-	asJSON := flag.Bool("json", false, "emit the result as JSON (an array when multiple designs are given)")
-	flag.Parse()
+	bench := fs.String("benchmark", "gcc", "workload: one of the eight SPEC stand-ins")
+	ops := fs.Int("ops", 300000, "memory operations")
+	seed := fs.Int64("seed", 1, "workload seed")
+	n := fs.Uint64("n", 16, "update-times limit N")
+	m := fs.Int("m", 64, "dirty address queue entries M")
+	capacity := fs.Uint64("capacity", 16<<30, "NVM capacity in bytes")
+	traceFile := fs.String("trace", "", "replay a recorded trace file instead of a generated workload")
+	parallel := fs.Int("parallel", runtime.NumCPU(), "concurrent simulations when multiple designs are given")
+	asJSON := fs.Bool("json", false, "emit the result as JSON (an array when multiple designs are given)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
 
 	cfg := sim.Config{
 		Capacity: *capacity,
 		Params:   engine.Params{UpdateLimit: *n, QueueEntries: *m},
-		ScrubOps: *scrubOps,
-	}
-	// Any non-zero fault axis installs the media fault model; with all
-	// axes zero the simulator is the idealized device and its output is
-	// bit-identical to earlier releases.
-	if *spares > 0 && *faultWeak == 0 && *faultStuck == 0 {
-		fatal(fmt.Errorf("-spares %d without -fault-weak or -fault-stuck arms a pool nothing can consume", *spares))
-	}
-	if *faultTorn || *faultADR > 0 || *faultWeak > 0 || *faultStuck > 0 {
-		cfg.Faults = &nvm.FaultModel{
-			Seed:         *faultSeed,
-			TornWrites:   *faultTorn,
-			ADRBudget:    *faultADR,
-			WeakLineRate: float64(*faultWeak) / 100,
-			StuckLines:   *faultStuck,
-			SpareLines:   *spares,
-		}
 	}
 	designs, err := parseDesigns(*designFlag)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	// A recorded trace is parsed once and replayed read-only by every
 	// design's private machine.
 	var traceOps []trace.Op
 	if *traceFile != "" {
-		var err error
-		traceOps, err = parseTraceFile(*traceFile)
-		if err != nil {
-			fatal(err)
+		if traceOps, err = parseTraceFile(*traceFile); err != nil {
+			return err
 		}
 	}
 	runOne := func(d string) (sim.Result, error) {
@@ -105,13 +102,7 @@ func main() {
 
 	results := make([]sim.Result, len(designs))
 	errs := make([]error, len(designs))
-	conc := *parallel
-	if conc < 1 {
-		conc = 1
-	}
-	if conc > len(designs) {
-		conc = len(designs)
-	}
+	conc := min(max(*parallel, 1), len(designs))
 	var wg sync.WaitGroup
 	in := make(chan int)
 	for w := 0; w < conc; w++ {
@@ -130,36 +121,24 @@ func main() {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		var err error
 		if len(results) == 1 {
-			err = enc.Encode(results[0]) // back-compat: single object
-		} else {
-			err = enc.Encode(results)
+			return enc.Encode(results[0]) // back-compat: single object
 		}
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, r := range results {
-			fmt.Print(Render(r, cfg.Faults != nil))
-		}
+		return enc.Encode(results)
 	}
-	// A machine that ended the run read-only is a distinguished,
-	// scriptable outcome: every result was still produced and verified,
-	// but the media exhausted its spare pool along the way. Exit 3
-	// separates it from success (0) and hard errors (1).
 	for _, r := range results {
-		if r.Health == store.HealthReadOnly.String() {
-			os.Exit(3)
+		if _, err := fmt.Fprint(stdout, Render(r)); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // parseDesigns expands the -design flag: a single name, a
@@ -196,15 +175,8 @@ func parseTraceFile(path string) ([]trace.Op, error) {
 	return trace.Parse(f)
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ccnvm-sim:", err)
-	os.Exit(1)
-}
-
-// Render formats one result as a detailed report. The fault section is
-// printed only when a fault model was installed, keeping the default
-// output identical to earlier releases.
-func Render(r sim.Result, faults bool) string {
+// Render formats one result as a detailed report.
+func Render(r sim.Result) string {
 	t := report.NewTable(fmt.Sprintf("%s on %s", sim.DesignLabel(r.Design), r.Workload), "value")
 	t.AddRow("instructions", fmt.Sprintf("%d", r.Instructions))
 	t.AddRow("cycles", fmt.Sprintf("%d", r.Cycles))
@@ -234,25 +206,5 @@ func Render(r sim.Result, faults bool) string {
 	t.AddRow("wb buffer stalls", fmt.Sprintf("%d", r.Sec.WritebackBufferStalls))
 	t.AddRow("WPQ full stalls", fmt.Sprintf("%d", r.Ctrl.WPQFullStalls))
 	t.AddRow("max line wear", fmt.Sprintf("%d", r.MaxWear))
-	if faults {
-		t.AddRow("read retries", fmt.Sprintf("%d", r.Ctrl.ReadRetries))
-		t.AddRow("read retry cycles", fmt.Sprintf("%d", r.Ctrl.ReadRetryCycles))
-		t.AddRow("permanent read errors", fmt.Sprintf("%d", r.Ctrl.PermanentReadErrors))
-		t.AddRow("scrubbed lines", fmt.Sprintf("%d", r.Ctrl.ScrubbedLines))
-		t.AddRow("scrub remapped", fmt.Sprintf("%d", r.Ctrl.ScrubRemapped))
-	}
-	// The media-management section appears only when the run armed a
-	// finite spare pool, so faultless (and infinite-pool) output is
-	// byte-identical to earlier releases.
-	if r.Spares.Finite() {
-		t.AddRow("health", r.Health)
-		t.AddRow("spares used", fmt.Sprintf("%d/%d", r.Spares.Used, r.Spares.Total))
-		t.AddRow("remaps this boot", fmt.Sprintf("%d", r.Spares.Remaps))
-		t.AddRow("remaps refused", fmt.Sprintf("%d", r.Spares.Refused))
-		t.AddRow("retry-exhaustion remaps", fmt.Sprintf("%d", r.Ctrl.RetryRemapped))
-		t.AddRow("refused writes", fmt.Sprintf("%d", r.Ctrl.RefusedWrites))
-		t.AddRow("refused epochs", fmt.Sprintf("%d", r.Ctrl.RefusedEpochs))
-		t.AddRow("refused stores", fmt.Sprintf("%d", r.RefusedStores))
-	}
 	return t.String()
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"maps"
 	"slices"
 
 	"ccnvm/internal/design/names"
@@ -38,7 +39,7 @@ type Osiris struct {
 type onChipTree struct {
 	b          *Base
 	shadowCtr  map[mem.Addr]seccrypto.CounterLine // newest counter truth
-	shadowTree map[mem.Addr]mem.Line              // tree truth as of the last Materialize
+	shadowTree map[mem.Addr]mem.Line              // tree truth as of the last Materialize or RestoreTree
 }
 
 // init binds the shadow state to b as its lazy paths' content and store.
@@ -62,6 +63,20 @@ func (s *onChipTree) truth(ca mem.Addr) seccrypto.CounterLine {
 	}
 	l, _ := s.b.Ctrl.Device().Peek(ca)
 	return seccrypto.DecodeCounterLine(l)
+}
+
+// RestoreTree installs the tree a recovery rebuilt (recovery.Recovered
+// Tree) as the on-chip truth, as a reboot after Apply would: the nodes
+// it lists, the level default for every other. Without it a rebooted
+// engine hashes default siblings into ROOTnew and the next recovery
+// flags a potential replay. The device's copy of the tree is never
+// read: it is unverified, and a node restored there from an older
+// boot would otherwise vouch for the older counters beneath it.
+func (s *onChipTree) RestoreTree(nodes map[mem.Addr]mem.Line) {
+	s.shadowTree = maps.Clone(nodes)
+	if s.shadowTree == nil {
+		s.shadowTree = make(map[mem.Addr]mem.Line)
+	}
 }
 
 // node returns the shadow content of tree node a at level.

@@ -38,14 +38,17 @@ func engineOn(t testing.TB, name string, dev *nvm.Device, p engine.Params) engin
 }
 
 // reboot restores the (recovered) crash image onto a fresh device,
-// builds the same design over it, and installs the recovered TCB — the
-// power-on sequence after recovery.Apply.
+// builds the same design over it, and installs the recovered TCB and
+// tree — the power-on sequence after recovery.Apply.
 func reboot(t testing.TB, design string, img *engine.CrashImage, rec recovery.Recovered, p engine.Params) engine.Engine {
 	t.Helper()
 	dev := nvm.NewDevice(img.Image.Layout, nvm.PCMTiming(3))
 	dev.Restore(img.Image)
 	e := engineOn(t, design, dev, p)
 	e.(interface{ RestoreTCB(engine.TCB) }).RestoreTCB(rec.TCB)
+	if tr, ok := e.(interface{ RestoreTree(map[mem.Addr]mem.Line) }); ok {
+		tr.RestoreTree(rec.Tree())
+	}
 	return e
 }
 

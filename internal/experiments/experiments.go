@@ -15,18 +15,15 @@ import (
 
 	"ccnvm/internal/design"
 	"ccnvm/internal/engine"
-	"ccnvm/internal/nvm"
 	"ccnvm/internal/report"
 	"ccnvm/internal/sim"
-	"ccnvm/internal/store"
 	"ccnvm/internal/trace"
 )
 
 // Options control an evaluation run.
 type Options struct {
-	Ops      int    // memory operations per trace (default 300000)
-	Seed     int64  // workload seed (default 1)
-	Capacity uint64 // NVM capacity (default 16 GiB: the paper's geometry)
+	Ops  int   // memory operations per trace (default 300000)
+	Seed int64 // workload seed (default 1)
 
 	Benchmarks []string // default: the paper's eight SPEC stand-ins
 	Designs    []string // default: the paper's five designs
@@ -52,9 +49,6 @@ func (o *Options) fill() {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Capacity == 0 {
-		o.Capacity = 16 << 30
 	}
 	if len(o.Benchmarks) == 0 {
 		o.Benchmarks = trace.Benchmarks()
@@ -149,7 +143,6 @@ func RunFig5(o Options) (*Fig5, error) {
 
 func runOne(design, bench string, o Options) (sim.Result, error) {
 	cfg := sim.Config{
-		Capacity: o.Capacity,
 		Params: engine.Params{
 			UpdateLimit:  o.UpdateLimit,
 			QueueEntries: o.QueueEntries,
@@ -453,111 +446,4 @@ func (f *Fig6) Tables() string {
 		wr.AddFloats(param, ws...)
 	}
 	return ipc.String() + "\n" + wr.String()
-}
-
-// SparePoint is one pool size's outcome in the spares-vs-lifetime
-// sweep: how far into the trace the machine kept accepting stores
-// before the finite spare pool ran dry and the controller degraded to
-// read-only.
-type SparePoint struct {
-	Spares        int
-	OpsToReadOnly int  // ops serviced before read-only (the full trace if never reached)
-	ReadOnly      bool // pool exhausted within the trace
-	Spent         nvm.SpareStats
-	RefusedStores uint64
-}
-
-// SpareLifetime is the graceful-degradation counterpart of Lifetime:
-// instead of asking how fast a design wears its hottest line, it asks
-// how long a machine provisioned with a finite spare pool keeps
-// accepting stores while stuck-line damage recurs. Because every pool
-// size replays the identical trace and damage schedule, survival time
-// is weakly monotone in the pool size — the property the tests pin.
-type SpareLifetime struct {
-	Design    string
-	Benchmark string
-	Ops       int
-	Events    int // stuck-line power events injected across the trace
-	Points    []SparePoint
-}
-
-// RunSpareLifetime sweeps spare pool sizes on one design and workload.
-// Each point runs the same trace on a fresh machine whose fault model
-// arms a pool of the given size, with periodic power events that stick
-// fresh lines; the point records the op count at which the controller
-// first reported read-only. The machines deliberately run with tiny
-// caches — this is a media-endurance stress protocol, not a paper
-// figure, and the default hierarchy would absorb the store traffic
-// that consumes spares.
-func RunSpareLifetime(o Options, designName, benchmark string, pools []int) (*SpareLifetime, error) {
-	o.fill()
-	p, err := trace.ProfileByName(benchmark)
-	if err != nil {
-		return nil, err
-	}
-	g, err := trace.NewGenerator(p, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	ops := trace.Collect(g, o.Ops)
-	s := &SpareLifetime{Design: designName, Benchmark: benchmark, Ops: len(ops), Events: 6}
-	chunk := len(ops) / (s.Events + 1)
-	if chunk == 0 {
-		chunk = len(ops)
-	}
-	for _, pool := range pools {
-		m, err := sim.New(sim.Config{
-			Design:   designName,
-			Capacity: o.Capacity,
-			L1Size:   2 << 10,
-			L2Size:   4 << 10,
-			Params: engine.Params{
-				UpdateLimit:  o.UpdateLimit,
-				QueueEntries: o.QueueEntries,
-			},
-			Faults:   &nvm.FaultModel{Seed: o.Seed, StuckLines: 2, SpareLines: pool},
-			ScrubOps: max(1, len(ops)/10),
-		})
-		if err != nil {
-			return nil, err
-		}
-		pt := SparePoint{Spares: pool, OpsToReadOnly: len(ops)}
-		var r sim.Result
-		for served := 0; served < len(ops); {
-			end := min(served+chunk, len(ops))
-			r = m.Run(benchmark, ops[served:end])
-			served = end
-			if !pt.ReadOnly && m.Health() == store.HealthReadOnly {
-				pt.ReadOnly = true
-				pt.OpsToReadOnly = served
-			}
-			if served < len(ops) {
-				m.Device().InjectStuckLines()
-			}
-		}
-		pt.Spent = r.Spares
-		pt.RefusedStores = r.RefusedStores
-		s.Points = append(s.Points, pt)
-	}
-	return s, nil
-}
-
-// Table renders the spares-vs-lifetime curve.
-func (s *SpareLifetime) Table() string {
-	t := report.NewTable(
-		fmt.Sprintf("spares vs lifetime: %s on %s (%d ops, %d damage events)",
-			sim.DesignLabel(s.Design), s.Benchmark, s.Ops, s.Events),
-		"ops to read-only", "spares used", "refused stores", "final state")
-	for _, p := range s.Points {
-		state := "writable"
-		if p.ReadOnly {
-			state = "read-only"
-		}
-		t.AddRow(fmt.Sprintf("%d", p.Spares),
-			fmt.Sprintf("%d", p.OpsToReadOnly),
-			fmt.Sprintf("%d/%d", p.Spent.Used, p.Spent.Total),
-			fmt.Sprintf("%d", p.RefusedStores),
-			state)
-	}
-	return t.String()
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"ccnvm/internal/nvm"
 )
 
 // small keeps test sweeps fast while exercising the full pipeline;
@@ -148,55 +146,5 @@ func TestArsenalTradeoffOrdering(t *testing.T) {
 	}
 	if !(f.AvgNormWrite["ccnvm"] > f.AvgNormWrite["arsenal"]) {
 		t.Errorf("write ordering violated: ccnvm %v vs arsenal %v", f.AvgNormWrite["ccnvm"], f.AvgNormWrite["arsenal"])
-	}
-}
-
-// TestSpareLifetimeCurve pins the graceful-degradation sweep: under an
-// identical trace and damage schedule, a bigger spare pool survives at
-// least as long, a starved pool goes read-only, and a pool larger than
-// the damage ever inflicted stays writable to the end.
-func TestSpareLifetimeCurve(t *testing.T) {
-	o := Options{Ops: 6000, Seed: 5, Capacity: 64 << 20}
-	pools := []int{1, 2, 64}
-	s, err := RunSpareLifetime(o, "ccnvm", "hmmer", pools)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Points) != len(pools) {
-		t.Fatalf("got %d points, want %d", len(s.Points), len(pools))
-	}
-	for i, p := range s.Points {
-		if p.Spares != pools[i] {
-			t.Fatalf("point %d carries pool %d, want %d", i, p.Spares, pools[i])
-		}
-		if p.Spent.Total != min(pools[i], nvm.RemapMaxEntries) {
-			t.Errorf("pool %d: stats report total %d", pools[i], p.Spent.Total)
-		}
-		if p.Spent.Used > p.Spent.Total {
-			t.Errorf("pool %d: used %d exceeds total %d", pools[i], p.Spent.Used, p.Spent.Total)
-		}
-		if i > 0 && p.OpsToReadOnly < s.Points[i-1].OpsToReadOnly {
-			t.Errorf("survival not monotone: pool %d lasted %d ops, pool %d only %d",
-				pools[i-1], s.Points[i-1].OpsToReadOnly, pools[i], p.OpsToReadOnly)
-		}
-	}
-	small, big := s.Points[0], s.Points[len(s.Points)-1]
-	if !small.ReadOnly {
-		t.Errorf("a single spare survived the whole trace: %+v", small)
-	}
-	if small.RefusedStores == 0 {
-		t.Errorf("read-only machine refused no stores: %+v", small)
-	}
-	if big.ReadOnly {
-		t.Errorf("a %d-spare pool still went read-only: %+v", big.Spares, big)
-	}
-	if big.OpsToReadOnly != s.Ops {
-		t.Errorf("writable pool reports %d ops, want the full %d", big.OpsToReadOnly, s.Ops)
-	}
-	tab := s.Table()
-	for _, want := range []string{"spares vs lifetime", "read-only", "writable", "refused stores"} {
-		if !strings.Contains(tab, want) {
-			t.Errorf("table missing %q:\n%s", want, tab)
-		}
 	}
 }

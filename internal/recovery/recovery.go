@@ -195,6 +195,8 @@ type Recovered struct {
 
 	// verdict is the image as a lossless Apply left it; see Verdict.
 	verdict *engine.CrashImage
+	// tree is the rebuilt tree Apply persisted; see Tree.
+	tree map[mem.Addr]mem.Line
 }
 
 // Verdict is the boot verdict: a copy-on-write clone of the image as a
@@ -207,6 +209,14 @@ type Recovered struct {
 // authenticated. Like Apply, it trusts that the report came from
 // Recover on the image as it was.
 func (r Recovered) Verdict() *engine.CrashImage { return r.verdict }
+
+// Tree is the Merkle tree the completed pass persisted and derived
+// TCB.RootNew from: the rebuilt nodes by address; every other node is
+// its level default. It is computed inside the boot, so a design that
+// keeps its tree on chip (Osiris Plus, Arsenal) resumes from it rather
+// than from the device's unverified copy. The map is shared: callers
+// must not modify it.
+func (r Recovered) Tree() map[mem.Addr]mem.Line { return r.tree }
 
 // Recover runs the four-step process on a crash image, shaped by its
 // design's registry capabilities; images of unregistered designs get the
@@ -721,7 +731,7 @@ func ApplyInterrupted(img *engine.CrashImage, rep *Report, itr *Interrupt) (Reco
 	buf := encodeSlot(rec)
 	copy(JournalFormat.Slot(img.RecoveryJournal, rec.Seq), buf[:])
 	img.TCB = engine.TCB{RootNew: root, RootOld: root, Nwb: 0}
-	out := Recovered{TCB: img.TCB}
+	out := Recovered{TCB: img.TCB, tree: nodes}
 	if rep.Lossless() && len(res.tampered) == 0 && len(res.lost) == 0 && !res.remajored {
 		out.verdict = img.Clone()
 	}

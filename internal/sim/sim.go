@@ -35,9 +35,10 @@ func AllDesigns() []string { return design.Names() }
 // over the design registry.
 func DesignLabel(d string) string { return design.Label(d) }
 
-// The paper's core and caches. Only the cache sizes are settable:
-// tests and the spare-lifetime sweep shrink them to force evictions.
+// The paper's core and caches.
 const (
+	l1Size = 32 << 10
+	l2Size = 256 << 10
 	l1Ways = 2
 	l2Ways = 8
 	l1Lat  = 2  // cycles
@@ -51,26 +52,12 @@ type Config struct {
 	Design   string // a design registered in internal/design (default cc-NVM)
 	Capacity uint64 // NVM data capacity (default 16 GiB)
 
-	L1Size int // default 32 KiB
-	L2Size int // default 256 KiB
-
 	Params engine.Params
 
 	// CheckReads verifies every memory-level read against a shadow copy
 	// of what the core last stored — an end-to-end check of the whole
 	// encrypt/decrypt/authenticate path. Enabled in tests.
 	CheckReads bool
-
-	// Faults installs a media fault model on the NVM device. Nil (the
-	// default) is the idealized device every published figure was
-	// measured on; all fault machinery is gated on it, so results stay
-	// bit-identical with faults off.
-	Faults *nvm.FaultModel
-
-	// ScrubOps is the scrubbing cadence under a fault model: one scrub
-	// pass every ScrubOps trace operations (default 100000). Ignored
-	// without a fault model.
-	ScrubOps int
 }
 
 func (c *Config) fill() error {
@@ -79,15 +66,6 @@ func (c *Config) fill() error {
 	}
 	if c.Capacity == 0 {
 		c.Capacity = 16 << 30
-	}
-	if c.L1Size == 0 {
-		c.L1Size = 32 << 10
-	}
-	if c.L2Size == 0 {
-		c.L2Size = 256 << 10
-	}
-	if c.ScrubOps == 0 {
-		c.ScrubOps = 100000
 	}
 	if _, ok := design.Lookup(c.Design); !ok {
 		return fmt.Errorf("sim: %w", design.UnknownError(c.Design))
@@ -113,14 +91,6 @@ type Result struct {
 
 	AvgEpochLen float64
 	MaxWear     uint64
-
-	// Media-management fields, populated only when the fault model arms a
-	// finite spare pool (Faults.SpareLines > 0); zero otherwise — and
-	// omitted from JSON when zero — so every faultless result stays
-	// bit-identical.
-	Health        string         `json:",omitzero"` // "healthy", "degraded" or "read-only"
-	Spares        nvm.SpareStats `json:",omitzero"` // pool accounting at the end of the run
-	RefusedStores uint64         `json:",omitzero"` // trace stores refused in read-only degradation
 }
 
 // Machine is one simulated system.
@@ -133,11 +103,6 @@ type Machine struct {
 	l2   *cache.Cache
 	core coreState
 
-	scrubbing     bool   // fault model active: run periodic scrub passes
-	sinceScrub    int    // ops since the last scrub pass
-	finiteSpares  bool   // fault model arms a finite spare pool
-	refusedStores uint64 // stores refused while the media was read-only
-
 	shadow map[mem.Addr]mem.Line // CheckReads oracle
 	seq    uint64                // store content sequence
 }
@@ -149,11 +114,11 @@ type coreState struct {
 	mismatches  uint64
 }
 
-// New builds a machine. Assembly — layout, device, fault model,
-// controller, engine — is the storage-engine facade's job; the
-// simulator layers the CPU-side caches and the trace-driven core over
-// the facade's engine and drives the timed path directly (it owns the
-// clock, which the facade's functional API does not expose).
+// New builds a machine. Assembly — layout, device, controller, engine
+// — is the storage-engine facade's job; the simulator layers the
+// CPU-side caches and the trace-driven core over the facade's engine
+// and drives the timed path directly (it owns the clock, which the
+// facade's functional API does not expose).
 func New(cfg Config) (*Machine, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -162,20 +127,16 @@ func New(cfg Config) (*Machine, error) {
 		Design:   cfg.Design,
 		Capacity: cfg.Capacity,
 		Params:   cfg.Params,
-		Faults:   cfg.Faults,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	m := &Machine{cfg: cfg, st: st, dev: st.Device(), eng: st.Engine(),
-		scrubbing:    cfg.Faults.Enabled(),
-		finiteSpares: cfg.Faults != nil && cfg.Faults.SpareLines > 0,
-	}
+	m := &Machine{cfg: cfg, st: st, dev: st.Device(), eng: st.Engine()}
 	if cfg.CheckReads {
 		m.shadow = make(map[mem.Addr]mem.Line)
 	}
 	// The L1 evicts into the L2; the L2 evicts into the security engine.
-	m.l2 = cache.MustNew(cache.Config{Name: "l2", SizeBytes: cfg.L2Size, Ways: l2Ways},
+	m.l2 = cache.MustNew(cache.Config{Name: "l2", SizeBytes: l2Size, Ways: l2Ways},
 		func(a mem.Addr, l mem.Line, dirty bool) {
 			if dirty {
 				accept := m.eng.WriteBack(m.core.now, a, l)
@@ -184,7 +145,7 @@ func New(cfg Config) (*Machine, error) {
 				}
 			}
 		})
-	m.l1 = cache.MustNew(cache.Config{Name: "l1", SizeBytes: cfg.L1Size, Ways: l1Ways},
+	m.l1 = cache.MustNew(cache.Config{Name: "l1", SizeBytes: l1Size, Ways: l1Ways},
 		func(a mem.Addr, l mem.Line, dirty bool) {
 			if dirty {
 				m.l2.Fill(a, l, true)
@@ -195,9 +156,6 @@ func New(cfg Config) (*Machine, error) {
 
 // Engine exposes the machine's security engine (for crash tests).
 func (m *Machine) Engine() engine.Engine { return m.eng }
-
-// Device exposes the NVM device.
-func (m *Machine) Device() *nvm.Device { return m.dev }
 
 // memRead issues a memory-level read through the security engine with
 // MSHR-bounded parallelism. It returns the line and its completion.
@@ -257,24 +215,10 @@ func (m *Machine) loadLine(a mem.Addr, dep bool) mem.Line {
 func (m *Machine) step(op trace.Op) {
 	m.core.now += int64(op.Gap)
 	m.core.instrs += uint64(op.Gap) + 1
-	if m.scrubbing {
-		if m.sinceScrub++; m.sinceScrub >= m.cfg.ScrubOps {
-			m.sinceScrub = 0
-			m.st.Scrub(m.core.now)
-		}
-	}
 	switch op.Kind {
 	case trace.Load:
 		m.loadLine(op.Addr, op.Dep)
 	case trace.Store:
-		if m.finiteSpares && m.st.Health() == store.HealthReadOnly {
-			// Admission control of the degraded mode: with the spare pool
-			// exhausted the controller accepts no new host stores, so the
-			// core's store retires without mutating memory. Loads (and the
-			// engine's own maintenance traffic) still proceed.
-			m.refusedStores++
-			return
-		}
 		// Write-allocate: fetch the line (non-blocking fill), then
 		// mutate it in the L1 via the store buffer. Store values mimic
 		// real memory content — word-granular, mostly small clustered
@@ -338,10 +282,6 @@ func (m *Machine) Crash() *engine.CrashImage { return m.eng.Crash() }
 // Mismatches reports shadow-check failures (CheckReads only).
 func (m *Machine) Mismatches() uint64 { return m.core.mismatches }
 
-// Health reports the memory controller's media health state; always
-// HealthHealthy without a finite spare pool.
-func (m *Machine) Health() store.HealthState { return m.st.Health() }
-
 func (m *Machine) result(workload string) Result {
 	r := Result{
 		Design:       m.cfg.Design,
@@ -361,11 +301,6 @@ func (m *Machine) result(workload string) Result {
 		r.AvgEpochLen = e.AvgEpochLength()
 	}
 	_, r.MaxWear = m.dev.MaxWear()
-	if m.finiteSpares {
-		r.Health = m.st.Health().String()
-		r.Spares = m.dev.SpareStats()
-		r.RefusedStores = m.refusedStores
-	}
 	if r.Cycles > 0 {
 		r.IPC = float64(r.Instructions) / float64(r.Cycles)
 	}

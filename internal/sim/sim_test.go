@@ -6,8 +6,6 @@ import (
 
 	"ccnvm/internal/engine"
 	"ccnvm/internal/mem"
-	"ccnvm/internal/nvm"
-	"ccnvm/internal/store"
 	"ccnvm/internal/trace"
 )
 
@@ -16,8 +14,8 @@ func TestConfigDefaults(t *testing.T) {
 	if err := c.fill(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Design != "ccnvm" || c.Capacity != 16<<30 || c.L1Size != 32<<10 ||
-		c.L2Size != 256<<10 || c.ScrubOps != 100000 || l1Ways != 2 || l2Ways != 8 ||
+	if c.Design != "ccnvm" || c.Capacity != 16<<30 || l1Size != 32<<10 ||
+		l2Size != 256<<10 || l1Ways != 2 || l2Ways != 8 ||
 		l1Lat != 2 || l2Lat != 20 || mshrs != 8 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
@@ -269,64 +267,5 @@ func TestArsenalEndToEnd(t *testing.T) {
 	rb := mb.Run("gcc", ops)
 	if !(r.NVMWrites.Total() < rb.NVMWrites.Total()) {
 		t.Fatalf("arsenal writes %d not below baseline %d", r.NVMWrites.Total(), rb.NVMWrites.Total())
-	}
-}
-
-// TestSpareDegradationReachesReadOnly drives a machine with a tiny
-// finite spare pool through a mid-run power event until the pool
-// exhausts: the result must report the degraded health, the pool
-// accounting and the refused stores — and a faultless run must report
-// none of it, keeping the published result schema zero-valued.
-func TestSpareDegradationReachesReadOnly(t *testing.T) {
-	// Tiny caches force the trace's working set through the device, so
-	// stuck lines are actually read (retry exhaustion) and rewritten
-	// (heal on write) instead of idling behind the SRAM.
-	m, err := New(Config{Design: "ccnvm", Capacity: 64 << 20,
-		L1Size: 2 << 10, L2Size: 4 << 10,
-		Faults:   &nvm.FaultModel{Seed: 3, StuckLines: 8, SpareLines: 2},
-		ScrubOps: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ops []trace.Op
-	for i := 0; i < 12000; i++ {
-		k := trace.Load
-		if i%3 == 0 {
-			k = trace.Store
-		}
-		ops = append(ops, trace.Op{Kind: k, Addr: mem.Addr((i % 500) * 64), Gap: 3})
-	}
-	m.Run("tiny", ops[:4000])
-	if h := m.Health(); h != store.HealthHealthy {
-		t.Fatalf("health before any fault: %v", h)
-	}
-	// A power event sticks far more lines than the pool can absorb; the
-	// rest of the trace heals through the two spares and then degrades.
-	m.Device().InjectStuckLines()
-	r := m.Run("tiny", ops[4000:])
-	if r.Spares.Total != 2 {
-		t.Fatalf("pool not armed in the result: %+v", r.Spares)
-	}
-	if r.Spares.Remaining() != 0 || r.Health != "read-only" {
-		t.Fatalf("pool did not exhaust: health=%q spares=%+v", r.Health, r.Spares)
-	}
-	if m.Health() != store.HealthReadOnly {
-		t.Fatalf("machine health accessor disagrees: %v", m.Health())
-	}
-	if r.RefusedStores == 0 {
-		t.Fatal("read-only machine refused no stores")
-	}
-	if r.Spares.Refused == 0 && r.Ctrl.PermanentReadErrors == 0 {
-		t.Fatal("exhaustion left no trace in the device or controller stats")
-	}
-
-	// The faultless schema is untouched: no health string, zero pool.
-	clean, err := New(Config{Design: "ccnvm", Capacity: 64 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc := clean.Run("tiny", ops[:2000])
-	if rc.Health != "" || rc.Spares.Finite() || rc.RefusedStores != 0 {
-		t.Fatalf("faultless result carries spare fields: health=%q spares=%+v", rc.Health, rc.Spares)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"ccnvm/internal/design/names"
 	"ccnvm/internal/engine"
 	"ccnvm/internal/mem"
 	"ccnvm/internal/nvm"
@@ -99,6 +100,125 @@ func TestWriteIsDurableAtReturn(t *testing.T) {
 				if v := rb.Engine().Stats().IntegrityViolations; v != 0 {
 					t.Fatalf("crash after write %d: %d integrity violations after reboot", k, v)
 				}
+			}
+		})
+	}
+}
+
+// TestCrashAfterRebootRecovers: a store that was crashed and rebooted
+// must survive its next crash too. Write lines 48 and 66 (two counter
+// lines of a 1 MiB store), crash, reboot, write line 48 again and
+// crash: the second reboot must recover losslessly and read both
+// lines. On Osiris Plus and Arsenal the write after the reboot walks a
+// path whose siblings only the persisted tree holds (DESIGN.md, "On-chip
+// trees after a reboot"); hashing level defaults in their place made
+// the second recovery flag a potential replay.
+func TestCrashAfterRebootRecovers(t *testing.T) {
+	params := engine.Params{UpdateLimit: 16, QueueEntries: 64}
+	a, b := mem.Addr(48)*mem.LineSize, mem.Addr(66)*mem.LineSize
+	for _, name := range torture.KVDesigns() {
+		t.Run(name, func(t *testing.T) {
+			st, err := store.Open(store.Options{Design: name, Capacity: 1 << 20, Params: params})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range []mem.Addr{a, b} {
+				if err := st.Write(x, persistLine(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st, _, err = store.Reboot(st.Crash(), store.Options{Params: params}); err != nil {
+				t.Fatalf("first reboot: %v", err)
+			}
+			if err := st.Write(a, persistLine(2)); err != nil {
+				t.Fatal(err)
+			}
+			rb, rep, err := store.Reboot(st.Crash(), store.Options{Params: params})
+			if err != nil {
+				t.Fatalf("second reboot: %v", err)
+			}
+			if !rep.Lossless() {
+				t.Fatalf("second recovery is not lossless: lost %v", rep.LostBlocks)
+			}
+			for x, want := range map[mem.Addr]mem.Line{a: persistLine(2), b: persistLine(1)} {
+				if got, err := rb.Read(x); err != nil || got != want {
+					t.Fatalf("line %#x after the second reboot: %x, %v, want %x", uint64(x), got[:8], err, want[:8])
+				}
+			}
+		})
+	}
+}
+
+// TestReplayedSubtreeAfterRebootIsFlagged: Osiris Plus and Arsenal
+// keep their tree on chip and do not verify the device's copy, so a
+// rebooted engine must take the tree its recovery rebuilt, not the one
+// on the device. Page 0 is written and recovered, and the post-recovery
+// copy of its subtree is saved: its data, HMAC and counter lines and
+// the tree nodes above them up to the node where page 4's path joins.
+// Page 0 is written again and recovered; between that Apply and the
+// restart the saved subtree is put back on the device. A write to page
+// 4, which updates the joining node, and a crash follow: the next
+// recovery must flag the replay. Updating the device's copy of that
+// node instead carries the old subtree's hash into ROOTnew, the old
+// counters rebuild to the same root and the replay goes unnoticed.
+func TestReplayedSubtreeAfterRebootIsFlagged(t *testing.T) {
+	params := engine.Params{UpdateLimit: 16, QueueEntries: 64}
+	victim, sibling := mem.Addr(0), mem.Addr(4*mem.PageSize)
+	for _, name := range []string{names.Osiris, names.Arsenal} {
+		t.Run(name, func(t *testing.T) {
+			st, err := store.Open(store.Options{Design: name, Capacity: 1 << 20, Params: params})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lay := st.Layout()
+			hl, _ := lay.HMACLineOf(victim)
+			subtree := []mem.Addr{victim, hl, lay.CounterLineOf(victim)}
+			level, vi, si := 0, lay.CounterLineIndex(lay.CounterLineOf(victim)), lay.CounterLineIndex(lay.CounterLineOf(sibling))
+			for vi != si {
+				level, vi, _ = lay.ParentOf(level, vi)
+				_, si, _ = lay.ParentOf(level-1, si)
+				subtree = append(subtree, lay.NodeAddr(level, vi))
+			}
+			if level < 2 {
+				t.Fatalf("the two paths join at level %d; the replayed subtree must hold a node below the join", level)
+			}
+			for i, a := range []mem.Addr{victim, sibling} {
+				if err := st.Write(a, persistLine(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			img := st.Crash()
+			if st, _, err = store.Reboot(img, store.Options{Params: params}); err != nil {
+				t.Fatalf("first reboot: %v", err)
+			}
+			saved := map[mem.Addr]mem.Line{}
+			for _, a := range subtree {
+				l, ok := img.Image.Read(a)
+				if !ok {
+					t.Fatalf("line %#x is not on the recovered device", uint64(a))
+				}
+				saved[a] = l
+			}
+			if err := st.Write(victim, persistLine(2)); err != nil {
+				t.Fatal(err)
+			}
+			img = st.Crash()
+			rep := recovery.Recover(img)
+			if !rep.Clean() {
+				t.Fatalf("second recovery is not clean: %+v", rep)
+			}
+			rec := recovery.Apply(img, rep)
+			for a, l := range saved {
+				img.Image.Write(a, l)
+			}
+			if st, err = store.OpenRecovered(img, rec, store.Options{Params: params}); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Write(sibling, persistLine(3)); err != nil {
+				t.Fatal(err)
+			}
+			if rep := recovery.Recover(st.Crash()); !rep.PotentialReplay {
+				t.Fatalf("a subtree replayed after the reboot went unflagged: clean=%v", rep.Clean())
 			}
 		})
 	}

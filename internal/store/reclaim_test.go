@@ -122,7 +122,7 @@ func TestPowerFailStopsReads(t *testing.T) {
 }
 
 // FuzzReclaimKnown drives a store with zero and non-zero writes, raw
-// HostWrites, a struck write (followed by a reboot) and reclaims of
+// HostWrites, struck writes (each followed by a reboot) and reclaims of
 // random ranges, against a shadow of every line's plaintext. Each
 // reclaim must report the lines of its range that were not zero, read
 // through the engine exactly the written lines this session did not
@@ -149,7 +149,6 @@ func FuzzReclaimKnown(f *testing.F) {
 		plain := map[mem.Addr]mem.Line{} // engine-written lines
 		raw := map[mem.Addr]bool{}       // HostWrite content: no plaintext
 		known := map[mem.Addr]bool{}     // written non-zero this session
-		rebooted := false
 		for step := 0; len(data) >= 3 && step < 64; step, data = step+1, data[3:] {
 			op, a, v := data[0]%6, mem.Addr(data[1])*mem.LineSize, int(data[2])
 			switch op {
@@ -176,16 +175,14 @@ func FuzzReclaimKnown(f *testing.F) {
 				if _, err := st.ReclaimRange(0, 1<<20); !errors.Is(err, store.ErrCrashed) {
 					t.Fatalf("ReclaimRange after the power cut: %v", err)
 				}
-				// Raw lines fail recovery's authentication, and Osiris and
-				// Arsenal do not recover a crash that follows a reboot and
-				// a write losslessly, so either ends the input here.
-				if len(raw) > 0 || rebooted {
+				// Raw lines fail recovery's authentication, so they end
+				// the input here.
+				if len(raw) > 0 {
 					return
 				}
 				if st, _, err = store.Reboot(st.Crash(), store.Options{Params: params}); err != nil {
 					t.Fatal(err)
 				}
-				rebooted = true
 				clear(known)
 			case 5: // a reclaim of up to 95 lines from a
 				hi := a + mem.Addr(v%96)*mem.LineSize

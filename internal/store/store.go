@@ -204,8 +204,9 @@ func Open(o Options) (*Store, error) {
 
 // OpenRecovered boots a store from a recovered crash image: the device
 // is restored from the image and the engine resumes from the recovered
-// TCB registers and the image's sideband tags (Arsenal's packed-line
-// bits), exactly as a rebooted controller would. The caller
+// TCB registers, the rebuilt tree (for a design that keeps it on chip)
+// and the image's sideband tags (Arsenal's packed-line bits), exactly
+// as a rebooted controller would. The caller
 // runs Recover/Apply first (or uses the Reboot convenience below) and
 // passes the resulting TCB state.
 //
@@ -236,6 +237,9 @@ func OpenRecovered(img *engine.CrashImage, rec recovery.Recovered, o Options) (*
 		return nil, fmt.Errorf("store: design %s cannot restore TCB state", img.Design)
 	}
 	r.RestoreTCB(rec.TCB)
+	if tr, ok := st.eng.(interface{ RestoreTree(map[mem.Addr]mem.Line) }); ok {
+		tr.RestoreTree(rec.Tree())
+	}
 	if sr, ok := st.eng.(interface{ RestoreSideband(map[mem.Addr]byte) }); ok {
 		sr.RestoreSideband(img.Sideband)
 	}

@@ -153,6 +153,29 @@ func TestSpareCellEvidence(t *testing.T) {
 	}
 	t.Logf("evidence: health=%v used=%d/%d refusedStores=%d probed=%v",
 		ctx.HealthAtCrash, s.Used, s.Total, ctx.RefusedStores, ctx.ROProbed)
+
+	// Under the same trace and damage a bigger pool never goes read-only
+	// sooner: every store after the controller degrades is refused, so
+	// the refusals may only fall as the pool grows. Four stuck lines on
+	// the hot workload starve a one-spare pool on every design and never
+	// exhaust a four-spare one.
+	for _, d := range DesignNames() {
+		refused := make([]int, 4)
+		for i := range refused {
+			ctx, fail := r.runCell(Cell{Design: d, Workload: "hot", Seed: 1, Ops: 400, CrashAt: 399,
+				Attack: "none", FaultSeed: 7, Stuck: 4, Spares: i + 1}.normalized())
+			if fail != nil {
+				t.Fatalf("%s, %d spares: %v", d, i+1, fail)
+			}
+			refused[i] = ctx.RefusedStores
+			if i > 0 && refused[i] > refused[i-1] {
+				t.Errorf("%s: %d spares refused %d stores, %d spares only %d", d, i+1, refused[i], i, refused[i-1])
+			}
+		}
+		if refused[0] == 0 || refused[3] != 0 {
+			t.Errorf("%s: refusals by pool size 1..4 are %v, want a starved pool 1 and a pool 4 that lasts", d, refused)
+		}
+	}
 }
 
 // TestRemapCommitRecoveryEveryChunk is the exhaustive crash-mid-commit
