@@ -93,6 +93,11 @@ type Stats struct {
 	RefusedWrites    uint64 `json:",omitzero"` // writes refused in read-only degradation
 	RefusedEpochs    uint64 `json:",omitzero"` // epoch drains refused in read-only degradation
 	RemapTornOnCrash uint64 `json:",omitzero"` // remap-record commits torn at power failure
+
+	// Reads of a data-HMAC line the request buffer served (see
+	// BeginRequest); they are not in Reads. Zero, and omitted from JSON,
+	// wherever no request is opened.
+	RequestHits uint64 `json:",omitzero"`
 }
 
 // EventKind tags one entry of the controller's persistence event
@@ -201,6 +206,21 @@ type Controller struct {
 
 	// Persistence event tap (SetEventTap); nil when nothing listens.
 	tap func(Event)
+
+	// Request scope (BeginRequest): inReq while one is open, and its
+	// one-entry buffer of a data-HMAC line.
+	inReq bool
+	req   reqLine
+}
+
+// reqLine is the request scope's buffer: the data-HMAC line at addr as
+// the device holds it once every accepted write has landed, and whether
+// it was ever written. ok is false while it holds nothing.
+type reqLine struct {
+	addr    mem.Addr
+	line    mem.Line
+	present bool
+	ok      bool
 }
 
 // New builds a controller over dev.
@@ -339,12 +359,48 @@ func (c *Controller) bankOf(a mem.Addr) int {
 	return int(uint64(a) / mem.LineSize % uint64(len(c.readBanks)))
 }
 
+// BeginRequest opens a request scope: until EndRequest, the controller
+// keeps the last data-HMAC-region line a device read returned in a
+// one-entry buffer, and a Read or ReadBypass of that line is served
+// from it at the caller's cycle, with no device read. Every write of
+// the line the controller accepts updates the buffer and a failed
+// device write or a Crash empties it, so it always holds what the
+// device will. The storage-engine facade opens one request per call;
+// the simulator opens none, so its per-miss traffic is the paper's.
+func (c *Controller) BeginRequest() {
+	c.inReq, c.req.ok = true, false
+}
+
+// EndRequest closes the request scope and empties its buffer.
+func (c *Controller) EndRequest() {
+	c.inReq, c.req.ok = false, false
+}
+
+// reqHit serves a read of a from the request buffer, if it holds a.
+func (c *Controller) reqHit(a mem.Addr) (mem.Line, bool, bool) {
+	if !c.req.ok || c.req.addr != a {
+		return mem.Line{}, false, false
+	}
+	c.stats.RequestHits++
+	return c.req.line, c.req.present, true
+}
+
+// reqFill keeps a device read of a data-HMAC line inside a request.
+func (c *Controller) reqFill(a mem.Addr, l mem.Line, ok bool) {
+	if c.inReq && c.dev.Layout().RegionOf(a) == mem.RegionHMAC {
+		c.req = reqLine{a, l, ok, true}
+	}
+}
+
 // Read services a line read: it returns the current NVM content (with
 // forwarding from held drain entries), whether the line was ever
 // written, and the completion time including read-queue and bank
 // contention.
 func (c *Controller) Read(now int64, a mem.Addr) (mem.Line, bool, int64) {
 	a = mem.Align(a)
+	if l, ok, hit := c.reqHit(a); hit {
+		return l, ok, now
+	}
 	c.stats.Reads++
 	if l, ok := c.heldForward(a); ok {
 		// Forward from the WPQ; no bank access needed.
@@ -374,6 +430,7 @@ func (c *Controller) Read(now int64, a mem.Addr) (mem.Line, bool, int64) {
 	start := max(now, c.readBanks[b])
 	done := start + c.dev.Timing().ReadCycles
 	l, ok := c.dev.Read(a)
+	c.reqFill(a, l, ok)
 	done += c.retryPenalty(a)
 	c.readBanks[b] = done
 	c.readQ = append(c.readQ, done)
@@ -464,6 +521,9 @@ func (c *Controller) Write(now int64, a mem.Addr, l mem.Line) int64 {
 		now += wait
 		c.advance(now)
 	}
+	if c.req.ok && c.req.addr == a {
+		c.req.line, c.req.present = l, true
+	}
 	if c.inDrain {
 		c.stats.EpochWrites++
 		c.emit(EvEpochHold, a)
@@ -486,6 +546,7 @@ func (c *Controller) devWrite(a mem.Addr, l mem.Line) {
 		old, oldOk = c.dev.Peek(a)
 	}
 	if err := c.dev.Write(a, l); err != nil {
+		c.req.ok = false
 		c.fail(err)
 		return
 	}
@@ -505,11 +566,15 @@ func (c *Controller) devWrite(a mem.Addr, l mem.Line) {
 // and contend normally.
 func (c *Controller) ReadBypass(now int64, a mem.Addr) (mem.Line, bool, int64) {
 	a = mem.Align(a)
+	if l, ok, hit := c.reqHit(a); hit {
+		return l, ok, now
+	}
 	c.stats.Reads++
 	if l, ok := c.heldForward(a); ok {
 		return l, true, now
 	}
 	l, ok := c.dev.Read(a)
+	c.reqFill(a, l, ok)
 	return l, ok, now + c.dev.Timing().ReadCycles + c.retryPenalty(a)
 }
 
@@ -644,6 +709,7 @@ func (c *Controller) Crash() {
 	}
 	c.stats.DroppedOnCrash += uint64(len(c.held))
 	c.held = c.held[:0]
+	c.req.ok = false
 	c.pending = nil
 	c.inDrain = false
 	c.backlog = 0

@@ -362,3 +362,63 @@ func TestReadOnlyRefusesEpochsButNotOwedOnes(t *testing.T) {
 		t.Fatalf("owed epoch did not commit its line (got %v, RefusedEpochs %d)", got[0], c.Stats().RefusedEpochs)
 	}
 }
+
+// TestRequestBuffer: inside a request the controller reads a data-HMAC
+// line from the device once and serves the next reads of it from its
+// one-entry buffer at the caller's cycle, counted as request hits and
+// not as reads. Every accepted write of the line, held or not, updates
+// the buffer; a failed device write, EndRequest and Crash empty it. A
+// data line is never buffered, and outside a request nothing is.
+func TestRequestBuffer(t *testing.T) {
+	c := ctrl(t, Config{})
+	h := c.Device().Layout().HMACBase
+	c.Write(0, h, line(1))
+	want := func(what string, a mem.Addr, l mem.Line, present bool, reads, hits uint64) {
+		t.Helper()
+		got, ok, _ := c.Read(1000, a)
+		if got != l || ok != present {
+			t.Fatalf("%s: read %x present=%v, want %x present=%v", what, got[:1], ok, l[:1], present)
+		}
+		if r, s := c.Device().Reads(), c.Stats(); r != reads || s.Reads != reads || s.RequestHits != hits {
+			t.Fatalf("%s: %d device reads, stats %d reads %d hits; want %d reads %d hits",
+				what, r, s.Reads, s.RequestHits, reads, hits)
+		}
+	}
+	want("outside a request", h, line(1), true, 1, 0)
+	want("outside a request, again", h, line(1), true, 2, 0)
+
+	c.BeginRequest()
+	want("first read", h, line(1), true, 3, 0)
+	if got, ok, done := c.ReadBypass(500, h); got != line(1) || !ok || done != 500 {
+		t.Fatalf("buffered ReadBypass: %x %v done %d, want 01 true done 500", got[:1], ok, done)
+	}
+	want("buffered read", h, line(1), true, 3, 2)
+	want("data line", 0, mem.Line{}, false, 4, 2)
+	want("data line, again", 0, mem.Line{}, false, 5, 2)
+	c.Write(0, h, line(2))
+	want("after a write", h, line(2), true, 5, 3)
+	if err := c.BeginEpochDrain(); err != nil {
+		t.Fatal(err)
+	}
+	c.Write(0, h, line(3))
+	want("after a held write", h, line(3), true, 5, 4)
+	if _, err := c.EndEpochDrain(0); err != nil {
+		t.Fatal(err)
+	}
+	c.Write(0, mem.Addr(c.Device().Layout().TotalBytes()), line(9))
+	if c.Err() == nil {
+		t.Fatal("a write past the device did not fail")
+	}
+	want("after a failed write", h, line(3), true, 6, 4)
+	h2 := h + mem.LineSize
+	want("never-written line", h2, mem.Line{}, false, 7, 4)
+	want("never-written line, again", h2, mem.Line{}, false, 7, 5)
+	want("the other line", h, line(3), true, 8, 5)
+	c.EndRequest()
+	want("after EndRequest", h, line(3), true, 9, 5)
+
+	c.BeginRequest()
+	want("new request", h, line(3), true, 10, 5)
+	c.Crash()
+	want("after a crash", h, line(3), true, 11, 5)
+}

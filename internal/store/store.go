@@ -18,6 +18,9 @@
 //     the boot verdict (see OpenRecovered): until a recovered store's
 //     first write, a line the recovery walk authenticated is only
 //     decrypted, and such a read bypasses the timing model.
+//   - Each call that reaches the engine is one controller request
+//     (ReadLines and WriteLines carry many lines), within which lines
+//     sharing a data-HMAC line read it from the device once.
 //   - Snapshot captures the adversary-visible NVM image via the COW
 //     mem.Store.Clone — one top-level directory slice, whatever the
 //     image size, so point-in-time readers are cheap.
@@ -321,6 +324,32 @@ func (s *Store) Now() int64 {
 	return s.now
 }
 
+// lockRequest takes the lock and opens the controller's request scope
+// for one facade call (memctrl.BeginRequest): within the call, lines
+// sharing a data-HMAC line read it from the device once. unlockRequest
+// closes both.
+func (s *Store) lockRequest() {
+	s.mu.Lock()
+	s.ctrl.BeginRequest()
+}
+
+func (s *Store) unlockRequest() {
+	s.ctrl.EndRequest()
+	s.mu.Unlock()
+}
+
+// usable reports why the store takes no more reads or epochs: closed,
+// or struck by an armed crash. Caller holds mu.
+func (s *Store) usable() error {
+	if s.closed {
+		return ErrClosed
+	}
+	if s.crashed {
+		return ErrCrashed
+	}
+	return nil
+}
+
 // checkAddr validates a data-region address.
 func (s *Store) checkAddr(a mem.Addr) error {
 	if uint64(a) >= s.lay.DataBytes {
@@ -329,31 +358,42 @@ func (s *Store) checkAddr(a mem.Addr) error {
 	return nil
 }
 
-// Read fetches, decrypts and authenticates the line at a through the
-// engine's ReadBlock: FetchBlock, then the open on the engine's own
-// crypto engine. Never-written lines read as zero. A line the boot
-// verdict serves (see OpenRecovered) is only decrypted, outside the
-// engine and its timing model.
+// Read fetches, decrypts and authenticates the line at a: ReadLines of
+// one line.
 func (s *Store) Read(a mem.Addr) (mem.Line, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return mem.Line{}, ErrClosed
-	}
-	if s.crashed {
-		return mem.Line{}, ErrCrashed
-	}
-	if err := s.checkAddr(a); err != nil {
-		return mem.Line{}, err
+	var l mem.Line
+	_, err := s.ReadLines(l[:0], a, 1)
+	return l, err
+}
+
+// ReadLines fetches, decrypts and authenticates the n lines from a
+// through the engine's ReadBlock — FetchBlock, then the open on the
+// engine's own crypto engine — in address order, in one request, and
+// appends their plaintext to dst. Never-written lines read as zero. A
+// line the boot verdict serves (see OpenRecovered) is only decrypted,
+// outside the engine and its timing model. On error the lines already
+// read stay in the result.
+func (s *Store) ReadLines(dst []byte, a mem.Addr, n int) ([]byte, error) {
+	s.lockRequest()
+	defer s.unlockRequest()
+	if err := s.usable(); err != nil {
+		return dst, err
 	}
 	a = mem.Align(a)
-	var f engine.Fetched
-	if s.verdictLine(a, &f) {
-		return s.vcry.Decrypt(f.Addr, f.Ctr, f.Line), nil
+	for i := 0; i < n; i, a = i+1, a+mem.LineSize {
+		if err := s.checkAddr(a); err != nil {
+			return dst, err
+		}
+		var pt mem.Line
+		var f engine.Fetched
+		if s.verdictLine(a, &f) {
+			pt = s.vcry.Decrypt(f.Addr, f.Ctr, f.Line)
+		} else {
+			pt, s.now = s.eng.ReadBlock(s.now, a)
+		}
+		dst = append(dst, pt[:]...)
 	}
-	pt, done := s.eng.ReadBlock(s.now, a)
-	s.now = done
-	return pt, nil
+	return dst, nil
 }
 
 // Fetched is one line as Fetch left it: read, charged and counted under
@@ -365,20 +405,17 @@ type Fetched struct {
 	authed bool
 }
 
-// Fetch is the stateful half of Read for the n lines from a: the
+// Fetch is the stateful half of ReadLines for the n lines from a: the
 // engine's FetchBlock of each line in address order — the engine work
-// of n Reads up to the authentication and decryption — under one
-// acquisition of the lock, appending the fetched lines to dst. A line
-// the boot verdict serves skips FetchBlock, and with it the timing
-// model. On error the lines already fetched stay in the result.
+// of one n-line ReadLines up to the authentication and decryption — in
+// one request, appending the fetched lines to dst. A line the boot
+// verdict serves skips FetchBlock, and with it the timing model. On
+// error the lines already fetched stay in the result.
 func (s *Store) Fetch(dst []Fetched, a mem.Addr, n int) ([]Fetched, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return dst, ErrClosed
-	}
-	if s.crashed {
-		return dst, ErrCrashed
+	s.lockRequest()
+	defer s.unlockRequest()
+	if err := s.usable(); err != nil {
+		return dst, err
 	}
 	a = mem.Align(a)
 	for i := 0; i < n; i, a = i+1, a+mem.LineSize {
@@ -426,7 +463,7 @@ func (o *Opener) Open(f *Fetched) (pt mem.Line, ok bool) {
 }
 
 // Write encrypts, authenticates and persists the line at a through the
-// engine's write-back path.
+// engine's write-back path: WriteLines of one line.
 //
 // The durability contract: a write is durable when Write returns nil.
 // A later crash at any point recovers the line, through the four-step
@@ -452,9 +489,30 @@ func (o *Opener) Open(f *Fetched) (pt mem.Line, ok bool) {
 // Write also returns the controller's first device or protocol error,
 // so a write the device refused is never reported durable.
 func (s *Store) Write(a mem.Addr, l mem.Line) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writeLocked(a, l)
+	_, err := s.WriteLines([]LineWrite{{a, l}})
+	return err
+}
+
+// LineWrite is one line of a WriteLines call.
+type LineWrite struct {
+	Addr mem.Addr
+	Line mem.Line
+}
+
+// WriteLines writes each line of ws in order, in one request, with the
+// contract of Write for each: an armed crash point counts every line,
+// so the writes a crash strikes and the image it leaves are those of
+// the same Writes in sequence. It stops at the first error and reports
+// how many lines were accepted before it.
+func (s *Store) WriteLines(ws []LineWrite) (int, error) {
+	s.lockRequest()
+	defer s.unlockRequest()
+	for i := range ws {
+		if err := s.writeLocked(ws[i].Addr, ws[i].Line); err != nil {
+			return i, err
+		}
+	}
+	return len(ws), nil
 }
 
 func (s *Store) writeLocked(a mem.Addr, l mem.Line) error {
@@ -507,13 +565,10 @@ func (s *Store) writeLocked(a mem.Addr, l mem.Line) error {
 // first kind is overwritten without one. Either way the line is dead,
 // and no read that serves data skips authentication.
 func (s *Store) ReclaimRange(lo, hi mem.Addr) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	if s.crashed {
-		return 0, ErrCrashed
+	s.lockRequest()
+	defer s.unlockRequest()
+	if err := s.usable(); err != nil {
+		return 0, err
 	}
 	if hi > mem.Addr(s.lay.DataBytes) {
 		hi = mem.Addr(s.lay.DataBytes)
@@ -553,11 +608,8 @@ func (s *Store) ReclaimRange(lo, hi mem.Addr) (int, error) {
 func (s *Store) FlushEpoch() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.crashed {
-		return ErrCrashed
+	if err := s.usable(); err != nil {
+		return err
 	}
 	s.now = s.eng.Settle(s.now)
 	if err := s.ctrl.Err(); err != nil {

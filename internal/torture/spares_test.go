@@ -116,11 +116,15 @@ func TestBrokenRemapCommitCaught(t *testing.T) {
 
 // TestSpareCellEvidence drives one deliberately tight cell end to end
 // and inspects the evidence the oracles run on, pinning the degraded
-// modes to concrete observations rather than just "no oracle fired".
+// modes to concrete observations rather than just "no oracle fired":
+// four stuck lines on the hot workload use up a one-spare pool, so the
+// controller goes read-only, refuses stores and is probed there, and
+// the remap table, the device's pool and the recovery report must all
+// name the one remap.
 func TestSpareCellEvidence(t *testing.T) {
 	c := Cell{
-		Design: "ccnvm", Workload: "hot", Seed: 1, Ops: 200, CrashAt: 133,
-		Attack: "none", FaultSeed: 7, WeakPct: 20, Stuck: 2, Spares: 1,
+		Design: "ccnvm", Workload: "hot", Seed: 1, Ops: 400, CrashAt: 399,
+		Attack: "none", FaultSeed: 7, Stuck: 4, Spares: 1,
 	}
 	r := DefaultRunner()
 	ctx, fail := r.runCell(c.normalized())
@@ -131,11 +135,12 @@ func TestSpareCellEvidence(t *testing.T) {
 	if !s.Finite() || s.Total != 1 {
 		t.Fatalf("pool not armed: %+v", s)
 	}
-	if s.Used != len(ctx.RemapEntriesAtCrash) {
-		t.Fatalf("spares consumed (%d) != remaps recorded (%d)", s.Used, len(ctx.RemapEntriesAtCrash))
+	if s.Used != 1 || s.Used != len(ctx.RemapEntriesAtCrash) {
+		t.Fatalf("spares consumed %d, remaps recorded %d; want the one spare used", s.Used, len(ctx.RemapEntriesAtCrash))
 	}
-	if s.Used == s.Total && ctx.HealthAtCrash != store.HealthReadOnly {
-		t.Fatalf("pool exhausted but controller reports %v", ctx.HealthAtCrash)
+	if ctx.HealthAtCrash != store.HealthReadOnly || ctx.RefusedStores == 0 || !ctx.ROProbed {
+		t.Fatalf("exhausted pool: health %v, %d stores refused, probed %v; want read-only, refusals and the probe",
+			ctx.HealthAtCrash, ctx.RefusedStores, ctx.ROProbed)
 	}
 	rec, ok, torn := nvm.LoadRemapTable(ctx.Img.Image.RemapTable)
 	if !ok {
