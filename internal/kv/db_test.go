@@ -503,3 +503,56 @@ func reopenOnce(b *testing.B, path string, stages *[3]time.Duration) int {
 	stages[2] += t3.Sub(t2)
 	return db.Stats().Keys
 }
+
+// TestFrameMergesHMACWrites: a batch of four fresh-key 64-byte puts
+// is one 7-line frame, written in one store request: six payload lines,
+// then the header at the lowest address. On cc-NVM each line's HMAC
+// update either writes its data-HMAC line (four data lines each) to the
+// device or merges into the request's still-queued entry for that line,
+// so a frame makes 7 data-line writes, and HMAC-line writes plus merges
+// come to 7. At best a frame writes each HMAC line it covers once: by
+// the header's line address mod 4, 3, 3, 4 or 3 times. How many merges
+// find the entry queued follows the WPQ's backlog, so the count over
+// eight frames is pinned: 40 HMAC-line writes, where one write per line
+// makes 56. A frame is 3 mod 4 lines long, so four batches in a row
+// meet every alignment.
+func TestFrameMergesHMACWrites(t *testing.T) {
+	st := openStore(t)
+	db := openDB(t, st)
+	lay := st.Layout()
+	header := mem.Addr(0)
+	st.SetEventTap(func(ev store.Event) {
+		if ev.Kind == store.EvWriteAccept && lay.RegionOf(ev.Addr) == mem.RegionData && ev.Addr < header {
+			header = ev.Addr
+		}
+	})
+	floor := [4]uint64{3, 3, 4, 3}
+	seen := [4]bool{}
+	var hmacWrites uint64
+	for i := range 8 {
+		ops := make([]kv.Op, 4)
+		for j := range ops {
+			ops[j] = kv.Op{Kind: kv.OpPut, Key: []byte(fmt.Sprintf("key-%06d", i*4+j)), Val: bytes.Repeat([]byte{byte(i)}, 64)}
+		}
+		w0, m0 := st.Device().Writes(), st.CtrlStats().RequestMerges
+		header = ^mem.Addr(0)
+		if err := db.Batch(ops); err != nil {
+			t.Fatal(err)
+		}
+		w, m := st.Device().Writes(), st.CtrlStats().RequestMerges-m0
+		r := uint64(header) / mem.LineSize % 4
+		seen[r] = true
+		d, h := w.Data-w0.Data, w.HMAC-w0.HMAC
+		if d != 7 || h+m != 7 || h < floor[r] {
+			t.Fatalf("batch %d (header %#x, line %d mod 4): %d data and %d HMAC-line writes, %d merges; want 7 and at least %d, with 7 HMAC updates",
+				i, uint64(header), r, d, h, m, floor[r])
+		}
+		hmacWrites += h
+	}
+	if seen != [4]bool{true, true, true, true} {
+		t.Fatalf("the batches met the header alignments %v, want all four", seen)
+	}
+	if hmacWrites != 40 {
+		t.Fatalf("eight frames wrote %d HMAC lines to the device, want 40", hmacWrites)
+	}
+}

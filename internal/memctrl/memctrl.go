@@ -94,10 +94,12 @@ type Stats struct {
 	RefusedEpochs    uint64 `json:",omitzero"` // epoch drains refused in read-only degradation
 	RemapTornOnCrash uint64 `json:",omitzero"` // remap-record commits torn at power failure
 
-	// Reads of a data-HMAC line the request buffer served (see
-	// BeginRequest); they are not in Reads. Zero, and omitted from JSON,
-	// wherever no request is opened.
-	RequestHits uint64 `json:",omitzero"`
+	// Reads of a data-HMAC line the request buffer served, and writes of
+	// it merged into the buffer's owed WPQ entry (see BeginRequest); the
+	// hits are not in Reads, the merges are in Writes. Zero, and omitted
+	// from JSON, wherever no request is opened.
+	RequestHits   uint64 `json:",omitzero"`
+	RequestMerges uint64 `json:",omitzero"`
 }
 
 // EventKind tags one entry of the controller's persistence event
@@ -215,12 +217,16 @@ type Controller struct {
 
 // reqLine is the request scope's buffer: the data-HMAC line at addr as
 // the device holds it once every accepted write has landed, and whether
-// it was ever written. ok is false while it holds nothing.
+// it was ever written. ok is false while it holds nothing; owed is true
+// while line is a queued WPQ entry the device has not been written with
+// yet, and behind counts the entries queued after it.
 type reqLine struct {
 	addr    mem.Addr
 	line    mem.Line
 	present bool
 	ok      bool
+	owed    bool
+	behind  int
 }
 
 // New builds a controller over dev.
@@ -233,12 +239,12 @@ func New(cfg Config, dev *nvm.Device) *Controller {
 	}
 }
 
-// heldForward looks a up among the held epoch entries (first match in
-// acceptance order, as the WPQ would forward).
+// heldForward looks a up among the held epoch entries: the newest
+// match, the one EndEpochDrain lands last.
 func (c *Controller) heldForward(a mem.Addr) (mem.Line, bool) {
-	for _, h := range c.held {
-		if h.addr == a {
-			return h.line, true
+	for i := len(c.held) - 1; i >= 0; i-- {
+		if c.held[i].addr == a {
+			return c.held[i].line, true
 		}
 	}
 	return mem.Line{}, false
@@ -260,15 +266,17 @@ func (c *Controller) advance(now int64) {
 		}
 		c.backlogUpd = now
 	}
-	if c.pending != nil {
-		// Entries retire FIFO as the fluid backlog drains below them.
-		unserviced := int(c.backlog)
-		if float64(unserviced) < c.backlog {
-			unserviced++
-		}
-		if drop := len(c.pending) - unserviced; drop > 0 {
-			c.pending = append(c.pending[:0], c.pending[drop:]...)
-		}
+	// Entries retire FIFO as the fluid backlog drains below them: the
+	// newest ceil(backlog) accepted entries are still queued.
+	queued := int(c.backlog)
+	if float64(queued) < c.backlog {
+		queued++
+	}
+	if drop := len(c.pending) - queued; drop > 0 {
+		c.pending = append(c.pending[:0], c.pending[drop:]...)
+	}
+	if c.req.owed && c.req.behind >= queued {
+		c.landOwed()
 	}
 }
 
@@ -365,15 +373,64 @@ func (c *Controller) bankOf(a mem.Addr) int {
 // from it at the caller's cycle, with no device read. Every write of
 // the line the controller accepts updates the buffer and a failed
 // device write or a Crash empties it, so it always holds what the
-// device will. The storage-engine facade opens one request per call;
-// the simulator opens none, so its per-miss traffic is the paper's.
+// device will.
+//
+// On a device without a fault model the buffer also merges writes: the
+// first non-epoch write of the buffered line takes a WPQ slot as usual,
+// but its device write is owed, and a later write of the line merges
+// into that entry (RequestMerges), with no slot of its own, while the
+// entry is still queued. The owed write lands when the entry retires
+// (advance's FIFO rule, the one every entry leaves the queue by), when
+// the buffer refills with another line, before an epoch write of the
+// line is held, and at EndRequest or Crash; so between requests the
+// device holds what it would without the buffer. Under a fault model
+// every write reaches the device at acceptance, where its own error and
+// tear decision belong.
+//
+// The storage-engine facade opens one request per call; the simulator
+// opens none, so its per-miss traffic is the paper's.
 func (c *Controller) BeginRequest() {
-	c.inReq, c.req.ok = true, false
+	c.dropReq()
+	c.inReq = true
 }
 
-// EndRequest closes the request scope and empties its buffer.
+// EndRequest closes the request scope: the owed write lands and the
+// buffer empties.
 func (c *Controller) EndRequest() {
-	c.inReq, c.req.ok = false, false
+	c.dropReq()
+	c.inReq = false
+}
+
+// dropReq lands the buffer's owed write, if any, and empties it.
+func (c *Controller) dropReq() {
+	c.landOwed()
+	c.req.ok = false
+}
+
+// landOwed writes the device with the buffered line the request owes
+// it. The entry's slot was taken, and its backlog counted, when it was
+// accepted.
+func (c *Controller) landOwed() {
+	if !c.req.owed {
+		return
+	}
+	c.req.owed = false
+	if err := c.dev.Write(c.req.addr, c.req.line); err != nil {
+		c.req.ok = false
+		c.fail(err)
+	}
+}
+
+// Peek returns line a as the device holds it once every accepted
+// non-epoch write has landed: the device's content, or the buffered
+// line while the request owes it. It costs no cycles and counts
+// nothing.
+func (c *Controller) Peek(a mem.Addr) (mem.Line, bool) {
+	a = mem.Align(a)
+	if c.req.owed && c.req.addr == a {
+		return c.req.line, c.req.present
+	}
+	return c.dev.Peek(a)
 }
 
 // reqHit serves a read of a from the request buffer, if it holds a.
@@ -385,10 +442,12 @@ func (c *Controller) reqHit(a mem.Addr) (mem.Line, bool, bool) {
 	return c.req.line, c.req.present, true
 }
 
-// reqFill keeps a device read of a data-HMAC line inside a request.
+// reqFill keeps a device read of a data-HMAC line inside a request,
+// landing the line it replaces first if that one is owed.
 func (c *Controller) reqFill(a mem.Addr, l mem.Line, ok bool) {
 	if c.inReq && c.dev.Layout().RegionOf(a) == mem.RegionHMAC {
-		c.req = reqLine{a, l, ok, true}
+		c.landOwed()
+		c.req = reqLine{addr: a, line: l, present: ok, ok: true}
 	}
 }
 
@@ -497,7 +556,9 @@ func (c *Controller) HostWrite(now int64, a mem.Addr, l mem.Line) int64 {
 // Write enqueues a line write into the WPQ and returns the cycle at
 // which the producer obtained a slot (the producer-visible acceptance
 // time; service completes in the background). Non-epoch writes are
-// durable from acceptance onward, per ADR.
+// durable from acceptance onward, per ADR. Inside a request, a write of
+// the buffered data-HMAC line may merge into the entry it owes (see
+// BeginRequest) and then needs no slot.
 //
 // Epoch writes (issued between BeginEpochDrain and EndEpochDrain) are
 // held: they occupy slots but are neither serviced nor durable until the
@@ -506,6 +567,13 @@ func (c *Controller) Write(now int64, a mem.Addr, l mem.Line) int64 {
 	a = mem.Align(a)
 	c.stats.Writes++
 	c.advance(now)
+	buffered := c.req.ok && c.req.addr == a
+	if buffered && c.req.owed && !c.inDrain {
+		c.stats.RequestMerges++
+		c.emit(EvWriteAccept, a)
+		c.req.line = l
+		return now
+	}
 	if occ := c.backlog + float64(len(c.held)); occ+1 > float64(c.cfg.WriteQueue) {
 		// Block until enough backlog drains for one slot. If every slot
 		// is a held epoch entry the protocol is broken: the drainer must
@@ -521,7 +589,10 @@ func (c *Controller) Write(now int64, a mem.Addr, l mem.Line) int64 {
 		now += wait
 		c.advance(now)
 	}
-	if c.req.ok && c.req.addr == a {
+	if buffered {
+		if c.inDrain {
+			c.landOwed() // the held entry must not overtake it
+		}
 		c.req.line, c.req.present = l, true
 	}
 	if c.inDrain {
@@ -531,6 +602,12 @@ func (c *Controller) Write(now int64, a mem.Addr, l mem.Line) int64 {
 		return now
 	}
 	c.emit(EvWriteAccept, a)
+	if buffered && c.dev.FaultModel() == nil {
+		// The slot is taken now; the device write is owed.
+		c.req.owed, c.req.behind = true, 0
+		c.backlog++
+		return now
+	}
 	c.devWrite(a, l) // durable at acceptance (ADR)
 	return now
 }
@@ -546,11 +623,14 @@ func (c *Controller) devWrite(a mem.Addr, l mem.Line) {
 		old, oldOk = c.dev.Peek(a)
 	}
 	if err := c.dev.Write(a, l); err != nil {
-		c.req.ok = false
 		c.fail(err)
+		c.dropReq()
 		return
 	}
 	c.backlog++
+	if c.req.owed {
+		c.req.behind++
+	}
 	if track {
 		c.wseq++
 		c.pending = append(c.pending, pendingWrite{addr: a, line: l, old: old, oldOk: oldOk, seq: c.wseq})
@@ -704,12 +784,12 @@ func (c *Controller) Scrub(now int64) int64 {
 // the addresses of every in-flight or held entry — is the only part
 // recovery may consult.
 func (c *Controller) Crash() {
+	c.dropReq() // an owed entry is in the ADR domain: it lands
 	if c.dev.FaultModel().Enabled() {
 		c.crashFaults()
 	}
 	c.stats.DroppedOnCrash += uint64(len(c.held))
 	c.held = c.held[:0]
-	c.req.ok = false
 	c.pending = nil
 	c.inDrain = false
 	c.backlog = 0

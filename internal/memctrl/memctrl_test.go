@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"ccnvm/internal/mem"
@@ -421,4 +422,172 @@ func TestRequestBuffer(t *testing.T) {
 	want("new request", h, line(3), true, 10, 5)
 	c.Crash()
 	want("after a crash", h, line(3), true, 11, 5)
+}
+
+// TestRequestMergesHMACWrites: inside a request on a faultless device,
+// the first write of the buffered data-HMAC line owes its device write
+// and later writes of the line merge into it with no WPQ slot of their
+// own. Every call here is at cycle 0, so the queue never drains (the
+// owed entry's retirement is TestOwedWriteRetires). The owed write
+// lands when the buffer refills, before an epoch write of the line is
+// held, at EndRequest and at a Crash; until then a read of the line is
+// served from the buffer. Nothing merges outside a request, on a data
+// line, or under a fault model.
+func TestRequestMergesHMACWrites(t *testing.T) {
+	c := ctrl(t, Config{Banks: 1, WriteQueue: 2})
+	h := c.Device().Layout().HMACBase
+	h2 := h + mem.LineSize
+	want := func(what string, a mem.Addr, dev mem.Line, hmacWrites, merges uint64) {
+		t.Helper()
+		got, _ := c.Device().Peek(a)
+		if w, s := c.Device().Writes().HMAC, c.Stats(); got != dev || w != hmacWrites || s.RequestMerges != merges {
+			t.Fatalf("%s: device holds %x with %d HMAC-line writes, %d merges; want %x, %d, %d",
+				what, got[:1], w, s.RequestMerges, dev[:1], hmacWrites, merges)
+		}
+	}
+	c.Write(0, h, line(1))
+	c.Write(0, h, line(2))
+	c.Read(0, h)
+	want("outside a request", h, line(2), 2, 0)
+
+	c.BeginRequest()
+	c.Write(0, h, line(3))
+	want("unbuffered line", h, line(3), 3, 0)
+	c.ReadBypass(0, h)
+	c.Write(0, h, line(4))
+	want("first write of the buffered line", h, line(3), 3, 0)
+	stalls := c.Stats().WPQFullStalls
+	for i := byte(5); i <= 9; i++ {
+		c.Write(0, h, line(i))
+	}
+	want("merged writes", h, line(3), 3, 5)
+	if s := c.Stats(); s.WPQFullStalls != stalls || s.Writes != 9 {
+		t.Fatalf("merged writes: %d WPQ-full stalls (was %d), %d writes; want no new stall and 9 writes",
+			s.WPQFullStalls, stalls, s.Writes)
+	}
+	if got, _, _ := c.Read(0, h); got != line(9) {
+		t.Fatalf("read of the owed line: %x, want 09", got[:1])
+	}
+	c.Write(0, 0, line(1))
+	c.Write(0, 0, line(2))
+	if w := c.Device().Writes().Data; w != 2 {
+		t.Fatalf("two data-line writes made %d device writes", w)
+	}
+	c.Read(0, h2)
+	want("refill", h, line(9), 4, 5)
+
+	c.Write(0, h2, line(1))
+	c.Write(0, h2, line(2))
+	want("owed second line", h2, mem.Line{}, 4, 6)
+	if err := c.BeginEpochDrain(); err != nil {
+		t.Fatal(err)
+	}
+	c.Write(0, h2, line(3))
+	want("held write", h2, line(2), 5, 6)
+	if got, _, _ := c.Read(0, h2); got != line(3) {
+		t.Fatalf("read of the held line: %x, want 03", got[:1])
+	}
+	if _, err := c.EndEpochDrain(0); err != nil {
+		t.Fatal(err)
+	}
+	want("end signal", h2, line(3), 6, 6)
+	c.Write(0, h2, line(4))
+	c.Write(0, h2, line(5))
+	want("owed after the drain", h2, line(3), 6, 7)
+	c.EndRequest()
+	want("EndRequest", h2, line(5), 7, 7)
+
+	c.BeginRequest()
+	c.Read(0, h)
+	c.Write(0, h, line(6))
+	want("owed before a crash", h, line(9), 7, 7)
+	c.Crash()
+	want("crash", h, line(6), 8, 7)
+	c.EndRequest()
+	want("EndRequest after a crash", h, line(6), 8, 7)
+
+	f := ctrl(t, Config{})
+	f.Device().SetFaultModel(&nvm.FaultModel{Seed: 1, TornWrites: true, ADRBudget: 1})
+	f.BeginRequest()
+	f.Read(0, h)
+	f.Write(0, h, line(1))
+	f.Write(0, h, line(2))
+	got, _ := f.Device().Peek(h)
+	if w, m := f.Device().Writes().HMAC, f.Stats().RequestMerges; got != line(2) || w != 2 || m != 0 {
+		t.Fatalf("fault model: device holds %x after %d HMAC-line writes, %d merges; want 02, 2, 0", got[:1], w, m)
+	}
+	f.EndRequest()
+}
+
+// TestOwedWriteRetires: the owed entry leaves the WPQ by the FIFO rule
+// every entry does, once the backlog queued before it has drained, and
+// lands on the device then; a write of the line after that takes a
+// slot of its own and owes anew. Until it retires, an event tap sees
+// the owed content through Peek while the device still lacks it.
+func TestOwedWriteRetires(t *testing.T) {
+	c := ctrl(t, Config{Banks: 1}) // one line drains per 400 cycles
+	h := c.Device().Layout().HMACBase
+	var seen []mem.Line
+	c.SetEventTap(func(ev Event) {
+		if ev.Kind == EvWriteAccept && ev.Addr == h {
+			l, _ := c.Peek(h)
+			seen = append(seen, l)
+		}
+	})
+	want := func(what string, dev mem.Line, hmacWrites, merges uint64) {
+		t.Helper()
+		got, _ := c.Device().Peek(h)
+		if w, m := c.Device().Writes().HMAC, c.Stats().RequestMerges; got != dev || w != hmacWrites || m != merges {
+			t.Fatalf("%s: device holds %x with %d HMAC-line writes, %d merges; want %x, %d, %d",
+				what, got[:1], w, m, dev[:1], hmacWrites, merges)
+		}
+	}
+	c.BeginRequest()
+	c.Write(0, 0, line(1))
+	c.ReadBypass(0, h)
+	c.Write(0, h, line(1))  // owed, one entry ahead of it
+	c.Write(0, 64, line(1)) // one entry behind it
+	c.Write(700, h, line(2))
+	want("1.75 of 3 lines drained", mem.Line{}, 0, 1)
+	c.Write(900, h, line(3))
+	want("2.25 of 3 lines drained", line(2), 1, 1)
+	c.Write(900, h, line(4))
+	c.Write(1300, h, line(5))
+	want("owed anew", line(2), 1, 3)
+	c.Write(2000, h, line(6))
+	want("drained dry", line(5), 2, 3)
+	c.EndRequest()
+	want("EndRequest", line(6), 3, 3)
+	wantSeen := []mem.Line{{}, line(1), line(2), line(3), line(4), line(5)}
+	if !slices.Equal(seen, wantSeen) {
+		var first []byte
+		for _, l := range seen {
+			first = append(first, l[0])
+		}
+		t.Fatalf("the tap saw Peek lines starting %v, want 0 1 2 3 4 5", first)
+	}
+}
+
+// TestHeldForwardNewest: a read inside a draining window forwards the
+// newest held write of a line, the one the end signal lands.
+func TestHeldForwardNewest(t *testing.T) {
+	c := ctrl(t, Config{})
+	const a = 64
+	if err := c.BeginEpochDrain(); err != nil {
+		t.Fatal(err)
+	}
+	c.Write(0, a, line(1))
+	c.Write(0, a, line(2))
+	if got, _, _ := c.Read(0, a); got != line(2) {
+		t.Fatalf("Read forwarded %x, want 02", got[:1])
+	}
+	if got, _, _ := c.ReadBypass(0, a); got != line(2) {
+		t.Fatalf("ReadBypass forwarded %x, want 02", got[:1])
+	}
+	if _, err := c.EndEpochDrain(0); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := c.Device().Peek(a); got != line(2) {
+		t.Fatalf("device holds %x after the end signal, want 02", got[:1])
+	}
 }

@@ -3,11 +3,13 @@ package store_test
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"ccnvm/internal/design"
 	"ccnvm/internal/engine"
 	"ccnvm/internal/mem"
+	"ccnvm/internal/nvm"
 	"ccnvm/internal/store"
 )
 
@@ -46,14 +48,113 @@ func sameDevice(t *testing.T, step int, a, b *store.Store) {
 	}
 }
 
+// TestRequestWritesHMACLineOnce: for every design, one n-line
+// WriteLines leaves the device lines, plaintext and engine work of n
+// one-line Writes, and writes exactly its request merges fewer data-HMAC
+// lines to the device. A write merges only into the queued entry of the
+// HMAC line the line written before it (in the request) wrote too, so
+// there are at most as many merges as such repeats; how many of them
+// find the entry still queued is the WPQ's timing. A line Arsenal
+// packed carries its HMAC inline and writes no HMAC line. One-line
+// Writes of distinct lines merge nothing, and under a fault model
+// WriteLines merges nothing either: it writes the lines the one-line
+// Writes do.
+func TestRequestWritesHMACLineOnce(t *testing.T) {
+	var merges uint64
+	var ws []store.LineWrite
+	for i := range 26 {
+		ws = append(ws, store.LineWrite{Addr: mem.Addr(i+2) * mem.LineSize, Line: requestLine(1, i, i)})
+	}
+	params := engine.Params{UpdateLimit: 8, QueueEntries: 64}
+	for _, name := range design.Names() {
+		t.Run(name, func(t *testing.T) {
+			open := func(faults *nvm.FaultModel) *store.Store {
+				st, err := store.Open(store.Options{Design: name, Capacity: 1 << 20, Params: params, Faults: faults})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+			one, many := open(nil), open(nil)
+			faulted := open(&nvm.FaultModel{Seed: 1, TornWrites: true, ADRBudget: 1})
+			for _, w := range ws {
+				if err := one.Write(w.Addr, w.Line); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, st := range []*store.Store{many, faulted} {
+				if k, err := st.WriteLines(ws); k != len(ws) || err != nil {
+					t.Fatalf("WriteLines accepted %d of %d lines: %v", k, len(ws), err)
+				}
+			}
+			sameDevice(t, 0, one, many)
+			sameDevice(t, 0, one, faulted)
+			if one.Engine().Stats() != many.Engine().Stats() ||
+				!reflect.DeepEqual(one.Engine().MetaStats(), many.Engine().MetaStats()) {
+				t.Fatalf("engine work differs:\n  %+v %+v\n  %+v %+v", one.Engine().Stats(),
+					one.Engine().MetaStats(), many.Engine().Stats(), many.Engine().MetaStats())
+			}
+			for _, st := range []*store.Store{one, many} {
+				got, err := st.ReadLines(nil, ws[0].Addr, len(ws))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, w := range ws {
+					if string(got[i*mem.LineSize:][:mem.LineSize]) != string(w.Line[:]) {
+						t.Fatalf("line %#x reads back other than written", uint64(w.Addr))
+					}
+				}
+			}
+
+			packed := many.Crash().Sideband
+			repeated, unpacked, prev := uint64(0), uint64(0), mem.Addr(0)
+			for _, w := range ws {
+				if packed[w.Addr] == engine.TagPacked {
+					continue
+				}
+				unpacked++
+				if ha, _ := many.Layout().HMACLineOf(w.Addr); ha == prev {
+					repeated++
+				} else {
+					prev = ha
+				}
+			}
+			if repeated == 0 {
+				t.Fatal("the lines repeat no HMAC line; the test shows nothing")
+			}
+			w1, w := one.Device().Writes(), many.Device().Writes()
+			m1, m := one.CtrlStats().RequestMerges, many.CtrlStats().RequestMerges
+			if m1 != 0 || m > repeated {
+				t.Fatalf("request merges: %d over one-line Writes, %d over WriteLines; want 0 and at most %d", m1, m, repeated)
+			}
+			merges += m
+			if w1.HMAC-w.HMAC != m || w1.Data != w.Data || w1.Counter != w.Counter || w1.Tree != w.Tree {
+				t.Fatalf("device writes %v over one-line Writes, %v over WriteLines; want %d HMAC-line writes fewer",
+					w1, w, m)
+			}
+			if c1, c := one.CtrlStats().Writes, many.CtrlStats().Writes; c1 != c {
+				t.Fatalf("the controller accepted %d writes over one-line Writes, %d over WriteLines", c1, c)
+			}
+			if wf, m := faulted.Device().Writes(), faulted.CtrlStats().RequestMerges; wf != w1 || m != 0 || wf.HMAC != unpacked {
+				t.Fatalf("under a fault model WriteLines made %d merges and device writes %v, want 0 and %v with %d HMAC-line writes",
+					m, wf, w1, unpacked)
+			}
+		})
+	}
+	if merges == 0 {
+		t.Fatal("no design merged a write; the test shows nothing")
+	}
+}
+
 // FuzzRequestKeepsImage drives two stores of one design with the same
 // calls: one makes each call as written (a WriteLines of many lines, a
 // ReadLines, a ReclaimRange), the other replays it as one-line calls
 // (Writes, Reads, one-line reclaims in address order). The request
-// buffer may only save device reads: after every call the devices must
-// hold identical lines, reads and reclaim counts must agree, and the
-// first store must not have read more lines from the device. The calls
-// write zero, compressible (packed on Arsenal) and incompressible lines,
+// buffer may only save device reads and writes: after every call the
+// devices must hold identical lines, reads and reclaim counts must
+// agree, and the first store must not have read or written more lines
+// on the device. The calls write zero, compressible (packed on Arsenal)
+// and incompressible lines,
 // and one form writes a single line up to 256 times in one call, so a
 // minor counter overflows and the page is re-encrypted inside a
 // request.
@@ -140,6 +241,9 @@ func FuzzRequestKeepsImage(f *testing.F) {
 			sameDevice(t, step, req, one)
 			if r, r1 := req.Device().Reads(), one.Device().Reads(); r > r1 {
 				t.Fatalf("step %d: requests read %d lines from the device, one-line calls only %d", step, r, r1)
+			}
+			if w, w1 := req.Device().Writes(), one.Device().Writes(); w.Total() > w1.Total() {
+				t.Fatalf("step %d: requests wrote %v to the device, one-line calls only %v", step, w, w1)
 			}
 		}
 	})

@@ -20,7 +20,8 @@
 //     decrypted, and such a read bypasses the timing model.
 //   - Each call that reaches the engine is one controller request
 //     (ReadLines and WriteLines carry many lines), within which lines
-//     sharing a data-HMAC line read it from the device once.
+//     sharing a data-HMAC line read it from the device once, and their
+//     writes of it merge into its WPQ entry while that is still queued.
 //   - Snapshot captures the adversary-visible NVM image via the COW
 //     mem.Store.Clone — one top-level directory slice, whatever the
 //     image size, so point-in-time readers are cheap.
@@ -317,6 +318,13 @@ func (s *Store) Engine() engine.Engine { return s.eng }
 // Device exposes the NVM device (snapshots, wear and spare accounting).
 func (s *Store) Device() *nvm.Device { return s.dev }
 
+// Peek returns line a as the media holds it once every write the
+// controller has accepted lands (memctrl.Controller.Peek): inside a
+// facade call the device can lag by the request's owed data-HMAC line.
+// Like Device it takes no lock, so an event tap, which runs under the
+// store's lock, can call it.
+func (s *Store) Peek(a mem.Addr) (mem.Line, bool) { return s.ctrl.Peek(a) }
+
 // Now returns the facade's virtual clock in engine cycles.
 func (s *Store) Now() int64 {
 	s.mu.Lock()
@@ -326,8 +334,9 @@ func (s *Store) Now() int64 {
 
 // lockRequest takes the lock and opens the controller's request scope
 // for one facade call (memctrl.BeginRequest): within the call, lines
-// sharing a data-HMAC line read it from the device once. unlockRequest
-// closes both.
+// sharing a data-HMAC line read it from the device once, and their
+// writes of it merge while its WPQ entry is queued. unlockRequest
+// closes both, landing the request's owed write.
 func (s *Store) lockRequest() {
 	s.mu.Lock()
 	s.ctrl.BeginRequest()
@@ -470,8 +479,9 @@ func (o *Opener) Open(f *Fetched) (pt mem.Line, ok bool) {
 // recovery, for every design whose clean crash recovers without a
 // tamper verdict (design.Caps.TamperOnCrash false; the KV torture
 // designs). Write returns once the engine's write-back has put the
-// data and its HMAC into the controller's ADR-backed write queue, the
-// paper's persist point (§4.3): counters and tree nodes may lag, and
+// data and its HMAC into the controller's ADR-backed write queue (an
+// HMAC update may merge into the request's queued entry for its line),
+// the paper's persist point (§4.3): counters and tree nodes may lag, and
 // recovery re-derives a lagging counter by HMAC retry within the
 // update limit N. No write is left in cc-NVM's epoch hold queue either:
 // a drain is begun and ended inside one engine write-back, under the

@@ -200,6 +200,8 @@ func BrokenRunner(mode string) (*Runner, error) {
 // commits is the victim, and until the next commit an image of the
 // device loses it — the returned edit puts back the victim line's
 // content from before that write, or removes a line the write created.
+// That content is read through Store.Peek, since inside a call the
+// device can lag by a request's owed data-HMAC line.
 // Later writes to the victim line inside the window are lost with it,
 // as if they coalesced into the unpersisted slot.
 func reorderPersist(st *store.Store, after int) func(*nvm.Image) {
@@ -219,7 +221,7 @@ func reorderPersist(st *store.Store, after int) func(*nvm.Image) {
 		case store.EvWriteAccept:
 			if hunting && commits >= after {
 				hunting, open, victim = false, true, ev.Addr
-				prior, priorPresent = st.Device().Peek(ev.Addr)
+				prior, priorPresent = st.Peek(ev.Addr)
 			}
 		}
 	})

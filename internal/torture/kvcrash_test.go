@@ -8,7 +8,9 @@ import (
 
 	"ccnvm/internal/bmt"
 	"ccnvm/internal/engine"
+	"ccnvm/internal/mem"
 	"ccnvm/internal/recovery"
+	"ccnvm/internal/store"
 )
 
 // runKVSweep runs every stride-th cell of a KV spec's write-boundary
@@ -163,4 +165,61 @@ func TestBrokenReorderPersistKVCaught(t *testing.T) {
 		t.Fatalf("cell %s also fails without the defect: %v", f.Cell, g)
 	}
 	t.Logf("reorder-persist caught by kv-acked-durable: %s", f.Repro)
+}
+
+// TestReorderPersistIgnoresRequests: the defect edits an image the
+// same whether the writes came as multi-line requests, in which HMAC
+// updates merge into queued entries, or one line per call, in which
+// nothing merges. The victim's prior content is read through the
+// controller (Store.Peek), which holds a request's owed line before the
+// device does. With today's designs the first write accepted after a
+// commit is a data line, never a merged HMAC update (a drain ends a
+// write-back or precedes the next one's data write); the controller's
+// side of a merged victim is TestOwedWriteRetires in memctrl.
+func TestReorderPersistIgnoresRequests(t *testing.T) {
+	open := func() *store.Store {
+		st, err := store.Open(store.Options{Design: "ccnvm", Capacity: 1 << 20,
+			Params: engine.Params{UpdateLimit: 16, QueueEntries: 64}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	var calls [][]store.LineWrite
+	for i := range 16 {
+		var ws []store.LineWrite
+		for j := range 4 {
+			ws = append(ws, store.LineWrite{Addr: mem.Addr(j+i%3*4) * mem.LineSize, Line: mem.Line{byte(i + 1), byte(j + 1)}})
+		}
+		calls = append(calls, ws)
+	}
+	for after := range 4 {
+		req, one := open(), open()
+		editReq, editOne := reorderPersist(req, after), reorderPersist(one, after)
+		edited := false
+		for i, ws := range calls {
+			if _, err := req.WriteLines(ws); err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range ws {
+				if err := one.Write(w.Addr, w.Line); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a, b := req.Snapshot(), one.Snapshot()
+			if !a.Store.Equal(b.Store) {
+				t.Fatalf("after %d commits, call %d: the images differ before the edit", after, i)
+			}
+			plain := a.Clone()
+			editReq(a)
+			editOne(b)
+			if !a.Store.Equal(b.Store) {
+				t.Fatalf("after %d commits, call %d: the defect edits the image of requests other than that of one-line writes", after, i)
+			}
+			edited = edited || !a.Store.Equal(plain.Store)
+		}
+		if !edited || req.CtrlStats().RequestMerges == 0 {
+			t.Fatalf("after %d commits: the defect edited no image or the requests merged nothing; the test shows nothing", after)
+		}
+	}
 }
