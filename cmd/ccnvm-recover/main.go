@@ -1,10 +1,10 @@
-// Command ccnvm-recover demonstrates crash recovery and attack
-// location (paper §4.4): it runs a workload on a chosen design, crashes
-// the machine mid-epoch, optionally injects an integrity attack into
-// the NVM image, and then runs the four-step recovery, reporting what
-// was detected, what was located, and whether the data survives.
+// Command ccnvm-recover runs one cell of the §4.4 recovery matrix
+// (experiments.RunRecoveryMatrix, `ccnvm-bench -recovery`) and shows
+// its working: it crashes the chosen design mid-epoch under the chosen
+// attack, runs the four-step recovery, and prints the recovery report
+// and the cell's verdict.
 //
-// With -reboots N the demo also crashes recovery itself: each Apply
+// With -reboots N the run also crashes recovery itself: each Apply
 // pass is interrupted at its -reboot-every-th persisted recovery write,
 // the machine "reboots", and the next recovery resumes from the
 // persisted recovery journal instead of restarting blind, until a final
@@ -12,15 +12,16 @@
 //
 // Usage:
 //
-//	ccnvm-recover -design ccnvm -attack none      # clean crash
-//	ccnvm-recover -design ccnvm -attack spoof     # located
-//	ccnvm-recover -design ccnvm -attack splice    # located at both blocks
-//	ccnvm-recover -design ccnvm -attack replay    # detected via Nwb
-//	ccnvm-recover -design ccnvm -attack tree      # located by step 1
-//	ccnvm-recover -design osiris -attack replay   # detected, NOT located
-//	ccnvm-recover -design ccnvm-ext -attack replay # located to the page (§4.4 ext)
-//	ccnvm-recover -design ccnvm -reboots 4        # crash recovery itself, 4 times
-//	ccnvm-recover -design ccnvm -json             # machine-readable report
+//	ccnvm-recover -design ccnvm -attack none            # clean crash
+//	ccnvm-recover -design ccnvm -attack spoof           # located
+//	ccnvm-recover -design ccnvm -attack splice          # located at both blocks
+//	ccnvm-recover -design ccnvm -attack counter-replay  # located by step 1
+//	ccnvm-recover -design ccnvm -attack data-replay     # detected via Nwb
+//	ccnvm-recover -design osiris -attack data-replay    # detected, NOT located
+//	ccnvm-recover -design ccnvm-ext -attack data-replay # located to the page (§4.4 ext)
+//	ccnvm-recover -design wocc -attack spoof            # unrecoverable: its clean crash already fails
+//	ccnvm-recover -design ccnvm -reboots 4              # crash recovery itself, 4 times
+//	ccnvm-recover -design ccnvm -json                   # machine-readable report
 //
 // Exit status: 0 when the report is clean or lossless, 1 on usage or
 // setup errors, 2 when recovery reports an image that is neither clean
@@ -30,40 +31,35 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
-	"ccnvm"
+	"ccnvm/internal/design"
+	"ccnvm/internal/experiments"
+	"ccnvm/internal/recovery"
+)
+
+var (
+	// errUsage marks a bad command line.
+	errUsage = errors.New("bad command line")
+	// errUnsafe reports a recovered image that is neither clean nor
+	// lossless.
+	errUnsafe = errors.New("image is neither clean nor lossless")
 )
 
 func main() {
-	design := flag.String("design", ccnvm.DesignCCNVM, "design: "+strings.Join(ccnvm.AllDesigns(), ", "))
-	kind := flag.String("attack", "none", "attack: none, spoof, splice, replay, tree")
-	bench := flag.String("benchmark", "gcc", "workload")
-	ops := flag.Int("ops", 30000, "memory operations before the crash")
-	seed := flag.Int64("seed", 1, "workload seed")
-	reboots := flag.Int("reboots", 0, "crash recovery itself this many times before letting it finish")
-	revery := flag.Int("reboot-every", 2, "strike the k-th persisted recovery write of each interrupted pass")
-	jsonOut := flag.Bool("json", false, "emit the outcome as JSON")
-	flag.Parse()
-
-	out, err := run(*design, *kind, *bench, *ops, *seed, *reboots, *revery, !*jsonOut)
-	if err != nil {
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil:
+	case errors.Is(err, errUnsafe):
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, "ccnvm-recover:", err)
 		os.Exit(1)
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "ccnvm-recover:", err)
-			os.Exit(1)
-		}
-	}
-	if !out.Report.Clean() && !out.Report.Lossless() {
-		os.Exit(2)
 	}
 }
 
@@ -76,122 +72,102 @@ type rebootPass struct {
 	Resumed   bool `json:"resumed"` // the re-entered recovery resumed from the journal
 }
 
-// outcome is the machine-readable result of one demo run.
+// outcome is the machine-readable result of one run.
 type outcome struct {
-	Design  string                `json:"design"`
-	Attack  string                `json:"attack"`
-	Reboots int                   `json:"reboots,omitempty"`
-	Passes  []rebootPass          `json:"passes,omitempty"`
-	Report  *ccnvm.RecoveryReport `json:"report"`
-	Verdict string                `json:"verdict"`
+	Design  string              `json:"design"`
+	Attack  string              `json:"attack"`
+	Reboots int                 `json:"reboots,omitempty"`
+	Passes  []rebootPass        `json:"passes,omitempty"`
+	Report  *recovery.Report    `json:"report"`
+	Verdict experiments.Verdict `json:"verdict"`
 }
 
-func run(design, kind, bench string, ops int, seed int64, reboots, revery int, chatty bool) (*outcome, error) {
-	say := func(format string, args ...interface{}) {
-		if chatty {
-			fmt.Printf(format, args...)
+// meaning spells out what each verdict leaves of the NVM.
+var meaning = map[experiments.Verdict]string{
+	experiments.VerdictClean:     "tree rebuilt, system resumes with all data intact",
+	experiments.VerdictMissed:    "the attack went unreported",
+	experiments.VerdictDetected:  "attack detected but not locatable - all NVM data must be dropped",
+	experiments.VerdictLocated:   "only the listed blocks are discarded; the rest of NVM survives",
+	experiments.VerdictUnrecover: "even a clean crash fails recovery: stale counters cannot be told from tampering, so all NVM data must be dropped",
+}
+
+// run is the whole command: it parses args, runs the matrix cell and
+// writes the report or JSON to stdout. It returns errUnsafe when the
+// recovered image is neither clean nor lossless.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ccnvm-recover", flag.ContinueOnError)
+	designName := fs.String("design", design.CCNVM, "design: "+strings.Join(design.Names(), ", "))
+	att := fs.String("attack", "none", "attack: "+strings.Join(experiments.Attacks(), ", "))
+	reboots := fs.Int("reboots", 0, "crash recovery itself this many times before letting it finish")
+	revery := fs.Int("reboot-every", 2, "strike the k-th persisted recovery write of each interrupted pass")
+	jsonOut := fs.Bool("json", false, "emit the outcome as JSON")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
+	switch {
+	case !slices.Contains(design.Names(), *designName):
+		return fmt.Errorf("%w: -design %q: want one of %s", errUsage, *designName, strings.Join(design.Names(), ", "))
+	case !slices.Contains(experiments.Attacks(), *att):
+		return fmt.Errorf("%w: -attack %q: want one of %s", errUsage, *att, strings.Join(experiments.Attacks(), ", "))
+	case *reboots < 0:
+		return fmt.Errorf("%w: -reboots %d: must not be negative", errUsage, *reboots)
+	case *revery < 1:
+		return fmt.Errorf("%w: -reboot-every %d: must be at least 1", errUsage, *revery)
+	}
+	say := func(format string, args ...any) {
+		if !*jsonOut {
+			fmt.Fprintf(stdout, format, args...)
 		}
 	}
-	p, err := ccnvm.ProfileByName(bench)
+
+	img, err := experiments.Scenario(*designName, *att)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	g, err := ccnvm.NewGenerator(p, seed)
-	if err != nil {
-		return nil, err
-	}
-	stream := ccnvm.CollectOps(g, ops)
-
-	m, err := ccnvm.NewMachine(ccnvm.Config{Design: design})
-	if err != nil {
-		return nil, err
-	}
-
-	say("running %d ops of %s on %s, then crashing mid-epoch...\n",
-		ops, bench, ccnvm.DesignLabel(design))
-
-	// The replay attack of Figure 4 needs a precise window: a snapshot of
-	// a block's persistent state followed by further write-backs to the
-	// same block inside one epoch (no drain between them). Script that
-	// window explicitly; the other attacks just run the trace and crash.
-	var early *ccnvm.NVMImage
-	var victim ccnvm.Addr
-	var img *ccnvm.CrashImage
-	if kind == "replay" {
-		m.Run(bench, stream)
-		// One write-back to a dedicated victim page far outside the
-		// workload footprint, then snapshot, then two more write-backs —
-		// few enough that no draining trigger separates them from the
-		// crash.
-		victim = ccnvm.Addr(512 << 20)
-		m.Run(bench, writeBackTail(victim, 1))
-		early = m.Snapshot()
-		m.Run(bench, writeBackTail(victim, 2))
-		img = m.Crash()
-	} else {
-		_, img = m.RunWithCrash(bench, stream, ops)
-		victim = firstDataAddr(img)
-	}
-	say("crash image: %d NVM lines, Nwb=%d\n", img.Image.Store.Len(), img.TCB.Nwb)
-
-	switch kind {
-	case "none":
-	case "spoof":
-		if err := ccnvm.SpoofData(img, victim); err != nil {
-			return nil, err
-		}
-		say("injected: spoofed data block %#x\n", uint64(victim))
-	case "splice":
-		b := lastDataAddr(img)
-		if err := ccnvm.SpliceData(img, victim, b); err != nil {
-			return nil, err
-		}
-		say("injected: spliced blocks %#x <-> %#x\n", uint64(victim), uint64(b))
-	case "replay":
-		if err := ccnvm.ReplayBlock(img, early, victim); err != nil {
-			return nil, err
-		}
-		say("injected: replayed block %#x (and its HMAC) to an older version\n", uint64(victim))
-	case "tree":
-		if err := ccnvm.SpoofTreeNode(img, 1, firstTreeIdx(img)); err != nil {
-			return nil, err
-		}
-		say("injected: corrupted a level-1 Merkle tree node\n")
-	default:
-		return nil, fmt.Errorf("unknown attack %q", kind)
-	}
-
-	rep := ccnvm.Recover(img)
-	out := &outcome{Design: design, Attack: kind, Reboots: reboots, Report: rep}
+	say("%s under attack %q: crash image of %d NVM lines, Nwb=%d\n",
+		design.Label(*designName), *att, img.Image.Store.Len(), img.TCB.Nwb)
+	rep := recovery.Recover(img)
+	out := &outcome{Design: *designName, Attack: *att, Reboots: *reboots}
 
 	// The reboot loop: crash recovery itself, reboot, resume, repeat.
-	if reboots > 0 {
-		say("\nreboot loop: striking every %d-th persisted recovery write, up to %d reboots\n", revery, reboots)
+	if *reboots > 0 {
+		say("\nreboot loop: striking every %d-th persisted recovery write, up to %d reboots\n", *revery, *reboots)
 		done := false
-		for pass := 1; pass <= reboots && !done; pass++ {
-			itr := &ccnvm.RecoveryInterrupt{After: revery, Seq: uint64(pass)}
-			_, ok := ccnvm.ApplyRecoveryInterrupted(img, rep, itr)
+		for pass := 1; pass <= *reboots && !done; pass++ {
+			itr := &recovery.Interrupt{After: *revery, Seq: uint64(pass)}
+			_, ok := recovery.ApplyInterrupted(img, rep, itr)
 			pr := rebootPass{Pass: pass, Plan: itr.Plan, Writes: itr.Writes, Committed: ok}
 			if ok {
 				say("  pass %d: committed after %d writes (plan %d lines) — converged early\n",
 					pass, itr.Writes, itr.Plan)
 				done = true
 			} else {
-				rep = ccnvm.Recover(img)
+				rep = recovery.Recover(img)
 				pr.Resumed = rep.Resumed
 				say("  pass %d: power failed at write %d of a %d-line plan; journal active=%v, recovery resumed=%v\n",
-					pass, itr.Writes, itr.Plan, ccnvm.RecoveryJournalActive(img), rep.Resumed)
+					pass, itr.Writes, itr.Plan, recovery.JournalActive(img), rep.Resumed)
 			}
 			out.Passes = append(out.Passes, pr)
 		}
 		if !done {
-			itr := &ccnvm.RecoveryInterrupt{Seq: uint64(reboots + 1)}
-			_, ok := ccnvm.ApplyRecoveryInterrupted(img, rep, itr)
-			out.Passes = append(out.Passes, rebootPass{Pass: reboots + 1, Plan: itr.Plan, Writes: itr.Writes, Committed: ok})
+			itr := &recovery.Interrupt{Seq: uint64(*reboots + 1)}
+			_, ok := recovery.ApplyInterrupted(img, rep, itr)
+			out.Passes = append(out.Passes, rebootPass{Pass: *reboots + 1, Plan: itr.Plan, Writes: itr.Writes, Committed: ok})
 			say("  final pass: committed=%v (plan %d lines); journal active=%v\n",
-				ok, itr.Plan, ccnvm.RecoveryJournalActive(img))
+				ok, itr.Plan, recovery.JournalActive(img))
 		}
-		out.Report = rep
+	}
+	out.Report = rep
+	out.Verdict = experiments.Judge(*att, rep)
+	if *att != "none" {
+		clean, err := experiments.CleanCrash(*designName)
+		if err != nil {
+			return err
+		}
+		out.Verdict = experiments.Attribute(clean, out.Verdict)
 	}
 
 	say("\nrecovery report:\n")
@@ -213,61 +189,19 @@ func run(design, kind, bench string, ops int, seed int64, reboots, revery int, c
 			say("    - page at %#x\n", uint64(pg))
 		}
 	}
-	switch {
-	case rep.Clean():
-		out.Verdict = "clean"
-		say("\nverdict: CLEAN - tree rebuilt, system resumes with all data intact\n")
-	case rep.Located():
-		out.Verdict = "located"
-		say("\nverdict: ATTACK LOCATED - only the listed blocks are discarded; the rest of NVM survives\n")
-	default:
-		out.Verdict = "detected"
-		say("\nverdict: ATTACK DETECTED but not locatable - all NVM data must be dropped\n")
-	}
-	return out, nil
-}
+	say("\nverdict: %s - %s\n", out.Verdict, meaning[out.Verdict])
 
-// writeBackTail builds an op sequence that stores into victim n times,
-// forcing each store out to NVM by evicting it through L1/L2 set
-// conflicts (32 KiB stride aliases both caches' sets).
-func writeBackTail(victim ccnvm.Addr, n int) []ccnvm.Op {
-	var ops []ccnvm.Op
-	for i := 0; i < n; i++ {
-		ops = append(ops, ccnvm.Op{Kind: ccnvm.Store, Addr: victim, Gap: 2})
-		for k := 1; k <= 10; k++ {
-			ops = append(ops, ccnvm.Op{Kind: ccnvm.Load, Addr: victim + ccnvm.Addr(k*32<<10), Gap: 2})
+	if *jsonOut {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(out); err != nil {
+			return err
 		}
 	}
-	return ops
-}
-
-// dataAddrs lists the image's written data lines in ascending order.
-func dataAddrs(img *ccnvm.CrashImage) []ccnvm.Addr {
-	return img.Image.Store.Range(0, ccnvm.Addr(img.Image.Layout.DataBytes))
-}
-
-func firstDataAddr(img *ccnvm.CrashImage) ccnvm.Addr {
-	if as := dataAddrs(img); len(as) > 0 {
-		return as[0]
+	if !rep.Clean() && !rep.Lossless() {
+		return errUnsafe
 	}
-	return 0
-}
-
-func lastDataAddr(img *ccnvm.CrashImage) ccnvm.Addr {
-	if as := dataAddrs(img); len(as) > 0 {
-		return as[len(as)-1]
-	}
-	return 0
-}
-
-func firstTreeIdx(img *ccnvm.CrashImage) uint64 {
-	lay := img.Image.Layout
-	for _, a := range img.Image.Store.Range(lay.TreeBase, ccnvm.Addr(lay.TotalBytes())) {
-		if level, idx := lay.NodeAt(a); level == 1 {
-			return idx
-		}
-	}
-	return 0
+	return nil
 }
 
 func orNone(s string) string {

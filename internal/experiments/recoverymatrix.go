@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"ccnvm/internal/attack"
 	"ccnvm/internal/design"
@@ -77,50 +79,69 @@ func RunRecoveryMatrix(designs []string) (*RecoveryMatrix, error) {
 		Verdicts: map[string]map[string]Verdict{},
 	}
 	for _, d := range designs {
-		m.Verdicts[d] = map[string]Verdict{}
-		clean, err := runScenario(d, "none")
+		clean, err := CleanCrash(d)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s/none: %w", d, err)
+			return nil, err
 		}
-		m.Verdicts[d]["none"] = clean
+		m.Verdicts[d] = map[string]Verdict{"none": clean}
 		for _, a := range m.Attacks[1:] {
-			if clean == VerdictUnrecover {
-				// A design that cannot even survive a clean crash has no
-				// way to attribute damage to an attacker: every flagged
-				// block might be innocent staleness.
-				m.Verdicts[d][a] = VerdictUnrecover
-				continue
-			}
-			v, err := runScenario(d, a)
+			img, err := Scenario(d, a)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s/%s: %w", d, a, err)
 			}
-			m.Verdicts[d][a] = v
+			m.Verdicts[d][a] = Attribute(clean, Judge(a, recovery.Recover(img)))
 		}
 	}
 	return m, nil
 }
 
-// runScenario crashes design d under attack a and classifies recovery.
-func runScenario(design, att string) (Verdict, error) {
-	cfg := sim.Config{Design: design}
-	machine, err := sim.New(cfg)
+// CleanCrash is the verdict of design's "none" cell.
+func CleanCrash(design string) (Verdict, error) {
+	img, err := Scenario(design, "none")
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("experiments: %s/none: %w", design, err)
+	}
+	return Judge("none", recovery.Recover(img)), nil
+}
+
+// Attribute applies the matrix's row rule to v, the verdict of one of a
+// design's cells, given clean, the verdict of its "none" cell. A design
+// that cannot even survive a clean crash has no way to attribute damage
+// to an attacker: every flagged block might be innocent staleness, so
+// each of its cells is VerdictUnrecover.
+func Attribute(clean, v Verdict) Verdict {
+	if clean != VerdictClean {
+		return VerdictUnrecover
+	}
+	return v
+}
+
+// Scenario crashes design under attack att (one of Attacks) and returns
+// the attacked crash image. Every scenario first hammers one hot line
+// far beyond the recovery bound N and then runs a gcc trace, so the
+// cells of one design differ only in the attack.
+func Scenario(design, att string) (*engine.CrashImage, error) {
+	if !slices.Contains(Attacks(), att) {
+		return nil, fmt.Errorf("unknown attack %q (want one of %s)", att, strings.Join(Attacks(), ", "))
+	}
+	machine, err := sim.New(sim.Config{Design: design})
+	if err != nil {
+		return nil, err
 	}
 	p, err := trace.ProfileByName("gcc")
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	g, err := trace.NewGenerator(p, 9)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	ops := trace.Collect(g, 20000)
 	// Hammer one hot line far beyond the recovery bound N before the
 	// trace: consistent designs drain it, w/o CC leaves its NVM counter
 	// hopelessly stale — the paper's motivating failure.
-	hammer := writeBackTail(mem.Addr(256<<20), 40)
+	hot := mem.Addr(256 << 20)
+	hammer := writeBackTail(hot, 40)
 
 	var img *engine.CrashImage
 	switch att {
@@ -134,61 +155,63 @@ func runScenario(design, att string) (Verdict, error) {
 		snap := machine.Snapshot()
 		machine.Run("gcc", writeBackTail(victim, 2))
 		img = machine.Crash()
-		if err := attack.ReplayBlock(img, snap, victim); err != nil {
-			return 0, err
-		}
+		err = attack.ReplayBlock(img, snap, victim)
 	case "counter-replay":
 		// The hot line drains repeatedly (its update count keeps hitting
 		// N), so its NVM counter is guaranteed to change between the
 		// snapshot and the crash; the replay then breaks the tree's
 		// parent/child chain (or the counter's recoverability).
-		hot := mem.Addr(256 << 20)
 		machine.Run("gcc", hammer)
 		machine.Run("gcc", ops[:len(ops)/2])
 		snap := machine.Snapshot()
 		machine.Run("gcc", writeBackTail(hot, 40))
 		machine.Run("gcc", ops[len(ops)/2:])
 		img = machine.Crash()
-		if err := attack.ReplayCounterLine(img, snap, hot); err != nil {
-			return 0, err
-		}
+		err = attack.ReplayCounterLine(img, snap, hot)
 	default:
 		machine.Run("gcc", hammer)
 		machine.Run("gcc", ops)
 		img = machine.Crash()
-		switch att {
-		case "none":
-		case "spoof":
-			if err := attack.SpoofData(img, firstData(img)); err != nil {
-				return 0, err
-			}
-		case "splice":
-			a, b := firstData(img), lastData(img)
-			if err := attack.SpliceData(img, a, b); err != nil {
-				return 0, err
-			}
-		default:
-			return 0, fmt.Errorf("unknown attack %q", att)
+		if att == "none" {
+			break
+		}
+		// Spoof the first written data line, or splice it with the last.
+		data := img.Image.Store.Range(img.Image.Layout.Bounds(mem.RegionData))
+		if len(data) == 0 {
+			return nil, fmt.Errorf("attack %q: no data line in the image", att)
+		}
+		if att == "spoof" {
+			err = attack.SpoofData(img, data[0])
+		} else {
+			err = attack.SpliceData(img, data[0], data[len(data)-1])
 		}
 	}
+	if err != nil {
+		return nil, err
+	}
+	return img, nil
+}
 
-	rep := recovery.Recover(img)
+// Judge classifies the recovery report of an att scenario, before the
+// row rule (Attribute) is applied.
+func Judge(att string, rep *recovery.Report) Verdict {
 	switch {
 	case att == "none" && rep.Clean():
-		return VerdictClean, nil
+		return VerdictClean
 	case att == "none":
-		return VerdictUnrecover, nil
+		return VerdictUnrecover
 	case rep.Clean():
 		// The injected attack produced no report at all.
-		return VerdictMissed, nil
+		return VerdictMissed
 	case rep.Located():
-		return VerdictLocated, nil
+		return VerdictLocated
 	default:
-		return VerdictDetected, nil
+		return VerdictDetected
 	}
 }
 
-// writeBackTail forces n write-backs of victim via L1/L2 set conflicts.
+// writeBackTail forces n write-backs of victim via L1/L2 set conflicts
+// (a 32 KiB stride aliases both caches' sets).
 func writeBackTail(victim mem.Addr, n int) []trace.Op {
 	var ops []trace.Op
 	for i := 0; i < n; i++ {
@@ -198,25 +221,6 @@ func writeBackTail(victim mem.Addr, n int) []trace.Op {
 		}
 	}
 	return ops
-}
-
-// dataAddrs lists the image's written data lines in ascending order.
-func dataAddrs(img *engine.CrashImage) []mem.Addr {
-	return img.Image.Store.Range(img.Image.Layout.Bounds(mem.RegionData))
-}
-
-func firstData(img *engine.CrashImage) mem.Addr {
-	if as := dataAddrs(img); len(as) > 0 {
-		return as[0]
-	}
-	return 0
-}
-
-func lastData(img *engine.CrashImage) mem.Addr {
-	if as := dataAddrs(img); len(as) > 0 {
-		return as[len(as)-1]
-	}
-	return 0
 }
 
 // Table renders the matrix.

@@ -176,10 +176,6 @@ func (r *Report) Located() bool {
 		(len(r.TreeMismatches) > 0 || len(r.Tampered) > 0 || len(r.ReplayedPages) > 0)
 }
 
-// DataDropped reports whether the whole NVM content must be discarded:
-// an attack was detected but could not be located.
-func (r *Report) DataDropped() bool { return r.PotentialReplay }
-
 // Lossless reports whether recovery restored every acknowledged write:
 // no attack detected, no blocks lost to media damage, no unreadable
 // lines, and no crash-loss window. When false with Clean() true, the
