@@ -44,6 +44,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzCounterLineCodec -fuzztime=10s ./internal/seccrypto/
 	$(GO) test -fuzz=FuzzHMACKernel -fuzztime=10s ./internal/seccrypto/
 	$(GO) test -fuzz=FuzzStoreModel -fuzztime=10s ./internal/mem/
+	$(GO) test -fuzz=FuzzOwedQueue -fuzztime=10s ./internal/memctrl/
 	$(GO) test -fuzz=FuzzDecodeImage -fuzztime=10s ./internal/store/
 	$(GO) test -fuzz=FuzzBootVerdict -fuzztime=10s ./internal/store/
 	$(GO) test -fuzz=FuzzReclaimKnown -fuzztime=10s ./internal/store/

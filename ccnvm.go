@@ -18,9 +18,9 @@
 //     workload and report IPC, NVM traffic and engine activity.
 //   - Evaluation: RunFig5 / RunFig6a / RunFig6b regenerate the paper's
 //     figures over the built-in SPEC CPU2006 stand-in workloads.
-//   - Recovery: Crash a machine, optionally inject attacks with the
-//     Spoof/Splice/Replay helpers, then Recover the image to detect and
-//     locate tampering exactly as the paper's §4.4 describes.
+//   - Recovery: Crash a machine, optionally spoof a data block with
+//     SpoofData, then Recover the image to detect and locate tampering
+//     exactly as the paper's §4.4 describes.
 //   - Serving: OpenStore exposes the secure NVM as a concurrency-safe
 //     storage engine (reads, epoch-batched writes, snapshots, crash +
 //     reboot), and OpenKV layers a crash-consistent key-value namespace
@@ -86,17 +86,10 @@ type (
 
 	// CrashImage is the persistent state surviving a power failure.
 	CrashImage = engine.CrashImage
-	// NVMImage is a raw snapshot of NVM contents (used by replay
-	// attacks, which need an older image).
-	NVMImage = nvm.Image
 	// RecoveryReport is the outcome of post-crash recovery.
 	RecoveryReport = recovery.Report
 	// Recovered is the state a rebooted controller resumes from.
 	Recovered = recovery.Recovered
-	// RecoveryInterrupt models a power failure during recovery itself:
-	// the After-th persisted recovery write is struck and the Apply pass
-	// stops, to be resumed from the persisted recovery journal.
-	RecoveryInterrupt = recovery.Interrupt
 	// TamperedBlock is a located spoofing/splicing attack.
 	TamperedBlock = recovery.TamperedBlock
 
@@ -244,45 +237,11 @@ func ApplyRecovery(img *CrashImage, rep *RecoveryReport) Recovered {
 	return recovery.Apply(img, rep)
 }
 
-// ApplyRecoveryInterrupted is ApplyRecovery with a simulated power
-// failure: the interrupt's After-th persisted recovery write is struck
-// and the pass stops with ok=false, leaving the image's recovery
-// journal active. A later Recover resumes the pass instead of
-// restarting blind. A nil interrupt (or After 0) runs to completion.
-func ApplyRecoveryInterrupted(img *CrashImage, rep *RecoveryReport, itr *RecoveryInterrupt) (Recovered, bool) {
-	return recovery.ApplyInterrupted(img, rep, itr)
-}
-
-// RecoveryJournalActive reports whether the image carries an
-// uncommitted recovery journal — a previous Apply pass was interrupted
-// and the next Recover will resume it.
-func RecoveryJournalActive(img *CrashImage) bool { return recovery.JournalActive(img) }
-
 // Attack injection (the §2.1 adversary: full control of NVM, no access
 // to the TCB registers).
 
 // SpoofData flips bits in the data block at addr.
 func SpoofData(img *CrashImage, addr Addr) error { return attack.SpoofData(img, addr) }
-
-// SpliceData exchanges the contents of two data blocks.
-func SpliceData(img *CrashImage, a, b Addr) error { return attack.SpliceData(img, a, b) }
-
-// ReplayBlock restores a data block and its HMAC from an older
-// snapshot (Figure 4's attack).
-func ReplayBlock(img *CrashImage, old *NVMImage, addr Addr) error {
-	return attack.ReplayBlock(img, old, addr)
-}
-
-// ReplayCounterLine restores the counter line covering addr from an
-// older snapshot (the replay recovery step 1 locates).
-func ReplayCounterLine(img *CrashImage, old *NVMImage, addr Addr) error {
-	return attack.ReplayCounterLine(img, old, addr)
-}
-
-// SpoofTreeNode corrupts a Merkle-tree node in the image.
-func SpoofTreeNode(img *CrashImage, level int, idx uint64) error {
-	return attack.SpoofTreeNode(img, level, idx)
-}
 
 // SaveTrace writes ops to w in the binary trace format; ParseTrace
 // reads them back. Recorded traces replay byte-identically across

@@ -14,7 +14,9 @@
 // exception is the atomic-draining window: metadata writes issued
 // between BeginEpochDrain and EndEpochDrain are held in the WPQ and are
 // dropped on a crash that precedes the end signal, which is exactly what
-// keeps the Merkle tree in NVM consistent.
+// keeps the Merkle tree in NVM consistent. Every other entry leaves the
+// queue by one rule: FIFO, as the backlog drains below it (advance); a
+// request's owed entry (see BeginRequest) reaches the device then.
 package memctrl
 
 import (
@@ -163,21 +165,19 @@ func (c *Controller) emit(k EventKind, a mem.Addr) {
 	}
 }
 
-type heldEntry struct {
-	addr mem.Addr
-	line mem.Line
-}
-
-// pendingWrite tracks one accepted-but-unserviced WPQ entry while a
-// fault model is active, with enough context to tear or revert it at a
-// power failure: the media content before the write and whether the
-// line existed at all.
-type pendingWrite struct {
+// wpqEntry is one WPQ entry: a held epoch write, or a queued non-epoch
+// write that has not retired yet. A fault model tears a queued entry at
+// a power failure from old/oldOk (the media content before it, and
+// whether the line existed) and seq (the global write sequence its
+// tear decision keys on). An owed entry's device write happens when it
+// retires.
+type wpqEntry struct {
 	addr  mem.Addr
-	line  mem.Line // the new content the producer wrote
-	old   mem.Line // media content before this write
+	line  mem.Line
+	old   mem.Line
 	oldOk bool
-	seq   uint64 // global write sequence (disambiguates tear decisions)
+	owed  bool
+	seq   uint64
 }
 
 // Controller fronts one NVM device.
@@ -194,17 +194,17 @@ type Controller struct {
 	readBanks []int64 // next-free cycle per bank, read stream
 	readQ     []int64 // completion times of in-flight reads (queue bound)
 
-	backlog    float64     // WPQ occupancy being drained (lines)
-	backlogUpd int64       // cycle of the last backlog update
-	held       []heldEntry // epoch entries awaiting the end signal, FIFO
+	backlog    float64    // WPQ occupancy being drained (lines)
+	backlogUpd int64      // cycle of the last backlog update
+	held       []wpqEntry // epoch entries awaiting the end signal, FIFO
+	queue      []wpqEntry // accepted non-epoch entries not yet retired, FIFO (see devWrite)
 	inDrain    bool
 	stats      Stats
 
 	// Fault-model state (empty on the idealized device).
-	pending  []pendingWrite // accepted writes not yet serviced, FIFO
-	wseq     uint64         // monotonic write sequence for tear decisions
-	faultLog *nvm.FaultLog  // built by Crash when a fault model is active
-	err      error          // first device/protocol error (sticky)
+	wseq     uint64        // monotonic write sequence for tear decisions
+	faultLog *nvm.FaultLog // built by Crash when a fault model is active
+	err      error         // first device/protocol error (sticky)
 
 	// Persistence event tap (SetEventTap); nil when nothing listens.
 	tap func(Event)
@@ -216,17 +216,13 @@ type Controller struct {
 }
 
 // reqLine is the request scope's buffer: the data-HMAC line at addr as
-// the device holds it once every accepted write has landed, and whether
-// it was ever written. ok is false while it holds nothing; owed is true
-// while line is a queued WPQ entry the device has not been written with
-// yet, and behind counts the entries queued after it.
+// the device holds it once every queued entry has retired, and whether
+// it was ever written. ok is false while it holds nothing.
 type reqLine struct {
 	addr    mem.Addr
 	line    mem.Line
 	present bool
 	ok      bool
-	owed    bool
-	behind  int
 }
 
 // New builds a controller over dev.
@@ -239,15 +235,15 @@ func New(cfg Config, dev *nvm.Device) *Controller {
 	}
 }
 
-// heldForward looks a up among the held epoch entries: the newest
-// match, the one EndEpochDrain lands last.
-func (c *Controller) heldForward(a mem.Addr) (mem.Line, bool) {
-	for i := len(c.held) - 1; i >= 0; i-- {
-		if c.held[i].addr == a {
-			return c.held[i].line, true
+// newest is the index of the newest entry for a in q, -1 if none: among
+// held entries, the one EndEpochDrain lands last.
+func newest(q []wpqEntry, a mem.Addr) int {
+	for i := len(q) - 1; i >= 0; i-- {
+		if q[i].addr == a {
+			return i
 		}
 	}
-	return mem.Line{}, false
+	return -1
 }
 
 // drainRate is the aggregate write bandwidth in lines per cycle.
@@ -272,11 +268,33 @@ func (c *Controller) advance(now int64) {
 	if float64(queued) < c.backlog {
 		queued++
 	}
-	if drop := len(c.pending) - queued; drop > 0 {
-		c.pending = append(c.pending[:0], c.pending[drop:]...)
+	if drop := len(c.queue) - queued; drop > 0 {
+		c.retire(drop)
 	}
-	if c.req.owed && c.req.behind >= queued {
-		c.landOwed()
+}
+
+// retire takes the front n entries out of the queue. An owed entry's
+// device write happens here; its slot was taken, and its backlog
+// counted, when it was accepted.
+func (c *Controller) retire(n int) {
+	for i := range c.queue[:n] {
+		if e := &c.queue[i]; e.owed {
+			if err := c.dev.Write(e.addr, e.line); err != nil {
+				c.req.ok = false
+				c.fail(err)
+			}
+		}
+	}
+	c.queue = append(c.queue[:0], c.queue[n:]...)
+}
+
+// retireOwed retires the queue through its owed entry, if any.
+func (c *Controller) retireOwed() {
+	for i := len(c.queue) - 1; i >= 0; i-- {
+		if c.queue[i].owed {
+			c.retire(i + 1)
+			return
+		}
 	}
 }
 
@@ -376,16 +394,16 @@ func (c *Controller) bankOf(a mem.Addr) int {
 // device will.
 //
 // On a device without a fault model the buffer also merges writes: the
-// first non-epoch write of the buffered line takes a WPQ slot as usual,
-// but its device write is owed, and a later write of the line merges
-// into that entry (RequestMerges), with no slot of its own, while the
-// entry is still queued. The owed write lands when the entry retires
-// (advance's FIFO rule, the one every entry leaves the queue by), when
-// the buffer refills with another line, before an epoch write of the
-// line is held, and at EndRequest or Crash; so between requests the
-// device holds what it would without the buffer. Under a fault model
-// every write reaches the device at acceptance, where its own error and
-// tear decision belong.
+// first non-epoch write of the buffered line is queued as an owed entry,
+// which takes a slot as usual but writes the device only when it
+// retires, and a later write of the line merges into it (RequestMerges),
+// with no slot of its own, while it is still queued. Besides the FIFO
+// drain, the queue retires through the owed entry when the buffer
+// refills with another line, before an epoch write of the line is held,
+// and at EndRequest or Crash; so between requests the device holds what
+// it would without the buffer. Under a fault model every write reaches
+// the device at acceptance, where its own error and tear decision
+// belong.
 //
 // The storage-engine facade opens one request per call; the simulator
 // opens none, so its per-miss traffic is the paper's.
@@ -394,41 +412,29 @@ func (c *Controller) BeginRequest() {
 	c.inReq = true
 }
 
-// EndRequest closes the request scope: the owed write lands and the
-// buffer empties.
+// EndRequest closes the request scope: the owed entry retires and the
+// buffer empties. A faultless device keeps no queue between requests.
 func (c *Controller) EndRequest() {
 	c.dropReq()
 	c.inReq = false
+	if !c.trackPending() {
+		c.queue = c.queue[:0]
+	}
 }
 
-// dropReq lands the buffer's owed write, if any, and empties it.
+// dropReq retires the owed entry, if any, and empties the buffer.
 func (c *Controller) dropReq() {
-	c.landOwed()
+	c.retireOwed()
 	c.req.ok = false
 }
 
-// landOwed writes the device with the buffered line the request owes
-// it. The entry's slot was taken, and its backlog counted, when it was
-// accepted.
-func (c *Controller) landOwed() {
-	if !c.req.owed {
-		return
-	}
-	c.req.owed = false
-	if err := c.dev.Write(c.req.addr, c.req.line); err != nil {
-		c.req.ok = false
-		c.fail(err)
-	}
-}
-
-// Peek returns line a as the device holds it once every accepted
-// non-epoch write has landed: the device's content, or the buffered
-// line while the request owes it. It costs no cycles and counts
-// nothing.
+// Peek returns line a as the device holds it once every queued entry
+// has retired: the device's content, or the owed entry's line. It
+// costs no cycles and counts nothing.
 func (c *Controller) Peek(a mem.Addr) (mem.Line, bool) {
 	a = mem.Align(a)
-	if c.req.owed && c.req.addr == a {
-		return c.req.line, c.req.present
+	if i := newest(c.queue, a); i >= 0 && c.queue[i].owed {
+		return c.queue[i].line, true
 	}
 	return c.dev.Peek(a)
 }
@@ -443,10 +449,10 @@ func (c *Controller) reqHit(a mem.Addr) (mem.Line, bool, bool) {
 }
 
 // reqFill keeps a device read of a data-HMAC line inside a request,
-// landing the line it replaces first if that one is owed.
+// retiring the owed entry of the line it replaces first.
 func (c *Controller) reqFill(a mem.Addr, l mem.Line, ok bool) {
 	if c.inReq && c.dev.Layout().RegionOf(a) == mem.RegionHMAC {
-		c.landOwed()
+		c.retireOwed()
 		c.req = reqLine{addr: a, line: l, present: ok, ok: true}
 	}
 }
@@ -461,9 +467,9 @@ func (c *Controller) Read(now int64, a mem.Addr) (mem.Line, bool, int64) {
 		return l, ok, now
 	}
 	c.stats.Reads++
-	if l, ok := c.heldForward(a); ok {
+	if i := newest(c.held, a); i >= 0 {
 		// Forward from the WPQ; no bank access needed.
-		return l, true, now
+		return c.held[i].line, true, now
 	}
 	// Read-queue bound: a new read needs a free entry; entries retire at
 	// their completion times.
@@ -556,9 +562,9 @@ func (c *Controller) HostWrite(now int64, a mem.Addr, l mem.Line) int64 {
 // Write enqueues a line write into the WPQ and returns the cycle at
 // which the producer obtained a slot (the producer-visible acceptance
 // time; service completes in the background). Non-epoch writes are
-// durable from acceptance onward, per ADR. Inside a request, a write of
-// the buffered data-HMAC line may merge into the entry it owes (see
-// BeginRequest) and then needs no slot.
+// durable from acceptance onward, per ADR. A write merges into the
+// newest queued entry of its line, with no slot of its own, when that
+// entry is owed (see BeginRequest).
 //
 // Epoch writes (issued between BeginEpochDrain and EndEpochDrain) are
 // held: they occupy slots but are neither serviced nor durable until the
@@ -567,11 +573,10 @@ func (c *Controller) Write(now int64, a mem.Addr, l mem.Line) int64 {
 	a = mem.Align(a)
 	c.stats.Writes++
 	c.advance(now)
-	buffered := c.req.ok && c.req.addr == a
-	if buffered && c.req.owed && !c.inDrain {
+	if i := newest(c.queue, a); i >= 0 && c.queue[i].owed && !c.inDrain {
 		c.stats.RequestMerges++
 		c.emit(EvWriteAccept, a)
-		c.req.line = l
+		c.queue[i].line, c.req.line = l, l
 		return now
 	}
 	if occ := c.backlog + float64(len(c.held)); occ+1 > float64(c.cfg.WriteQueue) {
@@ -589,51 +594,49 @@ func (c *Controller) Write(now int64, a mem.Addr, l mem.Line) int64 {
 		now += wait
 		c.advance(now)
 	}
+	buffered := c.req.ok && c.req.addr == a
 	if buffered {
 		if c.inDrain {
-			c.landOwed() // the held entry must not overtake it
+			c.retireOwed() // the held entry must not overtake it
 		}
 		c.req.line, c.req.present = l, true
 	}
 	if c.inDrain {
 		c.stats.EpochWrites++
 		c.emit(EvEpochHold, a)
-		c.held = append(c.held, heldEntry{a, l})
+		c.held = append(c.held, wpqEntry{addr: a, line: l})
 		return now
 	}
 	c.emit(EvWriteAccept, a)
-	if buffered && c.dev.FaultModel() == nil {
-		// The slot is taken now; the device write is owed.
-		c.req.owed, c.req.behind = true, 0
-		c.backlog++
-		return now
-	}
-	c.devWrite(a, l) // durable at acceptance (ADR)
+	c.devWrite(a, l, buffered && c.dev.FaultModel() == nil)
 	return now
 }
 
-// devWrite services one WPQ entry: the line becomes durable, the fluid
-// backlog grows by one, and — under a fault model — the entry is
-// remembered until it retires, so a power failure can tear it.
-func (c *Controller) devWrite(a mem.Addr, l mem.Line) {
-	var old mem.Line
-	var oldOk bool
+// devWrite queues one non-epoch entry: the fluid backlog grows by one
+// and, unless the entry is owed, the line becomes durable now (ADR).
+// The queue keeps the entry until it retires where something needs it:
+// under a fault model a power failure can tear it, and on a faultless
+// device inside a request it may be owed or queued behind the owed one.
+func (c *Controller) devWrite(a mem.Addr, l mem.Line, owed bool) {
+	e := wpqEntry{addr: a, line: l, owed: owed}
 	track := c.trackPending()
 	if track {
-		old, oldOk = c.dev.Peek(a)
+		e.old, e.oldOk = c.dev.Peek(a)
 	}
-	if err := c.dev.Write(a, l); err != nil {
-		c.fail(err)
-		c.dropReq()
-		return
+	if !owed {
+		if err := c.dev.Write(a, l); err != nil {
+			c.fail(err)
+			c.dropReq()
+			return
+		}
 	}
 	c.backlog++
-	if c.req.owed {
-		c.req.behind++
-	}
 	if track {
 		c.wseq++
-		c.pending = append(c.pending, pendingWrite{addr: a, line: l, old: old, oldOk: oldOk, seq: c.wseq})
+		e.seq = c.wseq
+	}
+	if track || c.inReq && c.dev.FaultModel() == nil {
+		c.queue = append(c.queue, e)
 	}
 }
 
@@ -650,19 +653,13 @@ func (c *Controller) ReadBypass(now int64, a mem.Addr) (mem.Line, bool, int64) {
 		return l, ok, now
 	}
 	c.stats.Reads++
-	if l, ok := c.heldForward(a); ok {
-		return l, true, now
+	if i := newest(c.held, a); i >= 0 {
+		return c.held[i].line, true, now
 	}
 	l, ok := c.dev.Read(a)
 	c.reqFill(a, l, ok)
 	return l, ok, now + c.dev.Timing().ReadCycles + c.retryPenalty(a)
 }
-
-// InDrain reports whether a draining window is open.
-func (c *Controller) InDrain() bool { return c.inDrain }
-
-// HeldEntries reports how many epoch writes are currently held.
-func (c *Controller) HeldEntries() int { return len(c.held) }
 
 // BeginEpochDrain opens the atomic-draining window: subsequent writes
 // are tagged as epoch metadata and held in the WPQ. Nesting windows is a
@@ -717,7 +714,7 @@ func (c *Controller) EndEpochDrain(now int64) (int64, error) {
 	c.advance(now)
 	for _, h := range c.held {
 		c.emit(EvADRFlush, h.addr)
-		c.devWrite(h.addr, h.line)
+		c.devWrite(h.addr, h.line, false)
 	}
 	c.held = c.held[:0]
 	return now + int64(c.backlog/c.drainRate()), nil
@@ -784,13 +781,13 @@ func (c *Controller) Scrub(now int64) int64 {
 // the addresses of every in-flight or held entry — is the only part
 // recovery may consult.
 func (c *Controller) Crash() {
-	c.dropReq() // an owed entry is in the ADR domain: it lands
+	c.dropReq() // an owed entry is in the ADR domain: it retires whole
 	if c.dev.FaultModel().Enabled() {
 		c.crashFaults()
 	}
 	c.stats.DroppedOnCrash += uint64(len(c.held))
 	c.held = c.held[:0]
-	c.pending = nil
+	c.queue = c.queue[:0]
 	c.inDrain = false
 	c.backlog = 0
 	c.backlogUpd = 0
@@ -807,19 +804,13 @@ func (c *Controller) crashFaults() {
 
 	// Partial ADR drain: the first K unserviced entries flush whole
 	// (they are already durable — acceptance wrote them through); the
-	// rest tear or drop. Damage is applied per address in FIFO order so
-	// overlapping writes compose word-by-word like real media.
-	victims := c.pending
-	if fm.ADRBudget > 0 && len(victims) > fm.ADRBudget {
-		log.Flushed = fm.ADRBudget
-		victims = victims[fm.ADRBudget:]
-	} else if fm.ADRBudget > 0 {
-		log.Flushed = len(victims)
-		victims = nil
-	} else {
-		// Unbounded budget: every serviced entry survives whole.
-		log.Flushed = len(victims)
-		victims = nil
+	// rest tear or drop, and a zero budget is unbounded. Damage is
+	// applied per address in FIFO order so overlapping writes compose
+	// word-by-word like real media.
+	var victims []wpqEntry
+	log.Flushed = len(c.queue)
+	if k := fm.ADRBudget; k > 0 && len(c.queue) > k {
+		log.Flushed, victims = k, c.queue[k:]
 	}
 
 	// The suspects manifest: the lines the ADR flush FAILED to service —
@@ -844,7 +835,7 @@ func (c *Controller) crashFaults() {
 	}
 	slices.Sort(log.Suspects)
 
-	perAddr := map[mem.Addr][]pendingWrite{}
+	perAddr := map[mem.Addr][]wpqEntry{}
 	var order []mem.Addr
 	for _, p := range victims {
 		if _, ok := perAddr[p.addr]; !ok {

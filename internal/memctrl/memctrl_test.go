@@ -89,8 +89,8 @@ func TestEpochDrainHoldsUntilEnd(t *testing.T) {
 	if _, ok := c.Device().Peek(0); ok {
 		t.Fatal("held epoch write became durable before end signal")
 	}
-	if c.HeldEntries() != 1 {
-		t.Fatalf("held = %d, want 1", c.HeldEntries())
+	if len(c.held) != 1 {
+		t.Fatalf("held = %d, want 1", len(c.held))
 	}
 	last, err := c.EndEpochDrain(100)
 	if err != nil {
@@ -135,7 +135,7 @@ func TestCrashDropsHeldEntriesOnly(t *testing.T) {
 	if c.Stats().DroppedOnCrash != 1 {
 		t.Fatalf("DroppedOnCrash = %d, want 1", c.Stats().DroppedOnCrash)
 	}
-	if c.InDrain() {
+	if c.inDrain {
 		t.Fatal("controller still in drain after crash")
 	}
 }
@@ -349,8 +349,8 @@ func TestReadOnlyRefusesEpochsButNotOwedOnes(t *testing.T) {
 	if err := c.BeginEpochDrain(); !errors.As(err, &exhausted) {
 		t.Fatalf("BeginEpochDrain in read-only = %v, want *nvm.SpareExhaustedError", err)
 	}
-	if c.InDrain() || c.Stats().RefusedEpochs != 1 {
-		t.Fatalf("refused epoch left inDrain=%v RefusedEpochs=%d", c.InDrain(), c.Stats().RefusedEpochs)
+	if c.inDrain || c.Stats().RefusedEpochs != 1 {
+		t.Fatalf("refused epoch left inDrain=%v RefusedEpochs=%d", c.inDrain, c.Stats().RefusedEpochs)
 	}
 	if err := c.BeginOwedEpochDrain(); err != nil {
 		t.Fatalf("owed epoch refused: %v", err)
