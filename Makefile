@@ -47,7 +47,6 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzOwedQueue -fuzztime=10s ./internal/memctrl/
 	$(GO) test -fuzz=FuzzDecodeImage -fuzztime=10s ./internal/store/
 	$(GO) test -fuzz=FuzzBootVerdict -fuzztime=10s ./internal/store/
-	$(GO) test -fuzz=FuzzReclaimKnown -fuzztime=10s ./internal/store/
 	$(GO) test -fuzz=FuzzRequestKeepsImage -fuzztime=10s ./internal/store/
 	$(GO) test -fuzz=FuzzTable -fuzztime=10s ./internal/twoslot/
 	$(GO) test -fuzz=FuzzLogFrame -fuzztime=10s ./internal/kv/
@@ -216,11 +215,11 @@ torture-kv:
 
 # torture-compact turns on the compaction axis: a GC pass runs after
 # every second acknowledged batch, so the crash sweep lands inside the
-# copy loop, between the run flush and the manifest commit, on the
-# manifest slot write itself, and inside the retired half's reclaim —
-# with recovery re-crashed on top (-reboots) and the compaction
-# oracles (generation intact, no ghost resurrection, no lost acked
-# write, reclaim monotonic, recovery idempotent) holding throughout. A
+# copy loop, between the run flush and the manifest commit, and on the
+# manifest slot write itself — with recovery re-crashed on top
+# (-reboots) and the compaction oracles (generation intact, no ghost
+# resurrection, no lost acked write, reopen idempotent, recovery
+# idempotent) holding throughout. A
 # failure replays with -repro '...,workload=kv,...,compact=2'.
 torture-compact:
 	$(GO) run ./cmd/ccnvm-torture -kv -kv-compact 2 -seeds 2 -designs all -reboots 2

@@ -29,7 +29,7 @@
 //
 // The compact op runs one log-compaction pass (the admin rung of the
 // space-pressure ladder) and returns the refreshed stats, including the
-// manifest generation and reclaim counters.
+// manifest generation and pass counters.
 //
 // A namespace whose media has degraded to read-only keeps serving: get,
 // snapget, stats and snapshot ops succeed, writes come back as

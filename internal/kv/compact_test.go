@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -88,7 +89,9 @@ func TestManifestRoundTripAndRuling(t *testing.T) {
 // overwrite a small key set until the namespace has absorbed more than
 // four times its log capacity. Without compaction the stop trigger
 // would refuse around one capacity's worth; with it every batch must be
-// acknowledged — zero permanent stalls, zero lost acked writes.
+// acknowledged — zero permanent stalls, zero lost acked writes. No pass
+// zeroes anything: the retired half keeps its frames, tagged with an
+// older layout, and every pass lays its run over such frames.
 func TestChurnSurvivesBeyondLogCapacity(t *testing.T) {
 	st := compactStore(t, 1<<18)
 	db := compactDB(t, st)
@@ -110,8 +113,12 @@ func TestChurnSurvivesBeyondLogCapacity(t *testing.T) {
 	if s.Compaction == nil || s.Compaction.Passes == 0 {
 		t.Fatalf("churn of %d bytes over a %d-byte log ran no compaction: %+v", written, logCap, s.Compaction)
 	}
-	if s.Compaction.ReclaimedLines == 0 {
-		t.Fatal("compaction reclaimed no lines")
+	if s.Compaction.Passes < 2 || s.Compaction.ReclaimedLines != 0 {
+		t.Fatalf("churn ran %d passes and reclaimed %d lines; want two or more passes and no reclaim",
+			s.Compaction.Passes, s.Compaction.ReclaimedLines)
+	}
+	if h := frameAt(t, st, db.halfStart(1-db.active)); h.tag == db.tagLocked() {
+		t.Fatalf("the retired half's first frame carries the open layout's tag %+v", h.tag)
 	}
 	for key, tag := range model {
 		v, ok, err := db.Get([]byte(key))
@@ -230,9 +237,9 @@ func TestCompactCrashAtEveryWriteBoundary(t *testing.T) {
 
 // TestSnapshotMidCompactionReadsPreSwitchView pins the satellite
 // contract: a snapshot taken while a pass is relocating the live set
-// keeps serving the consistent pre-switch view after the switch, the
-// retired half's reclaim is deferred to its Release, and a further pass
-// is refused while the pin lasts.
+// keeps serving the consistent pre-switch view after the switch, and a
+// further pass, which would write its run over the retired half the
+// snapshot reads, is refused while the pin lasts.
 func TestSnapshotMidCompactionReadsPreSwitchView(t *testing.T) {
 	st := compactStore(t, 1<<20)
 	db := compactDB(t, st)
@@ -269,22 +276,13 @@ func TestSnapshotMidCompactionReadsPreSwitchView(t *testing.T) {
 	if v, _, _ := db.Get([]byte("keep")); string(v) != "v2" {
 		t.Fatalf("live view stale: %q", v)
 	}
-	db.mu.Lock()
-	pending := db.pendingReclaim
-	db.mu.Unlock()
-	if pending < 0 {
-		t.Fatal("retired half reclaimed under an open snapshot")
-	}
 	if err := db.Compact(); !errors.Is(err, ErrCompactPinned) {
 		t.Fatalf("pass over a pinned retired half: %v", err)
 	}
-	snap.Release()
-	db.mu.Lock()
-	pending = db.pendingReclaim
-	db.mu.Unlock()
-	if pending >= 0 {
-		t.Fatal("Release did not reclaim the retired half")
+	if v, ok, err := snap.Get([]byte("keep")); err != nil || !ok || string(v) != "v1" {
+		t.Fatalf("snapshot view moved after a refused pass: (%q,%v,%v)", v, ok, err)
 	}
+	snap.Release()
 	if _, _, err := snap.Get([]byte("keep")); !errors.Is(err, ErrSnapshotReleased) {
 		t.Fatalf("released snapshot still readable: %v", err)
 	}
@@ -344,58 +342,136 @@ func TestDeletedKeyNeverResurrectsThroughCompactCrashRecover(t *testing.T) {
 	}
 }
 
-// TestReopenDiscardsOrphanRunAndConverges: an interrupted pass leaves
-// an orphan run (no committed manifest); reopen must hide and reclaim
-// it, and a second reopen must find nothing left to reclaim —
-// space-reclaimed is monotonic and reopen idempotent.
-func TestReopenDiscardsOrphanRunAndConverges(t *testing.T) {
-	st := compactStore(t, 1<<20)
-	db := compactDB(t, st)
-	for i := 0; i < 6; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("o%d", i)), bytes.Repeat([]byte{byte(i)}, 200)); err != nil {
+// frameAt parses the frame header at a, failing the test if there is
+// none.
+func frameAt(t *testing.T, st *store.Store, a mem.Addr) frameHeader {
+	t.Helper()
+	l, err := st.Read(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := parseHeader(l)
+	if err != nil {
+		t.Fatalf("no frame header at %#x: %v", uint64(a), err)
+	}
+	return h
+}
+
+// framesTagged counts the lines of [lo, hi) that parse as a frame
+// header carrying tag.
+func framesTagged(t *testing.T, st *store.Store, lo, hi mem.Addr, tag frameTag) int {
+	t.Helper()
+	n := 0
+	for a := lo; a < hi; a += mem.LineSize {
+		l, err := st.Read(a)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if h, err := parseHeader(l); err == nil && h.tag == tag {
+			n++
+		}
 	}
-	// Crash right after the run flush, before the manifest commit: the
-	// run is fully on media but uncommitted.
+	return n
+}
+
+// rebootDB crashes db and reopens the namespace on a rebooted store.
+func rebootDB(t *testing.T, db *DB) (*store.Store, *DB) {
+	t.Helper()
+	st, _, err := store.Reboot(db.Crash(), store.Options{Params: engine.Params{UpdateLimit: 16, QueueEntries: 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, compactDB(t, st)
+}
+
+// TestReopenDiscardsOrphanRunAndConverges: an interrupted pass leaves
+// an orphan run (no committed manifest) of two frames. It stays on the
+// media, and reopen must never index it; a second reopen rebuilds the
+// same keymap, seq and head. A later pass lays a one-frame run over it,
+// leaving the orphan's second frame past the new run, and a crash after
+// that must still recover the model.
+func TestReopenDiscardsOrphanRunAndConverges(t *testing.T) {
+	const keys = compactFrameOps + 6
+	st := compactStore(t, 1<<20)
+	db := compactDB(t, st)
+	model := map[string]bool{}
+	for i := 0; i < keys; i++ {
+		k := fmt.Sprintf("o%02d", i)
+		if err := db.Put([]byte(k), bytes.Repeat([]byte{byte(i)}, 200)); err != nil {
+			t.Fatal(err)
+		}
+		model[k] = true
+	}
+	// Crash right after the run's last write, before the manifest
+	// commit: the run is fully on media but uncommitted.
+	orphan := frameTag{gen: 1, startSeq: keys}
+	dst := 1 - db.active
 	db.testHookMidCopy = func() { st.ArmCrash(0) }
 	err := db.Compact()
 	if err == nil || !errors.Is(err, store.ErrCrashed) {
 		t.Fatalf("pass survived the armed crash: %v", err)
 	}
-	img := db.Crash()
-	st2, _, rerr := store.Reboot(img, store.Options{Params: engine.Params{UpdateLimit: 16, QueueEntries: 64}})
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	db2 := compactDB(t, st2)
+	st2, db2 := rebootDB(t, db)
 	if g := db2.Generation(); g != 0 {
 		t.Fatalf("orphan run committed a generation: %d", g)
 	}
-	s2 := db2.Stats()
-	if s2.Compaction == nil || s2.Compaction.ReclaimedLines == 0 {
-		t.Fatalf("reopen did not reclaim the orphan run: %+v", s2.Compaction)
+	dstLo, dstHi := db2.halfStart(dst), db2.halfStart(dst)+mem.Addr(db2.halfBytes)
+	if n := framesTagged(t, st2, dstLo, dstHi, orphan); n != 2 {
+		t.Fatalf("%d frames of the orphan run on the media, want 2", n)
 	}
-	for i := 0; i < 6; i++ {
-		v, ok, err := db2.Get([]byte(fmt.Sprintf("o%d", i)))
-		if err != nil || !ok || len(v) != 200 {
-			t.Fatalf("key o%d lost to an orphan run: ok=%v err=%v", i, ok, err)
+	if s := db2.Stats(); s.Compaction != nil {
+		t.Fatalf("reopen over an orphan run reports compaction stats %+v", s.Compaction)
+	}
+	check := func(db *DB) {
+		t.Helper()
+		for k := range model {
+			if v, ok, err := db.Get([]byte(k)); err != nil || !ok || len(v) != 200 {
+				t.Fatalf("key %s lost to an orphan run: ok=%v err=%v", k, ok, err)
+			}
+		}
+		if len(db.idx) != len(model) {
+			t.Fatalf("namespace holds %d keys, want %d", len(db.idx), len(model))
 		}
 	}
-	// Second reopen over the same store: nothing left to reclaim.
+	check(db2)
+	// Second reopen over the same store: the same namespace.
 	db3 := compactDB(t, st2)
-	if s3 := db3.Stats(); s3.Compaction != nil && s3.Compaction.ReclaimedLines != 0 {
-		t.Fatalf("reclaim not monotonic: second reopen zeroed %d more lines", s3.Compaction.ReclaimedLines)
+	if !reflect.DeepEqual(db3.idx, db2.idx) || db3.seq != db2.seq || db3.head != db2.head {
+		t.Fatalf("second reopen rebuilt seq %d head %#x, first seq %d head %#x",
+			db3.seq, uint64(db3.head), db2.seq, uint64(db2.head))
 	}
+	// Delete ten keys, so the next pass writes one shorter frame over
+	// the orphan's first and leaves its second on the media.
+	var dels []Op
+	for i := keys - 10; i < keys; i++ {
+		k := fmt.Sprintf("o%02d", i)
+		dels = append(dels, Op{Kind: OpDelete, Key: []byte(k)})
+		delete(model, k)
+	}
+	if err := db3.Batch(dels); err != nil {
+		t.Fatal(err)
+	}
+	if err := db3.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if n := framesTagged(t, st2, db3.head, dstHi, orphan); n != 1 {
+		t.Fatalf("%d orphan frames past the new run, want 1", n)
+	}
+	_, db4 := rebootDB(t, db3)
+	if db4.Generation() != 1 {
+		t.Fatalf("generation %d after one committed pass", db4.Generation())
+	}
+	check(db4)
 }
 
-// TestFailedPassOwesItsDestinationAReclaim: a pass that fails after
-// writing part of its run into the destination half leaves that half
-// owing a reclaim, so the next pass zeroes it before laying its own run
-// there (phase 2) and no stale frame outlives the new run. One batch of
-// 2-byte keys with empty values fills 93 % of the half; the same
-// records packed into 64-op compacted frames overflow it.
-func TestFailedPassOwesItsDestinationAReclaim(t *testing.T) {
+// TestFailedPassRunIsNeverIndexed: a pass that fails after writing part
+// of its run into the destination half leaves that run there. The next
+// pass lays its own run over it, tagged with its own startSeq, and the
+// failed run's frames past the new run are never indexed, at once or
+// after a crash. One batch of 2-byte keys with empty values fills 93 %
+// of the half; the same records packed into 64-op compacted frames
+// overflow it.
+func TestFailedPassRunIsNeverIndexed(t *testing.T) {
 	st := compactStore(t, 64<<10)
 	db := compactDB(t, st)
 	var ops []Op
@@ -416,9 +492,7 @@ func TestFailedPassOwesItsDestinationAReclaim(t *testing.T) {
 	if err := db.Compact(); err == nil || !strings.Contains(err.Error(), "overflows") {
 		t.Fatalf("pass over a 93 %% full half: %v, want an overflow", err)
 	}
-	if db.pendingReclaim != dst {
-		t.Fatalf("failed pass left pendingReclaim %d, want the destination half %d", db.pendingReclaim, dst)
-	}
+	failed := frameAt(t, st, db.halfStart(dst)).tag
 
 	// Delete a twentieth of the keys (a delete-only batch is admitted
 	// past the stop trigger) so the live set fits, and compact again.
@@ -432,21 +506,76 @@ func TestFailedPassOwesItsDestinationAReclaim(t *testing.T) {
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if db.active != dst || db.pendingReclaim != -1 {
-		t.Fatalf("second pass: active %d, pendingReclaim %d", db.active, db.pendingReclaim)
+	if db.active != dst || db.tagLocked() == failed {
+		t.Fatalf("second pass: active %d, tag %+v (the failed pass's was %+v)", db.active, db.tagLocked(), failed)
 	}
-	for a := db.head; a < db.halfStart(dst)+mem.Addr(db.halfBytes); a += mem.LineSize {
-		if l, err := st.Read(a); err != nil || l != (mem.Line{}) {
-			t.Fatalf("line %#x past the new run: %x, %v; want zero", uint64(a), l[:8], err)
-		}
+	if framesTagged(t, st, db.head, db.halfStart(dst)+mem.Addr(db.halfBytes), failed) == 0 {
+		t.Fatal("no frame of the failed run is left past the new one; the test shows nothing")
 	}
-	img := db.Crash()
-	st2, _, err := store.Reboot(img, store.Options{Params: engine.Params{UpdateLimit: 16, QueueEntries: 64}})
-	if err != nil {
-		t.Fatal(err)
+	want := len(ops) - len(dels)
+	if n := len(db.idx); n != want {
+		t.Fatalf("namespace holds %d keys, want %d", n, want)
 	}
-	if n, want := len(compactDB(t, st2).idx), len(ops)-len(dels); n != want {
-		t.Fatalf("reopened namespace holds %d keys, want %d", n, want)
+	if _, db2 := rebootDB(t, db); len(db2.idx) != want {
+		t.Fatalf("reopened namespace holds %d keys, want %d", len(db2.idx), want)
+	}
+}
+
+// TestScanRefusesFrameOfAnotherLayout plants a sealed frame at the
+// chain's end with the next seq, once tagged with an older generation
+// (a retired log), once with the open generation and another startSeq
+// (an orphan run of a pass that never committed), and once with the
+// open layout's own tag. Reopen must index only the last.
+func TestScanRefusesFrameOfAnotherLayout(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		tag     func(open frameTag) frameTag
+		indexed bool
+	}{
+		{"older generation", func(o frameTag) frameTag { return frameTag{gen: o.gen - 1, startSeq: o.startSeq} }, false},
+		{"orphan run", func(o frameTag) frameTag { return frameTag{gen: o.gen, startSeq: o.startSeq - 1} }, false},
+		{"open layout", func(o frameTag) frameTag { return o }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := compactStore(t, 1<<20)
+			db := compactDB(t, st)
+			for _, k := range []string{"a", "b", "c"} {
+				if err := db.Put([]byte(k), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Put([]byte("d"), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			payload, _, err := encodePayload([]Op{{Kind: OpPut, Key: []byte("planted"), Val: []byte("x")}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq := db.seq
+			h := frameHeader{seq: seq + 1, count: 1, tag: tc.tag(db.tagLocked())}
+			if err := db.writeFrame("test", db.head, h, payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db2, err := Open(st, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			planted := 0
+			if tc.indexed {
+				planted = 1
+			}
+			_, ok, err := db2.Get([]byte("planted"))
+			if err != nil || ok != tc.indexed || db2.seq != seq+uint64(planted) || len(db2.idx) != 4+planted {
+				t.Fatalf("planted frame tagged %+v: indexed %v (seq %d, %d keys, %v), want %v",
+					h.tag, ok, db2.seq, len(db2.idx), err, tc.indexed)
+			}
+		})
 	}
 }
 

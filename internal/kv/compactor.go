@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"ccnvm/internal/mem"
-	"ccnvm/internal/store"
 )
 
 // ErrCompactPinned reports a pass refused because open snapshots still
@@ -23,8 +22,10 @@ const (
 )
 
 // CompactionStats reports the compactor's lifetime counters. Nil in
-// Stats until the namespace has compacted or reclaimed anything, so
-// faultless stats JSON is unchanged.
+// Stats until the namespace has compacted, so faultless stats JSON is
+// unchanged. ReclaimedLines always reads 0: a pass no longer zeroes
+// the half it retires (frame tags end the log instead), and the field
+// stays only because the repo benchmark reads it.
 type CompactionStats struct {
 	Generation     uint64 `json:"generation"`
 	ActiveHalf     int    `json:"active_half"`
@@ -70,11 +71,11 @@ func (db *DB) worthCompactingLocked(need uint64, overStop bool) bool {
 // Compact runs one garbage-collection pass unconditionally (the admin
 // verb; admission-triggered passes apply the gain floor first): rewrite
 // the live set into the inactive half as fresh header-last sealed
-// frames, commit the relocation with one manifest slot write, switch
-// the in-memory keymap, and only then reclaim the retired half. If a
-// pass is already running, Compact waits for it and returns. Open
-// snapshots pinning the retired half refuse the pass with
-// ErrCompactPinned.
+// frames, commit the relocation with one manifest slot write and switch
+// the in-memory keymap. The retired half is left as it is: its frames
+// carry the old layout's tag, so no scan indexes them. If a pass is
+// already running, Compact waits for it and returns. Open snapshots
+// pinning the inactive half refuse the pass with ErrCompactPinned.
 func (db *DB) Compact() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -100,12 +101,9 @@ func (db *DB) Compact() error {
 // boundary leave either the old layout or the committed new one.
 func (db *DB) compactLocked() error {
 	db.compacting = true
-	src := db.active
-	dst := 1 - src
-	startSeq := db.seq
-	genBefore := db.gen
+	dst := 1 - db.active
+	tag := frameTag{gen: db.gen + 1, startSeq: db.seq}
 	usedBefore := db.usedLocked()
-	needClean := db.pendingReclaim == dst
 	keys := make([]string, 0, len(db.idx))
 	for k := range db.idx {
 		keys = append(keys, k)
@@ -117,40 +115,31 @@ func (db *DB) compactLocked() error {
 	}
 	db.mu.Unlock()
 
-	// owe is whether a pass failing now leaves dst owing a reclaim. It
-	// is true from the first run write, which can leave a partial run
-	// the next pass must not lay its own over, until the commit write is
-	// issued: from then on the run may be the committed layout, and only
-	// the reopen can tell, from the manifest on the device.
-	owe := false
+	// Barrier: a reader still reading the destination half — with a ref
+	// it looked up before the last pass switched, or through a snapshot
+	// released mid-read — finishes before the run overwrites it. Readers
+	// arriving later find refs into the active half only.
+	db.rmu.Lock()
+	db.rmu.Unlock()
+
 	fail := func(err error) error {
 		db.mu.Lock()
-		if owe {
-			db.pendingReclaim = dst
-		}
 		db.compacting = false
 		db.ccond.Broadcast()
 		return err
 	}
 
-	if needClean {
-		// A previous pass's reclaim was deferred (pinned snapshots,
-		// read-only window) and the pins are gone now: the destination
-		// must be all-zero before the run lands in it.
-		if err := db.reclaimHalf(dst); err != nil {
-			return fail(fmt.Errorf("kv: reclaim destination half: %w", err))
-		}
-	}
-
 	// Copy phase: pack the live set into fresh sealed frames in the
 	// destination half, in sorted key order so a pass is deterministic
-	// for the crash-sweep harness. Values are read without rmu — they
-	// live in the active half, which is never reclaimed while a pass
-	// runs.
+	// for the crash-sweep harness. The frames carry the tag of the layout
+	// the pass commits, so whatever the half held before — a retired
+	// log, an orphan run of a pass that failed with another startSeq —
+	// ends the log behind the run. Values are read without rmu: they
+	// live in the active half, which no pass writes while this one runs.
 	newIdx := make(map[string]valRef, len(keys))
 	dstStart := db.halfStart(dst)
 	w := dstStart
-	seq := startSeq
+	seq := tag.startSeq
 	for i := 0; i < len(keys); {
 		ops := make([]Op, 0, compactFrameOps)
 		payloadBytes := 0
@@ -171,8 +160,7 @@ func (db *DB) compactLocked() error {
 		if uint64(w-dstStart)+uint64(need) > db.halfBytes {
 			return fail(fmt.Errorf("kv: compacted run overflows the %d-byte half", db.halfBytes))
 		}
-		owe = true
-		if werr := db.writeFrame("compaction", w, seq+1, len(ops), payload); werr != nil {
+		if werr := db.writeFrame("compaction", w, frameHeader{seq: seq + 1, count: len(ops), tag: tag}, payload); werr != nil {
 			return fail(werr)
 		}
 		seq++
@@ -188,10 +176,8 @@ func (db *DB) compactLocked() error {
 	// Commit phase: one checksummed slot write switches the layout. A
 	// store write is durable once accepted, so the run is durable before
 	// the manifest can point at it. Before this write the run is an
-	// invisible orphan (reopen reclaims it); after it the old half is
-	// the invisible garbage.
-	rec := manifestRecord{Seq: genBefore + 1, StartSeq: startSeq, Half: dst}
-	owe = false
+	// invisible orphan; after it the old half is.
+	rec := manifestRecord{Seq: tag.gen, StartSeq: tag.startSeq, Half: dst}
 	if err := db.st.Write(mem.Addr(ManifestFormat.Off(rec.Seq)), encodeManifest(rec)); err != nil {
 		return fail(fmt.Errorf("kv: manifest commit write: %w", err))
 	}
@@ -199,44 +185,21 @@ func (db *DB) compactLocked() error {
 	// Switch phase: the keymap flips to the compacted refs atomically
 	// under mu. Writers are still queued, so seq cannot have moved.
 	db.mu.Lock()
-	if db.seq != startSeq {
+	if db.seq != tag.startSeq {
 		db.mu.Unlock()
-		return fail(fmt.Errorf("kv: frame seq advanced from %d to %d during a pass", startSeq, db.seq))
+		return fail(fmt.Errorf("kv: frame seq advanced from %d to %d during a pass", tag.startSeq, db.seq))
 	}
 	db.idx = newIdx
 	db.seq = seq
 	db.head = w
 	db.active = dst
-	db.gen = genBefore + 1
-	db.startSeq = startSeq
+	db.gen = tag.gen
+	db.startSeq = tag.startSeq
 	db.compactions++
 	if newUsed := uint64(w - dstStart); usedBefore > newUsed {
 		db.compactFreed += usedBefore - newUsed
 	}
-	// The retired half owes a reclaim; reclaimHalf clears this once the
-	// zeroing actually lands (it may be deferred past pinned snapshots
-	// or a read-only window).
-	db.pendingReclaim = src
-	pinned := db.pins[src] > 0
-	db.mu.Unlock()
-
-	if db.testHookAfterSwitch != nil {
-		db.testHookAfterSwitch()
-	}
-
-	// Reclaim phase, strictly after the committed switch: zero the
-	// retired half so dead pages return to the allocatable state.
-	// Pinned snapshots defer it to their Release; read-only degradation
-	// defers it to the next reopen. Either way the retired frames stay
-	// invisible — the manifest no longer reaches them.
-	var reclaimErr error
-	if !pinned {
-		if err := db.reclaimHalf(src); err != nil && !errors.Is(err, store.ErrReadOnly) {
-			reclaimErr = fmt.Errorf("kv: reclaim retired half: %w", err)
-		}
-	}
-	db.mu.Lock()
 	db.compacting = false
 	db.ccond.Broadcast()
-	return reclaimErr
+	return nil
 }

@@ -25,9 +25,9 @@ type Options struct {
 
 // valRef locates one value inside the frame log: the frame's first
 // payload line plus the value's byte range within the payload. Refs
-// stay valid until the half of the arena they point into is reclaimed,
-// which only happens after every reader of that half (the live keymap,
-// pinned snapshots) has moved to the compacted copy.
+// stay valid until a pass writes a new run over the half they point
+// into, which only happens after every reader of that half (the live
+// keymap, pinned snapshots) has moved to the compacted copy.
 type valRef struct {
 	payload mem.Addr
 	off     int
@@ -71,10 +71,11 @@ type Stats struct {
 type DB struct {
 	st *store.Store
 
-	// rmu orders value reads against half reclamation: readers hold it
-	// shared from index lookup through the last line read, the
-	// reclaimer exclusively while zeroing a retired half. Always
-	// acquired before mu, never while holding it.
+	// rmu is the pass barrier: readers hold it shared from index
+	// lookup through the last line read, and a pass takes it
+	// exclusively once before it writes its run, so no reader is still
+	// reading the half the run overwrites. Always acquired before mu,
+	// never while holding it.
 	rmu sync.RWMutex
 
 	mu        sync.Mutex // index, log head, append ordering, compaction state
@@ -93,17 +94,14 @@ type DB struct {
 	// behind it).
 	frame []store.LineWrite
 
-	compacting     bool       // a pass is relocating the live set
-	ccond          *sync.Cond // over mu; broadcast when a pass ends
-	pins           [2]int     // open snapshots pinning each half
-	pendingReclaim int        // retired half awaiting reclaim (-1: none)
+	compacting bool       // a pass is relocating the live set
+	ccond      *sync.Cond // over mu; broadcast when a pass ends
+	pins       [2]int     // open snapshots pinning each half
 
-	compactions    uint64
-	compactFreed   uint64 // log bytes freed by passes
-	reclaimedLines uint64 // lines returned to zero (passes + reopen)
+	compactions  uint64
+	compactFreed uint64 // log bytes freed by passes
 
-	testHookMidCopy     func() // tests: runs after the copy phase, before commit
-	testHookAfterSwitch func() // tests: runs between switch and reclaim
+	testHookMidCopy func() // tests: runs after the copy phase, before commit
 
 	gets    uint64
 	batches uint64
@@ -118,14 +116,14 @@ type DB struct {
 
 // Open builds the namespace over st: load the compaction manifest
 // (newest valid slot wins, torn slot falls back), rebuild the keymap by
-// scanning the active half's frame log, then finish whatever a crash
-// interrupted — repair the torn manifest slot and reclaim the inactive
-// half, which discards orphan compacted runs that never committed a
-// manifest and finishes the reclaim of a committed pass. The scan stops
-// at the first line that is not a valid next frame header — everything
-// past the last committed frame (orphan payloads of a crashed batch,
-// never-written zero lines) is invisible, which is the crash-atomicity
-// guarantee.
+// scanning the active half's frame log, then repair the torn manifest
+// slot a crash left. The scan stops at the first line that is not a
+// valid next frame header of the open layout — everything past the last
+// committed frame (orphan payloads of a crashed batch, frames of a
+// retired log or of an orphan compacted run, never-written zero lines)
+// is invisible, which is the crash-atomicity guarantee. Nothing is
+// zeroed: dead frames stay on the media until a later pass or batch
+// overwrites them.
 func Open(st *store.Store, o Options) (*DB, error) {
 	hb := arenaHalf(st.Capacity())
 	if hb < 4*mem.LineSize {
@@ -144,7 +142,7 @@ func Open(st *store.Store, o Options) (*DB, error) {
 	if wo.SlowdownFrac < 0 || wo.SlowdownFrac > wo.StopFrac || wo.StopFrac > 1 {
 		return nil, fmt.Errorf("kv: bad write-controller triggers slowdown=%v stop=%v", wo.SlowdownFrac, wo.StopFrac)
 	}
-	db := &DB{st: st, idx: make(map[string]valRef), halfBytes: hb, pendingReclaim: -1,
+	db := &DB{st: st, idx: make(map[string]valRef), halfBytes: hb,
 		stall: WriteControllerStats{
 			Capacity:   hb,
 			SlowdownAt: uint64(float64(hb) * wo.SlowdownFrac),
@@ -171,7 +169,7 @@ func Open(st *store.Store, o Options) (*DB, error) {
 	if err := db.scan(); err != nil {
 		return nil, err
 	}
-	if err := db.repairAndReclaim(manifest, c); err != nil {
+	if err := db.repairManifest(manifest, c); err != nil {
 		return nil, err
 	}
 	return db, nil
@@ -215,13 +213,10 @@ var scanShape = struct{ chunk, depth int }{scanChunk, scanDepth}
 // scanFrame is one frame whose header is valid and whose payload lines
 // the read stage fetched.
 type scanFrame struct {
-	seq   uint64
-	addr  mem.Addr // header line
-	count int
-	n     int    // payload bytes
-	ck    uint64 // payload checksum the header carries
-	line  int    // first payload line in the chunk's lines
-	off   int    // first payload byte in the chunk's payload
+	frameHeader
+	addr mem.Addr // header line
+	line int      // first payload line in the chunk's lines
+	off  int      // first payload byte in the chunk's payload
 }
 
 // scanBatch is a chunk of consecutive frames in log order.
@@ -285,13 +280,14 @@ func (db *DB) scan() error {
 
 // readFrames is scan's read stage: it sends the active half's header
 // chain, from its first frame to the first line that is not a valid
-// next frame header, in chunks of up to chunk lines, then closes out. A
-// read error ends the chain; it rides on the last chunk.
+// next frame header of the open layout (a seq gap, or another layout's
+// tag), in chunks of up to chunk lines, then closes out. A read error
+// ends the chain; it rides on the last chunk.
 func (db *DB) readFrames(out chan<- *scanBatch, get func(lines int) *scanBatch, chunk int) {
 	defer close(out)
 	start := db.halfStart(db.active)
 	end := start + mem.Addr(db.halfBytes)
-	last, addr := db.seq, start
+	last, addr, tag := db.seq, start, db.tagLocked()
 	size := max(1, chunk/16)
 	b := get(size)
 	for addr+mem.LineSize <= end {
@@ -300,27 +296,27 @@ func (db *DB) readFrames(out chan<- *scanBatch, get func(lines int) *scanBatch, 
 			b.err = fmt.Errorf("kv: log scan read %#x: %w", uint64(addr), err)
 			break
 		}
-		seq, count, payloadBytes, payloadCk, err := parseHeader(hl)
-		if err != nil || seq != last+1 {
+		h, err := parseHeader(hl)
+		if err != nil || h.seq != last+1 || h.tag != tag {
 			break
 		}
-		need := mem.Addr(frameLines(payloadBytes)) * mem.LineSize
+		need := mem.Addr(frameLines(h.n)) * mem.LineSize
 		if addr+need > end {
 			break
 		}
-		if len(b.frames) > 0 && len(b.frames)+len(b.lines)+frameLines(payloadBytes) > size {
+		if len(b.frames) > 0 && len(b.frames)+len(b.lines)+frameLines(h.n) > size {
 			out <- b
 			size = min(2*size, chunk)
 			b = get(size)
 		}
 		first := len(b.lines)
-		if b.lines, err = db.st.Fetch(b.lines, addr+mem.LineSize, payloadLines(payloadBytes)); err != nil {
+		if b.lines, err = db.st.Fetch(b.lines, addr+mem.LineSize, payloadLines(h.n)); err != nil {
 			b.lines = b.lines[:first]
 			b.err = fmt.Errorf("kv: log scan payload at %#x: %w", uint64(addr+mem.LineSize), err)
 			break
 		}
-		b.frames = append(b.frames, scanFrame{seq: seq, addr: addr, count: count, n: payloadBytes, ck: payloadCk, line: first})
-		last = seq
+		b.frames = append(b.frames, scanFrame{frameHeader: h, addr: addr, line: first})
+		last = h.seq
 		addr += need
 	}
 	out <- b
@@ -397,14 +393,11 @@ func (db *DB) indexFrames(in <-chan *scanBatch, put func(*scanBatch)) error {
 	return err
 }
 
-// repairAndReclaim finishes an interrupted compaction pass at reopen:
-// rewrite the torn manifest slot c names from the ruling record (or
-// zero it when no commit ever ruled), then return the inactive half to
-// the all-zero state — orphan runs without a committed manifest become
-// invisible and reclaimed, a committed pass gets its reclaim completed.
-// Read-only media degradation is tolerated: the namespace still serves
-// reads, orphans stay invisible either way.
-func (db *DB) repairAndReclaim(manifest []byte, c twoslot.Choice) error {
+// repairManifest rewrites the torn manifest slot c names from the
+// ruling record (or zeroes it when no commit ever ruled). Read-only
+// media degradation is tolerated: the namespace still serves reads, and
+// Choose rules the same way at the next reopen.
+func (db *DB) repairManifest(manifest []byte, c twoslot.Choice) error {
 	ManifestFormat.Repair(manifest, c)
 	for i, torn := range c.Torn {
 		if !torn {
@@ -415,56 +408,13 @@ func (db *DB) repairAndReclaim(manifest []byte, c twoslot.Choice) error {
 			return fmt.Errorf("kv: manifest slot %d repair: %w", i, err)
 		}
 	}
-	if err := db.reclaimHalf(1 - db.active); err != nil && !errors.Is(err, store.ErrReadOnly) {
-		return fmt.Errorf("kv: reclaim inactive half: %w", err)
-	}
 	return nil
 }
 
-// reclaimHalf zeroes every written line of arena half h — only ever an
-// inactive half: a retired log after a committed pass, or an orphan run
-// at reopen. Takes rmu exclusively so no in-flight value read can
-// observe the zeroing.
-func (db *DB) reclaimHalf(h int) error {
-	db.rmu.Lock()
-	return db.zeroHalfUnlock(h)
-}
-
-// reclaimRetired is the deferred-reclaim path (snapshot Release): it
-// re-validates that h is still a retired half owing a reclaim while
-// already holding rmu exclusively, so it can never race a new pass
-// that is about to write a fresh run into h — a pass that has not yet
-// taken rmu for its own destination cleaning cannot have written yet,
-// and one that has is ordered entirely before or after us. Reclaim is
-// best-effort here: a failed one is retried by the next pass or reopen.
-func (db *DB) reclaimRetired(h int) {
-	db.rmu.Lock()
-	db.mu.Lock()
-	ok := db.pendingReclaim == h && db.pins[h] == 0 && h != db.active &&
-		!db.compacting && !db.closed
-	db.mu.Unlock()
-	if !ok {
-		db.rmu.Unlock()
-		return
-	}
-	_ = db.zeroHalfUnlock(h)
-}
-
-// zeroHalfUnlock is the one reclaim body: called with rmu held
-// exclusively, it zeroes half h, releases rmu, counts the lines and
-// clears the owed reclaim. The zero writes are durable as the store
-// accepts them.
-func (db *DB) zeroHalfUnlock(h int) error {
-	lo := db.halfStart(h)
-	n, err := db.st.ReclaimRange(lo, lo+mem.Addr(db.halfBytes))
-	db.rmu.Unlock()
-	db.mu.Lock()
-	db.reclaimedLines += uint64(n)
-	if err == nil && db.pendingReclaim == h {
-		db.pendingReclaim = -1
-	}
-	db.mu.Unlock()
-	return err
+// tagLocked is the open layout's frame tag. Caller holds mu (or owns
+// the DB, as Open does).
+func (db *DB) tagLocked() frameTag {
+	return frameTag{db.gen, db.startSeq}
 }
 
 // apply folds one frame's records into the index, keeping the live-set
@@ -491,9 +441,8 @@ const valueLines = 17
 
 // readBytes reads one value, or a frame's whole payload, by ref, with
 // one ReadLines of the lines it spans. The caller must hold rmu shared
-// (or otherwise know the ref's half cannot be reclaimed, as the
-// compactor does for the active half it is copying out of, and the
-// reopen scan does before anything else runs).
+// (or otherwise know no pass can write over the ref's half, as the
+// compactor does for the active half it is copying out of).
 func (db *DB) readBytes(ref valRef) ([]byte, error) {
 	if ref.n == 0 {
 		return []byte{}, nil
@@ -647,7 +596,7 @@ func (db *DB) Batch(ops []Op) error {
 			ErrLogFull, used, need, db.stall.StopAt)
 	}
 
-	if werr := db.writeFrame("batch", db.head, db.seq+1, len(ops), payload); werr != nil {
+	if werr := db.writeFrame("batch", db.head, frameHeader{seq: db.seq + 1, count: len(ops), tag: db.tagLocked()}, payload); werr != nil {
 		db.mu.Unlock()
 		return werr
 	}
@@ -666,17 +615,18 @@ func (db *DB) Batch(ops []Op) error {
 
 // writeFrame writes one sealed frame at header with one WriteLines: the
 // payload lines first and the header last, so a crash before the header
-// write leaves no valid frame and the frame is all-or-nothing. Batch and
-// the compactor both write through it; who names the writer in errors.
-func (db *DB) writeFrame(who string, header mem.Addr, seq uint64, count int, payload []byte) error {
+// write leaves no valid frame and the frame is all-or-nothing. h gives
+// the seq, op count and tag; writeFrame fills in the payload's length
+// and checksum. Batch and the compactor both write through it; who
+// names the writer in errors.
+func (db *DB) writeFrame(who string, header mem.Addr, h frameHeader, payload []byte) error {
 	ws := db.frame[:0]
 	for i := range payloadLines(len(payload)) {
 		ws = append(ws, store.LineWrite{Addr: header + mem.Addr((i+1)*mem.LineSize)})
 		copy(ws[i].Line[:], payload[i*mem.LineSize:])
 	}
-	hl := encodeHeader(seq, count, len(payload))
-	sealHeader(&hl, mem.Checksum(payload))
-	ws = append(ws, store.LineWrite{Addr: header, Line: hl})
+	h.n, h.ck = len(payload), mem.Checksum(payload)
+	ws = append(ws, store.LineWrite{Addr: header, Line: h.encode()})
 	db.frame = ws
 	switch n, err := db.st.WriteLines(ws); {
 	case err == nil:
@@ -714,14 +664,13 @@ func (db *DB) Stats() Stats {
 		Ops:      db.opCount,
 		Ladder:   db.ladderLocked(),
 	}
-	if db.gen > 0 || db.compactions > 0 || db.reclaimedLines > 0 {
+	if db.gen > 0 || db.compactions > 0 {
 		s.Compaction = &CompactionStats{
-			Generation:     db.gen,
-			ActiveHalf:     db.active,
-			Passes:         db.compactions,
-			FreedBytes:     db.compactFreed,
-			ReclaimedLines: db.reclaimedLines,
-			LiveBytes:      db.liveBytes,
+			Generation: db.gen,
+			ActiveHalf: db.active,
+			Passes:     db.compactions,
+			FreedBytes: db.compactFreed,
+			LiveBytes:  db.liveBytes,
 		}
 	}
 	s.Stall = db.stall

@@ -50,8 +50,14 @@ type Op struct {
 //	[16:20) count — ops in the frame
 //	[20:24) payloadBytes
 //	[24:32) mem.Checksum (CRC-32C) over the payload bytes
-//	[32:40) mem.Checksum over header bytes [0:32)
-//	[40:64) zero
+//	[32:40) mem.Checksum over header bytes [0:32) and [40:56)
+//	[40:48) tag.gen      — manifest generation of the frame's layout
+//	[48:56) tag.startSeq — startSeq of the frame's layout
+//	[56:64) zero
+//
+// The tag is what lets an arena half be reused without zeroing it: a
+// frame written under another layout (a retired log, an orphan run of a
+// pass that never committed) ends the log like a seq gap does.
 const (
 	frameMagic   = "CKVBATCH"
 	maxKeyLen    = 1 << 16
@@ -145,40 +151,68 @@ func decodePayload(recs []record, payload []byte, count int) ([]record, error) {
 	return recs, nil
 }
 
-// encodeHeader builds the frame header line.
-func encodeHeader(seq uint64, count, payloadBytes int) mem.Line {
+// frameTag names the layout a frame was written under: the manifest
+// generation and the startSeq of that layout. A batch carries the open
+// layout's tag, a compacted run the layout its pass commits. Both are
+// needed: an orphan run of a failed or crashed pass carries the
+// generation the next committed pass will, and only startSeq tells the
+// two apart. Passes are deterministic, so equal startSeq means an
+// identical run.
+type frameTag struct {
+	gen, startSeq uint64
+}
+
+// frameHeader is one decoded frame header.
+type frameHeader struct {
+	seq   uint64
+	count int    // ops in the frame
+	n     int    // payload bytes
+	ck    uint64 // payload checksum
+	tag   frameTag
+}
+
+// encode builds the sealed header line.
+func (h frameHeader) encode() mem.Line {
 	var l mem.Line
 	copy(l[0:8], frameMagic)
-	binary.LittleEndian.PutUint64(l[8:16], seq)
-	binary.LittleEndian.PutUint32(l[16:20], uint32(count))
-	binary.LittleEndian.PutUint32(l[20:24], uint32(payloadBytes))
-	// payload checksum is patched in by the caller (it owns the bytes)
+	binary.LittleEndian.PutUint64(l[8:16], h.seq)
+	binary.LittleEndian.PutUint32(l[16:20], uint32(h.count))
+	binary.LittleEndian.PutUint32(l[20:24], uint32(h.n))
+	binary.LittleEndian.PutUint64(l[40:48], h.tag.gen)
+	binary.LittleEndian.PutUint64(l[48:56], h.tag.startSeq)
+	sealHeader(&l, h.ck)
 	return l
 }
 
+// sealHeader writes the payload checksum and the header seal.
 func sealHeader(l *mem.Line, payloadCk uint64) {
 	binary.LittleEndian.PutUint64(l[24:32], payloadCk)
-	binary.LittleEndian.PutUint64(l[32:40], mem.Checksum(l[0:32]))
+	binary.LittleEndian.PutUint64(l[32:40], headerSeal(l))
 }
 
-// parseHeader validates a header line and returns (seq, count,
-// payloadBytes, payloadCk). errFrameEnd means "not a frame" — the
-// normal end of the scan.
-func parseHeader(l mem.Line) (seq uint64, count, payloadBytes int, payloadCk uint64, err error) {
-	if string(l[0:8]) != frameMagic {
-		return 0, 0, 0, 0, errFrameEnd
+// headerSeal is the checksum over the sealed header bytes, [0:32) and
+// [40:56).
+func headerSeal(l *mem.Line) uint64 {
+	return mem.ChecksumUpdate(mem.Checksum(l[0:32]), l[40:56])
+}
+
+// parseHeader validates a header line. errFrameEnd means "not a frame"
+// — the normal end of the scan.
+func parseHeader(l mem.Line) (frameHeader, error) {
+	if string(l[0:8]) != frameMagic || binary.LittleEndian.Uint64(l[32:40]) != headerSeal(&l) {
+		return frameHeader{}, errFrameEnd
 	}
-	if got, want := binary.LittleEndian.Uint64(l[32:40]), mem.Checksum(l[0:32]); got != want {
-		return 0, 0, 0, 0, errFrameEnd
+	h := frameHeader{
+		seq:   binary.LittleEndian.Uint64(l[8:16]),
+		count: int(binary.LittleEndian.Uint32(l[16:20])),
+		n:     int(binary.LittleEndian.Uint32(l[20:24])),
+		ck:    binary.LittleEndian.Uint64(l[24:32]),
+		tag:   frameTag{binary.LittleEndian.Uint64(l[40:48]), binary.LittleEndian.Uint64(l[48:56])},
 	}
-	seq = binary.LittleEndian.Uint64(l[8:16])
-	count = int(binary.LittleEndian.Uint32(l[16:20]))
-	payloadBytes = int(binary.LittleEndian.Uint32(l[20:24]))
-	payloadCk = binary.LittleEndian.Uint64(l[24:32])
-	if seq == 0 || count <= 0 || payloadBytes <= 0 {
-		return 0, 0, 0, 0, errFrameEnd
+	if h.seq == 0 || h.count <= 0 || h.n <= 0 {
+		return frameHeader{}, errFrameEnd
 	}
-	return seq, count, payloadBytes, payloadCk, nil
+	return h, nil
 }
 
 // payloadLines is the line count covering n payload bytes.

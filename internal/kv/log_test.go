@@ -93,19 +93,22 @@ func allocBytes(fn func()) uint64 {
 // decodePayload. Nothing may panic, decoding may allocate at most 8x the
 // frame plus an error's worth — the second seed claims 1<<20 records
 // over one 10-byte record, which once cost a 48 MB slice — and an
-// accepted frame re-encodes to the same sealed bytes (so the third
-// seed, a delete carrying a value, must be refused).
+// accepted frame re-encodes to the same sealed bytes, its layout tag
+// included (so the third seed, a delete carrying a value, must be
+// refused, and the fourth, a compacted run's frame, round-trips its
+// tag).
 func FuzzLogFrame(f *testing.F) {
 	payload, _, err := encodePayload([]Op{{Kind: OpPut, Key: []byte("k")}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	hl := encodeHeader(3, 1, len(payload))
-	sealHeader(&hl, mem.Checksum(payload))
+	hl := frameHeader{seq: 3, count: 1, n: len(payload), ck: mem.Checksum(payload)}.encode()
 	f.Add(hl[:], payload, false)
-	claim := encodeHeader(1, 1<<20, len(payload))
+	claim := frameHeader{seq: 1, count: 1 << 20, n: len(payload)}.encode()
 	f.Add(claim[:], payload, true)
 	f.Add(hl[:], []byte{byte(OpDelete), 1, 0, 0, 0, 1, 0, 0, 0, 'k', 'v'}, true) // never written: must not decode
+	tagged := frameHeader{seq: 9, count: 1, n: len(payload), ck: mem.Checksum(payload), tag: frameTag{gen: 4, startSeq: 8}}.encode()
+	f.Add(tagged[:], payload, false)
 	f.Fuzz(func(t *testing.T, header, payload []byte, seal bool) {
 		var hl mem.Line
 		copy(hl[:], header)
@@ -113,14 +116,14 @@ func FuzzLogFrame(f *testing.F) {
 			binary.LittleEndian.PutUint32(hl[20:24], uint32(len(payload)))
 			sealHeader(&hl, mem.Checksum(payload))
 		}
-		seq, count, n, ck, err := parseHeader(hl)
-		if err != nil || n > len(payload) || mem.Checksum(payload[:n]) != ck {
+		h, err := parseHeader(hl)
+		if err != nil || h.n > len(payload) || mem.Checksum(payload[:h.n]) != h.ck {
 			return
 		}
-		payload = payload[:n]
+		payload = payload[:h.n]
 		var recs []record
-		if grew := allocBytes(func() { recs, err = decodePayload(nil, payload, count) }); grew > 8*uint64(mem.LineSize+n)+1<<10 {
-			t.Fatalf("decoding %d bytes claiming %d records allocated %d bytes", n, count, grew)
+		if grew := allocBytes(func() { recs, err = decodePayload(nil, payload, h.count) }); grew > 8*uint64(mem.LineSize+h.n)+1<<10 {
+			t.Fatalf("decoding %d bytes claiming %d records allocated %d bytes", h.n, h.count, grew)
 		}
 		if err != nil {
 			return
@@ -130,9 +133,8 @@ func FuzzLogFrame(f *testing.F) {
 			ops[i] = Op{Kind: r.kind, Key: r.key, Val: payload[r.valOff : r.valOff+r.valLen]}
 		}
 		again, _, err := encodePayload(ops)
-		rh := encodeHeader(seq, len(ops), len(again))
-		sealHeader(&rh, mem.Checksum(again))
-		if err != nil || !bytes.Equal(again, payload) || !bytes.Equal(rh[:40], hl[:40]) { // [40:64) is unsealed
+		rh := frameHeader{seq: h.seq, count: len(ops), n: len(again), ck: mem.Checksum(again), tag: h.tag}.encode()
+		if err != nil || !bytes.Equal(again, payload) || !bytes.Equal(rh[:56], hl[:56]) { // [56:64) is unsealed
 			t.Fatalf("accepted frame %x + %x re-encodes to %x + %x (%v)", hl, payload, rh, again, err)
 		}
 	})
@@ -140,33 +142,31 @@ func FuzzLogFrame(f *testing.F) {
 
 func TestHeaderRoundTrip(t *testing.T) {
 	payload := []byte("some payload bytes")
-	hl := encodeHeader(7, 3, len(payload))
-	sealHeader(&hl, mem.Checksum(payload))
-	seq, count, pb, ck, err := parseHeader(hl)
+	want := frameHeader{seq: 7, count: 3, n: len(payload), ck: mem.Checksum(payload), tag: frameTag{gen: 2, startSeq: 5}}
+	got, err := parseHeader(want.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 7 || count != 3 || pb != len(payload) || ck != mem.Checksum(payload) {
-		t.Fatalf("parsed (%d,%d,%d,%#x)", seq, count, pb, ck)
+	if got != want {
+		t.Fatalf("parsed %+v, want %+v", got, want)
 	}
 }
 
 func TestHeaderRejectsDamage(t *testing.T) {
 	payload := []byte("p")
-	good := encodeHeader(1, 1, len(payload))
-	sealHeader(&good, mem.Checksum(payload))
-	// Any mutated header byte in the sealed region must read as
-	// end-of-log, never as a different valid frame: this is the torn
-	// commit-write defense.
-	for i := 0; i < 40; i++ {
+	good := frameHeader{seq: 1, count: 1, n: len(payload), ck: mem.Checksum(payload), tag: frameTag{gen: 1}}.encode()
+	// Any mutated header byte in the sealed region, the tag included,
+	// must read as end-of-log, never as a different valid frame: this is
+	// the torn commit-write defense.
+	for i := 0; i < 56; i++ {
 		hl := good
 		hl[i] ^= 0x40
-		if _, _, _, _, err := parseHeader(hl); !errors.Is(err, errFrameEnd) {
+		if _, err := parseHeader(hl); !errors.Is(err, errFrameEnd) {
 			t.Fatalf("byte %d flip parsed as a frame", i)
 		}
 	}
 	var zero [64]byte
-	if _, _, _, _, err := parseHeader(zero); !errors.Is(err, errFrameEnd) {
+	if _, err := parseHeader(zero); !errors.Is(err, errFrameEnd) {
 		t.Fatal("zero line parsed as a frame")
 	}
 }
@@ -192,13 +192,12 @@ func TestOpenRefusesMalformedSealedFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, count, payloadBytes, payloadCk, err := parseHeader(hl)
+	h, err := parseHeader(hl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := encodeHeader(seq, count+1, payloadBytes)
-	sealHeader(&bad, payloadCk)
-	if err := st.Write(arenaStart, bad); err != nil {
+	h.count++
+	if err := st.Write(arenaStart, h.encode()); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.FlushEpoch(); err != nil {
@@ -238,19 +237,18 @@ func TestOpenMalformedFrameWinsOverLaterFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, count, payloadBytes, payloadCk, err := parseHeader(hl)
+		h, err := parseHeader(hl)
 		if err != nil {
 			t.Fatalf("frame header at %#x: %v", uint64(addr), err)
 		}
-		if seq == badSeq {
-			bad := encodeHeader(seq, count+1, payloadBytes)
-			sealHeader(&bad, payloadCk)
-			if err := st.Write(addr, bad); err != nil {
+		if h.seq == badSeq {
+			h.count++
+			if err := st.Write(addr, h.encode()); err != nil {
 				t.Fatal(err)
 			}
 			break
 		}
-		addr += mem.Addr(frameLines(payloadBytes)) * mem.LineSize
+		addr += mem.Addr(frameLines(h.n)) * mem.LineSize
 	}
 	if err := st.FlushEpoch(); err != nil {
 		t.Fatal(err)

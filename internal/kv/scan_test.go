@@ -39,7 +39,7 @@ func scanDB(st *store.Store) *DB {
 }
 
 // serialScan is the scan's specification on one goroutine: walk the
-// header chain to its end, fetching every frame's payload; open and
+// open layout's header chain to its end, fetching every frame's payload; open and
 // checksum the payloads in log order up to the first failed checksum,
 // which ends the log; decode and apply the sealed frames up to the
 // first malformed one, which is the error. A read error counts only if
@@ -49,7 +49,7 @@ func serialScan(db *DB) error {
 	start := db.halfStart(db.active)
 	end := start + mem.Addr(db.halfBytes)
 	head, seq := start, db.seq
-	last, addr := db.seq, start
+	last, addr, tag := db.seq, start, db.tagLocked()
 	var err error
 	ended, checking := false, true
 	for addr+mem.LineSize <= end {
@@ -60,10 +60,11 @@ func serialScan(db *DB) error {
 			}
 			break
 		}
-		s, count, n, ck, perr := parseHeader(hl)
-		if perr != nil || s != last+1 {
+		h, perr := parseHeader(hl)
+		if perr != nil || h.seq != last+1 || h.tag != tag {
 			break
 		}
+		s, n := h.seq, h.n
 		need := mem.Addr(frameLines(n)) * mem.LineSize
 		if addr+need > end {
 			break
@@ -81,8 +82,8 @@ func serialScan(db *DB) error {
 				pt, _ := op.Open(&lines[j])
 				payload = append(payload, pt[:min(mem.LineSize, n-j*mem.LineSize)]...)
 			}
-			switch recs, derr := decodePayload(nil, payload, count); {
-			case mem.Checksum(payload) != ck:
+			switch recs, derr := decodePayload(nil, payload, h.count); {
+			case mem.Checksum(payload) != h.ck:
 				checking, ended = false, true
 			case ended:
 			case derr != nil:
@@ -177,12 +178,12 @@ func TestScanPipelineIdentity(t *testing.T) {
 		}},
 		{"malformed sealed frame", func(t *testing.T, st *store.Store, frame mem.Addr) {
 			rewrite(t, st, frame, func(l *mem.Line) {
-				seq, count, n, ck, err := parseHeader(*l)
+				h, err := parseHeader(*l)
 				if err != nil {
 					t.Fatal(err)
 				}
-				*l = encodeHeader(seq, count+1, n)
-				sealHeader(l, ck)
+				h.count++
+				*l = h.encode()
 			})
 		}, func(t *testing.T, o scanOutcome, frame mem.Addr) {
 			want := fmt.Sprintf("kv: log frame seq %d at %#x is malformed", bad, uint64(frame))

@@ -87,7 +87,7 @@ func (s *Server) Close() {
 }
 
 // maxConnSnaps caps the snapshots one connection may hold open: each
-// is a copy of the whole keymap and pins an arena half against reclaim.
+// is a copy of the whole keymap and pins an arena half against a pass.
 const maxConnSnaps = 16
 
 // connSnaps is the snapshots one connection took. They are its alone:

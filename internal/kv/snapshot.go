@@ -9,10 +9,11 @@ var ErrSnapshotReleased = errors.New("kv: snapshot released")
 // sequence number. The log is append-only between compaction passes,
 // so a snapshot is a pure index copy; what keeps the copy readable
 // across a pass is the pin it holds on the arena half its refs point
-// into — a committed pass defers reclaiming that half until the last
-// pinning snapshot is Released, so a snapshot taken mid-compaction
-// keeps serving the consistent pre-switch view. (The facade's COW NVM
-// snapshot serves crash images; this one serves consistent reads.)
+// into — a pass that would write its run over that half is refused
+// until the last pinning snapshot is Released, so a snapshot taken
+// mid-compaction keeps serving the consistent pre-switch view. (The
+// facade's COW NVM snapshot serves crash images; this one serves
+// consistent reads.)
 type Snapshot struct {
 	db       *DB
 	idx      map[string]valRef
@@ -22,7 +23,7 @@ type Snapshot struct {
 }
 
 // Snapshot captures the current keymap and pins the active half
-// against reclamation until Release.
+// against being overwritten by a pass until Release.
 func (db *DB) Snapshot() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -58,23 +59,13 @@ func (s *Snapshot) Get(key []byte) ([]byte, bool, error) {
 	return v, ok, err
 }
 
-// Release drops the snapshot's pin. If a committed compaction pass was
-// waiting on it, the retired half is reclaimed now. Idempotent; reads
-// after Release fail with ErrSnapshotReleased.
+// Release drops the snapshot's pin. Idempotent; reads after Release
+// fail with ErrSnapshotReleased.
 func (s *Snapshot) Release() {
-	db := s.db
-	db.mu.Lock()
-	if s.released {
-		db.mu.Unlock()
-		return
-	}
-	s.released = true
-	db.pins[s.half]--
-	reclaim := db.pendingReclaim == s.half && db.pins[s.half] == 0 && s.half != db.active
-	db.mu.Unlock()
-	if reclaim {
-		// Deferred reclaim errors (read-only media, crash) keep
-		// pendingReclaim set; the next pass or reopen retries.
-		db.reclaimRetired(s.half)
+	s.db.mu.Lock()
+	defer s.db.mu.Unlock()
+	if !s.released {
+		s.released = true
+		s.db.pins[s.half]--
 	}
 }

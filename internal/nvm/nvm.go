@@ -136,10 +136,6 @@ func (d *Device) Peek(a mem.Addr) (mem.Line, bool) { return d.store.Read(a) }
 // false after any write to either, even of the same bytes.
 func (d *Device) Holds(img *Image) bool { return d.store.Shares(img.Store) }
 
-// Range lists the written lines in [lo, hi) in ascending address order
-// without counting an access; page reclaim walks its arena half with it.
-func (d *Device) Range(lo, hi mem.Addr) []mem.Addr { return d.store.Range(lo, hi) }
-
 // Write persists line l at a, counting the write against its region and
 // the line's wear counter. Writing heals a stuck line (the device remaps
 // it to a spare). An out-of-range address returns *AddrRangeError.

@@ -302,3 +302,71 @@ func TestWriteReportsControllerError(t *testing.T) {
 		t.Fatalf("Write after a failed device write returned %v, want the *nvm.AddrRangeError", err)
 	}
 }
+
+// TestPowerFailStopsReads: once an armed crash has struck a write, a
+// read and a fetch fail with ErrCrashed and put nothing on the device.
+// They used to run the engine, whose metadata fills on cc-NVM start
+// eviction-triggered drains: reads over 64–128 MiB after one write per
+// page over the first 16 MiB wrote 24 metadata lines after the power
+// cut.
+func TestPowerFailStopsReads(t *testing.T) {
+	st, err := store.Open(store.Options{Capacity: 256 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range (16 << 20) / mem.PageSize {
+		if err := st.Write(mem.Addr(i)*mem.PageSize, persistLine(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.ArmCrash(0)
+	if err := st.Write(0, persistLine(-1)); !errors.Is(err, store.ErrCrashed) {
+		t.Fatalf("struck write: %v, want ErrCrashed", err)
+	}
+	writes := st.Device().Writes()
+	for a := mem.Addr(64 << 20); a < 128<<20; a += mem.PageSize {
+		if _, err := st.Read(a); !errors.Is(err, store.ErrCrashed) {
+			t.Fatalf("Read(%#x) after the power cut: %v, want ErrCrashed", uint64(a), err)
+		}
+	}
+	if _, err := st.Fetch(nil, 64<<20, 64); !errors.Is(err, store.ErrCrashed) {
+		t.Fatalf("Fetch after the power cut: %v, want ErrCrashed", err)
+	}
+	if got := st.Device().Writes(); got != writes {
+		t.Fatalf("the device took writes after the power cut: %v, then %v", writes, got)
+	}
+}
+
+// TestHostWriteReadIsAViolation: a line written below the engine
+// (HostWrite) carries no valid HMAC, so a Store.Read of it counts one
+// integrity violation on every design the KV layer serves on, whether
+// the engine had written the line before or not. (What the read
+// returns differs: Arsenal hands back a zero line, the others garbage,
+// all with a nil error.)
+func TestHostWriteReadIsAViolation(t *testing.T) {
+	for _, name := range torture.KVDesigns() {
+		t.Run(name, func(t *testing.T) {
+			st, err := store.Open(store.Options{Design: name, Capacity: 1 << 20,
+				Params: engine.Params{UpdateLimit: 16, QueueEntries: 64}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, written := range []bool{true, false} {
+				a := mem.Addr(i) * mem.PageSize
+				if written {
+					if err := st.Write(a, persistLine(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				st.HostWrite(st.Now(), a, persistLine(100+i))
+				before := st.Engine().Stats().IntegrityViolations
+				if _, err := st.Read(a); err != nil {
+					t.Fatal(err)
+				}
+				if got := st.Engine().Stats().IntegrityViolations - before; got != 1 {
+					t.Fatalf("read of a raw line (engine-written first: %v) counted %d violations, want 1", written, got)
+				}
+			}
+		})
+	}
+}

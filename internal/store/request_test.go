@@ -32,7 +32,7 @@ func requestLine(step, i, kind int) mem.Line {
 func sameDevice(t *testing.T, step int, a, b *store.Store) {
 	t.Helper()
 	end := mem.Addr(a.Layout().TotalBytes())
-	la, lb := a.Device().Range(0, end), b.Device().Range(0, end)
+	la, lb := a.Device().Snapshot().Store.Range(0, end), b.Device().Snapshot().Store.Range(0, end)
 	if len(la) != len(lb) {
 		t.Fatalf("step %d: the devices hold %d and %d lines", step, len(la), len(lb))
 	}
@@ -148,12 +148,10 @@ func TestRequestWritesHMACLineOnce(t *testing.T) {
 
 // FuzzRequestKeepsImage drives two stores of one design with the same
 // calls: one makes each call as written (a WriteLines of many lines, a
-// ReadLines, a ReclaimRange), the other replays it as one-line calls
-// (Writes, Reads, one-line reclaims in address order). The request
-// buffer may only save device reads and writes: after every call the
-// devices must hold identical lines, reads and reclaim counts must
-// agree, and the first store must not have read or written more lines
-// on the device. The calls write zero, compressible (packed on Arsenal)
+// ReadLines), the other replays it as one-line calls (Writes, Reads).
+// The request buffer may only save device reads and writes: after every
+// call the devices must hold identical lines, reads must agree, and the
+// first store must not have read or written more lines on the device. The calls write zero, compressible (packed on Arsenal)
 // and incompressible lines,
 // and one form writes a single line up to 256 times in one call, so a
 // minor counter overflows and the page is re-encrypted inside a
@@ -161,12 +159,13 @@ func TestRequestWritesHMACLineOnce(t *testing.T) {
 func FuzzRequestKeepsImage(f *testing.F) {
 	// A design, then four bytes a call: kind, line, count, content. On
 	// every design: line 5 written 131 times (an overflow), eight lines
-	// from line 3, a read of 16 lines and a reclaim of 9.
+	// from line 3, a read of 16 lines, and eight lines from line 4, seven
+	// of them written again.
 	for d := range len(design.Names()) {
-		f.Add([]byte{byte(d), 1, 5, 130, byte(d), 0, 3, 7, 1, 2, 0, 15, 0, 3, 4, 9, 0})
+		f.Add([]byte{byte(d), 1, 5, 130, byte(d), 0, 3, 7, 1, 2, 0, 15, 0, 0, 4, 7, 0})
 	}
-	f.Add([]byte{0, 0, 0, 7, 1, 0, 4, 7, 2, 2, 0, 15, 0, 3, 3, 2, 2})
-	f.Add([]byte{6, 0, 8, 7, 2, 1, 9, 200, 2, 2, 4, 15, 0, 3, 6, 13, 0, 0, 8, 3, 1})
+	f.Add([]byte{0, 0, 0, 7, 1, 0, 4, 7, 2, 2, 0, 15, 0, 0, 3, 1, 2})
+	f.Add([]byte{6, 0, 8, 7, 2, 1, 9, 200, 2, 2, 4, 15, 0, 0, 6, 5, 0, 0, 8, 3, 1})
 	names := design.Names()
 	params := engine.Params{UpdateLimit: 16, QueueEntries: 64}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -184,7 +183,7 @@ func FuzzRequestKeepsImage(f *testing.F) {
 		}
 		req, one := open(), open()
 		for step := 0; len(data) >= 4 && step < 32; step, data = step+1, data[4:] {
-			kind, a, n, c := data[0]%4, mem.Addr(data[1])*mem.LineSize, int(data[2]), int(data[3])
+			kind, a, n, c := data[0]%3, mem.Addr(data[1])*mem.LineSize, int(data[2]), int(data[3])
 			switch kind {
 			case 0, 1: // n%8+1 consecutive lines from a, or line a n+1 times
 				count, stride := n%8+1, mem.LineSize
@@ -218,24 +217,6 @@ func FuzzRequestKeepsImage(f *testing.F) {
 				}
 				if !bytes.Equal(got, want) {
 					t.Fatalf("step %d: ReadLines(%#x, %d) differs from its Reads", step, uint64(a), n%16+1)
-				}
-			case 3: // the n%16 lines from a
-				hi := a + mem.Addr(n%16)*mem.LineSize
-				got, err := req.ReclaimRange(a, hi)
-				if err != nil {
-					t.Fatalf("step %d: ReclaimRange: %v", step, err)
-				}
-				want := 0
-				for x := a; x < hi; x += mem.LineSize {
-					k, err := one.ReclaimRange(x, x+mem.LineSize)
-					if err != nil {
-						t.Fatalf("step %d: one-line ReclaimRange: %v", step, err)
-					}
-					want += k
-				}
-				if got != want {
-					t.Fatalf("step %d: ReclaimRange(%#x, %#x) reclaimed %d lines, one-line reclaims %d",
-						step, uint64(a), uint64(hi), got, want)
 				}
 			}
 			sameDevice(t, step, req, one)

@@ -4,7 +4,7 @@
 // CLIs — reaches a security engine. It assembles the layered machine
 // (layout, NVM device, memory controller, security engine) exactly the
 // way the simulator always wired it, and exposes a concurrency-safe
-// Open/Read/Write/ReclaimRange/FlushEpoch/Snapshot/Close lifecycle over
+// Open/Read/Write/FlushEpoch/Snapshot/Close lifecycle over
 // the secure NVM address space:
 //
 //   - Writes go through the engine's write-back path, so they are
@@ -159,14 +159,6 @@ type Store struct {
 	seenWrites int
 
 	refusedWrites uint64
-
-	// nonZero holds every data line whose last write this session
-	// accepted, through Write or a reclaim, without an error and with
-	// non-zero plaintext: ReclaimRange zeroes such a line without
-	// reading it back. An erroring write and a HostWrite take the line
-	// out; a struck or refused write leaves it as it was. It starts
-	// empty on every Open, so a rebooted store knows no line.
-	nonZero lineSet
 
 	// verdict is the boot verdict OpenRecovered keeps (see verdictLine)
 	// and vcry the crypto engine Read decrypts its lines with; nil from
@@ -552,59 +544,7 @@ func (s *Store) writeLocked(a mem.Addr, l mem.Line) error {
 	}
 	a = mem.Align(a)
 	s.now = s.eng.WriteBack(s.now, a, l)
-	err := s.ctrl.Err()
-	s.nonZero.put(a, err == nil && l != mem.Line{})
-	return err
-}
-
-// ReclaimRange is the page-reclaim hook: it returns every written
-// non-zero line in [lo, hi) to the zero state by writing zero lines
-// through the engine (the secure address space has no "unwrite"; zero
-// is the default content of an untouched line) and reports how many it
-// reclaimed. It walks the range in ascending address order so a
-// reclaim is deterministic — crash-sweep harnesses arm a power failure
-// at the n-th accepted write and need the n-th write to be the same
-// line on every run. On error the count covers the lines already
-// reclaimed; the zero writes that were accepted stand.
-//
-// A line this session last wrote with non-zero plaintext is zeroed
-// without being read: its content is known, and the read would only
-// confirm it. Every other written line is read through the engine and
-// zeroed only if it is not zero already, so a tampered line of that
-// kind still counts as an integrity violation; a tampered line of the
-// first kind is overwritten without one. Either way the line is dead,
-// and no read that serves data skips authentication.
-func (s *Store) ReclaimRange(lo, hi mem.Addr) (int, error) {
-	s.lockRequest()
-	defer s.unlockRequest()
-	if err := s.usable(); err != nil {
-		return 0, err
-	}
-	if hi > mem.Addr(s.lay.DataBytes) {
-		hi = mem.Addr(s.lay.DataBytes)
-	}
-	var zero mem.Line
-	reclaimed := 0
-	// The range's addresses are listed before the loop writes: the zero
-	// writes below land on the device the list came from.
-	for _, a := range s.dev.Range(lo, hi) {
-		// The media holds ciphertext, so "already zero" must be judged on
-		// the decrypted content — an encrypted zero line is not the zero
-		// ciphertext, and re-zeroing it would make reclaim non-idempotent
-		// (and non-monotonic across reopens).
-		if !s.nonZero.has(a) {
-			pt, done := s.eng.ReadBlock(s.now, a)
-			s.now = done
-			if pt == zero {
-				continue
-			}
-		}
-		if err := s.writeLocked(a, zero); err != nil {
-			return reclaimed, err
-		}
-		reclaimed++
-	}
-	return reclaimed, nil
+	return s.ctrl.Err()
 }
 
 // FlushEpoch closes the current ADR epoch: the design persists all of
@@ -662,7 +602,7 @@ func (s *Store) Close() error {
 
 // ArmCrash schedules a simulated power failure after the next n facade
 // writes have been accepted: write n+1 and everything after it (writes,
-// epoch flushes, reads, fetches and reclaims alike) fail with
+// epoch flushes, reads and fetches alike) fail with
 // ErrCrashed and leave the media as the power failure left it — a read
 // after the failure would otherwise run the engine, whose metadata
 // fills can start an eviction-triggered drain. The caller then collects
@@ -723,7 +663,6 @@ func (s *Store) HostWrite(now int64, a mem.Addr, l mem.Line) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.verdict = nil
-	s.nonZero.put(mem.Align(a), false)
 	return s.ctrl.HostWrite(now, a, l)
 }
 

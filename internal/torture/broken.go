@@ -170,11 +170,12 @@ func BrokenRunner(mode string) (*Runner, error) {
 		}, nil
 	case "break-compact-switch":
 		// A KV-layer crash-consistency bug: the compactor copies the live
-		// set, switches the in-memory keymap and reclaims the retired
-		// half, but its manifest commit never lands — the classic "forgot
-		// the commit record" defect. The namespace looks perfect until the
-		// crash, when reopen follows the fresh namespace's empty manifest
-		// into a half whose frames were just zeroed. The compaction
+		// set and switches the in-memory keymap, but its manifest commit
+		// never lands — the classic "forgot the commit record" defect.
+		// The namespace looks perfect until the crash, when reopen follows
+		// the fresh namespace's empty manifest into half 0: a stale log
+		// there, or frames of a later layout that its tag refuses. The
+		// compaction
 		// oracles (generation equality first, lost-acked and resurrection
 		// checks behind it) must catch it on any compact cell;
 		// non-compact cells run clean.

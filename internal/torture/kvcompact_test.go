@@ -10,9 +10,9 @@ import (
 // TestKVCompactCrashSweep crashes the KV namespace at every host-write
 // boundary while a compaction pass runs after every second acknowledged
 // batch — so the sweep lands inside the pass's copy loop, between the
-// run flush and the manifest commit, on the manifest slot write itself,
-// and inside the retired half's reclaim. Every boundary must recover to
-// an exact reachable prefix state with the manifest generation intact.
+// run flush and the manifest commit, and on the manifest slot write
+// itself. Every boundary must recover to an exact reachable prefix
+// state with the manifest generation intact.
 func TestKVCompactCrashSweep(t *testing.T) {
 	designs := KVDesigns()
 	if len(designs) == 0 {
@@ -66,8 +66,8 @@ func TestKVCompactCellValidate(t *testing.T) {
 
 // TestBrokenCompactSwitchCaught proves the compaction oracles have
 // teeth on the path `ccnvm-torture -kv -kv-compact 2 -break
-// break-compact-switch` takes: a compactor that switches and reclaims
-// without ever writing the manifest commit must fail compact cells (and
+// break-compact-switch` takes: a compactor that switches without ever
+// writing the manifest commit must fail compact cells (and
 // only those) in RunMatrix, each failure must name its cell and carry a
 // shrunk repro, and the repro must parse back, still fail under the
 // sabotage and pass on the real compactor.

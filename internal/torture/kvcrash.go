@@ -25,7 +25,7 @@ import (
 // batch sequence by the oracle table's KV rows. The compaction axis
 // (CompactEvery > 0) runs a garbage-collection pass after every
 // CompactEvery-th acknowledged batch, so the sweep also lands inside the
-// pass's copy, commit and reclaim phases; compacting cells swap the
+// pass's copy and commit phases; compacting cells swap the
 // seq-based prefix claim for a search and answer to the compaction rows.
 
 // KVWorkload is the workload name that makes a cell a KV cell.
@@ -216,13 +216,12 @@ func (r *Runner) runKV(c Cell) (*Context, *Failure) {
 	if e.prefix >= 0 {
 		e.prefix += run.acked
 	}
-	// The first reopen is allowed (required) to finish an interrupted
-	// pass's reclaim; a second over the same store must find nothing left
-	// to zero.
+	// A second reopen over the same store must rebuild the same
+	// namespace: the first changed nothing the scan reads.
 	if db2, err := kv.Open(st, kv.Options{}); err != nil {
 		e.reopenErr = err
-	} else if cs := db2.Stats().Compaction; cs != nil {
-		e.reclaimed = cs.ReclaimedLines
+	} else {
+		e.second = readKV(db2, e.keys)
 	}
 	if ctx.rebootRan && ctx.GoldenRep.Clean() {
 		dbG, _, err := r.reopenKV(c, ctx.GoldenImg, *ctx.GoldenRec)
@@ -238,24 +237,26 @@ func (r *Runner) runKV(c Cell) (*Context, *Failure) {
 // its reachable prefix states mention, the recovered namespace and the
 // prefix state it claims to be (-1: a compacting cell matching none).
 // Compacting cells add the outcome of a second reopen of the same store
-// and, under the reboot axis, the namespace the single-shot golden clone
-// reopens to (nil when that clone's recovery flagged it).
+// (its error, or the namespace it rebuilt) and, under the reboot axis,
+// the namespace the single-shot golden clone reopens to (nil when that
+// clone's recovery flagged it).
 type kvEvidence struct {
 	*kvRun
 	keys      []string
 	got       kvView
 	prefix    int
 	reopenErr error
-	reclaimed uint64
+	second    kvView
 	golden    *kvView
 }
 
 // kvView is one reopened namespace: its manifest generation, frame seq,
-// keymap size and the live value of every key; err is a failed reopen
-// or read-back.
+// keymap size, log head (as the active half's used bytes) and the live
+// value of every key; err is a failed reopen or read-back.
 type kvView struct {
 	gen        uint64
 	seq, nkeys int
+	logBytes   uint64
 	live       map[string][]byte
 	err        error
 }
@@ -263,7 +264,7 @@ type kvView struct {
 // readKV reads a reopened namespace back, every key included.
 func readKV(db *kv.DB, keys []string) kvView {
 	s := db.Stats()
-	v := kvView{gen: db.Generation(), seq: int(s.Seq), nkeys: s.Keys, live: map[string][]byte{}}
+	v := kvView{gen: db.Generation(), seq: int(s.Seq), nkeys: s.Keys, logBytes: s.LogBytes, live: map[string][]byte{}}
 	for _, k := range keys {
 		val, ok, err := db.Get([]byte(k))
 		if err != nil {
@@ -360,9 +361,20 @@ func checkKVNoGhosts(c *Context) string {
 	return ""
 }
 
-func checkKVReclaimMonotonic(c *Context) string {
-	if n := c.kv.reclaimed; n != 0 {
-		return fmt.Sprintf("second reopen reclaimed %d more lines — reclaim did not converge", n)
+// checkKVReopenIdempotent holds a second reopen of the recovered store
+// to the first: the same keymap, frame seq and log head. A failed second
+// reopen belongs to kv-clean-recovery.
+func checkKVReopenIdempotent(c *Context) string {
+	got, second := c.kv.got, c.kv.second
+	switch {
+	case c.kv.reopenErr != nil || got.err != nil:
+	case second.err != nil:
+		return "second reopen " + second.err.Error()
+	case second.seq != got.seq || second.logBytes != got.logBytes:
+		return fmt.Sprintf("second reopen rebuilt seq %d with %d log bytes, the first seq %d with %d",
+			second.seq, second.logBytes, got.seq, got.logBytes)
+	case second.nkeys != got.nkeys || !maps.EqualFunc(second.live, got.live, bytes.Equal):
+		return "second reopen rebuilt a different keymap than the first"
 	}
 	return ""
 }

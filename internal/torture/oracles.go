@@ -336,8 +336,8 @@ var oracles = []Oracle{
 	{Name: "kv-no-ghosts", Scope: scopeKV, Check: checkKVNoGhosts, Doc: "Nothing beyond the issued batches " +
 		"appears: the recovered log holds at most the issued batch count, and the keymap has exactly the matched " +
 		"prefix state's keys."},
-	{Name: "kv-reclaim-monotonic", Scope: scopeCompact, Check: checkKVReclaimMonotonic, Doc: "A second reopen " +
-		"of the recovered store reclaims zero further lines: space reclaim converges."},
+	{Name: "kv-reopen-idempotent", Scope: scopeCompact, Check: checkKVReopenIdempotent, Doc: "A second reopen " +
+		"of the recovered store rebuilds the first's keymap, frame seq and log head."},
 	{Name: "kv-clean-recovery", Scope: scopeKV, Check: checkKVCleanRecovery, Doc: "An un-attacked KV crash " +
 		"recovers clean — the first pass, the last re-entered pass of the reboot loop and the single-shot golden " +
 		"alike — and the recovered store reopens with its keymap rebuilt, twice over for compacting cells."},
