@@ -74,9 +74,7 @@ vuln:
 # no switches on a .Design field outside internal/design (tests may
 # spell names out — that is what pins the registry). The names are the
 # string constants of internal/design/names/names.go, so a new design is
-# linted without editing this target. A line that is just the
-# root-package import `"ccnvm"` is excluded; it is an import path, not a
-# design name.
+# linted without editing this target.
 lint-designs:
 	@names=$$(sed -n 's/^[[:space:]]*[A-Za-z0-9_]*[[:space:]]*=[[:space:]]*"\([^"]*\)".*/\1/p' \
 		internal/design/names/names.go | paste -sd '|' -); \
@@ -86,8 +84,7 @@ lint-designs:
 	fi; \
 	bad=$$(grep -rn -E "\"($$names)\"" \
 		--include='*.go' . \
-		| grep -v '_test\.go' | grep -v '^\./internal/design/' \
-		| grep -v -E ':[[:space:]]*(_ )?"ccnvm"$$'); \
+		| grep -v '_test\.go' | grep -v '^\./internal/design/'); \
 	sw=$$(grep -rn -E 'switch[^{]*\.Design\b' --include='*.go' . \
 		| grep -v '_test\.go' | grep -v '^\./internal/design/'); \
 	if [ -n "$$bad$$sw" ]; then \

@@ -48,7 +48,7 @@ import (
 	"os"
 	"strings"
 
-	"ccnvm"
+	"ccnvm/internal/design"
 	"ccnvm/internal/engine"
 	"ccnvm/internal/kv"
 	"ccnvm/internal/store"
@@ -56,21 +56,21 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address (port 0 picks a free port)")
-	design := flag.String("design", ccnvm.DesignCCNVM, "design for a fresh store: "+strings.Join(ccnvm.AllDesigns(), ", "))
+	designName := flag.String("design", design.CCNVM, "design for a fresh store: "+strings.Join(design.Names(), ", "))
 	capacity := flag.Uint64("capacity", 64<<20, "data-region bytes for a fresh store")
 	n := flag.Uint64("n", 16, "update limit N (deferred-spreading bound)")
-	queue := flag.Int("queue", 64, "WPQ entries")
+	m := flag.Int("m", 64, "dirty address queue entries M")
 	image := flag.String("image", "", "crash-image file: loaded at boot if present, written on crash/quit")
 	flag.Parse()
 
-	if err := run(*addr, *design, *capacity, *n, *queue, *image); err != nil {
+	if err := run(*addr, *designName, *capacity, *n, *m, *image); err != nil {
 		fmt.Fprintln(os.Stderr, "ccnvm-kvd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, design string, capacity, n uint64, queue int, image string) error {
-	params := engine.Params{UpdateLimit: n, QueueEntries: queue}
+func run(addr, designName string, capacity, n uint64, m int, image string) error {
+	params := engine.Params{UpdateLimit: n, QueueEntries: m}
 	var st *store.Store
 	if image != "" {
 		if _, err := os.Stat(image); err == nil {
@@ -89,7 +89,7 @@ func run(addr, design string, capacity, n uint64, queue int, image string) error
 	}
 	if st == nil {
 		var err error
-		st, err = store.Open(store.Options{Design: design, Capacity: capacity, Params: params})
+		st, err = store.Open(store.Options{Design: designName, Capacity: capacity, Params: params})
 		if err != nil {
 			return err
 		}

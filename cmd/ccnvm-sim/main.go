@@ -177,7 +177,7 @@ func parseTraceFile(path string) ([]trace.Op, error) {
 
 // Render formats one result as a detailed report.
 func Render(r sim.Result) string {
-	t := report.NewTable(fmt.Sprintf("%s on %s", sim.DesignLabel(r.Design), r.Workload), "value")
+	t := report.NewTable(fmt.Sprintf("%s on %s", design.Label(r.Design), r.Workload), "value")
 	t.AddRow("instructions", fmt.Sprintf("%d", r.Instructions))
 	t.AddRow("cycles", fmt.Sprintf("%d", r.Cycles))
 	t.AddRow("IPC", fmt.Sprintf("%.4f", r.IPC))

@@ -184,6 +184,20 @@ func TestForImageFallback(t *testing.T) {
 	}
 }
 
+// TestDesignLabels pins Label's lookup for the paper's five designs
+// and its fallback for an unregistered name: the name itself.
+func TestDesignLabels(t *testing.T) {
+	want := map[string]string{
+		"wocc": "w/o CC", "sc": "SC", "osiris": "Osiris Plus",
+		"ccnvm-wods": "cc-NVM w/o DS", "ccnvm": "cc-NVM", "other": "other",
+	}
+	for d, l := range want {
+		if got := design.Label(d); got != l {
+			t.Errorf("Label(%s) = %q, want %q", d, got, l)
+		}
+	}
+}
+
 // TestUnknownErrorListsNames asserts the CLI-facing error names every
 // registered design, so a flag typo is self-fixing.
 func TestUnknownErrorListsNames(t *testing.T) {

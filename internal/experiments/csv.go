@@ -6,7 +6,7 @@ import (
 	"io"
 	"strconv"
 
-	"ccnvm/internal/sim"
+	"ccnvm/internal/design"
 )
 
 // WriteCSV emits the Figure 5 matrix as tidy CSV (one row per design x
@@ -21,7 +21,7 @@ func (f *Fig5) WriteCSV(w io.Writer) error {
 		for _, b := range f.Benchmarks {
 			c := f.Cells[d][b]
 			rec := []string{
-				d, sim.DesignLabel(d), b,
+				d, design.Label(d), b,
 				strconv.FormatFloat(c.IPC, 'f', 6, 64),
 				strconv.FormatFloat(c.NormIPC, 'f', 6, 64),
 				strconv.FormatUint(c.Writes, 10),
@@ -46,7 +46,7 @@ func (f *Fig6) WriteCSV(w io.Writer) error {
 	for _, d := range f.Designs {
 		for _, p := range f.Points[d] {
 			rec := []string{
-				d, sim.DesignLabel(d),
+				d, design.Label(d),
 				strconv.FormatUint(p.Param, 10),
 				strconv.FormatFloat(p.NormIPC, 'f', 6, 64),
 				strconv.FormatFloat(p.NormWrite, 'f', 6, 64),

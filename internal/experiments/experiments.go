@@ -3,9 +3,9 @@
 // NVM write traffic across SPEC stand-ins), Figure 6 (sensitivity to
 // the update-times limit N and the dirty-address-queue size M) and the
 // §2.3/§5 headline numbers, normalizing everything to the w/o-CC
-// baseline exactly as the paper does. The bench harness, the CLI and
-// the examples all call into this package, so every figure has a single
-// source of truth.
+// baseline exactly as the paper does. ccnvm-bench, ccnvm-recover and
+// the repo benchmark all call into this package, so every figure has a
+// single source of truth.
 package experiments
 
 import (
@@ -289,7 +289,7 @@ func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
 func labels(designs []string) []string {
 	out := make([]string, len(designs))
 	for i, d := range designs {
-		out[i] = sim.DesignLabel(d)
+		out[i] = design.Label(d)
 	}
 	return out
 }
@@ -340,7 +340,7 @@ func RunLifetime(o Options, benchmark string) (*Lifetime, error) {
 func (l *Lifetime) Table(benchmark string) string {
 	t := report.NewTable("NVM lifetime on "+benchmark, "writes", "max line wear", "rel. lifetime")
 	for _, d := range l.Designs {
-		t.AddRow(sim.DesignLabel(d),
+		t.AddRow(design.Label(d),
 			fmt.Sprintf("%d", l.Writes[d]),
 			fmt.Sprintf("%d", l.MaxWear[d]),
 			fmt.Sprintf("%.3gx", l.RelativeL[d]))

@@ -66,7 +66,7 @@ type RecoveryMatrix struct {
 }
 
 // RunRecoveryMatrix executes the matrix. Designs defaults to the five
-// paper designs plus the §4.4 extension; pass sim.AllDesigns() to add
+// paper designs plus the §4.4 extension; pass design.Names() to add
 // Arsenal (whose counter-region replay cell is a no-op, since packed
 // blocks keep their counters inline).
 func RunRecoveryMatrix(designs []string) (*RecoveryMatrix, error) {

@@ -295,6 +295,10 @@ func TestApplyThenResume(t *testing.T) {
 		t.Fatalf("clean crash flagged: %+v", rep)
 	}
 	rec := recovery.Apply(img, rep)
+	if rec.TCB.RootNew != rep.RebuiltRoot || rec.TCB.Nwb != 0 {
+		t.Fatalf("resumed TCB: RootNew is the rebuilt root = %v, Nwb = %d; want true, 0",
+			rec.TCB.RootNew == rep.RebuiltRoot, rec.TCB.Nwb)
+	}
 
 	st2, err := store.OpenRecovered(img, rec, store.Options{Params: engine.Params{UpdateLimit: 16}})
 	if err != nil {

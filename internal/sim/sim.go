@@ -23,17 +23,8 @@ import (
 )
 
 // Designs lists the five evaluated designs in the paper's order. Thin
-// wrapper over the design registry, kept so existing callers compile.
+// wrapper over the design registry.
 func Designs() []string { return design.PaperNames() }
-
-// AllDesigns additionally includes the §4.4 extension and the
-// related-work Arsenal baseline, neither of which is part of the
-// paper's figures. Thin wrapper over the design registry.
-func AllDesigns() []string { return design.Names() }
-
-// DesignLabel maps a design name to the paper's label. Thin wrapper
-// over the design registry.
-func DesignLabel(d string) string { return design.Label(d) }
 
 // The paper's core and caches.
 const (
@@ -254,19 +245,6 @@ func (m *Machine) Run(workload string, ops []trace.Op) Result {
 	}
 	m.core.outstanding = m.core.outstanding[:0]
 	return m.result(workload)
-}
-
-// RunWithCrash executes ops[:crashAt], crashes, and returns the crash
-// image together with the partial result.
-func (m *Machine) RunWithCrash(workload string, ops []trace.Op, crashAt int) (Result, *engine.CrashImage) {
-	if crashAt > len(ops) {
-		crashAt = len(ops)
-	}
-	for _, op := range ops[:crashAt] {
-		m.step(op)
-	}
-	res := m.result(workload)
-	return res, m.eng.Crash()
 }
 
 // Snapshot captures the current NVM contents non-destructively — the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"ccnvm/internal/design"
 	"ccnvm/internal/engine"
 	"ccnvm/internal/mem"
 	"ccnvm/internal/trace"
@@ -27,18 +28,6 @@ func TestUnknownDesignRejected(t *testing.T) {
 	}
 }
 
-func TestDesignLabels(t *testing.T) {
-	want := map[string]string{
-		"wocc": "w/o CC", "sc": "SC", "osiris": "Osiris Plus",
-		"ccnvm-wods": "cc-NVM w/o DS", "ccnvm": "cc-NVM", "other": "other",
-	}
-	for d, l := range want {
-		if got := DesignLabel(d); got != l {
-			t.Errorf("label(%s) = %q, want %q", d, got, l)
-		}
-	}
-}
-
 // TestEndToEndShadowCheck is the whole-stack functional test: every
 // value the core stores must read back identically through L1, L2,
 // encryption, authentication and NVM — for every registered design,
@@ -49,7 +38,7 @@ func TestEndToEndShadowCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := trace.Collect(trace.MustGenerator(p, 42), 40000)
-	for _, d := range AllDesigns() {
+	for _, d := range design.Names() {
 		t.Run(d, func(t *testing.T) {
 			m, err := New(Config{Design: d, CheckReads: true})
 			if err != nil {
@@ -144,11 +133,12 @@ func TestPaperOrderingHolds(t *testing.T) {
 	}
 }
 
-func TestRunWithCrashProducesRecoverableImage(t *testing.T) {
+func TestCrashMidTraceProducesImage(t *testing.T) {
 	p, _ := trace.ProfileByName("gcc")
 	ops := trace.Collect(trace.MustGenerator(p, 5), 20000)
 	m, _ := New(Config{Design: "ccnvm"})
-	res, img := m.RunWithCrash("gcc", ops, 15000)
+	res := m.Run("gcc", ops[:15000])
+	img := m.Crash()
 	if img == nil || img.Design != "ccnvm" {
 		t.Fatal("crash image missing or mislabeled")
 	}

@@ -205,28 +205,13 @@ func TestHotSetConcentration(t *testing.T) {
 	}
 }
 
-func TestToolkitProfilesValid(t *testing.T) {
-	profiles := []Profile{
-		UniformProfile("u", 256, 0.3),
-		StreamProfile("s", 1024, 0.5),
-		PointerChaseProfile("p", 512),
-	}
-	for _, p := range profiles {
-		if err := p.Validate(); err != nil {
-			t.Errorf("%s: %v", p.Name, err)
-		}
-		g := MustGenerator(p, 1)
-		for i := 0; i < 1000; i++ {
-			op := g.Next()
-			if op.Addr >= mem.Addr(uint64(p.FootprintPages)*mem.PageSize) {
-				t.Fatalf("%s: address out of footprint", p.Name)
-			}
-		}
-	}
-}
-
+// TestPointerChaseAllLoadsDep pins the generator's dependent-load
+// path: with DepFraction 1 every load feeds the next address.
 func TestPointerChaseAllLoadsDep(t *testing.T) {
-	g := MustGenerator(PointerChaseProfile("p", 64), 2)
+	g := MustGenerator(Profile{
+		Name: "p", FootprintPages: 64, HotPages: 64, SeqRun: 1,
+		StoreFraction: 0.02, MeanGap: 4, DepFraction: 1,
+	}, 2)
 	for i := 0; i < 2000; i++ {
 		op := g.Next()
 		if op.Kind == Load && !op.Dep {
@@ -235,8 +220,13 @@ func TestPointerChaseAllLoadsDep(t *testing.T) {
 	}
 }
 
+// TestStreamIsSequential pins the generator's unit-stride path: long
+// sequential runs over a cold footprint move one line at a time.
 func TestStreamIsSequential(t *testing.T) {
-	g := MustGenerator(StreamProfile("s", 2048, 0.5), 3)
+	g := MustGenerator(Profile{
+		Name: "s", FootprintPages: 2048, HotPages: 1, SeqRun: 512,
+		AccessesPerLine: 4, StoreFraction: 0.5, MeanGap: 6, DepFraction: 0.1,
+	}, 3)
 	prev := g.Next().Addr
 	seq, moves := 0, 0
 	for i := 0; i < 20000; i++ {
