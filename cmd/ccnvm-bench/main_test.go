@@ -80,3 +80,39 @@ func TestNegativeOpsRefused(t *testing.T) {
 		t.Fatalf("run -ops -5 = %v, want a run error", err)
 	}
 }
+
+// TestFig6JSONWithZeroBaseline: at 20000 ops w/o CC writes nothing to
+// NVM on some benchmarks, so every Figure 6 write ratio is over a zero
+// baseline. -json must still encode both sweeps, leaving the undefined
+// ratio out rather than failing on NaN.
+func TestFig6JSONWithZeroBaseline(t *testing.T) {
+	out := runJSON(t, "-fig", "6", "-ops", "20000", "-json")
+	var doc struct{ Fig6a, Fig6b *experiments.Fig6 }
+	dec := json.NewDecoder(bytes.NewReader(out))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatalf("decode: %v\n%s", err, out)
+	}
+	undefined := 0
+	for _, f := range []*experiments.Fig6{doc.Fig6a, doc.Fig6b} {
+		if f == nil || len(f.Designs) == 0 {
+			t.Fatalf("a sweep is missing: %s", out)
+		}
+		for _, d := range f.Designs {
+			if len(f.Points[d]) != 5 {
+				t.Fatalf("%s: %s has %d points, want 5", f.Title, d, len(f.Points[d]))
+			}
+			for _, p := range f.Points[d] {
+				if p.NormIPC <= 0 {
+					t.Errorf("%s: %s at %d has normalized IPC %v", f.Title, d, p.Param, p.NormIPC)
+				}
+				if p.NormWrite == 0 {
+					undefined++
+				}
+			}
+		}
+	}
+	if undefined == 0 {
+		t.Fatal("no write ratio is undefined: the run has no zero baseline and shows nothing")
+	}
+}

@@ -125,12 +125,8 @@ func RunFig5(o Options) (*Fig5, error) {
 				Writes: r.NVMWrites.Total(),
 				Raw:    r,
 			}
-			if base[b].IPC > 0 {
-				c.NormIPC = r.IPC / base[b].IPC
-			}
-			if bw := base[b].NVMWrites.Total(); bw > 0 {
-				c.NormWrite = float64(r.NVMWrites.Total()) / float64(bw)
-			}
+			c.NormIPC = ratio(r.IPC, base[b].IPC)
+			c.NormWrite = ratio(float64(r.NVMWrites.Total()), float64(base[b].NVMWrites.Total()))
 			f.Cells[d][b] = c
 			ipcs = append(ipcs, c.NormIPC)
 			writes = append(writes, c.NormWrite)
@@ -139,6 +135,16 @@ func RunFig5(o Options) (*Fig5, error) {
 		f.AvgNormWrite[d] = report.GeoMean(writes)
 	}
 	return f, nil
+}
+
+// ratio is num normalized to a baseline of den, or 0 — undefined —
+// over a zero baseline: a short trace can leave w/o CC with no NVM
+// writes at all. GeoMean reads a 0 as undefined too.
+func ratio(num, den float64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return num / den
 }
 
 func runOne(design, bench string, o Options) (sim.Result, error) {
@@ -349,10 +355,12 @@ func (l *Lifetime) Table(benchmark string) string {
 }
 
 // SweepPoint is one (parameter value, design) measurement of Figure 6.
+// A normalized metric is 0 where it is undefined (some benchmark's
+// baseline is zero), and JSON omits it there.
 type SweepPoint struct {
 	Param     uint64
-	NormIPC   float64
-	NormWrite float64
+	NormIPC   float64 `json:",omitzero"`
+	NormWrite float64 `json:",omitzero"`
 }
 
 // Fig6 holds one sensitivity sweep (a: update limit N; b: queue
@@ -416,8 +424,8 @@ func sweepPoint(f *Fig6, o Options, param uint64, designs []string) error {
 		var ipcs, wrs []float64
 		for _, b := range o.Benchmarks {
 			r := matrix[d][b]
-			ipcs = append(ipcs, r.IPC/base[b].IPC)
-			wrs = append(wrs, float64(r.NVMWrites.Total())/float64(base[b].NVMWrites.Total()))
+			ipcs = append(ipcs, ratio(r.IPC, base[b].IPC))
+			wrs = append(wrs, ratio(float64(r.NVMWrites.Total()), float64(base[b].NVMWrites.Total())))
 		}
 		f.Points[d] = append(f.Points[d], SweepPoint{
 			Param:     param,

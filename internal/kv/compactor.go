@@ -142,14 +142,14 @@ func (db *DB) compactLocked() error {
 	seq := tag.startSeq
 	for i := 0; i < len(keys); {
 		ops := make([]Op, 0, compactFrameOps)
-		payloadBytes := 0
-		for i < len(keys) && len(ops) < compactFrameOps && payloadBytes < compactMaxPayload {
+		recordBytes := 0
+		for i < len(keys) && len(ops) < compactFrameOps && payloadSize(recordBytes) < compactMaxPayload {
 			val, err := db.readBytes(refs[i])
 			if err != nil {
 				return fail(fmt.Errorf("kv: compaction read %q: %w", keys[i], err))
 			}
 			ops = append(ops, Op{Kind: OpPut, Key: []byte(keys[i]), Val: val})
-			payloadBytes += recHeadBytes + len(keys[i]) + len(val)
+			recordBytes += recHeadBytes + len(keys[i]) + len(val)
 			i++
 		}
 		payload, recs, err := encodePayload(ops)

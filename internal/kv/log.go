@@ -48,7 +48,7 @@ type Op struct {
 //	[0:8)   magic "CKVBATCH"
 //	[8:16)  seq   — 1-based, strictly sequential; a gap ends the log
 //	[16:20) count — ops in the frame
-//	[20:24) payloadBytes
+//	[20:24) payloadBytes — whole lines (see encodePayload)
 //	[24:32) mem.Checksum (CRC-32C) over the payload bytes
 //	[32:40) mem.Checksum over header bytes [0:32) and [40:56)
 //	[40:48) tag.gen      — manifest generation of the frame's layout
@@ -78,12 +78,24 @@ type record struct {
 	valLen int
 }
 
-// encodePayload serializes ops back-to-back. Record: kind(1),
-// keyLen(4), valLen(4), key, val. It also returns the records as
-// decodePayload would read them back, so a writer can index the frame
-// it just built without parsing it again.
+// encodePayload serializes ops into one frame payload of
+// payloadSize(T+V) bytes, for a record table of T bytes and V value
+// bytes:
+//
+//	[0:T)    record table — per op in order: kind(1), keyLen(4),
+//	         valLen(4), key
+//	[T:n-V)  zero pad
+//	[n-V:n)  the values, back to back in op order
+//
+// The last value ends on the payload's last byte, so a value starts on
+// a line boundary whenever it and the values after it are whole lines
+// long, and a get of it reads only its own lines. The payload covers
+// as many lines as the T+V bytes would packed, so the layout adds no
+// line to any frame. It also returns the records as decodePayload
+// would read them back, so a writer can index the frame it just built
+// without parsing it again.
 func encodePayload(ops []Op) ([]byte, []record, error) {
-	var n int
+	var table, vals int
 	for _, op := range ops {
 		if op.Kind != OpPut && op.Kind != OpDelete {
 			return nil, nil, fmt.Errorf("kv: bad op kind %d", op.Kind)
@@ -97,18 +109,20 @@ func encodePayload(ops []Op) ([]byte, []record, error) {
 		if op.Kind == OpDelete && len(op.Val) != 0 {
 			return nil, nil, errors.New("kv: delete op carries a value")
 		}
-		n += recHeadBytes + len(op.Key) + len(op.Val)
+		table += recHeadBytes + len(op.Key)
+		vals += len(op.Val)
 	}
-	// buf never outgrows n, so the key slices taken below stay valid.
-	buf := make([]byte, 0, n)
+	buf := make([]byte, payloadSize(table+vals))
 	recs := make([]record, len(ops))
+	off, voff := 0, len(buf)-vals
 	for i, op := range ops {
-		buf = append(buf, byte(op.Kind))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(op.Key)))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(op.Val)))
-		buf = append(buf, op.Key...)
-		recs[i] = record{kind: op.Kind, key: buf[len(buf)-len(op.Key):], valOff: len(buf), valLen: len(op.Val)}
-		buf = append(buf, op.Val...)
+		buf[off] = byte(op.Kind)
+		binary.LittleEndian.PutUint32(buf[off+1:], uint32(len(op.Key)))
+		binary.LittleEndian.PutUint32(buf[off+5:], uint32(len(op.Val)))
+		off += recHeadBytes
+		recs[i] = record{kind: op.Kind, key: buf[off : off+len(op.Key)], valOff: voff, valLen: len(op.Val)}
+		off += copy(buf[off:], op.Key)
+		voff += copy(buf[voff:], op.Val)
 	}
 	return buf, recs, nil
 }
@@ -116,10 +130,12 @@ func encodePayload(ops []Op) ([]byte, []record, error) {
 // decodePayload walks count records out of a checksummed payload into
 // recs[:0], growing it as needed. The seal has no key, so count is only
 // a claim: the capacity is bounded by the records the payload can hold
-// (each at least recHeadBytes plus a one-byte key).
+// (each at least recHeadBytes plus a one-byte key). Only the canonical
+// encoding decodes — exact length, all-zero pad — so an accepted
+// payload re-encodes byte for byte.
 func decodePayload(recs []record, payload []byte, count int) ([]record, error) {
 	recs = slices.Grow(recs[:0], min(count, len(payload)/(recHeadBytes+1)))
-	off := 0
+	off, vals := 0, 0
 	for i := 0; i < count; i++ {
 		if off+recHeadBytes > len(payload) {
 			return nil, fmt.Errorf("kv: record %d header past payload end", i)
@@ -134,19 +150,23 @@ func decodePayload(recs []record, payload []byte, count int) ([]record, error) {
 		if kind == OpDelete && vl != 0 {
 			return nil, fmt.Errorf("kv: record %d is a delete carrying a value", i)
 		}
-		if kl <= 0 || kl > maxKeyLen || vl < 0 || vl > maxValLen || off+kl+vl > len(payload) {
+		if kl <= 0 || kl > maxKeyLen || vl < 0 || vl > maxValLen || off+kl+vals+vl > len(payload) {
 			return nil, fmt.Errorf("kv: record %d lengths (%d,%d) past payload end", i, kl, vl)
 		}
-		recs = append(recs, record{
-			kind:   kind,
-			key:    payload[off : off+kl],
-			valOff: off + kl,
-			valLen: vl,
-		})
-		off += kl + vl
+		// valOff is relative to the value region until its start is known.
+		recs = append(recs, record{kind: kind, key: payload[off : off+kl], valOff: vals, valLen: vl})
+		off += kl
+		vals += vl
 	}
-	if off != len(payload) {
-		return nil, fmt.Errorf("kv: %d trailing payload bytes", len(payload)-off)
+	if want := payloadSize(off + vals); len(payload) != want {
+		return nil, fmt.Errorf("kv: payload is %d bytes, want %d for a %d-byte record table and %d value bytes", len(payload), want, off, vals)
+	}
+	start := len(payload) - vals
+	if i := slices.IndexFunc(payload[off:start], func(b byte) bool { return b != 0 }); i >= 0 {
+		return nil, fmt.Errorf("kv: non-zero pad byte at payload offset %d", off+i)
+	}
+	for i := range recs {
+		recs[i].valOff += start
 	}
 	return recs, nil
 }
@@ -218,6 +238,12 @@ func parseHeader(l mem.Line) (frameHeader, error) {
 // payloadLines is the line count covering n payload bytes.
 func payloadLines(n int) int {
 	return (n + mem.LineSize - 1) / mem.LineSize
+}
+
+// payloadSize is the payload length of a frame whose record table and
+// values come to n bytes: n rounded up to whole lines.
+func payloadSize(n int) int {
+	return payloadLines(n) * mem.LineSize
 }
 
 // frameLines is the full frame footprint: header plus payload.

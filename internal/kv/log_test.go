@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"ccnvm/internal/mem"
+	"ccnvm/internal/store"
 )
 
 func TestPayloadRoundTrip(t *testing.T) {
@@ -40,6 +42,59 @@ func TestPayloadRoundTrip(t *testing.T) {
 		}
 		if got := payload[r.valOff : r.valOff+r.valLen]; !bytes.Equal(got, ops[i].Val) {
 			t.Fatalf("record %d: value mismatch", i)
+		}
+	}
+	// gamma's is the last value with bytes; "empty" after it has none.
+	if end := recs[2].valOff + recs[2].valLen; len(payload)%mem.LineSize != 0 || end != len(payload) {
+		t.Fatalf("payload of %d bytes, last value ends at %d: want whole lines with the values flush at the end", len(payload), end)
+	}
+}
+
+// TestDecodePayloadIsCanonical: a payload decodes only in the exact
+// bytes encodePayload writes for its records — whole lines, all-zero
+// pad, values flush against the end — so an accepted payload re-encodes
+// byte for byte, and a bad pad byte or a line too many or too few is
+// refused.
+func TestDecodePayloadIsCanonical(t *testing.T) {
+	ops := []Op{
+		{Kind: OpPut, Key: []byte("a"), Val: bytes.Repeat([]byte{7}, 100)},
+		{Kind: OpDelete, Key: []byte("b")},
+		{Kind: OpPut, Key: []byte("c"), Val: bytes.Repeat([]byte{9}, 64)},
+	}
+	good, _, err := encodePayload(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const table, vals = 3 * (recHeadBytes + 1), 164
+	if len(good) != payloadSize(table+vals) {
+		t.Fatalf("payload is %d bytes, want %d", len(good), payloadSize(table+vals))
+	}
+	recs, err := decodePayload(nil, good, len(ops))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again := make([]Op, len(recs))
+	for i, r := range recs {
+		again[i] = Op{Kind: r.kind, Key: r.key, Val: good[r.valOff : r.valOff+r.valLen]}
+	}
+	if enc, _, err := encodePayload(again); err != nil || !bytes.Equal(enc, good) {
+		t.Fatalf("decoded records re-encode to %x (%v), want %x", enc, err, good)
+	}
+
+	padEnd := len(good) - vals
+	edit := func(f func(p []byte) []byte) []byte { return f(bytes.Clone(good)) }
+	for _, c := range []struct {
+		name, want string
+		payload    []byte
+	}{
+		{"first pad byte set", "non-zero pad", edit(func(p []byte) []byte { p[table] = 1; return p })},
+		{"last pad byte set", "non-zero pad", edit(func(p []byte) []byte { p[padEnd-1] = 0x80; return p })},
+		{"one line short", "past payload end", good[:len(good)-mem.LineSize]},
+		{"one line long, zeros after the values", "want 256", append(bytes.Clone(good), make([]byte, mem.LineSize)...)},
+		{"one line long, zeros in the pad", "want 256", slices.Concat(good[:table], make([]byte, mem.LineSize), good[table:])},
+	} {
+		if _, err := decodePayload(nil, c.payload, len(ops)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: decode = %v, want an error containing %q", c.name, err, c.want)
 		}
 	}
 }
@@ -92,11 +147,13 @@ func allocBytes(fn func()) uint64 {
 // the scan's frame decode: parseHeader, the payload checksum,
 // decodePayload. Nothing may panic, decoding may allocate at most 8x the
 // frame plus an error's worth — the second seed claims 1<<20 records
-// over one 10-byte record, which once cost a 48 MB slice — and an
-// accepted frame re-encodes to the same sealed bytes, its layout tag
-// included (so the third seed, a delete carrying a value, must be
-// refused, and the fourth, a compacted run's frame, round-trips its
-// tag).
+// over one record, which once cost a 48 MB slice — and an accepted
+// frame re-encodes to the same sealed bytes, its layout tag included
+// (so the third seed, a delete carrying a value, must be refused, and
+// the fourth, a compacted run's frame, round-trips its tag). The
+// sealed seeds after them are frames of odd-length values and of
+// deletes alone, and non-canonical payloads that must be refused: a
+// non-zero pad byte, a line too few, a line too many.
 func FuzzLogFrame(f *testing.F) {
 	payload, _, err := encodePayload([]Op{{Kind: OpPut, Key: []byte("k")}})
 	if err != nil {
@@ -109,6 +166,24 @@ func FuzzLogFrame(f *testing.F) {
 	f.Add(hl[:], []byte{byte(OpDelete), 1, 0, 0, 0, 1, 0, 0, 0, 'k', 'v'}, true) // never written: must not decode
 	tagged := frameHeader{seq: 9, count: 1, n: len(payload), ck: mem.Checksum(payload), tag: frameTag{gen: 4, startSeq: 8}}.encode()
 	f.Add(tagged[:], payload, false)
+	sealed := func(ops []Op, edit func(p []byte) []byte) {
+		p, _, err := encodePayload(ops)
+		if err != nil {
+			f.Fatal(err)
+		}
+		h := frameHeader{seq: 1, count: len(ops)}.encode()
+		f.Add(h[:], edit(p), true)
+	}
+	same := func(p []byte) []byte { return p }
+	odd := []Op{
+		{Kind: OpPut, Key: []byte("odd"), Val: bytes.Repeat([]byte{1}, 90)},
+		{Kind: OpPut, Key: []byte("tiny"), Val: []byte("xyz")},
+	} // 25 table bytes, 10 pad bytes, 93 value bytes
+	sealed(odd, same)
+	sealed([]Op{{Kind: OpDelete, Key: []byte("gone")}, {Kind: OpDelete, Key: []byte("also")}}, same)
+	sealed(odd, func(p []byte) []byte { p[25] = 1; return p }) // first pad byte
+	sealed(odd, func(p []byte) []byte { return p[:len(p)-mem.LineSize] })
+	sealed(odd, func(p []byte) []byte { return append(p, make([]byte, mem.LineSize)...) })
 	f.Fuzz(func(t *testing.T, header, payload []byte, seal bool) {
 		var hl mem.Line
 		copy(hl[:], header)
@@ -261,6 +336,138 @@ func TestOpenMalformedFrameWinsOverLaterFrames(t *testing.T) {
 	want := fmt.Sprintf("seq %d at %#x is malformed", badSeq, uint64(addr))
 	if !strings.Contains(err.Error(), want) {
 		t.Fatalf("error = %v, want the malformed frame's %q", err, want)
+	}
+}
+
+// packedPayload builds a frame payload in the packed layout this
+// package wrote before the record table moved ahead of the values: each
+// record's head, key and value back to back, with no pad.
+func packedPayload(ops []Op) []byte {
+	var p []byte
+	for _, op := range ops {
+		p = append(p, byte(op.Kind))
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(op.Key)))
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(op.Val)))
+		p = append(append(p, op.Key...), op.Val...)
+	}
+	return p
+}
+
+// putOps is a batch of n fresh-key puts of size-byte values.
+func putOps(n, size int) []Op {
+	ops := make([]Op, n)
+	for i := range ops {
+		ops[i] = Op{Kind: OpPut, Key: []byte(fmt.Sprintf("key-%06d", i)), Val: bytes.Repeat([]byte{byte(i + 1)}, size)}
+	}
+	return ops
+}
+
+// TestGetReadsOnlyItsValueLines: in a frame whose values are whole
+// lines long, a Get reads exactly its value's lines (the engine's data
+// reads), and the frame writes exactly the data lines the packed layout
+// wrote. Odd-length values and deletes in one frame read back too,
+// before and after a crash.
+func TestGetReadsOnlyItsValueLines(t *testing.T) {
+	for _, size := range []int{64, 128, 1024} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) {
+			st := compactStore(t, 1<<20)
+			db := compactDB(t, st)
+			lay := st.Layout()
+			var dataWrites int
+			st.SetEventTap(func(ev store.Event) {
+				if ev.Kind == store.EvWriteAccept && lay.RegionOf(ev.Addr) == mem.RegionData {
+					dataWrites++
+				}
+			})
+			ops := putOps(4, size)
+			if err := db.Batch(ops); err != nil {
+				t.Fatal(err)
+			}
+			if want := frameLines(len(packedPayload(ops))); dataWrites != want {
+				t.Fatalf("the batch wrote %d data lines, want the packed layout's %d", dataWrites, want)
+			}
+			for _, op := range ops {
+				r0 := st.Engine().Stats().Reads
+				v, ok, err := db.Get(op.Key)
+				if err != nil || !ok || !bytes.Equal(v, op.Val) {
+					t.Fatalf("get %s = (%d bytes, %v, %v)", op.Key, len(v), ok, err)
+				}
+				if got, want := st.Engine().Stats().Reads-r0, uint64(payloadLines(size)); got != want {
+					t.Fatalf("get %s read %d data lines, want %d", op.Key, got, want)
+				}
+			}
+		})
+	}
+
+	t.Run("odd sizes and deletes", func(t *testing.T) {
+		db := compactDB(t, compactStore(t, 1<<20))
+		if err := db.Batch(putOps(3, 64)); err != nil {
+			t.Fatal(err)
+		}
+		want := map[string][]byte{
+			"key-000000": nil, // deleted below
+			"key-000001": []byte("v1"),
+			"key-000002": bytes.Repeat([]byte{3}, 64),
+			"odd":        bytes.Repeat([]byte{5}, 100),
+			"empty":      {},
+			"byte":       {6},
+		}
+		ops := []Op{
+			{Kind: OpPut, Key: []byte("odd"), Val: want["odd"]},
+			{Kind: OpDelete, Key: []byte("key-000000")},
+			{Kind: OpPut, Key: []byte("empty")},
+			{Kind: OpPut, Key: []byte("key-000001"), Val: want["key-000001"]},
+			{Kind: OpPut, Key: []byte("byte"), Val: want["byte"]},
+		}
+		if err := db.Batch(ops); err != nil {
+			t.Fatal(err)
+		}
+		check := func(db *DB) {
+			t.Helper()
+			for k, w := range want {
+				v, ok, err := db.Get([]byte(k))
+				if err != nil || ok != (w != nil) || !bytes.Equal(v, w) {
+					t.Fatalf("get %s = (%q, %v, %v), want %q", k, v, ok, err, w)
+				}
+			}
+		}
+		check(db)
+		_, db2 := rebootDB(t, db)
+		check(db2)
+	})
+}
+
+// TestOpenRefusesPackedLayoutFrame: a frame sealed over a payload in
+// the packed layout is a malformed sealed frame, refused by seq and
+// address. Reopen must never read the log as ending before it, which
+// would hide the committed frame after it. (A one-record packed frame
+// whose bytes fill whole lines is the same bytes in both layouts and
+// reads back as written.)
+func TestOpenRefusesPackedLayoutFrame(t *testing.T) {
+	st := compactStore(t, 1<<20)
+	db := compactDB(t, st)
+	if err := db.Put([]byte("first"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	packed := packedPayload(putOps(4, 64))
+	at := db.head
+	if err := db.writeFrame("test", at, frameHeader{seq: db.seq + 1, count: 4, tag: db.tagLocked()}, packed); err != nil {
+		t.Fatal(err)
+	}
+	db.seq++
+	db.head += mem.Addr(frameLines(len(packed))) * mem.LineSize
+	if err := db.Put([]byte("after"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(st, Options{})
+	if err == nil {
+		t.Fatalf("Open accepted a packed-layout frame and serves %d keys", db2.Stats().Keys)
+	}
+	if want := fmt.Sprintf("seq 2 at %#x is malformed", uint64(at)); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error = %v, want the packed frame's %q", err, want)
 	}
 }
 
