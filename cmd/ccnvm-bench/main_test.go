@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"ccnvm/internal/experiments"
@@ -82,9 +83,10 @@ func TestNegativeOpsRefused(t *testing.T) {
 }
 
 // TestFig6JSONWithZeroBaseline: at 20000 ops w/o CC writes nothing to
-// NVM on some benchmarks, so every Figure 6 write ratio is over a zero
-// baseline. -json must still encode both sweeps, leaving the undefined
-// ratio out rather than failing on NaN.
+// NVM on some benchmarks, so their write ratios are over a zero
+// baseline. -json must still encode both sweeps, each average leaving
+// the undefined ratio out and counting it rather than failing on NaN
+// or reading 0.
 func TestFig6JSONWithZeroBaseline(t *testing.T) {
 	out := runJSON(t, "-fig", "6", "-ops", "20000", "-json")
 	var doc struct{ Fig6a, Fig6b *experiments.Fig6 }
@@ -93,26 +95,73 @@ func TestFig6JSONWithZeroBaseline(t *testing.T) {
 	if err := dec.Decode(&doc); err != nil {
 		t.Fatalf("decode: %v\n%s", err, out)
 	}
-	undefined := 0
 	for _, f := range []*experiments.Fig6{doc.Fig6a, doc.Fig6b} {
 		if f == nil || len(f.Designs) == 0 {
 			t.Fatalf("a sweep is missing: %s", out)
+		}
+		if f.WriteLeftOut == 0 {
+			t.Fatalf("%s: no write ratio is undefined: the run has no zero baseline and shows nothing", f.Title)
 		}
 		for _, d := range f.Designs {
 			if len(f.Points[d]) != 5 {
 				t.Fatalf("%s: %s has %d points, want 5", f.Title, d, len(f.Points[d]))
 			}
 			for _, p := range f.Points[d] {
-				if p.NormIPC <= 0 {
-					t.Errorf("%s: %s at %d has normalized IPC %v", f.Title, d, p.Param, p.NormIPC)
-				}
-				if p.NormWrite == 0 {
-					undefined++
+				if p.NormIPC <= 0 || p.NormWrite <= 0 {
+					t.Errorf("%s: %s at %d averages to IPC %v, writes %v; want both defined", f.Title, d, p.Param, p.NormIPC, p.NormWrite)
 				}
 			}
 		}
 	}
-	if undefined == 0 {
-		t.Fatal("no write ratio is undefined: the run has no zero baseline and shows nothing")
+}
+
+// TestFig5LeavesOutUndefinedRatios: at 20000 ops hmmer leaves w/o CC
+// with no NVM writes, so its write ratios are undefined. Each Figure 5
+// write average is over the other seven benchmarks and says it left one
+// out, and the headline prints no number taken from an undefined
+// average: with hmmer alone, every write claim reads n/a.
+func TestFig5LeavesOutUndefinedRatios(t *testing.T) {
+	var doc struct {
+		Fig5     *experiments.Fig5
+		Headline *experiments.Headline
+	}
+	out := runJSON(t, "-fig", "5", "-ops", "20000", "-json")
+	if err := json.Unmarshal(out, &doc); err != nil {
+		t.Fatalf("decode: %v\n%s", err, out)
+	}
+	f, h := doc.Fig5, doc.Headline
+	if f.WriteLeftOut != 1 || f.IPCLeftOut != 0 || h.LeftOut != 1 || len(h.Undefined) != 0 {
+		t.Fatalf("left out %d write and %d IPC ratios, headline %d and undefined %v; want 1, 0, 1 and none",
+			f.WriteLeftOut, f.IPCLeftOut, h.LeftOut, h.Undefined)
+	}
+	for _, d := range f.Designs {
+		if f.AvgNormWrite[d] < 1 {
+			t.Errorf("%s: write average %v, want at least w/o CC's 1", d, f.AvgNormWrite[d])
+		}
+	}
+	if h.SCWriteFactor < 1 || h.CCNVMWriteOver < 0 {
+		t.Errorf("SC write factor %v, cc-NVM write overhead %v: taken from an undefined average", h.SCWriteFactor, h.CCNVMWriteOver)
+	}
+
+	text := string(runJSON(t, "-fig", "5b", "-ops", "20000", "-benchmarks", "hmmer"))
+	measured := map[string]string{}
+	for _, line := range strings.Split(text, "\n") {
+		for _, label := range []string{"average (1 n/a left out)", "SC write amplification", "cc-NVM extra writes vs Osiris Plus",
+			"cc-NVM write overhead vs w/o CC", "n/a ratios left out of an average"} {
+			if rest, ok := strings.CutPrefix(line, label); ok {
+				measured[label] = strings.Fields(rest)[0]
+			}
+		}
+	}
+	for label, want := range map[string]string{
+		"average (1 n/a left out)": "n/a", "SC write amplification": "n/a", "cc-NVM extra writes vs Osiris Plus": "n/a",
+		"cc-NVM write overhead vs w/o CC": "n/a", "n/a ratios left out of an average": "1",
+	} {
+		if measured[label] != want {
+			t.Errorf("the hmmer-only run prints %q for %q, want %q:\n%s", measured[label], label, want, text)
+		}
+	}
+	if strings.Contains(text, "0.000") || strings.Contains(text, "0.00x") || strings.Contains(text, "-100.0%") {
+		t.Errorf("the hmmer-only table prints a number from an undefined average:\n%s", text)
 	}
 }

@@ -11,6 +11,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"ccnvm/internal/design"
@@ -84,9 +85,15 @@ type Fig5 struct {
 	Cells      map[string]map[string]Cell // design -> benchmark -> cell
 
 	// Averages over benchmarks of the normalized metrics (geometric
-	// mean, the convention for normalized ratios).
+	// mean, the convention for normalized ratios). An undefined ratio
+	// (a zero w/o-CC baseline) is left out; an average with no defined
+	// ratio is 0.
 	AvgNormIPC   map[string]float64
 	AvgNormWrite map[string]float64
+	// IPCLeftOut and WriteLeftOut count the ratios the averages left
+	// out, the most over the designs.
+	IPCLeftOut   int `json:",omitempty"`
+	WriteLeftOut int `json:",omitempty"`
 }
 
 // RunFig5 runs the full design × benchmark matrix.
@@ -131,15 +138,19 @@ func RunFig5(o Options) (*Fig5, error) {
 			ipcs = append(ipcs, c.NormIPC)
 			writes = append(writes, c.NormWrite)
 		}
-		f.AvgNormIPC[d] = report.GeoMean(ipcs)
-		f.AvgNormWrite[d] = report.GeoMean(writes)
+		var ipcOut, writeOut int
+		f.AvgNormIPC[d], ipcOut = report.GeoMeanDefined(ipcs)
+		f.AvgNormWrite[d], writeOut = report.GeoMeanDefined(writes)
+		f.IPCLeftOut = max(f.IPCLeftOut, ipcOut)
+		f.WriteLeftOut = max(f.WriteLeftOut, writeOut)
 	}
 	return f, nil
 }
 
 // ratio is num normalized to a baseline of den, or 0 — undefined —
 // over a zero baseline: a short trace can leave w/o CC with no NVM
-// writes at all. GeoMean reads a 0 as undefined too.
+// writes at all. GeoMeanDefined leaves a 0 out, and AddRatios prints
+// it as n/a.
 func ratio(num, den float64) float64 {
 	if den == 0 {
 		return 0
@@ -211,38 +222,36 @@ func runMatrix(o Options, designs, benches []string) (map[string]map[string]sim.
 
 // IPCTable renders Figure 5(a): IPC normalized to w/o CC.
 func (f *Fig5) IPCTable() string {
-	t := report.NewTable("Fig 5(a) IPC (norm. to w/o CC)", labels(f.Designs)...)
-	for _, b := range f.Benchmarks {
-		var vals []float64
-		for _, d := range f.Designs {
-			vals = append(vals, f.Cells[d][b].NormIPC)
-		}
-		t.AddFloats(b, vals...)
-	}
-	var avg []float64
-	for _, d := range f.Designs {
-		avg = append(avg, f.AvgNormIPC[d])
-	}
-	t.AddFloats("average", avg...)
-	return t.String()
+	return f.table("Fig 5(a) IPC (norm. to w/o CC)", func(c Cell) float64 { return c.NormIPC }, f.AvgNormIPC, f.IPCLeftOut)
 }
 
 // WriteTable renders Figure 5(b): NVM write traffic normalized to
 // w/o CC.
 func (f *Fig5) WriteTable() string {
-	t := report.NewTable("Fig 5(b) # of writes (norm. to w/o CC)", labels(f.Designs)...)
+	return f.table("Fig 5(b) # of writes (norm. to w/o CC)", func(c Cell) float64 { return c.NormWrite }, f.AvgNormWrite, f.WriteLeftOut)
+}
+
+// table renders one Figure 5 panel: a row per benchmark of the norm
+// of each design's cell, then the averages, whose label counts the
+// undefined ratios they left out.
+func (f *Fig5) table(title string, norm func(Cell) float64, avg map[string]float64, leftOut int) string {
+	t := report.NewTable(title, labels(f.Designs)...)
 	for _, b := range f.Benchmarks {
 		var vals []float64
 		for _, d := range f.Designs {
-			vals = append(vals, f.Cells[d][b].NormWrite)
+			vals = append(vals, norm(f.Cells[d][b]))
 		}
-		t.AddFloats(b, vals...)
+		t.AddRatios(b, vals...)
 	}
-	var avg []float64
+	var avgs []float64
 	for _, d := range f.Designs {
-		avg = append(avg, f.AvgNormWrite[d])
+		avgs = append(avgs, avg[d])
 	}
-	t.AddFloats("average", avg...)
+	label := "average"
+	if leftOut > 0 {
+		label = fmt.Sprintf("average (%d n/a left out)", leftOut)
+	}
+	t.AddRatios(label, avgs...)
 	return t.String()
 }
 
@@ -254,39 +263,67 @@ type Headline struct {
 	CCNVMExtraWr    float64 // §5: cc-NVM write traffic over Osiris Plus (paper: 29.6%)
 	CCNVMIPCDrop    float64 // §5.1: cc-NVM IPC loss vs w/o CC (paper: 18.7%)
 	CCNVMWriteOver  float64 // §5.2: cc-NVM write traffic over w/o CC (paper: 39%)
+
+	// LeftOut is the most undefined ratios an average behind the claims
+	// left out. Undefined names the claims, by field, that rest on an
+	// average with no defined ratio (or a design the run left out):
+	// they read 0 and print as n/a.
+	LeftOut   int      `json:",omitempty"`
+	Undefined []string `json:",omitempty"`
 }
 
 // Headline derives the summary deltas.
 func (f *Fig5) Headline() Headline {
-	h := Headline{}
-	if v, ok := f.AvgNormIPC[design.SC]; ok {
-		h.SCIPCDrop = 1 - v
+	h := Headline{LeftOut: max(f.IPCLeftOut, f.WriteLeftOut)}
+	// claim returns v when every average it rests on is defined, and
+	// otherwise records name as undefined and returns 0.
+	claim := func(name string, v float64, avgs ...float64) float64 {
+		for _, a := range avgs {
+			if a <= 0 {
+				h.Undefined = append(h.Undefined, name)
+				return 0
+			}
+		}
+		return v
 	}
-	if v, ok := f.AvgNormWrite[design.SC]; ok {
-		h.SCWriteFactor = v
-	}
+	sc, scw := f.AvgNormIPC[design.SC], f.AvgNormWrite[design.SC]
 	cc, os := f.AvgNormIPC[design.CCNVM], f.AvgNormIPC[design.Osiris]
-	if os > 0 {
-		h.CCNVMvsOsirisUp = cc/os - 1
-	}
 	ccw, osw := f.AvgNormWrite[design.CCNVM], f.AvgNormWrite[design.Osiris]
-	if osw > 0 {
-		h.CCNVMExtraWr = ccw/osw - 1
-	}
-	h.CCNVMIPCDrop = 1 - cc
-	h.CCNVMWriteOver = ccw - 1
+	h.SCIPCDrop = claim("SCIPCDrop", 1-sc, sc)
+	h.SCWriteFactor = claim("SCWriteFactor", scw, scw)
+	h.CCNVMvsOsirisUp = claim("CCNVMvsOsirisUp", cc/os-1, cc, os)
+	h.CCNVMExtraWr = claim("CCNVMExtraWr", ccw/osw-1, ccw, osw)
+	h.CCNVMIPCDrop = claim("CCNVMIPCDrop", 1-cc, cc)
+	h.CCNVMWriteOver = claim("CCNVMWriteOver", ccw-1, ccw)
 	return h
 }
 
 // String renders the headline comparison against the paper's numbers.
 func (h Headline) String() string {
 	t := report.NewTable("Headline claims", "measured", "paper")
-	t.AddRow("SC IPC loss vs w/o CC", pct(h.SCIPCDrop), "41.4%")
-	t.AddRow("SC write amplification", fmt.Sprintf("%.2fx", h.SCWriteFactor), "5.50x")
-	t.AddRow("cc-NVM IPC gain vs Osiris Plus", pct(h.CCNVMvsOsirisUp), "20.4%")
-	t.AddRow("cc-NVM extra writes vs Osiris Plus", pct(h.CCNVMExtraWr), "29.6%")
-	t.AddRow("cc-NVM IPC loss vs w/o CC", pct(h.CCNVMIPCDrop), "18.7%")
-	t.AddRow("cc-NVM write overhead vs w/o CC", pct(h.CCNVMWriteOver), "39.0%")
+	factor := func(v float64) string { return fmt.Sprintf("%.2fx", v) }
+	for _, c := range []struct {
+		field, label string
+		v            float64
+		show         func(float64) string
+		paper        string
+	}{
+		{"SCIPCDrop", "SC IPC loss vs w/o CC", h.SCIPCDrop, pct, "41.4%"},
+		{"SCWriteFactor", "SC write amplification", h.SCWriteFactor, factor, "5.50x"},
+		{"CCNVMvsOsirisUp", "cc-NVM IPC gain vs Osiris Plus", h.CCNVMvsOsirisUp, pct, "20.4%"},
+		{"CCNVMExtraWr", "cc-NVM extra writes vs Osiris Plus", h.CCNVMExtraWr, pct, "29.6%"},
+		{"CCNVMIPCDrop", "cc-NVM IPC loss vs w/o CC", h.CCNVMIPCDrop, pct, "18.7%"},
+		{"CCNVMWriteOver", "cc-NVM write overhead vs w/o CC", h.CCNVMWriteOver, pct, "39.0%"},
+	} {
+		m := c.show(c.v)
+		if slices.Contains(h.Undefined, c.field) {
+			m = "n/a"
+		}
+		t.AddRow(c.label, m, c.paper)
+	}
+	if h.LeftOut > 0 {
+		t.AddRow("n/a ratios left out of an average", fmt.Sprint(h.LeftOut), "0")
+	}
 	return t.String()
 }
 
@@ -355,8 +392,8 @@ func (l *Lifetime) Table(benchmark string) string {
 }
 
 // SweepPoint is one (parameter value, design) measurement of Figure 6.
-// A normalized metric is 0 where it is undefined (some benchmark's
-// baseline is zero), and JSON omits it there.
+// A normalized metric averages the defined ratios (see Fig5); it is 0
+// where none is defined, and JSON omits it there.
 type SweepPoint struct {
 	Param     uint64
 	NormIPC   float64 `json:",omitzero"`
@@ -369,6 +406,10 @@ type Fig6 struct {
 	Title   string
 	Designs []string
 	Points  map[string][]SweepPoint // design -> series
+	// IPCLeftOut and WriteLeftOut count the undefined ratios the
+	// points' averages left out, the most over points and designs.
+	IPCLeftOut   int `json:",omitempty"`
+	WriteLeftOut int `json:",omitempty"`
 }
 
 // RunFig6a sweeps the update-times limit N with M fixed (paper: M=64,
@@ -427,19 +468,28 @@ func sweepPoint(f *Fig6, o Options, param uint64, designs []string) error {
 			ipcs = append(ipcs, ratio(r.IPC, base[b].IPC))
 			wrs = append(wrs, ratio(float64(r.NVMWrites.Total()), float64(base[b].NVMWrites.Total())))
 		}
-		f.Points[d] = append(f.Points[d], SweepPoint{
-			Param:     param,
-			NormIPC:   report.GeoMean(ipcs),
-			NormWrite: report.GeoMean(wrs),
-		})
+		p := SweepPoint{Param: param}
+		var ipcOut, writeOut int
+		p.NormIPC, ipcOut = report.GeoMeanDefined(ipcs)
+		p.NormWrite, writeOut = report.GeoMeanDefined(wrs)
+		f.IPCLeftOut = max(f.IPCLeftOut, ipcOut)
+		f.WriteLeftOut = max(f.WriteLeftOut, writeOut)
+		f.Points[d] = append(f.Points[d], p)
 	}
 	return nil
 }
 
-// Tables renders the sweep as IPC and write tables.
+// Tables renders the sweep as IPC and write tables; a title counts the
+// undefined ratios its averages left out.
 func (f *Fig6) Tables() string {
-	ipc := report.NewTable(f.Title+" - IPC (norm.)", labels(f.Designs)...)
-	wr := report.NewTable(f.Title+" - # of writes (norm.)", labels(f.Designs)...)
+	title := func(what string, leftOut int) string {
+		if leftOut > 0 {
+			return fmt.Sprintf("%s - %s (norm., %d n/a left out)", f.Title, what, leftOut)
+		}
+		return f.Title + " - " + what + " (norm.)"
+	}
+	ipc := report.NewTable(title("IPC", f.IPCLeftOut), labels(f.Designs)...)
+	wr := report.NewTable(title("# of writes", f.WriteLeftOut), labels(f.Designs)...)
 	if len(f.Designs) == 0 || len(f.Points[f.Designs[0]]) == 0 {
 		return ipc.String()
 	}
@@ -450,8 +500,8 @@ func (f *Fig6) Tables() string {
 			ws = append(ws, f.Points[d][i].NormWrite)
 		}
 		param := fmt.Sprintf("%d", f.Points[f.Designs[0]][i].Param)
-		ipc.AddFloats(param, is...)
-		wr.AddFloats(param, ws...)
+		ipc.AddRatios(param, is...)
+		wr.AddRatios(param, ws...)
 	}
 	return ipc.String() + "\n" + wr.String()
 }

@@ -614,17 +614,21 @@ func (db *DB) Batch(ops []Op) error {
 	return nil
 }
 
-// writeFrame writes one sealed frame at header with one WriteLines: the
-// payload lines first and the header last, so a crash before the header
-// write leaves no valid frame and the frame is all-or-nothing. h gives
-// the seq, op count and tag; writeFrame fills in the payload's length
-// and checksum. Batch and the compactor both write through it; who
-// names the writer in errors.
+// writeFrame writes one sealed frame at header with one WriteLines:
+// the payload lines from the highest address down, then the header, so
+// a crash before the header write leaves no valid frame and the frame
+// is all-or-nothing. The order is top-down and contiguous so the
+// request visits each data-HMAC line the frame covers in one stretch:
+// the store's one-line HMAC buffer then reads each from the device
+// once. h gives the seq, op count and tag; writeFrame fills in the
+// payload's length and checksum. Batch and the compactor both write
+// through it; who names the writer in errors.
 func (db *DB) writeFrame(who string, header mem.Addr, h frameHeader, payload []byte) error {
 	ws := db.frame[:0]
-	for i := range payloadLines(len(payload)) {
-		ws = append(ws, store.LineWrite{Addr: header + mem.Addr((i+1)*mem.LineSize)})
-		copy(ws[i].Line[:], payload[i*mem.LineSize:])
+	for i := payloadLines(len(payload)) - 1; i >= 0; i-- {
+		w := store.LineWrite{Addr: header + mem.Addr((i+1)*mem.LineSize)}
+		copy(w.Line[:], payload[i*mem.LineSize:])
+		ws = append(ws, w)
 	}
 	h.n, h.ck = len(payload), mem.Checksum(payload)
 	ws = append(ws, store.LineWrite{Addr: header, Line: h.encode()})

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -184,6 +185,57 @@ func TestCrashMidBatchAtomicEverywhere(t *testing.T) {
 			_, hasV1, _ := db2.Get([]byte("v1"))
 			assertBatchApplied(t, db2, hasV1)
 		})
+	}
+}
+
+// TestCrashMidFrameLeavesHeaderUnwritten pins what a crash inside a
+// frame's write leaves: the highest payload lines, and the header line
+// as it was. The frame's payload checksum alone would keep such a frame
+// out of the log, so the all-or-nothing sweeps pass whatever the order;
+// this is the test that fails when the header is not written last.
+func TestCrashMidFrameLeavesHeaderUnwritten(t *testing.T) {
+	ops := make([]kv.Op, 4)
+	for j := range ops {
+		ops[j] = kv.Op{Kind: kv.OpPut, Key: []byte(fmt.Sprintf("key-%06d", j)), Val: bytes.Repeat([]byte{byte(j)}, 64)}
+	}
+	// run crashes the victim batch after n line writes (never, for
+	// n < 0) and returns the data lines the batch wrote, in order.
+	run := func(n int) (*store.Store, []mem.Addr) {
+		st := openStore(t)
+		db := openDB(t, st)
+		if err := db.Put([]byte("acked"), []byte("A")); err != nil {
+			t.Fatal(err)
+		}
+		var wrote []mem.Addr
+		lay := st.Layout()
+		st.SetEventTap(func(ev store.Event) {
+			if ev.Kind == store.EvWriteAccept && lay.RegionOf(ev.Addr) == mem.RegionData {
+				wrote = append(wrote, ev.Addr)
+			}
+		})
+		if n >= 0 {
+			st.ArmCrash(n)
+		}
+		if err := db.Batch(ops); (err == nil) != (n < 0) {
+			t.Fatalf("crash after %d writes: batch returned %v", n, err)
+		}
+		return st, wrote
+	}
+	_, frame := run(-1)
+	header := slices.Min(frame)
+	if len(frame) != 7 || frame[len(frame)-1] != header {
+		t.Fatalf("the batch wrote %#x, want 7 lines ending with its header", frame)
+	}
+	for n := range len(frame) {
+		st, wrote := run(n)
+		for i := range frame {
+			// The i-th line from the frame's top is written iff i < n.
+			a := header + mem.Addr(len(frame)-1-i)*mem.LineSize
+			if _, ok := st.Peek(a); ok != (i < n) {
+				t.Fatalf("crash after %d of %d writes (lines %#x): line %#x written=%v, want %v",
+					n, len(frame), wrote, uint64(a), ok, i < n)
+			}
+		}
 	}
 }
 
@@ -505,28 +557,33 @@ func reopenOnce(b *testing.B, path string, stages *[3]time.Duration) int {
 }
 
 // TestFrameMergesHMACWrites: a batch of four fresh-key 64-byte puts
-// is one 7-line frame, written in one store request: six payload lines,
-// then the header at the lowest address. On cc-NVM each line's HMAC
-// update either writes its data-HMAC line (four data lines each) to the
-// device or merges into the request's still-queued entry for that line,
-// so a frame makes 7 data-line writes, and HMAC-line writes plus merges
-// come to 7. At best a frame writes each HMAC line it covers once: by
-// the header's line address mod 4, 3, 3, 4 or 3 times. How many merges
-// find the entry queued follows the WPQ's backlog, so the count over
-// eight frames is pinned: 40 HMAC-line writes, where one write per line
-// makes 56. A frame is 3 mod 4 lines long, so four batches in a row
-// meet every alignment.
+// is one 7-line frame, written in one store request from the highest
+// payload line down to the header. On cc-NVM each data line's write
+// reads its data-HMAC line (four data lines each) and writes it back:
+// to the device, or merged into the request's still-queued entry for
+// that line. Top-down, the frame visits each HMAC line it covers in one
+// stretch, so the request's one-line buffer reads each from the device
+// once and serves the frame's other HMAC reads as RequestHits: by the
+// header's line address mod 4 the frame covers 2, 2, 3 or 3 HMAC lines,
+// and that is both its HMAC-line device reads and the least HMAC-line
+// writes it can make. How many merges find the entry queued follows the
+// WPQ's backlog, so the count over eight frames is pinned: 37 HMAC-line
+// writes, where one write per data line makes 56. A frame is 3 mod 4
+// lines long, so four batches in a row meet every alignment.
 func TestFrameMergesHMACWrites(t *testing.T) {
 	st := openStore(t)
 	db := openDB(t, st)
 	lay := st.Layout()
 	header := mem.Addr(0)
+	covered := map[mem.Addr]bool{}
 	st.SetEventTap(func(ev store.Event) {
-		if ev.Kind == store.EvWriteAccept && lay.RegionOf(ev.Addr) == mem.RegionData && ev.Addr < header {
-			header = ev.Addr
+		if ev.Kind == store.EvWriteAccept && lay.RegionOf(ev.Addr) == mem.RegionData {
+			header = min(header, ev.Addr)
+			ha, _ := lay.HMACLineOf(ev.Addr)
+			covered[ha] = true
 		}
 	})
-	floor := [4]uint64{3, 3, 4, 3}
+	floor := [4]uint64{2, 2, 3, 3}
 	seen := [4]bool{}
 	var hmacWrites uint64
 	for i := range 8 {
@@ -534,12 +591,14 @@ func TestFrameMergesHMACWrites(t *testing.T) {
 		for j := range ops {
 			ops[j] = kv.Op{Kind: kv.OpPut, Key: []byte(fmt.Sprintf("key-%06d", i*4+j)), Val: bytes.Repeat([]byte{byte(i)}, 64)}
 		}
-		w0, m0 := st.Device().Writes(), st.CtrlStats().RequestMerges
+		w0, c0 := st.Device().Writes(), st.CtrlStats()
 		header = ^mem.Addr(0)
+		clear(covered)
 		if err := db.Batch(ops); err != nil {
 			t.Fatal(err)
 		}
-		w, m := st.Device().Writes(), st.CtrlStats().RequestMerges-m0
+		w, c := st.Device().Writes(), st.CtrlStats()
+		m, hits := c.RequestMerges-c0.RequestMerges, c.RequestHits-c0.RequestHits
 		r := uint64(header) / mem.LineSize % 4
 		seen[r] = true
 		d, h := w.Data-w0.Data, w.HMAC-w0.HMAC
@@ -547,12 +606,19 @@ func TestFrameMergesHMACWrites(t *testing.T) {
 			t.Fatalf("batch %d (header %#x, line %d mod 4): %d data and %d HMAC-line writes, %d merges; want 7 and at least %d, with 7 HMAC updates",
 				i, uint64(header), r, d, h, m, floor[r])
 		}
+		// Each data write reads its HMAC line once, from the buffer or
+		// the device, so 7 - hits of the frame's HMAC reads reached
+		// the device: one per covered line.
+		if n := uint64(len(covered)); n != floor[r] || 7-hits != n {
+			t.Fatalf("batch %d (line %d mod 4): covers %d HMAC lines and read %d of its 7 HMAC reads from the device; want %d and %d",
+				i, r, n, 7-hits, floor[r], floor[r])
+		}
 		hmacWrites += h
 	}
 	if seen != [4]bool{true, true, true, true} {
 		t.Fatalf("the batches met the header alignments %v, want all four", seen)
 	}
-	if hmacWrites != 40 {
-		t.Fatalf("eight frames wrote %d HMAC lines to the device, want 40", hmacWrites)
+	if hmacWrites != 37 {
+		t.Fatalf("eight frames wrote %d HMAC lines to the device, want 37", hmacWrites)
 	}
 }

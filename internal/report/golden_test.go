@@ -15,8 +15,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // so accidental layout drift in the evaluation tables is caught.
 func TestTableGolden(t *testing.T) {
 	tb := NewTable("Normalized IPC", "gcc", "mcf", "average")
-	tb.AddFloats("w/o CC", 1, 1, 1)
-	tb.AddFloats("cc-NVM", 0.95, 0.92, 0.934987)
+	tb.AddRatios("w/o CC", 1, 1, 1)
+	tb.AddRatios("cc-NVM", 0.95, 0.92, 0.934987)
 	tb.AddRow("writes", "1000", "4000", "n/a")
 	got := []byte(tb.String())
 

@@ -31,11 +31,16 @@ func (t *Table) AddRow(label string, values ...string) {
 	t.rows = append(t.rows, row{label, values})
 }
 
-// AddFloats appends a row of floats formatted to three decimals.
-func (t *Table) AddFloats(label string, values ...float64) {
+// AddRatios appends a row of normalized ratios formatted to three
+// decimals; a ratio <= 0 is undefined (see GeoMeanDefined) and reads
+// n/a.
+func (t *Table) AddRatios(label string, values ...float64) {
 	s := make([]string, len(values))
 	for i, v := range values {
-		s[i] = fmt.Sprintf("%.3f", v)
+		s[i] = "n/a"
+		if v > 0 {
+			s[i] = fmt.Sprintf("%.3f", v)
+		}
 	}
 	t.AddRow(label, s...)
 }
@@ -83,20 +88,31 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// GeoMean returns the geometric mean of positive values; the paper's
-// "average" bars over normalized metrics are geometric means.
+// GeoMean returns the geometric mean of the positive values; the
+// paper's "average" bars over normalized metrics are geometric means.
+// GeoMeanDefined also says how many values it left out.
 func GeoMean(values []float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
+	m, _ := GeoMeanDefined(values)
+	return m
+}
+
+// GeoMeanDefined returns the geometric mean of the positive values and
+// how many values it left out: a normalized ratio <= 0 is undefined (a
+// zero baseline) and takes no part. The mean is 0, itself undefined,
+// when no value is positive.
+func GeoMeanDefined(values []float64) (mean float64, leftOut int) {
 	logSum := 0.0
 	for _, v := range values {
 		if v <= 0 {
-			return 0
+			leftOut++
+			continue
 		}
 		logSum += math.Log(v)
 	}
-	return math.Exp(logSum / float64(len(values)))
+	if n := len(values) - leftOut; n > 0 {
+		mean = math.Exp(logSum / float64(n))
+	}
+	return mean, leftOut
 }
 
 // Mean returns the arithmetic mean.

@@ -19,9 +19,11 @@
 //     first write, a line the recovery walk authenticated is only
 //     decrypted, and such a read bypasses the timing model.
 //   - Each call that reaches the engine is one controller request
-//     (ReadLines and WriteLines carry many lines), within which lines
-//     sharing a data-HMAC line read it from the device once, and their
-//     writes of it merge into its WPQ entry while that is still queued.
+//     (ReadLines and WriteLines carry many lines). The request keeps
+//     the last data-HMAC line it read in a one-line buffer, so lines
+//     sharing a data-HMAC line read it from the device once only when
+//     the call visits them in one stretch; their writes of it merge
+//     into its WPQ entry while that is still queued.
 //   - Snapshot captures the adversary-visible NVM image via the COW
 //     mem.Store.Clone — one top-level directory slice, whatever the
 //     image size, so point-in-time readers are cheap.
@@ -325,10 +327,11 @@ func (s *Store) Now() int64 {
 }
 
 // lockRequest takes the lock and opens the controller's request scope
-// for one facade call (memctrl.BeginRequest): within the call, lines
-// sharing a data-HMAC line read it from the device once, and their
-// writes of it merge while its WPQ entry is queued. unlockRequest
-// closes both, landing the request's owed write.
+// for one facade call (memctrl.BeginRequest): within the call, the last
+// data-HMAC line read is buffered, so lines sharing one visited in a
+// stretch read it from the device once, and their writes of it merge
+// while its WPQ entry is queued. unlockRequest closes both, landing
+// the request's owed write.
 func (s *Store) lockRequest() {
 	s.mu.Lock()
 	s.ctrl.BeginRequest()
@@ -505,7 +508,10 @@ type LineWrite struct {
 // contract of Write for each: an armed crash point counts every line,
 // so the writes a crash strikes and the image it leaves are those of
 // the same Writes in sequence. It stops at the first error and reports
-// how many lines were accepted before it.
+// how many lines were accepted before it. The request buffers one
+// data-HMAC line (four data lines), so a caller that orders ws to keep
+// the lines of each HMAC line together reads each HMAC line once; one
+// that comes back to a line after leaving it reads it again.
 func (s *Store) WriteLines(ws []LineWrite) (int, error) {
 	s.lockRequest()
 	defer s.unlockRequest()
