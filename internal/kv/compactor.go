@@ -36,9 +36,9 @@ type CompactionStats struct {
 }
 
 // estCompactedLocked is a conservative upper bound on the log bytes the
-// live set would occupy after a pass: the live record bytes plus one
-// header line and worst-case padding per compacted frame. Caller holds
-// mu.
+// live set would occupy after a pass: the live record bytes plus, per
+// compacted frame, its header bytes and worst-case padding (under two
+// lines). Caller holds mu.
 func (db *DB) estCompactedLocked() uint64 {
 	recs := len(db.idx)
 	if recs == 0 {
@@ -149,7 +149,7 @@ func (db *DB) compactLocked() error {
 				return fail(fmt.Errorf("kv: compaction read %q: %w", keys[i], err))
 			}
 			ops = append(ops, Op{Kind: OpPut, Key: []byte(keys[i]), Val: val})
-			recordBytes += recHeadBytes + len(keys[i]) + len(val)
+			recordBytes += recLen(len(keys[i]), len(val))
 			i++
 		}
 		payload, recs, err := encodePayload(ops)
@@ -164,8 +164,9 @@ func (db *DB) compactLocked() error {
 			return fail(werr)
 		}
 		seq++
-		for _, r := range recs {
-			newIdx[string(r.key)] = valRef{payload: w + mem.LineSize, off: r.valOff, n: r.valLen}
+		for i := range recs {
+			r := &recs[i]
+			newIdx[string(r.key(payload))] = valRef{payload: w + headerBytes, off: int(r.valOff), n: int(r.valLen)}
 		}
 		w += need
 	}

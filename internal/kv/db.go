@@ -23,11 +23,12 @@ type Options struct {
 	WriteController WriteControllerOptions
 }
 
-// valRef locates one value inside the frame log: the frame's first
-// payload line plus the value's byte range within the payload. Refs
-// stay valid until a pass writes a new run over the half they point
-// into, which only happens after every reader of that half (the live
-// keymap, pinned snapshots) has moved to the compacted copy.
+// valRef locates one value inside the frame log: the address of the
+// frame's first payload byte (headerBytes into its header line) plus
+// the value's byte range within the payload. Refs stay valid until a
+// pass writes a new run over the half they point into, which only
+// happens after every reader of that half (the live keymap, pinned
+// snapshots) has moved to the compacted copy.
 type valRef struct {
 	payload mem.Addr
 	off     int
@@ -210,19 +211,20 @@ const (
 // variable only so the pipeline identity test can force both to 1.
 var scanShape = struct{ chunk, depth int }{scanChunk, scanDepth}
 
-// scanFrame is one frame whose header is valid and whose payload lines
-// the read stage fetched.
+// scanFrame is one frame whose header is valid and whose other lines
+// the read stage fetched. The embedded header carries the payload bytes
+// of the header line to the verify stage.
 type scanFrame struct {
 	frameHeader
 	addr mem.Addr // header line
-	line int      // first payload line in the chunk's lines
+	line int      // first line after the header in the chunk's lines
 	off  int      // first payload byte in the chunk's payload
 }
 
 // scanBatch is a chunk of consecutive frames in log order.
 type scanBatch struct {
 	frames  []scanFrame
-	lines   []store.Fetched // read stage: every frame's payload lines
+	lines   []store.Fetched // read stage: every frame's lines after its header
 	payload []byte          // verify stage: every frame's opened payload
 	sealed  int             // verify stage: frames[:sealed] passed their checksum
 	err     error           // read stage: the error that ended the log after frames
@@ -232,12 +234,13 @@ type scanBatch struct {
 // through a three-stage pipeline, every stage in log order:
 //
 //  1. read (the calling goroutine): a verified Store.Read of each frame
-//     header, whose plaintext locates the next frame, then a
-//     Store.Fetch of the payload lines — the stateful engine work, under
-//     the store's lock;
-//  2. verify: open the payload lines with an Opener of its own (a failed
-//     HMAC counts as the engine's integrity violation, as in Read) and
-//     check the payload checksum;
+//     header line, whose plaintext locates the next frame, then a
+//     Store.Fetch of the frame's other lines — the stateful engine work,
+//     under the store's lock;
+//  2. verify: open those lines with an Opener of its own (a failed HMAC
+//     counts as the engine's integrity violation, as in Read), join the
+//     payload bytes of the header line to theirs and check the payload
+//     checksum;
 //  3. index: decode each sealed frame and apply it to the keymap.
 //
 // The read stage walks the header chain to its end whatever the later
@@ -282,7 +285,10 @@ func (db *DB) scan() error {
 // chain, from its first frame to the first line that is not a valid
 // next frame header of the open layout (a seq gap, or another layout's
 // tag), in chunks of up to chunk lines, then closes out. A read error
-// ends the chain; it rides on the last chunk.
+// ends the chain; it rides on the last chunk, as does the refusal of a
+// log whose first line is a legacy-format header (legacyHeader): every
+// layout writes its first header there, so no value can be mistaken for
+// one.
 func (db *DB) readFrames(out chan<- *scanBatch, get func(lines int) *scanBatch, chunk int) {
 	defer close(out)
 	start := db.halfStart(db.active)
@@ -297,6 +303,10 @@ func (db *DB) readFrames(out chan<- *scanBatch, get func(lines int) *scanBatch, 
 			break
 		}
 		h, err := parseHeader(hl)
+		if err != nil && addr == start && legacyHeader(&hl) {
+			b.err = fmt.Errorf("kv: log at %#x is in the legacy %q frame format, which this build does not read", uint64(addr), legacyFrameMagic)
+			break
+		}
 		if err != nil || h.seq != last+1 || h.tag != tag {
 			break
 		}
@@ -322,10 +332,11 @@ func (db *DB) readFrames(out chan<- *scanBatch, get func(lines int) *scanBatch, 
 	out <- b
 }
 
-// verifyFrames is scan's verify stage: it opens each frame's payload
-// lines and checks the payload checksum, marking the sealed prefix of
-// every chunk. Chunks after the first failed checksum are dropped
-// unopened: the log ended before them.
+// verifyFrames is scan's verify stage: it gathers each frame's payload
+// from its header line and its opened lines and checks the payload
+// checksum, marking the sealed prefix of every chunk. Chunks after the
+// first failed checksum are dropped unopened: the log ended before
+// them.
 func (db *DB) verifyFrames(in <-chan *scanBatch, out chan<- *scanBatch, put func(*scanBatch)) {
 	defer close(out)
 	op := db.st.NewOpener()
@@ -335,13 +346,14 @@ func (db *DB) verifyFrames(in <-chan *scanBatch, out chan<- *scanBatch, put func
 			put(b)
 			continue
 		}
-		b.payload = slices.Grow(b.payload, len(b.lines)*mem.LineSize)
+		b.payload = slices.Grow(b.payload, len(b.lines)*mem.LineSize+len(b.frames)*headLen)
 		for i := range b.frames {
 			f := &b.frames[i]
 			f.off = len(b.payload)
+			b.payload = append(b.payload, f.head[:min(headLen, f.n)]...)
 			for j := range payloadLines(f.n) {
 				pt, _ := op.Open(&b.lines[f.line+j])
-				b.payload = append(b.payload, pt[:min(mem.LineSize, f.n-j*mem.LineSize)]...)
+				b.payload = append(b.payload, pt[:min(mem.LineSize, f.n-headLen-j*mem.LineSize)]...)
 			}
 			if mem.Checksum(b.payload[f.off:]) != f.ck {
 				ended = true
@@ -375,7 +387,7 @@ func (db *DB) indexFrames(in <-chan *scanBatch, put func(*scanBatch)) error {
 				done = true
 				break
 			}
-			db.apply(f.addr+mem.LineSize, payload, recs)
+			db.apply(f.addr+headerBytes, payload, recs)
 			head, seq = f.addr+mem.Addr(frameLines(f.n))*mem.LineSize, f.seq
 		}
 		switch {
@@ -420,17 +432,19 @@ func (db *DB) tagLocked() frameTag {
 // apply folds one frame's records into the index, keeping the live-set
 // byte estimate the compaction gain floor uses.
 func (db *DB) apply(payloadStart mem.Addr, payload []byte, recs []record) {
-	for _, r := range recs {
-		old, had := db.idx[string(r.key)]
+	for i := range recs {
+		r := &recs[i]
+		key := r.key(payload)
+		old, had := db.idx[string(key)]
 		if had {
-			db.liveBytes -= uint64(recHeadBytes + len(r.key) + old.n)
+			db.liveBytes -= uint64(recLen(len(key), old.n))
 		}
 		switch r.kind {
 		case OpPut:
-			db.idx[string(r.key)] = valRef{payload: payloadStart, off: r.valOff, n: r.valLen}
-			db.liveBytes += uint64(recHeadBytes + len(r.key) + r.valLen)
+			db.idx[string(key)] = valRef{payload: payloadStart, off: int(r.valOff), n: int(r.valLen)}
+			db.liveBytes += uint64(recLen(len(key), int(r.valLen)))
 		case OpDelete:
-			delete(db.idx, string(r.key))
+			delete(db.idx, string(key))
 		}
 	}
 }
@@ -602,7 +616,7 @@ func (db *DB) Batch(ops []Op) error {
 		return werr
 	}
 	db.seq++
-	db.apply(db.head+mem.LineSize, payload, recs)
+	db.apply(db.head+headerBytes, payload, recs)
 	db.head += mem.Addr(need)
 	db.batches++
 	db.opCount += uint64(len(ops))
@@ -615,22 +629,24 @@ func (db *DB) Batch(ops []Op) error {
 }
 
 // writeFrame writes one sealed frame at header with one WriteLines:
-// the payload lines from the highest address down, then the header, so
-// a crash before the header write leaves no valid frame and the frame
-// is all-or-nothing. The order is top-down and contiguous so the
-// request visits each data-HMAC line the frame covers in one stretch:
-// the store's one-line HMAC buffer then reads each from the device
-// once. h gives the seq, op count and tag; writeFrame fills in the
-// payload's length and checksum. Batch and the compactor both write
-// through it; who names the writer in errors.
+// the lines after the header from the highest address down, then the
+// header line, so a crash before the header write leaves no valid frame
+// and the frame is all-or-nothing. The order is top-down and contiguous
+// so the request visits each data-HMAC line the frame covers in one
+// stretch: the store's one-line HMAC buffer then reads each from the
+// device once. h gives the seq, op count and tag; writeFrame fills in
+// the payload's length, checksum and the head the header line carries.
+// Batch and the compactor both write through it; who names the writer
+// in errors.
 func (db *DB) writeFrame(who string, header mem.Addr, h frameHeader, payload []byte) error {
 	ws := db.frame[:0]
-	for i := payloadLines(len(payload)) - 1; i >= 0; i-- {
-		w := store.LineWrite{Addr: header + mem.Addr((i+1)*mem.LineSize)}
-		copy(w.Line[:], payload[i*mem.LineSize:])
+	for i := frameLines(len(payload)) - 1; i > 0; i-- {
+		w := store.LineWrite{Addr: header + mem.Addr(i*mem.LineSize)}
+		copy(w.Line[:], payload[i*mem.LineSize-headerBytes:])
 		ws = append(ws, w)
 	}
 	h.n, h.ck = len(payload), mem.Checksum(payload)
+	copy(h.head[:], payload)
 	ws = append(ws, store.LineWrite{Addr: header, Line: h.encode()})
 	db.frame = ws
 	switch n, err := db.st.WriteLines(ws); {

@@ -223,8 +223,8 @@ func TestCrashMidFrameLeavesHeaderUnwritten(t *testing.T) {
 	}
 	_, frame := run(-1)
 	header := slices.Min(frame)
-	if len(frame) != 7 || frame[len(frame)-1] != header {
-		t.Fatalf("the batch wrote %#x, want 7 lines ending with its header", frame)
+	if len(frame) != 6 || frame[len(frame)-1] != header {
+		t.Fatalf("the batch wrote %#x, want 6 lines ending with its header", frame)
 	}
 	for n := range len(frame) {
 		st, wrote := run(n)
@@ -557,19 +557,20 @@ func reopenOnce(b *testing.B, path string, stages *[3]time.Duration) int {
 }
 
 // TestFrameMergesHMACWrites: a batch of four fresh-key 64-byte puts
-// is one 7-line frame, written in one store request from the highest
-// payload line down to the header. On cc-NVM each data line's write
-// reads its data-HMAC line (four data lines each) and writes it back:
-// to the device, or merged into the request's still-queued entry for
-// that line. Top-down, the frame visits each HMAC line it covers in one
+// is one 6-line frame, written in one store request from its highest
+// line down to the header. On cc-NVM each data line's write reads its
+// data-HMAC line (four data lines each) and writes it back: to the
+// device, or merged into the request's still-queued entry for that
+// line. Top-down, the frame visits each HMAC line it covers in one
 // stretch, so the request's one-line buffer reads each from the device
 // once and serves the frame's other HMAC reads as RequestHits: by the
-// header's line address mod 4 the frame covers 2, 2, 3 or 3 HMAC lines,
+// header's line address mod 4 the frame covers 2, 2, 2 or 3 HMAC lines,
 // and that is both its HMAC-line device reads and the least HMAC-line
 // writes it can make. How many merges find the entry queued follows the
-// WPQ's backlog, so the count over eight frames is pinned: 37 HMAC-line
-// writes, where one write per data line makes 56. A frame is 3 mod 4
-// lines long, so four batches in a row meet every alignment.
+// WPQ's backlog, so the count over eight frames is pinned: 32 HMAC-line
+// writes, where one write per data line makes 48. A frame is 2 mod 4
+// lines long, so a one-line put between the fourth and fifth batch
+// makes the eight meet every alignment.
 func TestFrameMergesHMACWrites(t *testing.T) {
 	st := openStore(t)
 	db := openDB(t, st)
@@ -583,10 +584,15 @@ func TestFrameMergesHMACWrites(t *testing.T) {
 			covered[ha] = true
 		}
 	})
-	floor := [4]uint64{2, 2, 3, 3}
+	floor := [4]uint64{2, 2, 2, 3}
 	seen := [4]bool{}
 	var hmacWrites uint64
 	for i := range 8 {
+		if i == 4 {
+			if err := db.Put([]byte("shift"), []byte("1")); err != nil {
+				t.Fatal(err)
+			}
+		}
 		ops := make([]kv.Op, 4)
 		for j := range ops {
 			ops[j] = kv.Op{Kind: kv.OpPut, Key: []byte(fmt.Sprintf("key-%06d", i*4+j)), Val: bytes.Repeat([]byte{byte(i)}, 64)}
@@ -602,23 +608,52 @@ func TestFrameMergesHMACWrites(t *testing.T) {
 		r := uint64(header) / mem.LineSize % 4
 		seen[r] = true
 		d, h := w.Data-w0.Data, w.HMAC-w0.HMAC
-		if d != 7 || h+m != 7 || h < floor[r] {
-			t.Fatalf("batch %d (header %#x, line %d mod 4): %d data and %d HMAC-line writes, %d merges; want 7 and at least %d, with 7 HMAC updates",
+		if d != 6 || h+m != 6 || h < floor[r] {
+			t.Fatalf("batch %d (header %#x, line %d mod 4): %d data and %d HMAC-line writes, %d merges; want 6 and at least %d, with 6 HMAC updates",
 				i, uint64(header), r, d, h, m, floor[r])
 		}
 		// Each data write reads its HMAC line once, from the buffer or
-		// the device, so 7 - hits of the frame's HMAC reads reached
+		// the device, so 6 - hits of the frame's HMAC reads reached
 		// the device: one per covered line.
-		if n := uint64(len(covered)); n != floor[r] || 7-hits != n {
-			t.Fatalf("batch %d (line %d mod 4): covers %d HMAC lines and read %d of its 7 HMAC reads from the device; want %d and %d",
-				i, r, n, 7-hits, floor[r], floor[r])
+		if n := uint64(len(covered)); n != floor[r] || 6-hits != n {
+			t.Fatalf("batch %d (line %d mod 4): covers %d HMAC lines and read %d of its 6 HMAC reads from the device; want %d and %d",
+				i, r, n, 6-hits, floor[r], floor[r])
 		}
 		hmacWrites += h
 	}
 	if seen != [4]bool{true, true, true, true} {
 		t.Fatalf("the batches met the header alignments %v, want all four", seen)
 	}
-	if hmacWrites != 37 {
-		t.Fatalf("eight frames wrote %d HMAC lines to the device, want 37", hmacWrites)
+	if hmacWrites != 32 {
+		t.Fatalf("eight frames wrote %d HMAC lines to the device, want 32", hmacWrites)
+	}
+}
+
+// TestPutBatchIsSixLines pins the frame format's line counts on the
+// repo benchmark's batch shapes: a kv_put batch of four 16-byte keys
+// with 64-byte values is 6 data lines (44 header bytes and 332 payload
+// bytes), and a kv_get preload batch of sixteen 16-byte keys with
+// 128-byte values is 38 (44 and 2352).
+func TestPutBatchIsSixLines(t *testing.T) {
+	for _, c := range []struct{ ops, val, lines int }{{4, 64, 6}, {16, 128, 38}} {
+		st := openStore(t)
+		db := openDB(t, st)
+		lay := st.Layout()
+		var lines int
+		st.SetEventTap(func(ev store.Event) {
+			if ev.Kind == store.EvWriteAccept && lay.RegionOf(ev.Addr) == mem.RegionData {
+				lines++
+			}
+		})
+		ops := make([]kv.Op, c.ops)
+		for j := range ops {
+			ops[j] = kv.Op{Kind: kv.OpPut, Key: []byte(fmt.Sprintf("%016x", mem.Mix64(uint64(j)))), Val: bytes.Repeat([]byte{'v'}, c.val)}
+		}
+		if err := db.Batch(ops); err != nil {
+			t.Fatal(err)
+		}
+		if lines != c.lines {
+			t.Fatalf("a batch of %d puts of %d-byte values wrote %d data lines, want %d", c.ops, c.val, lines, c.lines)
+		}
 	}
 }

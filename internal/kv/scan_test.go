@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ccnvm/internal/engine"
@@ -39,11 +40,13 @@ func scanDB(st *store.Store) *DB {
 }
 
 // serialScan is the scan's specification on one goroutine: walk the
-// open layout's header chain to its end, fetching every frame's payload; open and
-// checksum the payloads in log order up to the first failed checksum,
-// which ends the log; decode and apply the sealed frames up to the
-// first malformed one, which is the error. A read error counts only if
-// the log had not ended before it.
+// open layout's header chain to its end, fetching every frame's lines
+// after its header (a first line in the legacy format is the error);
+// join each payload from its header line's head and those lines, open
+// and checksum the payloads in log order up to the first failed
+// checksum, which ends the log; decode and apply the sealed frames up
+// to the first malformed one, which is the error. A read error counts
+// only if the log had not ended before it.
 func serialScan(db *DB) error {
 	op := db.st.NewOpener()
 	start := db.halfStart(db.active)
@@ -61,6 +64,10 @@ func serialScan(db *DB) error {
 			break
 		}
 		h, perr := parseHeader(hl)
+		if perr != nil && addr == start && legacyHeader(&hl) {
+			err = fmt.Errorf("kv: log at %#x is in the legacy %q frame format, which this build does not read", uint64(addr), legacyFrameMagic)
+			break
+		}
 		if perr != nil || h.seq != last+1 || h.tag != tag {
 			break
 		}
@@ -77,10 +84,10 @@ func serialScan(db *DB) error {
 			break
 		}
 		if checking {
-			var payload []byte
+			payload := slices.Clone(h.head[:min(headLen, n)])
 			for j := range lines {
 				pt, _ := op.Open(&lines[j])
-				payload = append(payload, pt[:min(mem.LineSize, n-j*mem.LineSize)]...)
+				payload = append(payload, pt[:min(mem.LineSize, n-headLen-j*mem.LineSize)]...)
 			}
 			switch recs, derr := decodePayload(nil, payload, h.count); {
 			case mem.Checksum(payload) != h.ck:
@@ -89,7 +96,7 @@ func serialScan(db *DB) error {
 			case derr != nil:
 				err, ended = fmt.Errorf("kv: log frame seq %d at %#x is malformed: %w", s, uint64(addr), derr), true
 			default:
-				db.apply(addr+mem.LineSize, payload, recs)
+				db.apply(addr+headerBytes, payload, recs)
 				head, seq = addr+need, s
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"ccnvm/internal/design"
 	"ccnvm/internal/engine"
 	"ccnvm/internal/kv"
+	"ccnvm/internal/mem"
 	"ccnvm/internal/recovery"
 	"ccnvm/internal/store"
 )
@@ -97,19 +98,24 @@ func kvApply(state map[string][]byte, ops []kv.Op) map[string][]byte {
 // kvRun is a driven KV cell's evidence: the crash image, the prefix
 // states of the batch sequence (states[j] is the namespace after
 // batches [0,j)), the acknowledged and issued batch counts, the
-// manifest generation when power failed, and the writes the store
-// accepted.
+// manifest generation when power failed, the writes the store
+// accepted, and the data-region lines each acknowledged batch wrote,
+// in the order the store accepted them (nil when the runner's Arm seam
+// owns the store's event tap).
 type kvRun struct {
 	img           *engine.CrashImage
 	states        []map[string][]byte
 	acked, issued int
 	gen           uint64
 	writes        int
+	frames        [][]mem.Addr
 }
 
 // driveKV drives the cell's batches into a fresh namespace, armed
 // through the runner's seam, with power failing at the armed write
-// boundary.
+// boundary. Without an Arm seam, which may install a tap of its own, it
+// records each batch's data-region writes through the store's event
+// tap, which only observes.
 func (r *Runner) driveKV(c Cell) (*kvRun, *Failure) {
 	st, err := store.Open(store.Options{Design: c.Design, Capacity: KVCapacity, Params: kvParams})
 	if err != nil {
@@ -127,15 +133,29 @@ func (r *Runner) driveKV(c Cell) (*kvRun, *Failure) {
 		run.states[i+1] = kvApply(run.states[i], b)
 	}
 
+	var wrote []mem.Addr
+	if r.Arm == nil {
+		lay := st.Layout()
+		st.SetEventTap(func(ev store.Event) {
+			if ev.Kind == store.EvWriteAccept && lay.RegionOf(ev.Addr) == mem.RegionData {
+				wrote = append(wrote, ev.Addr)
+			}
+		})
+		run.frames = [][]mem.Addr{}
+	}
 	if c.CrashAt >= 0 {
 		st.ArmCrash(c.CrashAt)
 	}
 	before := st.Engine().Stats().Writebacks
 	for i, b := range batches {
 		run.issued = i + 1
+		wrote = nil
 		err := db.Batch(b)
 		if err == nil {
 			run.acked = run.issued
+			if run.frames != nil {
+				run.frames = append(run.frames, wrote)
+			}
 			if c.CompactEvery > 0 && run.acked%c.CompactEvery == 0 {
 				if err = db.Compact(); err != nil && !errors.Is(err, store.ErrCrashed) {
 					return nil, failf(c, "kv-compact-error", "batch %d failed before any crash: %v", i, err)
@@ -346,6 +366,18 @@ func checkKVCompactLostAcked(c *Context) string {
 	if _, lost := c.kv.strays(); lost != "" {
 		return fmt.Sprintf("key %s is live in every reachable prefix state [%d,%d] but gone after recovery — "+
 			"compaction lost an acknowledged write", lost, c.kv.acked, c.kv.issued)
+	}
+	return ""
+}
+
+// checkKVHeaderLast holds every acknowledged batch to the frame's
+// commit order: its last accepted write is its lowest-address line, the
+// header, so a crash inside the frame leaves the header unwritten.
+func checkKVHeaderLast(c *Context) string {
+	for i, ws := range c.kv.frames {
+		if len(ws) == 0 || slices.Min(ws) != ws[len(ws)-1] {
+			return fmt.Sprintf("acknowledged batch %d wrote data lines %#x: its header, the lowest, was not written last", i, ws)
+		}
 	}
 	return ""
 }

@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"bytes"
 	"context"
 	"slices"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"ccnvm/internal/bmt"
 	"ccnvm/internal/engine"
 	"ccnvm/internal/mem"
+	"ccnvm/internal/nvm"
 	"ccnvm/internal/recovery"
 	"ccnvm/internal/store"
 )
@@ -220,6 +222,32 @@ func TestReorderPersistIgnoresRequests(t *testing.T) {
 		}
 		if !edited || req.CtrlStats().RequestMerges == 0 {
 			t.Fatalf("after %d commits: the defect edited no image or the requests merged nothing; the test shows nothing", after)
+		}
+	}
+}
+
+// TestKVWriteTapObserves is the twin-run rule for kv-header-last's
+// evidence: a KV cell driven with the store's event tap recording each
+// batch's writes leaves the same crash image, write count, batch counts
+// and generation as the same cell driven by a runner whose Arm seam
+// keeps the tap off, at every crash point of a compacting sweep.
+func TestKVWriteTapObserves(t *testing.T) {
+	untapped := &Runner{Arm: func(Cell, *store.Store) func(*nvm.Image) { return nil }}
+	for _, c := range kvSweep(Cell{Design: "ccnvm", Workload: KVWorkload, Seed: 3, Batches: 4, CompactEvery: 2, Attack: "none"}) {
+		tapped, f1 := DefaultRunner().driveKV(c)
+		twin, f2 := untapped.driveKV(c)
+		if f1 != nil || f2 != nil {
+			t.Fatalf("%s: %v / %v", c, f1, f2)
+		}
+		img1, err1 := store.EncodeImage(tapped.img)
+		img2, err2 := store.EncodeImage(twin.img)
+		if err1 != nil || err2 != nil || !bytes.Equal(img1, img2) || tapped.writes != twin.writes ||
+			tapped.acked != twin.acked || tapped.issued != twin.issued || tapped.gen != twin.gen {
+			t.Fatalf("%s: the tap changed the run: writes %d/%d, acked %d/%d, generation %d/%d, images equal %v (%v, %v)",
+				c, tapped.writes, twin.writes, tapped.acked, twin.acked, tapped.gen, twin.gen, bytes.Equal(img1, img2), err1, err2)
+		}
+		if twin.frames != nil || len(tapped.frames) != tapped.acked {
+			t.Fatalf("%s: recorded %d frames for %d acknowledged batches, and %v untapped", c, len(tapped.frames), tapped.acked, twin.frames)
 		}
 	}
 }

@@ -329,6 +329,10 @@ var oracles = []Oracle{
 		"after batch j for some j in [acked, issued]: no partial batch is ever visible, compaction or not."},
 	{Name: "kv-acked-durable", Scope: scopePlainKV, Check: checkKVAckedDurable, Doc: "Every acknowledged batch " +
 		"is applied: the recovered log holds at least the acknowledged batch count."},
+	{Name: "kv-header-last", Scope: scopeKV, Check: checkKVHeaderLast, Doc: "Every acknowledged batch's last " +
+		"accepted data-region write is its lowest-address line, the frame header, so a crash inside a frame " +
+		"leaves its header unwritten (recorded through the store's event tap; a runner whose Arm seam owns the " +
+		"tap records nothing)."},
 	{Name: "kv-no-ghost-resurrection", Scope: scopeCompact, Check: checkKVNoGhostResurrection, Doc: "A key " +
 		"deleted (or never written) in every reachable prefix state never reappears through compact + crash + recover."},
 	{Name: "kv-compact-lost-acked", Scope: scopeCompact, Check: checkKVCompactLostAcked, Doc: "A key live in " +

@@ -190,8 +190,8 @@ func TestOracleDocs(t *testing.T) {
 			}
 		}
 	}
-	if len(Oracles()) != 24 || kvRows != 10 {
-		t.Fatalf("%d rows, %d of them for KV cells; want 24 and 10", len(Oracles()), kvRows)
+	if len(Oracles()) != 25 || kvRows != 11 {
+		t.Fatalf("%d rows, %d of them for KV cells; want 25 and 11", len(Oracles()), kvRows)
 	}
 
 	files, err := filepath.Glob("*.go")
