@@ -2,11 +2,13 @@ package kv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"reflect"
+	"maps"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -43,20 +45,19 @@ func compactDB(t testing.TB, st *store.Store) *DB {
 	return db
 }
 
-// TestManifestRoundTripAndRuling pins the slot bytes (exactly what the
-// encoder wrote before the two-slot frame moved to internal/twoslot)
-// and reopen's ruling: a torn slot — damaged, or sealed over generation
-// 0 or a third arena half — is rewritten from the ruling record (zeroed
-// when none rules), two torn slots are refused, and a line whose first
-// word is zero is an empty slot, left as it is.
+// TestManifestRoundTripAndRuling pins the slot bytes and reopen's
+// ruling: a torn slot — damaged, or sealed over generation 0 or a tail
+// that is no line of the arena — is rewritten from the ruling record
+// (zeroed when none rules), two torn slots are refused, and a line
+// whose first word is zero is an empty slot, left as it is.
 func TestManifestRoundTripAndRuling(t *testing.T) {
-	rec := manifestRecord{Seq: 7, StartSeq: 123, Half: 1}
+	rec := manifestRecord{Seq: 7, Tail: arenaStart + 3*mem.LineSize, TailSeq: 123}
 	l := encodeManifest(rec)
-	const want = "434b564d414e494607000000000000007b0000000000000001000000000000007f00e7fa00000000000000000000000000000000000000000000000000000000"
+	const want = "434b565441494c00070000000000000040010000000000007b0000000000000002686f2900000000000000000000000000000000000000000000000000000000"
 	if hex.EncodeToString(l[:]) != want || decodeManifest(l[:]) != rec {
 		t.Fatalf("slot %x decodes to %+v; want %s and %+v", l, decodeManifest(l[:]), want, rec)
 	}
-	torn := encodeManifest(manifestRecord{Seq: 8})
+	torn := encodeManifest(manifestRecord{Seq: 8, Tail: arenaStart})
 	torn[12] ^= 0xff
 	word0Zero := mem.Line{9: 3}
 	for i, tc := range []struct {
@@ -65,8 +66,9 @@ func TestManifestRoundTripAndRuling(t *testing.T) {
 		refused                  bool
 	}{
 		{l, torn, l, 7, false},
-		{l, encodeManifest(manifestRecord{Seq: 8, Half: 2}), l, 7, false},
-		{mem.Line{}, encodeManifest(manifestRecord{Seq: 0}), mem.Line{}, 0, false},
+		{l, encodeManifest(manifestRecord{Seq: 8, Tail: arenaStart + 5}), l, 7, false},
+		{l, encodeManifest(manifestRecord{Seq: 8, Tail: 0}), l, 7, false},
+		{mem.Line{}, encodeManifest(manifestRecord{Seq: 0, Tail: arenaStart}), mem.Line{}, 0, false},
 		{mem.Line{}, torn, mem.Line{}, 0, false},
 		{torn, torn, torn, 0, true},
 		{mem.Line{}, word0Zero, word0Zero, 0, false},
@@ -85,13 +87,53 @@ func TestManifestRoundTripAndRuling(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesEarlierBuildImage: an image of the two-half arena
+// fails Open with an error naming its format, where this build would
+// otherwise open it empty (its manifest slot ruled torn, or its log
+// ending at a first header of another magic) and let the next Batch
+// overwrite it. Planted: a manifest slot of the two-half layout, and —
+// no manifest — a first arena line holding a tagged "CKVF" header.
+func TestOpenRefusesEarlierBuildImage(t *testing.T) {
+	var slot mem.Line
+	binary.LittleEndian.PutUint64(slot[16:24], 9) // startSeq
+	slot[24] = 1                                  // the active half
+	halvesManifestFormat.Seal(slot[:], 3)
+	payload, _, err := encodePayload([]Op{{Kind: OpPut, Key: []byte("k"), Val: []byte("v")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := frameHeader{seq: 1, count: 1, n: len(payload), ck: mem.Checksum(payload)}
+	copy(h.head[:], payload)
+	tagged := h.encode()
+	copy(tagged[0:4], "CKVF")
+	binary.LittleEndian.PutUint64(tagged[28:36], 2) // tag.gen
+	sealHeader(&tagged, h.ck)
+	for _, c := range []struct {
+		name string
+		at   mem.Addr
+		line mem.Line
+		want string
+	}{
+		{"two-half manifest", mem.LineSize, slot, `manifest slot 1 is in the two-half "CKVMANIF" format`},
+		{"tagged frame header", arenaStart, tagged, `is in the two-half "CKVF" frame format`},
+	} {
+		st := compactStore(t, 1<<18)
+		if st.Write(c.at, c.line) != nil || st.FlushEpoch() != nil {
+			t.Fatal("planting the line failed")
+		}
+		if _, err := Open(st, Options{}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: Open = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+}
+
 // TestChurnSurvivesBeyondLogCapacity is the acceptance churn workload:
 // overwrite a small key set until the namespace has absorbed more than
 // four times its log capacity. Without compaction the stop trigger
 // would refuse around one capacity's worth; with it every batch must be
-// acknowledged — zero permanent stalls, zero lost acked writes. No pass
-// zeroes anything: the retired half keeps its frames, tagged with an
-// older layout, and every pass lays its run over such frames.
+// acknowledged — zero permanent stalls, zero lost acked writes. The
+// head runs more than one lap of the ring, so the scan after the
+// reboot finds its frames past the arena's end at the arena's start.
 func TestChurnSurvivesBeyondLogCapacity(t *testing.T) {
 	st := compactStore(t, 1<<18)
 	db := compactDB(t, st)
@@ -117,8 +159,8 @@ func TestChurnSurvivesBeyondLogCapacity(t *testing.T) {
 		t.Fatalf("churn ran %d passes and reclaimed %d lines; want two or more passes and no reclaim",
 			s.Compaction.Passes, s.Compaction.ReclaimedLines)
 	}
-	if h := frameAt(t, st, db.halfStart(1-db.active)); h.tag == db.tagLocked() {
-		t.Fatalf("the retired half's first frame carries the open layout's tag %+v", h.tag)
+	if db.head < db.ringBytes {
+		t.Fatalf("the head ran %d bytes, less than the %d-byte ring", db.head, db.ringBytes)
 	}
 	for key, tag := range model {
 		v, ok, err := db.Get([]byte(key))
@@ -235,16 +277,20 @@ func TestCompactCrashAtEveryWriteBoundary(t *testing.T) {
 	}
 }
 
-// TestSnapshotMidCompactionReadsPreSwitchView pins the satellite
-// contract: a snapshot taken while a pass is relocating the live set
-// keeps serving the consistent pre-switch view after the switch, and a
-// further pass, which would write its run over the retired half the
-// snapshot reads, is refused while the pin lasts.
-func TestSnapshotMidCompactionReadsPreSwitchView(t *testing.T) {
-	st := compactStore(t, 1<<20)
+// TestSnapshotHeldAcrossPassesReadsItsValues: a snapshot taken while
+// a pass copies keeps serving its view — values overwritten and a key
+// deleted since — across the passes that churn runs while it is held.
+// Once the head has run a lap to the ring position the snapshot pins,
+// writes are refused with ErrLogFull and a pass with ErrCompactPinned;
+// Release lets both through again.
+func TestSnapshotHeldAcrossPassesReadsItsValues(t *testing.T) {
+	st := compactStore(t, 1<<18)
 	db := compactDB(t, st)
-	if err := db.Put([]byte("keep"), []byte("v1")); err != nil {
-		t.Fatal(err)
+	val := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 1024) }
+	for i := range 8 {
+		if err := db.Put([]byte(fmt.Sprintf("s%d", i)), val(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := db.Put([]byte("gone"), []byte("dead")); err != nil {
 		t.Fatal(err)
@@ -252,7 +298,6 @@ func TestSnapshotMidCompactionReadsPreSwitchView(t *testing.T) {
 	if err := db.Delete([]byte("gone")); err != nil {
 		t.Fatal(err)
 	}
-
 	var snap *Snapshot
 	db.testHookMidCopy = func() { snap = db.Snapshot() }
 	if err := db.Compact(); err != nil {
@@ -262,29 +307,41 @@ func TestSnapshotMidCompactionReadsPreSwitchView(t *testing.T) {
 	if snap == nil {
 		t.Fatal("mid-copy hook never ran")
 	}
-	// Overwrite after the pass; the snapshot must still see v1 and the
-	// pre-snapshot deletion.
-	if err := db.Put([]byte("keep"), []byte("v2")); err != nil {
-		t.Fatal(err)
+	check := func(when string) {
+		t.Helper()
+		for i := range 8 {
+			if v, ok, err := snap.Get([]byte(fmt.Sprintf("s%d", i))); err != nil || !ok || !bytes.Equal(v, val(i)) {
+				t.Fatalf("%s: snapshot lost s%d (ok %v, %v)", when, i, ok, err)
+			}
+		}
+		if _, ok, _ := snap.Get([]byte("gone")); ok {
+			t.Fatalf("%s: snapshot resurrects a deleted key", when)
+		}
 	}
-	if v, ok, err := snap.Get([]byte("keep")); err != nil || !ok || string(v) != "v1" {
-		t.Fatalf("snapshot view moved: (%q,%v,%v)", v, ok, err)
+	passes := db.Stats().Compaction.Passes
+	var err error
+	for i := 0; err == nil; i++ {
+		err = db.Put([]byte(fmt.Sprintf("s%d", i%8)), val(100+i))
+		if i%16 == 0 {
+			check(fmt.Sprintf("put %d", i))
+		}
 	}
-	if _, ok, _ := snap.Get([]byte("gone")); ok {
-		t.Fatal("snapshot resurrects a deleted key")
+	if !errors.Is(err, ErrLogFull) {
+		t.Fatalf("churn under a snapshot ended with %v, want ErrLogFull", err)
 	}
-	if v, _, _ := db.Get([]byte("keep")); string(v) != "v2" {
-		t.Fatalf("live view stale: %q", v)
+	if n := db.Stats().Compaction.Passes - passes; n < 3 {
+		t.Fatalf("%d passes ran while the snapshot was held, want several", n)
 	}
+	check("the head at the pin")
 	if err := db.Compact(); !errors.Is(err, ErrCompactPinned) {
-		t.Fatalf("pass over a pinned retired half: %v", err)
-	}
-	if v, ok, err := snap.Get([]byte("keep")); err != nil || !ok || string(v) != "v1" {
-		t.Fatalf("snapshot view moved after a refused pass: (%q,%v,%v)", v, ok, err)
+		t.Fatalf("pass with the head at the pin: %v, want ErrCompactPinned", err)
 	}
 	snap.Release()
-	if _, _, err := snap.Get([]byte("keep")); !errors.Is(err, ErrSnapshotReleased) {
+	if _, _, err := snap.Get([]byte("s0")); !errors.Is(err, ErrSnapshotReleased) {
 		t.Fatalf("released snapshot still readable: %v", err)
+	}
+	if err := db.Put([]byte("s0"), val(0)); err != nil {
+		t.Fatalf("put after Release: %v", err)
 	}
 	if err := db.Compact(); err != nil {
 		t.Fatalf("pass after Release: %v", err)
@@ -342,38 +399,6 @@ func TestDeletedKeyNeverResurrectsThroughCompactCrashRecover(t *testing.T) {
 	}
 }
 
-// frameAt parses the frame header at a, failing the test if there is
-// none.
-func frameAt(t *testing.T, st *store.Store, a mem.Addr) frameHeader {
-	t.Helper()
-	l, err := st.Read(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := parseHeader(l)
-	if err != nil {
-		t.Fatalf("no frame header at %#x: %v", uint64(a), err)
-	}
-	return h
-}
-
-// framesTagged counts the lines of [lo, hi) that parse as a frame
-// header carrying tag.
-func framesTagged(t *testing.T, st *store.Store, lo, hi mem.Addr, tag frameTag) int {
-	t.Helper()
-	n := 0
-	for a := lo; a < hi; a += mem.LineSize {
-		l, err := st.Read(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h, err := parseHeader(l); err == nil && h.tag == tag {
-			n++
-		}
-	}
-	return n
-}
-
 // rebootDB crashes db and reopens the namespace on a rebooted store.
 func rebootDB(t *testing.T, db *DB) (*store.Store, *DB) {
 	t.Helper()
@@ -384,158 +409,207 @@ func rebootDB(t *testing.T, db *DB) (*store.Store, *DB) {
 	return st, compactDB(t, st)
 }
 
-// TestReopenDiscardsOrphanRunAndConverges: an interrupted pass leaves
-// an orphan run (no committed manifest) of two frames. It stays on the
-// media, and reopen must never index it; a second reopen rebuilds the
-// same keymap, seq and head. A later pass lays a one-frame run over it,
-// leaving the orphan's second frame past the new run, and a crash after
-// that must still recover the model.
-func TestReopenDiscardsOrphanRunAndConverges(t *testing.T) {
-	const keys = compactFrameOps + 6
-	st := compactStore(t, 1<<20)
+// TestCleanerCopiesOnlyTheLiveTail: the repo benchmark's kv_churn shape
+// — 64 hot keys of 1 KiB values on a 512 KiB store, seeded uniform
+// single-key puts — drives admission passes that clean only the oldest
+// frames, so a pass copies the few records there that are still live,
+// not the whole live set. Emptying a half of a two-half arena copied
+// 0.45 records a put here.
+func TestCleanerCopiesOnlyTheLiveTail(t *testing.T) {
+	st := compactStore(t, 512<<10)
 	db := compactDB(t, st)
-	model := map[string]bool{}
-	for i := 0; i < keys; i++ {
-		k := fmt.Sprintf("o%02d", i)
-		if err := db.Put([]byte(k), bytes.Repeat([]byte{byte(i)}, 200)); err != nil {
+	rng := rand.New(rand.NewSource(1))
+	val := make([]byte, 1024)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("hot%03d-%08x", i, i*2654435761)) }
+	for i := range 64 {
+		if err := db.Put(key(i), val); err != nil {
 			t.Fatal(err)
 		}
-		model[k] = true
 	}
-	// Crash right after the run's last write, before the manifest
-	// commit: the run is fully on media but uncommitted.
-	orphan := frameTag{gen: 1, startSeq: keys}
-	dst := 1 - db.active
-	db.testHookMidCopy = func() { st.ArmCrash(0) }
-	err := db.Compact()
-	if err == nil || !errors.Is(err, store.ErrCrashed) {
-		t.Fatalf("pass survived the armed crash: %v", err)
+	const puts = 3000
+	for range puts {
+		rng.Read(val[:8])
+		if err := db.Put(key(rng.Intn(64)), val); err != nil {
+			t.Fatal(err)
+		}
 	}
-	st2, db2 := rebootDB(t, db)
-	if g := db2.Generation(); g != 0 {
-		t.Fatalf("orphan run committed a generation: %d", g)
+	c := db.Stats().Compaction
+	if c == nil || c.Passes < 20 {
+		t.Fatalf("%d puts ran passes %+v, want twenty or more", puts, c)
 	}
-	dstLo, dstHi := db2.halfStart(dst), db2.halfStart(dst)+mem.Addr(db2.halfBytes)
-	if n := framesTagged(t, st2, dstLo, dstHi, orphan); n != 2 {
-		t.Fatalf("%d frames of the orphan run on the media, want 2", n)
+	if per := float64(db.compactCopied) / puts; per > 0.15 {
+		t.Fatalf("%d passes copied %d records, %.3f a put; want at most 0.15", c.Passes, db.compactCopied, per)
 	}
-	if s := db2.Stats(); s.Compaction != nil {
-		t.Fatalf("reopen over an orphan run reports compaction stats %+v", s.Compaction)
+	t.Logf("%d passes, %d copied records (%.3f a put), %d bytes freed a pass", c.Passes, db.compactCopied,
+		float64(db.compactCopied)/puts, c.FreedBytes/c.Passes)
+}
+
+// TestCrashAcrossWrapAndTailCommit arms a power failure at every host
+// write of two stretches of a churn on a small ring: the steps around
+// the first batch that starts a new lap, its frame skipping the gap at
+// the arena's end, and the first batch after it whose admission runs a
+// pass, copies and tail commit included. Reopen must land on a
+// reachable prefix state, and a second reopen must rebuild the first.
+func TestCrashAcrossWrapAndTailCommit(t *testing.T) {
+	const keys, steps = 32, 400
+	rng := rand.New(rand.NewSource(5))
+	picks := make([]int, steps)
+	for i := range picks {
+		picks[i] = rng.Intn(keys)
 	}
-	check := func(db *DB) {
-		t.Helper()
-		for k := range model {
-			if v, ok, err := db.Get([]byte(k)); err != nil || !ok || len(v) != 200 {
-				t.Fatalf("key %s lost to an orphan run: ok=%v err=%v", k, ok, err)
+	op := func(i int) Op {
+		k := []byte(fmt.Sprintf("w%d", picks[i]))
+		if i%7 == 6 {
+			return Op{Kind: OpDelete, Key: k}
+		}
+		return Op{Kind: OpPut, Key: k, Val: bytes.Repeat([]byte{byte(i)}, 500)}
+	}
+	states := []map[string]byte{{}}
+	for i := range steps {
+		s := maps.Clone(states[i])
+		if o := op(i); o.Kind == OpDelete {
+			delete(s, string(o.Key))
+		} else {
+			s[string(o.Key)] = byte(i)
+		}
+		states = append(states, s)
+	}
+	// The probe finds the stretches.
+	db := compactDB(t, compactStore(t, 64<<10))
+	wrap, pass := -1, -1
+	for i := 0; i < steps && pass < 0; i++ {
+		head, copied := db.head, db.compactCopied
+		if err := db.Batch([]Op{op(i)}); err != nil {
+			t.Fatal(err)
+		}
+		last := db.frames[len(db.frames)-1].off
+		switch {
+		case wrap < 0 && last%db.ringBytes == 0 && last != head:
+			wrap = i
+		case wrap >= 0 && db.compactCopied != copied:
+			pass = i
+		}
+	}
+	if wrap < 0 || pass < 0 {
+		t.Fatalf("%d steps: wrap at step %d, pass at %d; want both", steps, wrap, pass)
+	}
+	matches := func(db *DB, j int) bool {
+		if len(db.idx) != len(states[j]) {
+			return false
+		}
+		for k, b := range states[j] {
+			v, ok, err := db.Get([]byte(k))
+			if err != nil || !ok || len(v) != 500 || v[0] != b {
+				return false
 			}
 		}
-		if len(db.idx) != len(model) {
-			t.Fatalf("namespace holds %d keys, want %d", len(db.idx), len(model))
+		return true
+	}
+	for _, w := range [][2]int{{wrap - 1, wrap + 1}, {pass, pass}} {
+		for n := 0; ; n++ {
+			st := compactStore(t, 64<<10)
+			db := compactDB(t, st)
+			for i := range w[0] {
+				if err := db.Batch([]Op{op(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st.ArmCrash(n)
+			acked, issued := w[0], w[0]
+			var err error
+			for i := w[0]; i <= w[1] && err == nil; i++ {
+				issued = i + 1
+				if err = db.Batch([]Op{op(i)}); err == nil {
+					acked = i + 1
+				}
+			}
+			if err != nil && !errors.Is(err, store.ErrCrashed) {
+				t.Fatalf("steps %v crash %d: %v", w, n, err)
+			}
+			st2, db2 := rebootDB(t, db)
+			j := acked
+			for j <= issued && !matches(db2, j) {
+				j++
+			}
+			if j > issued {
+				t.Fatalf("steps %v crash %d: the namespace matches no state in [%d,%d]", w, n, acked, issued)
+			}
+			if db3 := compactDB(t, st2); db3.seq != db2.seq || db3.head != db2.head || !matches(db3, j) {
+				t.Fatalf("steps %v crash %d: a second reopen moved the namespace", w, n)
+			}
+			if err == nil {
+				t.Logf("steps %v: swept %d crash boundaries", w, n)
+				break
+			}
 		}
-	}
-	check(db2)
-	// Second reopen over the same store: the same namespace.
-	db3 := compactDB(t, st2)
-	if !reflect.DeepEqual(db3.idx, db2.idx) || db3.seq != db2.seq || db3.head != db2.head {
-		t.Fatalf("second reopen rebuilt seq %d head %#x, first seq %d head %#x",
-			db3.seq, uint64(db3.head), db2.seq, uint64(db2.head))
-	}
-	// Delete ten keys, so the next pass writes one shorter frame over
-	// the orphan's first and leaves its second on the media.
-	var dels []Op
-	for i := keys - 10; i < keys; i++ {
-		k := fmt.Sprintf("o%02d", i)
-		dels = append(dels, Op{Kind: OpDelete, Key: []byte(k)})
-		delete(model, k)
-	}
-	if err := db3.Batch(dels); err != nil {
-		t.Fatal(err)
-	}
-	if err := db3.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if n := framesTagged(t, st2, db3.head, dstHi, orphan); n != 1 {
-		t.Fatalf("%d orphan frames past the new run, want 1", n)
-	}
-	_, db4 := rebootDB(t, db3)
-	if db4.Generation() != 1 {
-		t.Fatalf("generation %d after one committed pass", db4.Generation())
-	}
-	check(db4)
-}
-
-// TestFailedPassRunIsNeverIndexed: a pass that fails after writing part
-// of its run into the destination half leaves that run there. The next
-// pass lays its own run over it, tagged with its own startSeq, and the
-// failed run's frames past the new run are never indexed, at once or
-// after a crash. One batch of 2-byte keys with empty values fills 88 %
-// of the half at 5 bytes a record; the same records packed into 64-op
-// compacted frames, 6 lines each, take 6 bytes a record and overflow
-// it.
-func TestFailedPassRunIsNeverIndexed(t *testing.T) {
-	st := compactStore(t, 64<<10)
-	db := compactDB(t, st)
-	var ops []Op
-	for i := 0; ; i++ {
-		ops = append(ops, Op{Kind: OpPut, Key: []byte{byte(i >> 8), byte(i)}})
-		payload, _, err := encodePayload(ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if uint64(frameLines(len(payload))*mem.LineSize) >= db.halfBytes*88/100 {
-			break
-		}
-	}
-	if err := db.Batch(ops); err != nil {
-		t.Fatal(err)
-	}
-	dst := 1 - db.active
-	if err := db.Compact(); err == nil || !strings.Contains(err.Error(), "overflows") {
-		t.Fatalf("pass over an 88 %% full half: %v, want an overflow", err)
-	}
-	failed := frameAt(t, st, db.halfStart(dst)).tag
-
-	// Delete a tenth of the keys (a delete-only batch is admitted past
-	// the stop trigger) so the live set fits, and compact again.
-	var dels []Op
-	for _, op := range ops[:len(ops)/10] {
-		dels = append(dels, Op{Kind: OpDelete, Key: op.Key})
-	}
-	if err := db.Batch(dels); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if db.active != dst || db.tagLocked() == failed {
-		t.Fatalf("second pass: active %d, tag %+v (the failed pass's was %+v)", db.active, db.tagLocked(), failed)
-	}
-	if framesTagged(t, st, db.head, db.halfStart(dst)+mem.Addr(db.halfBytes), failed) == 0 {
-		t.Fatal("no frame of the failed run is left past the new one; the test shows nothing")
-	}
-	want := len(ops) - len(dels)
-	if n := len(db.idx); n != want {
-		t.Fatalf("namespace holds %d keys, want %d", n, want)
-	}
-	if _, db2 := rebootDB(t, db); len(db2.idx) != want {
-		t.Fatalf("reopened namespace holds %d keys, want %d", len(db2.idx), want)
 	}
 }
 
-// TestScanRefusesFrameOfAnotherLayout plants a sealed frame at the
-// chain's end with the next seq, once tagged with an older generation
-// (a retired log), once with the open generation and another startSeq
-// (an orphan run of a pass that never committed), and once with the
-// open layout's own tag. Reopen must index only the last.
-func TestScanRefusesFrameOfAnotherLayout(t *testing.T) {
+// TestDroppedTombstoneNeverResurrects: a pass over the oldest frames
+// drops a key's put and the tombstone that deleted it, copying only the
+// records there still indexed. At every host write of that pass a
+// crash must leave the key dead after reopen, and the others live.
+func TestDroppedTombstoneNeverResurrects(t *testing.T) {
+	val := bytes.Repeat([]byte{7}, 120)
+	ops := []Op{
+		{Kind: OpPut, Key: []byte("dead"), Val: val},
+		{Kind: OpPut, Key: []byte("a"), Val: val},
+		{Kind: OpPut, Key: []byte("b"), Val: val},
+		{Kind: OpDelete, Key: []byte("dead")},
+		{Kind: OpPut, Key: []byte("c"), Val: val},
+	}
+	for n := 0; ; n++ {
+		st := compactStore(t, 1<<20)
+		db := compactDB(t, st)
+		for _, o := range ops {
+			if err := db.Batch([]Op{o}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st.ArmCrash(n)
+		db.mu.Lock()
+		err := db.compactLocked(4) // the put and the tombstone of "dead"
+		db.mu.Unlock()
+		if err != nil && !errors.Is(err, store.ErrCrashed) {
+			t.Fatalf("crash %d: %v", n, err)
+		}
+		if err == nil && (db.tailSeq != 4 || db.compactCopied != 2) {
+			t.Fatalf("the pass left tail seq %d and copied %d records; want 4 and a, b", db.tailSeq, db.compactCopied)
+		}
+		_, db2 := rebootDB(t, db)
+		if _, ok, _ := db2.Get([]byte("dead")); ok {
+			t.Fatalf("crash %d: the dropped tombstone's key resurrected", n)
+		}
+		for _, k := range []string{"a", "b", "c"} {
+			if v, ok, err := db2.Get([]byte(k)); err != nil || !ok || !bytes.Equal(v, val) {
+				t.Fatalf("crash %d: key %s lost (%v, %v)", n, k, ok, err)
+			}
+		}
+		if err == nil {
+			t.Logf("swept %d crash boundaries of the pass", n)
+			return
+		}
+	}
+}
+
+// TestScanEndsAtFrameOfEarlierLap plants a sealed frame where the
+// log's next frame would go: at the head, or — once a pass has moved
+// the tail off the arena's first line — at that first line, where the
+// head goes when a frame does not fit before the arena's end. Reopen
+// must index it exactly when it carries the next seq; any other seq is
+// a frame of an earlier lap.
+func TestScanEndsAtFrameOfEarlierLap(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		tag     func(open frameTag) frameTag
+		first   bool   // planted at the arena's first line
+		seq     uint64 // added to the last seq
 		indexed bool
 	}{
-		{"older generation", func(o frameTag) frameTag { return frameTag{gen: o.gen - 1, startSeq: o.startSeq} }, false},
-		{"orphan run", func(o frameTag) frameTag { return frameTag{gen: o.gen, startSeq: o.startSeq - 1} }, false},
-		{"open layout", func(o frameTag) frameTag { return o }, true},
+		{"earlier seq at the head", false, 0, false},
+		{"next seq at the head", false, 1, true},
+		{"skipped seq at the head", false, 2, false},
+		{"earlier seq at the first line", true, 0, false},
+		{"next seq at the first line", true, 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := compactStore(t, 1<<20)
@@ -555,9 +629,12 @@ func TestScanRefusesFrameOfAnotherLayout(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			at := db.addr(db.head)
+			if tc.first {
+				at = arenaStart
+			}
 			seq := db.seq
-			h := frameHeader{seq: seq + 1, count: 1, tag: tc.tag(db.tagLocked())}
-			if err := db.writeFrame("test", db.head, h, payload); err != nil {
+			if err := db.writeFrame("test", at, frameHeader{seq: seq + tc.seq, count: 1}, payload); err != nil {
 				t.Fatal(err)
 			}
 			if err := db.Close(); err != nil {
@@ -573,8 +650,7 @@ func TestScanRefusesFrameOfAnotherLayout(t *testing.T) {
 			}
 			_, ok, err := db2.Get([]byte("planted"))
 			if err != nil || ok != tc.indexed || db2.seq != seq+uint64(planted) || len(db2.idx) != 4+planted {
-				t.Fatalf("planted frame tagged %+v: indexed %v (seq %d, %d keys, %v), want %v",
-					h.tag, ok, db2.seq, len(db2.idx), err, tc.indexed)
+				t.Fatalf("planted frame: indexed %v (seq %d, %d keys, %v), want %v", ok, db2.seq, len(db2.idx), err, tc.indexed)
 			}
 		})
 	}

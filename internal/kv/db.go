@@ -23,16 +23,24 @@ type Options struct {
 	WriteController WriteControllerOptions
 }
 
-// valRef locates one value inside the frame log: the address of the
-// frame's first payload byte (headerBytes into its header line) plus
-// the value's byte range within the payload. Refs stay valid until a
-// pass writes a new run over the half they point into, which only
-// happens after every reader of that half (the live keymap, pinned
-// snapshots) has moved to the compacted copy.
+// valRef locates one value inside the frame log: the seq of its frame,
+// the address of the frame's first payload byte (headerBytes into its
+// header line) plus the value's byte range within the payload. Refs
+// stay valid until the head overwrites their frame, which it does only
+// a lap after a pass moved the tail past it, once every reader of it
+// (the live keymap, a pinning snapshot) has let it go.
 type valRef struct {
+	seq     uint64
 	payload mem.Addr
-	off     int
-	n       int
+	off, n  int32
+}
+
+// ringFrame is one frame of the live log, in log order: its logical
+// offset and the records of it the index still points at.
+type ringFrame struct {
+	off  uint64 // logical offset of its header line
+	live uint32 // recLen bytes of its indexed records
+	recs uint32 // its indexed records
 }
 
 // Ladder states, most to least healthy. Stats.Ladder reports the
@@ -65,42 +73,54 @@ type Stats struct {
 // accepted its header line.
 //
 // The data region is laid out as two manifest slots followed by a log
-// arena split into two equal halves. The live log occupies exactly one
-// half (the admission capacity); compaction rewrites the live set into
-// the other half and flips the manifest, so the namespace survives
-// indefinite write traffic as long as the live set fits.
+// arena used as one ring. The live log is the window from the tail to
+// the head in ring order; admission keeps it within half the arena
+// (the capacity), and compaction moves the tail past the oldest
+// frames after appending their live records at the head, so the
+// namespace survives indefinite write traffic as long as the live set
+// fits.
+//
+// Positions in the ring are logical byte offsets that only grow: off
+// lies at arena byte off mod ringBytes. A frame never straddles the
+// arena's end: the head skips to the next lap when the frame would
+// cross it, or cross softEnd while the arena's start is free.
 type DB struct {
 	st *store.Store
 
 	// rmu is the pass barrier: readers hold it shared from index
 	// lookup through the last line read, and a pass takes it
-	// exclusively once before it writes its run, so no reader is still
-	// reading the half the run overwrites. Always acquired before mu,
-	// never while holding it.
+	// exclusively once after it moves the tail, so no reader is still
+	// reading the frames the head may overwrite from then on. Always
+	// acquired before mu, never while holding it.
 	rmu sync.RWMutex
 
-	mu        sync.Mutex // index, log head, append ordering, compaction state
+	mu        sync.Mutex // index, log window, append ordering, compaction state
 	idx       map[string]valRef
-	head      mem.Addr // next free log line (inside the active half)
-	seq       uint64   // last appended frame
+	frames    []ringFrame // the window's frames: frames[i] has seq tailSeq+1+i
+	tail      uint64      // logical offset of the log's first frame
+	head      uint64      // logical offset of the next frame
+	gaps      []uint64    // logical starts of the wrap gaps inside the window
+	tailSeq   uint64      // frame seq preceding the tail
+	seq       uint64      // last appended frame
 	closed    bool
-	halfBytes uint64 // log capacity: bytes per arena half
-	active    int    // arena half holding the live log
+	halfBytes uint64 // admission capacity: half the arena
+	ringBytes uint64 // the arena
+	softEnd   uint64 // arena offset the head wraps at once the start is free
 	gen       uint64 // committed manifest generation
-	startSeq  uint64 // frame seq preceding the active half's first frame
-	liveBytes uint64 // payload bytes of live records (compaction estimate)
+	liveBytes uint64 // recLen bytes of indexed records
 
 	// frame is writeFrame's line buffer. One frame writer runs at a
 	// time: Batch under mu, or a pass while compacting (writers queue
 	// behind it).
 	frame []store.LineWrite
 
-	compacting bool       // a pass is relocating the live set
-	ccond      *sync.Cond // over mu; broadcast when a pass ends
-	pins       [2]int     // open snapshots pinning each half
+	compacting bool           // a pass is relocating live records
+	ccond      *sync.Cond     // over mu; broadcast when a pass ends
+	pins       map[uint64]int // open snapshots by the tail they pin
 
-	compactions  uint64
-	compactFreed uint64 // log bytes freed by passes
+	compactions   uint64
+	compactFreed  uint64 // log bytes freed by passes
+	compactCopied uint64 // records passes copied
 
 	testHookMidCopy func() // tests: runs after the copy phase, before commit
 
@@ -117,18 +137,18 @@ type DB struct {
 
 // Open builds the namespace over st: load the compaction manifest
 // (newest valid slot wins, torn slot falls back), rebuild the keymap by
-// scanning the active half's frame log, then repair the torn manifest
-// slot a crash left. The scan stops at the first line that is not a
-// valid next frame header of the open layout — everything past the last
-// committed frame (orphan payloads of a crashed batch, frames of a
-// retired log or of an orphan compacted run, never-written zero lines)
-// is invisible, which is the crash-atomicity guarantee. Nothing is
-// zeroed: dead frames stay on the media until a later pass or batch
-// overwrites them.
+// scanning the ring from the tail, then repair the torn manifest slot a
+// crash left. The scan stops at the first line that is not a valid next
+// frame header — everything past the last committed frame (orphan
+// payloads of a crashed batch, frames of an earlier lap, never-written
+// zero lines) is invisible, which is the crash-atomicity guarantee.
+// Nothing is zeroed: dead frames stay on the media until the head
+// overwrites them. An image of the two-half layout an earlier build
+// wrote is refused by name.
 func Open(st *store.Store, o Options) (*DB, error) {
 	hb := arenaHalf(st.Capacity())
 	if hb < 4*mem.LineSize {
-		return nil, fmt.Errorf("kv: capacity %d too small for a two-half log arena", st.Capacity())
+		return nil, fmt.Errorf("kv: capacity %d too small for a log arena", st.Capacity())
 	}
 	wo := o.WriteController
 	if wo.SlowdownFrac == 0 {
@@ -143,7 +163,8 @@ func Open(st *store.Store, o Options) (*DB, error) {
 	if wo.SlowdownFrac < 0 || wo.SlowdownFrac > wo.StopFrac || wo.StopFrac > 1 {
 		return nil, fmt.Errorf("kv: bad write-controller triggers slowdown=%v stop=%v", wo.SlowdownFrac, wo.StopFrac)
 	}
-	db := &DB{st: st, idx: make(map[string]valRef), halfBytes: hb,
+	db := &DB{st: st, idx: make(map[string]valRef), halfBytes: hb, ringBytes: 2 * hb,
+		pins: make(map[uint64]int),
 		stall: WriteControllerStats{
 			Capacity:   hb,
 			SlowdownAt: uint64(float64(hb) * wo.SlowdownFrac),
@@ -151,22 +172,27 @@ func Open(st *store.Store, o Options) (*DB, error) {
 		},
 		throttle: wo.SlowdownDelay,
 	}
+	db.softEnd = 2 * db.stall.SlowdownAt
 	db.ccond = sync.NewCond(&db.mu)
 
 	manifest, err := st.ReadLines(make([]byte, 0, ManifestFormat.TableLen()), 0, 2)
 	if err != nil {
 		return nil, fmt.Errorf("kv: manifest slot %d: %w", len(manifest)/mem.LineSize, err)
 	}
-	c := ManifestFormat.Choose(manifest, manifestOK)
+	if err := refuseHalvesManifest(manifest); err != nil {
+		return nil, err
+	}
+	c := ManifestFormat.Choose(manifest, manifestOK(db.ringBytes))
 	if c.Torn[0] && c.Torn[1] {
 		return nil, errors.New("kv: both compaction manifest slots torn")
 	}
-	var rec manifestRecord
+	rec := manifestRecord{Tail: arenaStart}
 	if c.Winner != nil {
 		rec = decodeManifest(c.Winner)
 	}
-	db.gen, db.active, db.startSeq = rec.Seq, rec.Half, rec.StartSeq
-	db.seq = rec.StartSeq
+	db.gen, db.tailSeq, db.seq = rec.Seq, rec.TailSeq, rec.TailSeq
+	db.tail = uint64(rec.Tail - arenaStart)
+	db.head = db.tail
 	if err := db.scan(); err != nil {
 		return nil, err
 	}
@@ -176,21 +202,74 @@ func Open(st *store.Store, o Options) (*DB, error) {
 	return db, nil
 }
 
-// arenaHalf is the line-aligned size of each arena half of a store of
-// the given capacity.
+// arenaHalf is half the line-aligned log arena of a store of the given
+// capacity: the admission capacity.
 func arenaHalf(capacity uint64) uint64 {
 	hb := (capacity - min(capacity, uint64(arenaStart))) / 2
 	return hb - hb%mem.LineSize
 }
 
-// halfStart is the first line of arena half h.
-func (db *DB) halfStart(h int) mem.Addr {
-	return arenaStart + mem.Addr(h)*mem.Addr(db.halfBytes)
+// addr is the data-region address of logical ring offset off.
+func (db *DB) addr(off uint64) mem.Addr {
+	return arenaStart + mem.Addr(off%db.ringBytes)
 }
 
-// usedLocked is the active half's consumed bytes. Caller holds mu.
+// placeLocked is where the head puts a frame of n bytes: at the head,
+// or at the next lap's start when the frame would cross the arena's
+// end, or cross softEnd while the frame fits at the start. Wrapping at
+// softEnd keeps the ring to what the window needs — as much of the
+// arena as the two-half layout wrote, each half filled to the slowdown
+// trigger — so the crash image, and the recovery that reads it, stay
+// that size. Caller holds mu (or owns the head, as a pass does).
+func (db *DB) placeLocked(n uint64) uint64 {
+	p := db.head % db.ringBytes
+	next := db.head - p + db.ringBytes
+	if p+n > db.ringBytes || p+n > db.softEnd && next+n <= db.limitLocked() {
+		return next
+	}
+	return db.head
+}
+
+// limitLocked is the logical offset the head must not write past: one
+// lap beyond the tail, or beyond the oldest tail a snapshot pins.
+// Caller holds mu.
+func (db *DB) limitLocked() uint64 {
+	oldest := db.tail
+	for p := range db.pins {
+		oldest = min(oldest, p)
+	}
+	return oldest + db.ringBytes
+}
+
+// usedLocked is the window's frame bytes. Caller holds mu.
 func (db *DB) usedLocked() uint64 {
-	return uint64(db.head - db.halfStart(db.active))
+	return db.usedBefore(db.head)
+}
+
+// usedBefore is the frame bytes from the tail to logical offset end: the
+// bytes between them less the wrap gaps there. Caller holds mu.
+func (db *DB) usedBefore(end uint64) uint64 {
+	n := end - db.tail
+	for _, g := range db.gaps {
+		if g < end {
+			n -= db.ringBytes - g%db.ringBytes
+		}
+	}
+	return n
+}
+
+// appended records the frame just written at logical offset at, data
+// address addr: the next seq, a new window frame, its records in the
+// index and the head past it. Caller holds mu (or owns the DB, as Open
+// does).
+func (db *DB) appended(at uint64, addr mem.Addr, payload []byte, recs []record) {
+	if at != db.head {
+		db.gaps = append(db.gaps, db.head)
+	}
+	db.seq++
+	db.frames = append(db.frames, ringFrame{off: at})
+	db.apply(addr+headerBytes, payload, recs)
+	db.head = at + uint64(frameLines(len(payload)))*mem.LineSize
 }
 
 // The scan's pipeline shape. Frames move between stages in chunks of
@@ -216,6 +295,7 @@ var scanShape = struct{ chunk, depth int }{scanChunk, scanDepth}
 // of the header line to the verify stage.
 type scanFrame struct {
 	frameHeader
+	at   uint64   // logical offset of the header line
 	addr mem.Addr // header line
 	line int      // first line after the header in the chunk's lines
 	off  int      // first payload byte in the chunk's payload
@@ -230,7 +310,7 @@ type scanBatch struct {
 	err     error           // read stage: the error that ended the log after frames
 }
 
-// scan replays the active half's committed frame prefix into the index
+// scan replays the committed frames from the tail into the index
 // through a three-stage pipeline, every stage in log order:
 //
 //  1. read (the calling goroutine): a verified Store.Read of each frame
@@ -281,38 +361,46 @@ func (db *DB) scan() error {
 	return <-indexed
 }
 
-// readFrames is scan's read stage: it sends the active half's header
-// chain, from its first frame to the first line that is not a valid
-// next frame header of the open layout (a seq gap, or another layout's
-// tag), in chunks of up to chunk lines, then closes out. A read error
-// ends the chain; it rides on the last chunk, as does the refusal of a
-// log whose first line is a legacy-format header (legacyHeader): every
-// layout writes its first header there, so no value can be mistaken for
-// one.
+// readFrames is scan's read stage: it sends the header chain from the
+// tail to the first line that is not the next frame's header, in chunks
+// of up to chunk lines, then closes out. When that line is not the
+// arena's first, the chain goes on at the arena's first line if that
+// holds the next frame: the head wrapped there (placeLocked). A frame of an earlier lap fails the seq check
+// wherever it lies, so the chain has one end however many laps the
+// ring has run. A read error ends the chain; it rides on the last
+// chunk, as does the refusal of a log whose first line is a header in
+// the format of an earlier build (legacyFormat): every format writes a
+// header there first, so no value can be mistaken for one.
 func (db *DB) readFrames(out chan<- *scanBatch, get func(lines int) *scanBatch, chunk int) {
 	defer close(out)
-	start := db.halfStart(db.active)
-	end := start + mem.Addr(db.halfBytes)
-	last, addr, tag := db.seq, start, db.tagLocked()
+	// Only locals in the loop: the index stage updates the DB as frames
+	// reach it.
+	st, tail, end := db.st, db.tail, arenaStart+mem.Addr(db.ringBytes)
+	lap := tail - tail%db.ringBytes + db.ringBytes // the first lap start past the tail
+	limit := tail + db.ringBytes
+	last, at, addr := db.seq, tail, db.addr(tail)
 	size := max(1, chunk/16)
 	b := get(size)
-	for addr+mem.LineSize <= end {
-		hl, err := db.st.Read(addr)
+	for {
+		hl, err := st.Read(addr)
 		if err != nil {
 			b.err = fmt.Errorf("kv: log scan read %#x: %w", uint64(addr), err)
 			break
 		}
 		h, err := parseHeader(hl)
-		if err != nil && addr == start && legacyHeader(&hl) {
-			b.err = fmt.Errorf("kv: log at %#x is in the legacy %q frame format, which this build does not read", uint64(addr), legacyFrameMagic)
-			break
+		if err != nil && at == tail {
+			if f := legacyFormat(&hl); f != "" {
+				b.err = fmt.Errorf("kv: log at %#x is in the %s frame format, which this build does not read", uint64(addr), f)
+				break
+			}
 		}
-		if err != nil || h.seq != last+1 || h.tag != tag {
-			break
-		}
-		need := mem.Addr(frameLines(h.n)) * mem.LineSize
-		if addr+need > end {
-			break
+		need := uint64(frameLines(h.n)) * mem.LineSize
+		if err != nil || h.seq != last+1 || addr+mem.Addr(need) > end || at+need > limit {
+			if addr == arenaStart || at >= lap {
+				break
+			}
+			at, addr = lap, arenaStart
+			continue
 		}
 		if len(b.frames) > 0 && len(b.frames)+len(b.lines)+frameLines(h.n) > size {
 			out <- b
@@ -320,14 +408,16 @@ func (db *DB) readFrames(out chan<- *scanBatch, get func(lines int) *scanBatch, 
 			b = get(size)
 		}
 		first := len(b.lines)
-		if b.lines, err = db.st.Fetch(b.lines, addr+mem.LineSize, payloadLines(h.n)); err != nil {
+		if b.lines, err = st.Fetch(b.lines, addr+mem.LineSize, payloadLines(h.n)); err != nil {
 			b.lines = b.lines[:first]
 			b.err = fmt.Errorf("kv: log scan payload at %#x: %w", uint64(addr+mem.LineSize), err)
 			break
 		}
-		b.frames = append(b.frames, scanFrame{frameHeader: h, addr: addr, line: first})
+		b.frames = append(b.frames, scanFrame{frameHeader: h, at: at, addr: addr, line: first})
 		last = h.seq
-		addr += need
+		if at, addr = at+need, addr+mem.Addr(need); addr == end {
+			addr = arenaStart
+		}
 	}
 	out <- b
 }
@@ -366,10 +456,9 @@ func (db *DB) verifyFrames(in <-chan *scanBatch, out chan<- *scanBatch, put func
 }
 
 // indexFrames is scan's index stage: it decodes every sealed frame and
-// applies it to the index in log order, and on reaching the log's end
-// sets the log head and seq. Chunks after the end are drained unread.
+// appends it to the window and the index in log order. Chunks after
+// the log's end are drained unread.
 func (db *DB) indexFrames(in <-chan *scanBatch, put func(*scanBatch)) error {
-	head, seq := db.halfStart(db.active), db.seq
 	var recs []record
 	var err error
 	done := false
@@ -387,8 +476,7 @@ func (db *DB) indexFrames(in <-chan *scanBatch, put func(*scanBatch)) error {
 				done = true
 				break
 			}
-			db.apply(f.addr+headerBytes, payload, recs)
-			head, seq = f.addr+mem.Addr(frameLines(f.n))*mem.LineSize, f.seq
+			db.appended(f.at, f.addr, payload, recs)
 		}
 		switch {
 		case done:
@@ -398,9 +486,6 @@ func (db *DB) indexFrames(in <-chan *scanBatch, put func(*scanBatch)) error {
 			err, done = b.err, true
 		}
 		put(b)
-	}
-	if err == nil {
-		db.seq, db.head = seq, head
 	}
 	return err
 }
@@ -423,26 +508,29 @@ func (db *DB) repairManifest(manifest []byte, c twoslot.Choice) error {
 	return nil
 }
 
-// tagLocked is the open layout's frame tag. Caller holds mu (or owns
-// the DB, as Open does).
-func (db *DB) tagLocked() frameTag {
-	return frameTag{db.gen, db.startSeq}
-}
-
-// apply folds one frame's records into the index, keeping the live-set
-// byte estimate the compaction gain floor uses.
+// apply folds one frame's records into the index, keeping the live
+// bytes of the namespace and of each window frame that the pass's
+// cleaning rule reads. The frame is the window's last, seq db.seq.
 func (db *DB) apply(payloadStart mem.Addr, payload []byte, recs []record) {
+	f := &db.frames[len(db.frames)-1]
 	for i := range recs {
 		r := &recs[i]
 		key := r.key(payload)
 		old, had := db.idx[string(key)]
 		if had {
-			db.liveBytes -= uint64(recLen(len(key), old.n))
+			n := uint32(recLen(len(key), int(old.n)))
+			of := &db.frames[old.seq-db.tailSeq-1]
+			of.live -= n
+			of.recs--
+			db.liveBytes -= uint64(n)
 		}
 		switch r.kind {
 		case OpPut:
-			db.idx[string(key)] = valRef{payload: payloadStart, off: int(r.valOff), n: int(r.valLen)}
-			db.liveBytes += uint64(recLen(len(key), int(r.valLen)))
+			n := uint32(recLen(len(key), int(r.valLen)))
+			db.idx[string(key)] = valRef{seq: db.seq, payload: payloadStart, off: r.valOff, n: r.valLen}
+			f.live += n
+			f.recs++
+			db.liveBytes += uint64(n)
 		case OpDelete:
 			delete(db.idx, string(key))
 		}
@@ -455,8 +543,8 @@ const valueLines = 17
 
 // readBytes reads one value, or a frame's whole payload, by ref, with
 // one ReadLines of the lines it spans. The caller must hold rmu shared
-// (or otherwise know no pass can write over the ref's half, as the
-// compactor does for the active half it is copying out of).
+// (or otherwise know the head cannot reach the ref's frame, as the
+// compactor does for the window frames it is copying out of).
 func (db *DB) readBytes(ref valRef) ([]byte, error) {
 	if ref.n == 0 {
 		return []byte{}, nil
@@ -464,7 +552,7 @@ func (db *DB) readBytes(ref valRef) ([]byte, error) {
 	pos := ref.payload + mem.Addr(ref.off)
 	la := mem.Align(pos)
 	off := int(pos - la)
-	n := (off + ref.n + mem.LineSize - 1) / mem.LineSize
+	n := (off + int(ref.n) + mem.LineSize - 1) / mem.LineSize
 	var stack [valueLines * mem.LineSize]byte
 	buf := stack[:0]
 	if n > valueLines {
@@ -478,7 +566,7 @@ func (db *DB) readBytes(ref valRef) ([]byte, error) {
 	// the stack and the value's allocation is its own length, not its
 	// lines' (they differ for an odd-length value, or one followed by an
 	// odd-length value in its frame).
-	return append(make([]byte, 0, ref.n), lines[off:off+ref.n]...), nil
+	return append(make([]byte, 0, ref.n), lines[off:off+int(ref.n)]...), nil
 }
 
 // Get returns the value for key, reporting whether it exists. Reads
@@ -573,36 +661,29 @@ func (db *DB) Batch(ops []Op) error {
 			return fmt.Errorf("kv: write refused: %w", store.ErrReadOnly)
 		}
 		used := db.usedLocked()
-		if used+need <= db.stall.StopAt {
-			if used >= db.stall.SlowdownAt {
-				delay = db.throttle
-				db.stall.Slowdowns++
-				// Throttled rung: run a worthwhile pass before the
-				// delayed admission so the log drains back to healthy.
-				if !triedCompact && db.worthCompactingLocked(0, false) {
-					triedCompact = true
-					if cerr := db.compactLocked(); cerr != nil {
-						db.mu.Unlock()
-						return fmt.Errorf("kv: compaction before admission: %w", cerr)
-					}
-					continue
+		overStop := used+need > db.stall.StopAt
+		throttled := !overStop && used >= db.stall.SlowdownAt
+		if throttled {
+			delay = db.throttle
+			db.stall.Slowdowns++
+		}
+		// Throttled rung: a worthwhile pass runs before the delayed
+		// admission so the log drains back to healthy. Past the stop
+		// trigger a pass is the only way forward.
+		if (overStop || throttled) && !triedCompact {
+			if k, ok := db.cleanRunLocked(need, overStop); ok {
+				triedCompact = true
+				if cerr := db.compactLocked(k); cerr != nil && !errors.Is(cerr, ErrCompactPinned) {
+					db.mu.Unlock()
+					return fmt.Errorf("kv: compaction before admission: %w", cerr)
 				}
+				continue
 			}
-			break
 		}
-		// Past the stop trigger: compaction is the only way forward.
-		if !triedCompact && db.worthCompactingLocked(need, true) {
-			triedCompact = true
-			if cerr := db.compactLocked(); cerr != nil {
-				db.mu.Unlock()
-				return fmt.Errorf("kv: compaction before admission: %w", cerr)
-			}
-			continue
-		}
-		if deleteOnly && used+need <= db.halfBytes {
-			// Tombstone headroom: deletes shrink the live set, so they
-			// are admitted past the stop trigger while lines remain —
-			// otherwise a full namespace could never free itself.
+		// Tombstone headroom: deletes shrink the live set, so they are
+		// admitted past the stop trigger while lines remain — otherwise
+		// a full namespace could never free itself.
+		if !overStop || deleteOnly && used+need <= db.halfBytes {
 			break
 		}
 		db.stall.CapacityStops++
@@ -611,13 +692,18 @@ func (db *DB) Batch(ops []Op) error {
 			ErrLogFull, used, need, db.stall.StopAt)
 	}
 
-	if werr := db.writeFrame("batch", db.head, frameHeader{seq: db.seq + 1, count: len(ops), tag: db.tagLocked()}, payload); werr != nil {
+	at := db.placeLocked(need)
+	if at+need > db.limitLocked() {
+		db.stall.CapacityStops++
+		db.mu.Unlock()
+		return fmt.Errorf("%w: open snapshots pin the ring space a %d-byte frame needs", ErrLogFull, need)
+	}
+	addr := db.addr(at)
+	if werr := db.writeFrame("batch", addr, frameHeader{seq: db.seq + 1, count: len(ops)}, payload); werr != nil {
 		db.mu.Unlock()
 		return werr
 	}
-	db.seq++
-	db.apply(db.head+headerBytes, payload, recs)
-	db.head += mem.Addr(need)
+	db.appended(at, addr, payload, recs)
 	db.batches++
 	db.opCount += uint64(len(ops))
 	db.mu.Unlock()
@@ -634,7 +720,7 @@ func (db *DB) Batch(ops []Op) error {
 // and the frame is all-or-nothing. The order is top-down and contiguous
 // so the request visits each data-HMAC line the frame covers in one
 // stretch: the store's one-line HMAC buffer then reads each from the
-// device once. h gives the seq, op count and tag; writeFrame fills in
+// device once. h gives the seq and op count; writeFrame fills in
 // the payload's length, checksum and the head the header line carries.
 // Batch and the compactor both write through it; who names the writer
 // in errors.
@@ -688,7 +774,7 @@ func (db *DB) Stats() Stats {
 	if db.gen > 0 || db.compactions > 0 {
 		s.Compaction = &CompactionStats{
 			Generation: db.gen,
-			ActiveHalf: db.active,
+			TailOffset: db.tail % db.ringBytes,
 			Passes:     db.compactions,
 			FreedBytes: db.compactFreed,
 			LiveBytes:  db.liveBytes,

@@ -46,24 +46,22 @@ type Op struct {
 // A frame is one byte string laid over whole lines, starting with its
 // header line:
 //
-//	[0:4)   magic "CKVF"
+//	[0:4)   magic "CKVR"
 //	[4:12)  seq   — 1-based, strictly sequential; a gap ends the log
 //	[12:16) count — ops in the frame
 //	[16:20) payloadBytes — the frame's lines less the header fields
 //	[20:24) mem.Checksum (CRC-32C) over the payload bytes
 //	[24:28) header seal: mem.Checksum over [0:24) and [28:44)
-//	[28:36) tag.gen      — manifest generation of the frame's layout
-//	[36:44) tag.startSeq — startSeq of the frame's layout
+//	[28:44) zero
 //	[44:)   the payload (see encodePayload): its first headLen bytes in
 //	        the header line, the rest in the lines after it
 //
-// The tag is what lets an arena half be reused without zeroing it: a
-// frame written under another layout (a retired log, an orphan run of a
-// pass that never committed) ends the log like a seq gap does. Seq and
-// tag are stored, not folded into the seal, so the scan compares them
-// exactly.
+// Seqs never restart, so a frame the ring's head has not reached again
+// (one of an earlier lap) fails the seq check wherever the log ends.
+// [28:44) held a layout tag while the arena was two halves; it stays,
+// zero and sealed, so every frame covers the lines it did then.
 const (
-	frameMagic  = "CKVF"
+	frameMagic  = "CKVR"
 	headerBytes = 44
 	headLen     = mem.LineSize - headerBytes // payload bytes in the header line
 	maxKeyLen   = 1 << 16
@@ -77,18 +75,23 @@ const (
 	minRecBytes = 4
 )
 
-// The frame format before the header shrank to headerBytes: magic
-// "CKVBATCH" in [0:8), a whole header line, and 9-byte record heads.
-// Open refuses a log that starts with such a header instead of reading
-// it as empty.
-const legacyFrameMagic = "CKVBATCH"
-
-// legacyHeader reports whether l is a sealed frame header of the
-// legacy format: its magic and its seal at [32:40) over [0:32) and
-// [40:56).
-func legacyHeader(l *mem.Line) bool {
-	return string(l[0:8]) == legacyFrameMagic &&
-		binary.LittleEndian.Uint64(l[32:40]) == mem.ChecksumUpdate(mem.Checksum(l[0:32]), l[40:56])
+// legacyFormat names the frame format of an earlier build that l is a
+// sealed header of, or returns "". Open refuses a log that starts with
+// such a header instead of reading it as empty:
+//
+//   - legacy "CKVBATCH": a whole header line, its seal at [32:40) over
+//     [0:32) and [40:56), and 9-byte record heads;
+//   - two-half "CKVF": this header with the magic "CKVF" and a layout
+//     tag (manifest generation, startSeq) in [28:44).
+func legacyFormat(l *mem.Line) string {
+	switch {
+	case string(l[0:8]) == "CKVBATCH" &&
+		binary.LittleEndian.Uint64(l[32:40]) == mem.ChecksumUpdate(mem.Checksum(l[0:32]), l[40:56]):
+		return `legacy "CKVBATCH"`
+	case string(l[0:4]) == "CKVF" && uint64(binary.LittleEndian.Uint32(l[24:28])) == headerSeal(l):
+		return `two-half "CKVF"`
+	}
+	return ""
 }
 
 // errFrameEnd distinguishes "no more frames" from a malformed record
@@ -245,24 +248,12 @@ func decodePayload(recs []record, payload []byte, count int) ([]record, error) {
 	return recs, nil
 }
 
-// frameTag names the layout a frame was written under: the manifest
-// generation and the startSeq of that layout. A batch carries the open
-// layout's tag, a compacted run the layout its pass commits. Both are
-// needed: an orphan run of a failed or crashed pass carries the
-// generation the next committed pass will, and only startSeq tells the
-// two apart. Passes are deterministic, so equal startSeq means an
-// identical run.
-type frameTag struct {
-	gen, startSeq uint64
-}
-
 // frameHeader is one decoded frame header line.
 type frameHeader struct {
 	seq   uint64
-	count int    // ops in the frame
-	n     int    // payload bytes
-	ck    uint64 // payload checksum
-	tag   frameTag
+	count int           // ops in the frame
+	n     int           // payload bytes
+	ck    uint64        // payload checksum
 	head  [headLen]byte // the payload's first bytes
 }
 
@@ -273,8 +264,6 @@ func (h frameHeader) encode() mem.Line {
 	binary.LittleEndian.PutUint64(l[4:12], h.seq)
 	binary.LittleEndian.PutUint32(l[12:16], uint32(h.count))
 	binary.LittleEndian.PutUint32(l[16:20], uint32(h.n))
-	binary.LittleEndian.PutUint64(l[28:36], h.tag.gen)
-	binary.LittleEndian.PutUint64(l[36:44], h.tag.startSeq)
 	copy(l[headerBytes:], h.head[:])
 	sealHeader(&l, h.ck)
 	return l
@@ -295,7 +284,8 @@ func headerSeal(l *mem.Line) uint64 {
 // parseHeader validates a header line. errFrameEnd means "not a frame"
 // — the normal end of the scan.
 func parseHeader(l mem.Line) (frameHeader, error) {
-	if string(l[0:4]) != frameMagic || uint64(binary.LittleEndian.Uint32(l[24:28])) != headerSeal(&l) {
+	if string(l[0:4]) != frameMagic || uint64(binary.LittleEndian.Uint32(l[24:28])) != headerSeal(&l) ||
+		slices.ContainsFunc(l[28:headerBytes], func(b byte) bool { return b != 0 }) {
 		return frameHeader{}, errFrameEnd
 	}
 	h := frameHeader{
@@ -303,7 +293,6 @@ func parseHeader(l mem.Line) (frameHeader, error) {
 		count: int(binary.LittleEndian.Uint32(l[12:16])),
 		n:     int(binary.LittleEndian.Uint32(l[16:20])),
 		ck:    uint64(binary.LittleEndian.Uint32(l[20:24])),
-		tag:   frameTag{binary.LittleEndian.Uint64(l[28:36]), binary.LittleEndian.Uint64(l[36:44])},
 	}
 	copy(h.head[:], l[headerBytes:])
 	if h.seq == 0 || h.count <= 0 || h.n <= 0 {

@@ -162,9 +162,8 @@ func allocBytes(fn func()) uint64 {
 // may allocate at most 8x the frame plus an error's worth — the second
 // seed claims 1<<20 records over one record, which once cost a 48 MB
 // slice — and an accepted frame re-encodes to the same header line and
-// lines, its layout tag included (so the third seed, a delete carrying
-// a value, must be refused, and the fourth, a compacted run's frame,
-// round-trips its tag). The sealed seeds after them are frames of
+// lines (so the third seed, a delete carrying a value, must be refused,
+// and so must the fourth, sealed over non-zero bytes in [28:44)). The sealed seeds after them are frames of
 // odd-length values, of deletes alone and of one line, whose payload
 // the header line holds whole, and non-canonical payloads that must be
 // refused: a non-zero pad byte, a line too few, a line too many, a
@@ -189,7 +188,9 @@ func FuzzLogFrame(f *testing.F) {
 	delVal[headLen-1] = 'v'
 	hl, rest = frame(frameHeader{seq: 3, count: 1}, delVal) // never written: must not decode
 	f.Add(hl, rest, true)
-	tagged, rest := frame(frameHeader{seq: 9, count: 1, n: len(payload), ck: mem.Checksum(payload), tag: frameTag{gen: 4, startSeq: 8}}, payload)
+	tagged, rest := frame(frameHeader{seq: 9, count: 1, n: len(payload), ck: mem.Checksum(payload)}, payload)
+	tagged[30] = 4
+	sealHeader((*mem.Line)(tagged), mem.Checksum(payload))
 	f.Add(tagged, rest, false)
 	sealed := func(ops []Op, edit func(p []byte) []byte) {
 		p, _, err := encodePayload(ops)
@@ -239,7 +240,7 @@ func FuzzLogFrame(f *testing.F) {
 			ops[i] = Op{Kind: r.kind, Key: r.key(payload), Val: payload[r.valOff : r.valOff+r.valLen]}
 		}
 		again, _, err := encodePayload(ops)
-		rh := frameHeader{seq: h.seq, count: len(ops), n: len(again), ck: mem.Checksum(again), tag: h.tag}
+		rh := frameHeader{seq: h.seq, count: len(ops), n: len(again), ck: mem.Checksum(again)}
 		copy(rh.head[:], again)
 		if err != nil || !bytes.Equal(again, payload) || rh.encode() != hl {
 			t.Fatalf("accepted frame %x + %x re-encodes to %x + %x (%v)", hl, payload, rh.encode(), again, err)
@@ -249,7 +250,7 @@ func FuzzLogFrame(f *testing.F) {
 
 func TestHeaderRoundTrip(t *testing.T) {
 	payload := []byte("some payload bytes, more than a head")
-	want := frameHeader{seq: 7, count: 3, n: len(payload), ck: mem.Checksum(payload), tag: frameTag{gen: 2, startSeq: 5}}
+	want := frameHeader{seq: 7, count: 3, n: len(payload), ck: mem.Checksum(payload)}
 	copy(want.head[:], payload)
 	got, err := parseHeader(want.encode())
 	if err != nil {
@@ -262,8 +263,8 @@ func TestHeaderRoundTrip(t *testing.T) {
 
 func TestHeaderRejectsDamage(t *testing.T) {
 	payload := []byte("p")
-	good := frameHeader{seq: 1, count: 1, n: len(payload), ck: mem.Checksum(payload), tag: frameTag{gen: 1}}.encode()
-	// Any mutated header byte in the sealed region, the tag included,
+	good := frameHeader{seq: 1, count: 1, n: len(payload), ck: mem.Checksum(payload)}.encode()
+	// Any mutated header byte in the sealed region, the zero bytes included,
 	// must read as end-of-log, never as a different valid frame: this is
 	// the torn commit-write defense. The bytes after it are payload,
 	// which the payload checksum covers: a flip there still parses, as a
@@ -506,12 +507,13 @@ func TestOpenRefusesPackedLayoutFrame(t *testing.T) {
 			if err := db.Put([]byte("first"), []byte("v")); err != nil {
 				t.Fatal(err)
 			}
-			at := db.head
-			if err := db.writeFrame("test", at, frameHeader{seq: db.seq + 1, count: len(ops), tag: db.tagLocked()}, c.payload); err != nil {
+			at := db.addr(db.head)
+			if err := db.writeFrame("test", at, frameHeader{seq: db.seq + 1, count: len(ops)}, c.payload); err != nil {
 				t.Fatal(err)
 			}
 			db.seq++
-			db.head += mem.Addr(frameLines(len(c.payload))) * mem.LineSize
+			db.frames = append(db.frames, ringFrame{off: db.head})
+			db.head += uint64(frameLines(len(c.payload))) * mem.LineSize
 			if err := db.Put([]byte("after"), []byte("v")); err != nil {
 				t.Fatal(err)
 			}

@@ -25,7 +25,7 @@ type scanOutcome struct {
 }
 
 func outcomeOf(db *DB, err error) scanOutcome {
-	o := scanOutcome{idx: db.idx, seq: db.seq, head: db.head, liveBytes: db.liveBytes,
+	o := scanOutcome{idx: db.idx, seq: db.seq, head: db.addr(db.head), liveBytes: db.liveBytes,
 		violations: db.st.Engine().Stats().IntegrityViolations, now: db.st.Now()}
 	if err != nil {
 		o.err = err.Error()
@@ -36,26 +36,28 @@ func outcomeOf(db *DB, err error) scanOutcome {
 // scanDB is a DB as Open leaves it just before the scan, over a store
 // that never compacted.
 func scanDB(st *store.Store) *DB {
-	return &DB{st: st, idx: make(map[string]valRef), halfBytes: arenaHalf(st.Capacity())}
+	hb := arenaHalf(st.Capacity())
+	return &DB{st: st, idx: make(map[string]valRef), halfBytes: hb, ringBytes: 2 * hb}
 }
 
 // serialScan is the scan's specification on one goroutine: walk the
-// open layout's header chain to its end, fetching every frame's lines
-// after its header (a first line in the legacy format is the error);
-// join each payload from its header line's head and those lines, open
-// and checksum the payloads in log order up to the first failed
-// checksum, which ends the log; decode and apply the sealed frames up
-// to the first malformed one, which is the error. A read error counts
-// only if the log had not ended before it.
+// header chain from the tail to its end — going on at the arena's
+// first line once, if that holds the next frame — fetching every
+// frame's lines after its header (a first line in an earlier build's
+// format is the error); join each payload from its header line's head
+// and those lines, open and checksum the payloads in log order up to
+// the first failed checksum, which ends the log; decode and append the
+// sealed frames up to the first malformed one, which is the error. A
+// read error counts only if the log had not ended before it.
 func serialScan(db *DB) error {
 	op := db.st.NewOpener()
-	start := db.halfStart(db.active)
-	end := start + mem.Addr(db.halfBytes)
-	head, seq := start, db.seq
-	last, addr, tag := db.seq, start, db.tagLocked()
+	ring := db.ringBytes
+	lap := db.tail - db.tail%ring + ring
+	last, at := db.seq, db.tail
 	var err error
 	ended, checking := false, true
-	for addr+mem.LineSize <= end {
+	for {
+		addr := db.addr(at)
 		hl, rerr := db.st.Read(addr)
 		if rerr != nil {
 			if !ended {
@@ -64,19 +66,19 @@ func serialScan(db *DB) error {
 			break
 		}
 		h, perr := parseHeader(hl)
-		if perr != nil && addr == start && legacyHeader(&hl) {
-			err = fmt.Errorf("kv: log at %#x is in the legacy %q frame format, which this build does not read", uint64(addr), legacyFrameMagic)
+		if f := legacyFormat(&hl); perr != nil && at == db.tail && f != "" {
+			err = fmt.Errorf("kv: log at %#x is in the %s frame format, which this build does not read", uint64(addr), f)
 			break
 		}
-		if perr != nil || h.seq != last+1 || h.tag != tag {
-			break
+		need := uint64(frameLines(h.n)) * mem.LineSize
+		if perr != nil || h.seq != last+1 || at%ring+need > ring || at+need > db.tail+ring {
+			if at%ring == 0 || at >= lap {
+				break
+			}
+			at = lap
+			continue
 		}
-		s, n := h.seq, h.n
-		need := mem.Addr(frameLines(n)) * mem.LineSize
-		if addr+need > end {
-			break
-		}
-		lines, ferr := db.st.Fetch(nil, addr+mem.LineSize, payloadLines(n))
+		lines, ferr := db.st.Fetch(nil, addr+mem.LineSize, payloadLines(h.n))
 		if ferr != nil {
 			if !ended {
 				err = fmt.Errorf("kv: log scan payload at %#x: %w", uint64(addr+mem.LineSize), ferr)
@@ -84,26 +86,22 @@ func serialScan(db *DB) error {
 			break
 		}
 		if checking {
-			payload := slices.Clone(h.head[:min(headLen, n)])
+			payload := slices.Clone(h.head[:min(headLen, h.n)])
 			for j := range lines {
 				pt, _ := op.Open(&lines[j])
-				payload = append(payload, pt[:min(mem.LineSize, n-headLen-j*mem.LineSize)]...)
+				payload = append(payload, pt[:min(mem.LineSize, h.n-headLen-j*mem.LineSize)]...)
 			}
 			switch recs, derr := decodePayload(nil, payload, h.count); {
 			case mem.Checksum(payload) != h.ck:
 				checking, ended = false, true
 			case ended:
 			case derr != nil:
-				err, ended = fmt.Errorf("kv: log frame seq %d at %#x is malformed: %w", s, uint64(addr), derr), true
+				err, ended = fmt.Errorf("kv: log frame seq %d at %#x is malformed: %w", h.seq, uint64(addr), derr), true
 			default:
-				db.apply(addr+headerBytes, payload, recs)
-				head, seq = addr+need, s
+				db.appended(at, addr, payload, recs)
 			}
 		}
-		last, addr = s, addr+need
-	}
-	if err == nil {
-		db.seq, db.head = seq, head
+		last, at = h.seq, at+need
 	}
 	return err
 }
@@ -122,7 +120,7 @@ func scanImage(t *testing.T, frames int) (*store.Store, []mem.Addr) {
 		for j := range ops {
 			ops[j] = Op{Kind: OpPut, Key: []byte(fmt.Sprintf("k%05d", (i*len(ops)+j)%(3*frames))), Val: val}
 		}
-		addrs = append(addrs, db.head)
+		addrs = append(addrs, db.addr(db.head))
 		if err := db.Batch(ops); err != nil {
 			t.Fatal(err)
 		}

@@ -6,24 +6,23 @@ import "errors"
 var ErrSnapshotReleased = errors.New("kv: snapshot released")
 
 // Snapshot is a point-in-time read view: the keymap as of some frame
-// sequence number. The log is append-only between compaction passes,
-// so a snapshot is a pure index copy; what keeps the copy readable
-// across a pass is the pin it holds on the arena half its refs point
-// into — a pass that would write its run over that half is refused
-// until the last pinning snapshot is Released, so a snapshot taken
-// mid-compaction keeps serving the consistent pre-switch view. (The
-// facade's COW NVM snapshot serves crash images; this one serves
-// consistent reads.)
+// sequence number. The log is append-only, so a snapshot is a pure
+// index copy; what keeps the copy readable across passes is the ring
+// position it pins — the tail when it was taken, behind every ref it
+// holds. The head never writes a lap past that position, so passes
+// run on while the snapshot keeps serving its view; only the space it
+// pins stays unused until the snapshot is Released. (The facade's COW
+// NVM snapshot serves crash images; this one serves consistent reads.)
 type Snapshot struct {
 	db       *DB
 	idx      map[string]valRef
 	seq      uint64
-	half     int
+	pin      uint64
 	released bool
 }
 
-// Snapshot captures the current keymap and pins the active half
-// against being overwritten by a pass until Release.
+// Snapshot captures the current keymap and pins the tail against the
+// head until Release.
 func (db *DB) Snapshot() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -31,8 +30,8 @@ func (db *DB) Snapshot() *Snapshot {
 	for k, v := range db.idx {
 		idx[k] = v
 	}
-	db.pins[db.active]++
-	return &Snapshot{db: db, idx: idx, seq: db.seq, half: db.active}
+	db.pins[db.tail]++
+	return &Snapshot{db: db, idx: idx, seq: db.seq, pin: db.tail}
 }
 
 // Seq is the frame sequence number the snapshot froze at.
@@ -60,12 +59,17 @@ func (s *Snapshot) Get(key []byte) ([]byte, bool, error) {
 }
 
 // Release drops the snapshot's pin. Idempotent; reads after Release
-// fail with ErrSnapshotReleased.
+// fail with ErrSnapshotReleased. It waits out reads in flight (rmu), so
+// none is still reading the space the head may then overwrite.
 func (s *Snapshot) Release() {
+	s.db.rmu.Lock()
+	defer s.db.rmu.Unlock()
 	s.db.mu.Lock()
 	defer s.db.mu.Unlock()
 	if !s.released {
 		s.released = true
-		s.db.pins[s.half]--
+		if s.db.pins[s.pin]--; s.db.pins[s.pin] == 0 {
+			delete(s.db.pins, s.pin)
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 var ErrLogFull = errors.New("kv: log region full")
 
 // WriteControllerOptions tunes Batch's admission triggers, which
-// throttle writers as the log's active half fills, in the classic LSM
+// throttle writers as the log fills its capacity, in the classic LSM
 // shape: past the slowdown trigger every batch is delayed, past the
 // stop trigger writes are refused unless a compaction pass can make
 // room. Zero values take the defaults noted on each field.

@@ -155,8 +155,12 @@ type Event struct {
 // SetEventTap installs fn as the persistence event tap: it is called
 // synchronously, in program order, at every durability transition the
 // controller performs. Purely observational — installing a tap cannot
-// change timing, content, or crash behavior. nil removes the tap.
-func (c *Controller) SetEventTap(fn func(Event)) { c.tap = fn }
+// change timing, content, or crash behavior. nil removes the tap. It
+// returns the tap fn replaces, for fn to chain to.
+func (c *Controller) SetEventTap(fn func(Event)) (prev func(Event)) {
+	prev, c.tap = c.tap, fn
+	return prev
+}
 
 // emit forwards one event to the tap, if any.
 func (c *Controller) emit(k EventKind, a mem.Addr) {

@@ -45,7 +45,7 @@ func NewRecorder() *Recorder { return &Recorder{} }
 // tap — the controller itself, or the storage-engine facade fronting
 // it.
 type TapTarget interface {
-	SetEventTap(func(memctrl.Event))
+	SetEventTap(func(memctrl.Event)) func(memctrl.Event)
 }
 
 // Attach installs the recorder as the target's event tap.

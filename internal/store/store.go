@@ -673,9 +673,11 @@ func (s *Store) HostWrite(now int64, a mem.Addr, l mem.Line) int64 {
 }
 
 // SetEventTap installs fn as the controller's persistence event tap
-// (purely observational; see memctrl.SetEventTap). nil removes it.
-func (s *Store) SetEventTap(fn func(Event)) {
+// (purely observational; see memctrl.SetEventTap) and returns the tap
+// it replaces, so a second observer can chain to the first by calling
+// it from fn. nil removes the tap.
+func (s *Store) SetEventTap(fn func(Event)) (prev func(Event)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ctrl.SetEventTap(fn)
+	return s.ctrl.SetEventTap(fn)
 }

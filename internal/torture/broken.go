@@ -173,12 +173,11 @@ func BrokenRunner(mode string) (*Runner, error) {
 		// set and switches the in-memory keymap, but its manifest commit
 		// never lands — the classic "forgot the commit record" defect.
 		// The namespace looks perfect until the crash, when reopen follows
-		// the fresh namespace's empty manifest into half 0: a stale log
-		// there, or frames of a later layout that its tag refuses. The
-		// compaction
-		// oracles (generation equality first, lost-acked and resurrection
-		// checks behind it) must catch it on any compact cell;
-		// non-compact cells run clean.
+		// the fresh namespace's empty manifest to a tail at the arena's
+		// first line: a log the passes had cut off there, or the seq gap
+		// where the head overwrote it. The compaction oracles (generation
+		// equality first, lost-acked and resurrection checks behind it)
+		// must catch it on any compact cell; non-compact cells run clean.
 		return &Runner{
 			Reopen: func(c Cell, st *store.Store) error {
 				if c.CompactEvery == 0 {

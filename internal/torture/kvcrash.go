@@ -100,8 +100,7 @@ func kvApply(state map[string][]byte, ops []kv.Op) map[string][]byte {
 // batches [0,j)), the acknowledged and issued batch counts, the
 // manifest generation when power failed, the writes the store
 // accepted, and the data-region lines each acknowledged batch wrote,
-// in the order the store accepted them (nil when the runner's Arm seam
-// owns the store's event tap).
+// in the order the store accepted them.
 type kvRun struct {
 	img           *engine.CrashImage
 	states        []map[string][]byte
@@ -113,9 +112,9 @@ type kvRun struct {
 
 // driveKV drives the cell's batches into a fresh namespace, armed
 // through the runner's seam, with power failing at the armed write
-// boundary. Without an Arm seam, which may install a tap of its own, it
-// records each batch's data-region writes through the store's event
-// tap, which only observes.
+// boundary. It records each batch's data-region writes through the
+// store's event tap, which only observes, chained in front of any tap
+// the Arm seam installed.
 func (r *Runner) driveKV(c Cell) (*kvRun, *Failure) {
 	st, err := store.Open(store.Options{Design: c.Design, Capacity: KVCapacity, Params: kvParams})
 	if err != nil {
@@ -134,15 +133,17 @@ func (r *Runner) driveKV(c Cell) (*kvRun, *Failure) {
 	}
 
 	var wrote []mem.Addr
-	if r.Arm == nil {
-		lay := st.Layout()
-		st.SetEventTap(func(ev store.Event) {
-			if ev.Kind == store.EvWriteAccept && lay.RegionOf(ev.Addr) == mem.RegionData {
-				wrote = append(wrote, ev.Addr)
-			}
-		})
-		run.frames = [][]mem.Addr{}
-	}
+	var armTap func(store.Event)
+	lay := st.Layout()
+	armTap = st.SetEventTap(func(ev store.Event) {
+		if armTap != nil {
+			armTap(ev)
+		}
+		if ev.Kind == store.EvWriteAccept && lay.RegionOf(ev.Addr) == mem.RegionData {
+			wrote = append(wrote, ev.Addr)
+		}
+	})
+	run.frames = [][]mem.Addr{}
 	if c.CrashAt >= 0 {
 		st.ArmCrash(c.CrashAt)
 	}
@@ -153,9 +154,7 @@ func (r *Runner) driveKV(c Cell) (*kvRun, *Failure) {
 		err := db.Batch(b)
 		if err == nil {
 			run.acked = run.issued
-			if run.frames != nil {
-				run.frames = append(run.frames, wrote)
-			}
+			run.frames = append(run.frames, wrote)
 			if c.CompactEvery > 0 && run.acked%c.CompactEvery == 0 {
 				if err = db.Compact(); err != nil && !errors.Is(err, store.ErrCrashed) {
 					return nil, failf(c, "kv-compact-error", "batch %d failed before any crash: %v", i, err)
@@ -228,8 +227,8 @@ func (r *Runner) runKV(c Cell) (*Context, *Failure) {
 	if c.CompactEvery == 0 {
 		return ctx, nil
 	}
-	// A pass renumbers the log, so a compacting cell claims the first
-	// reachable state its contents equal.
+	// A pass appends copies with seqs of their own, so a compacting cell
+	// claims the first reachable state its contents equal.
 	e.prefix = slices.IndexFunc(run.states[run.acked:run.issued+1], func(s map[string][]byte) bool {
 		return maps.EqualFunc(e.got.live, s, bytes.Equal)
 	})

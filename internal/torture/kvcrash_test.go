@@ -228,14 +228,26 @@ func TestReorderPersistIgnoresRequests(t *testing.T) {
 
 // TestKVWriteTapObserves is the twin-run rule for kv-header-last's
 // evidence: a KV cell driven with the store's event tap recording each
-// batch's writes leaves the same crash image, write count, batch counts
-// and generation as the same cell driven by a runner whose Arm seam
-// keeps the tap off, at every crash point of a compacting sweep.
+// batch's writes leaves the same crash image, write count, batch counts,
+// generation and recorded frames as the same cell driven by a runner
+// whose Arm seam installs a tap of its own, at every crash point of a
+// compacting sweep. The recorder chains to the seam's tap, which sees
+// every data write the recorder does, in the same order.
 func TestKVWriteTapObserves(t *testing.T) {
-	untapped := &Runner{Arm: func(Cell, *store.Store) func(*nvm.Image) { return nil }}
+	var seen []mem.Addr
+	armed := &Runner{Arm: func(_ Cell, st *store.Store) func(*nvm.Image) {
+		seen = nil
+		lay := st.Layout()
+		st.SetEventTap(func(ev store.Event) {
+			if ev.Kind == store.EvWriteAccept && lay.RegionOf(ev.Addr) == mem.RegionData {
+				seen = append(seen, ev.Addr)
+			}
+		})
+		return nil
+	}}
 	for _, c := range kvSweep(Cell{Design: "ccnvm", Workload: KVWorkload, Seed: 3, Batches: 4, CompactEvery: 2, Attack: "none"}) {
 		tapped, f1 := DefaultRunner().driveKV(c)
-		twin, f2 := untapped.driveKV(c)
+		twin, f2 := armed.driveKV(c)
 		if f1 != nil || f2 != nil {
 			t.Fatalf("%s: %v / %v", c, f1, f2)
 		}
@@ -246,8 +258,19 @@ func TestKVWriteTapObserves(t *testing.T) {
 			t.Fatalf("%s: the tap changed the run: writes %d/%d, acked %d/%d, generation %d/%d, images equal %v (%v, %v)",
 				c, tapped.writes, twin.writes, tapped.acked, twin.acked, tapped.gen, twin.gen, bytes.Equal(img1, img2), err1, err2)
 		}
-		if twin.frames != nil || len(tapped.frames) != tapped.acked {
-			t.Fatalf("%s: recorded %d frames for %d acknowledged batches, and %v untapped", c, len(tapped.frames), tapped.acked, twin.frames)
+		if len(tapped.frames) != tapped.acked || !slices.EqualFunc(tapped.frames, twin.frames, slices.Equal) {
+			t.Fatalf("%s: recorded %d frames for %d acknowledged batches, %d under the seam's tap",
+				c, len(tapped.frames), tapped.acked, len(twin.frames))
+		}
+		rest := seen
+		for _, f := range twin.frames {
+			for _, a := range f {
+				i := slices.Index(rest, a)
+				if i < 0 {
+					t.Fatalf("%s: the seam's tap missed the recorded write %#x", c, a)
+				}
+				rest = rest[i+1:]
+			}
 		}
 	}
 }

@@ -324,15 +324,16 @@ var oracles = []Oracle{
 	// a claim leaves it to the later row that owns it: the shrinker keeps
 	// only candidates failing the same name, so the order is behaviour.
 	{Name: "kv-compact-gen", Scope: scopeCompact, Check: checkKVCompactGen, Doc: "The recovered manifest " +
-		"generation equals the in-memory one at the crash: the switch happened iff its single-slot commit was accepted."},
+		"generation, the count of committed tail moves, equals the in-memory one at the crash: a pass moved the " +
+		"tail iff its single-slot commit was accepted."},
 	{Name: "kv-batch-atomic", Scope: scopeKV, Check: checkKVBatchAtomic, Doc: "The namespace equals the state " +
 		"after batch j for some j in [acked, issued]: no partial batch is ever visible, compaction or not."},
 	{Name: "kv-acked-durable", Scope: scopePlainKV, Check: checkKVAckedDurable, Doc: "Every acknowledged batch " +
 		"is applied: the recovered log holds at least the acknowledged batch count."},
 	{Name: "kv-header-last", Scope: scopeKV, Check: checkKVHeaderLast, Doc: "Every acknowledged batch's last " +
 		"accepted data-region write is its lowest-address line, the frame header, so a crash inside a frame " +
-		"leaves its header unwritten (recorded through the store's event tap; a runner whose Arm seam owns the " +
-		"tap records nothing)."},
+		"leaves its header unwritten (recorded through the store's event tap, chained behind any tap the runner's " +
+		"Arm seam installs)."},
 	{Name: "kv-no-ghost-resurrection", Scope: scopeCompact, Check: checkKVNoGhostResurrection, Doc: "A key " +
 		"deleted (or never written) in every reachable prefix state never reappears through compact + crash + recover."},
 	{Name: "kv-compact-lost-acked", Scope: scopeCompact, Check: checkKVCompactLostAcked, Doc: "A key live in " +
