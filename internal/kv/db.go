@@ -16,6 +16,14 @@ import (
 // ErrDBClosed reports an operation on a closed or crashed DB.
 var ErrDBClosed = errors.New("kv: db closed")
 
+// ErrDamagedFrame reports a frame with a valid header that fails
+// verification: a payload line fails authentication, or the payload
+// fails its checksum. A torn tail leaves neither (the header is written
+// last), so Open refuses the log rather than end it there: ending it
+// would let the next batch reuse the frame's seq and place and relink
+// the committed frames after it.
+var ErrDamagedFrame = errors.New("kv: log frame damaged")
+
 // Options tunes a DB.
 type Options struct {
 	// WriteController configures the stall triggers (see
@@ -306,7 +314,8 @@ type scanBatch struct {
 	frames  []scanFrame
 	lines   []store.Fetched // read stage: every frame's lines after its header
 	payload []byte          // verify stage: every frame's opened payload
-	sealed  int             // verify stage: frames[:sealed] passed their checksum
+	sealed  int             // verify stage: frames[:sealed] passed verification
+	damaged error           // verify stage: why frames[sealed] failed it, if one did
 	err     error           // read stage: the error that ended the log after frames
 }
 
@@ -326,9 +335,9 @@ type scanBatch struct {
 // The read stage walks the header chain to its end whatever the later
 // stages find, so the engine work, and with it the store's clock and
 // statistics, does not depend on how the stages interleave. The first
-// event in log order decides: a frame failing its checksum ends the log
-// there, a malformed sealed frame is refused by seq and address, and a
-// read error counts only if no earlier frame ended the log.
+// event in log order decides: a damaged frame (ErrDamagedFrame) or a
+// malformed sealed one is refused by seq and address, and a read error
+// counts only if no earlier frame was refused.
 func (db *DB) scan() error {
 	shape := scanShape
 	// The pool recycles chunk buffers: it can take every chunk alive at
@@ -425,8 +434,7 @@ func (db *DB) readFrames(out chan<- *scanBatch, get func(lines int) *scanBatch, 
 // verifyFrames is scan's verify stage: it gathers each frame's payload
 // from its header line and its opened lines and checks the payload
 // checksum, marking the sealed prefix of every chunk. Chunks after the
-// first failed checksum are dropped unopened: the log ended before
-// them.
+// first damaged frame are dropped unopened: the scan fails there.
 func (db *DB) verifyFrames(in <-chan *scanBatch, out chan<- *scanBatch, put func(*scanBatch)) {
 	defer close(out)
 	op := db.st.NewOpener()
@@ -441,11 +449,13 @@ func (db *DB) verifyFrames(in <-chan *scanBatch, out chan<- *scanBatch, put func
 			f := &b.frames[i]
 			f.off = len(b.payload)
 			b.payload = append(b.payload, f.head[:min(headLen, f.n)]...)
+			authed := true
 			for j := range payloadLines(f.n) {
-				pt, _ := op.Open(&b.lines[f.line+j])
+				pt, ok := op.Open(&b.lines[f.line+j])
+				authed = authed && ok
 				b.payload = append(b.payload, pt[:min(mem.LineSize, f.n-headLen-j*mem.LineSize)]...)
 			}
-			if mem.Checksum(b.payload[f.off:]) != f.ck {
+			if b.damaged = damagedFrame(&f.frameHeader, f.addr, authed, b.payload[f.off:]); b.damaged != nil {
 				ended = true
 				break
 			}
@@ -453,6 +463,22 @@ func (db *DB) verifyFrames(in <-chan *scanBatch, out chan<- *scanBatch, put func
 		}
 		out <- b
 	}
+}
+
+// damagedFrame is the scan's refusal of the frame with header h at
+// addr whose payload lines opened to payload, authed if every one
+// passed authentication, or nil if the frame is sealed.
+func damagedFrame(h *frameHeader, addr mem.Addr, authed bool, payload []byte) error {
+	var why string
+	switch {
+	case !authed:
+		why = "a payload line fails authentication"
+	case mem.Checksum(payload) != h.ck:
+		why = "the payload fails its checksum"
+	default:
+		return nil
+	}
+	return fmt.Errorf("%w: seq %d at %#x: %s", ErrDamagedFrame, h.seq, uint64(addr), why)
 }
 
 // indexFrames is scan's index stage: it decodes every sealed frame and
@@ -480,8 +506,8 @@ func (db *DB) indexFrames(in <-chan *scanBatch, put func(*scanBatch)) error {
 		}
 		switch {
 		case done:
-		case b.sealed < len(b.frames): // a failed checksum ends the log
-			done = true
+		case b.damaged != nil:
+			err, done = b.damaged, true
 		case b.err != nil:
 			err, done = b.err, true
 		}

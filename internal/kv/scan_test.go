@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -46,9 +47,10 @@ func scanDB(st *store.Store) *DB {
 // frame's lines after its header (a first line in an earlier build's
 // format is the error); join each payload from its header line's head
 // and those lines, open and checksum the payloads in log order up to
-// the first failed checksum, which ends the log; decode and append the
-// sealed frames up to the first malformed one, which is the error. A
-// read error counts only if the log had not ended before it.
+// the first damaged frame (a line failing authentication or a failed
+// checksum); decode and append the sealed frames up to the first
+// damaged or malformed one, which is the error. A read error counts
+// only if no frame before it was refused.
 func serialScan(db *DB) error {
 	op := db.st.NewOpener()
 	ring := db.ringBytes
@@ -87,12 +89,21 @@ func serialScan(db *DB) error {
 		}
 		if checking {
 			payload := slices.Clone(h.head[:min(headLen, h.n)])
+			authed := true
 			for j := range lines {
-				pt, _ := op.Open(&lines[j])
+				pt, ok := op.Open(&lines[j])
+				authed = authed && ok
 				payload = append(payload, pt[:min(mem.LineSize, h.n-headLen-j*mem.LineSize)]...)
 			}
 			switch recs, derr := decodePayload(nil, payload, h.count); {
-			case mem.Checksum(payload) != h.ck:
+			case !authed || mem.Checksum(payload) != h.ck:
+				if !ended {
+					why := "a payload line fails authentication"
+					if authed {
+						why = "the payload fails its checksum"
+					}
+					err = fmt.Errorf("%w: seq %d at %#x: %s", ErrDamagedFrame, h.seq, uint64(addr), why)
+				}
 				checking, ended = false, true
 			case ended:
 			case derr != nil:
@@ -199,9 +210,10 @@ func TestScanPipelineIdentity(t *testing.T) {
 		{"payload checksum", func(t *testing.T, st *store.Store, frame mem.Addr) {
 			rewrite(t, st, frame+2*mem.LineSize, func(l *mem.Line) { l[5] ^= 1 })
 		}, func(t *testing.T, o scanOutcome, frame mem.Addr) {
-			if o.err != "" || o.seq != bad-1 || o.head != frame || o.violations != 0 {
-				t.Fatalf("seq %d head %#x, %d violations, error %q; want the log to end at frame %d (%#x)",
-					o.seq, uint64(o.head), o.violations, o.err, bad, uint64(frame))
+			want := fmt.Sprintf("kv: log frame damaged: seq %d at %#x: the payload fails its checksum", bad, uint64(frame))
+			if o.err != want || o.seq != bad-1 || o.head != frame || o.violations != 0 {
+				t.Fatalf("seq %d head %#x, %d violations, error %q; want frame %d (%#x) refused: %q",
+					o.seq, uint64(o.head), o.violations, o.err, bad, uint64(frame), want)
 			}
 		}},
 		{"payload tampered after reboot", func(t *testing.T, st *store.Store, frame mem.Addr) {
@@ -215,17 +227,20 @@ func TestScanPipelineIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, func(t *testing.T, o scanOutcome, frame mem.Addr) {
-			if o.err != "" || o.seq != bad-1 || o.head != frame || o.violations != 1 {
-				t.Fatalf("seq %d head %#x, %d violations, error %q; want one violation and the log to end at frame %d (%#x)",
-					o.seq, uint64(o.head), o.violations, o.err, bad, uint64(frame))
+			want := fmt.Sprintf("kv: log frame damaged: seq %d at %#x: a payload line fails authentication", bad, uint64(frame))
+			if o.err != want || o.seq != bad-1 || o.head != frame || o.violations != 1 {
+				t.Fatalf("seq %d head %#x, %d violations, error %q; want one violation and frame %d (%#x) refused: %q",
+					o.seq, uint64(o.head), o.violations, o.err, bad, uint64(frame), want)
 			}
 		}},
 		{"HMAC line tampered after reboot", func(t *testing.T, st *store.Store, frame mem.Addr) {
 			ha, _ := st.Layout().HMACLineOf(frame + 2*mem.LineSize)
 			tamperRaw(t, st, ha)
 		}, func(t *testing.T, o scanOutcome, _ mem.Addr) {
-			// A conventional block that fails its HMAC still decrypts, so
-			// the payload checksum passes and the log runs to its end.
+			// The tampered slot is a header line's, read through
+			// Store.Read: it counts the violation but returns the
+			// decrypted line, whose seal and checksum pass, so the log
+			// runs to its end.
 			if o.err != "" || o.seq != frames || o.head != 0x1c280 || o.violations != 1 || len(o.idx) != 900 {
 				t.Fatalf("seq %d head %#x, %d violations, %d keys, error %q; want seq %d head 0x1c280, one violation, 900 keys",
 					o.seq, uint64(o.head), o.violations, len(o.idx), o.err, frames)
@@ -234,11 +249,12 @@ func TestScanPipelineIdentity(t *testing.T) {
 		{"counter line tampered after reboot", func(t *testing.T, st *store.Store, frame mem.Addr) {
 			tamperRaw(t, st, st.Layout().CounterLineOf(frame+2*mem.LineSize))
 		}, func(t *testing.T, o scanOutcome, _ mem.Addr) {
-			// The page's first frame decrypts under the wrong counter: the
-			// log ends before it.
-			if o.err != "" || o.seq != 127 || o.head != 0xbf00 || o.violations != 4 || len(o.idx) != 508 {
-				t.Fatalf("seq %d head %#x, %d violations, %d keys, error %q; want seq 127 head 0xbf00, 4 violations, 508 keys",
-					o.seq, uint64(o.head), o.violations, len(o.idx), o.err)
+			// The page's first frame decrypts under the wrong counter and
+			// is refused.
+			const want = "kv: log frame damaged: seq 128 at 0xbf00: a payload line fails authentication"
+			if o.err != want || o.seq != 127 || o.head != 0xbf00 || o.violations != 4 || len(o.idx) != 508 {
+				t.Fatalf("seq %d head %#x, %d violations, %d keys, error %q; want seq 127 head 0xbf00, 4 violations, 508 keys, %q",
+					o.seq, uint64(o.head), o.violations, len(o.idx), o.err, want)
 			}
 		}},
 	}
@@ -265,5 +281,44 @@ func TestScanPipelineIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOpenRefusesFrameTamperedMidLog: a payload line of the third of
+// five committed frames, written below the engine after a reboot, fails
+// authentication, so Open fails with ErrDamagedFrame naming the frame's
+// seq and address — and fails again, as nothing was written. Ending the
+// log there instead (the scan once did) kept two keys and let the next
+// put reuse seq 3 and its place: a frame of the same length relinked
+// the chain, and the reopen after it indexed k3 and k4 again.
+func TestOpenRefusesFrameTamperedMidLog(t *testing.T) {
+	st := compactStore(t, 1<<20)
+	db := compactDB(t, st)
+	val := bytes.Repeat([]byte{'v'}, 100)
+	var frames []mem.Addr
+	for i := range 5 {
+		frames = append(frames, db.addr(db.head))
+		if err := db.Put([]byte(fmt.Sprintf("k%d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, _, err := store.Reboot(db.Crash(), store.Options{Params: engine.Params{UpdateLimit: 16, QueueEntries: 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var junk mem.Line
+	for i := range junk {
+		junk[i] = byte(i)
+	}
+	st.HostWrite(st.Now(), frames[2]+mem.LineSize, junk)
+	want := fmt.Sprintf("kv: log frame damaged: seq 3 at %#x: a payload line fails authentication", uint64(frames[2]))
+	for range 2 {
+		db, err := Open(st, Options{})
+		if !errors.Is(err, ErrDamagedFrame) || err.Error() != want {
+			if err == nil {
+				t.Fatalf("Open succeeded at seq %d with %d keys; want %q", db.seq, len(db.idx), want)
+			}
+			t.Fatalf("Open: %v; want %q", err, want)
+		}
 	}
 }

@@ -220,13 +220,15 @@ type Controller struct {
 }
 
 // reqLine is the request scope's buffer: the data-HMAC line at addr as
-// the device holds it once every queued entry has retired, and whether
-// it was ever written. ok is false while it holds nothing.
+// the device holds it once every queued entry has retired, whether it
+// was ever written, and the cycle the device read that filled it
+// completed. ok is false while it holds nothing.
 type reqLine struct {
 	addr    mem.Addr
 	line    mem.Line
 	present bool
 	ok      bool
+	ready   int64
 }
 
 // New builds a controller over dev.
@@ -392,10 +394,11 @@ func (c *Controller) bankOf(a mem.Addr) int {
 // BeginRequest opens a request scope: until EndRequest, the controller
 // keeps the last data-HMAC-region line a device read returned in a
 // one-entry buffer, and a Read or ReadBypass of that line is served
-// from it at the caller's cycle, with no device read. Every write of
-// the line the controller accepts updates the buffer and a failed
-// device write or a Crash empties it, so it always holds what the
-// device will.
+// from it with no device read: a Read no earlier than the fill's
+// completion, as a read overlapping the fill waits for its line, a
+// ReadBypass at the caller's cycle. Every write of the line the
+// controller accepts updates the buffer and a failed device write or a
+// Crash empties it, so it always holds what the device will.
 //
 // On a device without a fault model the buffer also merges writes: the
 // first non-epoch write of the buffered line is queued as an owed entry,
@@ -453,11 +456,12 @@ func (c *Controller) reqHit(a mem.Addr) (mem.Line, bool, bool) {
 }
 
 // reqFill keeps a device read of a data-HMAC line inside a request,
-// retiring the owed entry of the line it replaces first.
-func (c *Controller) reqFill(a mem.Addr, l mem.Line, ok bool) {
+// completed at ready, retiring the owed entry of the line it replaces
+// first.
+func (c *Controller) reqFill(a mem.Addr, l mem.Line, ok bool, ready int64) {
 	if c.inReq && c.dev.Layout().RegionOf(a) == mem.RegionHMAC {
 		c.retireOwed()
-		c.req = reqLine{addr: a, line: l, present: ok, ok: true}
+		c.req = reqLine{addr: a, line: l, present: ok, ok: true, ready: ready}
 	}
 }
 
@@ -468,7 +472,7 @@ func (c *Controller) reqFill(a mem.Addr, l mem.Line, ok bool) {
 func (c *Controller) Read(now int64, a mem.Addr) (mem.Line, bool, int64) {
 	a = mem.Align(a)
 	if l, ok, hit := c.reqHit(a); hit {
-		return l, ok, now
+		return l, ok, max(now, c.req.ready)
 	}
 	c.stats.Reads++
 	if i := newest(c.held, a); i >= 0 {
@@ -499,8 +503,8 @@ func (c *Controller) Read(now int64, a mem.Addr) (mem.Line, bool, int64) {
 	start := max(now, c.readBanks[b])
 	done := start + c.dev.Timing().ReadCycles
 	l, ok := c.dev.Read(a)
-	c.reqFill(a, l, ok)
 	done += c.retryPenalty(a)
+	c.reqFill(a, l, ok, done)
 	c.readBanks[b] = done
 	c.readQ = append(c.readQ, done)
 	return l, ok, done
@@ -661,8 +665,9 @@ func (c *Controller) ReadBypass(now int64, a mem.Addr) (mem.Line, bool, int64) {
 		return c.held[i].line, true, now
 	}
 	l, ok := c.dev.Read(a)
-	c.reqFill(a, l, ok)
-	return l, ok, now + c.dev.Timing().ReadCycles + c.retryPenalty(a)
+	done := now + c.dev.Timing().ReadCycles + c.retryPenalty(a)
+	c.reqFill(a, l, ok, done)
+	return l, ok, done
 }
 
 // BeginEpochDrain opens the atomic-draining window: subsequent writes

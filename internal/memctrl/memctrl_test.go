@@ -366,17 +366,19 @@ func TestReadOnlyRefusesEpochsButNotOwedOnes(t *testing.T) {
 
 // TestRequestBuffer: inside a request the controller reads a data-HMAC
 // line from the device once and serves the next reads of it from its
-// one-entry buffer at the caller's cycle, counted as request hits and
-// not as reads. Every accepted write of the line, held or not, updates
-// the buffer; a failed device write, EndRequest and Crash empty it. A
-// data line is never buffered, and outside a request nothing is.
+// one-entry buffer, counted as request hits and not as reads: a Read no
+// earlier than the device read that filled the buffer completed, a
+// ReadBypass at the caller's cycle. Every accepted write of the line,
+// held or not, updates the buffer; a failed device write, EndRequest
+// and Crash empty it. A data line is never buffered, and outside a
+// request nothing is.
 func TestRequestBuffer(t *testing.T) {
 	c := ctrl(t, Config{})
 	h := c.Device().Layout().HMACBase
 	c.Write(0, h, line(1))
-	want := func(what string, a mem.Addr, l mem.Line, present bool, reads, hits uint64) {
+	want := func(what string, a mem.Addr, l mem.Line, present bool, reads, hits uint64) int64 {
 		t.Helper()
-		got, ok, _ := c.Read(1000, a)
+		got, ok, done := c.Read(1000, a)
 		if got != l || ok != present {
 			t.Fatalf("%s: read %x present=%v, want %x present=%v", what, got[:1], ok, l[:1], present)
 		}
@@ -384,25 +386,31 @@ func TestRequestBuffer(t *testing.T) {
 			t.Fatalf("%s: %d device reads, stats %d reads %d hits; want %d reads %d hits",
 				what, r, s.Reads, s.RequestHits, reads, hits)
 		}
+		return done
 	}
 	want("outside a request", h, line(1), true, 1, 0)
 	want("outside a request, again", h, line(1), true, 2, 0)
 
 	c.BeginRequest()
-	want("first read", h, line(1), true, 3, 0)
+	fill := want("first read", h, line(1), true, 3, 0)
 	if got, ok, done := c.ReadBypass(500, h); got != line(1) || !ok || done != 500 {
 		t.Fatalf("buffered ReadBypass: %x %v done %d, want 01 true done 500", got[:1], ok, done)
 	}
-	want("buffered read", h, line(1), true, 3, 2)
-	want("data line", 0, mem.Line{}, false, 4, 2)
-	want("data line, again", 0, mem.Line{}, false, 5, 2)
+	if done := want("buffered read", h, line(1), true, 3, 2); done != fill {
+		t.Fatalf("a buffered Read issued at 1000 completes at %d, want the fill's completion %d", done, fill)
+	}
+	if _, _, done := c.Read(fill+7, h); done != fill+7 {
+		t.Fatalf("a buffered Read issued after its fill completes at %d, want the caller's cycle %d", done, fill+7)
+	}
+	want("data line", 0, mem.Line{}, false, 4, 3)
+	want("data line, again", 0, mem.Line{}, false, 5, 3)
 	c.Write(0, h, line(2))
-	want("after a write", h, line(2), true, 5, 3)
+	want("after a write", h, line(2), true, 5, 4)
 	if err := c.BeginEpochDrain(); err != nil {
 		t.Fatal(err)
 	}
 	c.Write(0, h, line(3))
-	want("after a held write", h, line(3), true, 5, 4)
+	want("after a held write", h, line(3), true, 5, 5)
 	if _, err := c.EndEpochDrain(0); err != nil {
 		t.Fatal(err)
 	}
@@ -410,18 +418,18 @@ func TestRequestBuffer(t *testing.T) {
 	if c.Err() == nil {
 		t.Fatal("a write past the device did not fail")
 	}
-	want("after a failed write", h, line(3), true, 6, 4)
+	want("after a failed write", h, line(3), true, 6, 5)
 	h2 := h + mem.LineSize
-	want("never-written line", h2, mem.Line{}, false, 7, 4)
-	want("never-written line, again", h2, mem.Line{}, false, 7, 5)
-	want("the other line", h, line(3), true, 8, 5)
+	want("never-written line", h2, mem.Line{}, false, 7, 5)
+	want("never-written line, again", h2, mem.Line{}, false, 7, 6)
+	want("the other line", h, line(3), true, 8, 6)
 	c.EndRequest()
-	want("after EndRequest", h, line(3), true, 9, 5)
+	want("after EndRequest", h, line(3), true, 9, 6)
 
 	c.BeginRequest()
-	want("new request", h, line(3), true, 10, 5)
+	want("new request", h, line(3), true, 10, 6)
 	c.Crash()
-	want("after a crash", h, line(3), true, 11, 5)
+	want("after a crash", h, line(3), true, 11, 6)
 }
 
 // TestRequestMergesHMACWrites: inside a request on a faultless device,

@@ -34,7 +34,6 @@ const (
 	l2Ways = 8
 	l1Lat  = 2  // cycles
 	l2Lat  = 20 // cycles
-	mshrs  = 8  // outstanding memory reads
 )
 
 // Config describes one machine instance. Zero values select the paper's
@@ -99,10 +98,10 @@ type Machine struct {
 }
 
 type coreState struct {
-	now         int64
-	outstanding []int64 // completion times of in-flight memory reads
-	instrs      uint64
-	mismatches  uint64
+	now        int64
+	misses     engine.Window // in-flight memory reads
+	instrs     uint64
+	mismatches uint64
 }
 
 // New builds a machine. Assembly — layout, device, controller, engine
@@ -151,21 +150,7 @@ func (m *Machine) Engine() engine.Engine { return m.eng }
 // memRead issues a memory-level read through the security engine with
 // MSHR-bounded parallelism. It returns the line and its completion.
 func (m *Machine) memRead(a mem.Addr, dep bool) mem.Line {
-	// Wait for an MSHR when the window is full.
-	if len(m.core.outstanding) >= mshrs {
-		earliest, ei := m.core.outstanding[0], 0
-		for i, t := range m.core.outstanding {
-			if t < earliest {
-				earliest, ei = t, i
-			}
-		}
-		if earliest > m.core.now {
-			m.core.now = earliest
-		}
-		last := len(m.core.outstanding) - 1
-		m.core.outstanding[ei] = m.core.outstanding[last]
-		m.core.outstanding = m.core.outstanding[:last]
-	}
+	m.core.now = m.core.misses.Issue(m.core.now)
 	pt, done := m.eng.ReadBlock(m.core.now, a)
 	if dep {
 		// The consumer stalls until the verified value arrives.
@@ -173,7 +158,7 @@ func (m *Machine) memRead(a mem.Addr, dep bool) mem.Line {
 			m.core.now = done
 		}
 	} else {
-		m.core.outstanding = append(m.core.outstanding, done)
+		m.core.misses.Add(done)
 	}
 	if m.shadow != nil {
 		if want, ok := m.shadow[a]; ok && want != pt {
@@ -238,12 +223,7 @@ func (m *Machine) Run(workload string, ops []trace.Op) Result {
 		m.step(op)
 	}
 	// Drain outstanding reads into the cycle count.
-	for _, t := range m.core.outstanding {
-		if t > m.core.now {
-			m.core.now = t
-		}
-	}
-	m.core.outstanding = m.core.outstanding[:0]
+	m.core.now = m.core.misses.Drain(m.core.now)
 	return m.result(workload)
 }
 

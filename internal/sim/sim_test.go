@@ -17,7 +17,7 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if c.Design != "ccnvm" || c.Capacity != 16<<30 || l1Size != 32<<10 ||
 		l2Size != 256<<10 || l1Ways != 2 || l2Ways != 8 ||
-		l1Lat != 2 || l2Lat != 20 || mshrs != 8 {
+		l1Lat != 2 || l2Lat != 20 || engine.MSHRs != 8 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 }

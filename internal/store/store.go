@@ -23,7 +23,9 @@
 //     the last data-HMAC line it read in a one-line buffer, so lines
 //     sharing a data-HMAC line read it from the device once only when
 //     the call visits them in one stretch; their writes of it merge
-//     into its WPQ entry while that is still queued.
+//     into its WPQ entry while that is still queued. A read call's
+//     lines overlap under the core's miss window (engine.Window), as
+//     the simulator's independent misses do.
 //   - Snapshot captures the adversary-visible NVM image via the COW
 //     mem.Store.Clone — one top-level directory slice, whatever the
 //     image size, so point-in-time readers are cheap.
@@ -373,31 +375,41 @@ func (s *Store) Read(a mem.Addr) (mem.Line, error) {
 // ReadLines fetches, decrypts and authenticates the n lines from a
 // through the engine's ReadBlock — FetchBlock, then the open on the
 // engine's own crypto engine — in address order, in one request, and
-// appends their plaintext to dst. Never-written lines read as zero. A
-// line the boot verdict serves (see OpenRecovered) is only decrypted,
-// outside the engine and its timing model. On error the lines already
-// read stay in the result.
+// appends their plaintext to dst. Never-written lines read as zero. The
+// lines' reads overlap under the core's miss window (engine.Window):
+// each issues at the call's start cycle, or at the earliest completion
+// in flight while all MSHRs are taken, and the call ends at its latest
+// completion. A line the boot verdict serves (see OpenRecovered) is
+// only decrypted, outside the engine and its timing model. On error the
+// lines already read stay in the result.
 func (s *Store) ReadLines(dst []byte, a mem.Addr, n int) ([]byte, error) {
 	s.lockRequest()
 	defer s.unlockRequest()
 	if err := s.usable(); err != nil {
 		return dst, err
 	}
+	var w engine.Window
+	t := s.now
+	var err error
 	a = mem.Align(a)
 	for i := 0; i < n; i, a = i+1, a+mem.LineSize {
-		if err := s.checkAddr(a); err != nil {
-			return dst, err
+		if err = s.checkAddr(a); err != nil {
+			break
 		}
 		var pt mem.Line
 		var f engine.Fetched
 		if s.verdictLine(a, &f) {
 			pt = s.vcry.Decrypt(f.Addr, f.Ctr, f.Line)
 		} else {
-			pt, s.now = s.eng.ReadBlock(s.now, a)
+			var done int64
+			t = w.Issue(t)
+			pt, done = s.eng.ReadBlock(t, a)
+			w.Add(done)
 		}
 		dst = append(dst, pt[:]...)
 	}
-	return dst, nil
+	s.now = w.Drain(t)
+	return dst, err
 }
 
 // Fetched is one line as Fetch left it: read, charged and counted under
@@ -411,28 +423,34 @@ type Fetched struct {
 
 // Fetch is the stateful half of ReadLines for the n lines from a: the
 // engine's FetchBlock of each line in address order — the engine work
-// of one n-line ReadLines up to the authentication and decryption — in
-// one request, appending the fetched lines to dst. A line the boot
-// verdict serves skips FetchBlock, and with it the timing model. On
-// error the lines already fetched stay in the result.
+// and timing of one n-line ReadLines up to the authentication and
+// decryption, the reads overlapping as there — in one request,
+// appending the fetched lines to dst. A line the boot verdict serves
+// skips FetchBlock, and with it the timing model. On error the lines
+// already fetched stay in the result.
 func (s *Store) Fetch(dst []Fetched, a mem.Addr, n int) ([]Fetched, error) {
 	s.lockRequest()
 	defer s.unlockRequest()
 	if err := s.usable(); err != nil {
 		return dst, err
 	}
+	var w engine.Window
+	t := s.now
+	var err error
 	a = mem.Align(a)
 	for i := 0; i < n; i, a = i+1, a+mem.LineSize {
-		if err := s.checkAddr(a); err != nil {
-			return dst, err
+		if err = s.checkAddr(a); err != nil {
+			break
 		}
 		dst = append(dst, Fetched{})
 		f := &dst[len(dst)-1]
 		if f.authed = s.verdictLine(a, &f.f); !f.authed {
-			s.now = s.eng.FetchBlock(s.now, a, &f.f)
+			t = w.Issue(t)
+			w.Add(s.eng.FetchBlock(t, a, &f.f))
 		}
 	}
-	return dst, nil
+	s.now = w.Drain(t)
+	return dst, err
 }
 
 // Opener is the pure half of Read, for use off the store's lock: it

@@ -134,8 +134,9 @@ func BrokenRunner(mode string) (*Runner, error) {
 		// distinct edge cut and lands in the window; evenly spaced points
 		// at the same budget straddle it. A KV cell arms at its first
 		// write (reorderKVAfterCommits): an acknowledged batch whose line
-		// never persisted trips kv-acked-durable, or kv-clean-recovery
-		// where the counter retry flags the stale line first (cc-NVM).
+		// never persisted trips kv-clean-recovery, as the reopen refuses
+		// the damaged frame or, where the counter retry flags the stale
+		// line first (cc-NVM), as recovery does.
 		// Fault-model cells run clean: their crash-time tearing assumes
 		// nominal WPQ ordering and they are not the test.
 		return &Runner{

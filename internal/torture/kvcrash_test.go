@@ -9,6 +9,7 @@ import (
 
 	"ccnvm/internal/bmt"
 	"ccnvm/internal/engine"
+	"ccnvm/internal/kv"
 	"ccnvm/internal/mem"
 	"ccnvm/internal/nvm"
 	"ccnvm/internal/recovery"
@@ -136,11 +137,12 @@ func TestKVOraclesCatchSabotagedRecovery(t *testing.T) {
 // TestBrokenReorderPersistKVCaught gives reorder-persist teeth at the
 // KV storey: with a batch closing no epoch, the victim write is a KV
 // cell's first (reorderKVAfterCommits). Every KV design must fail some
-// cell, and an acknowledged batch that lost the write must trip
-// kv-acked-durable (on cc-NVM the counter retry flags the stale line
-// first, so kv-clean-recovery catches it there). That failure names a
-// KV cell, and its shrunk repro replays under the defect and passes
-// without it.
+// cell, and an acknowledged frame that lost the write must fail the
+// reopen with kv.ErrDamagedFrame, tripping kv-clean-recovery (on cc-NVM
+// the counter retry flags the stale line first, so the recovery report
+// trips it there); a scan that ended the log at the frame left the loss
+// to kv-acked-durable. That failure names a KV cell, and its shrunk
+// repro replays under the defect and passes without it.
 func TestBrokenReorderPersistKVCaught(t *testing.T) {
 	r, err := BrokenRunner("reorder-persist")
 	if err != nil {
@@ -152,9 +154,11 @@ func TestBrokenReorderPersistKVCaught(t *testing.T) {
 			t.Errorf("reorder-persist slipped past every oracle on %s", d)
 		}
 	}
-	i := slices.IndexFunc(sum.Failures, func(f MatrixFailure) bool { return f.Oracle == "kv-acked-durable" })
+	i := slices.IndexFunc(sum.Failures, func(f MatrixFailure) bool {
+		return f.Oracle == "kv-clean-recovery" && strings.Contains(f.Detail, kv.ErrDamagedFrame.Error())
+	})
 	if i < 0 {
-		t.Fatalf("reorder-persist slipped past kv-acked-durable over %d KV cells (%d failures)", sum.Cells, len(sum.Failures))
+		t.Fatalf("no reopen refused a damaged frame under reorder-persist over %d KV cells (%d failures)", sum.Cells, len(sum.Failures))
 	}
 	f := sum.Failures[i]
 	if !f.Cell.KV() {
@@ -166,7 +170,7 @@ func TestBrokenReorderPersistKVCaught(t *testing.T) {
 	if g := DefaultRunner().RunCell(f.Cell); g != nil {
 		t.Fatalf("cell %s also fails without the defect: %v", f.Cell, g)
 	}
-	t.Logf("reorder-persist caught by kv-acked-durable: %s", f.Repro)
+	t.Logf("reorder-persist caught by a refused reopen: %s", f.Repro)
 }
 
 // TestReorderPersistIgnoresRequests: the defect edits an image the
